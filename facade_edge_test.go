@@ -1,6 +1,7 @@
 package geographer
 
 import (
+	"errors"
 	"math"
 	"testing"
 )
@@ -205,5 +206,99 @@ func TestRepartitionFacade(t *testing.T) {
 	}
 	if _, err := Repartition(m.Coords, m.Dim, perturbed, blocks, Options{K: 8, Method: MethodRCB}); err == nil {
 		t.Error("non-geographer warm start accepted")
+	}
+}
+
+// TestNonFiniteInputRejected pins the one behaviour of every entry point
+// that takes coordinates or weights on values the partitioners cannot
+// use: ErrNonFinite, nothing changed, the session still usable.
+func TestNonFiniteInputRejected(t *testing.T) {
+	const n = 200
+	good := randomCoords(n, 2, 3)
+	unit := make([]float64, n)
+	for i := range unit {
+		unit[i] = 1
+	}
+	poison := func(base []float64, at int, v float64) []float64 {
+		out := append([]float64(nil), base...)
+		out[at] = v
+		return out
+	}
+	cases := []struct {
+		name                  string
+		badCoords, badWeights []float64 // nil: the valid ones
+	}{
+		{"NaN coordinate", poison(good, 7, math.NaN()), nil},
+		{"+Inf coordinate", poison(good, 2*n-1, math.Inf(1)), nil},
+		{"NaN weight", nil, poison(unit, 0, math.NaN())},
+		{"+Inf weight", nil, poison(unit, n-1, math.Inf(1))},
+		{"negative weight", nil, poison(unit, 5, -1)},
+	}
+	opts := Options{K: 4, Processes: 2}
+
+	s, err := NewSession(good, 2, unit, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	before, err := s.Partition()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			coords, weights := good, unit
+			if tc.badCoords != nil {
+				coords = tc.badCoords
+				if err := s.UpdateCoords(coords); !errors.Is(err, ErrNonFinite) {
+					t.Errorf("UpdateCoords: %v, want ErrNonFinite", err)
+				}
+			}
+			if tc.badWeights != nil {
+				weights = tc.badWeights
+				if err := s.UpdateWeights(weights); !errors.Is(err, ErrNonFinite) {
+					t.Errorf("UpdateWeights: %v, want ErrNonFinite", err)
+				}
+			}
+			if _, err := Partition(coords, 2, weights, opts); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("Partition: %v, want ErrNonFinite", err)
+			}
+			if _, err := Repartition(coords, 2, weights, before, opts); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("Repartition: %v, want ErrNonFinite", err)
+			}
+			if _, err := NewSession(coords, 2, weights, opts); !errors.Is(err, ErrNonFinite) {
+				t.Errorf("NewSession: %v, want ErrNonFinite", err)
+			}
+		})
+	}
+
+	// Every rejected update left the session untouched: a warm step from
+	// here equals the one a session that never saw them takes.
+	clean, err := NewSession(good, 2, unit, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clean.Close()
+	if _, err := clean.Partition(); err != nil {
+		t.Fatal(err)
+	}
+	for _, sess := range []*Session{s, clean} {
+		if err := sess.UpdateWeights(poison(unit, 3, 5)); err != nil {
+			t.Fatalf("valid update after rejections: %v", err)
+		}
+	}
+	got, err := s.Repartition()
+	if err != nil {
+		t.Fatalf("Repartition after rejections: %v", err)
+	}
+	want, err := clean.Repartition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.Blocks {
+		if got.Blocks[i] != want.Blocks[i] {
+			t.Fatalf("point %d: block %d after rejected updates, %d without", i, got.Blocks[i], want.Blocks[i])
+		}
 	}
 }

@@ -64,7 +64,16 @@ const (
 	MethodHSFC        = "hsfc"
 )
 
-// Options configures Partition.
+// ErrNonFinite is the error (wrapped with the offending position; test
+// with errors.Is) every entry point that takes coordinates or weights —
+// Partition, Repartition, NewSession, Session.UpdateWeights,
+// Session.UpdateCoords — returns for a NaN or ±Inf coordinate or a NaN,
+// ±Inf or negative weight.
+var ErrNonFinite = geom.ErrNonFinite
+
+// Options configures Partition. Coordinates must be finite and weights
+// finite and non-negative whatever the options: anything else is rejected
+// with ErrNonFinite before any work starts.
 type Options struct {
 	// K is the number of blocks (required, >= 1).
 	K int
@@ -171,8 +180,9 @@ func (o Options) tool() (partition.Distributed, error) {
 // flat (len = n·dim); weights may be nil for unit weights.
 // MethodGeographer accepts any dim ≥ 1 — beyond 3 the space-filling-
 // curve bootstrap is replaced by seeded sampling and the clustering runs
-// through the generic-dimension kernels (balanced clustering in feature
-// space). The geometric baseline methods remain spatial (dim ∈ {1,2,3}).
+// through the kernels' column-walking distance arm (balanced clustering
+// in feature space). The geometric baseline methods remain spatial
+// (dim ∈ {1,2,3}).
 func Partition(coords []float64, dim int, weights []float64, opts Options) ([]int32, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {

@@ -283,7 +283,15 @@ func (st *state) runAssignKernels(sample []int32) (distCalcs, skips, breaks int6
 	// pool have spare tokens. Token droughts shrink the worker set,
 	// never the chunk grid, so output is unaffected.
 	st.lease.ForEach(st.workers, nc, func(s int) {
-		st.runOneKernel(&st.shards[s], chunkSlice(s), hamerly, elkan)
+		kr, idx := &st.shards[s], chunkSlice(s)
+		switch {
+		case elkan:
+			kr.RunElkan(st.dim, idx)
+		case st.trackRaw: // implies hamerly
+			kr.RunBoundedRaw(st.dim, idx)
+		default:
+			kr.RunBounded(st.dim, idx, hamerly)
+		}
 	})
 
 	// The pass visited every sampled point, so a pending influence
@@ -303,32 +311,4 @@ func (st *state) runAssignKernels(sample []int32) (distCalcs, skips, breaks int6
 		breaks += kr.Breaks
 	}
 	return distCalcs, skips, breaks
-}
-
-// forceGenericKernels routes every kernel dispatch through the
-// generic-dimension bodies regardless of st.dim. Test-only: the
-// differential kernel tests flip it to pin the generic bodies
-// bit-identical to the specialized 2D/3D ones on the same scenarios.
-var forceGenericKernels = false
-
-func (st *state) runOneKernel(kr *geom.AssignKernel, idx []int32, hamerly, elkan bool) {
-	if forceGenericKernels {
-		switch {
-		case elkan:
-			kr.RunElkanGeneric(idx)
-		case hamerly && kr.RawLb != nil:
-			kr.RunBoundedRawGeneric(idx)
-		default:
-			kr.RunBoundedGeneric(idx, hamerly)
-		}
-		return
-	}
-	switch {
-	case elkan:
-		kr.RunElkan(st.dim, idx)
-	case hamerly && kr.RawLb != nil:
-		kr.RunBoundedRaw(st.dim, idx)
-	default:
-		kr.RunBounded(st.dim, idx, hamerly)
-	}
 }

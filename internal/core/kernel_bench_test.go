@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"geographer/internal/geom"
@@ -33,26 +35,36 @@ func benchAssignKernel(b *testing.B, dim int) {
 func BenchmarkAssignKernel2D(b *testing.B) { benchAssignKernel(b, 2) }
 func BenchmarkAssignKernel3D(b *testing.B) { benchAssignKernel(b, 3) }
 
-// The generic (strided-column) kernels beyond geom.MaxDim — the
+// The column-walking arm of the kernels beyond geom.MaxDim — the
 // feature-space hot loop of the highdim experiment.
 func BenchmarkAssignKernel8D(b *testing.B)  { benchAssignKernel(b, 8) }
 func BenchmarkAssignKernel16D(b *testing.B) { benchAssignKernel(b, 16) }
 
 // BenchmarkAssignBoundsModes runs the full partition pipeline per bounds
 // mode, so bound-maintenance overhead and skip savings are both visible.
+// The d=16 arm is unstructured uniform data, the regime that keeps the
+// Elkan mode: there Hamerly's single lower bound stops skipping and
+// Elkan's per-center bounds win, where at d=2 they cost twice Hamerly's
+// time.
 func BenchmarkAssignBoundsModes(b *testing.B) {
-	ps := uniformPoints(20_000, 2, 42)
-	for _, bounds := range []BoundsKind{BoundsHamerly, BoundsElkan, BoundsNone} {
-		b.Run(string(bounds), func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.Bounds = bounds
-			for i := 0; i < b.N; i++ {
-				bkm := New(cfg)
-				w := mpi.NewWorld(4)
-				if _, err := partition.Run(w, ps, 16, bkm); err != nil {
-					b.Fatal(err)
+	for _, dim := range []int{2, 16} {
+		rng := rand.New(rand.NewSource(42))
+		ps := &geom.PointSet{Dim: dim, Coords: make([]float64, 20_000*dim)}
+		for i := range ps.Coords {
+			ps.Coords[i] = rng.Float64()
+		}
+		for _, bounds := range []BoundsKind{BoundsHamerly, BoundsElkan, BoundsNone} {
+			b.Run(fmt.Sprintf("d=%d/%s", dim, bounds), func(b *testing.B) {
+				cfg := DefaultConfig()
+				cfg.Bounds = bounds
+				for i := 0; i < b.N; i++ {
+					bkm := New(cfg)
+					w := mpi.NewWorld(4)
+					if _, err := partition.Run(w, ps, 16, bkm); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

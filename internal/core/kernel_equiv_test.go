@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"geographer/internal/geom"
@@ -49,7 +50,6 @@ func kernelScenario(t testing.TB, dim, n, k int, bounds BoundsKind, prune bool, 
 		st.influence[b] = 0.5 + 1.5*rng.Float64()
 		inv := 1 / st.influence[b]
 		st.invInf2[b] = inv * inv
-		st.orderedCenters[b] = int32(b)
 	}
 
 	sample := make([]int32, n)
@@ -58,30 +58,7 @@ func kernelScenario(t testing.TB, dim, n, k int, bounds BoundsKind, prune bool, 
 	}
 	rng.Shuffle(n, func(i, j int) { sample[i], sample[j] = sample[j], sample[i] })
 
-	bmin := make([]float64, dim)
-	bmax := make([]float64, dim)
-	if dim <= geom.MaxDim {
-		bb, _ := geom.SampleBoxW(dim, st.X.X, st.X.Y, st.X.Z, st.W, sample)
-		copy(bmin, bb.Min[:dim])
-		copy(bmax, bb.Max[:dim])
-	} else {
-		geom.SampleBoxWND(st.X.Col, st.W, sample, bmin, bmax)
-	}
-	for b := 0; b < k; b++ {
-		st.distToBB2[b] = geom.FlatBoxMinDist2(bmin, bmax, st.centers[b*dim:(b+1)*dim]) * st.invInf2[b]
-	}
-	if prune {
-		for i := 1; i < k; i++ { // insertion sort by (distToBB2, id)
-			for j := i; j > 0; j-- {
-				a, b := st.orderedCenters[j-1], st.orderedCenters[j]
-				if st.distToBB2[a] < st.distToBB2[b] ||
-					(st.distToBB2[a] == st.distToBB2[b] && a < b) {
-					break
-				}
-				st.orderedCenters[j-1], st.orderedCenters[j] = b, a
-			}
-		}
-	}
+	st.scenarioTables(sample)
 
 	st.A = make([]int32, n)
 	st.ub = make([]float64, n)
@@ -116,148 +93,229 @@ func kernelScenario(t testing.TB, dim, n, k int, bounds BoundsKind, prune bool, 
 	return st, sample
 }
 
-func cloneSlices(st *state) (a []int32, ub, lb, lbk, localW []float64) {
-	a = append([]int32(nil), st.A...)
-	ub = append([]float64(nil), st.ub...)
-	lb = append([]float64(nil), st.lb...)
-	lbk = append([]float64(nil), st.lbk...)
-	localW = append([]float64(nil), st.localW...)
-	return
-}
-
-func restoreSlices(st *state, a []int32, ub, lb, lbk, localW []float64) {
-	copy(st.A, a)
-	copy(st.ub, ub)
-	copy(st.lb, lb)
-	copy(st.lbk, lbk)
-	copy(st.localW, localW)
-	for i := range st.localW {
-		st.localW[i] = 0
+// scenarioTables computes the sample's bounding box, every center's
+// squared effective distance to it and — when pruning — the ascending
+// center order, from the state's current points and centers.
+func (st *state) scenarioTables(sample []int32) {
+	dim, k := st.dim, st.k
+	bmin := make([]float64, dim)
+	bmax := make([]float64, dim)
+	if dim <= geom.MaxDim {
+		bb, _ := geom.SampleBoxW(dim, st.X.X, st.X.Y, st.X.Z, st.W, sample)
+		copy(bmin, bb.Min[:dim])
+		copy(bmax, bb.Max[:dim])
+	} else {
+		geom.SampleBoxWND(st.X.Col, st.W, sample, bmin, bmax)
+	}
+	for b := 0; b < k; b++ {
+		st.orderedCenters[b] = int32(b)
+		st.distToBB2[b] = geom.FlatBoxMinDist2(bmin, bmax, st.centers[b*dim:(b+1)*dim]) * st.invInf2[b]
+	}
+	if st.cfg.BBoxPruning {
+		sortCentersByDist(st.orderedCenters, st.distToBB2)
 	}
 }
 
+// bitsEqual returns the first index at which a and b differ at the bit
+// level, or -1. Two NaNs count as equal: NaN payloads are not portable
+// across expression shapes, and only the hostile-input fuzz produces them.
 func bitsEqual(a, b []float64) int {
 	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) && !(math.IsNaN(a[i]) && math.IsNaN(b[i])) {
 			return i
 		}
 	}
 	return -1
 }
 
-// TestKernelMatchesReference is the differential property test pinning
-// the tentpole: across dimensions, bounds modes and pruning settings, the
-// SoA batch kernels must produce bit-identical per-point state (A, ub,
-// lb, lbk), bit-identical local block weights, and identical counters to
-// the retained scalar reference path.
-func TestKernelMatchesReference(t *testing.T) {
-	for _, dim := range []int{2, 3} {
+// rawScenario extends a kernelScenario with the warm incremental state the
+// raw-shadow Hamerly pass needs: raw lower bounds, the raw skip floor, and
+// the k×k center-to-center anchored-scan tables.
+func rawScenario(t testing.TB, dim, n, k int, seed int64) (*state, []int32) {
+	st, sample := kernelScenario(t, dim, n, k, BoundsHamerly, false, seed)
+	rng := rand.New(rand.NewSource(seed + 1000))
+	st.trackRaw = true
+	st.rlb = make([]float64, st.X.Len())
+	for i := range st.rlb {
+		st.rlb[i] = rng.Float64() * 0.5
+	}
+	maxInf := 0.0
+	for _, f := range st.influence {
+		if f > maxInf {
+			maxInf = f
+		}
+	}
+	st.rawLbInv = (1 / maxInf) * (1 - boundSlack)
+	st.perCenter = make([]float64, st.k)
+	st.ccDist = make([]float64, st.k*st.k)
+	st.ccOrder = make([]int32, st.k*st.k)
+	st.buildCCTables()
+	return st, sample
+}
+
+// kernelRun is everything one assignment pass produces.
+type kernelRun struct {
+	a          []int32
+	ub, lb     []float64
+	lbk, rlb   []float64
+	localW     []float64
+	dc, sk, br int64
+}
+
+func captureRun(st *state, dc, sk, br int64) kernelRun {
+	return kernelRun{
+		a:      slices.Clone(st.A),
+		ub:     slices.Clone(st.ub),
+		lb:     slices.Clone(st.lb),
+		lbk:    slices.Clone(st.lbk),
+		rlb:    slices.Clone(st.rlb),
+		localW: slices.Clone(st.localW),
+		dc:     dc, sk: sk, br: br,
+	}
+}
+
+// restore resets the state's per-point slices to the captured ones and
+// zeroes the weight accumulator, ready for another pass.
+func (r kernelRun) restore(st *state) {
+	copy(st.A, r.a)
+	copy(st.ub, r.ub)
+	copy(st.lb, r.lb)
+	copy(st.lbk, r.lbk)
+	copy(st.rlb, r.rlb)
+	clear(st.localW)
+}
+
+func compareRuns(t *testing.T, label string, got, want kernelRun) {
+	t.Helper()
+	for i := range got.a {
+		if got.a[i] != want.a[i] {
+			t.Fatalf("%s: A[%d] = %d, want %d", label, i, got.a[i], want.a[i])
+		}
+	}
+	for _, s := range []struct {
+		name     string
+		got, ref []float64
+	}{
+		{"ub", got.ub, want.ub}, {"lb", got.lb, want.lb},
+		{"lbk", got.lbk, want.lbk}, {"rlb", got.rlb, want.rlb},
+		{"localW", got.localW, want.localW},
+	} {
+		if i := bitsEqual(s.got, s.ref); i >= 0 {
+			t.Fatalf("%s: %s[%d] = %x, want %x", label, s.name, i, s.got[i], s.ref[i])
+		}
+	}
+	if got.dc != want.dc || got.sk != want.sk || got.br != want.br {
+		t.Fatalf("%s: counters (%d,%d,%d), want (%d,%d,%d)",
+			label, got.dc, got.sk, got.br, want.dc, want.sk, want.br)
+	}
+}
+
+// runKernels resets the state to the captured starting slices, configures
+// the shard array, and runs one production assignment pass with the given
+// worker count.
+func runKernels(st *state, sample []int32, start kernelRun, pend bool, workers int) kernelRun {
+	start.restore(st)
+	st.pendScaled = pend
+	st.workers = workers
+	st.shards = make([]geom.AssignKernel, kernelChunks(len(sample)))
+	for s := range st.shards {
+		st.shards[s].LocalW = make([]float64, st.k)
+	}
+	dc, sk, br := st.runAssignKernels(sample)
+	return captureRun(st, dc, sk, br)
+}
+
+// referenceRun resets the state like runKernels and drives the scalar
+// reference path chunk by chunk on the same fixed grid as production,
+// merging weight partials in chunk order.
+func referenceRun(st *state, sample []int32, start kernelRun, pend bool) kernelRun {
+	start.restore(st)
+	ref := geom.AssignKernel{
+		PX: st.X.X, PY: st.X.Y, PZ: st.X.Z, W: st.W,
+		CX: st.centerCols.X, CY: st.centerCols.Y, CZ: st.centerCols.Z,
+		PC: st.X.Col, CC: st.centerCols.Col,
+		InvInf2: st.invInf2,
+		Order:   st.orderedCenters, DistBB2: st.distToBB2, Prune: st.cfg.BBoxPruning,
+		K: st.k,
+		A: st.A, Ub: st.ub, Lb: st.lb, Lbk: st.lbk,
+		LocalW: make([]float64, st.k),
+	}
+	if st.trackRaw {
+		ref.RawLb = st.rlb
+		ref.RawLbInv = st.rawLbInv
+		ref.CCOrder = st.ccOrder
+		ref.CCDist = st.ccDist
+	}
+	if pend {
+		ref.UbScale = st.pendUbRatio
+		ref.LbScale = st.pendLbRatio
+	}
+	bounds := st.cfg.Bounds
+	refLW := make([]float64, st.k)
+	nc := kernelChunks(len(sample))
+	chunk := (len(sample) + nc - 1) / nc
+	for s := 0; s < nc; s++ {
+		lo := s * chunk
+		hi := min(lo+chunk, len(sample))
+		clear(ref.LocalW)
+		if st.trackRaw {
+			referenceAssignRaw(st.dim, &ref, sample[lo:hi])
+		} else {
+			referenceAssign(st.dim, &ref, sample[lo:hi], bounds == BoundsHamerly, bounds == BoundsElkan)
+		}
+		for b := 0; b < st.k; b++ {
+			refLW[b] += ref.LocalW[b]
+		}
+	}
+	r := captureRun(st, ref.DistCalcs, ref.Skips, ref.Breaks)
+	copy(r.localW, refLW)
+	return r
+}
+
+// checkAgainstReference runs the scenario through the scalar reference
+// and through the production dispatch, serial and sharded: chunks
+// accumulate on the same fixed grid regardless of worker count, so every
+// output — per-point state (A, ub, lb, lbk, rlb), local block weights,
+// counters — must match the reference bit for bit.
+func checkAgainstReference(t *testing.T, st *state, sample []int32) {
+	t.Helper()
+	pend := st.pendScaled
+	start := captureRun(st, 0, 0, 0)
+	ref := referenceRun(st, sample, start, pend)
+	compareRuns(t, "serial", runKernels(st, sample, start, pend, 1), ref)
+	compareRuns(t, "sharded", runKernels(st, sample, start, pend, 3), ref)
+}
+
+// The dimensions of the differential lattice: spatialDims take the 2D
+// (d=1 rides it over a zero Y column) and 3D arms of the kernels'
+// distance switch, highDims the column walk.
+var (
+	spatialDims = []int{1, 2, 3}
+	highDims    = []int{4, 8, 16, 64}
+)
+
+// latticeN keeps the O(n·k·d) reference pass cheap at high d.
+func latticeN(dim int) int {
+	switch {
+	case dim >= 16:
+		return 400
+	case dim > geom.MaxDim:
+		return 1200
+	}
+	return 2000
+}
+
+// kernelLattice is the one differential lattice pinning the assignment
+// kernels: dims × {hamerly, elkan, none} × prune × {serial, sharded}
+// against the scalar reference path.
+func kernelLattice(t *testing.T, dims []int, k, seeds int, seedBase int64) {
+	for _, dim := range dims {
 		for _, bounds := range []BoundsKind{BoundsHamerly, BoundsElkan, BoundsNone} {
 			for _, prune := range []bool{true, false} {
-				name := fmt.Sprintf("dim=%d/%s/prune=%v", dim, bounds, prune)
-				t.Run(name, func(t *testing.T) {
-					for seed := int64(0); seed < 4; seed++ {
-						st, sample := kernelScenario(t, dim, 2000, 13, bounds, prune, 100+seed)
-						pend := st.pendScaled
-						a0, ub0, lb0, lbk0, lw0 := cloneSlices(st)
-
-						// Reference pass, chunk by chunk on the same fixed
-						// grid as production, merging weight partials in
-						// chunk order.
-						ref := geom.AssignKernel{
-							PX: st.X.X, PY: st.X.Y, PZ: st.X.Z, W: st.W,
-							CX: st.centerCols.X, CY: st.centerCols.Y, CZ: st.centerCols.Z,
-							PC: st.X.Col, CC: st.centerCols.Col,
-							InvInf2: st.invInf2,
-							Order:   st.orderedCenters, DistBB2: st.distToBB2, Prune: prune,
-							K: st.k,
-							A: st.A, Ub: st.ub, Lb: st.lb, Lbk: st.lbk,
-							LocalW: make([]float64, st.k),
-						}
-						if pend {
-							ref.UbScale = st.pendUbRatio
-							ref.LbScale = st.pendLbRatio
-						}
-						refLW := make([]float64, st.k)
-						nc := kernelChunks(len(sample))
-						chunk := (len(sample) + nc - 1) / nc
-						for s := 0; s < nc; s++ {
-							lo := s * chunk
-							hi := lo + chunk
-							if hi > len(sample) {
-								hi = len(sample)
-							}
-							clear(ref.LocalW)
-							referenceAssign(dim, &ref, sample[lo:hi], bounds == BoundsHamerly, bounds == BoundsElkan)
-							for b := 0; b < st.k; b++ {
-								refLW[b] += ref.LocalW[b]
-							}
-						}
-						refA, refUb, refLb, refLbk, _ := cloneSlices(st)
-
-						// Serial kernel pass over the same starting state.
-						restoreSlices(st, a0, ub0, lb0, lbk0, lw0)
-						st.pendScaled = pend
-						st.workers = 1
-						st.shards = make([]geom.AssignKernel, nc)
-						for s := range st.shards {
-							st.shards[s].LocalW = make([]float64, st.k)
-						}
-						dc, sk, br := st.runAssignKernels(sample)
-
-						for i := range st.A {
-							if st.A[i] != refA[i] {
-								t.Fatalf("serial: A[%d] = %d, reference %d", i, st.A[i], refA[i])
-							}
-						}
-						if i := bitsEqual(st.ub, refUb); i >= 0 {
-							t.Fatalf("serial: ub[%d] = %x, reference %x", i, st.ub[i], refUb[i])
-						}
-						if i := bitsEqual(st.lb, refLb); i >= 0 {
-							t.Fatalf("serial: lb[%d] = %x, reference %x", i, st.lb[i], refLb[i])
-						}
-						if i := bitsEqual(st.lbk, refLbk); i >= 0 {
-							t.Fatalf("serial: lbk[%d] = %x, reference %x", i, st.lbk[i], refLbk[i])
-						}
-						if i := bitsEqual(st.localW, refLW); i >= 0 {
-							t.Fatalf("serial: localW[%d] = %x, reference %x", i, st.localW[i], refLW[i])
-						}
-						if dc != ref.DistCalcs || sk != ref.Skips || br != ref.Breaks {
-							t.Fatalf("serial counters (%d,%d,%d), reference (%d,%d,%d)",
-								dc, sk, br, ref.DistCalcs, ref.Skips, ref.Breaks)
-						}
-
-						// Sharded kernel pass: chunks accumulate on the same
-						// fixed grid regardless of worker count, so even
-						// localW must stay bit-identical.
-						restoreSlices(st, a0, ub0, lb0, lbk0, lw0)
-						st.pendScaled = pend
-						st.workers = 3
-						st.shards = make([]geom.AssignKernel, nc)
-						for s := range st.shards {
-							st.shards[s].LocalW = make([]float64, st.k)
-						}
-						dc2, sk2, br2 := st.runAssignKernels(sample)
-						for i := range st.A {
-							if st.A[i] != refA[i] {
-								t.Fatalf("sharded: A[%d] = %d, reference %d", i, st.A[i], refA[i])
-							}
-						}
-						if i := bitsEqual(st.ub, refUb); i >= 0 {
-							t.Fatalf("sharded: ub[%d] differs", i)
-						}
-						if i := bitsEqual(st.lb, refLb); i >= 0 {
-							t.Fatalf("sharded: lb[%d] differs", i)
-						}
-						if i := bitsEqual(st.lbk, refLbk); i >= 0 {
-							t.Fatalf("sharded: lbk[%d] differs", i)
-						}
-						if dc2 != dc || sk2 != sk || br2 != br {
-							t.Fatalf("sharded counters (%d,%d,%d) != serial (%d,%d,%d)", dc2, sk2, br2, dc, sk, br)
-						}
-						if i := bitsEqual(st.localW, refLW); i >= 0 {
-							t.Fatalf("sharded localW[%d] = %x, reference %x", i, st.localW[i], refLW[i])
-						}
+				t.Run(fmt.Sprintf("dim=%d/%s/prune=%v", dim, bounds, prune), func(t *testing.T) {
+					for seed := int64(0); seed < int64(seeds); seed++ {
+						st, sample := kernelScenario(t, dim, latticeN(dim), k, bounds, prune, seedBase+seed)
+						checkAgainstReference(t, st, sample)
 					}
 				})
 			}
@@ -265,105 +323,145 @@ func TestKernelMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRawKernelMatchesReference pins the warm incremental Hamerly pass
+// rawLattice is the same for the warm incremental Hamerly pass
 // (RunBoundedRaw: raw shadow bound maintenance, raw skip floor,
-// center-anchored scans with the triangle break) bit-identical to its
-// scalar reference, for the serial and the sharded dispatch.
-func TestRawKernelMatchesReference(t *testing.T) {
-	for _, dim := range []int{2, 3} {
+// center-anchored scans with the triangle break).
+func rawLattice(t *testing.T, dims []int, k, seeds int, seedBase int64) {
+	for _, dim := range dims {
 		t.Run(fmt.Sprintf("dim=%d", dim), func(t *testing.T) {
-			for seed := int64(0); seed < 4; seed++ {
-				st, sample := kernelScenario(t, dim, 2000, 13, BoundsHamerly, false, 200+seed)
-				rng := rand.New(rand.NewSource(300 + seed))
-				st.trackRaw = true
-				st.rlb = make([]float64, st.X.Len())
-				for i := range st.rlb {
-					st.rlb[i] = rng.Float64() * 0.5
-				}
-				maxInf := 0.0
-				for _, f := range st.influence {
-					if f > maxInf {
-						maxInf = f
-					}
-				}
-				st.rawLbInv = (1 / maxInf) * (1 - boundSlack)
-				st.perCenter = make([]float64, st.k)
-				st.ccDist = make([]float64, st.k*st.k)
-				st.ccOrder = make([]int32, st.k*st.k)
-				st.buildCCTables()
-				pend := st.pendScaled
-				a0, ub0, lb0, lbk0, lw0 := cloneSlices(st)
-				rlb0 := append([]float64(nil), st.rlb...)
-
-				ref := geom.AssignKernel{
-					PX: st.X.X, PY: st.X.Y, PZ: st.X.Z, W: st.W,
-					CX: st.centerCols.X, CY: st.centerCols.Y, CZ: st.centerCols.Z,
-					PC: st.X.Col, CC: st.centerCols.Col,
-					InvInf2: st.invInf2,
-					Order:   st.orderedCenters,
-					K:       st.k,
-					A:       st.A, Ub: st.ub, Lb: st.lb,
-					RawLb: st.rlb, RawLbInv: st.rawLbInv,
-					CCOrder: st.ccOrder, CCDist: st.ccDist,
-					LocalW: make([]float64, st.k),
-				}
-				if pend {
-					ref.UbScale = st.pendUbRatio
-					ref.LbScale = st.pendLbRatio
-				}
-				refLW := make([]float64, st.k)
-				nc := kernelChunks(len(sample))
-				chunk := (len(sample) + nc - 1) / nc
-				for s := 0; s < nc; s++ {
-					lo := s * chunk
-					hi := lo + chunk
-					if hi > len(sample) {
-						hi = len(sample)
-					}
-					clear(ref.LocalW)
-					referenceAssignRaw(dim, &ref, sample[lo:hi])
-					for b := 0; b < st.k; b++ {
-						refLW[b] += ref.LocalW[b]
-					}
-				}
-				refA, refUb, refLb, _, _ := cloneSlices(st)
-				refRlb := append([]float64(nil), st.rlb...)
-
-				for _, workers := range []int{1, 3} {
-					restoreSlices(st, a0, ub0, lb0, lbk0, lw0)
-					copy(st.rlb, rlb0)
-					st.pendScaled = pend
-					st.workers = workers
-					st.shards = make([]geom.AssignKernel, nc)
-					for s := range st.shards {
-						st.shards[s].LocalW = make([]float64, st.k)
-					}
-					dc, sk, br := st.runAssignKernels(sample)
-					for i := range st.A {
-						if st.A[i] != refA[i] {
-							t.Fatalf("workers=%d: A[%d] = %d, reference %d", workers, i, st.A[i], refA[i])
-						}
-					}
-					if i := bitsEqual(st.ub, refUb); i >= 0 {
-						t.Fatalf("workers=%d: ub[%d] = %x, reference %x", workers, i, st.ub[i], refUb[i])
-					}
-					if i := bitsEqual(st.lb, refLb); i >= 0 {
-						t.Fatalf("workers=%d: lb[%d] = %x, reference %x", workers, i, st.lb[i], refLb[i])
-					}
-					if i := bitsEqual(st.rlb, refRlb); i >= 0 {
-						t.Fatalf("workers=%d: rlb[%d] = %x, reference %x", workers, i, st.rlb[i], refRlb[i])
-					}
-					if i := bitsEqual(st.localW, refLW); i >= 0 {
-						t.Fatalf("workers=%d: localW[%d] = %x, reference %x", workers, i, st.localW[i], refLW[i])
-					}
-					if dc != ref.DistCalcs || sk != ref.Skips || br != ref.Breaks {
-						t.Fatalf("workers=%d counters (%d,%d,%d), reference (%d,%d,%d)",
-							workers, dc, sk, br, ref.DistCalcs, ref.Skips, ref.Breaks)
-					}
-				}
+			for seed := int64(0); seed < int64(seeds); seed++ {
+				st, sample := rawScenario(t, dim, latticeN(dim), k, seedBase+seed)
+				checkAgainstReference(t, st, sample)
 			}
 		})
 	}
+}
+
+// TestKernelMatchesReference and TestGenericKernelMatchesReference are the
+// two halves of kernelLattice, split at geom.MaxDim so the highdim CI job
+// can select the column-walk half by name.
+func TestKernelMatchesReference(t *testing.T) {
+	kernelLattice(t, spatialDims, 13, 4, 100)
+}
+
+func TestGenericKernelMatchesReference(t *testing.T) {
+	kernelLattice(t, highDims, 9, 2, 600)
+	t.Run("raw", func(t *testing.T) { rawLattice(t, highDims, 9, 2, 700) })
+}
+
+func TestRawKernelMatchesReference(t *testing.T) {
+	rawLattice(t, append(spatialDims, highDims...), 13, 4, 200)
+}
+
+// zeroPadded returns a view of the scenario embedded in MaxDim+1
+// dimensions: the same points and centers with zero columns appended,
+// every table and per-point slice shared. Squared distances are unchanged
+// to the bit (s + 0·0 = s), but the kernels now take the column-walk arm
+// of their distance switch instead of the unrolled one.
+func zeroPadded(st *state) *state {
+	pad := *st
+	pad.dim = geom.MaxDim + 1
+	pad.X = geom.MakeCols(pad.dim, st.X.Len())
+	pad.centerCols = geom.MakeCols(pad.dim, st.k)
+	for d := 0; d < st.dim; d++ {
+		copy(pad.X.Col[d], st.X.Col[d])
+		copy(pad.centerCols.Col[d], st.centerCols.Col[d])
+	}
+	return &pad
+}
+
+// TestGenericKernelMatchesSpecialized pins the arms of the in-body
+// distance switch to each other at the kernel level: a 2D/3D scenario and
+// its zero-padded twin (which walks columns) must produce the same
+// assignments, bounds, local weights and counters in every mode.
+func TestGenericKernelMatchesSpecialized(t *testing.T) {
+	check := func(t *testing.T, st *state, sample []int32) {
+		pend := st.pendScaled
+		start := captureRun(st, 0, 0, 0)
+		spec := runKernels(st, sample, start, pend, 1)
+		pad := zeroPadded(st)
+		compareRuns(t, "serial", runKernels(pad, sample, start, pend, 1), spec)
+		compareRuns(t, "sharded", runKernels(pad, sample, start, pend, 3), spec)
+	}
+	for _, dim := range []int{2, 3} {
+		for _, bounds := range []BoundsKind{BoundsHamerly, BoundsElkan, BoundsNone} {
+			for _, prune := range []bool{true, false} {
+				t.Run(fmt.Sprintf("dim=%d/%s/prune=%v", dim, bounds, prune), func(t *testing.T) {
+					for seed := int64(0); seed < 4; seed++ {
+						st, sample := kernelScenario(t, dim, 1500, 11, bounds, prune, 400+seed)
+						check(t, st, sample)
+					}
+				})
+			}
+		}
+	}
+	t.Run("raw", func(t *testing.T) {
+		for _, dim := range []int{2, 3} {
+			for seed := int64(0); seed < 4; seed++ {
+				st, sample := rawScenario(t, dim, 1500, 11, 500+seed)
+				check(t, st, sample)
+			}
+		}
+	})
+}
+
+// TestGenericDist2MatchesSpecialized pins the elementwise accumulation
+// order of the column-walk distance loop to the unrolled expressions: the
+// one invariant the arms of the kernels' distance switch rely on.
+func TestGenericDist2MatchesSpecialized(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 2000; trial++ {
+		dim := 2 + trial%2
+		var p, q geom.Point
+		a := make([]float64, dim)
+		b := make([]float64, dim)
+		for d := 0; d < dim; d++ {
+			v, w := rng.NormFloat64()*1e3, rng.NormFloat64()*1e3
+			p[d], q[d] = v, w
+			a[d], b[d] = v, w
+		}
+		want := geom.Dist2(p, q, dim)
+		got := geom.Dist2Vec(a, b)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("dim=%d: Dist2Vec %x, Dist2 %x", dim, got, want)
+		}
+	}
+}
+
+// FuzzKernelAssignMatchesReference throws adversarial inputs — NaN/Inf
+// coordinates, coincident points, k > n, degenerate boxes — at the
+// kernels in every mode and dimension class and demands the scalar
+// reference's output (NaN for NaN, everything else bit for bit).
+func FuzzKernelAssignMatchesReference(f *testing.F) {
+	f.Add(int64(1), 0.5, 0.5, uint8(40), uint8(5), uint8(2), uint8(0))
+	f.Add(int64(2), math.NaN(), math.Inf(1), uint8(3), uint8(7), uint8(3), uint8(1)) // k > n
+	f.Add(int64(3), math.Inf(-1), 1e300, uint8(60), uint8(4), uint8(8), uint8(2))
+	f.Add(int64(4), 0.0, 0.0, uint8(1), uint8(1), uint8(16), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, inj0, inj1 float64, nRaw, kRaw, dimRaw, modeRaw uint8) {
+		n := int(nRaw)%200 + 1
+		k := int(kRaw)%20 + 1
+		dims := []int{1, 2, 3, 4, 8, 16}
+		dim := dims[int(dimRaw)%len(dims)]
+		var st *state
+		var sample []int32
+		if mode := int(modeRaw) % 4; mode == 3 {
+			st, sample = rawScenario(t, dim, n, k, seed)
+		} else {
+			bounds := []BoundsKind{BoundsNone, BoundsHamerly, BoundsElkan}[mode]
+			st, sample = kernelScenario(t, dim, n, k, bounds, true, seed)
+		}
+		// Hostile coordinates into point 0, point 1 copied onto point 2,
+		// and the pruning tables rebuilt from the poisoned box.
+		st.X.Col[0][0] = inj0
+		st.X.Col[dim-1][0] = inj1
+		if n > 2 {
+			vec := make([]float64, dim)
+			st.X.AtVec(1, vec)
+			st.X.SetVec(2, vec)
+		}
+		st.scenarioTables(sample)
+		checkAgainstReference(t, st, sample)
+	})
 }
 
 // TestShardedPartitionValid runs the full pipeline with a forced worker

@@ -199,83 +199,48 @@ func (b *BalancedKMeans) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]
 	st := &state{c: c, cfg: cfg, dim: pts.Dim, k: k}
 
 	// ---- Phase 1: space-filling curve keys (§4.1). -----------------------
-	// The SoA fast path fills flat dsort columns straight from the input
-	// and computes keys through the batch kernel; the retained Item
-	// reference path (per-point Curve.Key, sort.Slice-based sort) is
-	// selected by the test-only ingestReference hook so the differential
-	// test can pin both pipelines bit-identical end-to-end.
+	// Flat dsort columns are filled straight from the input and keyed
+	// through the batch kernel.
 	tStart := time.Now()
 	bmin, bmax := globalBounds(c, pts)
 	st.diag = geom.FlatBoxDiagonal(bmin, bmax)
 	if st.diag == 0 {
 		st.diag = 1
 	}
-	var cols *dsort.Cols
-	var items []dsort.Item
-	if ingestReference && pts.Dim <= geom.MaxDim {
-		items = make([]dsort.Item, pts.Len())
-		if cfg.SFCBootstrap {
-			curve := sfc.NewCurve(boxFromFlat(bmin, bmax, pts.Dim), pts.Dim)
-			for i := range items {
-				items[i] = dsort.Item{Key: curve.Key(pts.At(i)), ID: pts.IDs[i], W: pts.Weight(i), X: pts.At(i)}
-			}
-			c.AddOps(int64(len(items)))
-		} else {
-			for i := range items {
-				items[i] = dsort.Item{Key: uint64(pts.IDs[i]), ID: pts.IDs[i], W: pts.Weight(i), X: pts.At(i)}
-			}
+	cols := dsort.NewCols(st.dim, pts.Len())
+	for d := 0; d < st.dim; d++ {
+		col := cols.C[d]
+		for i := range col {
+			col[i] = pts.Coords[i*st.dim+d]
 		}
+	}
+	for i := range cols.IDs {
+		cols.IDs[i] = pts.IDs[i]
+		cols.W[i] = pts.Weight(i)
+	}
+	if cfg.SFCBootstrap {
+		curve := sfc.NewCurve(boxFromFlat(bmin, bmax, pts.Dim), pts.Dim)
+		gv := cols.GeomView()
+		curve.KeysColsParallel(&gv, cols.Keys, resolveWorkers(cfg, c.Size()), cfg.Lease)
+		c.AddOps(int64(cols.Len()))
 	} else {
-		cols = dsort.NewCols(st.dim, pts.Len())
-		for d := 0; d < st.dim; d++ {
-			col := cols.C[d]
-			for i := range col {
-				col[i] = pts.Coords[i*st.dim+d]
-			}
-		}
-		for i := range cols.IDs {
-			cols.IDs[i] = pts.IDs[i]
-			cols.W[i] = pts.Weight(i)
-		}
-		if cfg.SFCBootstrap {
-			curve := sfc.NewCurve(boxFromFlat(bmin, bmax, pts.Dim), pts.Dim)
-			gv := cols.GeomView()
-			curve.KeysColsParallel(&gv, cols.Keys, resolveWorkers(cfg, c.Size()), cfg.Lease)
-			c.AddOps(int64(cols.Len()))
-		} else {
-			for i := range cols.Keys {
-				cols.Keys[i] = uint64(pts.IDs[i])
-			}
+		for i := range cols.Keys {
+			cols.Keys[i] = uint64(pts.IDs[i])
 		}
 	}
 	st.info.SFCSeconds = time.Since(tStart).Seconds()
 
 	// ---- Phase 2: global sort + redistribution (Algorithm 2, l. 4–6). ----
 	tSort := time.Now()
-	if items != nil {
-		if cfg.SFCBootstrap {
-			items = dsort.SampleSort(c, items)
-			items = dsort.Rebalance(c, items)
-		}
-		st.X = geom.MakeCols(st.dim, len(items))
-		st.W = make([]float64, len(items))
-		st.IDs = make([]int64, len(items))
-		for i, it := range items {
-			st.X.Set(i, it.X)
-			st.W[i], st.IDs[i] = it.W, it.ID
-		}
-	} else {
-		if cfg.SFCBootstrap {
-			cols = dsort.SampleSortCols(c, cols)
-			cols = dsort.RebalanceCols(c, cols)
-		}
-		// The k-means phase adopts the sorted columns in place: absent
-		// axes get zero columns (Geom), nothing is copied back through
-		// []dsort.Item.
-		st.X = cols.Geom()
-		st.W = cols.W
-		st.IDs = cols.IDs
+	if cfg.SFCBootstrap {
+		cols = dsort.SampleSortCols(c, cols)
+		cols = dsort.RebalanceCols(c, cols)
 	}
+	// The k-means phase adopts the sorted columns in place: absent axes
+	// get zero columns (Geom), nothing is copied.
+	st.X = cols.Geom()
+	st.W = cols.W
+	st.IDs = cols.IDs
 	st.info.SortSeconds = time.Since(tSort).Seconds()
 
 	// ---- Phase 3: balanced k-means (Algorithm 2, l. 7–19). ---------------

@@ -6,17 +6,9 @@ import (
 	"geographer/internal/geom"
 )
 
-// ingestReference routes Partition's ingest phase (§4.1 keys + global
-// sort + redistribution) down the retained AoS Item reference path —
-// per-point sfc.Curve.Key, sort.Slice-based dsort.SampleSort/Rebalance —
-// instead of the SoA fast path (batch key kernel, radix sort, flat
-// exchanges, p-way merge). Test-only: the differential ingest test flips
-// it to demand bit-identical final partitions from both pipelines.
-var ingestReference = false
-
 // refDist2 is the reference pipelines' point-center distance: Point
 // construction plus geom.Dist2 at spatial dimensions (the arithmetic the
-// kernels' specialized bodies mirror), a left-to-right column walk —
+// kernels' 2D/3D switch arms mirror), a left-to-right column walk —
 // the same association order — beyond geom.MaxDim.
 func refDist2(kr *geom.AssignKernel, dim int, i, bc int32) float64 {
 	if dim <= geom.MaxDim {

@@ -92,7 +92,7 @@ func (c *Cols) GeomView() geom.Cols {
 // coordinate columns are shared (no copy); for spatial dimensions the
 // absent X/Y/Z axes get fresh zero-filled columns so SoA kernels that
 // read all three axes work, and beyond MaxDim the aliases point at the
-// first three real columns (only the generic kernels read them there).
+// first three real columns (the kernels walk Col there).
 func (c *Cols) Geom() geom.Cols {
 	out := geom.Cols{Dim: c.Dim, Col: c.C, X: c.col(0), Y: c.col(1), Z: c.col(2)}
 	n := c.Len()

@@ -131,23 +131,13 @@ func fuzzKernel(dim, n, k int, seed int64, inject0, inject1 float64, elkan bool)
 	return kr, idx
 }
 
-func cloneKernelState(kr *AssignKernel) *AssignKernel {
-	cl := *kr
-	cl.A = append([]int32(nil), kr.A...)
-	cl.Ub = append([]float64(nil), kr.Ub...)
-	cl.Lb = append([]float64(nil), kr.Lb...)
-	cl.Lbk = append([]float64(nil), kr.Lbk...)
-	cl.LocalW = make([]float64, len(kr.LocalW))
-	cl.DistCalcs, cl.Skips, cl.Breaks = 0, 0, 0
-	return &cl
-}
-
 // FuzzGenericKernelAssign throws adversarial inputs — NaN/Inf
 // coordinates, coincident points, k > n, degenerate boxes — at the
-// generic kernel entry points. At dim ≤ MaxDim it additionally pins the
-// generic body to the specialized one under the same hostile state; at
-// dim > MaxDim it checks the structural invariants (every visited point
-// ends with an assignment in [-1, k), counters non-negative).
+// assignment bodies in every arm of their distance switch and checks the
+// structural invariants: no panic, every visited point ends with an
+// assignment in [0, k), counters non-negative and bounded by n·k. (The
+// differential half — same hostile state against the scalar reference —
+// lives with the reference: core.FuzzKernelAssignMatchesReference.)
 func FuzzGenericKernelAssign(f *testing.F) {
 	f.Add(int64(1), 0.5, 0.5, uint8(40), uint8(5), uint8(2), uint8(0))
 	f.Add(int64(2), math.NaN(), math.Inf(1), uint8(3), uint8(7), uint8(3), uint8(1)) // k > n
@@ -156,61 +146,24 @@ func FuzzGenericKernelAssign(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, inj0, inj1 float64, nRaw, kRaw, dimRaw, modeRaw uint8) {
 		n := int(nRaw)%200 + 1
 		k := int(kRaw)%20 + 1
-		dims := []int{2, 3, 4, 8, 16}
+		dims := []int{1, 2, 3, 4, 8, 16}
 		dim := dims[int(dimRaw)%len(dims)]
 		mode := int(modeRaw) % 3 // 0 lloyd, 1 hamerly, 2 elkan
 		kr, idx := fuzzKernel(dim, n, k, seed, inj0, inj1, mode == 2)
-
-		run := func(g *AssignKernel, generic bool) {
-			switch {
-			case mode == 2 && generic:
-				g.RunElkanGeneric(idx)
-			case mode == 2:
-				g.RunElkan(dim, idx)
-			case generic:
-				g.RunBoundedGeneric(idx, mode == 1)
-			default:
-				g.RunBounded(dim, idx, mode == 1)
+		if mode == 2 {
+			kr.RunElkan(dim, idx)
+		} else {
+			kr.RunBounded(dim, idx, mode == 1)
+		}
+		for i, a := range kr.A {
+			if a < 0 || a >= int32(k) {
+				t.Fatalf("dim=%d mode=%d: A[%d] = %d out of range [0,%d)", dim, mode, i, a, k)
 			}
 		}
-
-		gen := cloneKernelState(kr)
-		run(gen, true)
-		for i, a := range gen.A {
-			if a < -1 || a >= int32(k) {
-				t.Fatalf("dim=%d mode=%d: A[%d] = %d out of range [-1,%d)", dim, mode, i, a, k)
-			}
-		}
-		if gen.DistCalcs < 0 || gen.Skips < 0 || gen.Breaks < 0 {
-			t.Fatalf("negative counters (%d,%d,%d)", gen.DistCalcs, gen.Skips, gen.Breaks)
-		}
-
-		if dim <= MaxDim {
-			spec := cloneKernelState(kr)
-			run(spec, false)
-			for i := range spec.A {
-				if gen.A[i] != spec.A[i] {
-					t.Fatalf("dim=%d mode=%d: A[%d] generic %d, specialized %d", dim, mode, i, gen.A[i], spec.A[i])
-				}
-			}
-			for i := range spec.Ub {
-				if !sameBits(gen.Ub[i], spec.Ub[i]) || !sameBits(gen.Lb[i], spec.Lb[i]) {
-					t.Fatalf("dim=%d mode=%d: bounds[%d] diverge", dim, mode, i)
-				}
-			}
-			for i := range spec.Lbk {
-				if !sameBits(gen.Lbk[i], spec.Lbk[i]) {
-					t.Fatalf("dim=%d mode=%d: lbk[%d] diverges", dim, mode, i)
-				}
-			}
-			for b := range spec.LocalW {
-				if !sameBits(gen.LocalW[b], spec.LocalW[b]) {
-					t.Fatalf("dim=%d mode=%d: localW[%d] diverges", dim, mode, b)
-				}
-			}
-			if gen.DistCalcs != spec.DistCalcs || gen.Skips != spec.Skips || gen.Breaks != spec.Breaks {
-				t.Fatalf("dim=%d mode=%d: counters generic (%d,%d,%d), specialized (%d,%d,%d)",
-					dim, mode, gen.DistCalcs, gen.Skips, gen.Breaks, spec.DistCalcs, spec.Skips, spec.Breaks)
+		nk := int64(n) * int64(k)
+		for _, c := range []int64{kr.DistCalcs, kr.Skips, kr.Breaks} {
+			if c < 0 || c > nk {
+				t.Fatalf("dim=%d mode=%d: counters (%d,%d,%d) outside [0,%d]", dim, mode, kr.DistCalcs, kr.Skips, kr.Breaks, nk)
 			}
 		}
 	})

@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -243,9 +244,20 @@ func TestPointSetValidateErrors(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("weight length mismatch should fail")
 	}
-	bad = &PointSet{Dim: 2, Coords: []float64{1, 2}, Weight: []float64{-1}}
-	if bad.Validate() == nil {
-		t.Error("negative weight should fail")
+	for _, bad := range []*PointSet{
+		{Dim: 2, Coords: []float64{1, 2}, Weight: []float64{-1}},
+		{Dim: 2, Coords: []float64{1, 2}, Weight: []float64{math.NaN()}},
+		{Dim: 2, Coords: []float64{1, 2}, Weight: []float64{math.Inf(1)}},
+		{Dim: 2, Coords: []float64{1, math.NaN()}},
+		{Dim: 2, Coords: []float64{math.Inf(-1), 2}, Weight: []float64{1}},
+	} {
+		if err := bad.Validate(); !errors.Is(err, ErrNonFinite) {
+			t.Errorf("coords %v weights %v: %v, want ErrNonFinite", bad.Coords, bad.Weight, err)
+		}
+	}
+	ok := &PointSet{Dim: 2, Coords: []float64{-math.MaxFloat64, 0}, Weight: []float64{0}}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("extreme finite values and a zero weight are valid: %v", err)
 	}
 }
 

@@ -12,16 +12,21 @@
 // live in raw-distance space). See DESIGN.md, "Performance notes", for
 // the invariants the callers rely on.
 //
-// The kernels read points from a structure-of-arrays Cols store. The
-// spatial dimensions (2D and 3D; 1D inputs ride on the 2D kernel with a
-// zero Y column) run through register-specialized bodies; any higher
-// dimension dispatches to the generic column-walking bodies (the
-// *Generic entry points), which share the exact comparison structure and
-// left-to-right accumulation order — at d ≤ 3 the generic bodies are
-// bit-identical to the specialized ones, which is pinned by a
-// differential test. Each AssignKernel value carries its own weight
-// accumulator and counters so that several kernels can run concurrently
-// over disjoint index shards of the same point set.
+// The kernels read points from a structure-of-arrays Cols store, and
+// each pass — RunBounded, RunElkan, RunBoundedRaw — is one body for every
+// dimension: the bounds logic is written once, and the only
+// dimension-dependent code is the squared-distance expression, chosen per
+// evaluation by an in-body switch on dim between the unrolled 2D
+// expression over the hoisted X/Y columns (1D inputs ride it with a zero
+// Y column), the unrolled 3D one, and the colsDist2 column walk beyond
+// MaxDim. All three accumulate left to right from zero, so wherever two
+// arms apply they agree bit for bit, and every arm is pinned to the
+// scalar reference path of internal/core. The switch is loop-invariant
+// and perfectly predicted; DESIGN.md ("Generic-dimension invariants")
+// records what it costs and why the unrolled arms stay. Each AssignKernel
+// value carries its own weight accumulator and counters so that several
+// kernels can run concurrently over disjoint index shards of the same
+// point set.
 package geom
 
 import "math"
@@ -59,10 +64,9 @@ func ChunkGrid(n int) int {
 // per axis, the layout the batch kernels operate on. Col holds the Dim
 // live columns (strided views over one backing buffer). For spatial
 // dimensions (Dim ≤ MaxDim) the X/Y/Z aliases are additionally always
-// allocated to the full length — unused axes stay zero — so the
-// dimension-specialized kernels never need bounds switches on Dim; for
-// Dim > MaxDim the X/Y/Z aliases point at the first three columns and
-// only the generic kernels may be used.
+// allocated to the full length — unused axes stay zero — so the kernels
+// can hoist all three per point whatever Dim is; for Dim > MaxDim the
+// X/Y/Z aliases point at the first three columns.
 type Cols struct {
 	Dim     int
 	X, Y, Z []float64
@@ -202,7 +206,7 @@ func SampleBoxW(dim int, px, py, pz, w []float64, idx []int32) (Box, float64) {
 // Dist2BatchND is Dist2Batch for any dimension: the squared Euclidean
 // distance from every point of the pc columns to the query vector q
 // (len(q) = dimension) is written into out. Axis differences accumulate
-// left to right, the same order the specialized kernels use, so at d ≤ 3
+// left to right, the same order the unrolled expressions use, so at d ≤ 3
 // the results are bit-identical to Dist2Batch.
 func Dist2BatchND(pc [][]float64, q []float64, out []float64) {
 	for i := range out {
@@ -251,10 +255,10 @@ type AssignKernel struct {
 	CX, CY, CZ []float64
 	InvInf2    []float64
 
-	// Generic-dimension columns (the *Generic passes): PC holds the d
-	// point columns, CC the d center columns. At d ≤ MaxDim these alias
-	// the PX../CX.. columns; beyond MaxDim they are the only
-	// representation and the specialized passes must not be used.
+	// The same points and centers as column lists: PC holds the d point
+	// columns, CC the d center columns (Cols.Col). Beyond MaxDim the
+	// passes walk these; at d ≤ MaxDim they alias the PX../CX.. columns
+	// the unrolled distance expressions read, and are not touched.
 	PC, CC [][]float64
 
 	// Pruning tables: centers in ascending order of DistBB2, the squared
@@ -315,83 +319,35 @@ type AssignKernel struct {
 	Breaks    int64
 }
 
+// colsDist2 returns the squared Euclidean distance between point i of
+// the pc columns and center b of the cc columns, accumulated left to
+// right from a zero start — the association order of the unrolled 2D/3D
+// expressions, so wherever two arms of the kernels' dimension switch
+// apply they agree bit for bit.
+//
+// Deliberately not inlined: inside a kernel body the walk's back edge
+// reloads the body's spilled loop state on every axis, and the 2D/3D
+// arms next to it allocate worse. Kept out of line, a full
+// BenchmarkAssignKernel pass is 30 % faster at d=16, 10 % at d=4 and
+// 3 % at d=2/3 than with the walk inlined (min of 8 runs each).
+//
+//go:noinline
+func colsDist2(pc, cc [][]float64, i, b int32) float64 {
+	s := 0.0
+	for d, col := range cc {
+		t := pc[d][i] - col[b]
+		s += t * t
+	}
+	return s
+}
+
 // RunBounded executes the Hamerly/plain assignment pass over idx: for
 // each point, recompute the best and second-best effective center unless
 // hamerly bound skipping (Ub < Lb) proves the assignment unchanged.
-// Spatial dimensions take the register-specialized bodies; d > MaxDim
-// dispatches to the generic column walk (RunBoundedGeneric).
 func (kr *AssignKernel) RunBounded(dim int, idx []int32, hamerly bool) {
-	switch {
-	case dim == 3:
-		kr.bounded3D(idx, hamerly)
-	case dim > MaxDim:
-		kr.RunBoundedGeneric(idx, hamerly)
-	default:
-		kr.bounded2D(idx, hamerly)
-	}
-}
-
-func (kr *AssignKernel) bounded2D(idx []int32, hamerly bool) {
-	px, py := kr.PX, kr.PY
-	cx, cy := kr.CX, kr.CY
-	inv2 := kr.InvInf2
-	order, dbb2 := kr.Order, kr.DistBB2
-	prune := kr.Prune
-	w, a, ub, lb, localW := kr.W, kr.A, kr.Ub, kr.Lb, kr.LocalW
-	ubScale, lbScale := kr.UbScale, kr.LbScale
-	scaled := ubScale != nil
-	var distCalcs, skips, breaks int64
-	for _, i := range idx {
-		best := a[i]
-		if hamerly && best >= 0 {
-			u, l := ub[i], lb[i]
-			if scaled {
-				u *= ubScale[best]
-				l *= lbScale
-			}
-			if u < l {
-				if scaled {
-					ub[i] = u
-					lb[i] = l
-				}
-				skips++
-				localW[best] += w[i]
-				continue
-			}
-		}
-		x, y := px[i], py[i]
-		best2, second2 := math.Inf(1), math.Inf(1)
-		best = 0
-		for _, bc := range order {
-			if prune && dbb2[bc] > second2 {
-				breaks++
-				break
-			}
-			dx := x - cx[bc]
-			dy := y - cy[bc]
-			d2 := (dx*dx + dy*dy) * inv2[bc]
-			distCalcs++
-			if d2 < best2 {
-				second2 = best2
-				best2 = d2
-				best = bc
-			} else if d2 < second2 {
-				second2 = d2
-			}
-		}
-		a[i] = best
-		ub[i] = math.Sqrt(best2)
-		lb[i] = math.Sqrt(second2)
-		localW[best] += w[i]
-	}
-	kr.DistCalcs += distCalcs
-	kr.Skips += skips
-	kr.Breaks += breaks
-}
-
-func (kr *AssignKernel) bounded3D(idx []int32, hamerly bool) {
 	px, py, pz := kr.PX, kr.PY, kr.PZ
 	cx, cy, cz := kr.CX, kr.CY, kr.CZ
+	pc, cc := kr.PC, kr.CC
 	inv2 := kr.InvInf2
 	order, dbb2 := kr.Order, kr.DistBB2
 	prune := kr.Prune
@@ -425,10 +381,18 @@ func (kr *AssignKernel) bounded3D(idx []int32, hamerly bool) {
 				breaks++
 				break
 			}
-			dx := x - cx[bc]
-			dy := y - cy[bc]
-			dz := z - cz[bc]
-			d2 := (dx*dx + dy*dy + dz*dz) * inv2[bc]
+			var d2 float64
+			switch {
+			case dim <= 2:
+				dx, dy := x-cx[bc], y-cy[bc]
+				d2 = dx*dx + dy*dy
+			case dim == 3:
+				dx, dy, dz := x-cx[bc], y-cy[bc], z-cz[bc]
+				d2 = dx*dx + dy*dy + dz*dz
+			default:
+				d2 = colsDist2(pc, cc, i, bc)
+			}
+			d2 *= inv2[bc]
 			distCalcs++
 			if d2 < best2 {
 				second2 = best2
@@ -459,19 +423,9 @@ func (kr *AssignKernel) bounded3D(idx []int32, hamerly bool) {
 // Ub and freshly overwrites it for every visited point, which consumes
 // the pending rescale by construction.
 func (kr *AssignKernel) RunElkan(dim int, idx []int32) {
-	switch {
-	case dim == 3:
-		kr.elkan3D(idx)
-	case dim > MaxDim:
-		kr.RunElkanGeneric(idx)
-	default:
-		kr.elkan2D(idx)
-	}
-}
-
-func (kr *AssignKernel) elkan2D(idx []int32) {
-	px, py := kr.PX, kr.PY
-	cx, cy := kr.CX, kr.CY
+	px, py, pz := kr.PX, kr.PY, kr.PZ
+	cx, cy, cz := kr.CX, kr.CY, kr.CZ
+	pc, cc := kr.PC, kr.CC
 	inv2 := kr.InvInf2
 	order, dbb2 := kr.Order, kr.DistBB2
 	prune := kr.Prune
@@ -479,15 +433,23 @@ func (kr *AssignKernel) elkan2D(idx []int32) {
 	w, a, ub, lbk, localW := kr.W, kr.A, kr.Ub, kr.Lbk, kr.LocalW
 	var distCalcs, skips, breaks int64
 	for _, i := range idx {
-		x, y := px[i], py[i]
+		x, y, z := px[i], py[i], pz[i]
 		best2 := math.Inf(1)
 		bestC := int32(0)
 		row := int(i) * k
 		cur := a[i]
 		if cur >= 0 {
-			dx := x - cx[cur]
-			dy := y - cy[cur]
-			raw2 := dx*dx + dy*dy
+			var raw2 float64
+			switch {
+			case dim <= 2:
+				dx, dy := x-cx[cur], y-cy[cur]
+				raw2 = dx*dx + dy*dy
+			case dim == 3:
+				dx, dy, dz := x-cx[cur], y-cy[cur], z-cz[cur]
+				raw2 = dx*dx + dy*dy + dz*dz
+			default:
+				raw2 = colsDist2(pc, cc, i, cur)
+			}
 			distCalcs++
 			lbk[row+int(cur)] = math.Sqrt(raw2)
 			best2 = raw2 * inv2[cur]
@@ -505,9 +467,17 @@ func (kr *AssignKernel) elkan2D(idx []int32) {
 				skips++
 				continue
 			}
-			dx := x - cx[bc]
-			dy := y - cy[bc]
-			raw2 := dx*dx + dy*dy
+			var raw2 float64
+			switch {
+			case dim <= 2:
+				dx, dy := x-cx[bc], y-cy[bc]
+				raw2 = dx*dx + dy*dy
+			case dim == 3:
+				dx, dy, dz := x-cx[bc], y-cy[bc], z-cz[bc]
+				raw2 = dx*dx + dy*dy + dz*dz
+			default:
+				raw2 = colsDist2(pc, cc, i, bc)
+			}
 			distCalcs++
 			lbk[row+int(bc)] = math.Sqrt(raw2)
 			if d2 := raw2 * inv2[bc]; d2 < best2 {
@@ -540,19 +510,9 @@ func (kr *AssignKernel) elkan2D(idx []int32) {
 // exactly as a full scan computes them, so A, Ub and Lb match the plain
 // pass (modulo exact-tie scan order; see DESIGN.md).
 func (kr *AssignKernel) RunBoundedRaw(dim int, idx []int32) {
-	switch {
-	case dim == 3:
-		kr.boundedRaw3D(idx)
-	case dim > MaxDim:
-		kr.RunBoundedRawGeneric(idx)
-	default:
-		kr.boundedRaw2D(idx)
-	}
-}
-
-func (kr *AssignKernel) boundedRaw2D(idx []int32) {
-	px, py := kr.PX, kr.PY
-	cx, cy := kr.CX, kr.CY
+	px, py, pz := kr.PX, kr.PY, kr.PZ
+	cx, cy, cz := kr.CX, kr.CY, kr.CZ
+	pc, cc := kr.PC, kr.CC
 	inv2 := kr.InvInf2
 	k := kr.K
 	order := kr.Order
@@ -582,264 +542,92 @@ func (kr *AssignKernel) boundedRaw2D(idx []int32) {
 				continue
 			}
 		}
-		x, y := px[i], py[i]
+		x, y, z := px[i], py[i], pz[i]
 		best2, second2 := math.Inf(1), math.Inf(1)
 		r1, r2 := math.Inf(1), math.Inf(1)
 		r1id := int32(-1)
 		best := int32(0)
 		rawFloor2 := math.Inf(1) // sound (squared) floor under unscanned centers
-		if cur >= 0 {
-			row := int(cur) * k
-			dx := x - cx[cur]
-			dy := y - cy[cur]
-			rawA2 := dx*dx + dy*dy
+
+		// An unassigned point scans every center in pruning order. An
+		// assigned one evaluates its current center first and then walks
+		// the rest of that center's CCOrder row, whose CCDist entries
+		// (ccd) feed the triangle break.
+		scan := order
+		var ccd []float64
+		var rub float64
+		anchored := cur >= 0
+		if anchored {
+			var rawA2 float64
+			switch {
+			case dim <= 2:
+				dx, dy := x-cx[cur], y-cy[cur]
+				rawA2 = dx*dx + dy*dy
+			case dim == 3:
+				dx, dy, dz := x-cx[cur], y-cy[cur], z-cz[cur]
+				rawA2 = dx*dx + dy*dy + dz*dz
+			default:
+				rawA2 = colsDist2(pc, cc, i, cur)
+			}
 			distCalcs++
-			rub := math.Sqrt(rawA2)
+			rub = math.Sqrt(rawA2)
 			r1, r1id = rawA2, cur
 			best2 = rawA2 * inv2[cur]
 			best = cur
-			for j := 1; j < k; j++ {
+			row := int(cur) * k
+			scan, ccd = ccOrder[row+1:row+k], ccDist[row+1:row+k]
+		}
+		for j, bc := range scan {
+			if anchored {
 				// Triangle bound for every center from j on (the row is
 				// ascending): rawdist ≥ CCDist − rawdist(p, c_cur).
-				lr := ccDist[row+j] - rub
+				lr := ccd[j] - rub
 				if lr > 0 && lr*lr*invMaxInf2 > second2 {
 					breaks++
 					rawFloor2 = lr * lr
 					break
 				}
-				bc := ccOrder[row+j]
-				dx := x - cx[bc]
-				dy := y - cy[bc]
-				raw2 := dx*dx + dy*dy
-				d2 := raw2 * inv2[bc]
-				distCalcs++
-				if raw2 < r1 {
-					r2 = r1
-					r1 = raw2
-					r1id = bc
-				} else if raw2 < r2 {
-					r2 = raw2
-				}
-				if d2 < best2 {
-					second2 = best2
-					best2 = d2
-					best = bc
-				} else if d2 < second2 {
-					second2 = d2
-				}
 			}
-		} else {
-			for _, bc := range order {
-				dx := x - cx[bc]
-				dy := y - cy[bc]
-				raw2 := dx*dx + dy*dy
-				d2 := raw2 * inv2[bc]
-				distCalcs++
-				if raw2 < r1 {
-					r2 = r1
-					r1 = raw2
-					r1id = bc
-				} else if raw2 < r2 {
-					r2 = raw2
-				}
-				if d2 < best2 {
-					second2 = best2
-					best2 = d2
-					best = bc
-				} else if d2 < second2 {
-					second2 = d2
-				}
+			var raw2 float64
+			switch {
+			case dim <= 2:
+				dx, dy := x-cx[bc], y-cy[bc]
+				raw2 = dx*dx + dy*dy
+			case dim == 3:
+				dx, dy, dz := x-cx[bc], y-cy[bc], z-cz[bc]
+				raw2 = dx*dx + dy*dy + dz*dz
+			default:
+				raw2 = colsDist2(pc, cc, i, bc)
 			}
-		}
-		a[i] = best
-		ub[i] = math.Sqrt(best2)
-		lb[i] = math.Sqrt(second2)
-		rl := r1
-		if r1id == best {
-			rl = r2
-		}
-		if rawFloor2 < rl {
-			rl = rawFloor2
-		}
-		rawLb[i] = math.Sqrt(rl)
-		localW[best] += w[i]
-	}
-	kr.DistCalcs += distCalcs
-	kr.Skips += skips
-	kr.Breaks += breaks
-}
-
-func (kr *AssignKernel) boundedRaw3D(idx []int32) {
-	px, py, pz := kr.PX, kr.PY, kr.PZ
-	cx, cy, cz := kr.CX, kr.CY, kr.CZ
-	inv2 := kr.InvInf2
-	k := kr.K
-	order := kr.Order
-	ccOrder, ccDist := kr.CCOrder, kr.CCDist
-	w, a, ub, lb, localW := kr.W, kr.A, kr.Ub, kr.Lb, kr.LocalW
-	rawLb, rawLbInv := kr.RawLb, kr.RawLbInv
-	invMaxInf2 := rawLbInv * rawLbInv
-	ubScale, lbScale := kr.UbScale, kr.LbScale
-	scaled := ubScale != nil
-	var distCalcs, skips, breaks int64
-	for _, i := range idx {
-		cur := a[i]
-		if cur >= 0 {
-			u, l := ub[i], lb[i]
-			if scaled {
-				u *= ubScale[cur]
-				l *= lbScale
-			}
-			if lr := rawLb[i] * rawLbInv; lr > l {
-				l = lr
-			}
-			if u < l {
-				ub[i] = u
-				lb[i] = l
-				skips++
-				localW[cur] += w[i]
-				continue
-			}
-		}
-		x, y, z := px[i], py[i], pz[i]
-		best2, second2 := math.Inf(1), math.Inf(1)
-		r1, r2 := math.Inf(1), math.Inf(1)
-		r1id := int32(-1)
-		best := int32(0)
-		rawFloor2 := math.Inf(1)
-		if cur >= 0 {
-			row := int(cur) * k
-			dx := x - cx[cur]
-			dy := y - cy[cur]
-			dz := z - cz[cur]
-			rawA2 := dx*dx + dy*dy + dz*dz
+			d2 := raw2 * inv2[bc]
 			distCalcs++
-			rub := math.Sqrt(rawA2)
-			r1, r1id = rawA2, cur
-			best2 = rawA2 * inv2[cur]
-			best = cur
-			for j := 1; j < k; j++ {
-				lr := ccDist[row+j] - rub
-				if lr > 0 && lr*lr*invMaxInf2 > second2 {
-					breaks++
-					rawFloor2 = lr * lr
-					break
-				}
-				bc := ccOrder[row+j]
-				dx := x - cx[bc]
-				dy := y - cy[bc]
-				dz := z - cz[bc]
-				raw2 := dx*dx + dy*dy + dz*dz
-				d2 := raw2 * inv2[bc]
-				distCalcs++
-				if raw2 < r1 {
-					r2 = r1
-					r1 = raw2
-					r1id = bc
-				} else if raw2 < r2 {
-					r2 = raw2
-				}
-				if d2 < best2 {
-					second2 = best2
-					best2 = d2
-					best = bc
-				} else if d2 < second2 {
-					second2 = d2
-				}
+			if raw2 < r1 {
+				r2 = r1
+				r1 = raw2
+				r1id = bc
+			} else if raw2 < r2 {
+				r2 = raw2
 			}
-		} else {
-			for _, bc := range order {
-				dx := x - cx[bc]
-				dy := y - cy[bc]
-				dz := z - cz[bc]
-				raw2 := dx*dx + dy*dy + dz*dz
-				d2 := raw2 * inv2[bc]
-				distCalcs++
-				if raw2 < r1 {
-					r2 = r1
-					r1 = raw2
-					r1id = bc
-				} else if raw2 < r2 {
-					r2 = raw2
-				}
-				if d2 < best2 {
-					second2 = best2
-					best2 = d2
-					best = bc
-				} else if d2 < second2 {
-					second2 = d2
-				}
-			}
-		}
-		a[i] = best
-		ub[i] = math.Sqrt(best2)
-		lb[i] = math.Sqrt(second2)
-		rl := r1
-		if r1id == best {
-			rl = r2
-		}
-		if rawFloor2 < rl {
-			rl = rawFloor2
-		}
-		rawLb[i] = math.Sqrt(rl)
-		localW[best] += w[i]
-	}
-	kr.DistCalcs += distCalcs
-	kr.Skips += skips
-	kr.Breaks += breaks
-}
-
-func (kr *AssignKernel) elkan3D(idx []int32) {
-	px, py, pz := kr.PX, kr.PY, kr.PZ
-	cx, cy, cz := kr.CX, kr.CY, kr.CZ
-	inv2 := kr.InvInf2
-	order, dbb2 := kr.Order, kr.DistBB2
-	prune := kr.Prune
-	k := kr.K
-	w, a, ub, lbk, localW := kr.W, kr.A, kr.Ub, kr.Lbk, kr.LocalW
-	var distCalcs, skips, breaks int64
-	for _, i := range idx {
-		x, y, z := px[i], py[i], pz[i]
-		best2 := math.Inf(1)
-		bestC := int32(0)
-		row := int(i) * k
-		cur := a[i]
-		if cur >= 0 {
-			dx := x - cx[cur]
-			dy := y - cy[cur]
-			dz := z - cz[cur]
-			raw2 := dx*dx + dy*dy + dz*dz
-			distCalcs++
-			lbk[row+int(cur)] = math.Sqrt(raw2)
-			best2 = raw2 * inv2[cur]
-			bestC = cur
-		}
-		for _, bc := range order {
-			if bc == cur {
-				continue
-			}
-			if prune && dbb2[bc] > best2 {
-				breaks++
-				break
-			}
-			if l := lbk[row+int(bc)]; l > 0 && l*l*inv2[bc] >= best2 {
-				skips++
-				continue
-			}
-			dx := x - cx[bc]
-			dy := y - cy[bc]
-			dz := z - cz[bc]
-			raw2 := dx*dx + dy*dy + dz*dz
-			distCalcs++
-			lbk[row+int(bc)] = math.Sqrt(raw2)
-			if d2 := raw2 * inv2[bc]; d2 < best2 {
+			if d2 < best2 {
+				second2 = best2
 				best2 = d2
-				bestC = bc
+				best = bc
+			} else if d2 < second2 {
+				second2 = d2
 			}
 		}
-		a[i] = bestC
+		a[i] = best
 		ub[i] = math.Sqrt(best2)
-		localW[bestC] += w[i]
+		lb[i] = math.Sqrt(second2)
+		rl := r1
+		if r1id == best {
+			rl = r2
+		}
+		if rawFloor2 < rl {
+			rl = rawFloor2
+		}
+		rawLb[i] = math.Sqrt(rl)
+		localW[best] += w[i]
 	}
 	kr.DistCalcs += distCalcs
 	kr.Skips += skips

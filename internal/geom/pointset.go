@@ -1,6 +1,16 @@
 package geom
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"math"
+)
+
+// ErrNonFinite is the error (wrapped with the offending position; test
+// with errors.Is) PointSet.Validate returns for values the partitioners
+// have no defined behaviour on: a NaN or ±Inf coordinate, or a NaN, ±Inf
+// or negative weight.
+var ErrNonFinite = errors.New("geom: non-finite coordinate or non-finite/negative weight")
 
 // PointSet is a weighted set of points in Dim dimensions, the common input
 // type of all partitioners in this repository (paper §4: "The input for
@@ -119,11 +129,12 @@ func (ps *PointSet) Subset(idx []int) *PointSet {
 	return out
 }
 
-// Validate checks structural invariants. Dimensions beyond MaxDim are
-// structurally valid (feature-space clustering through the generic
-// kernels); consumers that are inherently spatial — meshes, space-filling
-// curves, the At/Set Point accessors — must enforce Dim ≤ MaxDim
-// themselves.
+// Validate checks structural invariants and that every value is usable:
+// coordinates finite, weights finite and non-negative (ErrNonFinite
+// otherwise). Dimensions beyond MaxDim are structurally valid
+// (feature-space clustering through the column-walking kernels);
+// consumers that are inherently spatial — meshes, space-filling curves,
+// the At/Set Point accessors — must enforce Dim ≤ MaxDim themselves.
 func (ps *PointSet) Validate() error {
 	if ps.Dim < 1 {
 		return fmt.Errorf("geom: dimension %d out of range (must be ≥ 1)", ps.Dim)
@@ -134,11 +145,14 @@ func (ps *PointSet) Validate() error {
 	if ps.Weight != nil && len(ps.Weight) != ps.Len() {
 		return fmt.Errorf("geom: %d weights for %d points", len(ps.Weight), ps.Len())
 	}
-	if ps.Weight != nil {
-		for i, w := range ps.Weight {
-			if w < 0 {
-				return fmt.Errorf("geom: negative weight %g at point %d", w, i)
-			}
+	for i, x := range ps.Coords {
+		if !(math.Abs(x) <= math.MaxFloat64) {
+			return fmt.Errorf("%w: coordinate %g at point %d, axis %d", ErrNonFinite, x, i/ps.Dim, i%ps.Dim)
+		}
+	}
+	for i, w := range ps.Weight {
+		if !(w >= 0 && w <= math.MaxFloat64) {
+			return fmt.Errorf("%w: weight %g at point %d", ErrNonFinite, w, i)
 		}
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -344,26 +345,20 @@ func (s *Session) repartitionFromLocked(prev []int32) (partition.P, Stats, error
 // per-rank resident weight columns are refreshed lazily before the next
 // warm step, so several weight updates between two repartitions coalesce
 // into a single resident pass. The next Repartition balances against
-// the new weights.
+// the new weights. A rejected update (wrong length, or a NaN, ±Inf or
+// negative weight: geom.ErrNonFinite) leaves the session unchanged.
 func (s *Session) UpdateWeights(weights []float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if weights != nil && len(weights) != s.ps.Len() {
-		return fmt.Errorf("repart: %d weights for %d points", len(weights), s.ps.Len())
+	// slices.Clone keeps nil (unit weights) apart from empty (wrong length).
+	next := &geom.PointSet{Dim: s.ps.Dim, Coords: s.ps.Coords, Weight: slices.Clone(weights)}
+	if err := next.Validate(); err != nil {
+		return err
 	}
-	if weights == nil {
-		s.ps.Weight = nil
-	} else {
-		for i, w := range weights {
-			if w < 0 {
-				return fmt.Errorf("repart: negative weight %g at point %d", w, i)
-			}
-		}
-		s.ps.Weight = append([]float64(nil), weights...)
-	}
+	s.ps = next
 	s.weightsDirty = true
 	return nil
 }
@@ -374,21 +369,23 @@ func (s *Session) UpdateWeights(weights []float64) error {
 // recompute the coordinates demand — are applied lazily before the next
 // warm step, at most once regardless of how many updates queued. Point
 // identity (and therefore the meaning of the current partition) is
-// preserved — this models points that moved, not a new point set.
+// preserved — this models points that moved, not a new point set. A
+// rejected update (wrong length, or a NaN or ±Inf coordinate:
+// geom.ErrNonFinite) leaves the session unchanged.
 func (s *Session) UpdateCoords(coords []float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	if len(coords) != s.ps.Len()*s.ps.Dim {
+	if len(coords) != len(s.ps.Coords) {
 		return fmt.Errorf("repart: %d coordinates for %d points in %dD", len(coords), s.ps.Len(), s.ps.Dim)
 	}
-	s.ps = &geom.PointSet{
-		Dim:    s.ps.Dim,
-		Coords: append([]float64(nil), coords...),
-		Weight: s.ps.Weight,
+	next := &geom.PointSet{Dim: s.ps.Dim, Coords: slices.Clone(coords), Weight: s.ps.Weight}
+	if err := next.Validate(); err != nil {
+		return err
 	}
+	s.ps = next
 	s.coordsDirty = true
 	return nil
 }

@@ -36,6 +36,10 @@ import (
 // redundant work, never changes results. Only MethodGeographer
 // supports sessions (warm starts need the balanced k-means).
 //
+// Non-finite coordinates and non-finite or negative weights are rejected
+// with ErrNonFinite at NewSession, UpdateWeights and UpdateCoords; a
+// rejected update leaves the session as it was.
+//
 // A Session holds memory proportional to the point set until Close. It
 // is safe for concurrent use: calls are serialized (each observes a
 // consistent state), and a call racing Close deterministically returns
@@ -63,7 +67,8 @@ func (s *Session) get() (*repart.Session, error) {
 }
 
 // mapErr rewrites the inner closed-session sentinel (reachable when
-// Close lands between get and the inner call) into the facade's.
+// Close lands between get and the inner call) into the facade's. Input
+// rejections need no rewriting: ErrNonFinite is the inner sentinel itself.
 func mapErr(err error) error {
 	if errors.Is(err, repart.ErrClosed) {
 		return errSessionClosed
