@@ -14,9 +14,8 @@ import (
 // steps first grow every reusable buffer (and seed the carried bounds),
 // so the measured step is the shape the soak experiment runs millions
 // of points through.
-func warmStepAllocs(t *testing.T, n int) float64 {
+func warmStepAllocs(t *testing.T, n, k, p int) float64 {
 	t.Helper()
-	const k, p = 8, 4
 	ps := uniformPoints(n, 2, 23)
 	prev, _ := runPartition(t, ps, k, p, DefaultConfig())
 	w := mpi.NewWorld(p)
@@ -45,6 +44,7 @@ func warmStepAllocs(t *testing.T, n int) float64 {
 		}
 		step++
 		cfg := DefaultConfig()
+		cfg.Workers = 1 // helper goroutines are per machine, not per step
 		cfg.WarmCenters = warmCentersFrom(ps, assign, k)
 		bkm := New(cfg)
 		for _, r := range res {
@@ -72,16 +72,41 @@ func warmStepAllocs(t *testing.T, n int) float64 {
 // contract at the step level: after warm-up, a step's heap allocations
 // must not scale with the point count. What remains per step is
 // n-independent — the world's p goroutines, the warm-center recovery
-// (k-sized), and the exact-decode scratch (k·(dim+2) sums per round) —
-// so an 8× larger point set must not cost meaningfully more allocations.
+// (k-sized) and the chunk fan-out closures of each kernel pass — so an
+// 8× larger point set must not cost meaningfully more allocations.
 // A per-point or per-collective leak anywhere on the warm path (kernel
 // scratch, exact banks, collective deposits) fails the ratio check.
 func TestWarmStepAllocsIndependentOfN(t *testing.T) {
-	small := warmStepAllocs(t, 3000)
-	big := warmStepAllocs(t, 24000)
+	small := warmStepAllocs(t, 3000, 8, 4)
+	big := warmStepAllocs(t, 24000, 8, 4)
 	t.Logf("warm step allocs: n=3000 → %.0f, n=24000 → %.0f", small, big)
 	if big > 3*small+512 {
 		t.Errorf("warm step allocations scale with n: %.0f at n=3000 vs %.0f at n=24000", small, big)
+	}
+}
+
+// TestWarmStepAllocsFlatInKAndP is the fence for the other two axes: a
+// rank's allocations per steady-state warm step stay under one small
+// constant whether k is 8 or 64 and whether p is 4 or 256. The exact
+// reductions decode k sums per balance round and k·(dim+1) per
+// iteration on every rank; a decode that allocates (the math/big one
+// cost ~8 objects per sum) multiplies straight into k × rounds × p and
+// overshoots this bound a hundredfold at k = 64. What is left follows
+// the number of kernel passes — two fan-out closures each — not k, p
+// or n.
+func TestWarmStepAllocsFlatInKAndP(t *testing.T) {
+	const perRank = 160
+	for _, tc := range []struct{ n, k, p int }{
+		{6000, 8, 4},
+		{6000, 64, 4},
+		{24000, 8, 256},
+		{24000, 64, 256},
+	} {
+		got := warmStepAllocs(t, tc.n, tc.k, tc.p)
+		t.Logf("k=%d p=%d: %.0f allocs per step, %.1f per rank", tc.k, tc.p, got, got/float64(tc.p))
+		if got > float64(perRank*tc.p) {
+			t.Errorf("k=%d p=%d: %.0f allocations per warm step, want at most %d per rank", tc.k, tc.p, got, perRank)
+		}
 	}
 }
 

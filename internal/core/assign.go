@@ -26,15 +26,21 @@ func (st *state) assignAndBalance() bool {
 
 	// Line 1: bounding box around the local (sampled) points, held flat
 	// so any dimension fits (identical arithmetic at d ≤ geom.MaxDim).
-	var localSampleW float64
-	if st.dim <= geom.MaxDim {
-		var bb geom.Box
-		bb, localSampleW = geom.SampleBoxW(st.dim, st.X.X, st.X.Y, st.X.Z, st.W, sample)
-		copy(st.bbMin, bb.Min[:st.dim])
-		copy(st.bbMax, bb.Max[:st.dim])
-	} else {
-		localSampleW = geom.SampleBoxWND(st.X.Col, st.W, sample, st.bbMin, st.bbMax)
+	// Points and weights are fixed within a run, so once the sample is
+	// the whole set (always, on the warm and Deterministic paths) the box
+	// and the sample weight are computed once and kept.
+	if !st.sampleBoxSet {
+		if st.dim <= geom.MaxDim {
+			var bb geom.Box
+			bb, st.sampleW = geom.SampleBoxW(st.dim, st.X.X, st.X.Y, st.X.Z, st.W, sample)
+			copy(st.bbMin, bb.Min[:st.dim])
+			copy(st.bbMax, bb.Max[:st.dim])
+		} else {
+			st.sampleW = geom.SampleBoxWND(st.X.Col, st.W, sample, st.bbMin, st.bbMax)
+		}
+		st.sampleBoxSet = st.nSample == st.X.Len()
 	}
+	localSampleW := st.sampleW
 	bbEmpty := geom.FlatBoxEmpty(st.bbMin, st.bbMax)
 
 	// The global sample weight (to scale the block targets) and the

@@ -33,7 +33,12 @@ func flatRandomPoints(n, dim int, seed int64) *geom.PointSet {
 // rank × worker layout, in the spatial regime (d=2, SFC bootstrap on)
 // and the feature-space regime (d=16, sampled-free random init) alike —
 // sampled init is forced off and every float reduction runs through the
-// order-independent exact accumulators.
+// order-independent exact accumulators. Those accumulators are
+// delta-maintained, and the cold run is the case where the run's first
+// reduction finds nothing held at all (resetRun left every point
+// unassigned before the first kernel pass): every layout is run once more
+// through the reference ingest, which must reproduce the partition and
+// lets the test compare each rank's maintained banks with rebuilt ones.
 func TestDeterministicColdPartition(t *testing.T) {
 	for _, tc := range []struct{ n, dim, k int }{
 		{4000, 2, 8},
@@ -58,14 +63,29 @@ func TestDeterministicColdPartition(t *testing.T) {
 				return part.Assign
 			}
 
+			probed := func(p, workers int) []int32 {
+				c := cfg
+				c.Workers = workers
+				ctx := fmt.Sprintf("p=%d workers=%d", p, workers)
+				part, err := partition.Run(mpi.NewWorld(p), ps, tc.k, itemIngest{
+					BalancedKMeans: New(c),
+					probe:          func(st *state) { checkOwnBanks(t, st, ctx) },
+				})
+				if err != nil {
+					t.Fatalf("%s (probed): %v", ctx, err)
+				}
+				return part.Assign
+			}
+
 			base := run(1, 1)
-			for _, p := range []int{2, 3} {
+			for _, p := range []int{1, 2, 3} {
 				for _, workers := range []int{1, 2} {
-					got := run(p, workers)
-					for i := range base {
-						if got[i] != base[i] {
-							t.Fatalf("p=%d workers=%d: assignment diverged at point %d (%d vs %d)",
-								p, workers, i, got[i], base[i])
+					for _, got := range [][]int32{run(p, workers), probed(p, workers)} {
+						for i := range base {
+							if got[i] != base[i] {
+								t.Fatalf("p=%d workers=%d: assignment diverged at point %d (%d vs %d)",
+									p, workers, i, got[i], base[i])
+							}
 						}
 					}
 				}

@@ -15,8 +15,13 @@ import (
 // (§4.1 keys + global sort + redistribution): per-point sfc.Curve.Key and
 // the sort.Slice-based dsort.SampleSort/Rebalance over []dsort.Item,
 // where production runs the batch key kernel, the radix sort and flat
-// column exchanges. It hands the same state to the same k-means phase.
-type itemIngest struct{ *BalancedKMeans }
+// column exchanges. It hands the same state to the same k-means phase,
+// and — being a test-side Partition — is where a test can look at that
+// state afterwards: probe, when set, sees each rank's state after the run.
+type itemIngest struct {
+	*BalancedKMeans
+	probe func(st *state)
+}
 
 func (b itemIngest) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]int64, []int32, error) {
 	cfg := b.Cfg.normalized()
@@ -28,6 +33,18 @@ func (b itemIngest) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]int64
 	st.diag = geom.FlatBoxDiagonal(bmin, bmax)
 	if st.diag == 0 {
 		st.diag = 1
+	}
+	if pts.Dim > geom.MaxDim {
+		// Feature space: no curve, no sort — the columns fill straight
+		// from the input in id order, as in production.
+		st.X = geom.MakeCols(st.dim, pts.Len())
+		st.W = make([]float64, pts.Len())
+		st.IDs = append([]int64(nil), pts.IDs...)
+		for i := range st.W {
+			st.X.SetVec(i, pts.Coord(i))
+			st.W[i] = pts.Weight(i)
+		}
+		return b.finishProbed(st)
 	}
 	items := make([]dsort.Item, pts.Len())
 	for i := range items {
@@ -49,7 +66,15 @@ func (b itemIngest) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]int64
 		st.X.Set(i, it.X)
 		st.W[i], st.IDs[i] = it.W, it.ID
 	}
-	return b.finish(st)
+	return b.finishProbed(st)
+}
+
+func (b itemIngest) finishProbed(st *state) ([]int64, []int32, error) {
+	ids, blocks, err := b.finish(st)
+	if err == nil && b.probe != nil {
+		b.probe(st)
+	}
+	return ids, blocks, err
 }
 
 // runWithIngest executes one Partition over a fresh world — through the
@@ -60,7 +85,7 @@ func runWithIngest(t *testing.T, ps *geom.PointSet, k, p int, cfg Config, ref bo
 		part, _ := runPartition(t, ps, k, p, cfg)
 		return part
 	}
-	part, err := partition.Run(mpi.NewWorld(p), ps, k, itemIngest{New(cfg)})
+	part, err := partition.Run(mpi.NewWorld(p), ps, k, itemIngest{BalancedKMeans: New(cfg)})
 	if err != nil {
 		t.Fatalf("reference ingest k=%d p=%d: %v", k, p, err)
 	}

@@ -122,6 +122,23 @@ type state struct {
 	exactW   *exact.RowSums // per-block weight accumulators, k sums
 	exactC   *exact.RowSums // center accumulators, k·(dim+1) sums
 	exactTot *exact.RowSums // global weight accumulator, 1 sum
+	// The reductions fold into the banks above in place, so this rank's
+	// own contribution lives in a second pair that no collective writes.
+	// The pair is maintained, not rebuilt: ownA shadows the assignment
+	// the own banks currently hold, and each reduction moves only the
+	// points whose block changed since (syncOwnBanks in warm.go).
+	// Weights, coordinates and the partition may all change between
+	// runs, so the pair is valid within one run only.
+	ownW     *exact.RowSums // this rank's part of exactW
+	ownC     *exact.RowSums // this rank's part of exactC
+	ownA     []int32        // assignment held by ownW/ownC (-1 = not held)
+	ownValid bool           // a reduction of the current run has rebuilt them
+
+	// Bounding box and weight of the sample, computed by the first
+	// assignAndBalance call that sees the full point set and kept for the
+	// rest of the run: points and weights are fixed within a run.
+	sampleW      float64
+	sampleBoxSet bool
 
 	// Small reusable collective buffers of the steady-state path: the
 	// diagnostics counter reduction of finish and the fused bounding-box
@@ -381,6 +398,9 @@ func (st *state) initCentersAndTargets() error {
 	// persistent buffers, so a steady-state warm call allocates nothing.
 	st.trackRaw = st.warm && st.cfg.Incremental && st.cfg.Bounds == BoundsHamerly
 	st.ensureScratch()
+	// Nothing the own banks hold survives a run boundary: the first
+	// reduction of this run rebuilds them from its assignment.
+	st.ownValid = false
 
 	n := mpi.ReduceScalarSum(st.c, int64(st.X.Len()))
 	if n == 0 {
@@ -573,6 +593,15 @@ func (st *state) ensureScratch() {
 		if st.exactTot == nil {
 			st.exactTot = exact.NewRowSums(1)
 		}
+		if st.ownW == nil || st.ownW.Len() != st.k {
+			st.ownW = exact.NewRowSums(st.k)
+		}
+		if st.ownC == nil || st.ownC.Len() != st.k*(st.dim+1) {
+			st.ownC = exact.NewRowSums(st.k * (st.dim + 1))
+		}
+		if len(st.ownA) != n {
+			st.ownA = make([]int32, n)
+		}
 	}
 }
 
@@ -605,6 +634,7 @@ func (st *state) resetRun() {
 	st.pendScaled = false
 	st.anySampling = false
 	st.useWorklist = false
+	st.sampleBoxSet = false
 	if !st.warm {
 		// The sampled bootstrap exists to move bad initial centers
 		// cheaply; warm starts begin near-converged, so the warm path

@@ -68,6 +68,7 @@ func (st *state) prepareCarried() {
 	st.pendScaled = false
 	st.anySampling = false
 	st.useWorklist = false
+	st.sampleBoxSet = false
 
 	maxDrift := 0.0
 	for b := 0; b < st.k; b++ {
@@ -182,25 +183,71 @@ func (st *state) recordCarry() {
 	st.carryValid = true
 }
 
+// syncOwnBanks brings this rank's own accumulator banks in line with
+// the current assignment: the per-block weights (ownW) and the weighted
+// coordinate sums plus weight per block (ownC, stride dim+1). Limbs are
+// un-normalized signed integers, so taking a point out of its old block
+// with Sub and putting it into the new one with Add leaves exactly the
+// integers a bank rebuilt from the new assignment would hold — the cost
+// is per point that moved, the result is bit-identical. fl(w·x) is a
+// function of the point alone and points are fixed within a run, so the
+// removed term is the added one.
+//
+// The first call of a run has nothing to trust (initCentersAndTargets
+// dropped ownValid): it empties the banks and marks every point as not
+// held, which turns the same loop into the full rebuild.
+func (st *state) syncOwnBanks() {
+	if !st.ownValid {
+		st.ownW.Reset()
+		st.ownC.Reset()
+		for i := range st.ownA {
+			st.ownA[i] = -1
+		}
+		st.ownValid = true
+	}
+	stride := st.dim + 1
+	cols := st.X.Col
+	for i, a := range st.A {
+		old := st.ownA[i]
+		if a == old {
+			continue
+		}
+		st.ownA[i] = a
+		w := st.W[i]
+		if old >= 0 {
+			st.ownW.Sub(int(old), w)
+			base := int(old) * stride
+			for d, col := range cols {
+				st.ownC.Sub(base+d, w*col[i])
+			}
+			st.ownC.Sub(base+st.dim, w)
+		}
+		if a >= 0 {
+			st.ownW.Add(int(a), w)
+			base := int(a) * stride
+			for d, col := range cols {
+				st.ownC.Add(base+d, w*col[i])
+			}
+			st.ownC.Add(base+st.dim, w)
+		}
+	}
+}
+
 // exactBlockWeights returns the global per-block sample weights of the
-// current assignment through the exact accumulator bank: one O(n) local
-// pass in index order, one windowed integer reduction (keeping the
+// current assignment through the exact accumulator bank: one local diff
+// pass (syncOwnBanks), one windowed integer reduction (keeping the
 // balance routine at a single collective per round), one rounding per
 // block at the end. Any grouping of points into ranks or chunks
 // produces the same limbs, hence the same float64 weights everywhere.
-// The bank's backing array is the wire — no encode copies — and only
-// the touched exponent-row window is exchanged and folded, in place, so
-// the per-round collective allocates nothing and moves ~10× fewer bytes
-// than a dense k·WireLen reduction. The kernel's chunk-merged st.localW
-// partials are ignored on this path — their summation order depends on
-// the rank layout.
+// The wire bank's backing array is the wire — the own bank's window is
+// copied in, nothing is encoded — and only the touched exponent-row
+// window is exchanged and folded, in place, so the per-round collective
+// allocates nothing and moves ~10× fewer bytes than a dense k·WireLen
+// reduction. The kernel's chunk-merged st.localW partials are ignored on
+// this path — their summation order depends on the rank layout.
 func (st *state) exactBlockWeights() []float64 {
-	st.exactW.Reset()
-	for i, a := range st.A {
-		if a >= 0 {
-			st.exactW.Add(int(a), st.W[i])
-		}
-	}
+	st.syncOwnBanks()
+	st.exactW.CopyFrom(st.ownW)
 	off, seg := st.exactW.Wire()
 	lo, ln := mpi.AllreduceSumSparse(st.c, exact.WireLen*st.k, off, seg, st.exactW.Backing())
 	st.exactW.SetWindow(lo, ln)
@@ -217,23 +264,15 @@ func (st *state) exactBlockWeights() []float64 {
 // regardless of the rank layout. The per-term fl(w·x) rounding is a
 // deterministic function of each point alone; only the summation order
 // had to be neutralized. Both callers run on the full point set
-// (warm never samples; Deterministic forces SampledInit off), so the
-// linear index-order pass is the whole sample.
+// (warm never samples; Deterministic forces SampledInit off), so the own
+// banks cover the whole sample. No kernel pass runs between an
+// iteration's last balance collective and this call, so the diff pass
+// normally finds nothing to move: the center sums were maintained along
+// with the block weights.
 func (st *state) computeCentersExact(out []float64) bool {
 	stride := st.dim + 1
-	st.exactC.Reset()
-	cols := st.X.Col
-	for i, a := range st.A {
-		if a < 0 {
-			continue
-		}
-		base := int(a) * stride
-		w := st.W[i]
-		for d, col := range cols {
-			st.exactC.Add(base+d, w*col[i])
-		}
-		st.exactC.Add(base+st.dim, w)
-	}
+	st.syncOwnBanks()
+	st.exactC.CopyFrom(st.ownC)
 	st.c.AddOps(int64(st.X.Len()))
 
 	m := st.k * stride

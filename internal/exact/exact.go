@@ -1,27 +1,34 @@
-// Package exact provides an order-independent, exactly-rounded float64
-// accumulator for the warm-start repartitioning path of the balanced
-// k-means core.
+// Package exact provides order-independent, exactly-rounded float64
+// accumulators for the reductions of the balanced k-means core whose
+// result must not depend on how points are grouped into ranks and
+// kernel chunks: every global float sum of the warm-start repartitioning
+// path and of the Deterministic cold path.
 //
-// Floating-point addition is not associative, so the global weight and
-// center sums of the k-means balance loop depend on how points are
-// grouped into ranks and kernel chunks — the one obstacle to making
-// warm-start repartitioning bit-identical across Processes and Workers
-// (see DESIGN.md, "Repartitioning invariants"). Sum sidesteps this by
-// accumulating every contribution into a fixed-point superaccumulator
-// wide enough to represent any finite float64 sum exactly: integer
-// limb additions are associative and commutative, so any grouping of
-// Add calls and any reduction order over encoded accumulators yields
-// the same limbs, and Float64 rounds the exact value to the nearest
-// float64 once at the end.
+// Floating-point addition is not associative, so a global weight or
+// center sum depends on the summation order — the one obstacle to
+// partitions that are bit-identical across Processes and Workers (see
+// DESIGN.md, "Repartitioning invariants"). A superaccumulator sidesteps
+// this: every contribution is split into signed base-2^32 digits of a
+// fixed-point number wide enough to hold any finite float64 sum exactly.
+// The digits (limbs) are plain int64 values that are never normalized,
+// so integer limb addition is associative and commutative — any grouping
+// of Add calls and any element-wise merge order yield the same limbs —
+// and it has an exact inverse: subtracting a contribution's digits
+// leaves the limbs as if it had never been added. The value is rounded
+// to the nearest float64 once, when it is read.
 //
-// The wire format (EncodeTo / DecodeFloat64) is a flat []int64 designed
-// to ride mpi.AllreduceSum: element-wise integer summation of encoded
-// accumulators is exactly the merge of the underlying sums.
+// RowSums is the production form: a limb-major bank of m sums whose
+// backing array is its own reduction wire (mpi.AllreduceSumSparse folds
+// the touched limb rows in place) and which supports Sub, so the core
+// maintains its banks by the points whose assignment changed instead of
+// rebuilding them every round (DESIGN.md, "Scaling invariants"). Sum is
+// the single-accumulator form with the same bit path, kept as the
+// reference RowSums is tested against.
 package exact
 
 import (
 	"math"
-	"math/big"
+	"math/bits"
 )
 
 const (
@@ -45,9 +52,13 @@ const (
 	WireLen = numLimbs + 3
 )
 
-// MaxAdds bounds the number of Add calls (summed over all accumulators
-// merged into one, e.g. across ranks) before a limb could overflow:
-// each Add contributes < 2^32 to a limb digit, and int64 holds 2^63.
+// MaxAdds bounds the number of contributions one accumulator may hold
+// (summed over all accumulators merged into one, e.g. across ranks)
+// before a limb could overflow: each contribution is < 2^32 per limb
+// digit, and int64 holds 2^63. A limb holds the digits of the live
+// contributions only — a Sub cancels its Add exactly — so the bound is
+// on the points in a bank, not on the Add/Sub operations performed over
+// a session's lifetime.
 const MaxAdds = 1 << 31
 
 // Sum is a superaccumulator for float64 values. The zero value is an
@@ -132,38 +143,107 @@ func (s *Sum) EncodeTo(dst []int64) {
 // Float64 returns the exactly-rounded (nearest-even) float64 value of
 // the sum; overflow saturates to ±Inf like ordinary float64 addition.
 func (s *Sum) Float64() float64 {
-	return decode(s.limb[:], s.nan, s.posInf, s.negInf)
+	if v, ok := nonFinite(s.nan, s.posInf, s.negInf); ok {
+		return v
+	}
+	return round(s.limb[:], 1, 0, 0, numLimbs)
 }
 
 // DecodeFloat64 rounds an encoded (possibly element-wise summed)
 // accumulator from src[:WireLen].
 func DecodeFloat64(src []int64) float64 {
 	_ = src[WireLen-1]
-	return decode(src[:numLimbs], src[numLimbs], src[numLimbs+1], src[numLimbs+2])
+	if v, ok := nonFinite(src[numLimbs], src[numLimbs+1], src[numLimbs+2]); ok {
+		return v
+	}
+	return round(src, 1, 0, 0, numLimbs)
 }
 
-func decode(limb []int64, nan, posInf, negInf int64) float64 {
+// nonFinite resolves the non-finite counters: the value they force and
+// whether they force one.
+func nonFinite(nan, posInf, negInf int64) (float64, bool) {
 	switch {
 	case nan > 0 || (posInf > 0 && negInf > 0):
-		return math.NaN()
+		return math.NaN(), true
 	case posInf > 0:
-		return math.Inf(1)
+		return math.Inf(1), true
 	case negInf > 0:
-		return math.Inf(-1)
+		return math.Inf(-1), true
 	}
-	// Fold the signed base-2^32 digits into one exact integer, highest
-	// limb first, then scale by the accumulator's least significant bit.
-	acc := new(big.Int)
-	tmp := new(big.Int)
-	for i := numLimbs - 1; i >= 0; i-- {
-		acc.Lsh(acc, limbBits)
-		acc.Add(acc, tmp.SetInt64(limb[i]))
+	return 0, false
+}
+
+// round returns the float64 nearest (ties to even) to the exact value
+// Σ rows[l·stride+j]·2^(32l+minExp) over the limb rows l in [lo, hi) —
+// limb l of sum j in a limb-major bank of stride sums, or of a single
+// Sum at stride 1. Limbs are arbitrary signed int64 digits. Pure integer
+// work on a stack array: nothing is allocated.
+func round(rows []int64, stride, j, lo, hi int) float64 {
+	// Pass 1: propagate carries upward into digits in [0, 2^32). Each
+	// limb is split before the carry joins it, so no int64 can overflow.
+	// The final carry is the signed digit above the window: it alone
+	// decides the sign, everything below it is non-negative.
+	var dig [numLimbs + 1]uint32
+	var carry int64
+	for l := lo; l < hi; l++ {
+		v := rows[l*stride+j]
+		t := int64(uint32(v)) + carry
+		dig[l] = uint32(t)
+		carry = v>>32 + t>>32
 	}
-	if acc.Sign() == 0 {
+	neg := carry < 0
+	if neg {
+		// Pass 2: the magnitude is the two's complement of the digit
+		// string, with the top digit −carry−1 plus the carry out of it.
+		c := uint64(1)
+		for l := lo; l < hi; l++ {
+			t := uint64(^dig[l]) + c
+			dig[l] = uint32(t)
+			c = t >> 32
+		}
+		carry = -carry - 1 + int64(c)
+	}
+	dig[hi] = uint32(carry) // |carry| ≤ 2^31+1 by construction
+
+	top := hi
+	for top >= lo && dig[top] == 0 {
+		top--
+	}
+	if top < lo {
 		return 0
 	}
-	f := new(big.Float).SetPrec(uint(acc.BitLen()) + 1).SetInt(acc)
-	f.SetMantExp(f, minExp) // z = f · 2^minExp
-	v, _ := f.Float64()
+	at := func(l int) uint64 {
+		if l < 0 {
+			return 0
+		}
+		return uint64(dig[l])
+	}
+	bl := bits.Len32(dig[top])
+	msb := 32*top + bl - 1 // bit offset of the leading one, in units of 2^minExp
+
+	var v float64
+	if msb <= 52 {
+		// Subnormal range up to the first normal binade: the accumulator's
+		// unit is the float64 subnormal unit, so the magnitude IS the bit
+		// pattern — exact, no rounding.
+		v = math.Float64frombits(at(1)<<32 | at(0))
+	} else {
+		// The 64 bits from the leading one down, plus whether anything
+		// non-zero lies below them.
+		m64 := at(top)<<(64-bl) | at(top-1)<<(32-bl) | at(top-2)>>bl
+		sticky := at(top-2)&(1<<bl-1) != 0
+		for l := top - 3; l >= lo && !sticky; l-- {
+			sticky = dig[l] != 0
+		}
+		mant, rem := m64>>11, m64&(1<<11-1)
+		const half = 1 << 10
+		if rem > half || (rem == half && (sticky || mant&1 == 1)) {
+			mant++ // may reach 2^53: still exact in float64, Ldexp renormalizes
+		}
+		v = math.Ldexp(float64(mant), msb-52+minExp) // saturates to +Inf past MaxFloat64
+	}
+	if neg {
+		return -v
+	}
 	return v
 }

@@ -5,22 +5,31 @@ import "math"
 // RowSums is a bank of m superaccumulators stored limb-major: row l
 // holds limb l of every sum, i.e. backing[l*m+j] is limb l of sum j,
 // and the last three rows hold the nan/posInf/negInf counters. It is
-// semantically identical to m parallel Sum values — integer limb
-// addition is associative, so any Add order and any merge grouping
-// yield the same limbs — but shaped for the warm repartition path:
+// semantically identical to m parallel Sum values, shaped for the exact
+// reductions of the k-means core:
+//
+//   - Limbs are signed and never normalized, so Sub is the exact inverse
+//     of Add: a bank maintained by Sub(old sum, v) / Add(new sum, v) for
+//     the values that moved holds, limb for limb, the integers of a bank
+//     rebuilt from scratch. The core keeps one such local bank per
+//     reduction and pays per changed point, not per point.
 //
 //   - The backing array IS the wire format: element-wise int64 summation
-//     of two banks merges them, exactly like Sum's EncodeTo wire, with
-//     no per-round encode/decode copies and no second wire buffer.
+//     of two banks merges them, with no encode/decode copies. A reduction
+//     folds into the backing array in place, which is why the maintained
+//     local bank and the bank that rides the collective are two values:
+//     CopyFrom loads the wire bank from the local one before each fold.
 //
-//   - Real inputs cluster in a narrow exponent range, so Adds touch a
+//   - Real inputs cluster in a narrow exponent range, so they touch a
 //     handful of the 66 limb rows. The bank tracks the touched-row
 //     window [Lo, Hi) and exchanges only rows[Lo*m : Hi*m] through
 //     mpi.AllreduceSumSparse — ~10× less fold work and traffic than a
 //     dense k·WireLen reduction, still bit-identical.
 //
 // The invariant behind the window: rows outside [lo, hi) are all-zero.
-// Add grows the window over rows it touches; Reset clears only the
+// Add and Sub grow the window over rows they touch (a Sub can zero a
+// row but never shrinks the window: which rows a value touches depends
+// on the value alone, not on the sum it sits in); Reset clears only the
 // window; a sparse reduction whose result window is a superset (the
 // union over ranks) writes global values into rows that were zero here,
 // preserving the invariant when the window widens to the union.
@@ -52,8 +61,30 @@ func (rs *RowSums) Reset() {
 	rs.lo, rs.hi = WireLen, 0
 }
 
+// CopyFrom makes rs hold exactly the sums of src, a bank of the same
+// length: the previous window is cleared and src's window copied, so the
+// cost is O(window·m) like Reset.
+func (rs *RowSums) CopyFrom(src *RowSums) {
+	if src.m != rs.m {
+		panic("exact: RowSums.CopyFrom across bank sizes")
+	}
+	rs.Reset()
+	if src.hi > src.lo {
+		copy(rs.rows[src.lo*rs.m:src.hi*rs.m], src.rows[src.lo*rs.m:src.hi*rs.m])
+		rs.lo, rs.hi = src.lo, src.hi
+	}
+}
+
 // Add accumulates v into sum j exactly. Same bit path as Sum.Add.
-func (rs *RowSums) Add(j int, v float64) {
+func (rs *RowSums) Add(j int, v float64) { rs.accumulate(j, v, false) }
+
+// Sub removes one earlier Add(j, v) exactly: the same digits with the
+// sign flipped, so the limbs end up as if v had never been added. A
+// non-finite v decrements the counter its Add incremented — it is not
+// Add(j, -v), which would count a second, opposite non-finite.
+func (rs *RowSums) Sub(j int, v float64) { rs.accumulate(j, v, true) }
+
+func (rs *RowSums) accumulate(j int, v float64, sub bool) {
 	m := rs.m
 	bits := math.Float64bits(v)
 	exp := int((bits >> 52) & 0x7ff)
@@ -68,7 +99,11 @@ func (rs *RowSums) Add(j int, v float64) {
 		default:
 			row = numLimbs + 2
 		}
-		rs.rows[row*m+j]++
+		if sub {
+			rs.rows[row*m+j]--
+		} else {
+			rs.rows[row*m+j]++
+		}
 		rs.grow(row, row+1)
 		return
 	}
@@ -88,7 +123,7 @@ func (rs *RowSums) Add(j int, v float64) {
 	lo := int64(w & 0xffffffff)
 	mid := int64(w >> 32)
 	hi := int64(mant >> (64 - sh)) // 0 when sh == 0 (Go shifts never wrap)
-	if bits>>63 != 0 {
+	if (bits>>63 != 0) != sub {
 		lo, mid, hi = -lo, -mid, -hi
 	}
 	rs.rows[li*m+j] += lo
@@ -136,18 +171,14 @@ func (rs *RowSums) SetWindow(off, n int) {
 	rs.lo, rs.hi = off/rs.m, (off+n)/rs.m
 }
 
-// Float64 returns the exactly-rounded value of sum j.
+// Float64 returns the exactly-rounded value of sum j. Only the window's
+// limbs are read, and nothing is allocated.
 func (rs *RowSums) Float64(j int) float64 {
 	m := rs.m
-	var limbs [numLimbs]int64
-	for l := rs.lo; l < rs.hi && l < numLimbs; l++ {
-		limbs[l] = rs.rows[l*m+j]
-	}
-	var nan, posInf, negInf int64
 	if rs.hi > numLimbs {
-		nan = rs.rows[numLimbs*m+j]
-		posInf = rs.rows[(numLimbs+1)*m+j]
-		negInf = rs.rows[(numLimbs+2)*m+j]
+		if v, ok := nonFinite(rs.rows[numLimbs*m+j], rs.rows[(numLimbs+1)*m+j], rs.rows[(numLimbs+2)*m+j]); ok {
+			return v
+		}
 	}
-	return decode(limbs[:], nan, posInf, negInf)
+	return round(rs.rows, m, j, min(rs.lo, numLimbs), min(rs.hi, numLimbs))
 }
