@@ -57,9 +57,13 @@ func (st *state) assignAndBalance() bool {
 	sampling := boolTo64(st.nSample < st.X.Len())
 	scale := 1.0
 
-	// Center-center pruning tables for the raw pass: centers are fixed
-	// across the balance rounds below, so one build serves them all.
-	if st.trackRaw {
+	// Center-center tables for the anchored rescans of the Hamerly passes:
+	// centers are fixed across the balance rounds below, so one build
+	// serves them all. The raw pass cannot run without them; the cold
+	// pass takes them when the build pays for itself on this sample.
+	st.ccBuilt = st.trackRaw ||
+		(st.cfg.Bounds == BoundsHamerly && ccTablesPay(st.k, len(sample)))
+	if st.ccBuilt {
 		st.buildCCTables()
 	}
 
@@ -89,10 +93,12 @@ func (st *state) assignAndBalance() bool {
 			}
 			st.localW[b] = 0
 		}
-		if st.trackRaw {
-			// Effective distances are at least raw/maxInf, so the raw
-			// shadow floors the skip test at rlb/maxInf — conservatively
-			// rounded so the division can only loosen it.
+		if st.ccBuilt {
+			// Effective distances are at least raw/maxInf, which turns a
+			// raw-space bound — the triangle bound of an anchored rescan,
+			// the raw shadow's floor under the skip test — into an
+			// effective one; conservatively rounded so the division can
+			// only loosen it.
 			st.rawLbInv = (1 / maxInf) * (1 - boundSlack)
 		}
 		if st.cfg.BBoxPruning {
@@ -223,6 +229,24 @@ func sortCentersByDist(ids []int32, dist2 []float64) {
 	}
 }
 
+// ccTablesPay is the cost rule that decides whether a cold Hamerly call
+// over a sample of s points builds the k×k center-center tables. A build
+// costs 25 µs / 160 µs / 0.7 ms / 4.5 ms / 30 ms at k = 32 / 64 / 128 /
+// 256 / 512 (BenchmarkBuildCCTables; the per-row insertion sort makes it
+// cubic, 0.8 ns·k³ at k = 32 falling to 0.2 ns·k³), a call costs ≈ 55 ns
+// per sampled point (its ~9 balance rounds, mostly skips), so k³ ≤ 4·s
+// keeps the build under 0.8·4/55 ≈ 6 % of the call it serves. Past that
+// the rescans the walk shortens are too few to repay the tables — at
+// n = 100 000, k = 32 that is p ≥ 16, where each rank's box isolates a few
+// blocks and the box-ordered scan already stops after ~5 centers — and a
+// large k never allocates k² entries. Both inputs are values the rank can
+// see, and the output does not depend on the outcome (DESIGN.md,
+// "Anchored rescans").
+func ccTablesPay(k, s int) bool {
+	fk := float64(k) // k³ overflows int64 past k = 2²¹
+	return fk*fk*fk <= 4*float64(s)
+}
+
 // kernelChunks returns the accumulation grid for a sample of n points:
 // the machine-independent grid shared with the other batch kernels
 // (geom.ChunkGrid), so the per-chunk weight partials always merge in
@@ -256,11 +280,13 @@ func (st *state) runAssignKernels(sample []int32) (distCalcs, skips, breaks int6
 		K: st.k,
 		A: st.A, Ub: st.ub, Lb: st.lb, Lbk: st.lbk,
 	}
-	if st.trackRaw {
-		template.RawLb = st.rlb
-		template.RawLbInv = st.rawLbInv
+	if st.ccBuilt {
 		template.CCOrder = st.ccOrder
 		template.CCDist = st.ccDist
+		template.RawLbInv = st.rawLbInv
+	}
+	if st.trackRaw {
+		template.RawLb = st.rlb
 	}
 	if st.pendScaled {
 		template.UbScale = st.pendUbRatio

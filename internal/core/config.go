@@ -270,7 +270,7 @@ type Info struct {
 	// skipped by the distance bounds, §4.3).
 	DistCalcs    int64 // full point-center distance evaluations
 	HamerlySkips int64 // points whose inner loop was skipped entirely
-	BBoxBreaks   int64 // inner loops cut short by the bounding-box order
+	BBoxBreaks   int64 // inner loops cut short by the box order or an anchored rescan's triangle bound
 	Visits       int64 // point visits of the assignment passes (skipped or not)
 
 	// Incremental warm repartitioning (Config.Incremental; session

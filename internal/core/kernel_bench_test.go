@@ -40,6 +40,30 @@ func BenchmarkAssignKernel3D(b *testing.B) { benchAssignKernel(b, 3) }
 func BenchmarkAssignKernel8D(b *testing.B)  { benchAssignKernel(b, 8) }
 func BenchmarkAssignKernel16D(b *testing.B) { benchAssignKernel(b, 16) }
 
+// BenchmarkBuildCCTables measures one build of the k×k center-center
+// tables (k² distances, k insertion sorts of k−1 ids) — the number
+// ccTablesPay's cost rule rests on, and what every rank of a warm run pays
+// once per assignAndBalance call whatever its share of the points.
+func BenchmarkBuildCCTables(b *testing.B) {
+	for _, k := range []int{32, 64, 128, 256, 512} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			const dim = 3
+			rng := rand.New(rand.NewSource(11))
+			st := &state{dim: dim, k: k}
+			st.centers = make([]float64, k*dim)
+			for i := range st.centers {
+				st.centers[i] = rng.Float64()
+			}
+			st.perCenter = make([]float64, k)
+			st.buildCCTables() // allocates
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st.buildCCTables()
+			}
+		})
+	}
+}
+
 // BenchmarkAssignBoundsModes runs the full partition pipeline per bounds
 // mode, so bound-maintenance overhead and skip savings are both visible.
 // The d=16 arm is unstructured uniform data, the regime that keeps the

@@ -128,6 +128,22 @@ func bitsEqual(a, b []float64) int {
 	return -1
 }
 
+// scenarioCCTables gives the scenario what assignAndBalance hands a pass
+// whose Hamerly rescans are anchored: the k×k center-center tables, built
+// by the production buildCCTables, and the conservative 1/max-influence.
+func (st *state) scenarioCCTables() {
+	maxInf := 0.0
+	for _, f := range st.influence {
+		if f > maxInf {
+			maxInf = f
+		}
+	}
+	st.rawLbInv = (1 / maxInf) * (1 - boundSlack)
+	st.perCenter = make([]float64, st.k)
+	st.buildCCTables()
+	st.ccBuilt = true
+}
+
 // rawScenario extends a kernelScenario with the warm incremental state the
 // raw-shadow Hamerly pass needs: raw lower bounds, the raw skip floor, and
 // the k×k center-to-center anchored-scan tables.
@@ -139,17 +155,7 @@ func rawScenario(t testing.TB, dim, n, k int, seed int64) (*state, []int32) {
 	for i := range st.rlb {
 		st.rlb[i] = rng.Float64() * 0.5
 	}
-	maxInf := 0.0
-	for _, f := range st.influence {
-		if f > maxInf {
-			maxInf = f
-		}
-	}
-	st.rawLbInv = (1 / maxInf) * (1 - boundSlack)
-	st.perCenter = make([]float64, st.k)
-	st.ccDist = make([]float64, st.k*st.k)
-	st.ccOrder = make([]int32, st.k*st.k)
-	st.buildCCTables()
+	st.scenarioCCTables()
 	return st, sample
 }
 
@@ -240,11 +246,13 @@ func referenceRun(st *state, sample []int32, start kernelRun, pend bool) kernelR
 		A: st.A, Ub: st.ub, Lb: st.lb, Lbk: st.lbk,
 		LocalW: make([]float64, st.k),
 	}
-	if st.trackRaw {
-		ref.RawLb = st.rlb
-		ref.RawLbInv = st.rawLbInv
+	if st.ccBuilt {
 		ref.CCOrder = st.ccOrder
 		ref.CCDist = st.ccDist
+		ref.RawLbInv = st.rawLbInv
+	}
+	if st.trackRaw {
+		ref.RawLb = st.rlb
 	}
 	if pend {
 		ref.UbScale = st.pendUbRatio
@@ -307,17 +315,32 @@ func latticeN(dim int) int {
 
 // kernelLattice is the one differential lattice pinning the assignment
 // kernels: dims × {hamerly, elkan, none} × prune × {serial, sharded}
-// against the scalar reference path.
+// against the scalar reference path, the Hamerly cells once more with the
+// center-center tables attached (the anchored rescan of the cold pass).
+// Seeds alternate a pending influence rescale on and off.
 func kernelLattice(t *testing.T, dims []int, k, seeds int, seedBase int64) {
 	for _, dim := range dims {
 		for _, bounds := range []BoundsKind{BoundsHamerly, BoundsElkan, BoundsNone} {
 			for _, prune := range []bool{true, false} {
-				t.Run(fmt.Sprintf("dim=%d/%s/prune=%v", dim, bounds, prune), func(t *testing.T) {
-					for seed := int64(0); seed < int64(seeds); seed++ {
-						st, sample := kernelScenario(t, dim, latticeN(dim), k, bounds, prune, seedBase+seed)
-						checkAgainstReference(t, st, sample)
+				arms := []bool{false}
+				if bounds == BoundsHamerly {
+					arms = append(arms, true)
+				}
+				for _, anchored := range arms {
+					name := fmt.Sprintf("dim=%d/%s/prune=%v", dim, bounds, prune)
+					if anchored {
+						name += "/anchored"
 					}
-				})
+					t.Run(name, func(t *testing.T) {
+						for seed := int64(0); seed < int64(seeds); seed++ {
+							st, sample := kernelScenario(t, dim, latticeN(dim), k, bounds, prune, seedBase+seed)
+							if anchored {
+								st.scenarioCCTables()
+							}
+							checkAgainstReference(t, st, sample)
+						}
+					})
+				}
 			}
 		}
 	}
@@ -437,6 +460,7 @@ func FuzzKernelAssignMatchesReference(f *testing.F) {
 	f.Add(int64(2), math.NaN(), math.Inf(1), uint8(3), uint8(7), uint8(3), uint8(1)) // k > n
 	f.Add(int64(3), math.Inf(-1), 1e300, uint8(60), uint8(4), uint8(8), uint8(2))
 	f.Add(int64(4), 0.0, 0.0, uint8(1), uint8(1), uint8(16), uint8(3))
+	f.Add(int64(5), 0.25, math.Inf(1), uint8(90), uint8(12), uint8(1), uint8(4)) // anchored cold pass
 	f.Fuzz(func(t *testing.T, seed int64, inj0, inj1 float64, nRaw, kRaw, dimRaw, modeRaw uint8) {
 		n := int(nRaw)%200 + 1
 		k := int(kRaw)%20 + 1
@@ -444,9 +468,13 @@ func FuzzKernelAssignMatchesReference(f *testing.F) {
 		dim := dims[int(dimRaw)%len(dims)]
 		var st *state
 		var sample []int32
-		if mode := int(modeRaw) % 4; mode == 3 {
+		switch mode := int(modeRaw) % 5; mode {
+		case 3:
 			st, sample = rawScenario(t, dim, n, k, seed)
-		} else {
+		case 4:
+			st, sample = kernelScenario(t, dim, n, k, BoundsHamerly, true, seed)
+			st.scenarioCCTables()
+		default:
 			bounds := []BoundsKind{BoundsNone, BoundsHamerly, BoundsElkan}[mode]
 			st, sample = kernelScenario(t, dim, n, k, bounds, true, seed)
 		}

@@ -169,15 +169,19 @@ type state struct {
 	// balance loop's compounding lb decay (geom.AssignKernel.RawLb).
 	rlb      []float64
 	trackRaw bool    // maintain rlb this run (warm+incremental+Hamerly)
-	rawLbInv float64 // per-round conservative 1/max-influence for the floor
+	rawLbInv float64 // per-round conservative 1/max-influence (floor and triangle break; set when ccBuilt)
 
-	// Center-center pruning tables of the raw pass (k×k, rebuilt once
-	// per assignAndBalance call — centers are fixed across its balance
-	// rounds): ccOrder rows list centers ascending by raw distance from
-	// the row's center, ccDist the matching (conservatively deflated)
-	// distances (geom.AssignKernel.CCOrder/CCDist).
+	// Center-center tables of the anchored Hamerly rescans (k×k, rebuilt
+	// once per assignAndBalance call that wants them — centers are fixed
+	// across its balance rounds): ccOrder rows list centers ascending by
+	// raw distance from the row's center, ccDist the matching
+	// (conservatively deflated) distances (geom.AssignKernel.CCOrder/
+	// CCDist). Allocated by the first build, so a cold run whose k fails
+	// ccTablesPay never holds k² entries; ccBuilt says whether the
+	// current call's kernels may read them (and rawLbInv).
 	ccOrder []int32
 	ccDist  []float64
+	ccBuilt bool
 
 	info Info
 }
@@ -532,10 +536,6 @@ func (st *state) ensureScratch() {
 	}
 	if st.trackRaw && len(st.rlb) != n {
 		st.rlb = make([]float64, n) // zero = trivially valid
-	}
-	if st.trackRaw && len(st.ccDist) != st.k*st.k {
-		st.ccDist = make([]float64, st.k*st.k)
-		st.ccOrder = make([]int32, st.k*st.k)
 	}
 	if len(st.influence) != st.k {
 		st.influence = make([]float64, st.k)

@@ -38,6 +38,7 @@ func referenceAssign(dim int, kr *geom.AssignKernel, idx []int32, hamerly, elkan
 		referenceElkan(dim, kr, idx)
 		return
 	}
+	invMaxInf2 := kr.RawLbInv * kr.RawLbInv
 	for _, i := range idx {
 		if hamerly && kr.A[i] >= 0 {
 			// Apply any pending influence rescale before the skip test,
@@ -60,11 +61,7 @@ func referenceAssign(dim int, kr *geom.AssignKernel, idx []int32, hamerly, elkan
 		}
 		best2, second2 := math.Inf(1), math.Inf(1)
 		bestC := int32(0)
-		for _, bc := range kr.Order {
-			if kr.Prune && kr.DistBB2[bc] > second2 {
-				kr.Breaks++
-				break
-			}
+		eval := func(bc int32) {
 			d2 := refDist2(kr, dim, i, bc) * kr.InvInf2[bc]
 			kr.DistCalcs++
 			if d2 < best2 {
@@ -73,6 +70,33 @@ func referenceAssign(dim int, kr *geom.AssignKernel, idx []int32, hamerly, elkan
 				bestC = bc
 			} else if d2 < second2 {
 				second2 = d2
+			}
+		}
+		if cur := kr.A[i]; hamerly && cur >= 0 && kr.CCOrder != nil {
+			// Anchored rescan: the current center is the incumbent, then
+			// its neighbours by ascending center-center distance until the
+			// triangle bound — raw distance to every later center ≥ CCDist
+			// − rawdist(p,c_cur), effective ≥ that over the largest
+			// influence — clears the second best.
+			rawA2 := refDist2(kr, dim, i, cur)
+			kr.DistCalcs++
+			rub := math.Sqrt(rawA2)
+			best2, bestC = rawA2*kr.InvInf2[cur], cur
+			row := int(cur) * kr.K
+			for j := 1; j < kr.K; j++ {
+				if lr := kr.CCDist[row+j] - rub; lr > 0 && lr*lr*invMaxInf2 > second2 {
+					kr.Breaks++
+					break
+				}
+				eval(kr.CCOrder[row+j])
+			}
+		} else {
+			for _, bc := range kr.Order {
+				if kr.Prune && kr.DistBB2[bc] > second2 {
+					kr.Breaks++
+					break
+				}
+				eval(bc)
 			}
 		}
 		kr.A[i] = bestC
@@ -87,7 +111,8 @@ func referenceAssign(dim int, kr *geom.AssignKernel, idx []int32, hamerly, elkan
 // RawLb·RawLbInv) with the winner stored back, a center-anchored scan
 // with the triangle-inequality break for assigned points (full scan in
 // pruning order otherwise), and the raw second-minimum tracked into
-// RawLb.
+// RawLb. Like the kernel it leaves LocalW alone: the warm path reads its
+// block weights from the exact banks.
 func referenceAssignRaw(dim int, kr *geom.AssignKernel, idx []int32) {
 	invMaxInf2 := kr.RawLbInv * kr.RawLbInv
 	for _, i := range idx {
@@ -105,7 +130,6 @@ func referenceAssignRaw(dim int, kr *geom.AssignKernel, idx []int32) {
 				kr.Ub[i] = u
 				kr.Lb[i] = l
 				kr.Skips++
-				kr.LocalW[cur] += kr.W[i]
 				continue
 			}
 		}
@@ -166,7 +190,6 @@ func referenceAssignRaw(dim int, kr *geom.AssignKernel, idx []int32) {
 			rl = rawFloor2
 		}
 		kr.RawLb[i] = math.Sqrt(rl)
-		kr.LocalW[bestC] += kr.W[i]
 	}
 }
 

@@ -139,16 +139,22 @@ func (st *state) prepareCarried() {
 	}
 }
 
-// buildCCTables fills the center-center pruning tables of the raw pass:
-// for every center a, the other centers in ascending raw distance from
-// it (a itself pinned first) plus the matching distances, deflated by
-// boundSlack so the kernels' triangle bound (ccDist − rawdist(p,c_a))
-// stays below its true value under rounding. Centers are fixed across
-// the balance rounds of one assignAndBalance call, so this runs once
-// per call — k² distances against the thousands of point-center
-// evaluations the anchored breaks save.
+// buildCCTables fills the center-center tables of the anchored Hamerly
+// rescans: for every center a, the other centers in ascending raw
+// distance from it (a itself pinned first) plus the matching distances,
+// deflated by boundSlack so the kernels' triangle bound (ccDist −
+// rawdist(p,c_a)) stays below its true value under rounding. Centers are
+// fixed across the balance rounds of one assignAndBalance call, so this
+// runs once per call — k² distances and k insertion sorts against the
+// thousands of point-center evaluations the anchored breaks save
+// (ccTablesPay is the cold path's version of that trade). The first
+// build at a given k allocates the tables.
 func (st *state) buildCCTables() {
 	k := st.k
+	if len(st.ccDist) != k*k {
+		st.ccDist = make([]float64, k*k)
+		st.ccOrder = make([]int32, k*k)
+	}
 	tmp := st.perCenter // per-center scratch; consumers recompute it later
 	for a := 0; a < k; a++ {
 		row := st.ccOrder[a*k : a*k+k]

@@ -298,8 +298,10 @@ type AssignKernel struct {
 	RawLb    []float64
 	RawLbInv float64
 
-	// Center-center pruning tables for the raw pass (row-major K×K,
-	// centers fixed across the balance rounds of one pass sequence):
+	// Center-center pruning tables for the anchored rescans of the two
+	// Hamerly passes (row-major K×K, centers fixed across the balance
+	// rounds of one pass sequence; nil on a kernel that scans in box
+	// order only — RunBoundedRaw requires them, RunBounded does not):
 	// CCOrder[a·K+j] lists the centers in ascending raw distance from
 	// center a, with CCOrder[a·K] = a itself, and CCDist[a·K+j] holds
 	// the matching raw distances, pre-deflated by the caller so that
@@ -312,7 +314,12 @@ type AssignKernel struct {
 	CCOrder []int32
 	CCDist  []float64
 
-	// Accumulators, private per kernel value.
+	// Accumulators, private per kernel value. LocalW receives every
+	// visited point's weight under its (new or kept) block in RunBounded
+	// and RunElkan. RunBoundedRaw leaves it untouched: that pass only runs
+	// on the warm path, whose block weights come from the exact banks
+	// (core's exactBlockWeights), so a float partial there is read by
+	// nobody.
 	LocalW    []float64
 	DistCalcs int64
 	Skips     int64
@@ -344,23 +351,39 @@ func colsDist2(pc, cc [][]float64, i, b int32) float64 {
 // RunBounded executes the Hamerly/plain assignment pass over idx: for
 // each point, recompute the best and second-best effective center unless
 // hamerly bound skipping (Ub < Lb) proves the assignment unchanged.
+//
+// A rescan truncates its scan by one of two rules, chosen per point. A
+// Hamerly rescan of a point that already has a block, on a kernel that
+// carries the center-center tables (CCOrder non-nil, with CCDist and
+// RawLbInv), is anchored like RunBoundedRaw's: the current center first,
+// then its CCOrder row in ascending center-center distance until the
+// triangle inequality proves the tail irrelevant — a cost of the point's
+// neighbours, not of K. Every other scan (unassigned points, plain mode,
+// no tables) runs in bounding-box order and breaks, when Prune is set,
+// at the first center whose box distance exceeds the second best. Both
+// rules leave best and second-best exactly as a full scan computes them
+// (modulo exact-tie scan order; see DESIGN.md, "Anchored rescans").
 func (kr *AssignKernel) RunBounded(dim int, idx []int32, hamerly bool) {
 	px, py, pz := kr.PX, kr.PY, kr.PZ
 	cx, cy, cz := kr.CX, kr.CY, kr.CZ
 	pc, cc := kr.PC, kr.CC
 	inv2 := kr.InvInf2
+	k := kr.K
 	order, dbb2 := kr.Order, kr.DistBB2
 	prune := kr.Prune
+	ccOrder, ccDist := kr.CCOrder, kr.CCDist
+	invMaxInf2 := kr.RawLbInv * kr.RawLbInv
+	walk := hamerly && ccOrder != nil
 	w, a, ub, lb, localW := kr.W, kr.A, kr.Ub, kr.Lb, kr.LocalW
 	ubScale, lbScale := kr.UbScale, kr.LbScale
 	scaled := ubScale != nil
 	var distCalcs, skips, breaks int64
 	for _, i := range idx {
-		best := a[i]
-		if hamerly && best >= 0 {
+		cur := a[i]
+		if hamerly && cur >= 0 {
 			u, l := ub[i], lb[i]
 			if scaled {
-				u *= ubScale[best]
+				u *= ubScale[cur]
 				l *= lbScale
 			}
 			if u < l {
@@ -369,15 +392,50 @@ func (kr *AssignKernel) RunBounded(dim int, idx []int32, hamerly bool) {
 					lb[i] = l
 				}
 				skips++
-				localW[best] += w[i]
+				localW[cur] += w[i]
 				continue
 			}
 		}
 		x, y, z := px[i], py[i], pz[i]
 		best2, second2 := math.Inf(1), math.Inf(1)
-		best = 0
-		for _, bc := range order {
-			if prune && dbb2[bc] > second2 {
+		best := int32(0)
+
+		// See RunBoundedRaw: scan is the box order, or the rest of the
+		// current center's CCOrder row with its CCDist entries in ccd.
+		scan := order
+		var ccd []float64
+		var rub float64
+		anchored := walk && cur >= 0
+		if anchored {
+			var rawA2 float64
+			switch {
+			case dim <= 2:
+				dx, dy := x-cx[cur], y-cy[cur]
+				rawA2 = dx*dx + dy*dy
+			case dim == 3:
+				dx, dy, dz := x-cx[cur], y-cy[cur], z-cz[cur]
+				rawA2 = dx*dx + dy*dy + dz*dz
+			default:
+				rawA2 = colsDist2(pc, cc, i, cur)
+			}
+			distCalcs++
+			rub = math.Sqrt(rawA2)
+			best2 = rawA2 * inv2[cur]
+			best = cur
+			row := int(cur) * k
+			scan, ccd = ccOrder[row+1:row+k], ccDist[row+1:row+k]
+		}
+		for j, bc := range scan {
+			if anchored {
+				// Triangle bound for every center from j on (the row is
+				// ascending): rawdist ≥ CCDist − rawdist(p, c_cur), and an
+				// effective distance is at least rawdist/max-influence.
+				lr := ccd[j] - rub
+				if lr > 0 && lr*lr*invMaxInf2 > second2 {
+					breaks++
+					break
+				}
+			} else if prune && dbb2[bc] > second2 {
 				breaks++
 				break
 			}
@@ -506,9 +564,11 @@ func (kr *AssignKernel) RunElkan(dim int, idx []int32) {
 // break would leave the raw minimum over the unscanned tail unknown
 // (DistBB2 lives in effective space), and on the warm path — points in
 // input distribution, per-rank boxes spanning the whole domain — it
-// never fires anyway. Both truncation rules leave best and second-best
+// never fires anyway. The triangle break leaves best and second-best
 // exactly as a full scan computes them, so A, Ub and Lb match the plain
-// pass (modulo exact-tie scan order; see DESIGN.md).
+// pass (modulo exact-tie scan order; see DESIGN.md). LocalW is not
+// accumulated: the warm path takes its block weights from the exact
+// banks (see the field).
 func (kr *AssignKernel) RunBoundedRaw(dim int, idx []int32) {
 	px, py, pz := kr.PX, kr.PY, kr.PZ
 	cx, cy, cz := kr.CX, kr.CY, kr.CZ
@@ -517,7 +577,7 @@ func (kr *AssignKernel) RunBoundedRaw(dim int, idx []int32) {
 	k := kr.K
 	order := kr.Order
 	ccOrder, ccDist := kr.CCOrder, kr.CCDist
-	w, a, ub, lb, localW := kr.W, kr.A, kr.Ub, kr.Lb, kr.LocalW
+	a, ub, lb := kr.A, kr.Ub, kr.Lb
 	rawLb, rawLbInv := kr.RawLb, kr.RawLbInv
 	invMaxInf2 := rawLbInv * rawLbInv
 	ubScale, lbScale := kr.UbScale, kr.LbScale
@@ -538,7 +598,6 @@ func (kr *AssignKernel) RunBoundedRaw(dim int, idx []int32) {
 				ub[i] = u
 				lb[i] = l
 				skips++
-				localW[cur] += w[i]
 				continue
 			}
 		}
@@ -627,7 +686,6 @@ func (kr *AssignKernel) RunBoundedRaw(dim int, idx []int32) {
 			rl = rawFloor2
 		}
 		rawLb[i] = math.Sqrt(rl)
-		localW[best] += w[i]
 	}
 	kr.DistCalcs += distCalcs
 	kr.Skips += skips

@@ -96,6 +96,110 @@ func TestKeysColsMatchesKey(t *testing.T) {
 	}
 }
 
+// maskIndex2D is the key kernel the tables replaced, kept as their oracle:
+// Index(c, bits, 2) with the transpose loop unrolled branch-free, one mask
+// iteration per bit position.
+func maskIndex2D(x0, x1 uint32, bits uint) uint64 {
+	for s := int(bits) - 1; s >= 1; s-- {
+		q := uint32(1) << uint(s)
+		p := q - 1
+		// Axis 0: a set bit q inverts the low bits of x0 (the swap with
+		// itself is a no-op on the other branch).
+		x0 ^= p & -(x0 >> uint(s) & 1)
+		// Axis 1: set bit ⇒ invert x0's low bits; clear bit ⇒ swap the
+		// low bits of x0 and x1.
+		m := -(x1 >> uint(s) & 1)
+		t := (x0 ^ x1) & p &^ m
+		x0 ^= (p & m) | t
+		x1 ^= t
+	}
+	x1 ^= x0 // Gray encode
+	t := suffixParity(x1)
+	x0 ^= t
+	x1 ^= t
+	return spread2(uint64(x0))<<1 | spread2(uint64(x1))
+}
+
+// maskIndex3D is the same for Index(c, bits, 3).
+func maskIndex3D(x0, x1, x2 uint32, bits uint) uint64 {
+	for s := int(bits) - 1; s >= 1; s-- {
+		q := uint32(1) << uint(s)
+		p := q - 1
+		x0 ^= p & -(x0 >> uint(s) & 1)
+		m1 := -(x1 >> uint(s) & 1)
+		t1 := (x0 ^ x1) & p &^ m1
+		x0 ^= (p & m1) | t1
+		x1 ^= t1
+		m2 := -(x2 >> uint(s) & 1)
+		t2 := (x0 ^ x2) & p &^ m2
+		x0 ^= (p & m2) | t2
+		x2 ^= t2
+	}
+	x1 ^= x0 // Gray encode
+	x2 ^= x1
+	t := suffixParity(x2)
+	x0 ^= t
+	x1 ^= t
+	x2 ^= t
+	return spread3(uint64(x0))<<2 | spread3(uint64(x1))<<1 | spread3(uint64(x2))
+}
+
+// TestTransducerStates pins the size of the two state machines: the
+// transforms the transpose loop can accumulate below a bit position are the
+// full groups its generators span.
+func TestTransducerStates(t *testing.T) {
+	if got := len(closeStates(2)); got != 8 {
+		t.Errorf("2D transducer has %d states, want 8", got)
+	}
+	if got := len(closeStates(3)); got != 48 {
+		t.Errorf("3D transducer has %d states, want 48", got)
+	}
+}
+
+// TestTableIndexMatchesMaskLoop compares the table-driven kernels with the
+// mask loop they replaced on random cells at every curve order — every
+// split of an order into leading single bits and whole chunks — and with
+// Skilling's scalar Index on a subset.
+func TestTableIndexMatchesMaskLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for bits := uint(1); bits <= Order2D; bits++ {
+		mask := uint32(1)<<bits - 1
+		for trial := 0; trial < 20000; trial++ {
+			x0, x1 := rng.Uint32()&mask, rng.Uint32()&mask
+			if trial < 4 { // the corners first
+				x0, x1 = mask*uint32(trial&1), mask*uint32(trial>>1)
+			}
+			got, want := index2D(x0, x1, bits), maskIndex2D(x0, x1, bits)
+			if got != want {
+				t.Fatalf("2D bits=%d cell (%#x, %#x): table %#x, mask loop %#x", bits, x0, x1, got, want)
+			}
+			if trial < 200 {
+				if ref := Index([3]uint32{x0, x1}, bits, 2); got != ref {
+					t.Fatalf("2D bits=%d cell (%#x, %#x): table %#x, Index %#x", bits, x0, x1, got, ref)
+				}
+			}
+		}
+	}
+	for bits := uint(1); bits <= Order3D; bits++ {
+		mask := uint32(1)<<bits - 1
+		for trial := 0; trial < 20000; trial++ {
+			x0, x1, x2 := rng.Uint32()&mask, rng.Uint32()&mask, rng.Uint32()&mask
+			if trial < 8 {
+				x0, x1, x2 = mask*uint32(trial&1), mask*uint32(trial>>1&1), mask*uint32(trial>>2)
+			}
+			got, want := index3D(x0, x1, x2, bits), maskIndex3D(x0, x1, x2, bits)
+			if got != want {
+				t.Fatalf("3D bits=%d cell (%#x, %#x, %#x): table %#x, mask loop %#x", bits, x0, x1, x2, got, want)
+			}
+			if trial < 200 {
+				if ref := Index([3]uint32{x0, x1, x2}, bits, 3); got != ref {
+					t.Fatalf("3D bits=%d cell (%#x, %#x, %#x): table %#x, Index %#x", bits, x0, x1, x2, got, ref)
+				}
+			}
+		}
+	}
+}
+
 // TestKeysColsNilUnusedColumns checks a 2D store without a Z column works
 // (the SoA redistribution only carries Dim columns).
 func TestKeysColsNilUnusedColumns(t *testing.T) {
