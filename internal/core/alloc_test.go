@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"geographer/internal/geom"
 	"geographer/internal/mpi"
 	"geographer/internal/partition"
 )
@@ -14,9 +15,14 @@ import (
 // steps first grow every reusable buffer (and seed the carried bounds),
 // so the measured step is the shape the soak experiment runs millions
 // of points through.
-func warmStepAllocs(t *testing.T, n, k, p int) float64 {
+func warmStepAllocs(t *testing.T, dim, n, k, p int) float64 {
 	t.Helper()
-	ps := uniformPoints(n, 2, 23)
+	var ps *geom.PointSet
+	if dim <= geom.MaxDim {
+		ps = uniformPoints(n, dim, 23)
+	} else {
+		ps = flatRandomPoints(n, dim, 23)
+	}
 	prev, _ := runPartition(t, ps, k, p, DefaultConfig())
 	w := mpi.NewWorld(p)
 	res := make([]*Resident, p)
@@ -77,8 +83,8 @@ func warmStepAllocs(t *testing.T, n, k, p int) float64 {
 // A per-point or per-collective leak anywhere on the warm path (kernel
 // scratch, exact banks, collective deposits) fails the ratio check.
 func TestWarmStepAllocsIndependentOfN(t *testing.T) {
-	small := warmStepAllocs(t, 3000, 8, 4)
-	big := warmStepAllocs(t, 24000, 8, 4)
+	small := warmStepAllocs(t, 2, 3000, 8, 4)
+	big := warmStepAllocs(t, 2, 24000, 8, 4)
 	t.Logf("warm step allocs: n=3000 → %.0f, n=24000 → %.0f", small, big)
 	if big > 3*small+512 {
 		t.Errorf("warm step allocations scale with n: %.0f at n=3000 vs %.0f at n=24000", small, big)
@@ -96,16 +102,39 @@ func TestWarmStepAllocsIndependentOfN(t *testing.T) {
 // or n.
 func TestWarmStepAllocsFlatInKAndP(t *testing.T) {
 	const perRank = 160
-	for _, tc := range []struct{ n, k, p int }{
-		{6000, 8, 4},
-		{6000, 64, 4},
-		{24000, 8, 256},
-		{24000, 64, 256},
+	for _, tc := range []struct{ dim, n, k, p int }{
+		{2, 6000, 8, 4},
+		{2, 6000, 64, 4},
+		{2, 24000, 8, 256},
+		{2, 24000, 64, 256},
+		{8, 6000, 8, 4},
+		{8, 6000, 64, 4},
 	} {
-		got := warmStepAllocs(t, tc.n, tc.k, tc.p)
-		t.Logf("k=%d p=%d: %.0f allocs per step, %.1f per rank", tc.k, tc.p, got, got/float64(tc.p))
+		got := warmStepAllocs(t, tc.dim, tc.n, tc.k, tc.p)
+		t.Logf("d=%d k=%d p=%d: %.0f allocs per step, %.1f per rank", tc.dim, tc.k, tc.p, got, got/float64(tc.p))
 		if got > float64(perRank*tc.p) {
-			t.Errorf("k=%d p=%d: %.0f allocations per warm step, want at most %d per rank", tc.k, tc.p, got, perRank)
+			t.Errorf("d=%d k=%d p=%d: %.0f allocations per warm step, want at most %d per rank", tc.dim, tc.k, tc.p, got, perRank)
+		}
+	}
+}
+
+// TestKernelPassAllocsFlatInDim pins the point scratch of the Hamerly
+// passes beyond geom.MaxDim to one allocation per shard: the first pass
+// over fresh shards grows it, runAssignKernels keeps it, and from then on
+// a pass at d = 8 allocates exactly what a 3D pass does (its fan-out
+// closures) — in the cold pass and in the raw one.
+func TestKernelPassAllocsFlatInDim(t *testing.T) {
+	for _, raw := range []bool{false, true} {
+		perPass := func(dim int) float64 {
+			st, sample := kernelScenario(t, dim, 1200, 9, BoundsHamerly, true, 3)
+			if raw {
+				st, sample = rawScenario(t, dim, 1200, 9, 3)
+			}
+			runKernels(st, sample, captureRun(st, 0, 0, 0), false, 1)
+			return testing.AllocsPerRun(5, func() { st.runAssignKernels(sample) })
+		}
+		if d3, d8 := perPass(3), perPass(8); d8 != d3 {
+			t.Errorf("raw=%v: %.0f allocations per pass at d=8, %.0f at d=3", raw, d8, d3)
 		}
 	}
 }

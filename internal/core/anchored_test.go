@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"geographer/internal/geom"
 )
 
 // validBoundsScenario is a kernelScenario whose prior state is *sound*
@@ -146,22 +148,29 @@ func TestAnchoredWalkEqualsFullScan(t *testing.T) {
 	for _, dim := range []int{1, 2, 3, 4, 16} {
 		for _, prune := range []bool{false, true} {
 			t.Run(fmt.Sprintf("dim=%d/prune=%v", dim, prune), func(t *testing.T) {
-				n, k := latticeN(dim), 24
-				for seed := int64(0); seed < 4; seed++ {
-					loosen := []float64{0.5, 0.9, 1.2, 1.6}[seed]
-					plainDC, anchoredDC, skips := checkAnchoredEqualsFullScan(t, dim, n, k, prune, loosen, 900+seed)
-					rescans := int64(n) - skips
-					if share := float64(rescans) / float64(n); share < 0.1 || share > 0.9 {
-						t.Fatalf("seed %d: %.0f %% of the points rescan; the scenario should keep it in 10–90 %%", seed, 100*share)
-					}
-					if !prune {
-						// With the box break off the plain arm pays exactly
-						// k per rescan; the walk may never pay more.
-						if plainDC != rescans*int64(k) {
-							t.Fatalf("seed %d: plain arm evaluated %d, want %d·%d", seed, plainDC, rescans, k)
+				n, ks := latticeN(dim), []int{24}
+				if dim > geom.MaxDim {
+					// The blocked arm: a single short block, a short last
+					// block, whole blocks.
+					ks = []int{7, 17, 24}
+				}
+				for _, k := range ks {
+					for seed := int64(0); seed < 4; seed++ {
+						loosen := []float64{0.5, 0.9, 1.2, 1.6}[seed]
+						plainDC, anchoredDC, skips := checkAnchoredEqualsFullScan(t, dim, n, k, prune, loosen, 900+seed)
+						rescans := int64(n) - skips
+						if share := float64(rescans) / float64(n); share < 0.1 || share > 0.9 {
+							t.Fatalf("k=%d seed %d: %.0f %% of the points rescan; the scenario should keep it in 10–90 %%", k, seed, 100*share)
 						}
-						if anchoredDC > plainDC {
-							t.Fatalf("seed %d: anchored arm evaluated %d > plain %d", seed, anchoredDC, plainDC)
+						if !prune {
+							// With the box break off the plain arm pays exactly
+							// k per rescan; the walk may never pay more.
+							if plainDC != rescans*int64(k) {
+								t.Fatalf("k=%d seed %d: plain arm evaluated %d, want %d·%d", k, seed, plainDC, rescans, k)
+							}
+							if anchoredDC > plainDC {
+								t.Fatalf("k=%d seed %d: anchored arm evaluated %d > plain %d", k, seed, anchoredDC, plainDC)
+							}
 						}
 					}
 				}

@@ -270,7 +270,7 @@ func (st *state) runAssignKernels(sample []int32) (distCalcs, skips, breaks int6
 	chunk := (len(sample) + nc - 1) / nc
 
 	// Shared kernel template: every chunk sees the same tables and
-	// per-point slices, but keeps private LocalW and counters.
+	// per-point slices, but keeps private LocalW, point scratch and counters.
 	template := geom.AssignKernel{
 		PX: st.X.X, PY: st.X.Y, PZ: st.X.Z, W: st.W,
 		CX: st.centerCols.X, CY: st.centerCols.Y, CZ: st.centerCols.Z,
@@ -294,9 +294,9 @@ func (st *state) runAssignKernels(sample []int32) (distCalcs, skips, breaks int6
 	}
 	for s := 0; s < nc; s++ {
 		kr := &st.shards[s]
-		localW := kr.LocalW
+		localW, q := kr.LocalW, kr.Q
 		*kr = template
-		kr.LocalW = localW
+		kr.LocalW, kr.Q = localW, q
 		clear(kr.LocalW)
 	}
 

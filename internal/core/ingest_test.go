@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -161,6 +162,44 @@ func TestIngestEmptyRank(t *testing.T) {
 	part, _ := runPartition(t, ps, 2, 5, DefaultConfig())
 	if err := part.Validate(false); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFoldBoundsMatchesMathMin pins the compare-first foldBounds to the
+// plain math.Min fold it replaced, bit for bit, on vectors salted with the
+// values where a compare and math.Min could part ways: signed zeros (the
+// tie-break the packed min / negated-max reduction relies on), the largest
+// magnitudes, infinities and subnormals.
+func TestFoldBoundsMatchesMathMin(t *testing.T) {
+	salt := []float64{
+		0, math.Copysign(0, -1), math.MaxFloat64, -math.MaxFloat64,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040, -0x1p-1040,
+		math.Inf(1), math.Inf(-1),
+	}
+	rng := rand.New(rand.NewSource(31))
+	for _, dim := range []int{1, 2, 3, 16} {
+		for trial := 0; trial < 200; trial++ {
+			got := localBoundsInit(nil, dim)
+			want := localBoundsInit(nil, dim)
+			x := make([]float64, dim)
+			for i := 0; i < 1+rng.Intn(12); i++ {
+				for d := range x {
+					if x[d] = rng.NormFloat64(); rng.Intn(3) == 0 {
+						x[d] = salt[rng.Intn(len(salt))]
+					}
+				}
+				foldBounds(got, x, dim)
+				for d := 0; d < dim; d++ {
+					want[d] = math.Min(want[d], x[d])
+					want[dim+d] = math.Min(want[dim+d], -x[d])
+				}
+				for j := range want {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("dim=%d trial %d after %v: buf[%d] = %x, math.Min fold %x", dim, trial, x, j, got[j], want[j])
+					}
+				}
+			}
+		}
 	}
 }
 

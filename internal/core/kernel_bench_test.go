@@ -35,8 +35,8 @@ func benchAssignKernel(b *testing.B, dim int) {
 func BenchmarkAssignKernel2D(b *testing.B) { benchAssignKernel(b, 2) }
 func BenchmarkAssignKernel3D(b *testing.B) { benchAssignKernel(b, 3) }
 
-// The column-walking arm of the kernels beyond geom.MaxDim — the
-// feature-space hot loop of the highdim experiment.
+// The gathered, blocked column walk of the kernels beyond geom.MaxDim —
+// the feature-space hot loop of the highdim experiment.
 func BenchmarkAssignKernel8D(b *testing.B)  { benchAssignKernel(b, 8) }
 func BenchmarkAssignKernel16D(b *testing.B) { benchAssignKernel(b, 16) }
 
@@ -66,10 +66,11 @@ func BenchmarkBuildCCTables(b *testing.B) {
 
 // BenchmarkAssignBoundsModes runs the full partition pipeline per bounds
 // mode, so bound-maintenance overhead and skip savings are both visible.
-// The d=16 arm is unstructured uniform data, the regime that keeps the
-// Elkan mode: there Hamerly's single lower bound stops skipping and
-// Elkan's per-center bounds win, where at d=2 they cost twice Hamerly's
-// time.
+// The d=16 arm is unstructured uniform data, the regime Elkan used to
+// win: Hamerly's single lower bound stops skipping there, but since its
+// scans evaluate eight centers at a time beyond geom.MaxDim it is level
+// with Elkan's per-center bounds or ahead, where at d=2 those cost twice
+// Hamerly's time (DESIGN.md, "Why the Elkan mode stays").
 func BenchmarkAssignBoundsModes(b *testing.B) {
 	for _, dim := range []int{2, 16} {
 		rng := rand.New(rand.NewSource(42))

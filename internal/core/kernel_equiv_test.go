@@ -216,17 +216,23 @@ func compareRuns(t *testing.T, label string, got, want kernelRun) {
 	}
 }
 
-// runKernels resets the state to the captured starting slices, configures
-// the shard array, and runs one production assignment pass with the given
-// worker count.
+// runKernels resets the state to the captured starting slices, builds the
+// shard array fresh — no point scratch, the pass sizes its own — and runs
+// one production assignment pass with the given worker count.
 func runKernels(st *state, sample []int32, start kernelRun, pend bool, workers int) kernelRun {
-	start.restore(st)
-	st.pendScaled = pend
-	st.workers = workers
 	st.shards = make([]geom.AssignKernel, kernelChunks(len(sample)))
 	for s := range st.shards {
 		st.shards[s].LocalW = make([]float64, st.k)
 	}
+	return rerunKernels(st, sample, start, pend, workers)
+}
+
+// rerunKernels is runKernels on the shards the previous pass left behind,
+// scratch included: what every pass after a state's first one runs on.
+func rerunKernels(st *state, sample []int32, start kernelRun, pend bool, workers int) kernelRun {
+	start.restore(st)
+	st.pendScaled = pend
+	st.workers = workers
 	dc, sk, br := st.runAssignKernels(sample)
 	return captureRun(st, dc, sk, br)
 }
@@ -281,10 +287,11 @@ func referenceRun(st *state, sample []int32, start kernelRun, pend bool) kernelR
 }
 
 // checkAgainstReference runs the scenario through the scalar reference
-// and through the production dispatch, serial and sharded: chunks
-// accumulate on the same fixed grid regardless of worker count, so every
-// output — per-point state (A, ub, lb, lbk, rlb), local block weights,
-// counters — must match the reference bit for bit.
+// and through the production dispatch, serial and sharded — both on fresh
+// shards — and once more on the shards (and point scratch) the sharded run
+// kept: chunks accumulate on the same fixed grid regardless of worker
+// count, so every output — per-point state (A, ub, lb, lbk, rlb), local
+// block weights, counters — must match the reference bit for bit.
 func checkAgainstReference(t *testing.T, st *state, sample []int32) {
 	t.Helper()
 	pend := st.pendScaled
@@ -292,14 +299,18 @@ func checkAgainstReference(t *testing.T, st *state, sample []int32) {
 	ref := referenceRun(st, sample, start, pend)
 	compareRuns(t, "serial", runKernels(st, sample, start, pend, 1), ref)
 	compareRuns(t, "sharded", runKernels(st, sample, start, pend, 3), ref)
+	compareRuns(t, "kept scratch", rerunKernels(st, sample, start, pend, 3), ref)
 }
 
 // The dimensions of the differential lattice: spatialDims take the 2D
 // (d=1 rides it over a zero Y column) and 3D arms of the kernels'
-// distance switch, highDims the column walk.
+// distance switch, highDims the gathered, blocked column walk — which is
+// why their lattice runs at blockKs: center counts that leave a short last
+// block, or a single short one, next to a whole number of blocks.
 var (
 	spatialDims = []int{1, 2, 3}
 	highDims    = []int{4, 8, 16, 64}
+	blockKs     = []int{1, 7, 9, 17, 32}
 )
 
 // latticeN keeps the O(n·k·d) reference pass cheap at high d.
@@ -317,8 +328,9 @@ func latticeN(dim int) int {
 // kernels: dims × {hamerly, elkan, none} × prune × {serial, sharded}
 // against the scalar reference path, the Hamerly cells once more with the
 // center-center tables attached (the anchored rescan of the cold pass).
-// Seeds alternate a pending influence rescale on and off.
-func kernelLattice(t *testing.T, dims []int, k, seeds int, seedBase int64) {
+// Seeds alternate a pending influence rescale on and off; every cell runs
+// at each k of ks.
+func kernelLattice(t *testing.T, dims, ks []int, seeds int, seedBase int64) {
 	for _, dim := range dims {
 		for _, bounds := range []BoundsKind{BoundsHamerly, BoundsElkan, BoundsNone} {
 			for _, prune := range []bool{true, false} {
@@ -332,12 +344,14 @@ func kernelLattice(t *testing.T, dims []int, k, seeds int, seedBase int64) {
 						name += "/anchored"
 					}
 					t.Run(name, func(t *testing.T) {
-						for seed := int64(0); seed < int64(seeds); seed++ {
-							st, sample := kernelScenario(t, dim, latticeN(dim), k, bounds, prune, seedBase+seed)
-							if anchored {
-								st.scenarioCCTables()
+						for _, k := range ks {
+							for seed := int64(0); seed < int64(seeds); seed++ {
+								st, sample := kernelScenario(t, dim, latticeN(dim), k, bounds, prune, seedBase+seed)
+								if anchored {
+									st.scenarioCCTables()
+								}
+								checkAgainstReference(t, st, sample)
 							}
-							checkAgainstReference(t, st, sample)
 						}
 					})
 				}
@@ -349,12 +363,14 @@ func kernelLattice(t *testing.T, dims []int, k, seeds int, seedBase int64) {
 // rawLattice is the same for the warm incremental Hamerly pass
 // (RunBoundedRaw: raw shadow bound maintenance, raw skip floor,
 // center-anchored scans with the triangle break).
-func rawLattice(t *testing.T, dims []int, k, seeds int, seedBase int64) {
+func rawLattice(t *testing.T, dims, ks []int, seeds int, seedBase int64) {
 	for _, dim := range dims {
 		t.Run(fmt.Sprintf("dim=%d", dim), func(t *testing.T) {
-			for seed := int64(0); seed < int64(seeds); seed++ {
-				st, sample := rawScenario(t, dim, latticeN(dim), k, seedBase+seed)
-				checkAgainstReference(t, st, sample)
+			for _, k := range ks {
+				for seed := int64(0); seed < int64(seeds); seed++ {
+					st, sample := rawScenario(t, dim, latticeN(dim), k, seedBase+seed)
+					checkAgainstReference(t, st, sample)
+				}
 			}
 		})
 	}
@@ -364,16 +380,113 @@ func rawLattice(t *testing.T, dims []int, k, seeds int, seedBase int64) {
 // two halves of kernelLattice, split at geom.MaxDim so the highdim CI job
 // can select the column-walk half by name.
 func TestKernelMatchesReference(t *testing.T) {
-	kernelLattice(t, spatialDims, 13, 4, 100)
+	kernelLattice(t, spatialDims, []int{13}, 4, 100)
 }
 
 func TestGenericKernelMatchesReference(t *testing.T) {
-	kernelLattice(t, highDims, 9, 2, 600)
-	t.Run("raw", func(t *testing.T) { rawLattice(t, highDims, 9, 2, 700) })
+	kernelLattice(t, highDims, blockKs, 2, 600)
+	t.Run("raw", func(t *testing.T) { rawLattice(t, highDims, blockKs, 2, 700) })
 }
 
 func TestRawKernelMatchesReference(t *testing.T) {
-	rawLattice(t, append(spatialDims, highDims...), 13, 4, 200)
+	rawLattice(t, append(spatialDims, highDims...), []int{13}, 4, 200)
+}
+
+// clusterScenario re-places a scenario's centers into four far-apart groups
+// of uneven size (3, 5, 11 and the rest) and every point next to a random
+// center, and returns the points by their center's group. Uniform data
+// never stops a scan early at high d — every center lies inside the
+// sample box and center-center distances concentrate — where a sample
+// drawn from one group here stops both rules after about that group's
+// worth of centers: at scan positions that are not multiples of the block
+// length. The caller rebuilds the tables that depend on points or centers.
+func clusterScenario(st *state, seed int64) (samples [4][]int32) {
+	rng := rand.New(rand.NewSource(seed + 3000))
+	dim, k := st.dim, st.k
+	group := func(b int) int {
+		switch {
+		case b < 3:
+			return 0
+		case b < 8:
+			return 1
+		case b < 19:
+			return 2
+		}
+		return 3
+	}
+	for b := 0; b < k; b++ {
+		row := st.centers[b*dim : (b+1)*dim]
+		for d := range row {
+			row[d] = 20*float64(group(b)) + rng.Float64()
+		}
+		st.centerCols.SetVec(b, row)
+	}
+	vec := make([]float64, dim)
+	for i := 0; i < st.X.Len(); i++ {
+		b := rng.Intn(k)
+		for d := range vec {
+			vec[d] = st.centers[b*dim+d] + 0.5*rng.NormFloat64()
+		}
+		st.X.SetVec(i, vec)
+		samples[group(b)] = append(samples[group(b)], int32(i))
+	}
+	return samples
+}
+
+// TestBlockedScanBreaksMidBlock drives the blocked arm through scans that
+// stop inside a block. Each point of a clustered scenario runs alone, so
+// its counters say where its scan stopped; kernel and scalar reference
+// must agree on everything, DistCalcs included — the evaluated but
+// unexamined rest of a block is nobody's business — and each rule (box
+// order, anchored triangle walk, the raw pass's walk) must have stopped
+// scans at positions that are not multiples of the block length, in the
+// first block and beyond it.
+func TestBlockedScanBreaksMidBlock(t *testing.T) {
+	const n, k = 300, 32
+	const block = 8 // geom's blockLen
+	for _, dim := range []int{5, 16} {
+		for _, arm := range []string{"box", "anchored", "raw"} {
+			t.Run(fmt.Sprintf("dim=%d/%s", dim, arm), func(t *testing.T) {
+				st, _ := kernelScenario(t, dim, n, k, BoundsHamerly, true, 41)
+				if arm == "raw" {
+					st, _ = rawScenario(t, dim, n, k, 41)
+				}
+				samples := clusterScenario(st, 41)
+				if arm != "box" {
+					st.scenarioCCTables()
+				}
+				pend := st.pendScaled
+				start := captureRun(st, 0, 0, 0)
+				var early, late int
+				for _, sample := range samples[1:3] { // the groups of 5 and of 11
+					st.scenarioTables(sample)
+					for s := range sample {
+						one := sample[s : s+1]
+						ref := referenceRun(st, one, start, pend)
+						got := runKernels(st, one, start, pend, 1)
+						compareRuns(t, fmt.Sprintf("point %d", one[0]), got, ref)
+						if got.br == 0 {
+							continue
+						}
+						pos := got.dc // scan position of the break
+						if arm != "box" && start.a[one[0]] >= 0 {
+							pos-- // the anchor was evaluated ahead of the walk
+						}
+						switch {
+						case pos%block == 0:
+						case pos < block:
+							early++
+						default:
+							late++
+						}
+					}
+				}
+				if early == 0 || late == 0 {
+					t.Fatalf("%d scans stopped inside the first block, %d inside a later one; want both", early, late)
+				}
+			})
+		}
+	}
 }
 
 // zeroPadded returns a view of the scenario embedded in MaxDim+1
@@ -461,6 +574,7 @@ func FuzzKernelAssignMatchesReference(f *testing.F) {
 	f.Add(int64(3), math.Inf(-1), 1e300, uint8(60), uint8(4), uint8(8), uint8(2))
 	f.Add(int64(4), 0.0, 0.0, uint8(1), uint8(1), uint8(16), uint8(3))
 	f.Add(int64(5), 0.25, math.Inf(1), uint8(90), uint8(12), uint8(1), uint8(4)) // anchored cold pass
+	f.Add(int64(6), 0.5, 1e200, uint8(150), uint8(19), uint8(5), uint8(4))       // blocked arm: d=16, k=20, three blocks
 	f.Fuzz(func(t *testing.T, seed int64, inj0, inj1 float64, nRaw, kRaw, dimRaw, modeRaw uint8) {
 		n := int(nRaw)%200 + 1
 		k := int(kRaw)%20 + 1

@@ -344,11 +344,22 @@ func localBoundsInit(buf []float64, dim int) []float64 {
 }
 
 // foldBounds folds one flat coordinate vector into a localBoundsInit
-// buffer.
+// buffer. A plain compare decides the common case; math.Min is called
+// only where it would change the slot or where two zeros meet, so the
+// -0 < +0 tie-break the packed reduction relies on stays math.Min's.
+// (NaN coordinates are rejected at the public boundary,
+// geom.PointSet.Validate; one that got here would be ignored, where
+// math.Min alone would poison the slot.)
 func foldBounds(buf []float64, x []float64, dim int) {
 	for d := 0; d < dim; d++ {
-		buf[d] = math.Min(buf[d], x[d])
-		buf[dim+d] = math.Min(buf[dim+d], -x[d])
+		v := x[d]
+		if v < buf[d] || (v == 0 && buf[d] == 0) {
+			buf[d] = math.Min(buf[d], v)
+		}
+		v = -v
+		if v < buf[dim+d] || (v == 0 && buf[dim+d] == 0) {
+			buf[dim+d] = math.Min(buf[dim+d], v)
+		}
 	}
 }
 

@@ -18,15 +18,20 @@
 // dimension-dependent code is the squared-distance expression, chosen per
 // evaluation by an in-body switch on dim between the unrolled 2D
 // expression over the hoisted X/Y columns (1D inputs ride it with a zero
-// Y column), the unrolled 3D one, and the colsDist2 column walk beyond
-// MaxDim. All three accumulate left to right from zero, so wherever two
+// Y column), the unrolled 3D one, and a walk over the column lists beyond
+// MaxDim. There the two Hamerly passes gather the rescanned point once
+// (gatherPoint) and evaluate the scan order blockLen centers at a time
+// (blockDist2), the switch arm reading its distance from the block;
+// RunElkan, whose per-center bounds skip most centers, and the single
+// evaluation of an anchor call colsDist2 per center. Every one of them
+// accumulates each center's sum left to right from zero, so wherever two
 // arms apply they agree bit for bit, and every arm is pinned to the
 // scalar reference path of internal/core. The switch is loop-invariant
 // and perfectly predicted; DESIGN.md ("Generic-dimension invariants")
 // records what it costs and why the unrolled arms stay. Each AssignKernel
-// value carries its own weight accumulator and counters so that several
-// kernels can run concurrently over disjoint index shards of the same
-// point set.
+// value carries its own weight accumulator, point scratch and counters so
+// that several kernels can run concurrently over disjoint index shards of
+// the same point set.
 package geom
 
 import "math"
@@ -320,7 +325,18 @@ type AssignKernel struct {
 	// on the warm path, whose block weights come from the exact banks
 	// (core's exactBlockWeights), so a float partial there is read by
 	// nobody.
-	LocalW    []float64
+	LocalW []float64
+
+	// Q is scratch for the two Hamerly passes beyond MaxDim: the rescanned
+	// point's coordinates, gathered once per rescan. Private per kernel
+	// like LocalW; a pass grows it when it is shorter than the dimension,
+	// so a caller that reuses kernel values should carry it across calls.
+	Q []float64
+
+	// DistCalcs counts the centers the scans examined. Beyond MaxDim the
+	// Hamerly passes evaluate blockLen scan positions at a time, so a
+	// rescan that breaks mid-block has evaluated up to blockLen−1 more
+	// centers than it counts.
 	DistCalcs int64
 	Skips     int64
 	Breaks    int64
@@ -332,11 +348,15 @@ type AssignKernel struct {
 // expressions, so wherever two arms of the kernels' dimension switch
 // apply they agree bit for bit.
 //
+// It serves the evaluations that come one at a time beyond MaxDim —
+// RunElkan's, and the anchor of a Hamerly rescan; the scans of the two
+// Hamerly passes go through blockDist2.
+//
 // Deliberately not inlined: inside a kernel body the walk's back edge
 // reloads the body's spilled loop state on every axis, and the 2D/3D
-// arms next to it allocate worse. Kept out of line, a full
-// BenchmarkAssignKernel pass is 30 % faster at d=16, 10 % at d=4 and
-// 3 % at d=2/3 than with the walk inlined (min of 8 runs each).
+// arms next to it allocate worse. When it still carried every scan, a
+// full BenchmarkAssignKernel pass was 30 % faster at d=16, 10 % at d=4
+// and 3 % at d=2/3 with it out of line than inlined (min of 8 runs each).
 //
 //go:noinline
 func colsDist2(pc, cc [][]float64, i, b int32) float64 {
@@ -346,6 +366,67 @@ func colsDist2(pc, cc [][]float64, i, b int32) float64 {
 		s += t * t
 	}
 	return s
+}
+
+// blockLen is the number of scan positions one blockDist2 call covers.
+const blockLen = 8
+
+// pointScratch returns the kernel's gather buffer for one point beyond
+// MaxDim, growing Q on a kernel that was built without one.
+func (kr *AssignKernel) pointScratch(dim int) []float64 {
+	if dim > MaxDim && len(kr.Q) < dim {
+		kr.Q = make([]float64, dim)
+	}
+	return kr.Q
+}
+
+// gatherPoint copies point i of the pc columns into q: len(pc)
+// independent loads, issued once per rescan instead of once per center.
+// Out of line for colsDist2's reason (8 % at d=8 and d=16 when inlined).
+//
+//go:noinline
+func gatherPoint(pc [][]float64, i int32, q []float64) {
+	for d, col := range pc {
+		q[d] = col[i]
+	}
+}
+
+// blockDist2 writes the squared Euclidean distances from the gathered
+// point q to the first min(len(ids), blockLen) centers of ids (non-empty)
+// into out. The walk is axis-outer over blockLen independent
+// accumulators, so the adds of different centers overlap, but each
+// accumulator still sums its t*t left to right from zero: every slot is
+// bit for bit what colsDist2 returns for that center — keep the s += t*t
+// shape of both, so that a compiler which fuses multiply-adds fuses them
+// alike. A short tail is padded with ids[0]; the padded slots are never
+// read.
+func blockDist2(q []float64, cc [][]float64, ids []int32, out *[blockLen]float64) {
+	var b [blockLen]int32
+	for n := copy(b[:], ids); n < blockLen; n++ {
+		b[n] = b[0]
+	}
+	b0, b1, b2, b3, b4, b5, b6, b7 := b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]
+	var s0, s1, s2, s3, s4, s5, s6, s7 float64
+	for d, col := range cc {
+		x := q[d]
+		t := x - col[b0]
+		s0 += t * t
+		t = x - col[b1]
+		s1 += t * t
+		t = x - col[b2]
+		s2 += t * t
+		t = x - col[b3]
+		s3 += t * t
+		t = x - col[b4]
+		s4 += t * t
+		t = x - col[b5]
+		s5 += t * t
+		t = x - col[b6]
+		s6 += t * t
+		t = x - col[b7]
+		s7 += t * t
+	}
+	out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7] = s0, s1, s2, s3, s4, s5, s6, s7
 }
 
 // RunBounded executes the Hamerly/plain assignment pass over idx: for
@@ -367,6 +448,8 @@ func (kr *AssignKernel) RunBounded(dim int, idx []int32, hamerly bool) {
 	px, py, pz := kr.PX, kr.PY, kr.PZ
 	cx, cy, cz := kr.CX, kr.CY, kr.CZ
 	pc, cc := kr.PC, kr.CC
+	q := kr.pointScratch(dim)
+	var blk [blockLen]float64
 	inv2 := kr.InvInf2
 	k := kr.K
 	order, dbb2 := kr.Order, kr.DistBB2
@@ -448,7 +531,13 @@ func (kr *AssignKernel) RunBounded(dim int, idx []int32, hamerly bool) {
 				dx, dy, dz := x-cx[bc], y-cy[bc], z-cz[bc]
 				d2 = dx*dx + dy*dy + dz*dz
 			default:
-				d2 = colsDist2(pc, cc, i, bc)
+				if j&(blockLen-1) == 0 {
+					if j == 0 {
+						gatherPoint(pc, i, q)
+					}
+					blockDist2(q, cc, scan[j:], &blk)
+				}
+				d2 = blk[j&(blockLen-1)]
 			}
 			d2 *= inv2[bc]
 			distCalcs++
@@ -573,6 +662,8 @@ func (kr *AssignKernel) RunBoundedRaw(dim int, idx []int32) {
 	px, py, pz := kr.PX, kr.PY, kr.PZ
 	cx, cy, cz := kr.CX, kr.CY, kr.CZ
 	pc, cc := kr.PC, kr.CC
+	q := kr.pointScratch(dim)
+	var blk [blockLen]float64
 	inv2 := kr.InvInf2
 	k := kr.K
 	order := kr.Order
@@ -656,7 +747,13 @@ func (kr *AssignKernel) RunBoundedRaw(dim int, idx []int32) {
 				dx, dy, dz := x-cx[bc], y-cy[bc], z-cz[bc]
 				raw2 = dx*dx + dy*dy + dz*dz
 			default:
-				raw2 = colsDist2(pc, cc, i, bc)
+				if j&(blockLen-1) == 0 {
+					if j == 0 {
+						gatherPoint(pc, i, q)
+					}
+					blockDist2(q, cc, scan[j:], &blk)
+				}
+				raw2 = blk[j&(blockLen-1)]
 			}
 			d2 := raw2 * inv2[bc]
 			distCalcs++
