@@ -1,4 +1,5 @@
-// Command runexp regenerates the paper's tables and figures (§5).
+// Command runexp regenerates the paper's tables and figures (§5) and
+// runs the fence experiments behind the committed BENCH_*.json reports.
 //
 // Examples:
 //
@@ -6,6 +7,7 @@
 //	runexp -exp fig3a -scale quick      # fast smoke run
 //	runexp -exp fig1 -outdir ./figs     # SVGs of the five partitioners
 //	runexp -exp all
+//	runexp -exp soak -scale quick -bench /tmp/soak.json
 //
 // Default scale is the paper's setup shrunk ~1000× (see DESIGN.md);
 // results are printed in the same row/series structure as the paper so
@@ -16,354 +18,217 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
 	"geographer/internal/experiments"
 )
 
+// args is what one experiment sees of the command line.
+type args struct {
+	name   string // the experiment's table name; names its CSV file
+	sc     experiments.Scale
+	outdir string
+	csvDir string
+	bench  string
+}
+
+// experiment is one row of the table below. A fence is a runtime stress
+// with a committed BENCH_<name>.json report (docs/cli.md), not a paper
+// artifact: it is opt-in — "-exp all" regenerates the paper's tables and
+// figures only — and it is what -bench applies to.
+type experiment struct {
+	name  string
+	fence bool
+	run   func(a args) error
+}
+
+var table = []experiment{
+	{"fig1", false, func(a args) error {
+		paths, err := experiments.Fig1(a.outdir, a.sc)
+		for _, p := range paths {
+			fmt.Println("wrote", p)
+		}
+		return err
+	}},
+	{"table2", false, func(a args) error {
+		rows, err := experiments.Table2(os.Stdout, a.sc)
+		return dumpCSV(a, rows, err, experiments.WriteRowsCSV)
+	}},
+	{"table1", false, func(a args) error {
+		rows, err := experiments.Table1(os.Stdout, a.sc)
+		return dumpCSV(a, rows, err, experiments.WriteRowsCSV)
+	}},
+	{"fig2", false, func(a args) error {
+		ratios, err := experiments.Fig2(os.Stdout, a.sc)
+		return dumpCSV(a, ratios, err, experiments.WriteRatiosCSV)
+	}},
+	{"fig3a", false, func(a args) error {
+		pts, err := experiments.Fig3a(os.Stdout, a.sc)
+		return dumpCSV(a, pts, err, experiments.WriteScalePointsCSV)
+	}},
+	{"fig3b", false, func(a args) error {
+		pts, err := experiments.Fig3b(os.Stdout, a.sc)
+		return dumpCSV(a, pts, err, experiments.WriteScalePointsCSV)
+	}},
+	{"fig4", false, func(a args) error {
+		rows, err := experiments.Fig4(os.Stdout, a.sc)
+		return dumpCSV(a, rows, err, experiments.WriteRowsCSV)
+	}},
+	{"components", false, func(a args) error {
+		_, err := experiments.Components(os.Stdout, a.sc)
+		return err
+	}},
+	{"phases", false, func(a args) error {
+		rows, err := experiments.Phases(os.Stdout, a.sc)
+		return dumpCSV(a, rows, err, experiments.WritePhaseRowsCSV)
+	}},
+	{"repart", false, func(a args) error {
+		rows, err := experiments.Repart(os.Stdout, a.sc)
+		return dumpCSV(a, rows, err, experiments.WriteRepartRowsCSV)
+	}},
+	{"stream", false, func(a args) error {
+		rows, err := experiments.Stream(os.Stdout, a.sc)
+		return dumpCSV(a, rows, err, experiments.WriteStreamRowsCSV)
+	}},
+	{"ablation", false, func(a args) error {
+		_, err := experiments.Ablation(os.Stdout, a.sc)
+		return err
+	}},
+	// Paper-scale streaming sessions: millions of points, thousands of
+	// simulated ranks; takes much longer than the rest at default scale.
+	{"soak", true, func(a args) error {
+		rep, err := experiments.Soak(os.Stdout, a.sc)
+		return writeBench(a, rep, err)
+	}},
+	// Fault tolerance: injected rank failures, checkpoint rollback, retry
+	// convergence.
+	{"chaos", true, func(a args) error {
+		rows, rep, err := experiments.Chaos(os.Stdout, a.sc)
+		if len(rep.Cells) > 0 { // the run finished; err, if any, is its invariant check
+			if werr := dumpCSV(a, rows, nil, experiments.WriteChaosRowsCSV); werr != nil {
+				return werr
+			}
+		}
+		return writeBench(a, rep, err)
+	}},
+	// The multi-tenant registry: shared worker pool, forced
+	// eviction/restore, concurrent chains.
+	{"serve", true, func(a args) error {
+		_, rep, err := experiments.Serve(os.Stdout, a.sc)
+		return writeBench(a, rep, err)
+	}},
+	// The disk spill store under injected corruption (torn writes,
+	// bit-flips, deleted files) and cold crash recovery.
+	{"durable", true, func(a args) error {
+		rep, err := experiments.Durable(os.Stdout, a.sc)
+		return writeBench(a, rep, err)
+	}},
+	// Feature-space clustering at d ∈ {8, 16, 64} through the
+	// generic-dimension kernels — beyond the paper's 2D/3D meshes.
+	{"highdim", true, func(a args) error {
+		rep, err := experiments.Highdim(os.Stdout, a.sc)
+		return writeBench(a, rep, err)
+	}},
+}
+
+// names joins the table's experiment names, optionally fences only.
+func names(fencesOnly bool) string {
+	var out []string
+	for _, e := range table {
+		if e.fence || !fencesOnly {
+			out = append(out, e.name)
+		}
+	}
+	return strings.Join(out, "|")
+}
+
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "table1|table2|fig1|fig2|fig3a|fig3b|fig4|components|phases|repart|stream|ablation|soak|chaos|serve|durable|highdim|all")
+		exp     = flag.String("exp", "all", names(false)+"|all (all = everything but the fences "+names(true)+")")
 		scale   = flag.String("scale", "default", "default|quick")
 		outdir  = flag.String("outdir", ".", "directory for fig1 SVGs")
 		repeats = flag.Int("repeats", 0, "override measurement repetitions (paper: 5)")
 		csvDir  = flag.String("csv", "", "also dump raw results as CSV files into this directory")
-		bench   = flag.String("bench", "", "write the soak/chaos/serve/durable report as JSON to this path (BENCH_soak.json / BENCH_chaos.json / BENCH_serve.json / BENCH_durable.json convention)")
+		bench   = flag.String("bench", "", "write the fence report ("+names(true)+") as JSON to this path (BENCH_<exp>.json convention)")
 	)
 	flag.Parse()
 
-	var sc experiments.Scale
+	a := args{outdir: *outdir, csvDir: *csvDir, bench: *bench}
 	switch *scale {
 	case "default":
-		sc = experiments.DefaultScale()
+		a.sc = experiments.DefaultScale()
 	case "quick":
-		sc = experiments.QuickScale()
+		a.sc = experiments.QuickScale()
 	default:
 		fatal(fmt.Errorf("unknown scale %q", *scale))
 	}
 	if *repeats > 0 {
-		sc.Repeats = *repeats
+		a.sc.Repeats = *repeats
 	}
 
-	run := func(name string, f func() error) {
-		t0 := time.Now()
-		fmt.Printf("=== %s ===\n", name)
-		if err := f(); err != nil {
-			fatal(fmt.Errorf("%s: %w", name, err))
+	var selected []experiment
+	for _, e := range table {
+		if e.name == *exp || (*exp == "all" && !e.fence) {
+			selected = append(selected, e)
 		}
-		fmt.Printf("(%s finished in %v)\n\n", name, time.Since(t0).Round(time.Millisecond))
 	}
-
-	all := *exp == "all"
-	any := false
-	if all || *exp == "fig1" {
-		any = true
-		run("fig1", func() error {
-			paths, err := experiments.Fig1(*outdir, sc)
-			for _, p := range paths {
-				fmt.Println("wrote", p)
-			}
-			return err
-		})
-	}
-	if all || *exp == "table2" {
-		any = true
-		run("table2", func() error {
-			rows, err := experiments.Table2(os.Stdout, sc)
-			return dumpRows(*csvDir, "table2.csv", rows, err)
-		})
-	}
-	if all || *exp == "table1" {
-		any = true
-		run("table1", func() error {
-			rows, err := experiments.Table1(os.Stdout, sc)
-			return dumpRows(*csvDir, "table1.csv", rows, err)
-		})
-	}
-	if all || *exp == "fig2" {
-		any = true
-		run("fig2", func() error {
-			ratios, err := experiments.Fig2(os.Stdout, sc)
-			if err != nil || *csvDir == "" {
-				return err
-			}
-			f, err := os.Create(filepath.Join(*csvDir, "fig2.csv"))
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			return experiments.WriteRatiosCSV(f, ratios)
-		})
-	}
-	if all || *exp == "fig3a" {
-		any = true
-		run("fig3a", func() error {
-			pts, err := experiments.Fig3a(os.Stdout, sc)
-			return dumpScale(*csvDir, "fig3a.csv", pts, err)
-		})
-	}
-	if all || *exp == "fig3b" {
-		any = true
-		run("fig3b", func() error {
-			pts, err := experiments.Fig3b(os.Stdout, sc)
-			return dumpScale(*csvDir, "fig3b.csv", pts, err)
-		})
-	}
-	if all || *exp == "fig4" {
-		any = true
-		run("fig4", func() error {
-			rows, err := experiments.Fig4(os.Stdout, sc)
-			return dumpRows(*csvDir, "fig4.csv", rows, err)
-		})
-	}
-	if all || *exp == "components" {
-		any = true
-		run("components", func() error { _, err := experiments.Components(os.Stdout, sc); return err })
-	}
-	if all || *exp == "phases" {
-		any = true
-		run("phases", func() error {
-			rows, err := experiments.Phases(os.Stdout, sc)
-			if err != nil || *csvDir == "" {
-				return err
-			}
-			f, err := os.Create(filepath.Join(*csvDir, "phases.csv"))
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			return experiments.WritePhaseRowsCSV(f, rows)
-		})
-	}
-	if all || *exp == "repart" {
-		any = true
-		run("repart", func() error {
-			rows, err := experiments.Repart(os.Stdout, sc)
-			if err != nil || *csvDir == "" {
-				return err
-			}
-			f, err := os.Create(filepath.Join(*csvDir, "repart.csv"))
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			return experiments.WriteRepartRowsCSV(f, rows)
-		})
-	}
-	if all || *exp == "stream" {
-		any = true
-		run("stream", func() error {
-			rows, err := experiments.Stream(os.Stdout, sc)
-			if err != nil || *csvDir == "" {
-				return err
-			}
-			f, err := os.Create(filepath.Join(*csvDir, "stream.csv"))
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			return experiments.WriteStreamRowsCSV(f, rows)
-		})
-	}
-	if all || *exp == "ablation" {
-		any = true
-		run("ablation", func() error { _, err := experiments.Ablation(os.Stdout, sc); return err })
-	}
-	// The soak is opt-in only ("-exp all" regenerates the paper's
-	// tables/figures; the soak is a runtime stress, not a paper
-	// artifact, and takes much longer at default scale).
-	if *exp == "soak" {
-		any = true
-		run("soak", func() error {
-			rep, err := experiments.Soak(os.Stdout, sc)
-			if err != nil || *bench == "" {
-				return err
-			}
-			f, err := os.Create(*bench)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := experiments.WriteSoakJSON(f, rep); err != nil {
-				return err
-			}
-			fmt.Println("wrote", *bench)
-			return nil
-		})
-	}
-	// The chaos run is opt-in like the soak: it validates the
-	// fault-tolerance machinery (injected rank failures, checkpoint
-	// rollback, retry convergence), not a paper artifact.
-	if *exp == "chaos" {
-		any = true
-		run("chaos", func() error {
-			rows, rep, err := experiments.Chaos(os.Stdout, sc)
-			if err != nil {
-				return err
-			}
-			if *csvDir != "" {
-				f, err := os.Create(filepath.Join(*csvDir, "chaos.csv"))
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := experiments.WriteChaosRowsCSV(f, rows); err != nil {
-					return err
-				}
-			}
-			if *bench != "" {
-				f, err := os.Create(*bench)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := experiments.WriteChaosJSON(f, rep); err != nil {
-					return err
-				}
-				fmt.Println("wrote", *bench)
-			}
-			// Zero hangs is the headline claim; failing loudly here (rather
-			// than in a diff later) keeps CI's timeout wrapper honest.
-			for _, c := range rep.Cells {
-				if !c.Identical {
-					return fmt.Errorf("%s: chaos chain diverged from the fault-free chain", c.Graph)
-				}
-				if c.Recoveries != int(c.FaultsFired) {
-					return fmt.Errorf("%s: %d faults fired but %d recoveries", c.Graph, c.FaultsFired, c.Recoveries)
-				}
-			}
-			return nil
-		})
-	}
-	// The serving run is opt-in like the soak and the chaos run: it
-	// stresses the multi-tenant registry (shared worker pool, forced
-	// eviction/restore, concurrent chains), not a paper artifact.
-	if *exp == "serve" {
-		any = true
-		run("serve", func() error {
-			_, rep, err := experiments.Serve(os.Stdout, sc)
-			if err != nil {
-				return err
-			}
-			if *bench != "" {
-				f, err := os.Create(*bench)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := experiments.WriteServeJSON(f, rep); err != nil {
-					return err
-				}
-				fmt.Println("wrote", *bench)
-			}
-			// Bit-identical chains under shared scheduling is the headline
-			// claim; fail loudly here rather than in a diff later.
-			for _, c := range rep.Cells {
-				if c.IdenticalChains != c.Tenants {
-					return fmt.Errorf("%d of %d tenant chains diverged from their solo references",
-						c.Tenants-c.IdenticalChains, c.Tenants)
-				}
-				if c.Restores != c.Evictions || c.Evictions == 0 {
-					return fmt.Errorf("evictions=%d restores=%d: every forced park must restore", c.Evictions, c.Restores)
-				}
-			}
-			return nil
-		})
-	}
-	// The durability fence is opt-in like the chaos run: it validates
-	// the disk spill store under injected corruption (torn writes,
-	// bit-flips, deleted files) and cold crash recovery, not a paper
-	// artifact.
-	if *exp == "durable" {
-		any = true
-		run("durable", func() error {
-			rep, err := experiments.Durable(os.Stdout, sc)
-			if err != nil {
-				return err
-			}
-			if *bench != "" {
-				f, err := os.Create(*bench)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := experiments.WriteDurableJSON(f, rep); err != nil {
-					return err
-				}
-				fmt.Println("wrote", *bench)
-			}
-			// Quarantine-not-crash is the headline claim; fail loudly here
-			// rather than in a diff later.
-			for _, c := range rep.Cells {
-				injured := c.InjectedTorn + c.InjectedFlip + c.InjectedDelete
-				if c.LostTyped != injured {
-					return fmt.Errorf("%d injuries but only %d degraded to the typed ErrTenantLost", injured, c.LostTyped)
-				}
-				if c.Quarantined != c.InjectedTorn+c.InjectedFlip {
-					return fmt.Errorf("quarantined %d spills, want %d (torn + flipped)", c.Quarantined, c.InjectedTorn+c.InjectedFlip)
-				}
-				if want := c.Tenants - injured; c.SurvivorChains != want {
-					return fmt.Errorf("%d of %d uninjured chains diverged from their solo references", want-c.SurvivorChains, want)
-				}
-				if c.Recovered != c.Tenants || c.RecoveredChains != c.Tenants {
-					return fmt.Errorf("cold recovery resumed %d/%d tenants, %d/%d chains bit-identical",
-						c.Recovered, c.Tenants, c.RecoveredChains, c.Tenants)
-				}
-			}
-			return nil
-		})
-	}
-	// The highdim grid is opt-in like the soak: feature-space clustering
-	// at d ∈ {8, 16, 64} through the generic-dimension kernels — an
-	// extension beyond the paper's 2D/3D meshes, not a paper artifact.
-	if *exp == "highdim" {
-		any = true
-		run("highdim", func() error {
-			rep, err := experiments.Highdim(os.Stdout, sc)
-			if err != nil || *bench == "" {
-				return err
-			}
-			f, err := os.Create(*bench)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := experiments.WriteHighdimJSON(f, rep); err != nil {
-				return err
-			}
-			fmt.Println("wrote", *bench)
-			return nil
-		})
-	}
-	if !any {
+	if len(selected) == 0 {
 		fatal(fmt.Errorf("unknown experiment %q", *exp))
 	}
+	if *bench != "" && !selected[0].fence {
+		fatal(fmt.Errorf("-bench: %q writes no report; the fence experiments are %s", *exp, names(true)))
+	}
+	for _, e := range selected {
+		a.name = e.name
+		t0 := time.Now()
+		fmt.Printf("=== %s ===\n", e.name)
+		if err := e.run(a); err != nil {
+			fatal(fmt.Errorf("%s: %w", e.name, err))
+		}
+		fmt.Printf("(%s finished in %v)\n\n", e.name, time.Since(t0).Round(time.Millisecond))
+	}
 }
 
-func dumpRows(dir, name string, rows []experiments.Row, err error) error {
-	if err != nil || dir == "" {
+// dumpCSV passes an experiment's error through and, under -csv, writes
+// its rows to <csvDir>/<name>.csv.
+func dumpCSV[T any](a args, rows []T, err error, write func(io.Writer, []T) error) error {
+	if err != nil || a.csvDir == "" {
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, name))
+	return writeFile(filepath.Join(a.csvDir, a.name+".csv"), func(w io.Writer) error { return write(w, rows) })
+}
+
+// writeBench writes a fence's report under -bench and then passes the
+// fence's error through: a finished run whose headline invariant broke
+// (an error next to a report with cells, see experiments.Report) leaves
+// its report behind before runexp exits non-zero; a run that failed has
+// no cells and writes nothing.
+func writeBench[C any](a args, rep experiments.Report[C], err error) error {
+	if a.bench == "" || len(rep.Cells) == 0 {
+		return err
+	}
+	werr := writeFile(a.bench, func(w io.Writer) error { return experiments.WriteReportJSON(w, rep) })
+	if werr != nil {
+		return werr
+	}
+	fmt.Println("wrote", a.bench)
+	return err
+}
+
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	return experiments.WriteRowsCSV(f, rows)
-}
-
-func dumpScale(dir, name string, pts []experiments.ScalePoint, err error) error {
-	if err != nil || dir == "" {
+	if err := write(f); err != nil {
+		f.Close()
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, name))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return experiments.WriteScalePointsCSV(f, pts)
+	return f.Close()
 }
 
 func fatal(err error) {

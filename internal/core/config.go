@@ -121,14 +121,6 @@ type Config struct {
 	// stale (coordinate updates, k or bounds-mode changes, first run).
 	Incremental bool
 
-	// BoundaryFraction caps the boundary-worklist mode of an incremental
-	// warm step: when more than this fraction of the local points are
-	// boundary points, the first pass falls back to streaming the full
-	// point set (the corrected bounds still skip interior points
-	// point-by-point; only the compact-worklist gather is skipped). 0
-	// disables the worklist mode, never the bound carrying itself.
-	BoundaryFraction float64
-
 	// WarmCenters, when non-nil, seeds the k cluster centers directly
 	// instead of placing them along the space-filling curve — the
 	// warm-start repartitioning entry point (internal/repart): the SFC
@@ -224,12 +216,6 @@ func (cfg Config) normalized() Config {
 	return def
 }
 
-// DefaultBoundaryFraction is the boundary-worklist fallback threshold of
-// DefaultConfig: beyond it the sparse gather loses its locality edge
-// over streaming the full columns, and the corrected bounds already
-// skip interior points point-by-point on the full pass.
-const DefaultBoundaryFraction = 0.6
-
 // DefaultConfig returns the configuration used in the paper's experiments
 // (ε = 3%, all optimizations on).
 func DefaultConfig() Config {
@@ -245,8 +231,7 @@ func DefaultConfig() Config {
 		SampledInit:    true,
 		SFCBootstrap:   true,
 
-		Incremental:      true,
-		BoundaryFraction: DefaultBoundaryFraction,
+		Incremental: true,
 	}
 }
 

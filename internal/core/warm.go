@@ -36,6 +36,14 @@ func (st *state) carryOK() bool {
 	return ok
 }
 
+// boundaryFraction caps the boundary-worklist mode of an incremental
+// warm step: when more than this fraction of the local points are
+// boundary points, the first pass falls back to streaming the full
+// point set. Beyond it the sparse gather loses its locality edge over
+// streaming the full columns, and the corrected bounds already skip
+// interior points point-by-point on the full pass.
+const boundaryFraction = 0.6
+
 // prepareCarried is resetRun for an incremental warm run: instead of
 // resetting assignments and bounds to "unknown", the values left by the
 // previous warm run are corrected for everything that changed between
@@ -55,7 +63,7 @@ func (st *state) carryOK() bool {
 // In Hamerly mode the pass also collects the boundary points — those
 // whose corrected bounds cross (ub' ≥ lb') and therefore need a fresh
 // argmin — into st.worklist; when their fraction stays under
-// cfg.BoundaryFraction, the first kernel pass runs over the worklist
+// boundaryFraction, the first kernel pass runs over the worklist
 // alone and never gathers interior points at all.
 func (st *state) prepareCarried() {
 	// Per-run values that reset exactly as in resetRun. Influences are
@@ -110,7 +118,7 @@ func (st *state) prepareCarried() {
 		if n := len(st.A); n > 0 {
 			frac = float64(len(st.worklist)) / float64(n)
 		}
-		st.useWorklist = frac <= st.cfg.BoundaryFraction
+		st.useWorklist = frac <= boundaryFraction
 	case BoundsElkan:
 		// Elkan's per-center bounds live in raw-distance space and every
 		// point is visited each pass anyway (the current center's

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -53,12 +52,10 @@ type ChaosRow struct {
 	RefSeconds float64
 }
 
-// ChaosCell is the per-workload summary of a chaos run. The
-// deterministic fields (FaultsFired, Recoveries, Identical, DistCalcs,
-// Cut, Imbalance) are exact functions of the workload and the fault
-// schedule and must reproduce bit-for-bit run to run — tools/benchdiff
-// fails on regressions there. The wall-clock fields are
-// machine-dependent and compared warn-only.
+// ChaosCell is the per-workload summary of a chaos run. The fields
+// chaosReport lists as strict are exact functions of the workload and
+// the fault schedule and must reproduce bit-for-bit run to run; the
+// wall-clock fields are machine-dependent.
 type ChaosCell struct {
 	Graph string `json:"graph"`
 	N     int    `json:"n"`
@@ -86,14 +83,25 @@ type ChaosCell struct {
 	WastedSec  float64 `json:"wasted_sec"`   // WallSec - RefWallSec
 }
 
-// ChaosReport is the BENCH_chaos.json document.
-type ChaosReport struct {
-	Schema string      `json:"schema"`
-	Cells  []ChaosCell `json:"cells"`
+// chaosReport is the BENCH_chaos.json header (see Report).
+var chaosReport = Report[ChaosCell]{
+	Schema: "geographer-chaos/v1",
+	Key:    []string{"graph", "n", "k", "p", "steps"},
+	Strict: []string{"faults_scheduled", "faults_fired", "recoveries", "delays", "identical", "dist_calcs", "cut", "imbalance"},
 }
 
-// chaosSchema versions the report; benchdiff refuses mismatched schemas.
-const chaosSchema = "geographer-chaos/v1"
+// check is the headline invariant of a finished cell: zero hangs is
+// implied by having finished; every step must be bit-identical to the
+// fault-free chain and every fired fault recovered.
+func (c ChaosCell) check() error {
+	if !c.Identical {
+		return fmt.Errorf("%s: chaos chain diverged from the fault-free chain", c.Graph)
+	}
+	if c.Recoveries != int(c.FaultsFired) {
+		return fmt.Errorf("%s: %d faults fired but %d recoveries", c.Graph, c.FaultsFired, c.Recoveries)
+	}
+	return nil
+}
 
 // chaosPlan is the fault schedule: four single-shot transient faults on
 // distinct ranks at increasing collective episodes, plus one injected
@@ -262,27 +270,26 @@ func runChaosCell(w io.Writer, kind string, n, k int) ([]ChaosRow, ChaosCell, er
 // mid-collective, and every step's partition is compared bit-for-bit
 // against the identical fault-free chain. A healthy run recovers every
 // fired fault (Recoveries == FaultsFired), never hangs, and stays
-// bit-identical; the wasted wall time is the price of recovery.
-func Chaos(w io.Writer, sc Scale) ([]ChaosRow, ChaosReport, error) {
-	rep := ChaosReport{Schema: chaosSchema}
+// bit-identical; the wasted wall time is the price of recovery. A
+// finished run that is not healthy returns its rows and report together
+// with the first cell's invariant error (see Report).
+func Chaos(w io.Writer, sc Scale) ([]ChaosRow, Report[ChaosCell], error) {
+	rep := chaosReport
 	fmt.Fprintf(w, "Fault-injected warm repartitioning (retry driver, checkpoint rollback) vs fault-free chain, %d steps, p=%d\n",
 		chaosSteps, chaosP)
 	var rows []ChaosRow
 	for _, wl := range repartWorkloads(sc) {
 		r, cell, err := runChaosCell(w, wl.kind, wl.n, wl.k)
 		if err != nil {
-			return nil, rep, fmt.Errorf("chaos %s: %w", wl.kind, err)
+			return nil, Report[ChaosCell]{}, fmt.Errorf("chaos %s: %w", wl.kind, err)
 		}
 		rows = append(rows, r...)
 		rep.Cells = append(rep.Cells, cell)
 	}
+	for _, c := range rep.Cells {
+		if err := c.check(); err != nil {
+			return rows, rep, err
+		}
+	}
 	return rows, rep, nil
-}
-
-// WriteChaosJSON writes the report as indented JSON (the
-// BENCH_chaos.json format).
-func WriteChaosJSON(w io.Writer, rep ChaosReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }

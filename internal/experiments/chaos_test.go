@@ -19,7 +19,7 @@ func TestChaosQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Schema != chaosSchema {
+	if rep.Schema != chaosReport.Schema {
 		t.Fatalf("schema %q", rep.Schema)
 	}
 	if want := len(repartWorkloads(QuickScale())); len(rep.Cells) != want {

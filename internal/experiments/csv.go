@@ -9,15 +9,12 @@ import (
 
 // WriteRowsCSV dumps measurement rows as CSV for external plotting.
 func WriteRowsCSV(w io.Writer, rows []Row) error {
-	cw := csv.NewWriter(w)
 	header := []string{"graph", "n", "m", "tool", "k", "p", "wall_s", "modeled_s",
 		"sfc_s", "sort_s", "kmeans_s",
 		"cut", "max_comm", "tot_comm", "harm_diam", "imbalance", "spmv_comm_s", "spmv_wall_s"}
-	if err := cw.Write(header); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{
+	return writeCSV(w, header, len(rows), func(i int) []string {
+		r := rows[i]
+		return []string{
 			r.Graph,
 			strconv.Itoa(r.N),
 			strconv.FormatInt(r.M, 10),
@@ -37,123 +34,92 @@ func WriteRowsCSV(w io.Writer, rows []Row) error {
 			fmtF(r.SpMVComm),
 			fmtF(r.SpMVWall),
 		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	})
 }
 
 // WritePhaseRowsCSV dumps the ingest/k-means phase breakdown.
 func WritePhaseRowsCSV(w io.Writer, rows []PhaseRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"graph", "n", "k", "p", "sfc_s", "sort_s", "kmeans_s", "total_s", "ingest_share"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{r.Graph, strconv.Itoa(r.N), strconv.Itoa(r.K), strconv.Itoa(r.P),
+	header := []string{"graph", "n", "k", "p", "sfc_s", "sort_s", "kmeans_s", "total_s", "ingest_share"}
+	return writeCSV(w, header, len(rows), func(i int) []string {
+		r := rows[i]
+		return []string{r.Graph, strconv.Itoa(r.N), strconv.Itoa(r.K), strconv.Itoa(r.P),
 			fmtF(r.SFCSeconds), fmtF(r.SortSeconds), fmtF(r.KMeansSeconds),
 			fmtF(r.TotalSeconds), fmtF(r.IngestShare)}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	})
 }
 
 // WriteRepartRowsCSV dumps the warm-start repartitioning timesteps.
 func WriteRepartRowsCSV(w io.Writer, rows []RepartRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"graph", "step", "mode", "k", "p", "wall_s", "cut", "imbalance", "migrated_w", "migrated_frac"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{r.Graph, strconv.Itoa(r.Step), r.Mode, strconv.Itoa(r.K), strconv.Itoa(r.P),
+	header := []string{"graph", "step", "mode", "k", "p", "wall_s", "cut", "imbalance", "migrated_w", "migrated_frac"}
+	return writeCSV(w, header, len(rows), func(i int) []string {
+		r := rows[i]
+		return []string{r.Graph, strconv.Itoa(r.Step), r.Mode, strconv.Itoa(r.K), strconv.Itoa(r.P),
 			fmtF(r.Seconds), strconv.FormatInt(r.Cut, 10), fmtF(r.Imbalance),
 			fmtF(r.MigratedWeight), fmtF(r.MigratedFrac)}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	})
 }
 
 // WriteStreamRowsCSV dumps the streaming-session timesteps (see
 // docs/cli.md for the column reference).
 func WriteStreamRowsCSV(w io.Writer, rows []StreamRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"graph", "step", "mode", "k", "p",
+	header := []string{"graph", "step", "mode", "k", "p",
 		"wall_s", "ingest_s", "kmeans_s", "cut", "imbalance", "migrated_w", "migrated_frac",
-		"dist_calcs", "hamerly_skips", "boundary_frac", "incremental"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{r.Graph, strconv.Itoa(r.Step), r.Mode, strconv.Itoa(r.K), strconv.Itoa(r.P),
+		"dist_calcs", "hamerly_skips", "boundary_frac", "incremental"}
+	return writeCSV(w, header, len(rows), func(i int) []string {
+		r := rows[i]
+		return []string{r.Graph, strconv.Itoa(r.Step), r.Mode, strconv.Itoa(r.K), strconv.Itoa(r.P),
 			fmtF(r.Seconds), fmtF(r.IngestSeconds), fmtF(r.KMeansSeconds),
 			strconv.FormatInt(r.Cut, 10), fmtF(r.Imbalance),
 			fmtF(r.MigratedWeight), fmtF(r.MigratedFrac),
 			strconv.FormatInt(r.DistCalcs, 10), strconv.FormatInt(r.HamerlySkips, 10),
 			fmtF(r.BoundaryFrac), strconv.FormatBool(r.Incremental)}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	})
 }
 
 // WriteChaosRowsCSV dumps the fault-injection timesteps (see
 // docs/cli.md for the column reference).
 func WriteChaosRowsCSV(w io.Writer, rows []ChaosRow) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"graph", "step", "k", "p",
+	header := []string{"graph", "step", "k", "p",
 		"retries", "fired_total", "identical", "pre_imbalance", "migrated_w",
-		"dist_calcs", "wall_s", "ref_wall_s"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		rec := []string{r.Graph, strconv.Itoa(r.Step), strconv.Itoa(r.K), strconv.Itoa(r.P),
+		"dist_calcs", "wall_s", "ref_wall_s"}
+	return writeCSV(w, header, len(rows), func(i int) []string {
+		r := rows[i]
+		return []string{r.Graph, strconv.Itoa(r.Step), strconv.Itoa(r.K), strconv.Itoa(r.P),
 			strconv.Itoa(r.Retries), strconv.FormatInt(r.FiredTotal, 10),
 			strconv.FormatBool(r.Identical), fmtF(r.PreImbalance), fmtF(r.MigratedWeight),
 			strconv.FormatInt(r.DistCalcs, 10), fmtF(r.Seconds), fmtF(r.RefSeconds)}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	})
 }
 
 // WriteScalePointsCSV dumps scaling series (Figures 3a/3b).
 func WriteScalePointsCSV(w io.Writer, pts []ScalePoint) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"tool", "p", "k", "n", "wall_s", "modeled_s"}); err != nil {
-		return err
-	}
-	for _, pt := range pts {
-		rec := []string{pt.Tool, strconv.Itoa(pt.P), strconv.Itoa(pt.K), strconv.Itoa(pt.N),
+	header := []string{"tool", "p", "k", "n", "wall_s", "modeled_s"}
+	return writeCSV(w, header, len(pts), func(i int) []string {
+		pt := pts[i]
+		return []string{pt.Tool, strconv.Itoa(pt.P), strconv.Itoa(pt.K), strconv.Itoa(pt.N),
 			fmtF(pt.Seconds), fmtF(pt.ModelSeconds)}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
+	})
 }
 
 // WriteRatiosCSV dumps Figure 2 class ratios.
 func WriteRatiosCSV(w io.Writer, ratios []ClassRatios) error {
+	header := []string{"class", "tool", "edge_cut", "max_comm", "tot_comm", "harm_diam", "time_comm", "instances"}
+	return writeCSV(w, header, len(ratios), func(i int) []string {
+		r := ratios[i]
+		return []string{r.Class, r.Tool, fmtF(r.EdgeCut), fmtF(r.MaxComm), fmtF(r.TotComm),
+			fmtF(r.HarmDiam), fmtF(r.TimeComm), strconv.Itoa(r.Instances)}
+	})
+}
+
+// writeCSV writes the header and then record(0..n-1) through one
+// csv.Writer, returning the first write or flush error.
+func writeCSV(w io.Writer, header []string, n int, record func(i int) []string) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"class", "tool", "edge_cut", "max_comm", "tot_comm", "harm_diam", "time_comm", "instances"}); err != nil {
+	if err := cw.Write(header); err != nil {
 		return err
 	}
-	for _, r := range ratios {
-		rec := []string{r.Class, r.Tool, fmtF(r.EdgeCut), fmtF(r.MaxComm), fmtF(r.TotComm),
-			fmtF(r.HarmDiam), fmtF(r.TimeComm), strconv.Itoa(r.Instances)}
-		if err := cw.Write(rec); err != nil {
+	for i := 0; i < n; i++ {
+		if err := cw.Write(record(i)); err != nil {
 			return err
 		}
 	}

@@ -76,3 +76,41 @@ func TestFitTrendsSkipsDegenerate(t *testing.T) {
 		t.Errorf("degenerate rows produced fits: %v", fits)
 	}
 }
+
+// Byte-for-byte goldens (header line + one fully populated row) for the
+// four writers the tests above do not pin.
+func TestCSVWritersGolden(t *testing.T) {
+	cases := []struct {
+		name  string
+		write func(*bytes.Buffer) error
+		want  string
+	}{
+		{"phases", func(b *bytes.Buffer) error {
+			return WritePhaseRowsCSV(b, []PhaseRow{{Graph: "refined", N: 20000, K: 16, P: 4,
+				SFCSeconds: 0.011, SortSeconds: 0.022, KMeansSeconds: 0.25, TotalSeconds: 0.283, IngestShare: 0.1166}})
+		}, "graph,n,k,p,sfc_s,sort_s,kmeans_s,total_s,ingest_share\nrefined,20000,16,4,0.011,0.022,0.25,0.283,0.1166\n"},
+		{"repart", func(b *bytes.Buffer) error {
+			return WriteRepartRowsCSV(b, []RepartRow{{Graph: "climate", Step: 3, Mode: "warm", K: 16, P: 4,
+				Seconds: 0.0125, Cut: 4711, Imbalance: 0.0299, MigratedWeight: 1234.5, MigratedFrac: 0.061}})
+		}, "graph,step,mode,k,p,wall_s,cut,imbalance,migrated_w,migrated_frac\nclimate,3,warm,16,4,0.0125,4711,0.0299,1234.5,0.061\n"},
+		{"stream", func(b *bytes.Buffer) error {
+			return WriteStreamRowsCSV(b, []StreamRow{{Graph: "refined", Step: 2, Mode: "session", K: 8, P: 2,
+				Seconds: 0.5, IngestSeconds: 0.125, KMeansSeconds: 0.375, Cut: 99, Imbalance: 0.03,
+				MigratedWeight: 1e-7, MigratedFrac: 2.5e-9, DistCalcs: 123456789012, HamerlySkips: 42,
+				BoundaryFrac: 0.167, Incremental: true}})
+		}, "graph,step,mode,k,p,wall_s,ingest_s,kmeans_s,cut,imbalance,migrated_w,migrated_frac,dist_calcs,hamerly_skips,boundary_frac,incremental\nrefined,2,session,8,2,0.5,0.125,0.375,99,0.03,1e-07,2.5e-09,123456789012,42,0.167,true\n"},
+		{"chaos", func(b *bytes.Buffer) error {
+			return WriteChaosRowsCSV(b, []ChaosRow{{Graph: "climate", Step: 4, K: 16, P: 4, Retries: 2, FiredTotal: 3,
+				Identical: true, PreImbalance: 0.41, MigratedWeight: 77.25, DistCalcs: 31337, Seconds: 0.02, RefSeconds: 0.015}})
+		}, "graph,step,k,p,retries,fired_total,identical,pre_imbalance,migrated_w,dist_calcs,wall_s,ref_wall_s\nclimate,4,16,4,2,3,true,0.41,77.25,31337,0.02,0.015\n"},
+	}
+	for _, tc := range cases {
+		var buf bytes.Buffer
+		if err := tc.write(&buf); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if buf.String() != tc.want {
+			t.Errorf("%s:\n got %q\nwant %q", tc.name, buf.String(), tc.want)
+		}
+	}
+}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -35,7 +34,7 @@ const (
 
 // DurableCell is the whole fence summarized for BENCH_durable.json.
 // Everything except wall time is an exact function of the workload and
-// the injury schedule — tools/benchdiff fails on drift.
+// the injury schedule, and durableReport lists it as strict.
 type DurableCell struct {
 	Tenants int `json:"tenants"`
 	N       int `json:"n"`
@@ -69,14 +68,33 @@ type DurableCell struct {
 	WallSec   float64 `json:"wall_sec"`
 }
 
-// DurableReport is the BENCH_durable.json document.
-type DurableReport struct {
-	Schema string        `json:"schema"`
-	Cells  []DurableCell `json:"cells"`
+// durableReport is the BENCH_durable.json header (see Report).
+var durableReport = Report[DurableCell]{
+	Schema: "geographer-durable/v1",
+	Key:    []string{"tenants", "n", "k", "p", "steps"},
+	Strict: []string{"parks", "restores", "injected_torn", "injected_flip", "injected_delete",
+		"quarantined", "lost_typed", "survivor_chains", "recovered", "recovered_chains", "dist_calcs"},
 }
 
-// durableSchema versions the report; benchdiff refuses mismatched schemas.
-const durableSchema = "geographer-durable/v1"
+// check is the headline invariant of a finished cell:
+// quarantine-not-crash, untouched survivors, complete cold recovery.
+func (c DurableCell) check() error {
+	injured := c.InjectedTorn + c.InjectedFlip + c.InjectedDelete
+	if c.LostTyped != injured {
+		return fmt.Errorf("%d injuries but only %d degraded to the typed ErrTenantLost", injured, c.LostTyped)
+	}
+	if c.Quarantined != c.InjectedTorn+c.InjectedFlip {
+		return fmt.Errorf("quarantined %d spills, want %d (torn + flipped)", c.Quarantined, c.InjectedTorn+c.InjectedFlip)
+	}
+	if want := c.Tenants - injured; c.SurvivorChains != want {
+		return fmt.Errorf("%d of %d uninjured chains diverged from their solo references", want-c.SurvivorChains, want)
+	}
+	if c.Recovered != c.Tenants || c.RecoveredChains != c.Tenants {
+		return fmt.Errorf("cold recovery resumed %d/%d tenants, %d/%d chains bit-identical",
+			c.Recovered, c.Tenants, c.RecoveredChains, c.Tenants)
+	}
+	return nil
+}
 
 // durableChain is one tenant's registry-side chain state while it is
 // driven step by step against its solo reference.
@@ -219,9 +237,10 @@ func durableRefs(n int) ([]durableChain, error) {
 // its spill quarantined; every uninjured tenant's chain stays
 // bit-identical to its solo reference with exactly solo's distance
 // evaluations; and a recovered registry resumes every parked chain
-// bit-identically.
-func Durable(w io.Writer, sc Scale) (DurableReport, error) {
-	rep := DurableReport{Schema: durableSchema}
+// bit-identically. A finished run that breaks a claim returns its report
+// together with the invariant error (see Report).
+func Durable(w io.Writer, sc Scale) (Report[DurableCell], error) {
+	rep := durableReport
 	n := sc.Table2N
 	cell := DurableCell{
 		Tenants: durableTenants, N: n, K: serveK, P: serveP, Steps: serveSteps,
@@ -357,13 +376,5 @@ func Durable(w io.Writer, sc Scale) (DurableReport, error) {
 		cell.Parks, cell.Restores, cell.Quarantined, cell.LostTyped,
 		cell.SurvivorChains, durableTenants-len(injured), cell.RecoveredChains, durableTenants,
 		cell.DistCalcs, cell.WallSec)
-	return rep, nil
-}
-
-// WriteDurableJSON writes the report as indented JSON (the
-// BENCH_durable.json format).
-func WriteDurableJSON(w io.Writer, rep DurableReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return rep, cell.check()
 }

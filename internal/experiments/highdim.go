@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -28,11 +27,10 @@ type HighdimConfig struct {
 	Steps int `json:"steps"`
 }
 
-// HighdimCell is the measurement of one cell. The deterministic fields
-// (Collectives, CollectiveBytes, Barriers, DistCalcs, ChainCut,
-// Imbalance) are exact functions of the cell config and must reproduce
-// bit-for-bit run to run — tools/benchdiff fails on regressions there.
-// Wall time and RSS are machine-dependent and compared warn-only.
+// HighdimCell is the measurement of one cell. The fields highdimReport
+// lists as strict are exact functions of the cell config and must
+// reproduce bit-for-bit run to run; wall time and RSS are
+// machine-dependent.
 type HighdimCell struct {
 	HighdimConfig
 
@@ -50,14 +48,12 @@ type HighdimCell struct {
 	Imbalance       float64 `json:"imbalance"`  // after the final step
 }
 
-// HighdimReport is the BENCH_highdim.json document.
-type HighdimReport struct {
-	Schema string        `json:"schema"`
-	Cells  []HighdimCell `json:"cells"`
+// highdimReport is the BENCH_highdim.json header (see Report).
+var highdimReport = Report[HighdimCell]{
+	Schema: "geographer-highdim/v1",
+	Key:    []string{"n", "dim", "m", "k", "p", "steps"},
+	Strict: []string{"collectives", "collective_bytes", "barriers", "dist_calcs", "chain_cut", "imbalance"},
 }
-
-// highdimSchema versions the report; benchdiff refuses mismatched schemas.
-const highdimSchema = "geographer-highdim/v1"
 
 // HighdimCells returns the grid for a scale: d ∈ {8, 16, 64} over the
 // scale's point/rank counts, quick cells first (same convention as the
@@ -191,14 +187,14 @@ func runHighdimCell(cfg HighdimConfig) (HighdimCell, error) {
 // counts, and per-step wall time. The report is written as
 // BENCH_highdim.json by cmd/runexp (-bench) and diffed against the
 // committed snapshot by tools/benchdiff.
-func Highdim(w io.Writer, sc Scale) (HighdimReport, error) {
-	rep := HighdimReport{Schema: highdimSchema}
+func Highdim(w io.Writer, sc Scale) (Report[HighdimCell], error) {
+	rep := highdimReport
 	fmt.Fprintf(w, "%-8s %4s %4s %4s %6s | %8s %8s %8s | %11s %10s %9s %9s\n",
 		"n", "dim", "k", "p", "steps", "cold_s", "step_s", "wall_s", "dist_calcs", "chain_cut", "collect", "imbal")
 	for _, cfg := range HighdimCells(sc) {
 		cell, err := runHighdimCell(cfg)
 		if err != nil {
-			return rep, fmt.Errorf("highdim n=%d dim=%d k=%d p=%d: %w", cfg.N, cfg.Dim, cfg.K, cfg.P, err)
+			return Report[HighdimCell]{}, fmt.Errorf("highdim n=%d dim=%d k=%d p=%d: %w", cfg.N, cfg.Dim, cfg.K, cfg.P, err)
 		}
 		rep.Cells = append(rep.Cells, cell)
 		fmt.Fprintf(w, "%-8d %4d %4d %4d %6d | %8.3f %8.3f %8.2f | %11d %10d %9d %9.4f\n",
@@ -206,12 +202,4 @@ func Highdim(w io.Writer, sc Scale) (HighdimReport, error) {
 			cell.DistCalcs, cell.ChainCut, cell.Collectives, cell.Imbalance)
 	}
 	return rep, nil
-}
-
-// WriteHighdimJSON writes the report as indented JSON (the
-// BENCH_highdim.json format).
-func WriteHighdimJSON(w io.Writer, rep HighdimReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }

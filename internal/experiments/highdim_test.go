@@ -59,7 +59,7 @@ func TestHighdimDeterministicAndWellFormed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Schema != highdimSchema || len(a.Cells) != len(HighdimCells(sc)) {
+	if a.Schema != highdimReport.Schema || len(a.Cells) != len(HighdimCells(sc)) {
 		t.Fatalf("report shape: schema %q, %d cells", a.Schema, len(a.Cells))
 	}
 	for i := range a.Cells {
@@ -79,10 +79,10 @@ func TestHighdimDeterministicAndWellFormed(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteHighdimJSON(&buf, a); err != nil {
+	if err := WriteReportJSON(&buf, a); err != nil {
 		t.Fatal(err)
 	}
-	var back HighdimReport
+	var back Report[HighdimCell]
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("report does not round-trip: %v", err)
 	}

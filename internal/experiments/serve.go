@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -60,11 +59,9 @@ type ServeRow struct {
 	WallSec float64
 }
 
-// ServeCell is the registry-wide summary of one serving run. The
-// deterministic fields (IdenticalChains, Evictions, Restores,
-// DistCalcs) are exact functions of the workload — tools/benchdiff
-// fails on drift. Throughput and latency are machine- and
-// scheduling-dependent, compared warn-only.
+// ServeCell is the registry-wide summary of one serving run. The fields
+// serveReport lists as strict are exact functions of the workload;
+// throughput and latency are machine- and scheduling-dependent.
 type ServeCell struct {
 	Tenants int `json:"tenants"`
 	N       int `json:"n"`
@@ -92,14 +89,25 @@ type ServeCell struct {
 	P99Ms       float64 `json:"p99_ms"`
 }
 
-// ServeReport is the BENCH_serve.json document.
-type ServeReport struct {
-	Schema string      `json:"schema"`
-	Cells  []ServeCell `json:"cells"`
+// serveReport is the BENCH_serve.json header (see Report).
+var serveReport = Report[ServeCell]{
+	Schema: "geographer-serve/v1",
+	Key:    []string{"tenants", "n", "k", "p", "steps", "pool", "budget"},
+	Strict: []string{"identical_chains", "evictions", "restores", "dist_calcs", "verbs"},
 }
 
-// serveSchema versions the report; benchdiff refuses mismatched schemas.
-const serveSchema = "geographer-serve/v1"
+// check is the headline invariant of a finished cell: shared scheduling
+// and forced eviction cost only time, never output.
+func (c ServeCell) check() error {
+	if c.IdenticalChains != c.Tenants {
+		return fmt.Errorf("%d of %d tenant chains diverged from their solo references",
+			c.Tenants-c.IdenticalChains, c.Tenants)
+	}
+	if c.Restores != c.Evictions || c.Evictions == 0 {
+		return fmt.Errorf("evictions=%d restores=%d: every forced park must restore", c.Evictions, c.Restores)
+	}
+	return nil
+}
 
 // serveMesh builds tenant id's point set: ids alternate between the two
 // dynamic workload families, each on its own generator seed so no two
@@ -182,9 +190,11 @@ func quantile(sorted []time.Duration, q float64) float64 {
 // bit-for-bit against that tenant's solo session. Shared scheduling
 // must cost only time — never output: IdenticalChains == Tenants and
 // per-tenant DistCalcs equal to solo are the invariants under test;
-// throughput and latency quantiles are the price of sharing.
-func Serve(w io.Writer, sc Scale) ([]ServeRow, ServeReport, error) {
-	rep := ServeReport{Schema: serveSchema}
+// throughput and latency quantiles are the price of sharing. A finished
+// run that breaks them returns its rows and report together with the
+// invariant error (see Report).
+func Serve(w io.Writer, sc Scale) ([]ServeRow, Report[ServeCell], error) {
+	rep := serveReport
 	n := sc.Table2N
 	fmt.Fprintf(w, "Multi-tenant serving: %d tenants (n=%d k=%d p=%d each, %d warm steps), pool=%d workers, per-tenant budget=%d, forced evict+restore at step %d\n",
 		serveTenants, n, serveK, serveP, serveSteps, servePool, serveBudget, serveEvictStep)
@@ -329,13 +339,5 @@ func Serve(w io.Writer, sc Scale) ([]ServeRow, ServeReport, error) {
 	fmt.Fprintf(w, "summary: %d/%d chains bit-identical to solo; %d evictions, %d restores; %d verbs in %.3fs (%.1f/s), latency p50=%.2fms p95=%.2fms p99=%.2fms\n",
 		cell.IdenticalChains, cell.Tenants, cell.Evictions, cell.Restores,
 		cell.Verbs, cell.WallSec, cell.VerbsPerSec, cell.P50Ms, cell.P95Ms, cell.P99Ms)
-	return rows, rep, nil
-}
-
-// WriteServeJSON writes the report as indented JSON (the
-// BENCH_serve.json format).
-func WriteServeJSON(w io.Writer, rep ServeReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
+	return rows, rep, cell.check()
 }

@@ -18,7 +18,7 @@ func TestServeQuick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Schema != serveSchema {
+	if rep.Schema != serveReport.Schema {
 		t.Fatalf("schema %q", rep.Schema)
 	}
 	if len(rep.Cells) != 1 {

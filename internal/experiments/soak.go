@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -29,12 +28,10 @@ type SoakConfig struct {
 	Steps int `json:"steps"`
 }
 
-// SoakCell is the measurement of one soak cell. The deterministic
-// fields (Collectives, CollectiveBytes, Barriers, DistCalcs,
-// ModeledCommSec, Imbalance) are exact functions of the cell config and
-// must reproduce bit-for-bit run to run — tools/benchdiff fails on
-// regressions there. Wall time, RSS, and allocation counters are
-// machine-dependent and compared warn-only.
+// SoakCell is the measurement of one soak cell. The fields soakReport
+// lists as strict are exact functions of the cell config and must
+// reproduce bit-for-bit run to run; wall time, RSS, and allocation
+// counters are machine-dependent.
 type SoakCell struct {
 	SoakConfig
 
@@ -53,14 +50,12 @@ type SoakCell struct {
 	Imbalance       float64 `json:"imbalance"`        // after the final step
 }
 
-// SoakReport is the BENCH_soak.json document.
-type SoakReport struct {
-	Schema string     `json:"schema"`
-	Cells  []SoakCell `json:"cells"`
+// soakReport is the BENCH_soak.json header (see Report).
+var soakReport = Report[SoakCell]{
+	Schema: "geographer-soak/v1",
+	Key:    []string{"n", "dim", "k", "p", "steps"},
+	Strict: []string{"collectives", "collective_bytes", "barriers", "dist_calcs", "modeled_comm_sec", "imbalance"},
 }
-
-// soakSchema versions the report; benchdiff refuses mismatched schemas.
-const soakSchema = "geographer-soak/v1"
 
 // SoakCells returns the grid for a scale: the quick cells always come
 // first — they are cheap, and their presence in every report (including
@@ -187,14 +182,14 @@ func runSoakCell(cfg SoakConfig) (SoakCell, error) {
 // time per cell. The report is written as BENCH_soak.json by cmd/runexp
 // (-bench) and diffed against the committed snapshot by
 // tools/benchdiff.
-func Soak(w io.Writer, sc Scale) (SoakReport, error) {
-	rep := SoakReport{Schema: soakSchema}
+func Soak(w io.Writer, sc Scale) (Report[SoakCell], error) {
+	rep := soakReport
 	fmt.Fprintf(w, "%-9s %5s %5s %6s | %9s %9s %11s | %12s %14s %10s %9s\n",
 		"n", "k", "p", "steps", "wall_s", "step_s", "peak_rss_mb", "collectives", "coll_bytes", "comm_s", "imbal")
 	for _, cfg := range SoakCells(sc) {
 		cell, err := runSoakCell(cfg)
 		if err != nil {
-			return rep, fmt.Errorf("soak n=%d k=%d p=%d: %w", cfg.N, cfg.K, cfg.P, err)
+			return Report[SoakCell]{}, fmt.Errorf("soak n=%d k=%d p=%d: %w", cfg.N, cfg.K, cfg.P, err)
 		}
 		rep.Cells = append(rep.Cells, cell)
 		fmt.Fprintf(w, "%-9d %5d %5d %6d | %9.2f %9.2f %11.0f | %12d %14d %10.3f %9.4f\n",
@@ -202,14 +197,6 @@ func Soak(w io.Writer, sc Scale) (SoakReport, error) {
 			cell.Collectives, cell.CollectiveBytes, cell.ModeledCommSec, cell.Imbalance)
 	}
 	return rep, nil
-}
-
-// WriteSoakJSON writes the report as indented JSON (the BENCH_soak.json
-// format).
-func WriteSoakJSON(w io.Writer, rep SoakReport) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(rep)
 }
 
 // peakRSSMB reads the process peak resident set size (VmHWM) from

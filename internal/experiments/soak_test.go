@@ -55,7 +55,7 @@ func TestSoakDeterministicAndWellFormed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Schema != soakSchema || len(a.Cells) != len(SoakCells(sc)) {
+	if a.Schema != soakReport.Schema || len(a.Cells) != len(SoakCells(sc)) {
 		t.Fatalf("report shape: schema %q, %d cells", a.Schema, len(a.Cells))
 	}
 	for i := range a.Cells {
@@ -74,10 +74,10 @@ func TestSoakDeterministicAndWellFormed(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteSoakJSON(&buf, a); err != nil {
+	if err := WriteReportJSON(&buf, a); err != nil {
 		t.Fatal(err)
 	}
-	var back SoakReport
+	var back Report[SoakCell]
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("report does not round-trip: %v", err)
 	}

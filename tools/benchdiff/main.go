@@ -1,179 +1,87 @@
-// Command benchdiff compares two benchmark reports cell by cell and
-// fails on regressions. It understands the soak report (BENCH_soak.json,
-// schema geographer-soak/v1), the chaos report (BENCH_chaos.json,
-// schema geographer-chaos/v1), the serving report (BENCH_serve.json,
-// schema geographer-serve/v1), the durability report
-// (BENCH_durable.json, schema geographer-durable/v1), and the
-// feature-space report (BENCH_highdim.json, schema
-// geographer-highdim/v1), dispatching on the schema field.
+// Command benchdiff compares two fence reports cell by cell and fails on
+// drift in what the baseline declares deterministic.
 //
 //	benchdiff -old BENCH_soak.json -new /tmp/soak.json [-tol 0.10]
-//	benchdiff -old BENCH_chaos.json -new /tmp/chaos.json
-//	benchdiff -old BENCH_serve.json -new /tmp/serve.json
-//	benchdiff -old BENCH_durable.json -new /tmp/durable.json
-//	benchdiff -old BENCH_highdim.json -new /tmp/highdim.json
 //
-// Cells are matched by their configuration (soak: n/dim/k/p/steps;
-// chaos: graph/n/k/p/steps; serve: tenants/n/k/p/steps/pool/budget;
-// durable: tenants/n/k/p/steps; highdim: n/dim/m/k/p/steps).
-// Deterministic metrics — for the soak the collective counts and bytes,
-// barriers, distance evaluations, modeled communication time, and final
-// imbalance; for the chaos run the fired fault count, recoveries, delay
-// stalls, bit-identicality flag, distance evaluations, cut, and
-// imbalance; for the serving run the bit-identical chain count,
-// eviction/restore counts, distance evaluations, and verb count — are
-// exact functions of the cell config, so any drift beyond the tolerance
-// is a real behavioral change and exits non-zero. Wall-clock,
-// throughput, and latency fields depend on the machine and are reported
-// warn-only. Cells present in only one report are skipped with a note:
-// committed snapshots may be generated at a different scale than the CI
-// run diffing against them, so only the shared cells match.
+// It knows no schema. A fence report says how to read itself (the
+// producer side is experiments.Report, the convention docs/cli.md):
+// "key" lists the cell fields that identify a cell, "strict" the fields
+// that are exact functions of that identity; every other numeric field
+// is machine-dependent. Cells are matched by their key fields; a strict
+// field of the baseline that drifts beyond the tolerance, or is missing
+// from the fresh cell, exits non-zero; any other field only warns.
+// Booleans compare as 0/1; strings may appear in key fields only. Cells
+// present in only one report are skipped with a note — committed
+// snapshots are generated at a larger scale than the CI run diffing
+// against them — but at least one cell must match.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"maps"
+	"math"
 	"os"
-
-	"geographer/internal/experiments"
+	"slices"
+	"strings"
 )
 
-// metricVal is one named measurement of a cell; strict metrics fail the
-// diff on drift, the rest only warn.
-type metricVal struct {
-	name   string
-	strict bool
-	v      float64
+// report is the envelope every fence report shares; cells stay untyped.
+type report struct {
+	Schema string           `json:"schema"`
+	Key    []string         `json:"key"`
+	Strict []string         `json:"strict"`
+	Cells  []map[string]any `json:"cells"`
 }
 
-// cellData is the schema-independent shape the compare engine consumes.
-type cellData struct {
-	key     string
-	metrics []metricVal
-}
-
-func soakCells(rep experiments.SoakReport) []cellData {
-	out := make([]cellData, 0, len(rep.Cells))
-	for _, c := range rep.Cells {
-		out = append(out, cellData{
-			key: fmt.Sprintf("n=%d dim=%d k=%d p=%d steps=%d", c.N, c.Dim, c.K, c.P, c.Steps),
-			metrics: []metricVal{
-				{"collectives", true, float64(c.Collectives)},
-				{"collective_bytes", true, float64(c.CollectiveBytes)},
-				{"barriers", true, float64(c.Barriers)},
-				{"dist_calcs", true, float64(c.DistCalcs)},
-				{"modeled_comm_sec", true, c.ModeledCommSec},
-				{"imbalance", true, c.Imbalance},
-				{"wall_sec", false, c.WallSec},
-				{"step_sec_mean", false, c.StepSecMean},
-				{"peak_rss_mb", false, c.PeakRSSMB},
-				{"mallocs_per_step", false, c.MallocsPerStep},
-			},
-		})
+// load reads a fence report. Numbers are kept as json.Number so key
+// fields print as written (n=2000000, not 2e+06).
+func load(path string) (report, error) {
+	var rep report
+	f, err := os.Open(path)
+	if err != nil {
+		return rep, err
 	}
-	return out
-}
-
-func serveCells(rep experiments.ServeReport) []cellData {
-	out := make([]cellData, 0, len(rep.Cells))
-	for _, c := range rep.Cells {
-		out = append(out, cellData{
-			key: fmt.Sprintf("tenants=%d n=%d k=%d p=%d steps=%d pool=%d budget=%d",
-				c.Tenants, c.N, c.K, c.P, c.Steps, c.Pool, c.Budget),
-			metrics: []metricVal{
-				{"identical_chains", true, float64(c.IdenticalChains)},
-				{"evictions", true, float64(c.Evictions)},
-				{"restores", true, float64(c.Restores)},
-				{"dist_calcs", true, float64(c.DistCalcs)},
-				{"verbs", true, float64(c.Verbs)},
-				{"wall_sec", false, c.WallSec},
-				{"verbs_per_sec", false, c.VerbsPerSec},
-				{"p50_ms", false, c.P50Ms},
-				{"p95_ms", false, c.P95Ms},
-				{"p99_ms", false, c.P99Ms},
-			},
-		})
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.UseNumber()
+	if err := dec.Decode(&rep); err != nil {
+		return rep, fmt.Errorf("%s: %w", path, err)
 	}
-	return out
-}
-
-func durableCells(rep experiments.DurableReport) []cellData {
-	out := make([]cellData, 0, len(rep.Cells))
-	for _, c := range rep.Cells {
-		out = append(out, cellData{
-			key: fmt.Sprintf("tenants=%d n=%d k=%d p=%d steps=%d", c.Tenants, c.N, c.K, c.P, c.Steps),
-			metrics: []metricVal{
-				{"parks", true, float64(c.Parks)},
-				{"restores", true, float64(c.Restores)},
-				{"injected_torn", true, float64(c.InjectedTorn)},
-				{"injected_flip", true, float64(c.InjectedFlip)},
-				{"injected_delete", true, float64(c.InjectedDelete)},
-				{"quarantined", true, float64(c.Quarantined)},
-				{"lost_typed", true, float64(c.LostTyped)},
-				{"survivor_chains", true, float64(c.SurvivorChains)},
-				{"recovered", true, float64(c.Recovered)},
-				{"recovered_chains", true, float64(c.RecoveredChains)},
-				{"dist_calcs", true, float64(c.DistCalcs)},
-				{"wall_sec", false, c.WallSec},
-			},
-		})
+	if rep.Schema == "" || len(rep.Key) == 0 {
+		return rep, fmt.Errorf("%s: not a fence report (no schema or no key list)", path)
 	}
-	return out
+	return rep, nil
 }
 
-func highdimCells(rep experiments.HighdimReport) []cellData {
-	out := make([]cellData, 0, len(rep.Cells))
-	for _, c := range rep.Cells {
-		out = append(out, cellData{
-			key: fmt.Sprintf("n=%d dim=%d m=%d k=%d p=%d steps=%d", c.N, c.Dim, c.M, c.K, c.P, c.Steps),
-			metrics: []metricVal{
-				{"collectives", true, float64(c.Collectives)},
-				{"collective_bytes", true, float64(c.CollectiveBytes)},
-				{"barriers", true, float64(c.Barriers)},
-				{"dist_calcs", true, float64(c.DistCalcs)},
-				{"chain_cut", true, float64(c.ChainCut)},
-				{"imbalance", true, c.Imbalance},
-				{"wall_sec", false, c.WallSec},
-				{"cold_sec", false, c.ColdSec},
-				{"step_sec_mean", false, c.StepSecMean},
-				{"peak_rss_mb", false, c.PeakRSSMB},
-			},
-		})
+// cellKey renders a cell's identity from the report's key fields.
+func cellKey(key []string, cell map[string]any) string {
+	parts := make([]string, len(key))
+	for i, name := range key {
+		parts[i] = fmt.Sprintf("%s=%v", name, cell[name])
 	}
-	return out
+	return strings.Join(parts, " ")
 }
 
-func chaosCells(rep experiments.ChaosReport) []cellData {
-	out := make([]cellData, 0, len(rep.Cells))
-	for _, c := range rep.Cells {
-		identical := 0.0
-		if c.Identical {
-			identical = 1
+// num reads a metric as a number, booleans as 0/1.
+func num(v any) (float64, bool) {
+	switch x := v.(type) {
+	case json.Number:
+		f, err := x.Float64()
+		return f, err == nil
+	case bool:
+		if x {
+			return 1, true
 		}
-		out = append(out, cellData{
-			key: fmt.Sprintf("graph=%s n=%d k=%d p=%d steps=%d", c.Graph, c.N, c.K, c.P, c.Steps),
-			metrics: []metricVal{
-				{"faults_scheduled", true, float64(c.FaultsScheduled)},
-				{"faults_fired", true, float64(c.FaultsFired)},
-				{"recoveries", true, float64(c.Recoveries)},
-				{"delays", true, float64(c.Delays)},
-				{"identical", true, identical},
-				{"dist_calcs", true, float64(c.DistCalcs)},
-				{"cut", true, float64(c.Cut)},
-				{"imbalance", true, c.Imbalance},
-				{"wall_sec", false, c.WallSec},
-				{"ref_wall_sec", false, c.RefWallSec},
-				{"wasted_sec", false, c.WastedSec},
-			},
-		})
+		return 0, true
 	}
-	return out
+	return 0, false
 }
 
-// relDelta returns |new-old| / |old|, treating old == 0 specially: any
-// nonzero new value against a zero baseline counts as a full-size
-// change.
+// relDelta returns |new-old| / |old|; any nonzero value against a zero
+// baseline counts as a full-size change.
 func relDelta(oldV, newV float64) float64 {
 	if oldV == newV {
 		return 0
@@ -181,60 +89,69 @@ func relDelta(oldV, newV float64) float64 {
 	if oldV == 0 {
 		return 1
 	}
-	d := (newV - oldV) / oldV
-	if d < 0 {
-		d = -d
-	}
-	return d
+	return math.Abs((newV - oldV) / oldV)
 }
 
-// loadCells reads a report, dispatches on its schema field, and returns
-// the schema string plus the flattened cells.
-func loadCells(path string) (string, []cellData, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", nil, err
+// diff compares fresh against baseline and writes one line per skipped
+// cell, warning and failure to out. It returns the number of matched
+// cells and of strict failures; err reports input the two cannot be
+// compared on at all.
+func diff(out io.Writer, baseline, fresh report, tol float64) (matched, failures int, err error) {
+	if baseline.Schema != fresh.Schema {
+		return 0, 0, fmt.Errorf("schema mismatch: %q vs %q", baseline.Schema, fresh.Schema)
 	}
-	var head struct {
-		Schema string `json:"schema"`
+	if !slices.Equal(baseline.Key, fresh.Key) {
+		return 0, 0, fmt.Errorf("key list mismatch: %v vs %v", baseline.Key, fresh.Key)
 	}
-	if err := json.Unmarshal(data, &head); err != nil {
-		return "", nil, fmt.Errorf("%s: %w", path, err)
+	byKey := map[string]map[string]any{}
+	for _, c := range baseline.Cells {
+		k := cellKey(baseline.Key, c)
+		for _, name := range baseline.Strict {
+			if _, ok := c[name]; !ok {
+				return 0, 0, fmt.Errorf("baseline cell %s: strict name %q is not a field of the cell", k, name)
+			}
+		}
+		byKey[k] = c
 	}
-	switch head.Schema {
-	case "geographer-soak/v1":
-		var rep experiments.SoakReport
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return "", nil, fmt.Errorf("%s: %w", path, err)
+	for _, nc := range fresh.Cells {
+		k := cellKey(fresh.Key, nc)
+		oc, ok := byKey[k]
+		if !ok {
+			fmt.Fprintf(out, "cell %s: no baseline, skipped\n", k)
+			continue
 		}
-		return head.Schema, soakCells(rep), nil
-	case "geographer-chaos/v1":
-		var rep experiments.ChaosReport
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return "", nil, fmt.Errorf("%s: %w", path, err)
+		matched++
+		for _, name := range slices.Sorted(maps.Keys(oc)) {
+			if slices.Contains(baseline.Key, name) {
+				continue
+			}
+			strict := slices.Contains(baseline.Strict, name)
+			ov, okOld := num(oc[name])
+			nraw, present := nc[name]
+			nv, okNew := num(nraw)
+			if !okOld || (present && !okNew) {
+				return matched, failures, fmt.Errorf("cell %s: %s is not a number or boolean (strings belong in key fields only)", k, name)
+			}
+			switch {
+			case !present && strict:
+				failures++
+				fmt.Fprintf(out, "FAIL cell %s: %s is missing from the fresh cell\n", k, name)
+			case !present || relDelta(ov, nv) <= tol:
+			case !strict:
+				fmt.Fprintf(out, "warn cell %s: %s %.6g -> %.6g (machine-dependent)\n", k, name, ov, nv)
+			case ov == 0:
+				failures++
+				fmt.Fprintf(out, "FAIL cell %s: %s 0 -> %.6g (baseline is zero)\n", k, name, nv)
+			default:
+				failures++
+				fmt.Fprintf(out, "FAIL cell %s: %s %.6g -> %.6g (%+.1f%%)\n", k, name, ov, nv, 100*(nv-ov)/ov)
+			}
 		}
-		return head.Schema, chaosCells(rep), nil
-	case "geographer-serve/v1":
-		var rep experiments.ServeReport
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return "", nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return head.Schema, serveCells(rep), nil
-	case "geographer-durable/v1":
-		var rep experiments.DurableReport
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return "", nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return head.Schema, durableCells(rep), nil
-	case "geographer-highdim/v1":
-		var rep experiments.HighdimReport
-		if err := json.Unmarshal(data, &rep); err != nil {
-			return "", nil, fmt.Errorf("%s: %w", path, err)
-		}
-		return head.Schema, highdimCells(rep), nil
-	default:
-		return "", nil, fmt.Errorf("%s: unknown report schema %q", path, head.Schema)
 	}
+	if matched == 0 {
+		return 0, failures, fmt.Errorf("no fresh cell matches a baseline cell")
+	}
+	return matched, failures, nil
 }
 
 func main() {
@@ -248,56 +165,17 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchdiff: -new is required")
 		os.Exit(2)
 	}
-	oldSchema, oldCells, err := loadCells(*oldPath)
+	baseline, err := load(*oldPath)
 	if err != nil {
 		fatal(err)
 	}
-	newSchema, newCells, err := loadCells(*newPath)
+	fresh, err := load(*newPath)
 	if err != nil {
 		fatal(err)
 	}
-	if oldSchema != newSchema {
-		fatal(fmt.Errorf("schema mismatch: %q vs %q", oldSchema, newSchema))
-	}
-
-	baseline := map[string]cellData{}
-	for _, c := range oldCells {
-		baseline[c.key] = c
-	}
-
-	matched, failures := 0, 0
-	for _, nc := range newCells {
-		oc, ok := baseline[nc.key]
-		if !ok {
-			fmt.Printf("cell %s: no baseline, skipped\n", nc.key)
-			continue
-		}
-		matched++
-		oldBy := map[string]metricVal{}
-		for _, m := range oc.metrics {
-			oldBy[m.name] = m
-		}
-		for _, m := range nc.metrics {
-			om, ok := oldBy[m.name]
-			if !ok {
-				continue
-			}
-			d := relDelta(om.v, m.v)
-			if d <= *tol {
-				continue
-			}
-			if m.strict {
-				failures++
-				fmt.Printf("FAIL cell %s: %s %.6g -> %.6g (%+.1f%%)\n",
-					nc.key, m.name, om.v, m.v, 100*(m.v-om.v)/om.v)
-			} else {
-				fmt.Printf("warn cell %s: %s %.6g -> %.6g (machine-dependent)\n",
-					nc.key, m.name, om.v, m.v)
-			}
-		}
-	}
-	if matched == 0 {
-		fatal(fmt.Errorf("no cells in %s match the baseline %s", *newPath, *oldPath))
+	matched, failures, err := diff(os.Stdout, baseline, fresh, *tol)
+	if err != nil {
+		fatal(fmt.Errorf("%s vs %s: %w", *oldPath, *newPath, err))
 	}
 	if failures > 0 {
 		fatal(fmt.Errorf("%d deterministic metric(s) regressed beyond %.0f%%", failures, 100**tol))
