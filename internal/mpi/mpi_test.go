@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 var worldSizes = []int{1, 2, 3, 4, 7}
@@ -524,7 +526,8 @@ func BenchmarkAllreduce64(b *testing.B) {
 // the last arriver — runs it and propagates its panic, and the rest are
 // released with ErrBroken. Both barrier implementations must agree, at
 // small p and at the p=64 / p=1024 scales where the tree barrier has
-// real leaf groups and a contended root.
+// real leaf groups and a contended root. The p=2 arm is built under a
+// GOMAXPROCS that makes the tree's waiter spin before it parks.
 func TestBarrierRendezvousPanicBreaks(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -533,8 +536,11 @@ func TestBarrierRendezvousPanicBreaks(t *testing.T) {
 		{"tree", func(p int) barrier { return newTreeBarrier(p) }},
 		{"central", func(p int) barrier { return newCentralBarrier(p) }},
 	} {
-		for _, p := range []int{3, 64, 1024} {
+		for _, p := range []int{2, 3, 64, 1024} {
 			t.Run(fmt.Sprintf("%s/p=%d", tc.name, p), func(t *testing.T) {
+				if p == 2 {
+					spinProcs(t, p)
+				}
 				b := tc.mk(p)
 				res := make(chan any, p)
 				for r := 0; r < p; r++ {
@@ -566,7 +572,11 @@ func TestBarrierRendezvousPanicBreaks(t *testing.T) {
 // them with the abort: the multi-column exchange parks every peer in a
 // single rendezvous crossing, and the poison has to reach both ranks
 // already waiting and ranks that arrive later. Covered over both barrier
-// implementations at p=64 and p=1024.
+// implementations at p=64 and p=1024, and at p=2 under a GOMAXPROCS that
+// makes the tree's waiter spin: there the victim dies 10 µs after its
+// peer entered the exchange — well inside spinBudget, so the poison
+// normally reaches a waiter that is still spinning (a descheduled peer
+// may reach the barrier only later, which the park path covers).
 func TestPanicDuringAlltoallColsBreaks(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -575,11 +585,14 @@ func TestPanicDuringAlltoallColsBreaks(t *testing.T) {
 		{"tree", func(p int) barrier { return newTreeBarrier(p) }},
 		{"central", func(p int) barrier { return newCentralBarrier(p) }},
 	} {
-		for _, p := range []int{64, 1024} {
+		for _, p := range []int{2, 64, 1024} {
 			t.Run(fmt.Sprintf("%s/p=%d", tc.name, p), func(t *testing.T) {
+				if p == 2 {
+					spinProcs(t, p)
+				}
 				w := newWorldWithBarrier(p, tc.mk(p))
 				victim := p / 2
-				var released atomic.Int64
+				var released, entered atomic.Int64
 				err := w.Run(func(c *Comm) {
 					defer func() {
 						if rec := recover(); rec != nil {
@@ -588,8 +601,16 @@ func TestPanicDuringAlltoallColsBreaks(t *testing.T) {
 						}
 					}()
 					if c.Rank() == victim {
+						if p == 2 {
+							for entered.Load() == 0 {
+								runtime.Gosched()
+							}
+							for start := time.Now(); time.Since(start) < 10*time.Microsecond; {
+							}
+						}
 						panic("alltoall victim")
 					}
+					entered.Add(1)
 					counts := make([]int, p)
 					for dst := range counts {
 						counts[dst] = 1

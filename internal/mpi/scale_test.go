@@ -3,7 +3,9 @@ package mpi
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // ---------------------------------------------------------------------
@@ -246,8 +248,19 @@ func TestTreeVsCentralBitIdentical(t *testing.T) {
 func TestBarrierManyEpisodes(t *testing.T) {
 	// An odd, non-square world size exercises the ragged last group of
 	// the tree; hundreds of episodes catch cross-episode races (run
-	// under -race in CI).
-	const p, episodes = 37, 300
+	// under -race in CI). The p=2 arm runs them on the spin path.
+	for _, p := range []int{37, 2} {
+		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+			if p == 2 {
+				spinProcs(t, p)
+			}
+			barrierEpisodes(t, p)
+		})
+	}
+}
+
+func barrierEpisodes(t *testing.T, p int) {
+	const episodes = 300
 	w := NewWorld(p)
 	err := w.Run(func(c *Comm) {
 		v := make([]int64, 3)
@@ -264,7 +277,7 @@ func TestBarrierManyEpisodes(t *testing.T) {
 					return
 				}
 			}
-			if got := ReduceScalarMax(c, int64(c.Rank())); got != p-1 {
+			if got := ReduceScalarMax(c, int64(c.Rank())); got != int64(p-1) {
 				t.Errorf("episode %d rank %d: max = %d", e, c.Rank(), got)
 				return
 			}
@@ -276,13 +289,103 @@ func TestBarrierManyEpisodes(t *testing.T) {
 }
 
 // ---------------------------------------------------------------------
+// Spin-then-park waiting: the tree barrier's waiters spin before they
+// park exactly when the ranks of every running world fit in GOMAXPROCS.
+
+// spinProcs raises GOMAXPROCS to p for the rest of the test, so a world
+// of p ranks built after it takes the spin path; cleanup restores it.
+func spinProcs(t *testing.T, p int) {
+	t.Helper()
+	if prev := runtime.GOMAXPROCS(0); prev < p {
+		runtime.GOMAXPROCS(p)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
+
+// TestTreeBarrierSpinDecision reads the decision from inside rank 0 of
+// a running world of p ranks built under GOMAXPROCS=procs, optionally
+// itself run from inside a world of outer ranks — the case of a serving
+// registry whose tenants' worlds run concurrently.
+func TestTreeBarrierSpinDecision(t *testing.T) {
+	for _, tc := range []struct {
+		procs, p, outer int
+		spin            bool
+	}{
+		{1, 1, 0, false},
+		{1, 2, 0, false},
+		{2, 2, 0, true},
+		{2, 3, 0, false},
+		{2, 1024, 0, false},
+		{2, 2, 1, false}, // 3 live ranks on 2 Ps
+		{2, 2, 2, false},
+		{4, 2, 2, true}, // 4 live ranks on 4 Ps
+		{4, 2, 3, false},
+	} {
+		prev := runtime.GOMAXPROCS(tc.procs)
+		w := NewWorld(tc.p)
+		var got bool
+		run := func() error {
+			return w.Run(func(c *Comm) {
+				if c.Rank() == 0 {
+					got = w.tbar.spinning()
+				}
+			})
+		}
+		var err error
+		if tc.outer > 0 {
+			err = NewWorld(tc.outer).Run(func(c *Comm) {
+				if c.Rank() == 0 {
+					if e := run(); e != nil {
+						panic(e)
+					}
+				}
+			})
+		} else {
+			err = run()
+		}
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.spin {
+			t.Errorf("GOMAXPROCS=%d p=%d outer=%d: spinning = %v, want %v",
+				tc.procs, tc.p, tc.outer, got, tc.spin)
+		}
+	}
+	if n := liveRanks.Load(); n != 0 {
+		t.Errorf("liveRanks = %d after every world finished", n)
+	}
+}
+
+// ---------------------------------------------------------------------
 // Zero-alloc contract: the warm-path collectives must not allocate per
 // call in steady state. Measured, not asserted: a full Run of many
 // mixed collectives should cost only the Run's own goroutine spawns.
+// The p=2 arm runs with the tree's waiters spinning.
 
 func TestWarmCollectivesZeroAlloc(t *testing.T) {
-	const p, iters = 8, 200
+	for _, p := range []int{8, 2} {
+		t.Run(fmt.Sprintf("p=%d", p), func(t *testing.T) {
+			if p == 2 {
+				spinProcs(t, p)
+			}
+			warmCollectivesAllocs(t, p)
+		})
+	}
+}
+
+func warmCollectivesAllocs(t *testing.T, p int) {
+	const iters = 200
 	w := NewWorld(p)
+	if p == 2 {
+		if err := w.Run(func(c *Comm) {
+			if !w.tbar.spinning() {
+				panic("p=2 world does not spin under GOMAXPROCS=2")
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	n := 64
 	vin := make([][]float64, p)
 	vout := make([][]float64, p)
@@ -311,9 +414,9 @@ func TestWarmCollectivesZeroAlloc(t *testing.T) {
 	}
 	body() // warm up: grow the world's rendezvous buffers once
 	allocs := testing.AllocsPerRun(3, body)
-	// Each run issues iters·7·p ≈ 11k collective calls; a single
-	// per-call allocation anywhere would add thousands. The budget
-	// covers only Run's goroutine spawns and test scaffolding.
+	// Each run issues iters·7·p collective calls (≈ 11k at p=8, 2.8k at
+	// p=2); a single per-call allocation anywhere would add thousands.
+	// The budget covers only Run's goroutine spawns and test scaffolding.
 	if allocs > 500 {
 		t.Errorf("steady-state run allocated %.0f objects; warm collectives must not allocate per call", allocs)
 	}
@@ -332,24 +435,46 @@ func benchWorld(p int, central bool) *World {
 	return newWorldWithBarrier(p, bar)
 }
 
+// BenchmarkBarrier times one crossing (ns/op) with ranks arriving
+// together, and in the skewed arms the crossing the balance loop pays:
+// before crossing i, rank i mod p busy-works for 20 µs while the others
+// wait, so every rank takes its turn as the waiter. There
+// excess-ns/crossing is the cost beyond the skew: a parked waiter pays
+// an OS thread wake-up on release, which delays its next arrival and so
+// the next crossing; a spinning one does not. At p=2 the tree's waiters
+// spin unless the benchmark runs under -cpu 1. The skewed arms run
+// first: early in a process a fifth of the spins run out their budget
+// (DESIGN.md, "Scaling invariants").
 func BenchmarkBarrier(b *testing.B) {
-	for _, p := range []int{8, 256, 1024, 4096} {
-		for _, central := range []bool{false, true} {
-			name := fmt.Sprintf("tree/p=%d", p)
-			if central {
-				name = fmt.Sprintf("central/p=%d", p)
-			}
-			b.Run(name, func(b *testing.B) {
-				w := benchWorld(p, central)
-				b.ResetTimer()
-				if err := w.Run(func(c *Comm) {
-					for i := 0; i < b.N; i++ {
-						c.Barrier()
+	for _, arm := range []struct {
+		name string
+		skew time.Duration
+		ps   []int
+	}{
+		{"skewed/", 20 * time.Microsecond, []int{2, 8}},
+		{"", 0, []int{2, 8, 256, 1024, 4096}},
+	} {
+		for _, p := range arm.ps {
+			for _, impl := range []string{"tree", "central"} {
+				b.Run(fmt.Sprintf("%s/%sp=%d", impl, arm.name, p), func(b *testing.B) {
+					w := benchWorld(p, impl == "central")
+					b.ResetTimer()
+					if err := w.Run(func(c *Comm) {
+						for i := 0; i < b.N; i++ {
+							if arm.skew > 0 && c.Rank() == i%p {
+								for start := time.Now(); time.Since(start) < arm.skew; {
+								}
+							}
+							c.Barrier()
+						}
+					}); err != nil {
+						b.Fatal(err)
 					}
-				}); err != nil {
-					b.Fatal(err)
-				}
-			})
+					if arm.skew > 0 {
+						b.ReportMetric(float64(b.Elapsed()-time.Duration(b.N)*arm.skew)/float64(b.N), "excess-ns/crossing")
+					}
+				})
+			}
 		}
 	}
 }

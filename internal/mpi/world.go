@@ -27,7 +27,10 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 	"unsafe"
 )
 
@@ -183,6 +186,8 @@ func (w *World) CostModel() CostModel { return w.model }
 // same error; recovery means building a fresh World (typically from a
 // checkpoint, see internal/repart).
 func (w *World) Run(f func(c *Comm)) error {
+	liveRanks.Add(int64(w.size))
+	defer liveRanks.Add(-int64(w.size))
 	var wg sync.WaitGroup
 	for r := 0; r < w.size; r++ {
 		wg.Add(1)
@@ -337,19 +342,61 @@ type barrier interface {
 // root first, then each representative releases its own group, so
 // wake-ups fan out through independent locks instead of convoying on
 // one. Max contention per lock drops from p to ~√p (64 at p=4096).
+//
+// Waiting is spin-then-park when every rank can hold a core: a waiter
+// drops the node lock and polls gen/broken for spinBudget before it
+// parks in cond.Wait, so a peer that arrives within the budget releases
+// it without an OS thread wake-up. "Every rank" is process-wide: the
+// world must fit in GOMAXPROCS at construction, and at each wait so must
+// the ranks of all worlds running at that moment (liveRanks) — a
+// serving registry runs many small worlds at once. Otherwise the ranks
+// outnumber the Ps, a spinning waiter would only steal the P its
+// releaser needs, and the waiter parks at once.
+
+// spinBudget bounds one spin; spinYield is how many polls run between
+// runtime.Gosched calls (and clock reads). The budget covers most of
+// the per-crossing waits of a cold partition at p=2 (DESIGN.md,
+// "Scaling invariants").
+const (
+	spinBudget = 50 * time.Microsecond
+	spinYield  = 16
+)
+
+// liveRanks counts the rank goroutines of every World inside Run, across
+// the process; a tree barrier's waiters spin only while it is at most
+// the GOMAXPROCS their world was built under.
+var liveRanks atomic.Int64
 
 // bnode is one node of the tree: a counter guarded by its own lock,
-// with a generation number for sense reversal.
+// with a generation number for sense reversal. gen and broken are only
+// written under mu; they are atomics so a spinning waiter can poll them
+// without it.
 type bnode struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	expect int
 	count  int
-	gen    uint64
-	broken bool
+	gen    atomic.Uint64
+	broken atomic.Bool
 	cause  error // abort delivered to waiters; nil = bare ErrBroken
 	// Pad to a cache line so leaf nodes don't false-share.
 	_ [24]byte
+}
+
+// spin polls n, without its lock, until the episode that started at
+// gen is released or broken, or spinBudget has passed. The caller
+// re-takes the lock and re-checks under it either way: the lock, not
+// the poll, carries the happens-before edge of the release.
+func (n *bnode) spin(gen uint64) {
+	start := time.Now()
+	for i := 1; n.gen.Load() == gen && !n.broken.Load(); i++ {
+		if i%spinYield == 0 {
+			if time.Since(start) > spinBudget {
+				return
+			}
+			runtime.Gosched()
+		}
+	}
 }
 
 // brokenPanic converts a node's recorded cause into the panic value a
@@ -364,7 +411,9 @@ func brokenPanic(cause error) {
 
 type treeBarrier struct {
 	size   int
-	shift  uint // rank >> shift = leaf index (group size is a power of two)
+	shift  uint  // rank >> shift = leaf index (group size is a power of two)
+	spin   bool  // size ≤ procs: waiters may spin before parking
+	procs  int64 // GOMAXPROCS at construction
 	leaves []bnode
 	root   bnode
 }
@@ -379,7 +428,14 @@ func newTreeBarrier(size int) *treeBarrier {
 		shift++
 	}
 	ng := (size + g - 1) / g
-	b := &treeBarrier{size: size, shift: shift, leaves: make([]bnode, ng)}
+	procs := runtime.GOMAXPROCS(0)
+	b := &treeBarrier{
+		size:   size,
+		shift:  shift,
+		spin:   size > 1 && size <= procs,
+		procs:  int64(procs),
+		leaves: make([]bnode, ng),
+	}
 	for i := range b.leaves {
 		n := size - i*g
 		if n > g {
@@ -395,25 +451,36 @@ func newTreeBarrier(size int) *treeBarrier {
 
 func (b *treeBarrier) wait(rank int) { b.waitWith(rank, nil) }
 
+// spinning reports whether a waiter spins before it parks now: its world
+// fits in the Ps, and so do the ranks of every world running.
+func (b *treeBarrier) spinning() bool {
+	return b.spin && liveRanks.Load() <= b.procs
+}
+
 func (b *treeBarrier) waitWith(rank int, fn func()) {
 	leaf := &b.leaves[rank>>b.shift]
 	leaf.mu.Lock()
-	if leaf.broken {
+	if leaf.broken.Load() {
 		cause := leaf.cause
 		leaf.mu.Unlock()
 		brokenPanic(cause)
 	}
-	gen := leaf.gen
+	gen := leaf.gen.Load()
 	leaf.count++
 	if leaf.count < leaf.expect {
 		// Not the group's last arriver: wait for the representative to
 		// release this group. No rank of this group can arrive for the
 		// *next* episode until that release, so resetting count below
 		// cannot race with new arrivals.
-		for gen == leaf.gen && !leaf.broken {
+		if b.spinning() {
+			leaf.mu.Unlock()
+			leaf.spin(gen)
+			leaf.mu.Lock()
+		}
+		for gen == leaf.gen.Load() && !leaf.broken.Load() {
 			leaf.cond.Wait()
 		}
-		broken, cause := leaf.broken, leaf.cause
+		broken, cause := leaf.broken.Load(), leaf.cause
 		leaf.mu.Unlock()
 		if broken {
 			brokenPanic(cause)
@@ -426,12 +493,12 @@ func (b *treeBarrier) waitWith(rank int, fn func()) {
 	// Group representative: arrive at the root.
 	r := &b.root
 	r.mu.Lock()
-	if r.broken {
+	if r.broken.Load() {
 		cause := r.cause
 		r.mu.Unlock()
 		brokenPanic(cause)
 	}
-	rgen := r.gen
+	rgen := r.gen.Load()
 	r.count++
 	if r.count == r.expect {
 		if fn != nil {
@@ -443,7 +510,7 @@ func (b *treeBarrier) waitWith(rank int, fn func()) {
 			func() {
 				defer func() {
 					if rec := recover(); rec != nil {
-						r.broken = true
+						r.broken.Store(true)
 						r.count = 0
 						r.cond.Broadcast()
 						r.mu.Unlock()
@@ -455,14 +522,19 @@ func (b *treeBarrier) waitWith(rank int, fn func()) {
 			}()
 		}
 		r.count = 0
-		r.gen++
+		r.gen.Add(1)
 		r.cond.Broadcast()
 		r.mu.Unlock()
 	} else {
-		for rgen == r.gen && !r.broken {
+		if b.spinning() {
+			r.mu.Unlock()
+			r.spin(rgen)
+			r.mu.Lock()
+		}
+		for rgen == r.gen.Load() && !r.broken.Load() {
 			r.cond.Wait()
 		}
-		broken, cause := r.broken, r.cause
+		broken, cause := r.broken.Load(), r.cause
 		r.mu.Unlock()
 		if broken {
 			// This group's waiters are released by brk/brkLeaves, which
@@ -474,14 +546,14 @@ func (b *treeBarrier) waitWith(rank int, fn func()) {
 	// Release the group. The lock chain root→leaf makes the rendezvous
 	// action's writes visible to every group member on wake-up.
 	leaf.mu.Lock()
-	leaf.gen++
+	leaf.gen.Add(1)
 	leaf.cond.Broadcast()
 	leaf.mu.Unlock()
 }
 
 func (b *treeBarrier) brk(cause error) {
 	b.root.mu.Lock()
-	b.root.broken = true
+	b.root.broken.Store(true)
 	if b.root.cause == nil {
 		b.root.cause = cause
 	}
@@ -494,7 +566,7 @@ func (b *treeBarrier) brkLeaves(cause error) {
 	for i := range b.leaves {
 		l := &b.leaves[i]
 		l.mu.Lock()
-		l.broken = true
+		l.broken.Store(true)
 		if l.cause == nil {
 			l.cause = cause
 		}

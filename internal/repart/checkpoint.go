@@ -158,7 +158,14 @@ func decodeCheckpoint(data []byte) (*ckptState, error) {
 			}
 		}
 	}
+	// The frame's checksum proves the bytes are the ones written, not
+	// that their writer was sound: hold restored values to the rules
+	// every other entry point enforces (no NaN/±Inf coordinates, no
+	// non-finite or negative weights).
 	st.ps = &geom.PointSet{Dim: info.Dim, Coords: coords, Weight: weights}
+	if err := st.ps.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: %w", core.ErrCheckpointCorrupt, err)
+	}
 	st.prev = prev
 
 	st.res = make([]*core.Resident, info.P)

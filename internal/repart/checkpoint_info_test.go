@@ -9,6 +9,7 @@ package repart
 import (
 	"encoding/binary"
 	"errors"
+	"math"
 	"testing"
 
 	"geographer/internal/core"
@@ -136,4 +137,40 @@ func FuzzReadCheckpointInfo(f *testing.F) {
 			t.Fatalf("accepted out-of-range header: %+v", info)
 		}
 	})
+}
+
+// TestCheckpointRestoreRejectsNonFinite: a checkpoint whose bytes are
+// intact but whose writer put a NaN coordinate or a negative weight into
+// the point set is refused at restore, typed as both a corrupt checkpoint
+// and geom.ErrNonFinite — the values every other entry point rejects.
+func TestCheckpointRestoreRejectsNonFinite(t *testing.T) {
+	ckpt := validCheckpoint(t)
+	info, err := ReadCheckpointInfo(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Payload after the header: coordinates (u64 length + N·Dim f64s),
+	// the has-weights flag, then weights (u64 length + N f64s).
+	coord0 := sessionHeaderLen + 8
+	weight0 := coord0 + 8*info.N*info.Dim + 1 + 8
+	if ckpt[weight0-9] != 1 {
+		t.Fatal("fixture checkpoint carries no weights")
+	}
+	for _, tc := range []struct {
+		name string
+		off  int
+		val  float64
+	}{
+		{"NaN coordinate", coord0, math.NaN()},
+		{"negative weight", weight0, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := append([]byte(nil), ckpt...)
+			binary.LittleEndian.PutUint64(bad[tc.off:], math.Float64bits(tc.val))
+			_, err := NewSessionFromCheckpoint(mpi.NewWorld(info.P), bad, core.DefaultConfig())
+			if !errors.Is(err, geom.ErrNonFinite) || !errors.Is(err, core.ErrCheckpointCorrupt) {
+				t.Fatalf("restore = %v, want ErrNonFinite and ErrCheckpointCorrupt", err)
+			}
+		})
+	}
 }

@@ -8,10 +8,14 @@ package serve
 // included.
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"net/http"
 	"os"
+	"strings"
 	"testing"
 
 	"geographer/internal/geom"
@@ -362,5 +366,42 @@ func TestDrainParksDurably(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameAssign(t, "drain round trip "+name, b, w)
+	}
+}
+
+// TestNonFiniteSpillIsLost: a spill whose frame verifies but whose point
+// set holds a NaN coordinate (a buggy or hostile producer, re-sealed
+// through the store) is refused at restore. The tenant answers HTTP 410
+// and ErrTenantLost and its spill is quarantined; no warm step ever runs
+// on the poisoned values.
+func TestNonFiniteSpillIsLost(t *testing.T) {
+	const k, p = 4, 2
+	m := tenantMesh(t, 600, 4)
+	base := &geom.PointSet{Dim: m.Points.Dim, Coords: m.Points.Coords, Weight: phaseWeights(m, 0)}
+	g, disk := diskRegistry(t, Config{})
+	parkTenant(t, g, "victim", base, k, p)
+
+	data, meta, err := disk.Get("victim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first coordinate follows the 28-byte session header and the
+	// coordinate slice's u64 length.
+	binary.LittleEndian.PutUint64(data[28+8:], math.Float64bits(math.NaN()))
+	if err := disk.Put("victim", data, meta); err != nil {
+		t.Fatal(err)
+	}
+
+	var body map[string]string
+	httpDo(t, NewHandler(g), "POST", "/v1/tenants/victim/repartition",
+		map[string]float64{"eps": 0}, http.StatusGone, &body)
+	if !strings.Contains(body["error"], "non-finite") {
+		t.Fatalf("410 body %q does not name the non-finite value", body["error"])
+	}
+	if _, err := g.Blocks("victim"); !errors.Is(err, ErrTenantLost) {
+		t.Fatalf("second touch: err = %v, want ErrTenantLost", err)
+	}
+	if q, err := disk.Quarantined(); err != nil || len(q) != 1 || q[0] != "victim" {
+		t.Fatalf("Quarantined = %v, %v; want [victim]", q, err)
 	}
 }
