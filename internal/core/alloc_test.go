@@ -119,16 +119,16 @@ func TestWarmStepAllocsFlatInKAndP(t *testing.T) {
 }
 
 // TestKernelPassAllocsFlatInDim pins the point scratch of the Hamerly
-// passes beyond geom.MaxDim to one allocation per shard: the first pass
+// body beyond geom.MaxDim to one allocation per shard: the first pass
 // over fresh shards grows it, runAssignKernels keeps it, and from then on
 // a pass at d = 8 allocates exactly what a 3D pass does (its fan-out
-// closures) — in the cold pass and in the raw one.
+// closures) — in the cold pass and with the raw column attached.
 func TestKernelPassAllocsFlatInDim(t *testing.T) {
 	for _, raw := range []bool{false, true} {
 		perPass := func(dim int) float64 {
 			st, sample := kernelScenario(t, dim, 1200, 9, BoundsHamerly, true, 3)
 			if raw {
-				st, sample = rawScenario(t, dim, 1200, 9, 3)
+				st, sample = rawScenario(t, dim, 1200, 9, true, 3)
 			}
 			runKernels(st, sample, captureRun(st, 0, 0, 0), false, 1)
 			return testing.AllocsPerRun(5, func() { st.runAssignKernels(sample) })

@@ -59,8 +59,9 @@ func (st *state) assignAndBalance() bool {
 
 	// Center-center tables for the anchored rescans of the Hamerly passes:
 	// centers are fixed across the balance rounds below, so one build
-	// serves them all. The raw pass cannot run without them; the cold
-	// pass takes them when the build pays for itself on this sample.
+	// serves them all. A pass carrying the raw shadow column cannot run
+	// without them; the cold pass takes them when the build pays for
+	// itself on this sample.
 	st.ccBuilt = st.trackRaw ||
 		(st.cfg.Bounds == BoundsHamerly && ccTablesPay(st.k, len(sample)))
 	if st.ccBuilt {
@@ -316,12 +317,9 @@ func (st *state) runAssignKernels(sample []int32) (distCalcs, skips, breaks int6
 	// never the chunk grid, so output is unaffected.
 	st.lease.ForEach(st.workers, nc, func(s int) {
 		kr, idx := &st.shards[s], chunkSlice(s)
-		switch {
-		case elkan:
+		if elkan {
 			kr.RunElkan(st.dim, idx)
-		case st.trackRaw: // implies hamerly
-			kr.RunBoundedRaw(st.dim, idx)
-		default:
+		} else {
 			kr.RunBounded(st.dim, idx, hamerly)
 		}
 	})

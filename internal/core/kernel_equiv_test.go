@@ -145,10 +145,25 @@ func (st *state) scenarioCCTables() {
 }
 
 // rawScenario extends a kernelScenario with the warm incremental state the
-// raw-shadow Hamerly pass needs: raw lower bounds, the raw skip floor, and
-// the k×k center-to-center anchored-scan tables.
-func rawScenario(t testing.TB, dim, n, k int, seed int64) (*state, []int32) {
-	st, sample := kernelScenario(t, dim, n, k, BoundsHamerly, false, seed)
+// Hamerly body's raw shadow column needs: raw lower bounds, the raw skip
+// floor, and the k×k center-to-center anchored-scan tables. prune sets the
+// box-prune flag, which production warm runs carry (BBoxPruning defaults
+// on) and which the raw column must never act on; to make that testable,
+// a pruned scenario stretches its centers over three times the point cube,
+// so that most of them lie outside the sample box and the box break of an
+// unanchored scan would fire if the raw column let it.
+func rawScenario(t testing.TB, dim, n, k int, prune bool, seed int64) (*state, []int32) {
+	st, sample := kernelScenario(t, dim, n, k, BoundsHamerly, prune, seed)
+	if prune {
+		for b := 0; b < k; b++ {
+			row := st.centers[b*dim : (b+1)*dim]
+			for d := range row {
+				row[d] *= 3
+			}
+			st.centerCols.SetVec(b, row)
+		}
+		st.scenarioTables(sample)
+	}
 	rng := rand.New(rand.NewSource(seed + 1000))
 	st.trackRaw = true
 	st.rlb = make([]float64, st.X.Len())
@@ -360,16 +375,19 @@ func kernelLattice(t *testing.T, dims, ks []int, seeds int, seedBase int64) {
 	}
 }
 
-// rawLattice is the same for the warm incremental Hamerly pass
-// (RunBoundedRaw: raw shadow bound maintenance, raw skip floor,
-// center-anchored scans with the triangle break).
+// rawLattice is the same for the warm incremental Hamerly pass — the one
+// body with the raw shadow column attached: raw bound maintenance, raw
+// skip floor, center-anchored scans with the triangle break, and no box
+// break whether the prune flag is set or not.
 func rawLattice(t *testing.T, dims, ks []int, seeds int, seedBase int64) {
 	for _, dim := range dims {
 		t.Run(fmt.Sprintf("dim=%d", dim), func(t *testing.T) {
-			for _, k := range ks {
-				for seed := int64(0); seed < int64(seeds); seed++ {
-					st, sample := rawScenario(t, dim, latticeN(dim), k, seedBase+seed)
-					checkAgainstReference(t, st, sample)
+			for _, prune := range []bool{true, false} {
+				for _, k := range ks {
+					for seed := int64(0); seed < int64(seeds); seed++ {
+						st, sample := rawScenario(t, dim, latticeN(dim), k, prune, seedBase+seed)
+						checkAgainstReference(t, st, sample)
+					}
 				}
 			}
 		})
@@ -438,9 +456,9 @@ func clusterScenario(st *state, seed int64) (samples [4][]int32) {
 // its counters say where its scan stopped; kernel and scalar reference
 // must agree on everything, DistCalcs included — the evaluated but
 // unexamined rest of a block is nobody's business — and each rule (box
-// order, anchored triangle walk, the raw pass's walk) must have stopped
-// scans at positions that are not multiples of the block length, in the
-// first block and beyond it.
+// order, anchored triangle walk, that walk with the raw column attached)
+// must have stopped scans at positions that are not multiples of the
+// block length, in the first block and beyond it.
 func TestBlockedScanBreaksMidBlock(t *testing.T) {
 	const n, k = 300, 32
 	const block = 8 // geom's blockLen
@@ -449,7 +467,7 @@ func TestBlockedScanBreaksMidBlock(t *testing.T) {
 			t.Run(fmt.Sprintf("dim=%d/%s", dim, arm), func(t *testing.T) {
 				st, _ := kernelScenario(t, dim, n, k, BoundsHamerly, true, 41)
 				if arm == "raw" {
-					st, _ = rawScenario(t, dim, n, k, 41)
+					st, _ = rawScenario(t, dim, n, k, true, 41)
 				}
 				samples := clusterScenario(st, 41)
 				if arm != "box" {
@@ -533,9 +551,11 @@ func TestGenericKernelMatchesSpecialized(t *testing.T) {
 	}
 	t.Run("raw", func(t *testing.T) {
 		for _, dim := range []int{2, 3} {
-			for seed := int64(0); seed < 4; seed++ {
-				st, sample := rawScenario(t, dim, 1500, 11, 500+seed)
-				check(t, st, sample)
+			for _, prune := range []bool{true, false} {
+				for seed := int64(0); seed < 4; seed++ {
+					st, sample := rawScenario(t, dim, 1500, 11, prune, 500+seed)
+					check(t, st, sample)
+				}
 			}
 		}
 	})
@@ -584,7 +604,7 @@ func FuzzKernelAssignMatchesReference(f *testing.F) {
 		var sample []int32
 		switch mode := int(modeRaw) % 5; mode {
 		case 3:
-			st, sample = rawScenario(t, dim, n, k, seed)
+			st, sample = rawScenario(t, dim, n, k, true, seed)
 		case 4:
 			st, sample = kernelScenario(t, dim, n, k, BoundsHamerly, true, seed)
 			st.scenarioCCTables()

@@ -106,13 +106,15 @@ func referenceAssign(dim int, kr *geom.AssignKernel, idx []int32, hamerly, elkan
 	}
 }
 
-// referenceAssignRaw is the scalar reference of RunBoundedRaw (the warm
-// incremental Hamerly pass): skip against max(effective Lb, raw floor
+// referenceAssignRaw is the scalar reference of RunBounded with the raw
+// shadow column attached (the warm incremental Hamerly pass), written
+// apart from referenceAssign on purpose so that a mistake shared with the
+// one kernel body cannot pass: skip against max(effective Lb, raw floor
 // RawLb·RawLbInv) with the winner stored back, a center-anchored scan
 // with the triangle-inequality break for assigned points (full scan in
-// pruning order otherwise), and the raw second-minimum tracked into
-// RawLb. Like the kernel it leaves LocalW alone: the warm path reads its
-// block weights from the exact banks.
+// pruning order otherwise, never the box break), and the raw
+// second-minimum tracked into RawLb. Like the kernel it leaves LocalW
+// alone: the warm path reads its block weights from the exact banks.
 func referenceAssignRaw(dim int, kr *geom.AssignKernel, idx []int32) {
 	invMaxInf2 := kr.RawLbInv * kr.RawLbInv
 	for _, i := range idx {

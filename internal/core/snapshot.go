@@ -333,6 +333,23 @@ func RestoreResident(d *SnapDecoder) (*Resident, error) {
 		return nil, fmt.Errorf("%w: weight/id lengths %d/%d for %d points",
 			ErrCheckpointCorrupt, len(st.W), len(st.IDs), n)
 	}
+	// A sound frame says nothing about its writer: hold the record's own
+	// copies of the coordinates and weights to the rules PointSet.Validate
+	// enforces on the session's point set.
+	for di, col := range st.X.Col {
+		for i, x := range col {
+			if !(math.Abs(x) <= math.MaxFloat64) {
+				return nil, fmt.Errorf("%w: %w: resident coordinate %g at point %d, axis %d",
+					ErrCheckpointCorrupt, geom.ErrNonFinite, x, i, di)
+			}
+		}
+	}
+	for i, x := range st.W {
+		if !(x >= 0 && x <= math.MaxFloat64) {
+			return nil, fmt.Errorf("%w: %w: resident weight %g at point %d",
+				ErrCheckpointCorrupt, geom.ErrNonFinite, x, i)
+		}
+	}
 
 	if !carry {
 		return r, nil

@@ -13,14 +13,15 @@
 // the invariants the callers rely on.
 //
 // The kernels read points from a structure-of-arrays Cols store, and
-// each pass — RunBounded, RunElkan, RunBoundedRaw — is one body for every
-// dimension: the bounds logic is written once, and the only
-// dimension-dependent code is the squared-distance expression, chosen per
-// evaluation by an in-body switch on dim between the unrolled 2D
-// expression over the hoisted X/Y columns (1D inputs ride it with a zero
-// Y column), the unrolled 3D one, and a walk over the column lists beyond
-// MaxDim. There the two Hamerly passes gather the rescanned point once
-// (gatherPoint) and evaluate the scan order blockLen centers at a time
+// there are two bodies, each one for every dimension: RunBounded, the
+// Hamerly/plain pass, cold and warm (the raw shadow bound is an optional
+// column of it), and RunElkan. The bounds logic is written once, and the
+// only dimension-dependent code is the squared-distance expression,
+// chosen per evaluation by an in-body switch on dim between the unrolled
+// 2D expression over the hoisted X/Y columns (1D inputs ride it with a
+// zero Y column), the unrolled 3D one, and a walk over the column lists
+// beyond MaxDim. There the Hamerly body gathers the rescanned point once
+// (gatherPoint) and evaluates the scan order blockLen centers at a time
 // (blockDist2), the switch arm reading its distance from the block;
 // RunElkan, whose per-center bounds skip most centers, and the single
 // evaluation of an anchor call colsDist2 per center. Every one of them
@@ -291,22 +292,23 @@ type AssignKernel struct {
 	UbScale []float64
 	LbScale float64
 
-	// Raw-space shadow lower bound (RunBoundedRaw; the warm incremental
-	// path of internal/core): RawLb[i] lower-bounds the *influence-free*
-	// distance from point i to every center other than A[i]. Influence
-	// changes cannot touch it, so it survives the balance loop's
-	// compounding Lb rescales and converts losslessly across runs. The
-	// raw pass maintains it on every recompute by tracking the two
-	// smallest raw distances of the scan, and uses RawLb[i]·RawLbInv
-	// (RawLbInv = a conservatively rounded 1/max-influence) as a second
-	// skip floor next to the effective Lb.
+	// Raw-space shadow lower bound, an optional column of RunBounded that
+	// the warm incremental path of internal/core attaches: RawLb[i]
+	// lower-bounds the *influence-free* distance from point i to every
+	// center other than A[i]. Influence changes cannot touch it, so it
+	// survives the balance loop's compounding Lb rescales and converts
+	// losslessly across runs. RunBounded maintains it on every recompute
+	// by tracking the two smallest raw distances of the scan, and uses
+	// RawLb[i]·RawLbInv (RawLbInv = a conservatively rounded
+	// 1/max-influence) as a second skip floor next to the effective Lb.
+	// A non-nil RawLb requires hamerly and the CCOrder/CCDist tables.
 	RawLb    []float64
 	RawLbInv float64
 
-	// Center-center pruning tables for the anchored rescans of the two
-	// Hamerly passes (row-major K×K, centers fixed across the balance
+	// Center-center pruning tables for the anchored rescans of the
+	// Hamerly body (row-major K×K, centers fixed across the balance
 	// rounds of one pass sequence; nil on a kernel that scans in box
-	// order only — RunBoundedRaw requires them, RunBounded does not):
+	// order only — required when RawLb is attached, optional otherwise):
 	// CCOrder[a·K+j] lists the centers in ascending raw distance from
 	// center a, with CCOrder[a·K] = a itself, and CCDist[a·K+j] holds
 	// the matching raw distances, pre-deflated by the caller so that
@@ -320,21 +322,20 @@ type AssignKernel struct {
 	CCDist  []float64
 
 	// Accumulators, private per kernel value. LocalW receives every
-	// visited point's weight under its (new or kept) block in RunBounded
-	// and RunElkan. RunBoundedRaw leaves it untouched: that pass only runs
-	// on the warm path, whose block weights come from the exact banks
-	// (core's exactBlockWeights), so a float partial there is read by
-	// nobody.
+	// visited point's weight under its (new or kept) block, except in a
+	// RunBounded pass with RawLb attached: that column rides only the warm
+	// path, whose block weights come from the exact banks (core's
+	// exactBlockWeights), so a float partial there is read by nobody.
 	LocalW []float64
 
-	// Q is scratch for the two Hamerly passes beyond MaxDim: the rescanned
+	// Q is scratch for the Hamerly body beyond MaxDim: the rescanned
 	// point's coordinates, gathered once per rescan. Private per kernel
 	// like LocalW; a pass grows it when it is shorter than the dimension,
 	// so a caller that reuses kernel values should carry it across calls.
 	Q []float64
 
 	// DistCalcs counts the centers the scans examined. Beyond MaxDim the
-	// Hamerly passes evaluate blockLen scan positions at a time, so a
+	// Hamerly body evaluates blockLen scan positions at a time, so a
 	// rescan that breaks mid-block has evaluated up to blockLen−1 more
 	// centers than it counts.
 	DistCalcs int64
@@ -349,8 +350,8 @@ type AssignKernel struct {
 // apply they agree bit for bit.
 //
 // It serves the evaluations that come one at a time beyond MaxDim —
-// RunElkan's, and the anchor of a Hamerly rescan; the scans of the two
-// Hamerly passes go through blockDist2.
+// RunElkan's, and the anchor of a Hamerly rescan; the scans of the
+// Hamerly body go through blockDist2.
 //
 // Deliberately not inlined: inside a kernel body the walk's back edge
 // reloads the body's spilled loop state on every axis, and the 2D/3D
@@ -370,15 +371,6 @@ func colsDist2(pc, cc [][]float64, i, b int32) float64 {
 
 // blockLen is the number of scan positions one blockDist2 call covers.
 const blockLen = 8
-
-// pointScratch returns the kernel's gather buffer for one point beyond
-// MaxDim, growing Q on a kernel that was built without one.
-func (kr *AssignKernel) pointScratch(dim int) []float64 {
-	if dim > MaxDim && len(kr.Q) < dim {
-		kr.Q = make([]float64, dim)
-	}
-	return kr.Q
-}
 
 // gatherPoint copies point i of the pc columns into q: len(pc)
 // independent loads, issued once per rescan instead of once per center.
@@ -429,6 +421,17 @@ func blockDist2(q []float64, cc [][]float64, ids []int32, out *[blockLen]float64
 	out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7] = s0, s1, s2, s3, s4, s5, s6, s7
 }
 
+// rawScan is a rescan's state for the raw shadow column: the two smallest
+// raw distances (r1 at center r1id, r2) and floor2, a squared floor under
+// the centers never reached. RunBounded reaches it through a pointer,
+// which keeps it in memory: held in locals, which the compiler keeps in
+// registers across the scan, it cost the cold pass, where it is dead,
+// 4–9 % at d ≤ 3 (paired runs against the pass without it).
+type rawScan struct {
+	r1, r2, floor2 float64
+	r1id           int32
+}
+
 // RunBounded executes the Hamerly/plain assignment pass over idx: for
 // each point, recompute the best and second-best effective center unless
 // hamerly bound skipping (Ub < Lb) proves the assignment unchanged.
@@ -436,26 +439,38 @@ func blockDist2(q []float64, cc [][]float64, ids []int32, out *[blockLen]float64
 // A rescan truncates its scan by one of two rules, chosen per point. A
 // Hamerly rescan of a point that already has a block, on a kernel that
 // carries the center-center tables (CCOrder non-nil, with CCDist and
-// RawLbInv), is anchored like RunBoundedRaw's: the current center first,
-// then its CCOrder row in ascending center-center distance until the
-// triangle inequality proves the tail irrelevant — a cost of the point's
-// neighbours, not of K. Every other scan (unassigned points, plain mode,
-// no tables) runs in bounding-box order and breaks, when Prune is set,
-// at the first center whose box distance exceeds the second best. Both
-// rules leave best and second-best exactly as a full scan computes them
-// (modulo exact-tie scan order; see DESIGN.md, "Anchored rescans").
+// RawLbInv), is anchored: the current center first, then its CCOrder row
+// in ascending center-center distance until the triangle inequality
+// proves the tail irrelevant — a cost of the point's neighbours, not of
+// K. Every other scan (unassigned points, plain mode, no tables) runs in
+// bounding-box order and breaks, when Prune is set, at the first center
+// whose box distance exceeds the second best. Both rules leave best and
+// second-best exactly as a full scan computes them (modulo exact-tie scan
+// order; see DESIGN.md, "Anchored rescans").
+//
+// With the raw shadow column attached (RawLb non-nil) the body also
+// floors the skip test at RawLb·RawLbInv, refreshes RawLb on every
+// rescan, leaves LocalW alone (see the fields) and never takes the box
+// break, which would leave the raw minimum over the unscanned tail
+// unknown (DistBB2 lives in effective space); on the warm path, whose
+// per-rank boxes span the domain, it never fires anyway.
 func (kr *AssignKernel) RunBounded(dim int, idx []int32, hamerly bool) {
 	px, py, pz := kr.PX, kr.PY, kr.PZ
 	cx, cy, cz := kr.CX, kr.CY, kr.CZ
 	pc, cc := kr.PC, kr.CC
-	q := kr.pointScratch(dim)
+	if dim > MaxDim && len(kr.Q) < dim {
+		kr.Q = make([]float64, dim) // a kernel built without scratch
+	}
+	q := kr.Q
 	var blk [blockLen]float64
 	inv2 := kr.InvInf2
 	k := kr.K
 	order, dbb2 := kr.Order, kr.DistBB2
-	prune := kr.Prune
 	ccOrder, ccDist := kr.CCOrder, kr.CCDist
-	invMaxInf2 := kr.RawLbInv * kr.RawLbInv
+	rawLb, rawLbInv := kr.RawLb, kr.RawLbInv
+	raw := rawLb != nil
+	boxBreak := kr.Prune && !raw
+	invMaxInf2 := rawLbInv * rawLbInv
 	walk := hamerly && ccOrder != nil
 	w, a, ub, lb, localW := kr.W, kr.A, kr.Ub, kr.Lb, kr.LocalW
 	ubScale, lbScale := kr.UbScale, kr.LbScale
@@ -469,22 +484,30 @@ func (kr *AssignKernel) RunBounded(dim int, idx []int32, hamerly bool) {
 				u *= ubScale[cur]
 				l *= lbScale
 			}
+			if raw {
+				if lr := rawLb[i] * rawLbInv; lr > l {
+					l = lr
+				}
+			}
 			if u < l {
-				if scaled {
+				if scaled || raw {
 					ub[i] = u
 					lb[i] = l
 				}
 				skips++
-				localW[cur] += w[i]
+				if !raw {
+					localW[cur] += w[i]
+				}
 				continue
 			}
 		}
 		x, y, z := px[i], py[i], pz[i]
 		best2, second2 := math.Inf(1), math.Inf(1)
 		best := int32(0)
+		rs := &rawScan{r1: math.Inf(1), r2: math.Inf(1), r1id: -1, floor2: math.Inf(1)}
 
-		// See RunBoundedRaw: scan is the box order, or the rest of the
-		// current center's CCOrder row with its CCDist entries in ccd.
+		// scan is the box order, or — anchored — the rest of the current
+		// center's CCOrder row with its CCDist entries in ccd.
 		scan := order
 		var ccd []float64
 		var rub float64
@@ -503,6 +526,7 @@ func (kr *AssignKernel) RunBounded(dim int, idx []int32, hamerly bool) {
 			}
 			distCalcs++
 			rub = math.Sqrt(rawA2)
+			rs.r1, rs.r1id = rawA2, cur
 			best2 = rawA2 * inv2[cur]
 			best = cur
 			row := int(cur) * k
@@ -516,20 +540,21 @@ func (kr *AssignKernel) RunBounded(dim int, idx []int32, hamerly bool) {
 				lr := ccd[j] - rub
 				if lr > 0 && lr*lr*invMaxInf2 > second2 {
 					breaks++
+					rs.floor2 = lr * lr
 					break
 				}
-			} else if prune && dbb2[bc] > second2 {
+			} else if boxBreak && dbb2[bc] > second2 {
 				breaks++
 				break
 			}
-			var d2 float64
+			var raw2 float64
 			switch {
 			case dim <= 2:
 				dx, dy := x-cx[bc], y-cy[bc]
-				d2 = dx*dx + dy*dy
+				raw2 = dx*dx + dy*dy
 			case dim == 3:
 				dx, dy, dz := x-cx[bc], y-cy[bc], z-cz[bc]
-				d2 = dx*dx + dy*dy + dz*dz
+				raw2 = dx*dx + dy*dy + dz*dz
 			default:
 				if j&(blockLen-1) == 0 {
 					if j == 0 {
@@ -537,10 +562,19 @@ func (kr *AssignKernel) RunBounded(dim int, idx []int32, hamerly bool) {
 					}
 					blockDist2(q, cc, scan[j:], &blk)
 				}
-				d2 = blk[j&(blockLen-1)]
+				raw2 = blk[j&(blockLen-1)]
 			}
-			d2 *= inv2[bc]
+			d2 := raw2 * inv2[bc]
 			distCalcs++
+			if raw {
+				if raw2 < rs.r1 {
+					rs.r2 = rs.r1
+					rs.r1 = raw2
+					rs.r1id = bc
+				} else if raw2 < rs.r2 {
+					rs.r2 = raw2
+				}
+			}
 			if d2 < best2 {
 				second2 = best2
 				best2 = d2
@@ -552,7 +586,18 @@ func (kr *AssignKernel) RunBounded(dim int, idx []int32, hamerly bool) {
 		a[i] = best
 		ub[i] = math.Sqrt(best2)
 		lb[i] = math.Sqrt(second2)
-		localW[best] += w[i]
+		if raw {
+			rl := rs.r1
+			if rs.r1id == best {
+				rl = rs.r2
+			}
+			if rs.floor2 < rl {
+				rl = rs.floor2
+			}
+			rawLb[i] = math.Sqrt(rl)
+		} else {
+			localW[best] += w[i]
+		}
 	}
 	kr.DistCalcs += distCalcs
 	kr.Skips += skips
@@ -635,154 +680,6 @@ func (kr *AssignKernel) RunElkan(dim int, idx []int32) {
 		a[i] = bestC
 		ub[i] = math.Sqrt(best2)
 		localW[bestC] += w[i]
-	}
-	kr.DistCalcs += distCalcs
-	kr.Skips += skips
-	kr.Breaks += breaks
-}
-
-// RunBoundedRaw is the Hamerly pass of the warm incremental path: next
-// to the plain bounded pass it (a) tests the skip against the better of
-// the effective Lb and the raw-space floor RawLb·RawLbInv, storing the
-// winning (still valid) bound back, (b) refreshes RawLb for every
-// recomputed point by tracking the two smallest raw distances of the
-// scan, and (c) anchors each rescan of an already-assigned point at its
-// current center, walking the CCOrder row in ascending center-center
-// distance and breaking once the triangle inequality proves the tail
-// irrelevant. The bounding-box prune of the plain pass is not used: its
-// break would leave the raw minimum over the unscanned tail unknown
-// (DistBB2 lives in effective space), and on the warm path — points in
-// input distribution, per-rank boxes spanning the whole domain — it
-// never fires anyway. The triangle break leaves best and second-best
-// exactly as a full scan computes them, so A, Ub and Lb match the plain
-// pass (modulo exact-tie scan order; see DESIGN.md). LocalW is not
-// accumulated: the warm path takes its block weights from the exact
-// banks (see the field).
-func (kr *AssignKernel) RunBoundedRaw(dim int, idx []int32) {
-	px, py, pz := kr.PX, kr.PY, kr.PZ
-	cx, cy, cz := kr.CX, kr.CY, kr.CZ
-	pc, cc := kr.PC, kr.CC
-	q := kr.pointScratch(dim)
-	var blk [blockLen]float64
-	inv2 := kr.InvInf2
-	k := kr.K
-	order := kr.Order
-	ccOrder, ccDist := kr.CCOrder, kr.CCDist
-	a, ub, lb := kr.A, kr.Ub, kr.Lb
-	rawLb, rawLbInv := kr.RawLb, kr.RawLbInv
-	invMaxInf2 := rawLbInv * rawLbInv
-	ubScale, lbScale := kr.UbScale, kr.LbScale
-	scaled := ubScale != nil
-	var distCalcs, skips, breaks int64
-	for _, i := range idx {
-		cur := a[i]
-		if cur >= 0 {
-			u, l := ub[i], lb[i]
-			if scaled {
-				u *= ubScale[cur]
-				l *= lbScale
-			}
-			if lr := rawLb[i] * rawLbInv; lr > l {
-				l = lr
-			}
-			if u < l {
-				ub[i] = u
-				lb[i] = l
-				skips++
-				continue
-			}
-		}
-		x, y, z := px[i], py[i], pz[i]
-		best2, second2 := math.Inf(1), math.Inf(1)
-		r1, r2 := math.Inf(1), math.Inf(1)
-		r1id := int32(-1)
-		best := int32(0)
-		rawFloor2 := math.Inf(1) // sound (squared) floor under unscanned centers
-
-		// An unassigned point scans every center in pruning order. An
-		// assigned one evaluates its current center first and then walks
-		// the rest of that center's CCOrder row, whose CCDist entries
-		// (ccd) feed the triangle break.
-		scan := order
-		var ccd []float64
-		var rub float64
-		anchored := cur >= 0
-		if anchored {
-			var rawA2 float64
-			switch {
-			case dim <= 2:
-				dx, dy := x-cx[cur], y-cy[cur]
-				rawA2 = dx*dx + dy*dy
-			case dim == 3:
-				dx, dy, dz := x-cx[cur], y-cy[cur], z-cz[cur]
-				rawA2 = dx*dx + dy*dy + dz*dz
-			default:
-				rawA2 = colsDist2(pc, cc, i, cur)
-			}
-			distCalcs++
-			rub = math.Sqrt(rawA2)
-			r1, r1id = rawA2, cur
-			best2 = rawA2 * inv2[cur]
-			best = cur
-			row := int(cur) * k
-			scan, ccd = ccOrder[row+1:row+k], ccDist[row+1:row+k]
-		}
-		for j, bc := range scan {
-			if anchored {
-				// Triangle bound for every center from j on (the row is
-				// ascending): rawdist ≥ CCDist − rawdist(p, c_cur).
-				lr := ccd[j] - rub
-				if lr > 0 && lr*lr*invMaxInf2 > second2 {
-					breaks++
-					rawFloor2 = lr * lr
-					break
-				}
-			}
-			var raw2 float64
-			switch {
-			case dim <= 2:
-				dx, dy := x-cx[bc], y-cy[bc]
-				raw2 = dx*dx + dy*dy
-			case dim == 3:
-				dx, dy, dz := x-cx[bc], y-cy[bc], z-cz[bc]
-				raw2 = dx*dx + dy*dy + dz*dz
-			default:
-				if j&(blockLen-1) == 0 {
-					if j == 0 {
-						gatherPoint(pc, i, q)
-					}
-					blockDist2(q, cc, scan[j:], &blk)
-				}
-				raw2 = blk[j&(blockLen-1)]
-			}
-			d2 := raw2 * inv2[bc]
-			distCalcs++
-			if raw2 < r1 {
-				r2 = r1
-				r1 = raw2
-				r1id = bc
-			} else if raw2 < r2 {
-				r2 = raw2
-			}
-			if d2 < best2 {
-				second2 = best2
-				best2 = d2
-				best = bc
-			} else if d2 < second2 {
-				second2 = d2
-			}
-		}
-		a[i] = best
-		ub[i] = math.Sqrt(best2)
-		lb[i] = math.Sqrt(second2)
-		rl := r1
-		if r1id == best {
-			rl = r2
-		}
-		if rawFloor2 < rl {
-			rl = rawFloor2
-		}
-		rawLb[i] = math.Sqrt(rl)
 	}
 	kr.DistCalcs += distCalcs
 	kr.Skips += skips

@@ -104,7 +104,7 @@ func BenchmarkDist2Batch(b *testing.B) {
 }
 
 // TestBlockDist2MatchesColsDist2 pins the blocked evaluation of the
-// Hamerly passes beyond MaxDim to the single-center column walk it
+// Hamerly body beyond MaxDim to the single-center column walk it
 // replaces: whatever the dimension, the block length and the order of the
 // center ids, every slot blockDist2 fills holds colsDist2's bits — also
 // where the sum overflows to +Inf.

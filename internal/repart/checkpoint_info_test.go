@@ -141,8 +141,9 @@ func FuzzReadCheckpointInfo(f *testing.F) {
 
 // TestCheckpointRestoreRejectsNonFinite: a checkpoint whose bytes are
 // intact but whose writer put a NaN coordinate or a negative weight into
-// the point set is refused at restore, typed as both a corrupt checkpoint
-// and geom.ErrNonFinite — the values every other entry point rejects.
+// the point set — or a non-finite value into a rank's resident copy of
+// them — is refused at restore, typed as both a corrupt checkpoint and
+// geom.ErrNonFinite: the values every other entry point rejects.
 func TestCheckpointRestoreRejectsNonFinite(t *testing.T) {
 	ckpt := validCheckpoint(t)
 	info, err := ReadCheckpointInfo(ckpt)
@@ -156,6 +157,24 @@ func TestCheckpointRestoreRejectsNonFinite(t *testing.T) {
 	if ckpt[weight0-9] != 1 {
 		t.Fatal("fixture checkpoint carries no weights")
 	}
+	// Then the has-partition flag and partition (u64 length + N i32s), the
+	// two dirty flags and rank 0's resident record: magic, version and dim
+	// (u32 each), the box (two u64-length-prefixed dim-vectors), its point
+	// count n (u64), Dim columns and the weights (u64 length + n f64s each).
+	prev := weight0 + 8*info.N
+	resBox := prev + 1 + 2 + 12
+	if ckpt[prev] == 1 {
+		resBox += 8 + 4*info.N
+	}
+	resN := resBox + 2*(8+8*info.Dim)
+	n := int(binary.LittleEndian.Uint64(ckpt[resN:]))
+	resCoord0 := resN + 8 + 8
+	resWeight0 := resCoord0 + info.Dim*(8+8*n)
+	for _, off := range []int{resCoord0, resWeight0} {
+		if got := binary.LittleEndian.Uint64(ckpt[off-8:]); got != uint64(n) {
+			t.Fatalf("resident layout: length prefix %d before offset %d, want %d", got, off, n)
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		off  int
@@ -163,6 +182,8 @@ func TestCheckpointRestoreRejectsNonFinite(t *testing.T) {
 	}{
 		{"NaN coordinate", coord0, math.NaN()},
 		{"negative weight", weight0, -1},
+		{"Inf resident coordinate", resCoord0, math.Inf(1)},
+		{"NaN resident weight", resWeight0, math.NaN()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := append([]byte(nil), ckpt...)
