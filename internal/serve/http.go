@@ -9,8 +9,6 @@ package serve
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
-	"io"
 	"net/http"
 
 	"geographer/internal/geom"
@@ -55,9 +53,12 @@ type stepResponse struct {
 // 503 (shutting down — retry elsewhere), lost tenant state — corrupt
 // or missing spill, quarantined — 410 (gone for good; Delete and
 // re-Create), a closed session 410 likewise, a broken simulated world
-// 500, and anything else — validation — 400.
+// 500, a body over maxBodyBytes 413, and anything else — validation —
+// 400.
 func errStatus(err error) int {
 	switch {
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrNotFound):
 		return http.StatusNotFound
 	case errors.Is(err, ErrExists):
@@ -89,21 +90,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// maxBodyBytes bounds request bodies (coordinates dominate; 1<<28 is
-// ~16M points in 2D).
-const maxBodyBytes = 1 << 28
-
-func readJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		return fmt.Errorf("serve: read body: %w", err)
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		return fmt.Errorf("serve: decode body: %w", err)
-	}
-	return nil
-}
-
 // NewHandler returns the HTTP API over the registry:
 //
 //	POST   /v1/tenants                     create a tenant (ingest)
@@ -125,7 +111,7 @@ func NewHandler(g *Registry) http.Handler {
 
 	mux.HandleFunc("POST /v1/tenants", func(w http.ResponseWriter, r *http.Request) {
 		var req createRequest
-		if err := readJSON(w, r, &req); err != nil {
+		if err := readRequest(w, r, &req); err != nil {
 			writeErr(w, err)
 			return
 		}
@@ -150,14 +136,12 @@ func NewHandler(g *Registry) http.Handler {
 	})
 
 	mux.HandleFunc("GET /v1/tenants/{name}", func(w http.ResponseWriter, r *http.Request) {
-		name := r.PathValue("name")
-		for _, ti := range g.List() {
-			if ti.Name == name {
-				writeJSON(w, http.StatusOK, ti)
-				return
-			}
+		ti, err := g.Info(r.PathValue("name"))
+		if err != nil {
+			writeErr(w, err)
+			return
 		}
-		writeErr(w, ErrNotFound)
+		writeJSON(w, http.StatusOK, ti)
 	})
 
 	mux.HandleFunc("DELETE /v1/tenants/{name}", func(w http.ResponseWriter, r *http.Request) {
@@ -178,10 +162,8 @@ func NewHandler(g *Registry) http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/tenants/{name}/repartition", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Eps float64 `json:"eps"`
-		}
-		if err := readJSON(w, r, &req); err != nil {
+		var req repartitionRequest
+		if err := readRequest(w, r, &req); err != nil {
 			writeErr(w, err)
 			return
 		}
@@ -209,10 +191,8 @@ func NewHandler(g *Registry) http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/tenants/{name}/weights", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Weights []float64 `json:"weights"`
-		}
-		if err := readJSON(w, r, &req); err != nil {
+		var req weightsRequest
+		if err := readRequest(w, r, &req); err != nil {
 			writeErr(w, err)
 			return
 		}
@@ -224,10 +204,8 @@ func NewHandler(g *Registry) http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/tenants/{name}/coords", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Coords []float64 `json:"coords"`
-		}
-		if err := readJSON(w, r, &req); err != nil {
+		var req coordsRequest
+		if err := readRequest(w, r, &req); err != nil {
 			writeErr(w, err)
 			return
 		}

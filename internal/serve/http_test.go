@@ -2,11 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"time"
 
 	"geographer/internal/repart"
 )
@@ -154,4 +158,127 @@ func TestHTTPErrorMapping(t *testing.T) {
 	g.Drain()
 	httpDo(t, h, "POST", "/v1/tenants/sim/partition", nil, http.StatusServiceUnavailable, nil)
 	httpDo(t, h, "POST", "/v1/tenants", other, http.StatusServiceUnavailable, nil)
+}
+
+// TestHTTPOversizedBody413 pins a declared Content-Length above
+// maxBodyBytes to 413 on every route that takes a body, before anything
+// is read (the body sent is tiny; only its declared length is forged).
+func TestHTTPOversizedBody413(t *testing.T) {
+	h := NewHandler(NewRegistry(Config{}))
+	for _, path := range []string{"/v1/tenants", "/v1/tenants/x/weights", "/v1/tenants/x/coords", "/v1/tenants/x/repartition"} {
+		req := httptest.NewRequest("POST", path, strings.NewReader(`{}`))
+		req.ContentLength = maxBodyBytes + 1
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with Content-Length %d: status %d (body %s), want 413", path, req.ContentLength, rec.Code, rec.Body.String())
+		}
+	}
+}
+
+// TestHTTPTenantInfoLocksOnlyThatTenant holds one tenant's mutex — as its
+// in-flight verb would — and checks that GET on another tenant answers.
+func TestHTTPTenantInfoLocksOnlyThatTenant(t *testing.T) {
+	g := NewRegistry(Config{})
+	h := NewHandler(g)
+	for i, name := range []string{"a", "b"} {
+		if err := g.Create(context.Background(), name, tenantMesh(t, 300, int64(i)).Points, TenantOptions{K: 4, Processes: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.mu.Lock()
+	busy := g.tenants["b"]
+	g.mu.Unlock()
+	busy.mu.Lock()
+	defer busy.mu.Unlock()
+
+	done := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/tenants/a", nil))
+		done <- rec
+	}()
+	select {
+	case rec := <-done:
+		var ti TenantInfo
+		if rec.Code != http.StatusOK || json.Unmarshal(rec.Body.Bytes(), &ti) != nil || ti.Name != "a" {
+			t.Fatalf("GET /v1/tenants/a: status %d, body %s", rec.Code, rec.Body.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("GET /v1/tenants/a waited behind tenant b's mutex")
+	}
+}
+
+// TestHTTPMalformedBodies sends every route that takes a body a
+// truncated, a wrong-typed, an overflowing and a trailing-garbage body:
+// each is 400 and leaves the registry's state untouched. Create's
+// weights keep encoding/json's two empties apart: [] is 400 (wrong
+// length), null is 201 (unit weights).
+func TestHTTPMalformedBodies(t *testing.T) {
+	const n, k, p = 600, 4, 2
+	m := tenantMesh(t, n, 9)
+	g := NewRegistry(Config{})
+	h := NewHandler(g)
+	createFields := func(name string, weights any) map[string]any {
+		return map[string]any{"name": name, "dim": m.Points.Dim, "coords": m.Points.Coords, "weights": weights, "k": k, "processes": p}
+	}
+	httpDo(t, h, "POST", "/v1/tenants", createFields("sim", phaseWeights(m, 0)), http.StatusCreated, nil)
+	httpDo(t, h, "POST", "/v1/tenants/sim/partition", nil, http.StatusOK, nil)
+
+	marshal := func(v any) string {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	snapshot := func() string {
+		ckpt, err := g.Checkpoint("sim")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%x %+v", ckpt, g.List())
+	}
+	post := func(path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+		return rec
+	}
+
+	routes := []struct{ path, valid, wrongType, overflow string }{
+		{"/v1/tenants", marshal(createFields("other", nil)),
+			`{"name":"other","dim":"2"}`, `{"name":"other","k":9223372036854775808}`},
+		{"/v1/tenants/sim/weights", marshal(weightsRequest{phaseWeights(m, 1)}),
+			`{"weights":"1"}`, `{"weights":[1e400]}`},
+		{"/v1/tenants/sim/coords", marshal(coordsRequest{m.Points.Coords}),
+			`{"coords":{"x":1}}`, `{"coords":[0,1e309]}`},
+		{"/v1/tenants/sim/repartition", `{"eps":0}`,
+			`{"eps":"0"}`, `{"eps":1e999}`},
+	}
+	before := snapshot()
+	for _, rt := range routes {
+		for _, c := range []struct{ kind, body string }{
+			{"truncated", rt.valid[:len(rt.valid)/2]},
+			{"wrong-typed", rt.wrongType},
+			{"overflowing", rt.overflow},
+			{"trailing garbage", rt.valid + ` x`},
+		} {
+			if rec := post(rt.path, c.body); rec.Code != http.StatusBadRequest {
+				t.Errorf("POST %s, %s body: status %d (body %s), want 400", rt.path, c.kind, rec.Code, rec.Body.String())
+			}
+			if snapshot() != before {
+				t.Fatalf("POST %s, %s body changed the registry's state", rt.path, c.kind)
+			}
+		}
+	}
+
+	if rec := post("/v1/tenants", marshal(createFields("empty", []float64{}))); rec.Code != http.StatusBadRequest {
+		t.Errorf(`create with "weights":[]: status %d (body %s), want 400`, rec.Code, rec.Body.String())
+	}
+	if rec := post("/v1/tenants", marshal(createFields("unit", nil))); rec.Code != http.StatusCreated {
+		t.Errorf(`create with "weights":null: status %d (body %s), want 201`, rec.Code, rec.Body.String())
+	}
+	if _, err := g.Info("empty"); !errors.Is(err, ErrNotFound) {
+		t.Errorf(`create with "weights":[] registered a tenant (err %v)`, err)
+	}
 }

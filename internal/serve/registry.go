@@ -760,17 +760,35 @@ func (g *Registry) List() []TenantInfo {
 	sort.Slice(ts, func(i, j int) bool { return ts[i].name < ts[j].name })
 	out := make([]TenantInfo, 0, len(ts))
 	for _, t := range ts {
-		t.mu.Lock()
-		out = append(out, TenantInfo{
-			Name: t.name, K: t.k, P: t.p, N: t.n, Dim: t.dim,
-			Workers:  t.cfg.Lease.Budget(),
-			Resident: t.sess != nil, Spilled: t.spilled, Lost: t.lost,
-			Bytes: t.bytes, Steps: t.steps,
-			Evicted: t.evictions, Restored: t.restores,
-		})
-		t.mu.Unlock()
+		out = append(out, t.info())
 	}
 	return out
+}
+
+// Info returns one tenant's row of List, with List's semantics (no LRU
+// touch, no restore), taking only that tenant's mutex: it never waits
+// behind another tenant's in-flight verb.
+func (g *Registry) Info(name string) (TenantInfo, error) {
+	g.mu.Lock()
+	t, ok := g.tenants[name]
+	g.mu.Unlock()
+	if !ok {
+		return TenantInfo{}, ErrNotFound
+	}
+	return t.info(), nil
+}
+
+// info snapshots t's row under t.mu.
+func (t *tenant) info() TenantInfo {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return TenantInfo{
+		Name: t.name, K: t.k, P: t.p, N: t.n, Dim: t.dim,
+		Workers:  t.cfg.Lease.Budget(),
+		Resident: t.sess != nil, Spilled: t.spilled, Lost: t.lost,
+		Bytes: t.bytes, Steps: t.steps,
+		Evicted: t.evictions, Restored: t.restores,
+	}
 }
 
 // RegistryStats is the shared-accounting snapshot of Stats.
