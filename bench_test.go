@@ -3,7 +3,7 @@ package geographer
 // Benchmark harness: one testing.B benchmark per table and figure of the
 // paper's evaluation (§5), at reduced QuickScale sizes so `go test
 // -bench=.` finishes in minutes. The full-scale runs are driven by
-// cmd/runexp; EXPERIMENTS.md records paper-vs-measured for each.
+// cmd/runexp (docs/cli.md).
 
 import (
 	"io"

@@ -12,7 +12,7 @@
 // Default scale is the paper's setup shrunk ~1000× (see DESIGN.md);
 // results are printed in the same row/series structure as the paper so
 // the *shape* (who wins, by what factor) can be compared directly.
-// EXPERIMENTS.md records one full run.
+// docs/cli.md documents every experiment, its flags and its outputs.
 package main
 
 import (

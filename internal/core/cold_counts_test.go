@@ -46,7 +46,7 @@ func TestColdCountsFence(t *testing.T) {
 // TestColdGuardGuardsAllocation: the rule that keeps a cold run off the
 // center-center tables also has to keep it from allocating them — at
 // k = 1024 that is 12 MB per rank for tables no pass would read. The
-// control: a k the guard accepts does build them. (itemIngest is the
+// control: a k the guard accepts does build them. (refIngest is the
 // test-side Partition that lets a probe see each rank's final state.)
 func TestColdGuardGuardsAllocation(t *testing.T) {
 	ps := uniformPoints(20_000, 2, 3)
@@ -59,7 +59,7 @@ func TestColdGuardGuardsAllocation(t *testing.T) {
 					c.k, st.c.Rank(), len(st.ccDist), len(st.ccOrder), c.want)
 			}
 		}
-		if _, err := partition.Run(mpi.NewWorld(2), ps, c.k, itemIngest{New(cfg), probe}); err != nil {
+		if _, err := partition.Run(mpi.NewWorld(2), ps, c.k, refIngest{New(cfg), probe}); err != nil {
 			t.Fatal(err)
 		}
 	}

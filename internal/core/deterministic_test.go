@@ -67,7 +67,7 @@ func TestDeterministicColdPartition(t *testing.T) {
 				c := cfg
 				c.Workers = workers
 				ctx := fmt.Sprintf("p=%d workers=%d", p, workers)
-				part, err := partition.Run(mpi.NewWorld(p), ps, tc.k, itemIngest{
+				part, err := partition.Run(mpi.NewWorld(p), ps, tc.k, refIngest{
 					BalancedKMeans: New(c),
 					probe:          func(st *state) { checkOwnBanks(t, st, ctx) },
 				})

@@ -3,28 +3,30 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
-	"geographer/internal/dsort"
 	"geographer/internal/geom"
 	"geographer/internal/mpi"
 	"geographer/internal/partition"
 	"geographer/internal/sfc"
 )
 
-// itemIngest is the retained AoS reference of Partition's ingest phases
-// (§4.1 keys + global sort + redistribution): per-point sfc.Curve.Key and
-// the sort.Slice-based dsort.SampleSort/Rebalance over []dsort.Item,
-// where production runs the batch key kernel, the radix sort and flat
-// column exchanges. It hands the same state to the same k-means phase,
-// and — being a test-side Partition — is where a test can look at that
-// state afterwards: probe, when set, sees each rank's state after the run.
-type itemIngest struct {
+// refIngest is the sequential reference of Partition's ingest phases
+// (§4.1 keys + global sort + redistribution): every rank gathers all
+// records, keys each with sfc.Curve.Key, sorts them by (Key, ID) with
+// sort.Slice and keeps its balanced cut — global positions
+// [⌈r·n/p⌉, ⌈(r+1)·n/p⌉) — where production runs the batch key kernel,
+// the radix sample sort and flat column exchanges. It hands the same
+// state to the same k-means phase, and — being a test-side Partition —
+// is where a test can look at that state afterwards: probe, when set,
+// sees each rank's state after the run.
+type refIngest struct {
 	*BalancedKMeans
 	probe func(st *state)
 }
 
-func (b itemIngest) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]int64, []int32, error) {
+func (b refIngest) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]int64, []int32, error) {
 	cfg := b.Cfg.normalized()
 	if err := cfg.Validate(k); err != nil {
 		return nil, nil, err
@@ -35,42 +37,44 @@ func (b itemIngest) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]int64
 	if st.diag == 0 {
 		st.diag = 1
 	}
-	if pts.Dim > geom.MaxDim {
-		// Feature space: no curve, no sort — the columns fill straight
-		// from the input in id order, as in production.
-		st.X = geom.MakeCols(st.dim, pts.Len())
-		st.W = make([]float64, pts.Len())
-		st.IDs = append([]int64(nil), pts.IDs...)
-		for i := range st.W {
-			st.X.SetVec(i, pts.Coord(i))
-			st.W[i] = pts.Weight(i)
-		}
-		return b.finishProbed(st)
+	// Without the SFC bootstrap (and always in feature space) the
+	// columns fill straight from the input in id order, as in production.
+	ids, coords, order := pts.IDs, pts.Coords, make([]int, pts.Len())
+	for i := range order {
+		order[i] = i
 	}
-	items := make([]dsort.Item, pts.Len())
-	for i := range items {
-		items[i] = dsort.Item{Key: uint64(pts.IDs[i]), ID: pts.IDs[i], W: pts.Weight(i), X: pts.At(i)}
+	w := make([]float64, pts.Len())
+	for i := range w {
+		w[i] = pts.Weight(i)
 	}
-	if cfg.SFCBootstrap {
+	if cfg.SFCBootstrap && pts.Dim <= geom.MaxDim {
+		ids, coords, w = mpi.AllgatherFlat(c, ids), mpi.AllgatherFlat(c, coords), mpi.AllgatherFlat(c, w)
 		curve := sfc.NewCurve(boxFromFlat(bmin, bmax, pts.Dim), pts.Dim)
-		for i := range items {
-			items[i].Key = curve.Key(items[i].X)
+		keys := make([]uint64, len(ids))
+		order = make([]int, len(ids))
+		for i := range keys {
+			var x geom.Point
+			copy(x[:], coords[i*pts.Dim:(i+1)*pts.Dim])
+			keys[i], order[i] = curve.Key(x), i
 		}
-		c.AddOps(int64(len(items)))
-		items = dsort.SampleSort(c, items)
-		items = dsort.Rebalance(c, items)
+		sort.Slice(order, func(a, b int) bool {
+			i, j := order[a], order[b]
+			return keys[i] < keys[j] || keys[i] == keys[j] && ids[i] < ids[j]
+		})
+		n, p, r := len(ids), c.Size(), c.Rank()
+		order = order[(r*n+p-1)/p : ((r+1)*n+p-1)/p]
 	}
-	st.X = geom.MakeCols(st.dim, len(items))
-	st.W = make([]float64, len(items))
-	st.IDs = make([]int64, len(items))
-	for i, it := range items {
-		st.X.Set(i, it.X)
-		st.W[i], st.IDs[i] = it.W, it.ID
+	st.X = geom.MakeCols(st.dim, len(order))
+	st.W = make([]float64, len(order))
+	st.IDs = make([]int64, len(order))
+	for i, src := range order {
+		st.X.SetVec(i, coords[src*pts.Dim:(src+1)*pts.Dim])
+		st.W[i], st.IDs[i] = w[src], ids[src]
 	}
 	return b.finishProbed(st)
 }
 
-func (b itemIngest) finishProbed(st *state) ([]int64, []int32, error) {
+func (b refIngest) finishProbed(st *state) ([]int64, []int32, error) {
 	ids, blocks, err := b.finish(st)
 	if err == nil && b.probe != nil {
 		b.probe(st)
@@ -79,14 +83,15 @@ func (b itemIngest) finishProbed(st *state) ([]int64, []int32, error) {
 }
 
 // runWithIngest executes one Partition over a fresh world — through the
-// Item reference ingest when ref is set — returning the global assignment.
+// sequential reference ingest when ref is set — returning the global
+// assignment.
 func runWithIngest(t *testing.T, ps *geom.PointSet, k, p int, cfg Config, ref bool) partition.P {
 	t.Helper()
 	if !ref {
 		part, _ := runPartition(t, ps, k, p, cfg)
 		return part
 	}
-	part, err := partition.Run(mpi.NewWorld(p), ps, k, itemIngest{BalancedKMeans: New(cfg)})
+	part, err := partition.Run(mpi.NewWorld(p), ps, k, refIngest{BalancedKMeans: New(cfg)})
 	if err != nil {
 		t.Fatalf("reference ingest k=%d p=%d: %v", k, p, err)
 	}
@@ -96,8 +101,8 @@ func runWithIngest(t *testing.T, ps *geom.PointSet, k, p int, cfg Config, ref bo
 // TestIngestMatchesReference is the end-to-end differential test of the
 // SoA ingest rewrite: batch Hilbert keys + radix sample sort + flat SoA
 // redistribution must yield the bit-identical final partition as the
-// retained Item reference path (per-point keys, sort.Slice, AoS
-// exchange), across rank counts, worker counts and both dimensions.
+// sequential reference (per-point keys, one sort.Slice, balanced cuts),
+// across rank counts, worker counts and both dimensions.
 func TestIngestMatchesReference(t *testing.T) {
 	for _, dim := range []int{2, 3} {
 		for _, p := range []int{1, 3, 4} {
@@ -205,8 +210,7 @@ func TestFoldBoundsMatchesMathMin(t *testing.T) {
 
 // BenchmarkIngestPhase measures the ingest phases (key computation +
 // global sort + redistribution) through a full Partition on the facade
-// workload shape (n=20k, p=4). dsort's BenchmarkSampleSort still times
-// the Item reference path next to the column one.
+// workload shape (n=20k, p=4).
 func BenchmarkIngestPhase(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	ps := geom.NewPointSet(2, 20000)

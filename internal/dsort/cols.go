@@ -1,23 +1,20 @@
-// SoA fast path of the distributed sample sort.
+// SoA pipeline of the distributed sample sort.
 //
 // The ingest pipeline (paper §4.1, Algorithm 2 lines 4–6) is the one
-// place where every input point crosses the wire. The AoS Item path
-// (dsort.go) remains as the reference; the Cols path below carries the
-// same data as flat columns — keys, ids, weights, and one []float64 per
-// *actual* spatial dimension — which buys three things:
+// place where every input point crosses the wire. The records travel as
+// flat columns — keys, ids, weights, and one []float64 per *actual*
+// spatial dimension — so that:
 //
-//   - the local sort is an LSD radix over the uint64 key (radix.go)
-//     instead of reflection-based sort.Slice;
-//   - the post-exchange "concat + full re-sort" becomes a p-way merge of
-//     the already-sorted received runs;
-//   - the all-to-all moves flat buffers (mpi.AlltoallFlat) whose traffic
-//     statistics match the real wire size — a 2D point no longer pays
-//     for a padded third coordinate.
+//   - the local sort is an LSD radix over the uint64 key (radix.go);
+//   - the received runs, each already sorted, are p-way merged instead
+//     of re-sorted;
+//   - the all-to-all moves flat buffers (mpi.AlltoallCols) whose traffic
+//     statistics match the real wire size — a 2D point pays for no
+//     padded third coordinate.
 //
-// The global (Key, ID) order, the per-rank chunks, and therefore every
-// downstream partition are bit-identical to the Item path; the
-// differential tests in cols_test.go enforce this across rank counts and
-// dimensions.
+// The differential tests in cols_test.go pin the global (Key, ID) order
+// and the balanced per-rank chunks to a sequential oracle across rank
+// counts and dimensions.
 package dsort
 
 import (
@@ -63,15 +60,6 @@ func (c *Cols) SetPoint(i int, p geom.Point) {
 	}
 }
 
-// Point returns the coordinates of record i.
-func (c *Cols) Point(i int) geom.Point {
-	var p geom.Point
-	for d := 0; d < c.Dim; d++ {
-		p[d] = c.C[d][i]
-	}
-	return p
-}
-
 // col returns coordinate column d, or nil when the batch has fewer
 // dimensions.
 func (c *Cols) col(d int) []float64 {
@@ -106,27 +94,6 @@ func (c *Cols) Geom() geom.Cols {
 		out.Z = make([]float64, n)
 	}
 	return out
-}
-
-// ColsFromItems converts an AoS item batch (reference path, tests).
-func ColsFromItems(dim int, items []Item) *Cols {
-	c := NewCols(dim, len(items))
-	for i, it := range items {
-		c.Keys[i] = it.Key
-		c.IDs[i] = it.ID
-		c.W[i] = it.W
-		c.SetPoint(i, it.X)
-	}
-	return c
-}
-
-// Items converts back to the AoS form (reference path, tests).
-func (c *Cols) Items() []Item {
-	items := make([]Item, c.Len())
-	for i := range items {
-		items[i] = Item{Key: c.Keys[i], ID: c.IDs[i], W: c.W[i], X: c.Point(i)}
-	}
-	return items
 }
 
 // WireBytes returns the modeled per-record wire size of the SoA
@@ -174,9 +141,8 @@ func (c *Cols) permute(perm []int32) {
 
 // exchange performs the SoA all-to-all: all columns (keys, ids,
 // weights, Dim coordinates) travel in one collective with shared
-// sendCounts, so the collective count matches the reference path's
-// single Alltoall while the accounted bytes are WireBytes(Dim) per
-// off-rank record. Returns the received batch (runs concatenated in
+// sendCounts, and the accounted bytes are WireBytes(Dim) per off-rank
+// record. Returns the received batch (runs concatenated in
 // rank order) and the per-source run lengths.
 func exchange(c *mpi.Comm, local *Cols, sendCounts []int) (*Cols, []int) {
 	f64 := make([][]float64, 1+local.Dim)
@@ -192,11 +158,12 @@ func exchange(c *mpi.Comm, local *Cols, sendCounts []int) (*Cols, []int) {
 	return out, counts
 }
 
-// SampleSortCols is SampleSort over the SoA batch: same splitters, same
-// buckets, same global (Key, ID) order as the Item path — bit-identical
-// per-rank results — but with a radix local sort, flat exchanges, and a
-// p-way merge of the received (already sorted) runs instead of the
-// reference path's concat + full re-sort.
+// SampleSortCols globally sorts the union of all ranks' records by
+// (Key, ID) — the ID tiebreak makes the order total and the pipeline
+// deterministic — and returns this rank's resulting chunk: rank r's
+// chunk precedes rank r+1's in the global order. Chunk sizes are
+// approximately balanced; RebalanceCols afterwards makes the balance
+// exact (the paper's redistribution step).
 func SampleSortCols(c *mpi.Comm, local *Cols) *Cols {
 	p := c.Size()
 	SortColsLocal(local)
@@ -205,8 +172,7 @@ func SampleSortCols(c *mpi.Comm, local *Cols) *Cols {
 	}
 	n := local.Len()
 
-	// Regular sampling of local keys (identical to the reference path, so
-	// splitters and bucket boundaries match exactly).
+	// Regular sampling of local keys.
 	s := samplesPerRank
 	if n < s {
 		s = n
@@ -326,8 +292,9 @@ func mergeRuns(in *Cols, counts []int) *Cols {
 	return out
 }
 
-// RebalanceCols is Rebalance over the SoA batch: exact ⌈n/p⌉ balance
-// with the global order preserved (Algorithm 2 line 6). The received
+// RebalanceCols redistributes globally sorted chunks so every rank holds
+// an exact balanced slice of the global order — rank r gets global
+// positions [⌈r·n/p⌉, ⌈(r+1)·n/p⌉) (Algorithm 2 line 6). The received
 // runs arrive in rank order and the cuts are order-preserving, so the
 // flat exchange output needs no merge at all.
 func RebalanceCols(c *mpi.Comm, local *Cols) *Cols {
@@ -361,9 +328,4 @@ func RebalanceCols(c *mpi.Comm, local *Cols) *Cols {
 	}
 	out, _ := exchange(c, local, sendCounts)
 	return out
-}
-
-// IsGloballySortedCols is IsGloballySorted for a SoA batch.
-func IsGloballySortedCols(c *mpi.Comm, local *Cols) bool {
-	return IsGloballySorted(c, local.Items())
 }

@@ -2,51 +2,120 @@ package dsort
 
 import (
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 
 	"geographer/internal/mpi"
 )
 
-// makeCols builds the SoA twin of makeItems for one rank.
-func makeCols(rank, n int, seed int64, dim int) *Cols {
-	items := makeItems(rank, n, seed)
-	return ColsFromItems(dim, items)
-}
-
 // colsEqual compares two batches record-by-record, bit-exact.
-func colsEqual(t *testing.T, tag string, got *Cols, want []Item) {
+func colsEqual(t *testing.T, tag string, got, want *Cols) {
 	t.Helper()
-	if got.Len() != len(want) {
-		t.Fatalf("%s: %d records, want %d", tag, got.Len(), len(want))
+	if got.Len() != want.Len() {
+		t.Fatalf("%s: %d records, want %d", tag, got.Len(), want.Len())
 	}
-	for i, it := range want {
-		if got.Keys[i] != it.Key || got.IDs[i] != it.ID || got.W[i] != it.W || got.Point(i) != it.X {
-			t.Fatalf("%s: record %d = {%x %d %v %v}, want {%x %d %v %v}",
-				tag, i, got.Keys[i], got.IDs[i], got.W[i], got.Point(i),
-				it.Key, it.ID, it.W, it.X)
+	for i := range want.Keys {
+		same := got.Keys[i] == want.Keys[i] && got.IDs[i] == want.IDs[i] && got.W[i] == want.W[i]
+		for d := range want.C {
+			same = same && got.C[d][i] == want.C[d][i]
+		}
+		if !same {
+			t.Fatalf("%s: record %d = {%x %d %v}, want {%x %d %v}",
+				tag, i, got.Keys[i], got.IDs[i], got.W[i], want.Keys[i], want.IDs[i], want.W[i])
 		}
 	}
 }
 
+// sortedCut is the sequential oracle of the distributed pipeline: all
+// records in one batch, sorted by (Key, ID) with sort.Slice, and rank
+// r's balanced cut of the result — global positions [⌈r·n/p⌉,
+// ⌈(r+1)·n/p⌉), the cut RebalanceCols makes.
+func sortedCut(all *Cols, r, p int) *Cols {
+	order := make([]int, all.Len())
+	for i := range order {
+		order[i] = i
+	}
+	keys, ids := all.Keys, all.IDs
+	sort.Slice(order, func(a, b int) bool {
+		i, j := order[a], order[b]
+		return keys[i] < keys[j] || keys[i] == keys[j] && ids[i] < ids[j]
+	})
+	n := len(order)
+	order = order[(r*n+p-1)/p : ((r+1)*n+p-1)/p]
+	out := NewCols(all.Dim, len(order))
+	for i, src := range order {
+		out.Keys[i], out.IDs[i], out.W[i] = keys[src], ids[src], all.W[src]
+		for d := range out.C {
+			out.C[d][i] = all.C[d][src]
+		}
+	}
+	return out
+}
+
+// concatCols joins batches in order.
+func concatCols(dim int, parts []*Cols) *Cols {
+	all := NewCols(dim, 0)
+	for _, c := range parts {
+		all.Keys = append(all.Keys, c.Keys...)
+		all.IDs = append(all.IDs, c.IDs...)
+		all.W = append(all.W, c.W...)
+		for d := range all.C {
+			all.C[d] = append(all.C[d], c.C[d]...)
+		}
+	}
+	return all
+}
+
+// isGloballySortedCols verifies (collectively) that the distributed
+// sequence is sorted by (Key, ID): each local run is sorted and the
+// boundary pairs between consecutive non-empty ranks are ordered.
+func isGloballySortedCols(c *mpi.Comm, local *Cols) bool {
+	less := func(k1 uint64, i1 int64, k2 uint64, i2 int64) bool {
+		return k1 < k2 || k1 == k2 && i1 < i2
+	}
+	ok := true
+	n := local.Len()
+	for i := 1; i < n; i++ {
+		ok = ok && !less(local.Keys[i], local.IDs[i], local.Keys[i-1], local.IDs[i-1])
+	}
+	// [first, last] of each non-empty rank, in rank order.
+	var ends []uint64
+	var endIDs []int64
+	if n > 0 {
+		ends, endIDs = []uint64{local.Keys[0], local.Keys[n-1]}, []int64{local.IDs[0], local.IDs[n-1]}
+	}
+	ends, endIDs = mpi.AllgatherFlat(c, ends), mpi.AllgatherFlat(c, endIDs)
+	for j := 2; j < len(ends); j += 2 {
+		ok = ok && !less(ends[j], endIDs[j], ends[j-1], endIDs[j-1])
+	}
+	bad := 0
+	if !ok {
+		bad = 1
+	}
+	return mpi.ReduceScalarMax(c, bad) == 0
+}
+
 // TestSortColsLocalMatchesSortLocal pins the radix sort to the
-// comparison reference, including the ID tiebreak under heavy key
+// sequential oracle, including the ID tiebreak under heavy key
 // collisions and shuffled (non-ascending) ID orders.
 func TestSortColsLocalMatchesSortLocal(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, n := range []int{0, 1, 2, 7, 100, 5000} {
 		for _, collide := range []bool{false, true} {
-			items := makeItems(0, n, 99)
+			cols := makeCols(0, n, 99, 2)
 			if collide {
-				for i := range items {
-					items[i].Key %= 5 // almost every key collides
+				for i := range cols.Keys {
+					cols.Keys[i] %= 5 // almost every key collides
 				}
 			}
-			rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
-			cols := ColsFromItems(2, items)
+			rng.Shuffle(n, func(i, j int) {
+				cols.Keys[i], cols.Keys[j] = cols.Keys[j], cols.Keys[i]
+				cols.IDs[i], cols.IDs[j] = cols.IDs[j], cols.IDs[i]
+			})
+			want := sortedCut(cols, 0, 1)
 			SortColsLocal(cols)
-			SortLocal(items)
-			colsEqual(t, "local sort", cols, items)
+			colsEqual(t, "local sort", cols, want)
 		}
 	}
 }
@@ -61,10 +130,9 @@ func TestSortColsLocalNegativeIDs(t *testing.T) {
 		W:    []float64{1, 2, 3, 4, 5},
 		C:    [][]float64{{1, 2, 3, 4, 5}, {0, 0, 0, 0, 0}},
 	}
-	items := cols.Items()
+	want := sortedCut(cols, 0, 1)
 	SortColsLocal(cols)
-	SortLocal(items)
-	colsEqual(t, "negative ids", cols, items)
+	colsEqual(t, "negative ids", cols, want)
 }
 
 // TestSortPermByKeysStable checks the exported permutation sort keeps
@@ -99,67 +167,34 @@ func collectCols(t *testing.T, p int, run func(c *mpi.Comm) *Cols) []*Cols {
 }
 
 // TestColsPipelineMatchesItems is the ingest differential test: for both
-// dimensions and several rank counts, SampleSortCols and RebalanceCols
-// must reproduce the Item reference path bit-identically on every rank —
-// same global (Key, ID) order, same per-rank chunks, same payloads.
+// dimensions and several rank counts, SampleSortCols must produce the
+// oracle's global (Key, ID) order across the ranks' chunks, and
+// RebalanceCols after it exactly the oracle's balanced chunk on every
+// rank — same records, same payloads.
 func TestColsPipelineMatchesItems(t *testing.T) {
 	for _, dim := range []int{2, 3} {
 		for _, p := range []int{1, 2, 3, 8} {
 			for _, nPer := range []int{0, 1, 100, 1000} {
-				// Reference: Item path.
-				wantSorted := make([][]Item, p)
-				wantBalanced := make([][]Item, p)
-				var mu sync.Mutex
-				w := mpi.NewWorld(p)
-				if err := w.Run(func(c *mpi.Comm) {
-					sorted := SampleSort(c, makeItems(c.Rank(), nPer, 42))
-					balanced := Rebalance(c, append([]Item(nil), sorted...))
-					mu.Lock()
-					wantSorted[c.Rank()] = sorted
-					wantBalanced[c.Rank()] = balanced
-					mu.Unlock()
-				}); err != nil {
-					t.Fatal(err)
+				inputs := make([]*Cols, p)
+				for r := range inputs {
+					inputs[r] = makeCols(r, nPer, 42, dim)
 				}
+				all := concatCols(dim, inputs)
 
-				// SoA path, same input.
 				gotSorted := collectCols(t, p, func(c *mpi.Comm) *Cols {
-					out := SampleSortCols(c, makeCols(c.Rank(), nPer, 42, dim))
-					if !IsGloballySortedCols(c, out) {
-						t.Errorf("dim=%d p=%d n=%d: cols path not globally sorted", dim, p, nPer)
-					}
-					return out
+					return SampleSortCols(c, makeCols(c.Rank(), nPer, 42, dim))
 				})
 				gotBalanced := collectCols(t, p, func(c *mpi.Comm) *Cols {
 					sorted := SampleSortCols(c, makeCols(c.Rank(), nPer, 42, dim))
 					return RebalanceCols(c, sorted)
 				})
+				colsEqual(t, "sorted", concatCols(dim, gotSorted), sortedCut(all, 0, 1))
 				for r := 0; r < p; r++ {
-					want := wantSorted[r]
-					if dim == 2 {
-						want = drop3rd(want)
-					}
-					colsEqual(t, "sorted", gotSorted[r], want)
-					want = wantBalanced[r]
-					if dim == 2 {
-						want = drop3rd(want)
-					}
-					colsEqual(t, "balanced", gotBalanced[r], want)
+					colsEqual(t, "balanced", gotBalanced[r], sortedCut(all, r, p))
 				}
 			}
 		}
 	}
-}
-
-// drop3rd zeroes the third coordinate of reference items: a 2D Cols
-// batch never carries it (makeItems fills X[2]=0 already, so this is a
-// no-op safeguard that documents the comparison).
-func drop3rd(items []Item) []Item {
-	out := append([]Item(nil), items...)
-	for i := range out {
-		out[i].X[2] = 0
-	}
-	return out
 }
 
 // TestColsPipelineSkewedKeys repeats the worst-case splitter scenario on
@@ -173,7 +208,7 @@ func TestColsPipelineSkewedKeys(t *testing.T) {
 			local.IDs[i] = int64(c.Rank()*1000 + i)
 		}
 		out := SampleSortCols(c, local)
-		if !IsGloballySortedCols(c, out) {
+		if !isGloballySortedCols(c, out) {
 			t.Error("skewed: not globally sorted")
 		}
 		return out
@@ -190,7 +225,7 @@ func TestColsPipelineSkewedKeys(t *testing.T) {
 // TestExchangeWireBytes2D pins the traffic-accounting fix: a 2D
 // redistribution must move (and account) 40 bytes per off-rank record —
 // key, id, weight, two coordinates — not the 48 bytes of a padded
-// three-coordinate Item.
+// third coordinate.
 func TestExchangeWireBytes2D(t *testing.T) {
 	const n = 10
 	w := mpi.NewWorld(2)
@@ -216,24 +251,22 @@ func TestExchangeWireBytes2D(t *testing.T) {
 	}
 }
 
-// BenchmarkRadixVsSortSlice compares the two local sorts on one rank's
-// typical load (20k records, random 48-bit keys).
+// BenchmarkRadixVsSortSlice compares the radix local sort with the
+// oracle's sort.Slice on one rank's typical load (20k records, random
+// 48-bit keys).
 func BenchmarkRadixVsSortSlice(b *testing.B) {
 	const n = 20000
-	base := makeItems(0, n, 42)
+	base := makeCols(0, n, 42, 3)
 	b.Run("sortslice", func(b *testing.B) {
-		items := make([]Item, n)
 		for i := 0; i < b.N; i++ {
-			copy(items, base)
-			SortLocal(items)
+			sortedCut(base, 0, 1)
 		}
 	})
 	b.Run("radix", func(b *testing.B) {
-		cols := ColsFromItems(3, base)
-		scratch := ColsFromItems(3, base)
+		scratch := makeCols(0, n, 42, 3)
 		for i := 0; i < b.N; i++ {
-			copy(scratch.Keys, cols.Keys)
-			copy(scratch.IDs, cols.IDs)
+			copy(scratch.Keys, base.Keys)
+			copy(scratch.IDs, base.IDs)
 			SortColsLocal(scratch)
 		}
 	})

@@ -8,199 +8,15 @@
 // a classic sample sort with the same communication pattern — local sort,
 // splitter selection from regular samples, one personalized all-to-all,
 // local merge — and the same postconditions (globally sorted by key,
-// approximately balanced; Rebalance makes the balance exact).
+// approximately balanced; RebalanceCols makes the balance exact).
 //
-// Two implementations coexist: the AoS Item path in this file (the
-// readable reference) and the SoA Cols fast path (cols.go: radix local
-// sort, flat-buffer exchanges, p-way merge) used by the partitioners.
-// Both produce the bit-identical global (Key, ID) order.
+// The records travel as SoA column batches (Cols, cols.go) with a radix
+// local sort (radix.go), flat-buffer exchanges and a p-way merge. The
+// tests pin the pipeline to a sequential oracle: gather every record,
+// sort by (Key, ID), cut into balanced rank chunks.
 package dsort
 
-import (
-	"sort"
-
-	"geographer/internal/geom"
-	"geographer/internal/mpi"
-)
-
-// Item is one point record travelling through the sort: its space-filling
-// curve key, a stable global id, its weight and coordinates. The Item
-// functions below are the retained *reference* implementation; the
-// production ingest runs the SoA Cols path (cols.go), which is pinned
-// bit-identical to this one by the differential tests. Note that an Item
-// always carries geom.MaxDim coordinates, so Item-based exchanges
-// overstate the wire volume of 2D workloads; WireBytes(dim) gives the
-// honest per-record size the Cols path both moves and accounts.
-type Item struct {
-	Key uint64
-	ID  int64
-	W   float64
-	X   geom.Point
-}
-
-// Less orders items by (Key, ID); the ID tiebreak makes the global order
-// total and therefore the whole pipeline deterministic.
-func Less(a, b Item) bool {
-	if a.Key != b.Key {
-		return a.Key < b.Key
-	}
-	return a.ID < b.ID
-}
-
-// SortLocal sorts items in place by (Key, ID).
-func SortLocal(items []Item) {
-	sort.Slice(items, func(i, j int) bool { return Less(items[i], items[j]) })
-}
-
 // samplesPerRank controls splitter quality; p·samplesPerRank keys are
-// gathered globally. 32 keeps the imbalance after SampleSort within a few
-// percent for the sizes used in the experiments.
+// gathered globally. 32 keeps the imbalance after SampleSortCols within
+// a few percent for the sizes used in the experiments.
 const samplesPerRank = 32
-
-// SampleSort globally sorts the union of all ranks' items by (Key, ID)
-// and returns this rank's resulting chunk: rank r's chunk precedes rank
-// r+1's in the global order. Chunk sizes are approximately balanced; call
-// Rebalance afterwards for exact ⌈n/p⌉ balance (the paper's redistribution
-// step).
-func SampleSort(c *mpi.Comm, local []Item) []Item {
-	p := c.Size()
-	SortLocal(local)
-	if p == 1 {
-		return local
-	}
-
-	// Regular sampling of local keys.
-	s := samplesPerRank
-	if len(local) < s {
-		s = len(local)
-	}
-	samples := make([]uint64, 0, s)
-	for i := 0; i < s; i++ {
-		idx := (i*2 + 1) * len(local) / (2 * s)
-		samples = append(samples, local[idx].Key)
-	}
-	all := mpi.AllgatherFlat(c, samples)
-	if len(all) == 0 {
-		// Globally empty input: every rank agrees (collective result).
-		return local
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-
-	// p-1 splitters; bucket b receives keys in (split[b-1], split[b]].
-	splitters := make([]uint64, p-1)
-	for i := 0; i < p-1; i++ {
-		splitters[i] = all[(i+1)*len(all)/p]
-	}
-
-	// Partition the sorted local run into p contiguous buckets.
-	send := make([][]Item, p)
-	begin := 0
-	for b := 0; b < p; b++ {
-		end := len(local)
-		if b < p-1 {
-			end = begin + sort.Search(len(local)-begin, func(i int) bool {
-				return local[begin+i].Key > splitters[b]
-			})
-		}
-		send[b] = local[begin:end]
-		begin = end
-	}
-
-	recv := mpi.Alltoall(c, send) // traffic recorded inside Alltoall
-	out := concat(recv)
-	SortLocal(out)
-	c.AddOps(int64(len(local)) + int64(len(out))) // sort work proxy
-	return out
-}
-
-// concat flattens received chunks into one exactly-sized slice, so the
-// redistribution path never grows a buffer incrementally.
-func concat(chunks [][]Item) []Item {
-	total := 0
-	for _, chunk := range chunks {
-		total += len(chunk)
-	}
-	out := make([]Item, 0, total)
-	for _, chunk := range chunks {
-		out = append(out, chunk...)
-	}
-	return out
-}
-
-// Rebalance redistributes globally sorted chunks so every rank holds an
-// exact balanced slice of the global order: rank r gets global positions
-// [r·n/p, (r+1)·n/p) (Algorithm 2 line 6). Order is preserved.
-func Rebalance(c *mpi.Comm, local []Item) []Item {
-	p := c.Size()
-	if p == 1 {
-		return local
-	}
-	n := mpi.ReduceScalarSum(c, int64(len(local)))
-	if n == 0 {
-		return local
-	}
-	start := mpi.ExscanSum(c, int64(len(local)))
-
-	// Global position g belongs to rank g*p/n (balanced cuts).
-	send := make([][]Item, p)
-	i := 0
-	for i < len(local) {
-		g := start + int64(i)
-		dst := int(g * int64(p) / n)
-		if dst > p-1 {
-			dst = p - 1
-		}
-		// End of dst's range: first g' with g'*p/n > dst.
-		endG := (int64(dst+1)*n + int64(p) - 1) / int64(p)
-		j := i + int(endG-g)
-		if j > len(local) {
-			j = len(local)
-		}
-		send[dst] = local[i:j]
-		i = j
-	}
-	return concat(mpi.Alltoall(c, send))
-}
-
-// GlobalIndexOf returns the global position of this rank's first item
-// after a sort (exclusive scan of chunk lengths).
-func GlobalIndexOf(c *mpi.Comm, localLen int) int64 {
-	return mpi.ExscanSum(c, int64(localLen))
-}
-
-// IsGloballySorted verifies (collectively) that the distributed sequence
-// is sorted by (Key, ID): each local run is sorted and boundary pairs
-// between consecutive ranks are ordered. Intended for tests and debugging.
-func IsGloballySorted(c *mpi.Comm, local []Item) bool {
-	ok := int64(1)
-	for i := 1; i < len(local); i++ {
-		if Less(local[i], local[i-1]) {
-			ok = 0
-			break
-		}
-	}
-	// Share boundary items: first and last of each rank (empty ranks send
-	// sentinels that compare as always-ordered).
-	type boundary struct {
-		First, Last Item
-		Has         bool
-	}
-	b := boundary{Has: len(local) > 0}
-	if b.Has {
-		b.First, b.Last = local[0], local[len(local)-1]
-	}
-	bounds := mpi.AllgatherScalar(c, b)
-	var prev *Item
-	for r := range bounds {
-		if !bounds[r].Has {
-			continue
-		}
-		f, l := bounds[r].First, bounds[r].Last
-		if prev != nil && Less(f, *prev) {
-			ok = 0
-		}
-		last := l
-		prev = &last
-	}
-	return mpi.ReduceScalarMax(c, 1-ok) == 0
-}

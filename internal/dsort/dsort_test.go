@@ -2,76 +2,53 @@ package dsort
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
-	"geographer/internal/geom"
 	"geographer/internal/mpi"
 )
 
-// makeItems builds a deterministic random item set for one rank.
-func makeItems(rank, n int, seed int64) []Item {
+// makeCols builds a deterministic random batch for one rank.
+func makeCols(rank, n int, seed int64, dim int) *Cols {
 	rng := rand.New(rand.NewSource(seed + int64(rank)*7919))
-	items := make([]Item, n)
-	for i := range items {
-		items[i] = Item{
-			Key: rng.Uint64() >> 16, // collisions likely at small sizes: exercises ID tiebreak
-			ID:  int64(rank*1_000_000 + i),
-			W:   rng.Float64(),
-			X:   geom.Point{rng.Float64(), rng.Float64(), 0},
-		}
+	c := NewCols(dim, n)
+	for i := 0; i < n; i++ {
+		c.Keys[i] = rng.Uint64() >> 16 // collisions likely at small sizes: exercises ID tiebreak
+		c.IDs[i] = int64(rank*1_000_000 + i)
+		c.W[i] = rng.Float64()
+		c.C[0][i], c.C[1][i] = rng.Float64(), rng.Float64()
 	}
-	return items
-}
-
-func collectAll(t *testing.T, p int, run func(c *mpi.Comm) []Item) [][]Item {
-	t.Helper()
-	w := mpi.NewWorld(p)
-	results := make([][]Item, p)
-	var mu sync.Mutex
-	if err := w.Run(func(c *mpi.Comm) {
-		out := run(c)
-		mu.Lock()
-		results[c.Rank()] = out
-		mu.Unlock()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return results
+	return c
 }
 
 func TestSampleSortGlobalOrder(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 8} {
 		for _, nPer := range []int{0, 1, 100, 1000} {
-			results := collectAll(t, p, func(c *mpi.Comm) []Item {
-				local := makeItems(c.Rank(), nPer, 42)
-				out := SampleSort(c, local)
-				if !IsGloballySorted(c, out) {
+			results := collectCols(t, p, func(c *mpi.Comm) *Cols {
+				out := SampleSortCols(c, makeCols(c.Rank(), nPer, 42, 2))
+				if !isGloballySortedCols(c, out) {
 					t.Errorf("p=%d n=%d: not globally sorted", p, nPer)
 				}
 				return out
 			})
-			// Multiset preservation: all IDs present exactly once.
-			seen := make(map[int64]Item)
-			total := 0
+			// Multiset and payload preservation: every input record
+			// arrives exactly once, bit-exact.
+			seen := make(map[int64][3]float64)
 			for _, chunk := range results {
-				for _, it := range chunk {
-					if _, dup := seen[it.ID]; dup {
-						t.Fatalf("p=%d: duplicate id %d", p, it.ID)
+				for i, id := range chunk.IDs {
+					if _, dup := seen[id]; dup {
+						t.Fatalf("p=%d: duplicate id %d", p, id)
 					}
-					seen[it.ID] = it
-					total++
+					seen[id] = [3]float64{chunk.W[i], chunk.C[0][i], chunk.C[1][i]}
 				}
 			}
-			if total != p*nPer {
-				t.Fatalf("p=%d nPer=%d: %d items after sort", p, nPer, total)
+			if len(seen) != p*nPer {
+				t.Fatalf("p=%d nPer=%d: %d records after sort", p, nPer, len(seen))
 			}
-			// Payload integrity: regenerate inputs and compare.
 			for r := 0; r < p; r++ {
-				for _, want := range makeItems(r, nPer, 42) {
-					got, ok := seen[want.ID]
-					if !ok || got != want {
-						t.Fatalf("p=%d: item %d corrupted: got %+v want %+v", p, want.ID, got, want)
+				in := makeCols(r, nPer, 42, 2)
+				for i, id := range in.IDs {
+					if want := [3]float64{in.W[i], in.C[0][i], in.C[1][i]}; seen[id] != want {
+						t.Fatalf("p=%d: record %d corrupted: got %v want %v", p, id, seen[id], want)
 					}
 				}
 			}
@@ -81,93 +58,77 @@ func TestSampleSortGlobalOrder(t *testing.T) {
 
 func TestSampleSortSkewedKeys(t *testing.T) {
 	// All ranks contribute nearly identical keys — the worst case for
-	// splitter selection; correctness (not balance) must hold.
+	// splitter selection; after the rebalance the order must still hold.
 	p := 4
-	results := collectAll(t, p, func(c *mpi.Comm) []Item {
-		local := make([]Item, 500)
-		for i := range local {
-			local[i] = Item{Key: uint64(i % 3), ID: int64(c.Rank()*1000 + i)}
+	results := collectCols(t, p, func(c *mpi.Comm) *Cols {
+		local := NewCols(3, 500)
+		for i := range local.Keys {
+			local.Keys[i] = uint64(i % 3)
+			local.IDs[i] = int64(c.Rank()*1000 + i)
 		}
-		out := SampleSort(c, local)
-		if !IsGloballySorted(c, out) {
+		out := RebalanceCols(c, SampleSortCols(c, local))
+		if !isGloballySortedCols(c, out) {
 			t.Error("skewed: not globally sorted")
 		}
 		return out
 	})
-	total := 0
-	for _, chunk := range results {
-		total += len(chunk)
-	}
-	if total != p*500 {
-		t.Fatalf("lost items: %d", total)
+	for r, chunk := range results {
+		if chunk.Len() != 500 {
+			t.Fatalf("rank %d: %d records after rebalance, want 500", r, chunk.Len())
+		}
 	}
 }
 
 func TestRebalanceExact(t *testing.T) {
 	for _, p := range []int{1, 2, 3, 7} {
-		// Heavily imbalanced input: rank r has r*100 items.
-		results := collectAll(t, p, func(c *mpi.Comm) []Item {
-			local := makeItems(c.Rank(), c.Rank()*100, 7)
-			sorted := SampleSort(c, local)
-			bal := Rebalance(c, sorted)
-			if !IsGloballySorted(c, bal) {
+		// Heavily imbalanced input: rank r has r*100 records.
+		results := collectCols(t, p, func(c *mpi.Comm) *Cols {
+			bal := RebalanceCols(c, SampleSortCols(c, makeCols(c.Rank(), c.Rank()*100, 7, 2)))
+			if !isGloballySortedCols(c, bal) {
 				t.Errorf("p=%d: rebalanced sequence lost order", p)
 			}
 			return bal
 		})
 		n := 0
 		for _, chunk := range results {
-			n += len(chunk)
+			n += chunk.Len()
 		}
-		lo, hi := n/p, (n+p-1)/p
 		for r, chunk := range results {
-			if len(chunk) < lo-1 || len(chunk) > hi+1 {
-				t.Errorf("p=%d rank %d: %d items, want ~[%d,%d] of %d", p, r, len(chunk), lo, hi, n)
+			if want := ((r+1)*n+p-1)/p - (r*n+p-1)/p; chunk.Len() != want {
+				t.Errorf("p=%d rank %d: %d records, want %d of %d", p, r, chunk.Len(), want, n)
 			}
 		}
 	}
 }
 
 func TestRebalanceEmptyWorld(t *testing.T) {
-	collectAll(t, 3, func(c *mpi.Comm) []Item {
-		out := Rebalance(c, nil)
-		if len(out) != 0 {
+	collectCols(t, 3, func(c *mpi.Comm) *Cols {
+		out := RebalanceCols(c, NewCols(2, 0))
+		if out.Len() != 0 {
 			t.Error("empty rebalance should stay empty")
 		}
 		return out
 	})
 }
 
-func TestGlobalIndexOf(t *testing.T) {
-	p := 4
-	w := mpi.NewWorld(p)
-	if err := w.Run(func(c *mpi.Comm) {
-		g := GlobalIndexOf(c, 10)
-		if g != int64(c.Rank()*10) {
-			t.Errorf("rank %d: global index %d", c.Rank(), g)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestIsGloballySortedDetectsViolations(t *testing.T) {
-	p := 2
-	w := mpi.NewWorld(p)
+	batch := func(keys ...uint64) *Cols {
+		c := NewCols(2, len(keys))
+		copy(c.Keys, keys)
+		return c
+	}
+	w := mpi.NewWorld(2)
 	if err := w.Run(func(c *mpi.Comm) {
 		// Rank 0 holds larger keys than rank 1: boundary violation.
-		var local []Item
-		if c.Rank() == 0 {
-			local = []Item{{Key: 100, ID: 0}}
-		} else {
-			local = []Item{{Key: 50, ID: 1}}
+		local := batch(100)
+		if c.Rank() == 1 {
+			local = batch(50)
 		}
-		if IsGloballySorted(c, local) {
+		if isGloballySortedCols(c, local) {
 			t.Error("boundary violation not detected")
 		}
 		// Local violation.
-		local = []Item{{Key: 9, ID: 0}, {Key: 3, ID: 1}}
-		if IsGloballySorted(c, local) {
+		if isGloballySortedCols(c, batch(9, 3)) {
 			t.Error("local violation not detected")
 		}
 	}); err != nil {
@@ -175,35 +136,27 @@ func TestIsGloballySortedDetectsViolations(t *testing.T) {
 	}
 }
 
+// TestLessTotalOrder pins the (Key, ID) order the local sort produces:
+// keys first, IDs break ties.
 func TestLessTotalOrder(t *testing.T) {
-	a := Item{Key: 1, ID: 5}
-	b := Item{Key: 1, ID: 6}
-	cIt := Item{Key: 2, ID: 0}
-	if !Less(a, b) || Less(b, a) {
-		t.Error("ID tiebreak broken")
+	c := &Cols{
+		Dim:  2,
+		Keys: []uint64{2, 1, 1},
+		IDs:  []int64{0, 6, 5},
+		W:    []float64{0, 0, 0},
+		C:    [][]float64{{0, 0, 0}, {0, 0, 0}},
 	}
-	if !Less(b, cIt) {
-		t.Error("key order broken")
-	}
-	if Less(a, a) {
-		t.Error("irreflexivity broken")
+	SortColsLocal(c)
+	for i, want := range [][2]int64{{1, 5}, {1, 6}, {2, 0}} {
+		if got := [2]int64{int64(c.Keys[i]), c.IDs[i]}; got != want {
+			t.Fatalf("record %d = %v, want %v", i, got, want)
+		}
 	}
 }
 
 func BenchmarkSampleSort(b *testing.B) {
 	p := 4
 	const nPer = 20000
-	b.Run("items", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			w := mpi.NewWorld(p)
-			if err := w.Run(func(c *mpi.Comm) {
-				local := makeItems(c.Rank(), nPer, 42)
-				SampleSort(c, local)
-			}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	for _, dim := range []int{2, 3} {
 		name := "cols2d"
 		if dim == 3 {

@@ -6,8 +6,6 @@ import (
 	"io"
 	"time"
 
-	"geographer/internal/core"
-	"geographer/internal/geom"
 	"geographer/internal/metrics"
 	"geographer/internal/mpi"
 	"geographer/internal/repart"
@@ -127,23 +125,20 @@ func chaosPlan() *mpi.FaultPlan {
 // RepartitionWithRetry. Every step is compared bit-for-bit.
 func runChaosCell(w io.Writer, kind string, n, k int) ([]ChaosRow, ChaosCell, error) {
 	cell := ChaosCell{Graph: kind, K: k, P: chaosP, Steps: chaosSteps}
-	m, err := repartMesh(kind, n)
+	m, err := genMesh(kind, n, 42)
 	if err != nil {
 		return nil, cell, err
 	}
 	cell.N = m.N()
-	cfg := core.DefaultConfig()
-	cfg.Seed = 1
-	ps0 := &geom.PointSet{Dim: m.Points.Dim, Coords: m.Points.Coords, Weight: perturbedWeights(m, 0)}
+	cfg := seededConfig()
+	ps0 := atStep(m, 0)
 
-	// Fault-free reference chain.
-	ref, err := repart.NewSession(mpi.NewWorld(chaosP), ps0.Clone(), k, cfg)
+	// Fault-free reference chain, computed up front.
+	ref, err := runChain(ps0.Clone(), k, chaosP, cfg, nil, chaosSteps, func(t int) []float64 {
+		return perturbedWeights(m, t)
+	})
 	if err != nil {
-		return nil, cell, err
-	}
-	defer ref.Close()
-	if _, err := ref.Partition(); err != nil {
-		return nil, cell, err
+		return nil, cell, fmt.Errorf("reference: %w", err)
 	}
 
 	// Chaos chain: identical cold start on a clean world, then the state
@@ -185,45 +180,22 @@ func runChaosCell(w io.Writer, kind string, n, k int) ([]ChaosRow, ChaosCell, er
 
 	var rows []ChaosRow
 	cell.Identical = true
-	var lastAssign []int32
-	var lastWeights []float64
+	var last []int32
 	for t := 1; t <= chaosSteps; t++ {
-		wt := perturbedWeights(m, t)
-
 		t0 := time.Now()
-		if err := ref.UpdateWeights(wt); err != nil {
+		if err := vic.UpdateWeights(perturbedWeights(m, t)); err != nil {
 			return nil, cell, err
 		}
-		refP, _, refActed, err := ref.RepartitionIfAbove(0)
-		if err != nil {
-			return nil, cell, fmt.Errorf("reference step %d: %w", t, err)
-		}
-		refSecs := time.Since(t0).Seconds()
-
-		t0 = time.Now()
-		if err := vic.UpdateWeights(wt); err != nil {
-			return nil, cell, err
-		}
-		chaosP2, st, acted, err := vic.RepartitionWithRetry(context.Background(), 0, policy)
+		part, st, acted, err := vic.RepartitionWithRetry(context.Background(), 0, policy)
 		if err != nil {
 			return nil, cell, fmt.Errorf("chaos step %d: %w", t, err)
 		}
-		chaosSecs := time.Since(t0).Seconds()
-		if acted != refActed {
-			return nil, cell, fmt.Errorf("chaos step %d: chains disagree on triggering (chaos %v, reference %v)", t, acted, refActed)
-		}
+		chaosSecs, refSecs := time.Since(t0).Seconds(), ref.StepSec[t-1]
 		if !acted {
-			continue // neither chain stepped; nothing to compare
+			return nil, cell, fmt.Errorf("chaos step %d did not act", t)
 		}
-
-		identical := true
-		for i := range refP.Assign {
-			if chaosP2.Assign[i] != refP.Assign[i] {
-				identical = false
-				cell.Identical = false
-				break
-			}
-		}
+		identical := sameAssign(part.Assign, ref.Assign[t])
+		cell.Identical = cell.Identical && identical
 		row := ChaosRow{
 			Graph: kind, Step: t, K: k, P: chaosP,
 			Retries: st.Retries, FiredTotal: plan.Fired(),
@@ -237,7 +209,7 @@ func runChaosCell(w io.Writer, kind string, n, k int) ([]ChaosRow, ChaosCell, er
 		cell.DistCalcs += st.DistCalcs
 		cell.WallSec += chaosSecs
 		cell.RefWallSec += refSecs
-		lastAssign, lastWeights = chaosP2.Assign, wt
+		last = part.Assign
 		id := "yes"
 		if !identical {
 			id = "NO"
@@ -249,14 +221,11 @@ func runChaosCell(w io.Writer, kind string, n, k int) ([]ChaosRow, ChaosCell, er
 	cell.Delays = plan.Delayed()
 	cell.WastedSec = cell.WallSec - cell.RefWallSec
 
-	if lastAssign != nil {
-		ps := &geom.PointSet{Dim: m.Points.Dim, Coords: m.Points.Coords, Weight: lastWeights}
-		rep, err := metrics.Evaluate(m.G, ps, lastAssign, k)
-		if err != nil {
-			return nil, cell, err
-		}
-		cell.Cut, cell.Imbalance = rep.EdgeCut, rep.Imbalance
+	rep, err := metrics.Evaluate(m.G, atStep(m, chaosSteps), last, k)
+	if err != nil {
+		return nil, cell, err
 	}
+	cell.Cut, cell.Imbalance = rep.EdgeCut, rep.Imbalance
 	fmt.Fprintf(w, "summary %s: %d/%d scheduled faults fired, %d recoveries, %d delay stalls; partitions bit-identical to fault-free chain: %v; wasted %.4fs of %.4fs total (fault-free chain: %.4fs)\n",
 		kind, cell.FaultsFired, int64(cell.FaultsScheduled), cell.Recoveries, cell.Delays,
 		cell.Identical, cell.WastedSec, cell.WallSec, cell.RefWallSec)

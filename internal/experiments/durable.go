@@ -8,7 +8,6 @@ import (
 	"os"
 	"time"
 
-	"geographer/internal/geom"
 	"geographer/internal/serve"
 	"geographer/internal/store"
 )
@@ -100,8 +99,7 @@ func (c DurableCell) check() error {
 // driven step by step against its solo reference.
 type durableChain struct {
 	name      string
-	ref       [][]int32
-	soloDC    int64
+	ref       tenantRef
 	identical bool
 	distCalcs int64
 }
@@ -109,20 +107,16 @@ type durableChain struct {
 // durableCreateAndWarm creates tenant id in g, runs the cold partition
 // and warm step 1 against the solo reference, stages the step-2 weight
 // update (so the park carries a pending-looking delta), and parks it.
-func durableCreateAndWarm(g *serve.Registry, id, n int, c *durableChain) error {
-	m, _, err := serveMesh(id, n)
-	if err != nil {
-		return err
-	}
-	ps := &geom.PointSet{Dim: m.Points.Dim, Coords: m.Points.Coords, Weight: perturbedWeights(m, 7*id)}
-	if err := g.Create(nil, c.name, ps, serve.TenantOptions{K: serveK, Processes: serveP, Workers: serveBudget}); err != nil {
+func durableCreateAndWarm(g *serve.Registry, id int, c *durableChain) error {
+	m := c.ref.m
+	if err := g.Create(nil, c.name, atStep(m, 7*id), serve.TenantOptions{K: serveK, Processes: serveP, Workers: serveBudget}); err != nil {
 		return err
 	}
 	p, err := g.Partition(nil, c.name)
 	if err != nil {
 		return err
 	}
-	if !sameAssign(p.Assign, c.ref[0]) {
+	if !sameAssign(p.Assign, c.ref.chain[0]) {
 		c.identical = false
 	}
 	if err := g.UpdateWeights(c.name, perturbedWeights(m, 7*id+1)); err != nil {
@@ -149,7 +143,7 @@ func durableStep(g *serve.Registry, c *durableChain, t int) error {
 	if !acted {
 		return fmt.Errorf("%s step %d did not act", c.name, t)
 	}
-	if !sameAssign(p.Assign, c.ref[t]) {
+	if !sameAssign(p.Assign, c.ref.chain[t]) {
 		c.identical = false
 	}
 	c.distCalcs += st.DistCalcs
@@ -159,14 +153,10 @@ func durableStep(g *serve.Registry, c *durableChain, t int) error {
 // durableFinish drives the remaining warm steps (2..serveSteps) of a
 // restored tenant, feeding each step's weights first. Step 2's weights
 // were already staged before the park.
-func durableFinish(g *serve.Registry, id int, n int, c *durableChain) error {
-	m, _, err := serveMesh(id, n)
-	if err != nil {
-		return err
-	}
+func durableFinish(g *serve.Registry, id int, c *durableChain) error {
 	for t := 2; t <= serveSteps; t++ {
 		if t > 2 {
-			if err := g.UpdateWeights(c.name, perturbedWeights(m, 7*id+t)); err != nil {
+			if err := g.UpdateWeights(c.name, perturbedWeights(c.ref.m, 7*id+t)); err != nil {
 				return err
 			}
 		}
@@ -180,7 +170,7 @@ func durableFinish(g *serve.Registry, id int, n int, c *durableChain) error {
 // chainGood reports whether a finished chain met the bit-identicality
 // bar: every step equal to solo and exactly solo's distance count.
 func (c *durableChain) chainGood() bool {
-	return c.identical && c.distCalcs == c.soloDC
+	return c.identical && c.distCalcs == c.ref.distCalcs
 }
 
 // injure corrupts tenant id's spill file in place, returning a
@@ -209,23 +199,13 @@ func injure(disk *store.Disk, name string, id int, rng *rand.Rand) (string, erro
 	return "", fmt.Errorf("tenant %d has no injury", id)
 }
 
-// durableRefs builds the solo reference chains for all tenants.
-func durableRefs(n int) ([]durableChain, error) {
-	chains := make([]durableChain, durableTenants)
-	for id := 0; id < durableTenants; id++ {
-		m, _, err := serveMesh(id, n)
-		if err != nil {
-			return nil, err
-		}
-		ref, dc, err := serveSoloChain(m, id)
-		if err != nil {
-			return nil, fmt.Errorf("solo reference %d: %w", id, err)
-		}
-		chains[id] = durableChain{
-			name: fmt.Sprintf("durable-%d", id), ref: ref, soloDC: dc, identical: true,
-		}
+// durableChains starts one registry-side chain per solo reference.
+func durableChains(refs []tenantRef) []durableChain {
+	chains := make([]durableChain, len(refs))
+	for id, ref := range refs {
+		chains[id] = durableChain{name: fmt.Sprintf("durable-%d", id), ref: ref, identical: true}
 	}
-	return chains, nil
+	return chains
 }
 
 // Durable runs the durability chaos fence (DESIGN.md, "Durability
@@ -249,10 +229,11 @@ func Durable(w io.Writer, sc Scale) (Report[DurableCell], error) {
 	fmt.Fprintf(w, "Durability fence: %d tenants (n=%d k=%d p=%d, %d warm steps), disk spills; injuries: tenant %d torn write, %d bit-flip, %d deleted\n",
 		durableTenants, n, serveK, serveP, serveSteps, durableTorn, durableFlip, durableDelete)
 
-	chains, err := durableRefs(n)
+	refs, err := tenantRefs(durableTenants, n)
 	if err != nil {
 		return rep, err
 	}
+	chains := durableChains(refs)
 	t0 := time.Now()
 
 	// ---- Phase A: injuries against parked spills ----
@@ -269,7 +250,7 @@ func Durable(w io.Writer, sc Scale) (Report[DurableCell], error) {
 	defer gA.Drain()
 
 	for id := range chains {
-		if err := durableCreateAndWarm(gA, id, n, &chains[id]); err != nil {
+		if err := durableCreateAndWarm(gA, id, &chains[id]); err != nil {
 			return rep, fmt.Errorf("phase A tenant %d: %w", id, err)
 		}
 	}
@@ -301,7 +282,7 @@ func Durable(w io.Writer, sc Scale) (Report[DurableCell], error) {
 			}
 			continue
 		}
-		if err := durableFinish(gA, id, n, c); err != nil {
+		if err := durableFinish(gA, id, c); err != nil {
 			return rep, fmt.Errorf("phase A survivor %d: %w", id, err)
 		}
 		if c.chainGood() {
@@ -330,13 +311,10 @@ func Durable(w io.Writer, sc Scale) (Report[DurableCell], error) {
 	if err != nil {
 		return rep, err
 	}
-	chainsB, err := durableRefs(n)
-	if err != nil {
-		return rep, err
-	}
+	chainsB := durableChains(refs)
 	gB1 := serve.NewRegistry(serve.Config{Store: diskB})
 	for id := range chainsB {
-		if err := durableCreateAndWarm(gB1, id, n, &chainsB[id]); err != nil {
+		if err := durableCreateAndWarm(gB1, id, &chainsB[id]); err != nil {
 			return rep, fmt.Errorf("phase B tenant %d: %w", id, err)
 		}
 	}
@@ -345,8 +323,6 @@ func Durable(w io.Writer, sc Scale) (Report[DurableCell], error) {
 	cell.Restores += stB1.Restores
 	// gB1 is abandoned here — no Drain, no cleanup. Everything it knew
 	// is gone except the spill directory; that is the kill -9 contract.
-	gB1 = nil
-	_ = gB1
 
 	gB2 := serve.NewRegistry(serve.Config{Store: diskB})
 	defer gB2.Drain()
@@ -357,7 +333,7 @@ func Durable(w io.Writer, sc Scale) (Report[DurableCell], error) {
 	cell.Recovered = recovered
 	for id := range chainsB {
 		c := &chainsB[id]
-		if err := durableFinish(gB2, id, n, c); err != nil {
+		if err := durableFinish(gB2, id, c); err != nil {
 			return rep, fmt.Errorf("phase B recovered tenant %d: %w", id, err)
 		}
 		if c.chainGood() {

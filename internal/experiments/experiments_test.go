@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/csv"
 	"io"
 	"strings"
 	"testing"
@@ -353,6 +354,32 @@ func TestRepartQuick(t *testing.T) {
 	if lines := strings.Count(csv.String(), "\n"); lines != len(rows)+1 {
 		t.Errorf("%d CSV lines for %d rows", lines, len(rows))
 	}
+	checkPinned(t, csv.String(), repartPinned)
+}
+
+// checkPinned compares a CSV dump, minus its *_s wall-time columns,
+// line by line against pinned.
+func checkPinned(t *testing.T, dump, pinned string) {
+	t.Helper()
+	recs, err := csv.NewReader(strings.NewReader(dump)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(pinned), "\n")
+	if len(recs) != len(want) {
+		t.Fatalf("%d CSV lines, %d pinned", len(recs), len(want))
+	}
+	for i, rec := range recs {
+		var kept []string
+		for j, v := range rec {
+			if !strings.HasSuffix(recs[0][j], "_s") {
+				kept = append(kept, v)
+			}
+		}
+		if got := strings.Join(kept, ","); got != want[i] {
+			t.Errorf("line %d:\n got %s\nwant %s", i, got, want[i])
+		}
+	}
 }
 
 func TestStreamQuick(t *testing.T) {
@@ -404,6 +431,7 @@ func TestStreamQuick(t *testing.T) {
 	if lines := strings.Count(csv.String(), "\n"); lines != len(rows)+1 {
 		t.Errorf("%d CSV lines for %d rows", lines, len(rows))
 	}
+	checkPinned(t, csv.String(), streamPinned)
 }
 
 func TestNearestPow2(t *testing.T) {
@@ -414,3 +442,55 @@ func TestNearestPow2(t *testing.T) {
 		}
 	}
 }
+
+// repartPinned and streamPinned are the non-time columns of the quick-scale
+// repart and stream CSVs (every column but the *_s wall times), captured
+// before the experiments shared one session-chain driver. The chains
+// are deterministic, so any drift is a behaviour change, not noise.
+const repartPinned = `graph,step,mode,k,p,cut,imbalance,migrated_w,migrated_frac
+climate,1,warm,16,4,570,0.029282007690239586,16151.496925329875,0.08036938070635181
+climate,1,scratch,16,4,560,0.025585560426934828,37282.02920680118,0.18551429707593714
+climate,2,warm,16,4,563,0.025284241584081935,6050.047513306426,0.029192548339030757
+climate,2,scratch,16,4,577,0.02742231283817209,39065.85255002008,0.18849964177366418
+climate,3,warm,16,4,554,0.026092465438834367,11827.488928297935,0.06936703970787192
+climate,3,scratch,16,4,560,0.028429006117869582,12201.589738292876,0.07156110354500464
+climate,4,warm,16,4,566,0.02501519551296072,5050.8184162135485,0.04260532567617034
+climate,4,scratch,16,4,553,0.02979020083629913,20928.95283071631,0.17654264674245518
+climate,5,warm,16,4,566,0.025786449349054275,3796.311040887891,0.04185774599548156
+climate,5,scratch,16,4,573,0.024541519890118657,19048.518279190044,0.21002705814488354
+refined,1,warm,16,4,591,0.02858690589182178,43.87123800031443,0.013203774614924061
+refined,1,scratch,16,4,596,0.026557932500686166,49.06339990342309,0.01476644160718789
+refined,2,warm,16,4,581,0.026367547624100762,16.588302034682126,0.00479945314610273
+refined,2,scratch,16,4,595,0.019949611546055124,59.5003368415632,0.01721508797291952
+refined,3,warm,16,4,605,0.025964595515161726,60.64693601398887,0.021158981039444313
+refined,3,scratch,16,4,595,0.026708854731549936,24.13086544556061,0.008418966529656619
+refined,4,warm,16,4,594,0.028664462112155453,36.77640046290912,0.018397033888817787
+refined,4,scratch,16,4,600,0.029779862674323976,34.31801593771901,0.01716725112453444
+refined,5,warm,16,4,602,0.026739175904964885,23.557239272794543,0.01559105501273394
+refined,5,scratch,16,4,584,0.026758212965070527,33.22028305677134,0.021986415924164157
+`
+
+const streamPinned = `graph,step,mode,k,p,cut,imbalance,migrated_w,migrated_frac,dist_calcs,hamerly_skips,boundary_frac,incremental
+climate,0,cold,16,4,573,0.028665632400819208,0,0,146700,115248,1,false
+climate,1,session,16,4,570,0.029282007690239586,16151.496925329875,0.08036938070635181,83829,107825,1,false
+climate,1,oneshot,16,4,570,0.029282007690239586,16151.496925329875,0.08036938070635181,83829,107825,1,false
+climate,2,session,16,4,563,0.025284241584081935,6050.047513306426,0.029192548339030757,20793,44761,0.124,true
+climate,2,oneshot,16,4,563,0.025284241584081935,6050.047513306426,0.029192548339030757,56496,43395,1,false
+climate,3,session,16,4,554,0.026092465438834367,11827.488928297935,0.06936703970787192,48590,103380,0.1328,true
+climate,3,oneshot,16,4,554,0.026092465438834367,11827.488928297935,0.06936703970787192,83219,102181,1,false
+climate,4,session,16,4,566,0.02501519551296072,5050.8184162135485,0.04260532567617034,22907,53887,0.1228,true
+climate,4,oneshot,16,4,566,0.02501519551296072,5050.8184162135485,0.04260532567617034,58470,52604,1,false
+climate,5,session,16,4,566,0.025786449349054275,3796.311040887891,0.04185774599548156,23055,56646,0.1164,true
+climate,5,oneshot,16,4,566,0.025786449349054275,3796.311040887891,0.04185774599548156,59207,55179,1,false
+refined,0,cold,16,4,596,0.025693361349309995,0,0,279238,203354,1,false
+refined,1,session,16,4,591,0.02858690589182178,43.87123800031443,0.013203774614924061,50467,44991,1,false
+refined,1,oneshot,16,4,591,0.02858690589182178,43.87123800031443,0.013203774614924061,50467,44991,1,false
+refined,2,session,16,4,581,0.026367547624100762,16.588302034682126,0.00479945314610273,10051,42564,0.0972,true
+refined,2,oneshot,16,4,581,0.026367547624100762,16.588302034682126,0.00479945314610273,47855,40612,1,false
+refined,3,session,16,4,605,0.025964595515161726,60.64693601398887,0.021158981039444313,15375,53923,0.0768,true
+refined,3,oneshot,16,4,605,0.025964595515161726,60.64693601398887,0.021158981039444313,52757,52077,1,false
+refined,4,session,16,4,594,0.028664462112155453,36.77640046290912,0.018397033888817787,16959,58488,0.1068,true
+refined,4,oneshot,16,4,594,0.028664462112155453,36.77640046290912,0.018397033888817787,53526,56861,1,false
+refined,5,session,16,4,602,0.026739175904964885,23.557239272794543,0.01559105501273394,13401,46800,0.0968,true
+refined,5,oneshot,16,4,602,0.026739175904964885,23.557239272794543,0.01559105501273394,50400,45049,1,false
+`

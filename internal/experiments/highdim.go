@@ -3,15 +3,10 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"time"
 
-	"geographer/internal/core"
 	"geographer/internal/geom"
-	"geographer/internal/metrics"
-	"geographer/internal/mpi"
-	"geographer/internal/repart"
 )
 
 // HighdimConfig is one cell of the feature-space grid: a Gaussian-mixture
@@ -56,11 +51,9 @@ var highdimReport = Report[HighdimCell]{
 }
 
 // HighdimCells returns the grid for a scale: d ∈ {8, 16, 64} over the
-// scale's point/rank counts, quick cells first (same convention as the
-// soak — the committed default-scale BENCH_highdim.json then contains
-// the quick cells CI's smoke runs diff against).
+// scale's point/rank counts, quick cells first (see quickCellsFirst).
 func HighdimCells(sc Scale) []HighdimConfig {
-	cellsFor := func(s Scale) []HighdimConfig {
+	return quickCellsFirst(sc, sc.HighdimN > QuickScale().HighdimN, func(s Scale) []HighdimConfig {
 		out := make([]HighdimConfig, 0, 3)
 		for _, dim := range []int{8, 16, 64} {
 			out = append(out, HighdimConfig{
@@ -69,12 +62,7 @@ func HighdimCells(sc Scale) []HighdimConfig {
 			})
 		}
 		return out
-	}
-	cells := cellsFor(sc)
-	if sc.HighdimN > QuickScale().HighdimN {
-		cells = append(cellsFor(QuickScale()), cells...)
-	}
-	return cells
+	})
 }
 
 // highdimPoints generates the workload: an n-point Gaussian mixture of m
@@ -100,16 +88,6 @@ func highdimPoints(n, dim, m int) *geom.PointSet {
 	return ps
 }
 
-// highdimWeights is the per-step load wave (travelling over the point
-// index, like the soak's).
-func highdimWeights(base []float64, step int) []float64 {
-	w := make([]float64, len(base))
-	for i := range w {
-		w[i] = base[i] * (1 + 0.3*math.Sin(float64(i)*0.41+float64(step)))
-	}
-	return w
-}
-
 // chainCut counts the cut edges of the mixture chain graph: point i is
 // connected to i+m, the next point of its own component, so a clustering
 // that keeps mixture components together has a small cut. The analog of
@@ -124,58 +102,27 @@ func chainCut(assign []int32, m int) int64 {
 	return cut
 }
 
-// runHighdimCell runs one cell: session ingest, cold partition through
-// the generic kernels (SFC bootstrap is unavailable beyond geom.MaxDim —
-// the core forces sampled random init), then Steps warm incremental
-// repartitions under the load wave.
+// runHighdimCell runs one cell: one session chain whose cold partition
+// goes through the generic kernels (SFC bootstrap is unavailable beyond
+// geom.MaxDim — the core forces sampled random init), then Steps warm
+// incremental repartitions under the travelling wave.
 func runHighdimCell(cfg HighdimConfig) (HighdimCell, error) {
 	cell := HighdimCell{HighdimConfig: cfg}
 	ps := highdimPoints(cfg.N, cfg.Dim, cfg.M)
 	base := append([]float64(nil), ps.Weight...)
 
-	ccfg := core.DefaultConfig()
-	ccfg.Seed = 1
-	w := mpi.NewWorld(cfg.P)
 	t0 := time.Now()
-	sess, err := repart.NewSession(w, ps, cfg.K, ccfg)
+	ch, err := runChain(ps, cfg.K, cfg.P, seededConfig(), nil, cfg.Steps, func(t int) []float64 {
+		return travellingWave(base, t-1, 0.41)
+	})
 	if err != nil {
 		return cell, err
 	}
-	defer sess.Close()
-	cell.IngestSec = sess.IngestSeconds()
-
-	tCold := time.Now()
-	part, err := sess.Partition()
-	if err != nil {
-		return cell, fmt.Errorf("cold partition: %w", err)
-	}
-	cell.ColdSec = time.Since(tCold).Seconds()
-	cell.DistCalcs += sess.LastInfo().DistCalcs
-
-	assign := part.Assign
-	stepStart := time.Now()
-	for s := 0; s < cfg.Steps; s++ {
-		if err := sess.UpdateWeights(highdimWeights(base, s)); err != nil {
-			return cell, err
-		}
-		pt, st, err := sess.Repartition()
-		if err != nil {
-			return cell, fmt.Errorf("step %d: %w", s, err)
-		}
-		cell.DistCalcs += st.DistCalcs
-		assign = pt.Assign
-	}
-	cell.StepSecMean = time.Since(stepStart).Seconds() / float64(cfg.Steps)
-
-	for _, st := range w.Stats() {
-		cell.Collectives += st.Collectives
-		cell.CollectiveBytes += st.CollectiveBytes
-		cell.Barriers += st.Barriers
-	}
-	cell.ChainCut = chainCut(assign, cfg.M)
-	wt := highdimWeights(base, cfg.Steps-1)
-	psW := &geom.PointSet{Dim: ps.Dim, Coords: ps.Coords, Weight: wt}
-	cell.Imbalance = metrics.Imbalance(metrics.BlockWeights(psW, assign, cfg.K))
+	cell.IngestSec, cell.ColdSec, cell.StepSecMean = ch.IngestSec, ch.ColdSec, ch.stepSecMean()
+	cell.Collectives, cell.CollectiveBytes, cell.Barriers = ch.World.Collectives, ch.World.CollectiveBytes, ch.World.Barriers
+	cell.DistCalcs = ch.ColdInfo.DistCalcs + ch.warmDistCalcs()
+	cell.ChainCut = chainCut(ch.Assign[cfg.Steps], cfg.M)
+	cell.Imbalance = ch.Imbalance
 	cell.WallSec = time.Since(t0).Seconds()
 	cell.PeakRSSMB = peakRSSMB()
 	return cell, nil

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"geographer/internal/core"
-	"geographer/internal/mesh"
 	"geographer/internal/mpi"
 	"geographer/internal/partition"
 )
@@ -57,21 +56,11 @@ func Phases(w io.Writer, sc Scale) ([]PhaseRow, error) {
 		"graph", "n", "k", "sfc[s]", "sort[s]", "kmeans[s]", "total[s]", "ingest%")
 	var out []PhaseRow
 	for _, wl := range phaseWorkloads(sc) {
-		var m *mesh.Mesh
-		var err error
-		switch wl.kind {
-		case "refined":
-			m, err = mesh.GenRefinedTri(wl.n, 42)
-		case "tube3d":
-			m, err = mesh.GenTube3D(wl.n, 42)
-		default:
-			err = fmt.Errorf("phases: unknown workload %q", wl.kind)
-		}
+		m, err := genMesh(wl.kind, wl.n, 42)
 		if err != nil {
 			return nil, err
 		}
-		cfg := core.DefaultConfig()
-		cfg.Seed = 1
+		cfg := seededConfig()
 		row := PhaseRow{Graph: wl.kind, N: m.N(), K: wl.k, P: p}
 		for rep := 0; rep < repeats; rep++ {
 			bkm := core.New(cfg)

@@ -193,10 +193,8 @@ func QuickScale() Scale {
 // Tools returns the partitioners of the evaluation in the paper's
 // presentation order: Geographer (geoKmeans) and the Zoltan competitors.
 func Tools() []partition.Distributed {
-	cfg := core.DefaultConfig()
-	cfg.Seed = 1
 	return []partition.Distributed{
-		core.New(cfg),
+		core.New(seededConfig()),
 		baselinesMJ(),
 		baselinesRCB(),
 		baselinesRIB(),
@@ -207,10 +205,8 @@ func Tools() []partition.Distributed {
 // TableTools returns the four tools shown in Tables 1 and 2 (the paper
 // omits RIB there).
 func TableTools() []partition.Distributed {
-	cfg := core.DefaultConfig()
-	cfg.Seed = 1
 	return []partition.Distributed{
-		core.New(cfg),
+		core.New(seededConfig()),
 		baselinesHSFC(),
 		baselinesMJ(),
 		baselinesRCB(),

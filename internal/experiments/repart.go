@@ -7,12 +7,10 @@ import (
 	"time"
 
 	"geographer/internal/core"
-	"geographer/internal/geom"
 	"geographer/internal/mesh"
 	"geographer/internal/metrics"
 	"geographer/internal/mpi"
 	"geographer/internal/partition"
-	"geographer/internal/repart"
 )
 
 // RepartRow is one timestep measurement of the dynamic-load scenario:
@@ -86,27 +84,22 @@ func Repart(w io.Writer, sc Scale) ([]RepartRow, error) {
 	var out []RepartRow
 	fmt.Fprintf(w, "Warm-start repartitioning vs from-scratch over %d perturbed timesteps, p=%d\n", repartSteps, p)
 	for _, wl := range repartWorkloads(sc) {
-		m, err := repartMesh(wl.kind, wl.n)
+		m, err := genMesh(wl.kind, wl.n, 42)
 		if err != nil {
 			return nil, err
 		}
+		cfg := seededConfig()
 
-		cfg := core.DefaultConfig()
-		cfg.Seed = 1
-
-		// Common initial partition at t=0 load, computed through the warm
-		// chain's session (bit-identical to a one-shot partition.Run).
-		// The timestep point sets share the mesh coordinates and differ
-		// only in weights.
-		ps0 := &geom.PointSet{Dim: m.Points.Dim, Coords: m.Points.Coords, Weight: perturbedWeights(m, 0)}
-		sess, err := repart.NewSession(mpi.NewWorld(p), ps0, wl.k, cfg)
+		// The warm chain: one session whose cold partition at t=0 load
+		// (bit-identical to a one-shot partition.Run) is also the scratch
+		// chain's starting point, then per step a delta application on the
+		// resident state and one warm k-means phase — no re-scatter, no
+		// re-ingest.
+		warm, err := runChain(atStep(m, 0), wl.k, p, cfg, nil, repartSteps, func(t int) []float64 {
+			return perturbedWeights(m, t)
+		})
 		if err != nil {
-			return nil, err
-		}
-		defer sess.Close()
-		initial, err := sess.Partition()
-		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("repart %s: %w", wl.kind, err)
 		}
 
 		fmt.Fprintf(w, "\n%-10s n=%d k=%d\n", wl.kind, m.N(), wl.k)
@@ -114,33 +107,19 @@ func Repart(w io.Writer, sc Scale) ([]RepartRow, error) {
 			"step", "mode", "wall[s]", "cut", "imbalance", "migrated_w", "mig%")
 
 		totals := map[string]float64{}
-		prev := map[string][]int32{"warm": initial.Assign, "scratch": initial.Assign}
+		prev := map[string][]int32{"warm": warm.Assign[0], "scratch": warm.Assign[0]}
 		for t := 1; t <= repartSteps; t++ {
-			wt := perturbedWeights(m, t)
-			ps := &geom.PointSet{Dim: m.Points.Dim, Coords: m.Points.Coords, Weight: wt}
+			ps := atStep(m, t)
 			for _, mode := range []string{"warm", "scratch"} {
-				t0 := time.Now()
-				var assign []int32
-				switch mode {
-				case "warm":
-					// Delta application on the resident state, then one
-					// warm k-means phase — no re-scatter, no re-ingest.
-					if err := sess.UpdateWeights(wt); err != nil {
-						return nil, fmt.Errorf("repart %s step %d: %w", wl.kind, t, err)
-					}
-					pw, _, err := sess.RepartitionFrom(prev[mode])
-					if err != nil {
-						return nil, fmt.Errorf("repart %s step %d: %w", wl.kind, t, err)
-					}
-					assign = pw.Assign
-				case "scratch":
+				assign, secs := warm.Assign[t], warm.StepSec[t-1]
+				if mode == "scratch" {
+					t0 := time.Now()
 					pn, err := partition.Run(mpi.NewWorld(p), ps, wl.k, core.New(cfg))
 					if err != nil {
 						return nil, fmt.Errorf("scratch %s step %d: %w", wl.kind, t, err)
 					}
-					assign = pn.Assign
+					assign, secs = pn.Assign, time.Since(t0).Seconds()
 				}
-				secs := time.Since(t0).Seconds()
 
 				rep, err := metrics.Evaluate(m.G, ps, assign, wl.k)
 				if err != nil {
@@ -167,7 +146,6 @@ func Repart(w io.Writer, sc Scale) ([]RepartRow, error) {
 					t, mode, secs, rep.EdgeCut, rep.Imbalance, migW, 100*row.MigratedFrac)
 			}
 		}
-		sess.Close() // release this workload's resident state before the next (defer covers error paths)
 		fmt.Fprintf(w, "summary %s: migrated weight warm %.1f vs scratch %.1f (%.2fx less), time warm %.4fs vs scratch %.4fs, mean cut warm %.0f vs scratch %.0f\n",
 			wl.kind, totals["warm_mig"], totals["scratch_mig"],
 			safeRatio(totals["scratch_mig"], totals["warm_mig"]),

@@ -116,9 +116,7 @@ func Components(w io.Writer, sc Scale) ([]ComponentShare, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := core.DefaultConfig()
-		cfg.Seed = 1
-		bkm := core.New(cfg)
+		bkm := core.New(seededConfig())
 		world := mpi.NewWorld(p)
 		if _, err := partition.Run(world, m.Points, p, bkm); err != nil {
 			return nil, err
@@ -172,8 +170,7 @@ func Ablation(w io.Writer, sc Scale) ([]AblationRow, error) {
 	k := sc.KTable2
 	p := 4
 
-	base := core.DefaultConfig()
-	base.Seed = 1
+	base := seededConfig()
 	configs := []struct {
 		name string
 		mod  func(c core.Config) core.Config

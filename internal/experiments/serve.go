@@ -3,15 +3,12 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 	"time"
 
-	"geographer/internal/core"
-	"geographer/internal/geom"
 	"geographer/internal/mesh"
-	"geographer/internal/mpi"
-	"geographer/internal/repart"
 	"geographer/internal/sched"
 	"geographer/internal/serve"
 )
@@ -109,75 +106,47 @@ func (c ServeCell) check() error {
 	return nil
 }
 
-// serveMesh builds tenant id's point set: ids alternate between the two
-// dynamic workload families, each on its own generator seed so no two
-// tenants share geometry.
-func serveMesh(id, n int) (*mesh.Mesh, string, error) {
-	if id%2 == 0 {
-		m, err := mesh.GenClimate(n, int64(42+id))
-		return m, "climate", err
-	}
-	m, err := mesh.GenRefinedTri(n, int64(42+id))
-	return m, "refined", err
+// tenantRef is one serving tenant's workload and its solo reference
+// chain: the same chain on a private session — no registry, no shared
+// pool, no eviction — that every registry-side step must reproduce.
+type tenantRef struct {
+	m         *mesh.Mesh
+	kind      string
+	chain     [][]int32 // [0] cold partition, [t] after warm step t
+	distCalcs int64     // summed over the warm steps
 }
 
-// serveSoloChain runs tenant id's chain on a private session — no
-// registry, no shared pool, no eviction — and returns the per-step
-// assignments (index 0 = cold partition) plus the summed warm-step
-// distance evaluations. This is the bit-identicality reference.
-func serveSoloChain(m *mesh.Mesh, id int) ([][]int32, int64, error) {
-	cfg := core.DefaultConfig()
-	cfg.Seed = 1
-	ps := &geom.PointSet{Dim: m.Points.Dim, Coords: m.Points.Coords, Weight: perturbedWeights(m, 7*id)}
-	s, err := repart.NewSession(mpi.NewWorld(serveP), ps, serveK, cfg)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer s.Close()
-
-	chain := make([][]int32, 0, serveSteps+1)
-	p, err := s.Partition()
-	if err != nil {
-		return nil, 0, err
-	}
-	chain = append(chain, append([]int32(nil), p.Assign...))
-	var distCalcs int64
-	for t := 1; t <= serveSteps; t++ {
-		if err := s.UpdateWeights(perturbedWeights(m, 7*id+t)); err != nil {
-			return nil, 0, err
-		}
-		p, st, acted, err := s.RepartitionIfAbove(0)
+// tenantRefs builds the references of tenants 0..count-1: ids alternate
+// between the two dynamic workload families, each on its own generator
+// seed so no two tenants share geometry, and tenant id's load at step t
+// is perturbedWeights(m, 7·id+t).
+func tenantRefs(count, n int) ([]tenantRef, error) {
+	refs := make([]tenantRef, count)
+	for id := range refs {
+		kind := [2]string{"climate", "refined"}[id%2]
+		m, err := genMesh(kind, n, int64(42+id))
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		if !acted {
-			return nil, 0, fmt.Errorf("solo tenant %d step %d did not act", id, t)
+		ch, err := runChain(atStep(m, 7*id), serveK, serveP, seededConfig(), nil, serveSteps, func(t int) []float64 {
+			return perturbedWeights(m, 7*id+t)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("solo reference %d: %w", id, err)
 		}
-		chain = append(chain, append([]int32(nil), p.Assign...))
-		distCalcs += st.DistCalcs
+		refs[id] = tenantRef{m: m, kind: kind, chain: ch.Assign, distCalcs: ch.warmDistCalcs()}
 	}
-	return chain, distCalcs, nil
+	return refs, nil
 }
 
-// sameAssign reports bit-identity of two assignment vectors.
-func sameAssign(a, b []int32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// quantile returns the q-quantile of sorted (nearest-rank).
+// quantile returns the nearest-rank q-quantile of sorted, in
+// milliseconds: the smallest value with at least a q share of the
+// values at or below it, sorted[⌈q·n⌉−1].
 func quantile(sorted []time.Duration, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(q * float64(len(sorted)-1))
+	i := max(int(math.Ceil(q*float64(len(sorted))))-1, 0)
 	return sorted[i].Seconds() * 1e3
 }
 
@@ -201,23 +170,9 @@ func Serve(w io.Writer, sc Scale) ([]ServeRow, Report[ServeCell], error) {
 
 	// Solo references, computed serially up front so the concurrent
 	// phase measures only registry traffic.
-	type refChain struct {
-		m         *mesh.Mesh
-		kind      string
-		chain     [][]int32
-		distCalcs int64
-	}
-	refs := make([]refChain, serveTenants)
-	for id := 0; id < serveTenants; id++ {
-		m, kind, err := serveMesh(id, n)
-		if err != nil {
-			return nil, rep, err
-		}
-		chain, dc, err := serveSoloChain(m, id)
-		if err != nil {
-			return nil, rep, fmt.Errorf("solo reference %d: %w", id, err)
-		}
-		refs[id] = refChain{m: m, kind: kind, chain: chain, distCalcs: dc}
+	refs, err := tenantRefs(serveTenants, n)
+	if err != nil {
+		return nil, rep, err
 	}
 
 	g := serve.NewRegistry(serve.Config{Pool: sched.NewPool(servePool)})
@@ -250,9 +205,8 @@ func Serve(w io.Writer, sc Scale) ([]ServeRow, Report[ServeCell], error) {
 				return err == nil
 			}
 
-			ps := &geom.PointSet{Dim: ref.m.Points.Dim, Coords: ref.m.Points.Coords, Weight: perturbedWeights(ref.m, 7*id)}
 			if !verb("create", func() error {
-				return g.Create(nil, name, ps, serve.TenantOptions{K: serveK, Processes: serveP, Workers: serveBudget})
+				return g.Create(nil, name, atStep(ref.m, 7*id), serve.TenantOptions{K: serveK, Processes: serveP, Workers: serveBudget})
 			}) {
 				return
 			}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"testing"
+	"time"
 )
 
 // TestServeQuick runs the multi-tenant serving experiment at quick
@@ -55,5 +56,22 @@ func TestServeQuick(t *testing.T) {
 	}
 	if c.VerbsPerSec <= 0 || c.P50Ms < 0 || c.P99Ms < c.P50Ms {
 		t.Errorf("degenerate throughput/latency: %+v", c)
+	}
+}
+
+// TestQuantileNearestRank pins the latency quantiles to nearest rank,
+// sorted[⌈q·n⌉−1], on the serve fence's 72 verbs: 1..72 ms.
+func TestQuantileNearestRank(t *testing.T) {
+	lats := make([]time.Duration, 72)
+	for i := range lats {
+		lats[i] = time.Duration(i+1) * time.Millisecond
+	}
+	for _, c := range []struct{ q, want float64 }{{0.50, 36}, {0.95, 69}, {0.99, 72}, {1, 72}, {0, 1}} {
+		if got := quantile(lats, c.q); got != c.want {
+			t.Errorf("q=%g: %g ms, want %g", c.q, got, c.want)
+		}
+	}
+	if got := quantile(nil, 0.5); got != 0 {
+		t.Errorf("empty: %g, want 0", got)
 	}
 }

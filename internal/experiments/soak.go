@@ -4,18 +4,14 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
 	"geographer/internal/core"
 	"geographer/internal/geom"
-	"geographer/internal/mpi"
-	"geographer/internal/repart"
 )
 
 // SoakConfig is one cell of the soak grid: a streaming repartitioning
@@ -57,25 +53,17 @@ var soakReport = Report[SoakCell]{
 	Strict: []string{"collectives", "collective_bytes", "barriers", "dist_calcs", "modeled_comm_sec", "imbalance"},
 }
 
-// SoakCells returns the grid for a scale: the quick cells always come
-// first — they are cheap, and their presence in every report (including
-// the committed default-scale BENCH_soak.json) gives CI's quick runs
-// matching cells to diff against — followed, when sc is larger than
-// quick scale, by the paper-scale cells (k up to SoakMaxK, p up to
-// SoakMaxP, n = SoakN).
+// SoakCells returns the grid for a scale, quick cells first (see
+// quickCellsFirst), then the scale's cells: k up to SoakMaxK, p up to
+// SoakMaxP, n = SoakN.
 func SoakCells(sc Scale) []SoakConfig {
-	cellsFor := func(s Scale) []SoakConfig {
+	return quickCellsFirst(sc, sc.SoakN > QuickScale().SoakN, func(s Scale) []SoakConfig {
 		return []SoakConfig{
 			{N: s.SoakN, Dim: 3, K: s.SoakK, P: s.SoakMaxP / 4, Steps: s.SoakSteps},
 			{N: s.SoakN, Dim: 3, K: s.SoakK, P: s.SoakMaxP, Steps: s.SoakSteps},
 			{N: s.SoakN, Dim: 3, K: s.SoakMaxK, P: s.SoakMaxP / 4, Steps: s.SoakSteps},
 		}
-	}
-	cells := cellsFor(sc)
-	if sc.SoakN > QuickScale().SoakN {
-		cells = append(cellsFor(QuickScale()), cells...)
-	}
-	return cells
+	})
 }
 
 // soakPoints generates the soak workload: n uniform points in a unit
@@ -94,20 +82,8 @@ func soakPoints(n, dim int) *geom.PointSet {
 	return ps
 }
 
-// soakWeights is the per-step load perturbation: a travelling wave over
-// the point index, so block weights shift every step and each warm step
-// does real balancing work.
-func soakWeights(base []float64, step int) []float64 {
-	w := make([]float64, len(base))
-	for i := range w {
-		w[i] = base[i] * (1 + 0.3*math.Sin(float64(i)*0.37+float64(step)))
-	}
-	return w
-}
-
-// runSoakCell runs one cell: striped seed partition, one session, Steps
-// warm repartitioning steps, counters read from the world after the
-// final step.
+// runSoakCell runs one cell: a spatial-slab seed partition, then one
+// session chain of Steps warm steps under the travelling wave.
 func runSoakCell(cfg SoakConfig) (SoakCell, error) {
 	cell := SoakCell{SoakConfig: cfg}
 	ps := soakPoints(cfg.N, cfg.Dim)
@@ -128,48 +104,22 @@ func runSoakCell(cfg SoakConfig) (SoakCell, error) {
 		prev[i] = b
 	}
 
-	ccfg := core.DefaultConfig()
-	w := mpi.NewWorld(cfg.P)
 	t0 := time.Now()
-	sess, err := repart.NewSession(w, ps, cfg.K, ccfg)
+	ch, err := runChain(ps, cfg.K, cfg.P, core.DefaultConfig(), prev, cfg.Steps, func(t int) []float64 {
+		return travellingWave(base, t-1, 0.37)
+	})
 	if err != nil {
 		return cell, err
 	}
-	defer sess.Close()
-	cell.IngestSec = sess.IngestSeconds()
-	if err := sess.SetPartition(prev); err != nil {
-		return cell, err
-	}
-
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	stepStart := time.Now()
-	for s := 0; s < cfg.Steps; s++ {
-		if err := sess.UpdateWeights(soakWeights(base, s)); err != nil {
-			return cell, err
-		}
-		_, st, err := sess.Repartition()
-		if err != nil {
-			return cell, fmt.Errorf("step %d: %w", s, err)
-		}
-		cell.DistCalcs += st.DistCalcs
-	}
-	runtime.ReadMemStats(&ms1)
-	cell.StepSecMean = time.Since(stepStart).Seconds() / float64(cfg.Steps)
-	cell.MallocsPerStep = float64(ms1.Mallocs-ms0.Mallocs) / float64(cfg.Steps)
-	cell.AllocMBPerStep = float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(cfg.Steps) / (1 << 20)
-
-	for _, st := range w.Stats() {
-		cell.Collectives += st.Collectives
-		cell.CollectiveBytes += st.CollectiveBytes
-		cell.Barriers += st.Barriers
-		if st.ModeledCommSec > cell.ModeledCommSec {
-			cell.ModeledCommSec = st.ModeledCommSec
-		}
-	}
-	if cell.Imbalance, err = sess.Imbalance(); err != nil {
-		return cell, err
-	}
+	steps := float64(cfg.Steps)
+	cell.IngestSec = ch.IngestSec
+	cell.StepSecMean = ch.stepSecMean()
+	cell.MallocsPerStep = float64(ch.Mallocs) / steps
+	cell.AllocMBPerStep = float64(ch.AllocBytes) / steps / (1 << 20)
+	cell.Collectives, cell.CollectiveBytes, cell.Barriers = ch.World.Collectives, ch.World.CollectiveBytes, ch.World.Barriers
+	cell.ModeledCommSec = ch.World.ModeledCommSec
+	cell.DistCalcs = ch.warmDistCalcs()
+	cell.Imbalance = ch.Imbalance
 	cell.WallSec = time.Since(t0).Seconds()
 	cell.PeakRSSMB = peakRSSMB()
 	return cell, nil

@@ -5,9 +5,6 @@ import (
 	"io"
 	"time"
 
-	"geographer/internal/core"
-	"geographer/internal/geom"
-	"geographer/internal/mesh"
 	"geographer/internal/metrics"
 	"geographer/internal/mpi"
 	"geographer/internal/repart"
@@ -30,8 +27,9 @@ type StreamRow struct {
 	Mode string
 	K, P int
 
-	// Seconds is the wall time of this step's partitioning call alone —
-	// for session steps that excludes ingest by construction, because
+	// Seconds is the wall time of this step's partitioning call (for
+	// session steps, UpdateWeights + Repartition) — it excludes ingest
+	// for session steps by construction, because
 	// the ingest happened once in NewSession (IngestSeconds of the
 	// step-0 "session" accounting below).
 	Seconds float64
@@ -80,36 +78,29 @@ func Stream(w io.Writer, sc Scale) ([]StreamRow, error) {
 	var out []StreamRow
 	fmt.Fprintf(w, "Streaming session vs per-step one-shot repartitioning over %d perturbed timesteps, p=%d\n", streamSteps, p)
 	for _, wl := range repartWorkloads(sc) {
-		m, err := repartMesh(wl.kind, wl.n)
+		m, err := genMesh(wl.kind, wl.n, 42)
 		if err != nil {
 			return nil, err
 		}
-		cfg := core.DefaultConfig()
-		cfg.Seed = 1
+		cfg := seededConfig()
 
 		// The session ingests the coordinates once, at t=0 load.
-		ps0 := &geom.PointSet{Dim: m.Points.Dim, Coords: m.Points.Coords, Weight: perturbedWeights(m, 0)}
-		sess, err := repart.NewSession(mpi.NewWorld(p), ps0, wl.k, cfg)
+		ps0 := atStep(m, 0)
+		ch, err := runChain(ps0, wl.k, p, cfg, nil, streamSteps, func(t int) []float64 {
+			return perturbedWeights(m, t)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("stream %s: %w", wl.kind, err)
 		}
-
-		t0 := time.Now()
-		initial, err := sess.Partition()
+		initial := ch.Assign[0]
+		rep, err := metrics.Evaluate(m.G, ps0, initial, wl.k)
 		if err != nil {
-			sess.Close()
-			return nil, fmt.Errorf("stream %s: %w", wl.kind, err)
-		}
-		coldSecs := time.Since(t0).Seconds()
-		rep, err := metrics.Evaluate(m.G, ps0, initial.Assign, wl.k)
-		if err != nil {
-			sess.Close()
 			return nil, err
 		}
-		coldInfo := sess.LastInfo()
+		coldInfo := ch.ColdInfo
 		out = append(out, StreamRow{
 			Graph: wl.kind, Step: 0, Mode: "cold", K: wl.k, P: p,
-			Seconds: coldSecs, IngestSeconds: sess.IngestSeconds(),
+			Seconds: ch.ColdSec, IngestSeconds: ch.IngestSec,
 			KMeansSeconds: coldInfo.KMeansSeconds,
 			Cut:           rep.EdgeCut, Imbalance: rep.Imbalance,
 			DistCalcs: coldInfo.DistCalcs, HamerlySkips: coldInfo.HamerlySkips,
@@ -117,54 +108,36 @@ func Stream(w io.Writer, sc Scale) ([]StreamRow, error) {
 		})
 
 		fmt.Fprintf(w, "\n%-10s n=%d k=%d (cold init %.4fs, session ingest %.4fs — paid once)\n",
-			wl.kind, m.N(), wl.k, coldSecs, sess.IngestSeconds())
+			wl.kind, m.N(), wl.k, ch.ColdSec, ch.IngestSec)
 		fmt.Fprintf(w, "%4s %-8s %10s %10s %10s %8s %10s %12s %8s %10s %6s %4s\n",
 			"step", "mode", "wall[s]", "ingest[s]", "kmeans[s]", "cut", "imbalance", "migrated_w", "mig%", "dist", "bnd%", "inc")
 
 		totals := map[string]float64{}
-		prevOneshot := initial.Assign
+		prevOneshot := initial
 		for t := 1; t <= streamSteps; t++ {
-			wt := perturbedWeights(m, t)
-
-			// Session step: apply the weight delta in place, warm k-means
-			// on the resident columns.
-			if err := sess.UpdateWeights(wt); err != nil {
-				sess.Close()
-				return nil, fmt.Errorf("stream %s step %d: %w", wl.kind, t, err)
-			}
-			t0 = time.Now()
-			pw, stw, err := sess.Repartition()
-			if err != nil {
-				sess.Close()
-				return nil, fmt.Errorf("stream %s step %d: %w", wl.kind, t, err)
-			}
-			sessSecs := time.Since(t0).Seconds()
+			// Session step (from the chain): the weight delta applied in
+			// place, warm k-means on the resident columns.
+			pw, stw, sessSecs := ch.Assign[t], ch.Steps[t-1], ch.StepSec[t-1]
 
 			// One-shot step: the same warm step through repart.Repartition,
 			// which scatters and ingests the whole point set again.
-			ps := &geom.PointSet{Dim: m.Points.Dim, Coords: m.Points.Coords, Weight: wt}
-			t0 = time.Now()
+			ps := atStep(m, t)
+			t0 := time.Now()
 			po, sto, err := repart.Repartition(mpi.NewWorld(p), ps, prevOneshot, wl.k, cfg)
 			if err != nil {
-				sess.Close()
 				return nil, fmt.Errorf("stream oneshot %s step %d: %w", wl.kind, t, err)
 			}
 			oneSecs := time.Since(t0).Seconds()
 
 			// The chains must stay bit-identical (the differential test
 			// pins this too; failing here means the session diverged).
-			for i := range pw.Assign {
-				if pw.Assign[i] != po.Assign[i] {
-					sess.Close()
-					return nil, fmt.Errorf("stream %s step %d: session and one-shot partitions diverged at point %d (%d vs %d)",
-						wl.kind, t, i, pw.Assign[i], po.Assign[i])
-				}
+			if !sameAssign(pw, po.Assign) {
+				return nil, fmt.Errorf("stream %s step %d: session and one-shot partitions diverged", wl.kind, t)
 			}
 			prevOneshot = po.Assign
 
-			rep, err := metrics.Evaluate(m.G, ps, pw.Assign, wl.k)
+			rep, err := metrics.Evaluate(m.G, ps, pw, wl.k)
 			if err != nil {
-				sess.Close()
 				return nil, err
 			}
 			for _, mode := range []string{"session", "oneshot"} {
@@ -206,8 +179,7 @@ func Stream(w io.Writer, sc Scale) ([]StreamRow, error) {
 					row.DistCalcs, 100*row.BoundaryFrac, inc)
 			}
 		}
-		ingestOnce := sess.IngestSeconds()
-		sess.Close()
+		ingestOnce := ch.IngestSec
 		fmt.Fprintf(w, "summary %s: %d warm steps in %.4fs with the session vs %.4fs one-shot (%.2fx); ingest %.4fs once vs %.4fs re-paid across steps; dist calcs %.0f vs %.0f (%.2fx), warm k-means %.4fs vs %.4fs (%.2fx); partitions bit-identical\n",
 			wl.kind, streamSteps, totals["session_sec"], totals["oneshot_sec"],
 			safeRatio(totals["oneshot_sec"], totals["session_sec"]),
@@ -218,17 +190,4 @@ func Stream(w io.Writer, sc Scale) ([]StreamRow, error) {
 			safeRatio(totals["oneshot_km"], totals["session_km"]))
 	}
 	return out, nil
-}
-
-// repartMesh materializes a dynamic-load workload mesh by kind (shared
-// by the repart and stream experiments).
-func repartMesh(kind string, n int) (*mesh.Mesh, error) {
-	switch kind {
-	case "climate":
-		return mesh.GenClimate(n, 42)
-	case "refined":
-		return mesh.GenRefinedTri(n, 42)
-	default:
-		return nil, fmt.Errorf("experiments: unknown dynamic workload %q", kind)
-	}
 }

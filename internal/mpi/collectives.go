@@ -180,11 +180,6 @@ func AllreduceMax[T Number](c *Comm, in []T) []T {
 	return allreduce(c, in, nil, foldMax[T])
 }
 
-// AllreduceMaxInto is AllreduceMax writing into out; out == in allowed.
-func AllreduceMaxInto[T Number](c *Comm, in, out []T) []T {
-	return allreduce(c, in, out, foldMax[T])
-}
-
 // AllreduceMin returns the element-wise minimum across ranks.
 func AllreduceMin[T Number](c *Comm, in []T) []T {
 	return allreduce(c, in, nil, foldMin[T])
@@ -445,8 +440,8 @@ type colsSend struct {
 // collective. This is the SoA redistribution primitive of
 // internal/dsort: compared with one AlltoallFlat per column it performs
 // one barrier enter/exit pair instead of 3+dim, so collective counts
-// and modeled latency match the single personalized all-to-all of the
-// reference Item path, while the accounted bytes still follow the real
+// and modeled latency are those of one personalized all-to-all, while
+// the accounted bytes still follow the real
 // per-dimension wire size (8·(2+len(f64)) bytes per off-rank record).
 // Received segments are concatenated in rank order; the returned counts
 // give the per-source run lengths.
