@@ -262,10 +262,10 @@ func fromStats(blocks []int32, st repart.Stats) RepartResult {
 		MigratedWeight: st.MigratedWeight,
 		MigratedPoints: st.MigratedPoints,
 		TotalWeight:    st.TotalWeight,
-		DistCalcs:      st.DistCalcs,
-		HamerlySkips:   st.HamerlySkips,
-		Incremental:    st.Incremental,
-		BoundaryFrac:   st.BoundaryFrac,
+		DistCalcs:      st.Info.DistCalcs,
+		HamerlySkips:   st.Info.HamerlySkips,
+		Incremental:    st.Info.CarriedBounds,
+		BoundaryFrac:   st.Info.BoundaryFrac,
 		PreImbalance:   st.PreImbalance,
 		Retries:        st.Retries,
 	}

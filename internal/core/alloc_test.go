@@ -51,13 +51,13 @@ func warmStepAllocs(t *testing.T, dim, n, k, p int) float64 {
 		step++
 		cfg := DefaultConfig()
 		cfg.Workers = 1 // helper goroutines are per machine, not per step
-		cfg.WarmCenters = warmCentersFrom(ps, assign, k)
+		centers := warmCentersFrom(ps, assign, k)
 		bkm := New(cfg)
 		for _, r := range res {
 			r.SetWeightsGlobal(wt)
 		}
 		if err := w.Run(func(c *mpi.Comm) {
-			ids, blocks, err := bkm.PartitionResident(c, res[c.Rank()], k)
+			ids, blocks, err := bkm.PartitionResident(c, res[c.Rank()], k, centers)
 			if err != nil {
 				panic(err)
 			}
@@ -154,12 +154,12 @@ func TestResidentWarmStepReusesOutputBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.WarmCenters = warmCentersFrom(ps, prev.Assign, k)
+	centers := warmCentersFrom(ps, prev.Assign, k)
 	bkm := New(cfg)
 	ptr := make([]*int32, p)
 	for round := 0; round < 2; round++ {
 		if err := w.Run(func(c *mpi.Comm) {
-			_, blocks, err := bkm.PartitionResident(c, res[c.Rank()], k)
+			_, blocks, err := bkm.PartitionResident(c, res[c.Rank()], k, centers)
 			if err != nil {
 				panic(err)
 			}

@@ -121,19 +121,6 @@ type Config struct {
 	// stale (coordinate updates, k or bounds-mode changes, first run).
 	Incremental bool
 
-	// WarmCenters, when non-nil, seeds the k cluster centers directly
-	// instead of placing them along the space-filling curve — the
-	// warm-start repartitioning entry point (internal/repart): the SFC
-	// sort/redistribution bootstrap and the curve-spaced placement of
-	// Algorithm 2, lines 4–7 are skipped (points stay in their input
-	// distribution), sampled initialization is disabled, and all global
-	// weight/center reductions run through the order-independent exact
-	// accumulator of internal/exact, making the output bit-identical
-	// across rank and worker counts (see DESIGN.md, "Repartitioning
-	// invariants"). Stored flat (stride = the input's dimension);
-	// length must be k·dim.
-	WarmCenters []float64
-
 	// Deterministic makes the cold (non-warm) path's output independent
 	// of the rank and worker layout: sampled initialization is forced
 	// off (its shuffle is rank-seeded) and every global float reduction
@@ -158,9 +145,8 @@ const (
 // Validate checks the parts of a configuration whose violation would
 // otherwise fail silently or crash mid-run: a negative ε makes the
 // balance check `imb <= Epsilon` unsatisfiable (every k-means iteration
-// would burn all MaxBalanceIter rounds for nothing), ill-formed target
-// fractions skew the balance targets, and a WarmCenters slice of the
-// wrong length would seed garbage centers.
+// would burn all MaxBalanceIter rounds for nothing), and ill-formed
+// target fractions skew the balance targets.
 func (cfg Config) Validate(k int) error {
 	if k < 1 {
 		return fmt.Errorf("core: k=%d", k)
@@ -173,17 +159,14 @@ func (cfg Config) Validate(k int) error {
 			return err
 		}
 	}
-	if cfg.WarmCenters != nil && (len(cfg.WarmCenters)%k != 0 || len(cfg.WarmCenters) == 0) {
-		return fmt.Errorf("core: %d warm center coordinates not divisible by k=%d", len(cfg.WarmCenters), k)
-	}
 	return nil
 }
 
 // normalized fills the tuning knobs of a zero-value configuration from
 // DefaultConfig: the caller did not start from DefaultConfig (MaxIter
 // is zero), so the knobs take their defaults — but everything that
-// defines the caller's problem (constraints, seeds, warm centers) is
-// kept rather than silently reset. The all-on feature booleans
+// defines the caller's problem (constraints, seeds) is kept rather
+// than silently reset. The all-on feature booleans
 // (Erosion, BBoxPruning, SampledInit, SFCBootstrap) cannot be
 // distinguished from unset here and take their defaults; callers that
 // ablate them must set MaxIter explicitly.
@@ -208,7 +191,6 @@ func (cfg Config) normalized() Config {
 	def.Seed = cfg.Seed
 	def.Strict = cfg.Strict
 	def.TargetFractions = cfg.TargetFractions
-	def.WarmCenters = cfg.WarmCenters
 	def.Deterministic = cfg.Deterministic
 	if def.Deterministic {
 		def.SampledInit = false

@@ -209,11 +209,11 @@ func TestHamerlySkipRate(t *testing.T) {
 	step := func() Info {
 		t.Helper()
 		cfg := DefaultConfig()
-		cfg.WarmCenters = warmCentersFrom(ps, prev, k)
+		centers := warmCentersFrom(ps, prev, k)
 		wb := New(cfg)
 		out := make([]int32, ps.Len())
 		if err := w.Run(func(c *mpi.Comm) {
-			ids, blocks, err := wb.PartitionResident(c, res[c.Rank()], k)
+			ids, blocks, err := wb.PartitionResident(c, res[c.Rank()], k, centers)
 			if err != nil {
 				panic(err)
 			}
@@ -388,6 +388,46 @@ func TestInvalidK(t *testing.T) {
 	w := mpi.NewWorld(1)
 	if _, err := partition.Run(w, uniformPoints(10, 2, 1), 0, bkm); err == nil {
 		t.Fatal("k=0 accepted")
+	}
+}
+
+// TestPartitionResidentRejectsBadCenters: the warm entry point checks
+// its seed centers (length k·dim) and returns an error — never panics —
+// for nil or wrong-length slices; a well-formed call on the same
+// Resident still succeeds afterwards.
+func TestPartitionResidentRejectsBadCenters(t *testing.T) {
+	ps := uniformPoints(400, 2, 3)
+	const k, p = 4, 2
+	w := mpi.NewWorld(p)
+	res := make([]*Resident, p)
+	if err := w.Run(func(c *mpi.Comm) {
+		res[c.Rank()] = Ingest(c, partition.Scatter(c, ps))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	good := append([]float64(nil), ps.Coords[:k*ps.Dim]...) // k input points
+	bkm := New(DefaultConfig())
+	for _, tc := range []struct {
+		name    string
+		centers []float64
+		ok      bool
+	}{
+		{"nil", nil, false},
+		{"short", good[:k*ps.Dim-1], false},
+		{"long", append(append([]float64(nil), good...), 0, 0), false},
+		{"exact", good, true},
+	} {
+		errs := make([]error, p)
+		if err := w.Run(func(c *mpi.Comm) {
+			_, _, errs[c.Rank()] = bkm.PartitionResident(c, res[c.Rank()], k, tc.centers)
+		}); err != nil {
+			t.Fatalf("%s: world error %v", tc.name, err)
+		}
+		for r, err := range errs {
+			if (err == nil) != tc.ok {
+				t.Errorf("%s centers, rank %d: err = %v", tc.name, r, err)
+			}
+		}
 	}
 }
 

@@ -75,7 +75,7 @@ func (b refIngest) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]int64,
 }
 
 func (b refIngest) finishProbed(st *state) ([]int64, []int32, error) {
-	ids, blocks, err := b.finish(st)
+	ids, blocks, err := b.finish(st, nil)
 	if err == nil && b.probe != nil {
 		b.probe(st)
 	}

@@ -108,7 +108,7 @@ type state struct {
 
 	globalN int64 // global point count, fixed at init
 
-	// Warm-start repartitioning (cfg.WarmCenters): global float sums are
+	// Warm-start repartitioning (PartitionResident): global float sums are
 	// taken through order-independent exact accumulators so the output
 	// does not depend on how points are grouped into ranks or kernel
 	// chunks (see DESIGN.md, "Repartitioning invariants").
@@ -195,22 +195,6 @@ func (b *BalancedKMeans) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]
 	if err := cfg.Validate(k); err != nil {
 		return nil, nil, err
 	}
-	if len(cfg.WarmCenters) > 0 {
-		// Warm-start repartitioning: the §4.1 ingest pipeline is skipped
-		// entirely (see Ingest/runResident in session.go — the same code
-		// the long-lived session API reuses across timesteps; here the
-		// resident state lives for a single call). The one-time column
-		// build is attributed to the SFC phase slot for the one-shot
-		// caller's phase breakdown.
-		r := Ingest(c, pts)
-		ids, blocks, err := b.runResident(c, r, k, cfg)
-		if err == nil && c.Rank() == 0 {
-			b.mu.Lock()
-			b.info.SFCSeconds = r.IngestSeconds()
-			b.mu.Unlock()
-		}
-		return ids, blocks, err
-	}
 	if pts.Dim > geom.MaxDim {
 		// The Hilbert curve exists only for spatial dimensions; feature-
 		// space inputs always ingest by id order (the warm path skips the
@@ -265,14 +249,15 @@ func (b *BalancedKMeans) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]
 	st.info.SortSeconds = time.Since(tSort).Seconds()
 
 	// ---- Phase 3: balanced k-means (Algorithm 2, l. 7–19). ---------------
-	return b.finish(st)
+	return b.finish(st, nil)
 }
 
 // finish runs the k-means phase on an ingested state and aggregates the
-// per-rank diagnostics (rank 0 keeps the result).
-func (b *BalancedKMeans) finish(st *state) ([]int64, []int32, error) {
+// per-rank diagnostics (rank 0 keeps the result). A warm state starts
+// from seed (flat k·dim centers); a cold one ignores it.
+func (b *BalancedKMeans) finish(st *state, seed []float64) ([]int64, []int32, error) {
 	tKM := time.Now()
-	if err := st.initCentersAndTargets(); err != nil {
+	if err := st.initCentersAndTargets(seed); err != nil {
 		return nil, nil, err
 	}
 	st.run()
@@ -406,9 +391,9 @@ const maxKernelShards = geom.MaxKernelChunks
 
 // initCentersAndTargets places the k initial centers — at equal
 // distances along the sorted point order (Algorithm 2, line 7: C[i] =
-// sortedPoints[i·n/k + n/2k]), or straight from cfg.WarmCenters on the
-// warm-start path — and computes per-block target weights.
-func (st *state) initCentersAndTargets() error {
+// sortedPoints[i·n/k + n/2k]), or straight from seed on the warm-start
+// path — and computes per-block target weights.
+func (st *state) initCentersAndTargets(seed []float64) error {
 	// Scratch first: every reduction below can then run through the
 	// persistent buffers, so a steady-state warm call allocates nothing.
 	st.trackRaw = st.warm && st.cfg.Incremental && st.cfg.Bounds == BoundsHamerly
@@ -425,7 +410,7 @@ func (st *state) initCentersAndTargets() error {
 
 	var totalW float64
 	if st.warm {
-		st.centers = append(st.centers[:0], st.cfg.WarmCenters...)
+		st.centers = append(st.centers[:0], seed...)
 		totalW = st.exactTotalW()
 	} else if st.dim > geom.MaxDim {
 		// Feature-space seeding: the same shared-seed random global

@@ -158,13 +158,12 @@ func ownBanksChain(t *testing.T, start []int32, dim, k, p, workers int) [][]int3
 			}
 		}
 
-		c2 := cfg
-		c2.WarmCenters = warmCentersFrom(ps, assign, k)
-		bkm := New(c2)
+		centers := warmCentersFrom(ps, assign, k)
+		bkm := New(cfg)
 		out := make([]int32, n)
 		if err := w.Run(func(c *mpi.Comm) {
 			r := res[c.Rank()]
-			ids, blocks, err := bkm.PartitionResident(c, r, k)
+			ids, blocks, err := bkm.PartitionResident(c, r, k, centers)
 			if err != nil {
 				panic(err)
 			}

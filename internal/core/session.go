@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"geographer/internal/geom"
 	"geographer/internal/mpi"
@@ -32,8 +31,6 @@ type Resident struct {
 	// (Config.Incremental), drift-corrects and reuses — the per-run
 	// values; buffer allocations survive between calls.
 	st state
-
-	ingestSeconds float64
 }
 
 // Ingest builds the resident state from this rank's scattered points:
@@ -41,7 +38,6 @@ type Resident struct {
 // points into SoA columns. This is the only per-point-set cost of a
 // session; every subsequent warm partition reuses the columns.
 func Ingest(c *mpi.Comm, pts *partition.Local) *Resident {
-	t0 := time.Now()
 	bmin, bmax := globalBounds(c, pts)
 	r := &Resident{dim: pts.Dim, bmin: bmin, bmax: bmax}
 	st := &r.st
@@ -54,7 +50,6 @@ func Ingest(c *mpi.Comm, pts *partition.Local) *Resident {
 		st.W[i] = pts.Weight(i)
 		st.IDs[i] = pts.IDs[i]
 	}
-	r.ingestSeconds = time.Since(t0).Seconds()
 	return r
 }
 
@@ -63,10 +58,6 @@ func (r *Resident) Len() int { return r.st.X.Len() }
 
 // Dim returns the coordinate dimension.
 func (r *Resident) Dim() int { return r.dim }
-
-// IngestSeconds returns the wall time Ingest spent building this rank's
-// resident columns (the one-time cost a session amortizes).
-func (r *Resident) IngestSeconds() float64 { return r.ingestSeconds }
 
 // SetWeightsGlobal replaces the resident weight column from a global
 // weight vector indexed by point id (nil means unit weights). Purely
@@ -127,14 +118,14 @@ func (r *Resident) RecomputeBounds(c *mpi.Comm) {
 }
 
 // PartitionResident is Partition for resident state: the warm-start
-// balanced k-means (b.Cfg.WarmCenters, length k, is required) runs
+// balanced k-means, seeded with centers (flat, length k·dim), runs
 // directly on r's columns — no scatter, no SFC sort, no redistribution,
 // and no per-point allocations after the first call on a given
 // Resident. The output contract matches Partition: (ids, blocks) pairs
 // for this rank's points, bit-identical across rank and worker counts
 // (see DESIGN.md, "Repartitioning invariants" and "Session
 // invariants").
-func (b *BalancedKMeans) PartitionResident(c *mpi.Comm, r *Resident, k int) ([]int64, []int32, error) {
+func (b *BalancedKMeans) PartitionResident(c *mpi.Comm, r *Resident, k int, centers []float64) ([]int64, []int32, error) {
 	if k < 1 {
 		return nil, nil, fmt.Errorf("core: k=%d", k)
 	}
@@ -142,16 +133,9 @@ func (b *BalancedKMeans) PartitionResident(c *mpi.Comm, r *Resident, k int) ([]i
 	if err := cfg.Validate(k); err != nil {
 		return nil, nil, err
 	}
-	if len(cfg.WarmCenters) != k*r.dim {
-		return nil, nil, fmt.Errorf("core: resident partitioning is warm-start only: %d warm center coordinates for k=%d, dim=%d", len(cfg.WarmCenters), k, r.dim)
+	if len(centers) != k*r.dim {
+		return nil, nil, fmt.Errorf("core: %d warm center coordinates for k=%d, dim=%d", len(centers), k, r.dim)
 	}
-	return b.runResident(c, r, k, cfg)
-}
-
-// runResident binds the per-call fields of the resident state and runs
-// the k-means phase. The ingest phase time is zero by construction —
-// ingest happened in Ingest, once, and is reported by IngestSeconds.
-func (b *BalancedKMeans) runResident(c *mpi.Comm, r *Resident, k int, cfg Config) ([]int64, []int32, error) {
 	st := &r.st
 	st.c, st.cfg, st.k, st.dim = c, cfg, k, r.dim
 	st.warm = true
@@ -160,5 +144,5 @@ func (b *BalancedKMeans) runResident(c *mpi.Comm, r *Resident, k int, cfg Config
 	if st.diag == 0 {
 		st.diag = 1
 	}
-	return b.finish(st)
+	return b.finish(st, centers)
 }

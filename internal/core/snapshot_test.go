@@ -51,12 +51,11 @@ func buildWarmResidents(t testing.TB, n, dim, k, p, steps int, cfg Config) ([]*R
 		for _, r := range res {
 			r.SetWeightsGlobal(wt)
 		}
-		c2 := cfg
-		c2.WarmCenters = warmCentersFrom(ps, assign, k)
-		bkm = New(c2)
+		centers := warmCentersFrom(ps, assign, k)
+		bkm = New(cfg)
 		out := make([]int32, n)
 		if err := w.Run(func(c *mpi.Comm) {
-			ids, blocks, err := bkm.PartitionResident(c, res[c.Rank()], k)
+			ids, blocks, err := bkm.PartitionResident(c, res[c.Rank()], k, centers)
 			if err != nil {
 				panic(err)
 			}
@@ -84,13 +83,12 @@ func warmStepOn(t *testing.T, res []*Resident, assign []int32, n, dim, k int, cf
 	for _, r := range res {
 		r.SetWeightsGlobal(wt)
 	}
-	c2 := cfg
-	c2.WarmCenters = warmCentersFrom(ps, assign, k)
-	bkm := New(c2)
+	centers := warmCentersFrom(ps, assign, k)
+	bkm := New(cfg)
 	out := make([]int32, n)
 	w := mpi.NewWorld(p)
 	if err := w.Run(func(c *mpi.Comm) {
-		ids, blocks, err := bkm.PartitionResident(c, res[c.Rank()], k)
+		ids, blocks, err := bkm.PartitionResident(c, res[c.Rank()], k, centers)
 		if err != nil {
 			panic(err)
 		}
@@ -178,12 +176,12 @@ func TestSnapshotWithoutCarryRestores(t *testing.T) {
 		restored[r] = got
 	}
 	cfg := DefaultConfig()
-	cfg.WarmCenters = warmCentersFrom(ps, prev.Assign, k)
+	centers := warmCentersFrom(ps, prev.Assign, k)
 	bkm := New(cfg)
 	out := make([]int32, n)
 	w2 := mpi.NewWorld(p)
 	if err := w2.Run(func(c *mpi.Comm) {
-		ids, blocks, err := bkm.PartitionResident(c, restored[c.Rank()], k)
+		ids, blocks, err := bkm.PartitionResident(c, restored[c.Rank()], k, centers)
 		if err != nil {
 			panic(err)
 		}

@@ -1,7 +1,7 @@
 package core
 
 // This file holds the exact (order-independent) reductions of the
-// warm-start repartitioning path (cfg.WarmCenters): the ingest pipeline
+// warm-start repartitioning path (PartitionResident): the ingest pipeline
 // of §4.1 is skipped entirely — see Ingest/PartitionResident in
 // session.go for the state lifetime — and every global float reduction
 // runs through internal/exact, which makes the output bit-identical

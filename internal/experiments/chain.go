@@ -93,7 +93,7 @@ func runChain(ps *geom.PointSet, k, p int, cfg core.Config, first []int32, steps
 func (ch chain) warmDistCalcs() int64 {
 	var n int64
 	for _, st := range ch.Steps {
-		n += st.DistCalcs
+		n += st.Info.DistCalcs
 	}
 	return n
 }

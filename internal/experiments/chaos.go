@@ -201,12 +201,12 @@ func runChaosCell(w io.Writer, kind string, n, k int) ([]ChaosRow, ChaosCell, er
 			Retries: st.Retries, FiredTotal: plan.Fired(),
 			Identical:    identical,
 			PreImbalance: st.PreImbalance, MigratedWeight: st.MigratedWeight,
-			DistCalcs: st.DistCalcs,
+			DistCalcs: st.Info.DistCalcs,
 			Seconds:   chaosSecs, RefSeconds: refSecs,
 		}
 		rows = append(rows, row)
 		cell.Recoveries += st.Retries
-		cell.DistCalcs += st.DistCalcs
+		cell.DistCalcs += st.Info.DistCalcs
 		cell.WallSec += chaosSecs
 		cell.RefWallSec += refSecs
 		last = part.Assign

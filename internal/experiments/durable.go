@@ -112,7 +112,7 @@ func durableCreateAndWarm(g *serve.Registry, id int, c *durableChain) error {
 	if err := g.Create(nil, c.name, atStep(m, 7*id), serve.TenantOptions{K: serveK, Processes: serveP, Workers: serveBudget}); err != nil {
 		return err
 	}
-	p, err := g.Partition(nil, c.name)
+	p, _, err := g.Partition(nil, c.name)
 	if err != nil {
 		return err
 	}
@@ -146,7 +146,7 @@ func durableStep(g *serve.Registry, c *durableChain, t int) error {
 	if !sameAssign(p.Assign, c.ref.chain[t]) {
 		c.identical = false
 	}
-	c.distCalcs += st.DistCalcs
+	c.distCalcs += st.Info.DistCalcs
 	return nil
 }
 

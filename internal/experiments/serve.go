@@ -211,7 +211,7 @@ func Serve(w io.Writer, sc Scale) ([]ServeRow, Report[ServeCell], error) {
 				return
 			}
 			ok := verb("partition", func() error {
-				p, err := g.Partition(nil, name)
+				p, _, err := g.Partition(nil, name)
 				if err == nil && !sameAssign(p.Assign, ref.chain[0]) {
 					row.Identical = false
 				}
@@ -240,7 +240,7 @@ func Serve(w io.Writer, sc Scale) ([]ServeRow, Report[ServeCell], error) {
 					if !sameAssign(p.Assign, ref.chain[t]) {
 						row.Identical = false
 					}
-					row.DistCalcs += st.DistCalcs
+					row.DistCalcs += st.Info.DistCalcs
 					return nil
 				})
 			}

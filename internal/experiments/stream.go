@@ -160,10 +160,10 @@ func Stream(w io.Writer, sc Scale) ([]StreamRow, error) {
 				if st.TotalWeight > 0 {
 					row.MigratedFrac = st.MigratedWeight / st.TotalWeight
 				}
-				row.DistCalcs = st.DistCalcs
-				row.HamerlySkips = st.HamerlySkips
-				row.BoundaryFrac = st.BoundaryFrac
-				row.Incremental = st.Incremental
+				row.DistCalcs = st.Info.DistCalcs
+				row.HamerlySkips = st.Info.HamerlySkips
+				row.BoundaryFrac = st.Info.BoundaryFrac
+				row.Incremental = st.Info.CarriedBounds
 				out = append(out, row)
 				totals[mode+"_sec"] += row.Seconds
 				totals[mode+"_ing"] += row.IngestSeconds

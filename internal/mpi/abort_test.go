@@ -363,8 +363,8 @@ func TestHookEpisodesCountAllCollectives(t *testing.T) {
 	if err := w.Run(func(c *Comm) {
 		c.Barrier()                   // episode 0
 		AllreduceSum(c, []float64{1}) // episode 1
-		AllgatherScalar(c, c.Rank())  // episode 2
-		Bcast(c, 0, []int{1, 2})      // episode 3
+		Allgather(c, []int{c.Rank()}) // episode 2
+		ExscanSum(c, int64(1))        // episode 3
 		ReduceScalarSum(c, int64(1))  // episode 4
 	}); err != nil {
 		t.Fatal(err)

@@ -310,25 +310,6 @@ func AllgatherFlatInto[T any](c *Comm, in, out []T) []T {
 	return out
 }
 
-// AllgatherScalar gathers one value per rank. Single crossing: the
-// rendezvous copies the p values into a world buffer, from which every
-// rank takes its private copy.
-func AllgatherScalar[T any](c *Comm, v T) []T {
-	w := c.w
-	vs := [1]T{v}
-	depositSlice(w, c.rank, vs[:])
-	c.collectiveStats(sizeOf[T]())
-	w.barWaitWith(c.rank, func() {
-		res := resultBuf[T](w, w.size)
-		for r := 0; r < w.size; r++ {
-			res[r] = slotSlice[T](w, r)[0]
-		}
-	})
-	out := make([]T, w.size)
-	copy(out, resultSlice[T](w))
-	return out
-}
-
 // ---------------------------------------------------------------------
 // Personalized all-to-alls.
 
@@ -500,31 +481,7 @@ func AlltoallCols(c *Comm, u64 []uint64, i64 []int64, f64 [][]float64, sendCount
 }
 
 // ---------------------------------------------------------------------
-// Broadcast and scalar scans/reductions.
-
-// Bcast distributes root's slice to every rank; non-root ranks receive a
-// fresh copy and ignore their own `in`. Two crossings: non-root ranks
-// copy from root's live buffer between them.
-func Bcast[T any](c *Comm, root int, in []T) []T {
-	w := c.w
-	var bytes int64
-	if c.rank == root {
-		depositSlice(w, c.rank, in)
-		bytes = int64(len(in)) * sizeOf[T]()
-	}
-	c.collectiveStats(bytes)
-	w.barWait(c.rank)
-	var out []T
-	if c.rank == root {
-		out = in
-	} else {
-		src := slotSlice[T](w, root)
-		out = make([]T, len(src))
-		copy(out, src)
-	}
-	w.barWait(c.rank)
-	return out
-}
+// Scalar scans and reductions.
 
 // ExscanSum returns the exclusive prefix sum of v over ranks: rank r gets
 // v_0 + ... + v_{r-1}; rank 0 gets zero. Used to convert local counts into

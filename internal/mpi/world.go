@@ -5,7 +5,7 @@
 // (§5.2.1). This package substitutes that substrate: a World spawns one
 // goroutine per simulated rank; each rank owns private data and all
 // sharing happens through explicit collectives (Barrier, Allreduce,
-// Allgather, Alltoall, Bcast, Exscan) and point-to-point messages, exactly
+// Allgather, Alltoall, Exscan) and point-to-point messages, exactly
 // mirroring the communication structure of the paper's implementation.
 //
 // Every rank accumulates traffic statistics (bytes, message and collective

@@ -97,8 +97,8 @@ func benchSessionSteps(b *testing.B, incremental bool) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		boundary += st.BoundaryFrac
-		dist += st.DistCalcs
+		boundary += st.Info.BoundaryFrac
+		dist += st.Info.DistCalcs
 	}
 	b.ReportMetric(boundary/float64(b.N), "boundary_frac")
 	b.ReportMetric(float64(dist)/float64(b.N), "dist/op")

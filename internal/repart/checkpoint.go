@@ -210,9 +210,6 @@ func (s *Session) installLocked(w *mpi.World, st *ckptState) {
 // session would have run — including taking the incremental
 // carried-bounds fast path, which travels in the per-rank records.
 func NewSessionFromCheckpoint(w *mpi.World, data []byte, cfg core.Config) (*Session, error) {
-	if len(cfg.WarmCenters) > 0 {
-		return nil, fmt.Errorf("repart: cfg.WarmCenters is managed by the session; leave it unset")
-	}
 	st, err := decodeCheckpoint(data)
 	if err != nil {
 		return nil, fmt.Errorf("repart: restore: %w", err)

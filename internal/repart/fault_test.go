@@ -103,7 +103,7 @@ func TestSessionCheckpointRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	assignEqual(t, pWant, pGot, "restored chain")
-	if !stGot.Incremental {
+	if !stGot.Info.CarriedBounds {
 		t.Fatal("restored warm step did not take the carried-bounds fast path")
 	}
 	if stGot.MigratedWeight != stWant.MigratedWeight || stGot.MigratedPoints != stWant.MigratedPoints {
@@ -166,7 +166,7 @@ func TestSessionCheckpointPendingDeltas(t *testing.T) {
 
 // TestSessionCheckpointErrors covers the rejection surface: corrupt and
 // truncated blobs return the typed sentinels, a mismatched world size
-// and a preset WarmCenters are refused, and a closed session cannot
+// and an invalid configuration are refused, and a closed session cannot
 // checkpoint.
 func TestSessionCheckpointErrors(t *testing.T) {
 	m := sessionTestMesh(t, 600)
@@ -185,11 +185,11 @@ func TestSessionCheckpointErrors(t *testing.T) {
 			t.Fatal("restore onto wrong-size world succeeded")
 		}
 	})
-	t.Run("warm centers preset", func(t *testing.T) {
+	t.Run("invalid config", func(t *testing.T) {
 		bad := cfg
-		bad.WarmCenters = []float64{0, 0, 0}
+		bad.Epsilon = -0.01
 		if _, err := NewSessionFromCheckpoint(mpi.NewWorld(p), ckpt, bad); err == nil {
-			t.Fatal("restore with preset WarmCenters succeeded")
+			t.Fatal("restore with a negative epsilon succeeded")
 		}
 	})
 	t.Run("truncations", func(t *testing.T) {

@@ -67,7 +67,7 @@ func runIncrementalChain(t *testing.T, m *mesh.Mesh, p, workers int, incremental
 			assign:         append([]int32(nil), pp.Assign...),
 			migratedWeight: st.MigratedWeight,
 			migratedPoints: st.MigratedPoints,
-			incremental:    st.Incremental,
+			incremental:    st.Info.CarriedBounds,
 		})
 	}
 
@@ -95,7 +95,7 @@ func runIncrementalChain(t *testing.T, m *mesh.Mesh, p, workers int, incremental
 	if err != nil {
 		t.Fatalf("post-UpdateCoords step: %v", err)
 	}
-	if st.Incremental {
+	if st.Info.CarriedBounds {
 		t.Errorf("p=%d workers=%d incremental=%v: step after UpdateCoords reused carried bounds", p, workers, incremental)
 	}
 	record(pp, st)

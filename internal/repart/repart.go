@@ -36,10 +36,10 @@ type Stats struct {
 	// TotalWeight is the weight of the whole point set, so
 	// MigratedWeight/TotalWeight is the migrated fraction.
 	TotalWeight float64
-	// Centers holds the seed centers recovered from the previous
-	// assignment (diagnostics; flat, length k·dim).
-	Centers []float64
-	// Info carries the k-means diagnostics of the run.
+	// Info carries the k-means diagnostics of the run, including the
+	// incremental warm path's counters (DistCalcs, HamerlySkips,
+	// BoundaryFrac, and CarriedBounds: whether this step reused the
+	// previous step's bounds on every rank).
 	Info core.Info
 	// IngestSeconds is the wall time spent scattering the points and
 	// building the resident SoA columns before the warm k-means could
@@ -47,19 +47,6 @@ type Stats struct {
 	// it once at construction (Session.IngestSeconds) and its warm steps
 	// report 0 here.
 	IngestSeconds float64
-
-	// Observability of the incremental warm path (core.Config.
-	// Incremental; duplicated out of Info so the facade and the stream
-	// experiment read one flat surface). DistCalcs and HamerlySkips are
-	// the step's global distance-evaluation and bound-skip counts;
-	// Incremental reports whether this step reused the previous step's
-	// carried bounds on every rank, and BoundaryFrac the fraction of
-	// points its first assignment pass had to examine (1 when not
-	// incremental).
-	DistCalcs    int64
-	HamerlySkips int64
-	BoundaryFrac float64
-	Incremental  bool
 
 	// PreImbalance is the imbalance of the previous partition under the
 	// current weights, measured before the step ran. Only
@@ -147,8 +134,8 @@ func RecoverCenters(ps *geom.PointSet, prev []int32, k int) ([]float64, error) {
 // from prev: the seed centers are recovered from prev by RecoverCenters
 // and the balanced k-means runs with cfg on the warm path of
 // internal/core (no SFC sort/redistribution; exact, rank-layout-
-// independent reductions). Any WarmCenters already present in cfg are
-// replaced. The returned stats carry the migration volume against prev.
+// independent reductions). The returned stats carry the migration
+// volume against prev.
 //
 // This one-shot driver is a single-step Session: it ingests ps, runs
 // one warm step from prev, and releases the resident state — so a
@@ -156,7 +143,6 @@ func RecoverCenters(ps *geom.PointSet, prev []int32, k int) ([]float64, error) {
 // produce bit-identical partitions, and the only difference is that
 // the Session pays the ingest once (compare Stats.IngestSeconds).
 func Repartition(w *mpi.World, ps *geom.PointSet, prev []int32, k int, cfg core.Config) (partition.P, Stats, error) {
-	cfg.WarmCenters = nil // the session recovers centers from prev itself
 	s, err := NewSession(w, ps, k, cfg)
 	if err != nil {
 		return partition.P{}, Stats{}, err

@@ -107,9 +107,7 @@ func (s *Session) RepartitionWithRetry(ctx context.Context, eps float64, policy 
 
 	retries := 0
 	for {
-		s.runCtx = ctx
-		p, st, acted, err := s.repartitionIfAboveLocked(eps)
-		s.runCtx = nil
+		p, st, acted, err := s.repartitionIfAboveLocked(ctx, eps)
 		if err == nil {
 			st.Retries = retries
 			return p, st, acted, nil

@@ -65,9 +65,6 @@ type Session struct {
 	weightsDirty bool
 	coordsDirty  bool
 
-	// runCtx, when set, makes every world execution of the current verb
-	// cancellable (RepartitionWithRetry installs it around each attempt).
-	runCtx context.Context
 	// worldFactory builds the replacement world of a retry rollback
 	// (nil = mpi.NewWorld). Fault-injection drivers substitute a factory
 	// that installs their FaultPlan on each fresh world.
@@ -84,10 +81,6 @@ type Session struct {
 // mutate ps afterwards (the facade clones caller slices before handing
 // them over; UpdateWeights and UpdateCoords replace, never share, the
 // stored slices).
-//
-// cfg follows the one-shot Repartition contract; cfg.WarmCenters must
-// be unset — the session recovers centers from the previous partition
-// itself on every warm step.
 func NewSession(w *mpi.World, ps *geom.PointSet, k int, cfg core.Config) (*Session, error) {
 	return NewSessionCtx(nil, w, ps, k, cfg)
 }
@@ -102,23 +95,18 @@ func NewSessionCtx(ctx context.Context, w *mpi.World, ps *geom.PointSet, k int, 
 	if ps.Len() == 0 {
 		return nil, fmt.Errorf("repart: empty point set")
 	}
-	if len(cfg.WarmCenters) > 0 {
-		return nil, fmt.Errorf("repart: cfg.WarmCenters is managed by the session; leave it unset")
-	}
 	if err := cfg.Validate(k); err != nil {
 		return nil, err
 	}
 	s := &Session{
-		w:      w,
-		ps:     ps,
-		k:      k,
-		cfg:    cfg,
-		res:    make([]*core.Resident, w.Size()),
-		runCtx: ctx,
+		w:   w,
+		ps:  ps,
+		k:   k,
+		cfg: cfg,
+		res: make([]*core.Resident, w.Size()),
 	}
-	defer func() { s.runCtx = nil }()
 	t0 := time.Now()
-	if err := s.run(func(c *mpi.Comm) {
+	if err := s.run(ctx, func(c *mpi.Comm) {
 		s.res[c.Rank()] = core.Ingest(c, partition.Scatter(c, ps))
 	}); err != nil {
 		return nil, err
@@ -127,11 +115,11 @@ func NewSessionCtx(ctx context.Context, w *mpi.World, ps *geom.PointSet, k int, 
 	return s, nil
 }
 
-// run executes f on the session's world, under the current verb's
-// context when one is installed.
-func (s *Session) run(f func(c *mpi.Comm)) error {
-	if s.runCtx != nil {
-		return s.w.RunCtx(s.runCtx, f)
+// run executes f on the session's world, cancellable through ctx (nil =
+// not cancellable).
+func (s *Session) run(ctx context.Context, f func(c *mpi.Comm)) error {
+	if ctx != nil {
+		return s.w.RunCtx(ctx, f)
 	}
 	return s.w.Run(f)
 }
@@ -153,9 +141,6 @@ func (s *Session) Len() int {
 	defer s.mu.Unlock()
 	return s.ps.Len()
 }
-
-// K returns the number of blocks the session partitions into.
-func (s *Session) K() int { return s.k }
 
 // IngestSeconds returns the wall time NewSession spent scattering and
 // building the resident columns — the one-time cost every warm step
@@ -205,28 +190,14 @@ func (s *Session) PartitionCtx(ctx context.Context) (partition.P, error) {
 	if s.closed {
 		return partition.P{}, ErrClosed
 	}
-	restore := s.setRunCtxLocked(ctx)
-	defer restore()
 	bkm := core.New(s.cfg)
-	p, err := partition.RunCtx(s.runCtx, s.w, s.ps, s.k, bkm)
+	p, err := partition.RunCtx(ctx, s.w, s.ps, s.k, bkm)
 	if err != nil {
 		return partition.P{}, err
 	}
 	s.lastInfo = bkm.LastInfo()
 	s.prev = append(s.prev[:0], p.Assign...)
 	return p, nil
-}
-
-// setRunCtxLocked installs ctx as the current verb's run context (nil =
-// leave the existing one in place) and returns the restorer the verb
-// defers. Caller holds s.mu.
-func (s *Session) setRunCtxLocked(ctx context.Context) func() {
-	if ctx == nil {
-		return func() {}
-	}
-	prev := s.runCtx
-	s.runCtx = ctx
-	return func() { s.runCtx = prev }
 }
 
 // SetPartition installs prev as the session's current partition without
@@ -267,9 +238,7 @@ func (s *Session) RepartitionCtx(ctx context.Context) (partition.P, Stats, error
 	if s.prev == nil {
 		return partition.P{}, Stats{}, fmt.Errorf("repart: no partition to warm-start from; call Partition or SetPartition first")
 	}
-	restore := s.setRunCtxLocked(ctx)
-	defer restore()
-	return s.repartitionFromLocked(s.prev)
+	return s.repartitionFromLocked(ctx, s.prev)
 }
 
 // RepartitionFrom runs one warm repartitioning step seeded from an
@@ -283,30 +252,25 @@ func (s *Session) RepartitionFrom(prev []int32) (partition.P, Stats, error) {
 	if s.closed {
 		return partition.P{}, Stats{}, ErrClosed
 	}
-	return s.repartitionFromLocked(prev)
+	return s.repartitionFromLocked(nil, prev)
 }
 
-func (s *Session) repartitionFromLocked(prev []int32) (partition.P, Stats, error) {
-	if err := s.flushLocked(); err != nil {
+func (s *Session) repartitionFromLocked(ctx context.Context, prev []int32) (partition.P, Stats, error) {
+	if err := s.flushLocked(ctx); err != nil {
 		return partition.P{}, Stats{}, err
 	}
 	centers, err := RecoverCenters(s.ps, prev, s.k)
 	if err != nil {
 		return partition.P{}, Stats{}, err
 	}
-	cfg := s.cfg
-	cfg.WarmCenters = centers
-	if err := cfg.Validate(s.k); err != nil {
-		return partition.P{}, Stats{}, err
-	}
 
-	bkm := core.New(cfg)
+	bkm := core.New(s.cfg)
 	out := partition.New(s.ps.Len(), s.k)
 	for i := range out.Assign {
 		out.Assign[i] = -1
 	}
-	runErr := s.run(func(c *mpi.Comm) {
-		ids, blocks, err := bkm.PartitionResident(c, s.res[c.Rank()], s.k)
+	runErr := s.run(ctx, func(c *mpi.Comm) {
+		ids, blocks, err := bkm.PartitionResident(c, s.res[c.Rank()], s.k, centers)
 		if err != nil {
 			panic(fmt.Sprintf("%s: %v", bkm.Name(), err))
 		}
@@ -323,15 +287,7 @@ func (s *Session) repartitionFromLocked(prev []int32) (partition.P, Stats, error
 		}
 	}
 
-	st := Stats{
-		TotalWeight: s.ps.TotalWeight(),
-		Centers:     centers,
-		Info:        bkm.LastInfo(),
-	}
-	st.DistCalcs = st.Info.DistCalcs
-	st.HamerlySkips = st.Info.HamerlySkips
-	st.BoundaryFrac = st.Info.BoundaryFrac
-	st.Incremental = st.Info.CarriedBounds
+	st := Stats{TotalWeight: s.ps.TotalWeight(), Info: bkm.LastInfo()}
 	if st.MigratedWeight, st.MigratedPoints, err = metrics.MigrationVolume(s.ps, prev, out.Assign); err != nil {
 		return partition.P{}, Stats{}, err
 	}
@@ -395,10 +351,11 @@ func (s *Session) UpdateCoords(coords []float64) error {
 // only when coordinates changed — one collective bounding-box recompute
 // (which also drops the carried k-means bounds; moved points invalidate
 // them). Weight-only deltas are communication-free and keep the carried
-// bounds.
-func (s *Session) flushLocked() error {
+// bounds. The recompute is cancellable through ctx (nil = not
+// cancellable).
+func (s *Session) flushLocked(ctx context.Context) error {
 	if s.coordsDirty {
-		err := s.run(func(c *mpi.Comm) {
+		err := s.run(ctx, func(c *mpi.Comm) {
 			r := s.res[c.Rank()]
 			r.SetCoordsGlobal(s.ps.Coords)
 			if s.weightsDirty {
@@ -478,12 +435,10 @@ func (s *Session) RepartitionIfAboveCtx(ctx context.Context, eps float64) (parti
 	if s.closed {
 		return partition.P{}, Stats{}, false, ErrClosed
 	}
-	restore := s.setRunCtxLocked(ctx)
-	defer restore()
-	return s.repartitionIfAboveLocked(eps)
+	return s.repartitionIfAboveLocked(ctx, eps)
 }
 
-func (s *Session) repartitionIfAboveLocked(eps float64) (partition.P, Stats, bool, error) {
+func (s *Session) repartitionIfAboveLocked(ctx context.Context, eps float64) (partition.P, Stats, bool, error) {
 	if s.prev == nil {
 		return partition.P{}, Stats{}, false, fmt.Errorf("repart: no partition to warm-start from; call Partition or SetPartition first")
 	}
@@ -497,7 +452,7 @@ func (s *Session) repartitionIfAboveLocked(eps float64) (partition.P, Stats, boo
 	if imb <= eps {
 		return partition.P{}, Stats{PreImbalance: imb}, false, nil
 	}
-	p, st, err := s.repartitionFromLocked(s.prev)
+	p, st, err := s.repartitionFromLocked(ctx, s.prev)
 	st.PreImbalance = imb
 	return p, st, err == nil, err
 }
@@ -506,7 +461,7 @@ func (s *Session) repartitionIfAboveLocked(eps float64) (partition.P, Stats, boo
 // is a no-op. After Close, every mutating method (Partition,
 // Repartition, RepartitionFrom, RepartitionIfAbove, SetPartition,
 // UpdateWeights, UpdateCoords, Checkpoint, RepartitionWithRetry) and
-// Imbalance return ErrClosed; the read-only accessors (Len, K,
+// Imbalance return ErrClosed; the read-only accessors (Len,
 // IngestSeconds, LastInfo, Blocks) keep answering from what remains.
 // Close serializes against in-flight calls: it waits for the running
 // verb to finish rather than releasing state out from under it.

@@ -157,11 +157,6 @@ func TestSessionLifecycle(t *testing.T) {
 	if _, err := NewSession(mpi.NewWorld(p), &geom.PointSet{Dim: 2}, k, cfg); err == nil {
 		t.Error("NewSession accepted an empty point set")
 	}
-	warm := cfg
-	warm.WarmCenters = make([]float64, k*ps.Dim)
-	if _, err := NewSession(mpi.NewWorld(p), ps.Clone(), k, warm); err == nil {
-		t.Error("NewSession accepted cfg.WarmCenters (session-managed)")
-	}
 
 	sess, err := NewSession(mpi.NewWorld(p), ps.Clone(), k, cfg)
 	if err != nil {

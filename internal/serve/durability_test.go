@@ -40,7 +40,7 @@ func parkTenant(t *testing.T, g *Registry, name string, base *geom.PointSet, k, 
 	if err := g.Create(nil, name, base, TenantOptions{K: k, Processes: p}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Partition(nil, name); err != nil {
+	if _, _, err := g.Partition(nil, name); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Evict(name); err != nil {
@@ -159,7 +159,7 @@ func TestCorruptSpillQuarantine(t *testing.T) {
 			if err := g.Create(nil, "victim", base, TenantOptions{K: k, Processes: p}); err != nil {
 				t.Fatalf("re-create after loss: %v", err)
 			}
-			if _, err := g.Partition(nil, "victim"); err != nil {
+			if _, _, err := g.Partition(nil, "victim"); err != nil {
 				t.Fatalf("re-created tenant: %v", err)
 			}
 		})
@@ -241,7 +241,7 @@ func TestDaemonRestartRoundTrip(t *testing.T) {
 		refs[tc.name] = chain
 		dc := make([]int64, len(stats))
 		for i, st := range stats {
-			dc[i] = st.DistCalcs
+			dc[i] = st.Info.DistCalcs
 		}
 		soloSt[tc.name] = dc
 	}
@@ -257,7 +257,7 @@ func TestDaemonRestartRoundTrip(t *testing.T) {
 		if err := g1.Create(nil, tc.name, ps, TenantOptions{K: k, Processes: p}); err != nil {
 			t.Fatal(err)
 		}
-		p0, err := g1.Partition(nil, tc.name)
+		p0, _, err := g1.Partition(nil, tc.name)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,11 +306,11 @@ func TestDaemonRestartRoundTrip(t *testing.T) {
 				t.Fatalf("%s post-restart step %d: acted=%v err=%v", tc.name, step, acted, err)
 			}
 			assertSameAssign(t, fmt.Sprintf("%s post-restart step %d", tc.name, step), pt.Assign, refs[tc.name][step])
-			if st.DistCalcs != soloSt[tc.name][step] {
+			if st.Info.DistCalcs != soloSt[tc.name][step] {
 				t.Fatalf("%s post-restart step %d: %d distance calcs, solo %d",
-					tc.name, step, st.DistCalcs, soloSt[tc.name][step])
+					tc.name, step, st.Info.DistCalcs, soloSt[tc.name][step])
 			}
-			if step == restartAfter+1 && !st.Incremental {
+			if step == restartAfter+1 && !st.Info.CarriedBounds {
 				t.Fatalf("%s first post-restart step fell off the incremental fast path", tc.name)
 			}
 		}
@@ -339,7 +339,7 @@ func TestDrainParksDurably(t *testing.T) {
 		if err := g1.Create(nil, name, base, TenantOptions{K: k, Processes: p}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := g1.Partition(nil, name); err != nil {
+		if _, _, err := g1.Partition(nil, name); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -153,12 +153,15 @@ func NewHandler(g *Registry) http.Handler {
 	})
 
 	mux.HandleFunc("POST /v1/tenants/{name}/partition", func(w http.ResponseWriter, r *http.Request) {
-		p, err := g.Partition(r.Context(), r.PathValue("name"))
+		p, info, err := g.Partition(r.Context(), r.PathValue("name"))
 		if err != nil {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, stepResponse{Acted: true, Assign: p.Assign})
+		writeJSON(w, http.StatusOK, stepResponse{
+			Acted: true, Assign: p.Assign,
+			Imbalance: info.Imbalance, DistCalcs: info.DistCalcs,
+		})
 	})
 
 	mux.HandleFunc("POST /v1/tenants/{name}/repartition", func(w http.ResponseWriter, r *http.Request) {
@@ -181,9 +184,9 @@ func NewHandler(g *Registry) http.Handler {
 			resp.Assign = p.Assign
 			resp.MigratedWeight = st.MigratedWeight
 			resp.MigratedPoints = st.MigratedPoints
-			resp.DistCalcs = st.DistCalcs
-			resp.Incremental = st.Incremental
-			resp.BoundaryFrac = st.BoundaryFrac
+			resp.DistCalcs = st.Info.DistCalcs
+			resp.Incremental = st.Info.CarriedBounds
+			resp.BoundaryFrac = st.Info.BoundaryFrac
 		} else {
 			resp.Imbalance = st.PreImbalance
 		}

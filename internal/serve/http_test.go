@@ -6,12 +6,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"geographer/internal/core"
+	"geographer/internal/geom"
+	"geographer/internal/mpi"
 	"geographer/internal/repart"
 )
 
@@ -117,6 +121,40 @@ func TestHTTPLifecycle(t *testing.T) {
 
 	httpDo(t, h, "DELETE", "/v1/tenants/sim", nil, http.StatusOK, nil)
 	httpDo(t, h, "GET", "/v1/tenants/sim", nil, http.StatusNotFound, nil)
+}
+
+// TestHTTPPartitionReportsImbalance pins the cold step response's
+// diagnostics: "imbalance" is the achieved imbalance of the cold run —
+// bit-identical to a solo session's LastInfo — and "dist_calcs" its
+// distance-evaluation count, never the zero an unset field encodes.
+func TestHTTPPartitionReportsImbalance(t *testing.T) {
+	const n, k, p = 1200, 6, 2
+	m := tenantMesh(t, n, 7)
+	cfg := core.DefaultConfig()
+	cfg.Seed = 1
+	ps := &geom.PointSet{Dim: m.Points.Dim, Coords: m.Points.Coords, Weight: phaseWeights(m, 0)}
+	solo, err := repart.NewSession(mpi.NewWorld(p), ps.Clone(), k, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer solo.Close()
+	if _, err := solo.Partition(); err != nil {
+		t.Fatal(err)
+	}
+	want := solo.LastInfo()
+
+	h := NewHandler(NewRegistry(Config{}))
+	httpDo(t, h, "POST", "/v1/tenants", createRequest{
+		Name: "sim", Dim: ps.Dim, Coords: ps.Coords, Weights: ps.Weight, K: k, Processes: p,
+	}, http.StatusCreated, nil)
+	var cold stepResponse
+	httpDo(t, h, "POST", "/v1/tenants/sim/partition", nil, http.StatusOK, &cold)
+	if math.Float64bits(cold.Imbalance) != math.Float64bits(want.Imbalance) || !(cold.Imbalance > 0) {
+		t.Fatalf("cold imbalance %v, solo session %v (want equal and > 0)", cold.Imbalance, want.Imbalance)
+	}
+	if cold.DistCalcs != want.DistCalcs || cold.DistCalcs <= 0 {
+		t.Fatalf("cold dist_calcs %d, solo session %d", cold.DistCalcs, want.DistCalcs)
+	}
 }
 
 // TestHTTPErrorMapping pins each typed error to its status code.

@@ -392,14 +392,27 @@ func (g *Registry) evictLocked(v *tenant) error {
 	if err := g.store.Put(v.name, data, v.spillMetaJSON()); err != nil {
 		return fmt.Errorf("serve: spill %s: %w", v.name, err)
 	}
-	v.sess.Close()
-	v.sess = nil
-	v.resident = false
+	g.releaseLocked(v)
 	v.spilled = true
 	v.evictions++
 	g.evictions++
-	g.residentBytes -= v.bytes
 	return nil
+}
+
+// releaseLocked closes t's resident session and returns its admission
+// charge. Caller holds g.mu and t.mu.
+func (g *Registry) releaseLocked(t *tenant) {
+	t.sess.Close()
+	t.sess = nil
+	t.resident = false
+	g.residentBytes -= t.bytes
+}
+
+// release is releaseLocked for a caller that holds only t.mu.
+func (g *Registry) release(t *tenant) {
+	g.mu.Lock()
+	g.releaseLocked(t)
+	g.mu.Unlock()
 }
 
 // lookup finds a tenant and stamps its LRU clock.
@@ -486,12 +499,7 @@ func (g *Registry) handleBroken(t *tenant) {
 	if t.sess == nil {
 		return
 	}
-	t.sess.Close()
-	t.sess = nil
-	g.mu.Lock()
-	t.resident = false
-	g.residentBytes -= t.bytes
-	g.mu.Unlock()
+	g.release(t)
 	if !t.spilled {
 		g.markLost(t)
 	}
@@ -529,19 +537,22 @@ func (g *Registry) withTenant(name string, fn func(t *tenant) (mutated bool, err
 }
 
 // Partition computes the tenant's cold initial partition and returns
-// the assignment. Cancelling ctx aborts the verb mid-run (nil = not
-// cancellable); the context never influences the computed partition.
-func (g *Registry) Partition(ctx context.Context, name string) (partition.P, error) {
+// the assignment with the run's k-means diagnostics. Cancelling ctx
+// aborts the verb mid-run (nil = not cancellable); the context never
+// influences the computed partition.
+func (g *Registry) Partition(ctx context.Context, name string) (partition.P, core.Info, error) {
 	var p partition.P
+	var info core.Info
 	err := g.withTenant(name, func(t *tenant) (bool, error) {
 		var err error
 		p, err = t.sess.PartitionCtx(ctx)
 		if err == nil {
 			t.steps++
+			info = t.sess.LastInfo()
 		}
 		return err == nil, err
 	})
-	return p, err
+	return p, info, err
 }
 
 // Repartition runs one warm repartitioning step.
@@ -720,12 +731,7 @@ func (g *Registry) Delete(name string) error {
 		t.spilled = false
 	}
 	if t.sess != nil {
-		t.sess.Close()
-		t.sess = nil
-		g.mu.Lock()
-		t.resident = false
-		g.residentBytes -= t.bytes
-		g.mu.Unlock()
+		g.release(t)
 	}
 	return nil
 }
@@ -858,12 +864,7 @@ func (g *Registry) Drain() int {
 					parked++
 				}
 			}
-			t.sess.Close()
-			t.sess = nil
-			g.mu.Lock()
-			t.resident = false
-			g.residentBytes -= t.bytes
-			g.mu.Unlock()
+			g.release(t)
 		}
 		t.deleted = true
 		t.mu.Unlock()

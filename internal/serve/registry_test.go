@@ -139,7 +139,7 @@ func TestRegistryChainMatchesSolo(t *testing.T) {
 		if err := g.Create(nil, "sim", ps, TenantOptions{K: k, Processes: p, Workers: workers}); err != nil {
 			t.Fatal(err)
 		}
-		p0, err := g.Partition(nil, "sim")
+		p0, _, err := g.Partition(nil, "sim")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,9 +156,9 @@ func TestRegistryChainMatchesSolo(t *testing.T) {
 				t.Fatalf("workers=%d step %d: did not act", workers, step)
 			}
 			assertSameAssign(t, fmt.Sprintf("workers=%d step %d", workers, step), pt.Assign, ref[step])
-			if st.DistCalcs != refStats[step].DistCalcs {
+			if st.Info.DistCalcs != refStats[step].Info.DistCalcs {
 				t.Fatalf("workers=%d step %d: %d distance calcs, solo %d",
-					workers, step, st.DistCalcs, refStats[step].DistCalcs)
+					workers, step, st.Info.DistCalcs, refStats[step].Info.DistCalcs)
 			}
 		}
 		g.Drain()
@@ -185,7 +185,7 @@ func TestEvictionRoundTrip(t *testing.T) {
 
 func runEvictionRoundTrip(t *testing.T, base *geom.PointSet, weightsAt func(int) []float64, k, p, steps int) {
 	ref, refStats := soloChainPts(t, base, weightsAt, k, p, steps)
-	if !refStats[steps].Incremental {
+	if !refStats[steps].Info.CarriedBounds {
 		t.Fatalf("reference chain's final step did not carry bounds; test needs the incremental path")
 	}
 
@@ -194,7 +194,7 @@ func runEvictionRoundTrip(t *testing.T, base *geom.PointSet, weightsAt func(int)
 	if err := g.Create(nil, "sim", ps, TenantOptions{K: k, Processes: p}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Partition(nil, "sim"); err != nil {
+	if _, _, err := g.Partition(nil, "sim"); err != nil {
 		t.Fatal(err)
 	}
 	// Two warm steps so the carried Hamerly bounds are resident.
@@ -204,7 +204,7 @@ func runEvictionRoundTrip(t *testing.T, base *geom.PointSet, weightsAt func(int)
 		}
 		if _, st, _, err := g.RepartitionIfAbove(nil, "sim", 0); err != nil {
 			t.Fatal(err)
-		} else if step > 1 && !st.Incremental {
+		} else if step > 1 && !st.Info.CarriedBounds {
 			t.Fatalf("step %d not incremental before eviction", step)
 		}
 	}
@@ -231,11 +231,11 @@ func runEvictionRoundTrip(t *testing.T, base *geom.PointSet, weightsAt func(int)
 		t.Fatalf("post-restore step: acted=%v err=%v", acted, err)
 	}
 	assertSameAssign(t, "post-restore step", pt.Assign, ref[steps])
-	if !st.Incremental {
+	if !st.Info.CarriedBounds {
 		t.Fatal("post-restore step fell off the incremental fast path")
 	}
-	if st.DistCalcs != refStats[steps].DistCalcs {
-		t.Fatalf("post-restore step: %d distance calcs, never-evicted chain %d", st.DistCalcs, refStats[steps].DistCalcs)
+	if st.Info.DistCalcs != refStats[steps].Info.DistCalcs {
+		t.Fatalf("post-restore step: %d distance calcs, never-evicted chain %d", st.Info.DistCalcs, refStats[steps].Info.DistCalcs)
 	}
 	if rs := g.Stats(); rs.Restores != 1 || rs.Resident != 1 {
 		t.Fatalf("after restore: %+v", rs)
@@ -320,7 +320,7 @@ func TestRegistryRace(t *testing.T) {
 			var p0 partition.P
 			if err := retryAdmission(t, name, func() error {
 				var err error
-				p0, err = g.Partition(nil, name)
+				p0, _, err = g.Partition(nil, name)
 				return err
 			}); err != nil {
 				errs <- fmt.Errorf("%s cold: %w", name, err)
@@ -395,7 +395,7 @@ func TestAdmissionControl(t *testing.T) {
 	if err := g.Create(nil, "a", psA, TenantOptions{K: k, Processes: p}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Partition(nil, "a"); err != nil {
+	if _, _, err := g.Partition(nil, "a"); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.Create(nil, "b", psB, TenantOptions{K: k, Processes: p}); err != nil {
@@ -444,7 +444,7 @@ func TestRegistryErrors(t *testing.T) {
 	ps := &geom.PointSet{Dim: m.Points.Dim, Coords: m.Points.Coords, Weight: phaseWeights(m, 0)}
 
 	g := NewRegistry(Config{})
-	if _, err := g.Partition(nil, "ghost"); !errors.Is(err, ErrNotFound) {
+	if _, _, err := g.Partition(nil, "ghost"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("missing tenant: %v", err)
 	}
 	if err := g.Evict("ghost"); !errors.Is(err, ErrNotFound) {
@@ -473,7 +473,7 @@ func TestRegistryErrors(t *testing.T) {
 	}
 
 	g.Drain()
-	if _, err := g.Partition(nil, "sim"); !errors.Is(err, ErrDraining) {
+	if _, _, err := g.Partition(nil, "sim"); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-drain verb: %v", err)
 	}
 	if err := g.Create(nil, "late", ps, TenantOptions{K: k}); !errors.Is(err, ErrDraining) {
@@ -498,11 +498,11 @@ func TestSweepParksIdleTenants(t *testing.T) {
 	if err := g.Create(nil, "busy", ps, TenantOptions{K: k, Processes: p}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Partition(nil, "idle"); err != nil {
+	if _, _, err := g.Partition(nil, "idle"); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if _, err := g.Partition(nil, "busy"); err != nil {
+		if _, _, err := g.Partition(nil, "busy"); err != nil {
 			t.Fatal(err)
 		}
 	}

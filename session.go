@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"geographer/internal/geom"
@@ -45,30 +44,16 @@ import (
 // consistent state), and a call racing Close deterministically returns
 // the closed-session error rather than tearing down state mid-verb.
 type Session struct {
-	mu     sync.Mutex
-	inner  *repart.Session
-	closed bool
+	inner *repart.Session
 }
 
 // errSessionClosed is what every Session method returns after Close.
 var errSessionClosed = fmt.Errorf("geographer: session is closed")
 
-// get snapshots the inner session under the facade lock; every verb
-// goes through it so a call racing Close sees either the live session
-// or errSessionClosed, never a torn state. The inner session serializes
-// its own verbs, so the facade lock is not held across them.
-func (s *Session) get() (*repart.Session, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, errSessionClosed
-	}
-	return s.inner, nil
-}
-
-// mapErr rewrites the inner closed-session sentinel (reachable when
-// Close lands between get and the inner call) into the facade's. Input
-// rejections need no rewriting: ErrNonFinite is the inner sentinel itself.
+// mapErr rewrites the inner closed-session sentinel into the facade's.
+// The inner session owns the closed check and serializes every verb
+// against Close. Input rejections need no rewriting: ErrNonFinite is
+// the inner sentinel itself.
 func mapErr(err error) error {
 	if errors.Is(err, repart.ErrClosed) {
 		return errSessionClosed
@@ -77,7 +62,7 @@ func mapErr(err error) error {
 }
 
 // NewSession ingests a point set for repeated repartitioning: the
-// coordinates (flat, len = n·dim, dim ∈ {2,3}) and weights (nil = unit
+// coordinates (flat, len = n·dim, any dim ≥ 1) and weights (nil = unit
 // weights) are copied, scattered over opts.Processes simulated ranks,
 // and kept resident until Close. Inputs and Options follow Partition;
 // Options.Method must be MethodGeographer (or empty).
@@ -111,11 +96,7 @@ func NewSession(coords []float64, dim int, weights []float64, opts Options) (*Se
 // the same Options — and installs it as the session's current
 // partition, the seed of the next Repartition.
 func (s *Session) Partition() ([]int32, error) {
-	inner, err := s.get()
-	if err != nil {
-		return nil, err
-	}
-	p, err := inner.Partition()
+	p, err := s.inner.Partition()
 	if err != nil {
 		return nil, mapErr(err)
 	}
@@ -129,11 +110,7 @@ func (s *Session) Partition() ([]int32, error) {
 // are bit-identical to the one-shot Repartition given the same inputs;
 // only the per-step scatter/ingest work is gone.
 func (s *Session) Repartition() (RepartResult, error) {
-	inner, err := s.get()
-	if err != nil {
-		return RepartResult{}, err
-	}
-	p, stats, err := inner.Repartition()
+	p, stats, err := s.inner.Repartition()
 	if err != nil {
 		return RepartResult{}, mapErr(err)
 	}
@@ -152,11 +129,7 @@ func (s *Session) Repartition() (RepartResult, error) {
 // both paths), no new assignment. eps must be non-negative; eps 0
 // repartitions on any measurable imbalance.
 func (s *Session) RepartitionIfAbove(eps float64) (RepartResult, bool, error) {
-	inner, err := s.get()
-	if err != nil {
-		return RepartResult{}, false, err
-	}
-	p, stats, acted, err := inner.RepartitionIfAbove(eps)
+	p, stats, acted, err := s.inner.RepartitionIfAbove(eps)
 	if err != nil {
 		return RepartResult{}, false, mapErr(err)
 	}
@@ -172,11 +145,7 @@ func (s *Session) RepartitionIfAbove(eps float64) (RepartResult, bool, error) {
 // quantity RepartitionIfAbove tests against its threshold. Errors when
 // no partition has been computed or installed yet.
 func (s *Session) Imbalance() (float64, error) {
-	inner, err := s.get()
-	if err != nil {
-		return 0, err
-	}
-	imb, err := inner.Imbalance()
+	imb, err := s.inner.Imbalance()
 	return imb, mapErr(err)
 }
 
@@ -185,11 +154,7 @@ func (s *Session) Imbalance() (float64, error) {
 // for warm-starting from an assignment computed elsewhere, e.g. a
 // checkpoint or another tool. The slice is copied.
 func (s *Session) SetPartition(blocks []int32) error {
-	inner, err := s.get()
-	if err != nil {
-		return err
-	}
-	return mapErr(inner.SetPartition(blocks))
+	return mapErr(s.inner.SetPartition(blocks))
 }
 
 // UpdateWeights replaces the point weights (nil = unit weights; length
@@ -197,11 +162,7 @@ func (s *Session) SetPartition(blocks []int32) error {
 // touched — no coordinates move, nothing is re-scattered. The next
 // Repartition balances against the new weights.
 func (s *Session) UpdateWeights(weights []float64) error {
-	inner, err := s.get()
-	if err != nil {
-		return err
-	}
-	return mapErr(inner.UpdateWeights(weights))
+	return mapErr(s.inner.UpdateWeights(weights))
 }
 
 // UpdateCoords replaces the point coordinates (flat, len = n·dim, same
@@ -209,52 +170,33 @@ func (s *Session) UpdateWeights(weights []float64) error {
 // models points that moved, not a new point set — so the current
 // partition remains a valid warm-start seed.
 func (s *Session) UpdateCoords(coords []float64) error {
-	inner, err := s.get()
-	if err != nil {
-		return err
-	}
-	return mapErr(inner.UpdateCoords(coords))
+	return mapErr(s.inner.UpdateCoords(coords))
 }
 
 // Blocks returns a copy of the session's current partition, or nil if
 // none has been computed or installed yet.
 func (s *Session) Blocks() []int32 {
-	inner, err := s.get()
-	if err != nil {
-		return nil
-	}
-	return inner.Blocks()
+	return s.inner.Blocks()
 }
 
 // IngestSeconds reports the one-time cost NewSession paid to scatter
 // the points and build the resident per-rank state — the work each
 // one-shot Repartition call repeats and a session amortizes across
-// steps.
+// steps. Like every read-only accessor it keeps answering after Close.
 func (s *Session) IngestSeconds() float64 {
-	inner, err := s.get()
-	if err != nil {
-		return 0
-	}
-	return inner.IngestSeconds()
+	return s.inner.IngestSeconds()
 }
 
 // Close releases the resident per-rank state. Closing twice is a
-// no-op. After Close, every mutating method (Partition, Repartition,
-// SetPartition, UpdateWeights, UpdateCoords) errors; the read-only
-// accessors Blocks and IngestSeconds return their zero values.
+// no-op. After Close, the nine verbs Partition, Repartition,
+// RepartitionIfAbove, RepartitionWithRetry, Imbalance, SetPartition,
+// UpdateWeights, UpdateCoords and Checkpoint return the closed-session
+// error; the read-only accessors keep answering — Blocks returns nil
+// (the partition is released) and IngestSeconds its recorded value.
+// Close waits for an in-flight verb to finish rather than releasing
+// state out from under it.
 func (s *Session) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	inner := s.inner
-	s.mu.Unlock()
-	// inner.Close serializes against any verb that fetched the session
-	// before the flag flipped: it waits for the in-flight call to finish
-	// rather than releasing resident state out from under it.
-	return inner.Close()
+	return s.inner.Close()
 }
 
 // Checkpoint serializes the session's complete restorable state — the
@@ -270,11 +212,7 @@ func (s *Session) Close() error {
 // NewSessionFromCheckpoint that this session was built with (options
 // hold policy, checkpoints hold state).
 func (s *Session) Checkpoint() ([]byte, error) {
-	inner, err := s.get()
-	if err != nil {
-		return nil, err
-	}
-	data, err := inner.Checkpoint()
+	data, err := s.inner.Checkpoint()
 	return data, mapErr(err)
 }
 
@@ -345,11 +283,7 @@ type RetryPolicy struct {
 // context's cause) is returned. Argument errors are returned
 // immediately without retrying.
 func (s *Session) RepartitionWithRetry(ctx context.Context, eps float64, policy RetryPolicy) (RepartResult, bool, error) {
-	inner, err := s.get()
-	if err != nil {
-		return RepartResult{}, false, err
-	}
-	p, stats, acted, err := inner.RepartitionWithRetry(ctx, eps, repart.RetryPolicy{
+	p, stats, acted, err := s.inner.RepartitionWithRetry(ctx, eps, repart.RetryPolicy{
 		MaxRetries:  policy.MaxRetries,
 		BaseBackoff: policy.BaseBackoff,
 		MaxBackoff:  policy.MaxBackoff,

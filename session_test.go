@@ -1,7 +1,11 @@
 package geographer_test
 
 import (
+	"context"
+	"errors"
 	"math"
+	"strings"
+	"sync"
 	"testing"
 
 	"geographer"
@@ -151,6 +155,87 @@ func TestSessionLifecycleErrors(t *testing.T) {
 	}
 	if s.Blocks() != nil {
 		t.Error("Blocks() non-nil after Close")
+	}
+}
+
+// TestSessionCloseRace runs every Session verb from several goroutines
+// while Close lands: each call returns nil or the facade's closed-session
+// error (never a "repart:" error, never a panic), and once Close has
+// returned every verb reports the closed error.
+func TestSessionCloseRace(t *testing.T) {
+	m, err := geographer.GenerateMesh(geographer.MeshDelaunay2D, 400, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := geographer.Options{K: 4, Processes: 2}
+	gone, err := geographer.NewSession(m.Coords, m.Dim, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone.Close()
+	_, errClosed := gone.Partition()
+	if errClosed == nil {
+		t.Fatal("Partition succeeded after Close")
+	}
+
+	s, err := geographer.NewSession(m.Coords, m.Dim, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := s.Partition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wt := perturb(m, 1)
+	verbs := map[string]func() error{
+		"Partition":   func() error { _, err := s.Partition(); return err },
+		"Repartition": func() error { _, err := s.Repartition(); return err },
+		"RepartitionIfAbove": func() error {
+			_, _, err := s.RepartitionIfAbove(0)
+			return err
+		},
+		"RepartitionWithRetry": func() error {
+			_, _, err := s.RepartitionWithRetry(context.Background(), 0, geographer.RetryPolicy{})
+			return err
+		},
+		"Imbalance":     func() error { _, err := s.Imbalance(); return err },
+		"SetPartition":  func() error { return s.SetPartition(blocks) },
+		"UpdateWeights": func() error { return s.UpdateWeights(wt) },
+		"UpdateCoords":  func() error { return s.UpdateCoords(m.Coords) },
+		"Checkpoint":    func() error { _, err := s.Checkpoint(); return err },
+		"Blocks":        func() error { s.Blocks(); return nil },
+		"IngestSeconds": func() error { s.IngestSeconds(); return nil },
+	}
+	check := func(name string, err error) {
+		if err != nil && (!errors.Is(err, errClosed) || strings.HasPrefix(err.Error(), "repart:")) {
+			t.Errorf("%s: %v (want nil or the closed-session error)", name, err)
+		}
+	}
+	var wg sync.WaitGroup
+	started := make(chan struct{}, len(verbs))
+	for name, verb := range verbs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				check(name, verb())
+				if i == 0 {
+					started <- struct{}{}
+				}
+			}
+		}()
+	}
+	<-started
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	wg.Wait()
+	for name, verb := range verbs {
+		err := verb()
+		check(name, err)
+		if err == nil && name != "Blocks" && name != "IngestSeconds" {
+			t.Errorf("%s succeeded after Close", name)
+		}
 	}
 }
 
