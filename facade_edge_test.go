@@ -118,6 +118,7 @@ func TestOptionsValidation(t *testing.T) {
 		opts Options
 	}{
 		{"negative epsilon", Options{K: 4, Epsilon: -0.01}},
+		{"NaN epsilon", Options{K: 2, Epsilon: math.NaN()}},
 		{"negative processes", Options{K: 4, Processes: -2}},
 		{"fraction length", Options{K: 4, TargetFractions: []float64{0.5, 0.5}}},
 		{"negative fraction", Options{K: 2, TargetFractions: []float64{1.5, -0.5}}},

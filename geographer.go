@@ -79,8 +79,8 @@ type Options struct {
 	K int
 	// Method selects the partitioner; empty means MethodGeographer.
 	Method string
-	// Epsilon is the allowed imbalance (default 0.03; negative is an
-	// error — the balance condition could never be met).
+	// Epsilon is the allowed imbalance (default 0.03; negative or NaN is
+	// an error — the balance condition could never be met).
 	Epsilon float64
 	// Processes is the number of simulated parallel ranks (default 4).
 	// The result does not depend on it except through tie-level noise.
@@ -124,16 +124,17 @@ func (o Options) withDefaults() Options {
 }
 
 // validate rejects configurations that would previously fail silently
-// (a negative Epsilon makes the balance check unsatisfiable and burns
-// every balance round; zero/negative or non-normalized TargetFractions
-// skew the balance targets) or panic (a negative Processes count).
+// (a negative or NaN Epsilon makes the balance check unsatisfiable and
+// burns every balance round; zero/negative or non-normalized
+// TargetFractions skew the balance targets) or panic (a negative
+// Processes count).
 // Call after withDefaults.
 func (o Options) validate() error {
 	if o.K < 1 {
 		return fmt.Errorf("geographer: K=%d", o.K)
 	}
-	if o.Epsilon < 0 {
-		return fmt.Errorf("geographer: Epsilon=%g is negative (the imbalance bound can never be met)", o.Epsilon)
+	if !(o.Epsilon >= 0) {
+		return fmt.Errorf("geographer: Epsilon=%g is negative or NaN (the imbalance bound can never be met)", o.Epsilon)
 	}
 	if o.Processes < 1 {
 		return fmt.Errorf("geographer: Processes=%d", o.Processes)

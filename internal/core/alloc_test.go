@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"geographer/internal/geom"
@@ -171,5 +172,35 @@ func TestResidentWarmStepReusesOutputBuffers(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// coldPartitionBytes is the heap one cold Partition below allocated
+// (runtime.MemStats.TotalAlloc) when the sampled bootstrap still gathered
+// its sample through the shuffle permutation; it repeats to ±0.02 %.
+const coldPartitionBytes = 28.07e6
+
+// TestColdPartitionAllocFence keeps the cold path's per-point memory where
+// it was: one cold Partition (n = 100 000, d = 2, k = 32, p = 2, serial
+// kernels) may allocate at most 1 % more than coldPartitionBytes. The
+// sampled bootstrap moves the points into shuffled order and back; doing
+// that through an n-sized scratch per rank instead of in place would cost
+// ≈ 1.6 MB here (an n-float64 plus n-int64 buffer on each
+// rank) and fail the fence.
+func TestColdPartitionAllocFence(t *testing.T) {
+	ps := uniformPoints(100_000, 2, 1)
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := partition.Run(mpi.NewWorld(2), ps, 32, New(cfg)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("cold Partition allocated %.0f bytes (%.2f MB); fence %.2f MB", got, got/1e6, 1.01*coldPartitionBytes/1e6)
+	if got > 1.01*coldPartitionBytes {
+		t.Errorf("cold Partition allocated %.2f MB, more than 1 %% over %.2f MB", got/1e6, coldPartitionBytes/1e6)
 	}
 }

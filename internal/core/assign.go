@@ -18,27 +18,20 @@ import (
 // dist²·invInfluence², so the O(n·k) inner loop is free of sqrt and
 // division (see DESIGN.md, "Performance notes").
 func (st *state) assignAndBalance() bool {
-	sample := st.sampleIdx()
+	sample := st.allIdx[:st.nSample] // the active sample prefix (sample.go)
 
 	// The passes below (re)validate the stored bounds against the
 	// current centers; remember them for cross-run carrying (warm.go).
 	copy(st.boundCenters, st.centers)
 
 	// Line 1: bounding box around the local (sampled) points, held flat
-	// so any dimension fits (identical arithmetic at d ≤ geom.MaxDim).
-	// Points and weights are fixed within a run, so once the sample is
-	// the whole set (always, on the warm and Deterministic paths) the box
+	// so any dimension fits. Only the positions the sample gained since
+	// the last call are folded in (see boxN); once the sample is the
+	// whole set (always, on the warm and Deterministic paths) the box
 	// and the sample weight are computed once and kept.
-	if !st.sampleBoxSet {
-		if st.dim <= geom.MaxDim {
-			var bb geom.Box
-			bb, st.sampleW = geom.SampleBoxW(st.dim, st.X.X, st.X.Y, st.X.Z, st.W, sample)
-			copy(st.bbMin, bb.Min[:st.dim])
-			copy(st.bbMax, bb.Max[:st.dim])
-		} else {
-			st.sampleW = geom.SampleBoxWND(st.X.Col, st.W, sample, st.bbMin, st.bbMax)
-		}
-		st.sampleBoxSet = st.nSample == st.X.Len()
+	if st.boxN < st.nSample {
+		st.sampleW = geom.SampleBoxW(st.X.Col, st.W, st.boxN, st.nSample, st.bbMin, st.bbMax, st.sampleW)
+		st.boxN = st.nSample
 	}
 	localSampleW := st.sampleW
 	bbEmpty := geom.FlatBoxEmpty(st.bbMin, st.bbMax)

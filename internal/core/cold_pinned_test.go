@@ -1,0 +1,180 @@
+package core
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"testing"
+
+	"geographer/internal/mpi"
+	"geographer/internal/partition"
+)
+
+// pinnedRun is a partition.Distributed that runs the production cold
+// Partition and records the FNV-64a hash of every rank's returned
+// (IDs, A) pair. With first > 0 the scattered input is first re-split so
+// that rank 0 holds only that many points and the others share the rest
+// evenly (feature space and the ablation ingest keep that layout; the
+// SFC bootstrap would rebalance it away).
+type pinnedRun struct {
+	bkm   *BalancedKMeans
+	first int
+	sums  []uint64
+}
+
+func (p *pinnedRun) Name() string { return "pinned" }
+
+func (p *pinnedRun) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]int64, []int32, error) {
+	if p.first > 0 {
+		pts = skew(c, pts, p.first)
+	}
+	ids, blocks, err := p.bkm.Partition(c, pts, k)
+	h := fnv.New64a()
+	var buf [8]byte
+	for i, id := range ids {
+		binary.LittleEndian.PutUint64(buf[:], uint64(id))
+		h.Write(buf[:])
+		binary.LittleEndian.PutUint32(buf[:4], uint32(blocks[i]))
+		h.Write(buf[:4])
+	}
+	p.sums[c.Rank()] = h.Sum64()
+	return ids, blocks, err
+}
+
+// skew gathers the scattered points and hands rank 0 the first `first`
+// of them, splitting the remainder evenly over the other ranks.
+func skew(c *mpi.Comm, pts *partition.Local, first int) *partition.Local {
+	ids := mpi.AllgatherFlat(c, pts.IDs)
+	coords := mpi.AllgatherFlat(c, pts.Coords)
+	w := mpi.AllgatherFlat(c, pts.W)
+	lo, hi := 0, first
+	if r, p := c.Rank(), c.Size(); r > 0 {
+		rest := len(ids) - first
+		lo, hi = first+(r-1)*rest/(p-1), first+r*rest/(p-1)
+	}
+	return &partition.Local{
+		Dim:    pts.Dim,
+		IDs:    ids[lo:hi],
+		Coords: coords[lo*pts.Dim : hi*pts.Dim],
+		W:      w[lo:hi],
+	}
+}
+
+// coldPin is what one pinned cold run must reproduce: the per-rank
+// (IDs, A) hashes and the aggregated pass counters.
+type coldPin struct {
+	sums                                        []uint64
+	iters, rounds                               int
+	distCalcs, hamerlySkips, bboxBreaks, visits int64
+}
+
+func (c coldPin) String() string {
+	s := "{[]uint64{"
+	for i, v := range c.sums {
+		if i > 0 {
+			s += ", "
+		}
+		s += fmt.Sprintf("%#x", v)
+	}
+	return s + fmt.Sprintf("}, %d, %d, %d, %d, %d, %d}",
+		c.iters, c.rounds, c.distCalcs, c.hamerlySkips, c.bboxBreaks, c.visits)
+}
+
+// TestColdPartitionPinned pins whole cold runs to the bit: the sampled
+// bootstrap (§4.5), its transition to the full point set and everything
+// after it, at d = 2, 3 and 16, in every bounds mode, on one and three
+// ranks, plus the transition's edge paths — a rank too small to sample
+// while the others do, MaxIter ending the run mid-sample (the post-loop
+// fallback), and Strict's balance-only rounds. The values were captured
+// from the implementation that gathers the sample through the shuffle
+// permutation; any change to the cold path's arithmetic order, layout or
+// counters moves one of them. Weights are non-uniform, so the sample
+// weight and center sums see their summation order.
+func TestColdPartitionPinned(t *testing.T) {
+	type pinCase struct {
+		name         string
+		dim, n, k, p int
+		bounds       BoundsKind
+		first        int
+		adjust       func(*Config)
+	}
+	var cases []pinCase
+	for _, dim := range []int{2, 3, 16} {
+		n := 6000
+		if dim == 16 {
+			n = 3000
+		}
+		for _, bounds := range []BoundsKind{BoundsHamerly, BoundsElkan, BoundsNone} {
+			for _, p := range []int{1, 3} {
+				cases = append(cases, pinCase{
+					name: fmt.Sprintf("d=%d/%s/p=%d", dim, bounds, p),
+					dim:  dim, n: n, k: 8, p: p, bounds: bounds,
+				})
+			}
+		}
+	}
+	noSFC := func(cfg *Config) { cfg.SFCBootstrap = false }
+	cases = append(cases,
+		pinCase{name: "small-rank/d=16/hamerly", dim: 16, n: 3000, k: 8, p: 3, bounds: BoundsHamerly, first: 60},
+		pinCase{name: "small-rank/d=2/elkan", dim: 2, n: 6000, k: 8, p: 3, bounds: BoundsElkan, first: 90, adjust: noSFC},
+		pinCase{name: "maxiter=3/d=2/hamerly", dim: 2, n: 6000, k: 8, p: 3, bounds: BoundsHamerly,
+			adjust: func(cfg *Config) { cfg.MaxIter = 3 }},
+		pinCase{name: "maxiter=3/d=16/elkan", dim: 16, n: 3000, k: 8, p: 3, bounds: BoundsElkan,
+			adjust: func(cfg *Config) { cfg.MaxIter = 3 }},
+		pinCase{name: "strict/d=2/hamerly", dim: 2, n: 6000, k: 8, p: 3, bounds: BoundsHamerly,
+			adjust: func(cfg *Config) { cfg.Strict, cfg.Epsilon, cfg.MaxBalanceIter, cfg.MaxIter = true, 1e-4, 2, 8 }},
+	)
+
+	want := map[string]coldPin{
+		"d=2/hamerly/p=1":         {[]uint64{0x647ffe79c15fbbb8}, 53, 145, 262354, 396709, 53218, 456800},
+		"d=2/hamerly/p=3":         {[]uint64{0xea9c92ec8c46095, 0x160087326fd36ec3, 0x561273cf2c321e16}, 24, 70, 167692, 183148, 38862, 222600},
+		"d=2/elkan/p=1":           {[]uint64{0x647ffe79c15fbbb8}, 53, 145, 520261, 3134139, 0, 456800},
+		"d=2/elkan/p=3":           {[]uint64{0xea9c92ec8c46095, 0x160087326fd36ec3, 0x561273cf2c321e16}, 24, 70, 263343, 886881, 222456, 222600},
+		"d=2/none/p=1":            {[]uint64{0x647ffe79c15fbbb8}, 53, 145, 3654400, 0, 0, 456800},
+		"d=2/none/p=3":            {[]uint64{0xea9c92ec8c46095, 0x160087326fd36ec3, 0x561273cf2c321e16}, 24, 70, 1375413, 0, 190393, 222600},
+		"d=3/hamerly/p=1":         {[]uint64{0xfddd4c38417b235c}, 11, 67, 106049, 64126, 9123, 80800},
+		"d=3/hamerly/p=3":         {[]uint64{0xda116b6125377a1f, 0x705318ea2aab3935, 0x51bb8a84aa3f914d}, 15, 65, 154673, 104717, 18374, 130800},
+		"d=3/elkan/p=1":           {[]uint64{0xfddd4c38417b235c}, 11, 67, 127439, 518961, 0, 80800},
+		"d=3/elkan/p=3":           {[]uint64{0xda116b6125377a1f, 0x705318ea2aab3935, 0x51bb8a84aa3f914d}, 15, 65, 174272, 618934, 87774, 130800},
+		"d=3/none/p=1":            {[]uint64{0xfddd4c38417b235c}, 11, 67, 646400, 0, 0, 80800},
+		"d=3/none/p=3":            {[]uint64{0xda116b6125377a1f, 0x705318ea2aab3935, 0x51bb8a84aa3f914d}, 15, 65, 1027844, 0, 12209, 130800},
+		"d=16/hamerly/p=1":        {[]uint64{0x19b828ef32023915}, 34, 86, 379344, 75382, 0, 122800},
+		"d=16/hamerly/p=3":        {[]uint64{0xeaf8f422411f58d8, 0xcc6a09815764beb4, 0x7b3f5cd0b37619d}, 45, 81, 487904, 111212, 0, 172200},
+		"d=16/elkan/p=1":          {[]uint64{0x19b828ef32023915}, 34, 86, 207970, 774370, 20, 122800},
+		"d=16/elkan/p=3":          {[]uint64{0xeaf8f422411f58d8, 0xcc6a09815764beb4, 0x7b3f5cd0b37619d}, 45, 81, 274909, 1102571, 40, 172200},
+		"d=16/none/p=1":           {[]uint64{0x19b828ef32023915}, 34, 86, 982400, 0, 0, 122800},
+		"d=16/none/p=3":           {[]uint64{0xeaf8f422411f58d8, 0xcc6a09815764beb4, 0x7b3f5cd0b37619d}, 45, 81, 1377600, 0, 0, 172200},
+		"small-rank/d=16/hamerly": {[]uint64{0x82064a0f41c7f1f1, 0xdb9b8f25fb3de978, 0x43c8215b36107463}, 30, 51, 358424, 71357, 0, 116160},
+		"small-rank/d=2/elkan":    {[]uint64{0xe4f603d1eeaab9d4, 0xdcd2c7e073778019, 0x163d0cf534e531fc}, 14, 80, 197124, 983196, 0, 147540},
+		"maxiter=3/d=2/hamerly":   {[]uint64{0x504e4eb5b2aedc29, 0x8dd5de7b23d9781f, 0xf8e4e6dc20e20977}, 3, 38, 56441, 37206, 9607, 47400},
+		"maxiter=3/d=16/elkan":    {[]uint64{0x2af1a90b80c9c85a, 0x1cf961c5d6e692fa, 0x1195d7e2891a5822}, 3, 29, 44931, 98949, 40, 18000},
+		"strict/d=2/hamerly":      {[]uint64{0x64c1c0a8025acce5, 0x6d22889a2473d3fb, 0x3964ce480e5a3396}, 8, 616, 415735, 3552069, 100930, 3654600},
+	}
+
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ps := flatRandomPoints(tc.n, tc.dim, int64(70+tc.dim))
+			cfg := DefaultConfig()
+			cfg.Workers = 1
+			cfg.Seed = 5
+			cfg.Bounds = tc.bounds
+			if tc.adjust != nil {
+				tc.adjust(&cfg)
+			}
+			run := &pinnedRun{bkm: New(cfg), first: tc.first, sums: make([]uint64, tc.p)}
+			part, err := partition.Run(mpi.NewWorld(tc.p), ps, tc.k, run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := part.Validate(false); err != nil {
+				t.Fatal(err)
+			}
+			in := run.bkm.LastInfo()
+			got := coldPin{run.sums, in.Iterations, in.BalanceRounds,
+				in.DistCalcs, in.HamerlySkips, in.BBoxBreaks, in.Visits}.String()
+			if got != want[tc.name].String() {
+				t.Errorf("cold run moved:\n got  %q: %s,\n want %q: %s,", tc.name, got, tc.name, want[tc.name])
+			}
+		})
+	}
+}

@@ -143,16 +143,16 @@ const (
 )
 
 // Validate checks the parts of a configuration whose violation would
-// otherwise fail silently or crash mid-run: a negative ε makes the
-// balance check `imb <= Epsilon` unsatisfiable (every k-means iteration
-// would burn all MaxBalanceIter rounds for nothing), and ill-formed
-// target fractions skew the balance targets.
+// otherwise fail silently or crash mid-run: a negative or NaN ε makes
+// the balance check `imb <= Epsilon` unsatisfiable (every k-means
+// iteration would burn all MaxBalanceIter rounds for nothing), and
+// ill-formed target fractions skew the balance targets.
 func (cfg Config) Validate(k int) error {
 	if k < 1 {
 		return fmt.Errorf("core: k=%d", k)
 	}
-	if cfg.Epsilon < 0 {
-		return fmt.Errorf("core: Epsilon=%g is negative (the imbalance bound can never be met)", cfg.Epsilon)
+	if !(cfg.Epsilon >= 0) {
+		return fmt.Errorf("core: Epsilon=%g is negative or NaN (the imbalance bound can never be met)", cfg.Epsilon)
 	}
 	if cfg.TargetFractions != nil {
 		if _, err := partition.CheckFractions(cfg.TargetFractions, k); err != nil {

@@ -441,3 +441,37 @@ func BenchmarkBalancedKMeans(b *testing.B) {
 		}
 	}
 }
+
+// mixturePoints draws an n-point Gaussian mixture in dim dimensions with
+// unit weights: m component centers uniform in [0,10]^dim, unit noise,
+// components assigned round-robin — the cold_feature16d shape.
+func mixturePoints(n, dim, m int, seed int64) *geom.PointSet {
+	rng := rand.New(rand.NewSource(seed))
+	centers := make([]float64, m*dim)
+	for i := range centers {
+		centers[i] = rng.Float64() * 10
+	}
+	ps := &geom.PointSet{Dim: dim, Coords: make([]float64, n*dim)}
+	for i := 0; i < n; i++ {
+		c := centers[(i%m)*dim : (i%m+1)*dim]
+		for d := range c {
+			ps.Coords[i*dim+d] = c[d] + rng.NormFloat64()
+		}
+	}
+	return ps
+}
+
+// BenchmarkBalancedKMeans16D is the cold feature-space run: a 40 000-point
+// 16-D Gaussian mixture, k = 32, p = 2, serial kernels. Most of its time
+// is the sampled bootstrap's iterations (§4.5), which the 2-D benchmark
+// above passes through in a few rounds.
+func BenchmarkBalancedKMeans16D(b *testing.B) {
+	ps := mixturePoints(40_000, 16, 32, 1)
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	for i := 0; i < b.N; i++ {
+		if _, err := partition.Run(mpi.NewWorld(2), ps, 32, New(cfg)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -144,6 +144,24 @@ func TestZeroValueConfigIsUsable(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsUnmeetableEpsilon: `imb <= Epsilon` can never hold
+// for a negative or a NaN ε, so Validate refuses both and Partition
+// reports the error instead of burning every balance round — also from a
+// zero-value Config, whose ε survives normalized.
+func TestValidateRejectsUnmeetableEpsilon(t *testing.T) {
+	for _, eps := range []float64{-0.01, math.NaN()} {
+		cfg := DefaultConfig()
+		cfg.Epsilon = eps
+		if err := cfg.Validate(4); err == nil {
+			t.Errorf("Validate accepted Epsilon=%g", eps)
+		}
+		ps := uniformPoints(300, 2, 9)
+		if _, err := partition.Run(mpi.NewWorld(2), ps, 4, New(Config{Epsilon: eps})); err == nil {
+			t.Errorf("Partition accepted Epsilon=%g", eps)
+		}
+	}
+}
+
 func TestManyBlocksFewPointsPerBlock(t *testing.T) {
 	// k=128 over 2560 points: 20 points per block; stresses the influence
 	// adaptation with small counts.

@@ -100,12 +100,9 @@ func (st *state) scenarioTables(sample []int32) {
 	dim, k := st.dim, st.k
 	bmin := make([]float64, dim)
 	bmax := make([]float64, dim)
-	if dim <= geom.MaxDim {
-		bb, _ := geom.SampleBoxW(dim, st.X.X, st.X.Y, st.X.Z, st.W, sample)
-		copy(bmin, bb.Min[:dim])
-		copy(bmax, bb.Max[:dim])
-	} else {
-		geom.SampleBoxWND(st.X.Col, st.W, sample, bmin, bmax)
+	geom.FlatBoxInit(bmin, bmax)
+	for _, i := range sample {
+		geom.SampleBoxW(st.X.Col, st.W, int(i), int(i)+1, bmin, bmax, 0)
 	}
 	for b := 0; b < k; b++ {
 		st.orderedCenters[b] = int32(b)

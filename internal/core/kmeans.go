@@ -53,9 +53,13 @@ type state struct {
 	W   []float64
 	IDs []int64
 
-	perm    []int32 // random order for the sampled initialization
-	allIdx  []int32 // identity order, used once the sample covers everything
-	nSample int     // currently active prefix of perm
+	// The sampled bootstrap (§4.5, cold runs only) keeps the rank's
+	// points in shuffled order while its sample grows, so the sample is
+	// always the prefix [0, nSample); cycles is the shuffle as its cycle
+	// list, which the moves in and out of that order walk (sample.go).
+	cycles  []int32
+	allIdx  []int32 // identity; a pass's index list is its prefix allIdx[:nSample]
+	nSample int     // size of the active sample prefix
 
 	A      []int32 // assignment per local point (-1 = unassigned)
 	ub, lb []float64
@@ -134,11 +138,14 @@ type state struct {
 	ownA     []int32        // assignment held by ownW/ownC (-1 = not held)
 	ownValid bool           // a reduction of the current run has rebuilt them
 
-	// Bounding box and weight of the sample, computed by the first
-	// assignAndBalance call that sees the full point set and kept for the
-	// rest of the run: points and weights are fixed within a run.
-	sampleW      float64
-	sampleBoxSet bool
+	// Flat bounding box (bbMin/bbMax below) and weight of the positions
+	// [0, boxN): points and weights are fixed within a run and the sample
+	// prefix only grows, so each assignAndBalance folds in just the
+	// positions added since the last one — the box is exact and the
+	// weight keeps summing left to right. unshuffle restarts both, so the
+	// full set's weight adds in ingest order.
+	sampleW float64
+	boxN    int
 
 	// Small reusable collective buffers of the steady-state path: the
 	// diagnostics counter reduction of finish and the fused bounding-box
@@ -146,7 +153,7 @@ type state struct {
 	ctrBuf []int64
 	boxBuf []float64
 
-	// Flat per-round sample bounding box (any dimension), len dim each.
+	// Flat sample bounding box (any dimension), len dim each.
 	bbMin, bbMax []float64
 
 	// Cross-run bound carrying (cfg.Incremental, warm resident path; see
@@ -516,9 +523,14 @@ func (st *state) ensureScratch() {
 		st.lb = make([]float64, n)
 		st.carryValid = false // fresh per-point buffers carry nothing
 	}
-	if len(st.perm) != n {
-		st.perm = make([]int32, n)
+	if len(st.allIdx) != n {
 		st.allIdx = make([]int32, n)
+		for i := range st.allIdx {
+			st.allIdx[i] = int32(i)
+		}
+	}
+	if !st.warm && st.cfg.SampledInit && cap(st.cycles) < n {
+		st.cycles = make([]int32, 0, n)
 	}
 	if cap(st.worklist) < n {
 		st.worklist = make([]int32, 0, n)
@@ -622,26 +634,26 @@ func (st *state) resetRun() {
 	if st.rlb != nil {
 		clear(st.rlb)
 	}
-	for i := range st.perm {
-		st.perm[i] = int32(i)
-		st.allIdx[i] = int32(i)
-	}
 	st.nSample = st.X.Len()
+	st.resetBox()
 	st.pendScaled = false
 	st.anySampling = false
 	st.useWorklist = false
-	st.sampleBoxSet = false
-	if !st.warm {
-		// The sampled bootstrap exists to move bad initial centers
-		// cheaply; warm starts begin near-converged, so the warm path
-		// always runs on the full (linearly iterated) point set — also a
-		// determinism requirement, since the shuffle is rank-seeded.
-		rng := rand.New(rand.NewSource(st.cfg.Seed + int64(st.c.Rank())*65537 + 7))
-		rng.Shuffle(len(st.perm), func(i, j int) { st.perm[i], st.perm[j] = st.perm[j], st.perm[i] })
-		if st.cfg.SampledInit && st.X.Len() > 100 {
-			st.nSample = 100
-		}
+	// The sampled bootstrap exists to move bad initial centers cheaply;
+	// warm starts begin near-converged, so the warm path always runs on
+	// the full point set — also a determinism requirement, since the
+	// shuffle is rank-seeded.
+	if !st.warm && st.cfg.SampledInit && st.X.Len() > 100 {
+		st.shuffle()
+		st.nSample = 100
 	}
+}
+
+// resetBox empties the folded sample box and weight (boxN = 0).
+func (st *state) resetBox() {
+	geom.FlatBoxInit(st.bbMin, st.bbMax)
+	st.sampleW = 0
+	st.boxN = 0
 }
 
 // run is the main loop of Algorithm 2.
@@ -688,30 +700,21 @@ func (st *state) run() {
 					maxShift = st.perCenter[b]
 				}
 			}
-			switch {
-			case st.nSample == st.X.Len() && st.trackRaw:
-				// The raw shadow shrinks by the maximum *raw* movement
-				// (influences don't touch raw space), padded so rounding
-				// can only loosen it.
+			if st.trackRaw {
+				// Warm runs never sample. The raw shadow shrinks by the
+				// maximum *raw* movement (influences don't touch raw
+				// space), padded so rounding can only loosen it.
 				rawShift := maxDelta * (1 + boundSlack)
-				for i := range st.A {
-					if a := st.A[i]; a >= 0 {
+				for i, a := range st.A {
+					if a >= 0 {
 						st.ub[i] += st.perCenter[a]
 						st.lb[i] -= maxShift
 						st.rlb[i] -= rawShift
 					}
 				}
-			case st.nSample == st.X.Len():
-				for i := range st.A {
-					if a := st.A[i]; a >= 0 {
-						st.ub[i] += st.perCenter[a]
-						st.lb[i] -= maxShift
-					}
-				}
-			default:
-				// Sampled bootstrap is cold-only; trackRaw never holds here.
-				for _, i := range st.perm[:st.nSample] {
-					if a := st.A[i]; a >= 0 {
+			} else {
+				for i, a := range st.A[:st.nSample] {
+					if a >= 0 {
 						st.ub[i] += st.perCenter[a]
 						st.lb[i] -= maxShift
 					}
@@ -723,14 +726,14 @@ func (st *state) run() {
 			for b := 0; b < st.k; b++ {
 				st.perCenter[b] = st.deltas[b] / st.influence[b]
 			}
-			for _, i := range st.sampleIdx() {
-				base := int(i) * st.k
+			for i, a := range st.A[:st.nSample] {
+				base := i * st.k
 				for b := 0; b < st.k; b++ {
 					if st.deltas[b] > 0 {
 						st.lbk[base+b] -= st.deltas[b]
 					}
 				}
-				if a := st.A[i]; a >= 0 {
+				if a >= 0 {
 					st.ub[i] += st.perCenter[a]
 				}
 			}
@@ -762,11 +765,12 @@ func (st *state) run() {
 		copy(st.centers, st.newCenters)
 
 		// Grow the sample (§4.5: "After each round with center movement,
-		// the sample size is doubled").
+		// the sample size is doubled"); once it covers the rank, the
+		// points go back to ingest order.
 		if sampling {
 			st.nSample *= 2
-			if st.nSample > st.X.Len() {
-				st.nSample = st.X.Len()
+			if st.nSample >= st.X.Len() {
+				st.unshuffle()
 			}
 		}
 	}
@@ -774,7 +778,7 @@ func (st *state) run() {
 	// Every point must be assigned: points outside the final sample only
 	// exist if MaxIter ran out during sampling; assign them now.
 	if st.nSample < st.X.Len() {
-		st.nSample = st.X.Len()
+		st.unshuffle()
 		st.assignAndBalance()
 	}
 	for i := range st.A {
@@ -789,20 +793,6 @@ func (st *state) run() {
 
 	// Leave the bounds reusable for the next warm run on this state.
 	st.recordCarry()
-}
-
-// sampleIdx returns the indices of the active sample. Once the sample
-// covers every local point, the identity order replaces the shuffled
-// permutation: the index *set* is identical, but linear iteration streams
-// the SoA columns and the bound arrays sequentially instead of in random
-// order, which is where the per-point passes spend their time. Per-point
-// updates are order-independent; weight accumulators only change their
-// (deterministic) floating-point summation order.
-func (st *state) sampleIdx() []int32 {
-	if st.nSample == st.X.Len() {
-		return st.allIdx
-	}
-	return st.perm[:st.nSample]
 }
 
 func boolTo64(b bool) int64 {
@@ -861,11 +851,10 @@ func (st *state) computeCenters(out []float64) bool {
 	vec := st.centVec
 	clear(vec)
 	px, py, pz := st.X.X, st.X.Y, st.X.Z
-	full := st.nSample == st.X.Len()
-	switch {
-	case st.dim == 2 && full:
-		for i := range st.A {
-			a := st.A[i]
+	sample := st.A[:st.nSample]
+	switch st.dim {
+	case 2:
+		for i, a := range sample {
 			if a < 0 {
 				continue
 			}
@@ -875,34 +864,8 @@ func (st *state) computeCenters(out []float64) bool {
 			vec[base+1] += w * py[i]
 			vec[base+2] += w
 		}
-	case st.dim == 2:
-		for _, i := range st.perm[:st.nSample] {
-			a := st.A[i]
-			if a < 0 {
-				continue
-			}
-			base := int(a) * 3
-			w := st.W[i]
-			vec[base] += w * px[i]
-			vec[base+1] += w * py[i]
-			vec[base+2] += w
-		}
-	case st.dim == 3 && full:
-		for i := range st.A {
-			a := st.A[i]
-			if a < 0 {
-				continue
-			}
-			base := int(a) * 4
-			w := st.W[i]
-			vec[base] += w * px[i]
-			vec[base+1] += w * py[i]
-			vec[base+2] += w * pz[i]
-			vec[base+3] += w
-		}
-	case st.dim == 3:
-		for _, i := range st.perm[:st.nSample] {
-			a := st.A[i]
+	case 3:
+		for i, a := range sample {
 			if a < 0 {
 				continue
 			}
@@ -915,8 +878,7 @@ func (st *state) computeCenters(out []float64) bool {
 		}
 	default:
 		cols := st.X.Col
-		for _, i := range st.sampleIdx() {
-			a := st.A[i]
+		for i, a := range sample {
 			if a < 0 {
 				continue
 			}
@@ -1005,19 +967,8 @@ func (st *state) applyPendingBounds() {
 	st.pendScaled = false
 	hamerly := st.cfg.Bounds == BoundsHamerly
 	ratio, lbRatio := st.pendUbRatio, st.pendLbRatio
-	if st.nSample == st.X.Len() {
-		for i := range st.A {
-			if a := st.A[i]; a >= 0 {
-				st.ub[i] *= ratio[a]
-				if hamerly {
-					st.lb[i] *= lbRatio
-				}
-			}
-		}
-		return
-	}
-	for _, i := range st.perm[:st.nSample] {
-		if a := st.A[i]; a >= 0 {
+	for i, a := range st.A[:st.nSample] {
+		if a >= 0 {
 			st.ub[i] *= ratio[a]
 			if hamerly {
 				st.lb[i] *= lbRatio

@@ -68,15 +68,11 @@ const boundaryFraction = 0.6
 func (st *state) prepareCarried() {
 	// Per-run values that reset exactly as in resetRun. Influences are
 	// read by the correction loops below and reset at the end.
-	for i := range st.perm {
-		st.perm[i] = int32(i)
-		st.allIdx[i] = int32(i)
-	}
 	st.nSample = st.X.Len()
+	st.resetBox()
 	st.pendScaled = false
 	st.anySampling = false
 	st.useWorklist = false
-	st.sampleBoxSet = false
 
 	maxDrift := 0.0
 	for b := 0; b < st.k; b++ {

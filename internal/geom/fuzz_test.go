@@ -84,7 +84,8 @@ func fuzzKernel(dim, n, k int, seed int64, inject0, inject1 float64, elkan bool)
 	for i := range idx {
 		idx[i] = int32(i)
 	}
-	SampleBoxWND(pts.Col, w, idx, bmin, bmax)
+	FlatBoxInit(bmin, bmax)
+	SampleBoxW(pts.Col, w, 0, n, bmin, bmax, 0)
 	for b := 0; b < k; b++ {
 		for d := range vec {
 			vec[d] = rng.Float64() * 4

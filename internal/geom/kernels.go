@@ -143,70 +143,31 @@ func Dist2Batch(dim int, px, py, pz []float64, q Point, out []float64) {
 	}
 }
 
-// SampleBoxW extends an empty box over the indexed points and sums their
-// weights — the fused first pass of every balance round. The min/max
-// running values stay in registers instead of going through Box.Extend
-// per point.
-func SampleBoxW(dim int, px, py, pz, w []float64, idx []int32) (Box, float64) {
-	bb := EmptyBox(dim)
-	sumW := 0.0
-	if dim == 3 {
-		minX, minY, minZ := bb.Min[0], bb.Min[1], bb.Min[2]
-		maxX, maxY, maxZ := bb.Max[0], bb.Max[1], bb.Max[2]
-		for _, i := range idx {
-			x, y, z := px[i], py[i], pz[i]
-			if x < minX {
-				minX = x
+// SampleBoxW extends the flat box bmin/bmax (len = dimension) over the
+// points [lo, hi) of the pc columns and returns sumW plus their weights,
+// added left to right — the fused first pass of a balance round. Both
+// folds are sequential, so folding [0, m) and then [m, n) into the same
+// box and running sum gives the bits of one fold over [0, n): a growing
+// sample prefix only ever folds in the points it gained. Each axis runs
+// as its own loop with the running min/max in registers; NaN coordinates
+// compare false and leave the box as it was. Allocation-free.
+func SampleBoxW(pc [][]float64, w []float64, lo, hi int, bmin, bmax []float64, sumW float64) float64 {
+	for d, col := range pc {
+		mn, mx := bmin[d], bmax[d]
+		for _, x := range col[lo:hi] {
+			if x < mn {
+				mn = x
 			}
-			if x > maxX {
-				maxX = x
+			if x > mx {
+				mx = x
 			}
-			if y < minY {
-				minY = y
-			}
-			if y > maxY {
-				maxY = y
-			}
-			if z < minZ {
-				minZ = z
-			}
-			if z > maxZ {
-				maxZ = z
-			}
-			sumW += w[i]
 		}
-		bb.Min[0], bb.Min[1], bb.Min[2] = minX, minY, minZ
-		bb.Max[0], bb.Max[1], bb.Max[2] = maxX, maxY, maxZ
-		return bb, sumW
+		bmin[d], bmax[d] = mn, mx
 	}
-	if dim == 2 {
-		minX, minY := bb.Min[0], bb.Min[1]
-		maxX, maxY := bb.Max[0], bb.Max[1]
-		for _, i := range idx {
-			x, y := px[i], py[i]
-			if x < minX {
-				minX = x
-			}
-			if x > maxX {
-				maxX = x
-			}
-			if y < minY {
-				minY = y
-			}
-			if y > maxY {
-				maxY = y
-			}
-			sumW += w[i]
-		}
-		bb.Min[0], bb.Min[1] = minX, minY
-		bb.Max[0], bb.Max[1] = maxX, maxY
-		return bb, sumW
+	for _, v := range w[lo:hi] {
+		sumW += v
 	}
-	for _, i := range idx {
-		bb.Extend(Point{px[i], py[i], pz[i]})
-		sumW += w[i]
-	}
-	return bb, sumW
+	return sumW
 }
 
 // Dist2BatchND is Dist2Batch for any dimension: the squared Euclidean
@@ -223,28 +184,6 @@ func Dist2BatchND(pc [][]float64, q []float64, out []float64) {
 		}
 		out[i] = s
 	}
-}
-
-// SampleBoxWND is SampleBoxW for any dimension: it folds the indexed
-// points of the pc columns into the caller-provided flat box (bmin/bmax,
-// len = dimension, reinitialized to the empty box here) and sums their
-// weights. Allocation-free, so warm steps can reuse one scratch box.
-func SampleBoxWND(pc [][]float64, w []float64, idx []int32, bmin, bmax []float64) float64 {
-	FlatBoxInit(bmin, bmax)
-	sumW := 0.0
-	for _, i := range idx {
-		for d, col := range pc {
-			x := col[i]
-			if x < bmin[d] {
-				bmin[d] = x
-			}
-			if x > bmax[d] {
-				bmax[d] = x
-			}
-		}
-		sumW += w[i]
-	}
-	return sumW
 }
 
 // AssignKernel bundles the inputs, in/out state and accumulators of one

@@ -54,31 +54,48 @@ func TestDist2BatchMatchesDist2(t *testing.T) {
 	}
 }
 
+// TestSampleBoxW: the fold equals Box.Extend plus a left-to-right weight
+// sum at every dimension, and a prefix folded in pieces — the way a
+// growing sample folds only the points it gained — equals one fold of
+// the whole prefix bit for bit.
 func TestSampleBoxW(t *testing.T) {
-	c := randCols(2, 200, 3)
-	w := make([]float64, 200)
-	idx := make([]int32, 0, 100)
-	for i := range w {
-		w[i] = float64(i%7) + 0.5
-		if i%2 == 0 {
-			idx = append(idx, int32(i))
+	for _, dim := range []int{1, 2, 3} {
+		const n = 200
+		c := randCols(dim, n, int64(3+dim))
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = 0.1*float64(i%7) + 0.37
+		}
+		want := EmptyBox(dim)
+		wantW := 0.0
+		for i := 0; i < n; i++ {
+			want.Extend(c.At(i))
+			wantW += w[i]
+		}
+		bmin, bmax := make([]float64, dim), make([]float64, dim)
+		FlatBoxInit(bmin, bmax)
+		sumW := SampleBoxW(c.Col, w, 0, n, bmin, bmax, 0)
+		pmin, pmax := make([]float64, dim), make([]float64, dim)
+		FlatBoxInit(pmin, pmax)
+		pieceW := 0.0
+		for _, cut := range [][2]int{{0, 0}, {0, 13}, {13, 100}, {100, n}} {
+			pieceW = SampleBoxW(c.Col, w, cut[0], cut[1], pmin, pmax, pieceW)
+		}
+		for d := 0; d < dim; d++ {
+			if bmin[d] != want.Min[d] || bmax[d] != want.Max[d] || pmin[d] != bmin[d] || pmax[d] != bmax[d] {
+				t.Fatalf("dim=%d axis %d: fold [%g, %g], pieces [%g, %g], want [%g, %g]",
+					dim, d, bmin[d], bmax[d], pmin[d], pmax[d], want.Min[d], want.Max[d])
+			}
+		}
+		if math.Float64bits(sumW) != math.Float64bits(wantW) || math.Float64bits(pieceW) != math.Float64bits(wantW) {
+			t.Fatalf("dim=%d: weight %v / pieces %v, want %v", dim, sumW, pieceW, wantW)
 		}
 	}
-	bb, sumW := SampleBoxW(2, c.X, c.Y, c.Z, w, idx)
 
-	want := EmptyBox(2)
-	wantW := 0.0
-	for _, i := range idx {
-		want.Extend(c.At(int(i)))
-		wantW += w[i]
-	}
-	if bb.Min != want.Min || bb.Max != want.Max || sumW != wantW {
-		t.Fatalf("got (%v, %g), want (%v, %g)", bb, sumW, want, wantW)
-	}
-
-	empty, zw := SampleBoxW(2, c.X, c.Y, c.Z, w, nil)
-	if !empty.Empty() || zw != 0 {
-		t.Fatalf("empty sample: %v, %g", empty, zw)
+	bmin, bmax := make([]float64, 2), make([]float64, 2)
+	FlatBoxInit(bmin, bmax)
+	if zw := SampleBoxW(randCols(2, 5, 1).Col, make([]float64, 5), 3, 3, bmin, bmax, 0); !FlatBoxEmpty(bmin, bmax) || zw != 0 {
+		t.Fatalf("empty range: [%v, %v], %g", bmin, bmax, zw)
 	}
 }
 
