@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"geographer/internal/mpi"
 )
 
 var allMethods = []string{MethodGeographer, MethodRCB, MethodRIB, MethodMultiJagged, MethodHSFC}
@@ -108,6 +110,145 @@ func TestSpMVCommTimeRejectsOutOfRangeBlocks(t *testing.T) {
 	}
 }
 
+// malformedCSR lists CSR arrays that no graph reader may index: each
+// row damages a copy of a valid mesh's xadj/adj.
+var malformedCSR = []struct {
+	name   string
+	damage func(xadj []int64, adj []int32) ([]int64, []int32)
+}{
+	{"huge xadj entry", func(x []int64, a []int32) ([]int64, []int32) { x[5] = 1 << 40; return x, a }},
+	{"xadj not monotone", func(x []int64, a []int32) ([]int64, []int32) { x[1] = 100 * int64(len(a)); return x, a }},
+	{"neighbor id n", func(x []int64, a []int32) ([]int64, []int32) { a[0] = int32(len(x) - 1); return x, a }},
+	{"negative neighbor id", func(x []int64, a []int32) ([]int64, []int32) { a[0] = -1; return x, a }},
+	{"nil xadj", func(x []int64, a []int32) ([]int64, []int32) { return nil, a }},
+}
+
+// TestMalformedCSRRejected: every facade entry point that reads a
+// caller's CSR graph returns an error for arrays it cannot read in
+// bounds, instead of panicking (Evaluate, RefinePartition, Extrude) or
+// reporting a rank's runtime panic as an abort (SpMVCommTime). Valid
+// but unsorted adjacency keeps working.
+func TestMalformedCSRRejected(t *testing.T) {
+	m, err := GenerateMesh(MeshClimate, 200, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := m.N()
+	part := make([]int32, n)
+	for v := range part {
+		part[v] = int32(v % 2)
+	}
+	calls := []struct {
+		name string
+		call func(xadj []int64, adj []int32) error
+	}{
+		{"Evaluate", func(x []int64, a []int32) error {
+			_, err := Evaluate(x, a, m.Coords, m.Dim, m.Weights, part, 2)
+			return err
+		}},
+		{"RefinePartition", func(x []int64, a []int32) error {
+			_, err := RefinePartition(x, a, m.Coords, m.Dim, m.Weights, append([]int32(nil), part...), 2, 0)
+			return err
+		}},
+		{"SpMVCommTime", func(x []int64, a []int32) error {
+			_, _, err := SpMVCommTime(x, a, part, 2, 1)
+			return err
+		}},
+		{"Extrude", func(x []int64, a []int32) error {
+			s := *m
+			s.XAdj, s.Adj = x, a
+			_, _, err := Extrude(&s, part, 0.1)
+			return err
+		}},
+	}
+	for _, c := range calls {
+		for _, row := range malformedCSR {
+			t.Run(c.name+"/"+row.name, func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				x, a := row.damage(append([]int64(nil), m.XAdj...), append([]int32(nil), m.Adj...))
+				err := c.call(x, a)
+				if err == nil {
+					t.Error("malformed CSR accepted")
+				}
+				if errors.Is(err, mpi.ErrBroken) {
+					t.Errorf("reported as a rank abort: %v", err)
+				}
+			})
+		}
+		// Reversing every adjacency row keeps the graph valid CSR.
+		adj := append([]int32(nil), m.Adj...)
+		for v := 0; v < n; v++ {
+			row := adj[m.XAdj[v]:m.XAdj[v+1]]
+			for i, j := 0, len(row)-1; i < j; i, j = i+1, j-1 {
+				row[i], row[j] = row[j], row[i]
+			}
+		}
+		if err := c.call(m.XAdj, adj); err != nil {
+			t.Errorf("%s rejected unsorted adjacency: %v", c.name, err)
+		}
+	}
+	if _, _, err := Extrude(nil, part, 0.1); err == nil {
+		t.Error("Extrude accepted a nil surface")
+	}
+	// The point arrays are checked against the graph's vertex count too.
+	short := *m
+	short.Weights = m.Weights[:n-1]
+	if _, _, err := Extrude(&short, part, 0.1); err == nil {
+		t.Error("Extrude accepted n-1 weights")
+	}
+	short = *m
+	short.Coords = m.Coords[:len(m.Coords)-m.Dim]
+	if _, _, err := Extrude(&short, part, 0.1); err == nil {
+		t.Error("Extrude accepted n-1 points")
+	}
+	if _, err := RefinePartition(m.XAdj, m.Adj, m.Coords, m.Dim, m.Weights[:n-1], part, 2, 0); err == nil {
+		t.Error("RefinePartition accepted n-1 weights")
+	}
+}
+
+// TestRefinePartitionRejectsBadEpsilon: a NaN or negative ε used to
+// refine silently at the default 0.03; zero still means the default.
+func TestRefinePartitionRejectsBadEpsilon(t *testing.T) {
+	m, err := GenerateMesh(MeshDelaunay2D, 300, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := make([]int32, m.N())
+	for v := range part {
+		part[v] = int32(v % 2)
+	}
+	for _, eps := range []float64{math.NaN(), -1} {
+		if _, err := RefinePartition(m.XAdj, m.Adj, m.Coords, m.Dim, m.Weights, part, 2, eps); err == nil {
+			t.Errorf("epsilon=%g accepted", eps)
+		}
+	}
+	if _, err := RefinePartition(m.XAdj, m.Adj, m.Coords, m.Dim, m.Weights, part, 2, 0); err != nil {
+		t.Errorf("epsilon=0 (the default) rejected: %v", err)
+	}
+}
+
+// TestGenerateMeshRejectsNegativeSize: n = -1 used to panic in makeslice
+// for every mesh kind.
+func TestGenerateMeshRejectsNegativeSize(t *testing.T) {
+	for _, kind := range []string{MeshDelaunay2D, MeshRefined, MeshBubbles, MeshAirfoil,
+		MeshRGG, MeshClimate, MeshDelaunay3D, MeshTube3D} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", kind, r)
+				}
+			}()
+			if _, err := GenerateMesh(kind, -1, 1); err == nil {
+				t.Errorf("%s: n=-1 accepted", kind)
+			}
+		}()
+	}
+}
+
 // TestOptionsValidation is the regression test for the silent
 // misconfigurations: a negative Epsilon used to make every balance
 // round futile, and bad TargetFractions silently skewed the targets.
@@ -120,6 +261,7 @@ func TestOptionsValidation(t *testing.T) {
 		{"negative epsilon", Options{K: 4, Epsilon: -0.01}},
 		{"NaN epsilon", Options{K: 2, Epsilon: math.NaN()}},
 		{"negative processes", Options{K: 4, Processes: -2}},
+		{"negative workers", Options{K: 2, Workers: -3}},
 		{"fraction length", Options{K: 4, TargetFractions: []float64{0.5, 0.5}}},
 		{"negative fraction", Options{K: 2, TargetFractions: []float64{1.5, -0.5}}},
 		{"zero fraction", Options{K: 2, TargetFractions: []float64{1, 0}}},
@@ -133,6 +275,10 @@ func TestOptionsValidation(t *testing.T) {
 		prev := make([]int32, 200)
 		if _, err := Repartition(coords, 2, nil, prev, tc.opts); err == nil {
 			t.Errorf("%s accepted by Repartition", tc.name)
+		}
+		if s, err := NewSession(coords, 2, nil, tc.opts); err == nil {
+			s.Close()
+			t.Errorf("%s accepted by NewSession", tc.name)
 		}
 	}
 	// The validation must not reject valid settings.

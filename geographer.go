@@ -125,9 +125,9 @@ func (o Options) withDefaults() Options {
 
 // validate rejects configurations that would previously fail silently
 // (a negative or NaN Epsilon makes the balance check unsatisfiable and
-// burns every balance round; zero/negative or non-normalized
-// TargetFractions skew the balance targets) or panic (a negative
-// Processes count).
+// burns every balance round; a negative Workers count would mean "auto";
+// zero/negative or non-normalized TargetFractions skew the balance
+// targets) or panic (a negative Processes count).
 // Call after withDefaults.
 func (o Options) validate() error {
 	if o.K < 1 {
@@ -138,6 +138,9 @@ func (o Options) validate() error {
 	}
 	if o.Processes < 1 {
 		return fmt.Errorf("geographer: Processes=%d", o.Processes)
+	}
+	if o.Workers < 0 {
+		return fmt.Errorf("geographer: Workers=%d (0 = auto, 1 = serial)", o.Workers)
 	}
 	if o.TargetFractions != nil {
 		if _, err := partition.CheckFractions(o.TargetFractions, o.K); err != nil {
@@ -333,8 +336,11 @@ type Quality struct {
 // Evaluate computes partition quality over a CSR mesh graph: adjacency of
 // vertex v is adj[xadj[v]:xadj[v+1]].
 func Evaluate(xadj []int64, adj []int32, coords []float64, dim int, weights []float64, part []int32, k int) (Quality, error) {
-	n := len(xadj) - 1
-	g := &graph.Graph{N: n, Xadj: xadj, Adj: adj}
+	g, err := csrGraph(xadj, adj)
+	if err != nil {
+		return Quality{}, err
+	}
+	n := g.N
 	ps := &geom.PointSet{Dim: dim, Coords: coords, Weight: weights}
 	if err := ps.Validate(); err != nil {
 		return Quality{}, err
@@ -358,6 +364,17 @@ func Evaluate(xadj []int64, adj []int32, coords []float64, dim int, weights []fl
 		Disconnected: r.Disconnected,
 		EmptyBlocks:  r.EmptyBlocks,
 	}, nil
+}
+
+// csrGraph wraps a caller's CSR arrays as a graph, rejecting arrays that
+// cannot be read in bounds (graph.CheckBounds) before anything indexes
+// them.
+func csrGraph(xadj []int64, adj []int32) (*graph.Graph, error) {
+	g := &graph.Graph{N: len(xadj) - 1, Xadj: xadj, Adj: adj}
+	if err := g.CheckBounds(); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // MeshData is a self-contained mesh: points plus CSR adjacency.
@@ -394,6 +411,9 @@ const (
 // GenerateMesh produces one of the synthetic benchmark meshes used in the
 // evaluation (deterministic in n and seed).
 func GenerateMesh(kind string, n int, seed int64) (*MeshData, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("geographer: mesh size n=%d", n)
+	}
 	var m *mesh.Mesh
 	var err error
 	switch strings.ToLower(kind) {
@@ -433,7 +453,10 @@ func GenerateMesh(kind string, n int, seed int64) (*MeshData, error) {
 // partitioned CSR graph and returns the modeled and wall-clock
 // communication seconds per multiplication.
 func SpMVCommTime(xadj []int64, adj []int32, part []int32, k, iters int) (modeled, wall float64, err error) {
-	g := &graph.Graph{N: len(xadj) - 1, Xadj: xadj, Adj: adj}
+	g, err := csrGraph(xadj, adj)
+	if err != nil {
+		return 0, 0, err
+	}
 	res, err := spmv.Benchmark(g, part, k, iters)
 	if err != nil {
 		return 0, 0, err
@@ -446,11 +469,19 @@ func SpMVCommTime(xadj []int64, adj []int32, part []int32, k, iters int) (modele
 // and lifts a surface partition column-wise onto it. Returns the 3D mesh
 // and the lifted partition.
 func Extrude(surface *MeshData, part2d []int32, layerHeight float64) (*MeshData, []int32, error) {
-	m := &mesh.Mesh{
-		Name:   surface.Name,
-		Points: &geom.PointSet{Dim: surface.Dim, Coords: surface.Coords, Weight: surface.Weights},
-		G:      &graph.Graph{N: surface.N(), Xadj: surface.XAdj, Adj: surface.Adj},
+	if surface == nil {
+		return nil, nil, fmt.Errorf("geographer: nil surface mesh")
 	}
+	g, err := csrGraph(surface.XAdj, surface.Adj)
+	if err != nil {
+		return nil, nil, err
+	}
+	ps := &geom.PointSet{Dim: surface.Dim, Coords: surface.Coords, Weight: surface.Weights}
+	if len(ps.Coords) != g.N*ps.Dim || (ps.Weight != nil && len(ps.Weight) != g.N) {
+		return nil, nil, fmt.Errorf("geographer: %d coordinates (dim %d) and %d weights for %d surface vertices",
+			len(ps.Coords), ps.Dim, len(ps.Weight), g.N)
+	}
+	m := &mesh.Mesh{Name: surface.Name, Points: ps, G: g}
 	m3, err := mesh.Extrude25D(m, layerHeight)
 	if err != nil {
 		return nil, nil, err
@@ -479,9 +510,19 @@ type RefineResult struct {
 
 // RefinePartition runs the optional Fiduccia–Mattheyses-style boundary
 // refinement (an extension the paper mentions as possible in §2) on a
-// partition, in place. Balance within epsilon is preserved.
+// partition, in place. Balance within epsilon is preserved; epsilon = 0
+// means the default 0.03, and a negative or NaN epsilon is an error.
 func RefinePartition(xadj []int64, adj []int32, coords []float64, dim int, weights []float64, part []int32, k int, epsilon float64) (RefineResult, error) {
-	g := &graph.Graph{N: len(xadj) - 1, Xadj: xadj, Adj: adj}
+	if !(epsilon >= 0) {
+		return RefineResult{}, fmt.Errorf("geographer: epsilon=%g is negative or NaN", epsilon)
+	}
+	g, err := csrGraph(xadj, adj)
+	if err != nil {
+		return RefineResult{}, err
+	}
+	if weights != nil && len(weights) != g.N {
+		return RefineResult{}, fmt.Errorf("geographer: %d weights for %d vertices", len(weights), g.N)
+	}
 	ps := &geom.PointSet{Dim: dim, Coords: coords, Weight: weights}
 	opts := refine.DefaultOptions()
 	if epsilon > 0 {

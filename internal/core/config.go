@@ -145,14 +145,18 @@ const (
 // Validate checks the parts of a configuration whose violation would
 // otherwise fail silently or crash mid-run: a negative or NaN ε makes
 // the balance check `imb <= Epsilon` unsatisfiable (every k-means
-// iteration would burn all MaxBalanceIter rounds for nothing), and
-// ill-formed target fractions skew the balance targets.
+// iteration would burn all MaxBalanceIter rounds for nothing), a
+// negative Workers count would silently mean "auto", and ill-formed
+// target fractions skew the balance targets.
 func (cfg Config) Validate(k int) error {
 	if k < 1 {
 		return fmt.Errorf("core: k=%d", k)
 	}
 	if !(cfg.Epsilon >= 0) {
 		return fmt.Errorf("core: Epsilon=%g is negative or NaN (the imbalance bound can never be met)", cfg.Epsilon)
+	}
+	if cfg.Workers < 0 {
+		return fmt.Errorf("core: Workers=%d (0 = auto, 1 = serial)", cfg.Workers)
 	}
 	if cfg.TargetFractions != nil {
 		if _, err := partition.CheckFractions(cfg.TargetFractions, k); err != nil {

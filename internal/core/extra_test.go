@@ -162,6 +162,21 @@ func TestValidateRejectsUnmeetableEpsilon(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNegativeWorkers: a negative Workers count used to
+// mean "auto" silently; Validate refuses it, from DefaultConfig and from
+// a zero-value Config alike.
+func TestValidateRejectsNegativeWorkers(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Workers = -3
+	if err := cfg.Validate(4); err == nil {
+		t.Error("Validate accepted Workers=-3")
+	}
+	ps := uniformPoints(300, 2, 9)
+	if _, err := partition.Run(mpi.NewWorld(2), ps, 4, New(Config{Workers: -3})); err == nil {
+		t.Error("Partition accepted Workers=-3")
+	}
+}
+
 func TestManyBlocksFewPointsPerBlock(t *testing.T) {
 	// k=128 over 2560 points: 20 points per block; stresses the influence
 	// adaptation with small counts.

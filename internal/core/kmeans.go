@@ -195,9 +195,6 @@ type state struct {
 
 // Partition implements partition.Distributed: Algorithm 2 of the paper.
 func (b *BalancedKMeans) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]int64, []int32, error) {
-	if k < 1 {
-		return nil, nil, fmt.Errorf("core: k=%d", k)
-	}
 	cfg := b.Cfg.normalized()
 	if err := cfg.Validate(k); err != nil {
 		return nil, nil, err
@@ -415,10 +412,8 @@ func (st *state) initCentersAndTargets(seed []float64) error {
 	}
 	st.globalN = n
 
-	var totalW float64
 	if st.warm {
 		st.centers = append(st.centers[:0], seed...)
-		totalW = st.exactTotalW()
 	} else if st.dim > geom.MaxDim {
 		// Feature-space seeding: the same shared-seed random global
 		// indices as the spatial ablation path, gathered through a flat
@@ -437,15 +432,6 @@ func (st *state) initCentersAndTargets(seed []float64) error {
 			}
 		}
 		copy(st.centers, mpi.AllreduceSum(st.c, seedVec))
-		if st.cfg.Deterministic {
-			totalW = st.exactTotalW()
-		} else {
-			localW := 0.0
-			for _, w := range st.W {
-				localW += w
-			}
-			totalW = mpi.ReduceScalarSum(st.c, localW)
-		}
 	} else {
 		start := mpi.ExscanSum(st.c, int64(st.X.Len()))
 
@@ -479,15 +465,16 @@ func (st *state) initCentersAndTargets(seed []float64) error {
 		for _, s := range all {
 			copy(st.centers[int(s.Idx)*st.dim:], s.X[:st.dim])
 		}
-		if st.cfg.Deterministic {
-			totalW = st.exactTotalW()
-		} else {
-			localW := 0.0
-			for _, w := range st.W {
-				localW += w
-			}
-			totalW = mpi.ReduceScalarSum(st.c, localW)
+	}
+	var totalW float64
+	if st.warm || st.cfg.Deterministic {
+		totalW = st.exactTotalW()
+	} else {
+		localW := 0.0
+		for _, w := range st.W {
+			localW += w
 		}
+		totalW = mpi.ReduceScalarSum(st.c, localW)
 	}
 
 	targets, err := partition.Targets(totalW, st.k, st.cfg.TargetFractions)

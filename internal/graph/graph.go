@@ -111,10 +111,13 @@ func (g *Graph) normalize() {
 	g.Xadj = newX
 }
 
-// Validate checks CSR structural invariants: monotone Xadj, in-range
-// sorted adjacency, no self-loops, symmetry.
-func (g *Graph) Validate() error {
-	if len(g.Xadj) != g.N+1 {
+// CheckBounds checks that g can be read without going out of bounds:
+// len(Xadj) = N+1 ≥ 1, Xadj runs monotonically from 0 to len(Adj), and
+// every neighbor id lies in [0, N). It does not require sorted,
+// loop-free or symmetric adjacency; code that reads a caller's CSR
+// arrays calls it before indexing them.
+func (g *Graph) CheckBounds() error {
+	if g.N < 0 || len(g.Xadj) != g.N+1 {
 		return fmt.Errorf("graph: Xadj length %d for %d vertices", len(g.Xadj), g.N)
 	}
 	if g.Xadj[0] != 0 || g.Xadj[g.N] != int64(len(g.Adj)) {
@@ -124,11 +127,24 @@ func (g *Graph) Validate() error {
 		if g.Xadj[v] > g.Xadj[v+1] {
 			return fmt.Errorf("graph: Xadj not monotone at %d", v)
 		}
+	}
+	for i, u := range g.Adj {
+		if u < 0 || int(u) >= g.N {
+			return fmt.Errorf("graph: out-of-range neighbor %d at Adj[%d]", u, i)
+		}
+	}
+	return nil
+}
+
+// Validate checks CSR structural invariants: CheckBounds, then sorted
+// unique adjacency, no self-loops, symmetry.
+func (g *Graph) Validate() error {
+	if err := g.CheckBounds(); err != nil {
+		return err
+	}
+	for v := 0; v < g.N; v++ {
 		nb := g.Neighbors(int32(v))
 		for i, u := range nb {
-			if u < 0 || int(u) >= g.N {
-				return fmt.Errorf("graph: vertex %d has out-of-range neighbor %d", v, u)
-			}
 			if u == int32(v) {
 				return fmt.Errorf("graph: self-loop at %d", v)
 			}

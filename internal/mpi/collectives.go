@@ -129,7 +129,7 @@ func allreduce[T Number](c *Comm, in, out []T, fold func(acc, v T) T) []T {
 	depositSlice(w, c.rank, in)
 	c.collectiveStats(int64(len(in)) * sizeOf[T]())
 	n := len(in)
-	w.barWaitWith(c.rank, func() {
+	w.bar.waitWith(c.rank, func() {
 		res := resultBuf[T](w, n)
 		copy(res, slotSlice[T](w, 0))
 		for r := 1; r < w.size; r++ {
@@ -215,7 +215,7 @@ func AllreduceSumSparse[T Number](c *Comm, n, off int, seg, out []T) (int, int) 
 	depositSlice(w, c.rank, seg)
 	w.scalB[c.rank] = uint64(off)
 	c.collectiveStats(int64(len(seg)) * sizeOf[T]())
-	w.barWaitWith(c.rank, func() {
+	w.bar.waitWith(c.rank, func() {
 		lo, hi := n, 0
 		for r := 0; r < w.size; r++ {
 			l := w.hdrs[r].len
@@ -258,7 +258,7 @@ func Allgather[T any](c *Comm, in []T) [][]T {
 	w := c.w
 	depositSlice(w, c.rank, in)
 	c.collectiveStats(int64(len(in)) * sizeOf[T]())
-	w.barWait(c.rank)
+	w.bar.wait(c.rank)
 	out := make([][]T, w.size)
 	for r := 0; r < w.size; r++ {
 		contrib := slotSlice[T](w, r)
@@ -266,7 +266,7 @@ func Allgather[T any](c *Comm, in []T) [][]T {
 		copy(cp, contrib)
 		out[r] = cp
 	}
-	w.barWait(c.rank) // senders' buffers stay live until everyone copied
+	w.bar.wait(c.rank) // senders' buffers stay live until everyone copied
 	return out
 }
 
@@ -285,7 +285,7 @@ func AllgatherFlatInto[T any](c *Comm, in, out []T) []T {
 	w := c.w
 	depositSlice(w, c.rank, in)
 	c.collectiveStats(int64(len(in)) * sizeOf[T]())
-	w.barWaitWith(c.rank, func() {
+	w.bar.waitWith(c.rank, func() {
 		if cap(w.resOffs) < w.size+1 {
 			w.resOffs = make([]int, w.size+1)
 		}
@@ -306,7 +306,7 @@ func AllgatherFlatInto[T any](c *Comm, in, out []T) []T {
 	for r := 0; r < w.size; r++ {
 		copy(out[offs[r]:offs[r+1]], slotSlice[T](w, r))
 	}
-	w.barWait(c.rank)
+	w.bar.wait(c.rank)
 	return out
 }
 
@@ -331,7 +331,7 @@ func Alltoall[T any](c *Comm, send [][]T) [][]T {
 	}
 	depositSlice(w, c.rank, send)
 	c.collectiveStats(bytes)
-	w.barWait(c.rank)
+	w.bar.wait(c.rank)
 	out := make([][]T, w.size)
 	for r := 0; r < w.size; r++ {
 		chunk := slotSlice[[]T](w, r)[c.rank]
@@ -339,7 +339,7 @@ func Alltoall[T any](c *Comm, send [][]T) [][]T {
 		copy(cp, chunk)
 		out[r] = cp
 	}
-	w.barWait(c.rank)
+	w.bar.wait(c.rank)
 	return out
 }
 
@@ -389,7 +389,7 @@ func AlltoallFlat[T any](c *Comm, send []T, sendCounts []int) ([]T, []int) {
 	}
 	w.slots[c.rank] = flatSend[T]{data: send, counts: sendCounts, offs: offs}
 	c.collectiveStats(bytes)
-	w.barWait(c.rank)
+	w.bar.wait(c.rank)
 	recvCounts := make([]int, w.size)
 	total := 0
 	for r := 0; r < w.size; r++ {
@@ -402,7 +402,7 @@ func AlltoallFlat[T any](c *Comm, send []T, sendCounts []int) ([]T, []int) {
 		lo := fs.offs[c.rank]
 		out = append(out, fs.data[lo:lo+fs.counts[c.rank]]...)
 	}
-	w.barWait(c.rank)
+	w.bar.wait(c.rank)
 	return out, recvCounts
 }
 
@@ -453,7 +453,7 @@ func AlltoallCols(c *Comm, u64 []uint64, i64 []int64, f64 [][]float64, sendCount
 	}
 	w.slots[c.rank] = colsSend{u64: u64, i64: i64, f64: f64, counts: sendCounts, offs: offs}
 	c.collectiveStats(offRank * int64(8*(2+len(f64))))
-	w.barWait(c.rank)
+	w.bar.wait(c.rank)
 	recvCounts := make([]int, w.size)
 	total = 0
 	for r := 0; r < w.size; r++ {
@@ -476,7 +476,7 @@ func AlltoallCols(c *Comm, u64 []uint64, i64 []int64, f64 [][]float64, sendCount
 			outF[d] = append(outF[d], cs.f64[d][lo:hi]...)
 		}
 	}
-	w.barWait(c.rank)
+	w.bar.wait(c.rank)
 	return outU, outI, outF, recvCounts
 }
 
@@ -493,7 +493,7 @@ func ExscanSum[T Number](c *Comm, v T) T {
 	w := c.w
 	putScalar(w.scal, c.rank, v)
 	c.collectiveStats(sizeOf[T]())
-	w.barWaitWith(c.rank, func() {
+	w.bar.waitWith(c.rank, func() {
 		var acc T
 		for r := 0; r < w.size; r++ {
 			x := getScalar[T](w.scal, r)
@@ -510,7 +510,7 @@ func ReduceScalarSum[T Number](c *Comm, v T) T {
 	w := c.w
 	putScalar(w.scal, c.rank, v)
 	c.collectiveStats(sizeOf[T]())
-	w.barWaitWith(c.rank, func() {
+	w.bar.waitWith(c.rank, func() {
 		acc := getScalar[T](w.scal, 0)
 		for r := 1; r < w.size; r++ {
 			acc += getScalar[T](w.scal, r)
@@ -526,7 +526,7 @@ func ReduceScalarMax[T Number](c *Comm, v T) T {
 	w := c.w
 	putScalar(w.scal, c.rank, v)
 	c.collectiveStats(sizeOf[T]())
-	w.barWaitWith(c.rank, func() {
+	w.bar.waitWith(c.rank, func() {
 		best := getScalar[T](w.scal, 0)
 		for r := 1; r < w.size; r++ {
 			if x := getScalar[T](w.scal, r); x > best {

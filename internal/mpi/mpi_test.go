@@ -507,10 +507,10 @@ func BenchmarkAllreduce64(b *testing.B) {
 func TestBarrierRendezvousPanicBreaks(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		mk   func(int) barrier
+		mk   func(int) *treeBarrier
 	}{
-		{"tree", func(p int) barrier { return newTreeBarrier(p) }},
-		{"central", func(p int) barrier { return newCentralBarrier(p) }},
+		{"tree", func(p int) *treeBarrier { return newTreeBarrier(p, groupShift(p)) }},
+		{"central", oneLeafBarrier},
 	} {
 		for _, p := range []int{2, 3, 64, 1024} {
 			t.Run(fmt.Sprintf("%s/p=%d", tc.name, p), func(t *testing.T) {
@@ -556,17 +556,17 @@ func TestBarrierRendezvousPanicBreaks(t *testing.T) {
 func TestPanicDuringAlltoallColsBreaks(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		mk   func(int) barrier
+		mk   func(int) *World
 	}{
-		{"tree", func(p int) barrier { return newTreeBarrier(p) }},
-		{"central", func(p int) barrier { return newCentralBarrier(p) }},
+		{"tree", NewWorld},
+		{"central", centralWorld},
 	} {
 		for _, p := range []int{2, 64, 1024} {
 			t.Run(fmt.Sprintf("%s/p=%d", tc.name, p), func(t *testing.T) {
 				if p == 2 {
 					spinProcs(t, p)
 				}
-				w := newWorldWithBarrier(p, tc.mk(p))
+				w := tc.mk(p)
 				victim := p / 2
 				var released, entered atomic.Int64
 				err := w.Run(func(c *Comm) {

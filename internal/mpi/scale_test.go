@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -208,11 +209,70 @@ func TestAllreduceSumSparseHighP(t *testing.T) {
 // ---------------------------------------------------------------------
 // Tree vs central barrier: identical results, bit for bit, on the
 // rank-order float folds; many mixed episodes for the race detector.
+// The central barrier is the tree's one-leaf form.
+
+// oneLeafBarrier is the central reference barrier: a tree with a single
+// leaf of fan-in p, so every rank arrives at the same node.
+func oneLeafBarrier(p int) *treeBarrier {
+	return newTreeBarrier(p, uint(bits.Len(uint(p-1))))
+}
+
+// centralWorld is a World whose barrier is the one-leaf tree.
+func centralWorld(p int) *World {
+	w := NewWorld(p)
+	w.bar = oneLeafBarrier(p)
+	return w
+}
+
+// TestTreeBarrierShape pins the default tree's shape: ⌈p/g⌉ leaves with
+// g the smallest power of two whose square reaches p, a ragged last
+// leaf, and a root that counts leaves. The one-leaf form puts every
+// rank on one leaf under a root that expects one arrival.
+func TestTreeBarrierShape(t *testing.T) {
+	check := func(name string, b *treeBarrier, p, leaves int) {
+		t.Helper()
+		if len(b.leaves) != leaves {
+			t.Fatalf("%s p=%d: %d leaves, want %d", name, p, len(b.leaves), leaves)
+		}
+		sum := 0
+		for i := range b.leaves {
+			sum += b.leaves[i].expect
+		}
+		if sum != p {
+			t.Errorf("%s p=%d: leaf expectations sum to %d, want %d", name, p, sum, p)
+		}
+		if b.root.expect != leaves {
+			t.Errorf("%s p=%d: root expects %d, want %d", name, p, b.root.expect, leaves)
+		}
+		for r := 0; r < p; r++ {
+			if l := r >> b.shift; l >= leaves {
+				t.Fatalf("%s p=%d: rank %d maps to leaf %d of %d", name, p, r, l, leaves)
+			}
+		}
+	}
+	for _, p := range []int{1, 2, 3, 4, 5, 16, 17, 64, 1000, 1024, 4096} {
+		g := 1
+		for g*g < p {
+			g *= 2
+		}
+		b := NewWorld(p).bar
+		check("tree", b, p, (p+g-1)/g)
+		if p <= 2 && len(b.leaves) != 1 {
+			t.Errorf("p=%d: %d leaves, want 1", p, len(b.leaves))
+		}
+		check("one-leaf", oneLeafBarrier(p), p, 1)
+	}
+}
 
 func TestTreeVsCentralBitIdentical(t *testing.T) {
-	const p, n = 64, 33
-	run := func(bar barrier) ([]float64, []float64) {
-		w := newWorldWithBarrier(p, bar)
+	for _, p := range []int{3, 37, 64} {
+		treeVsCentral(t, p)
+	}
+}
+
+func treeVsCentral(t *testing.T, p int) {
+	const n = 33
+	run := func(w *World) ([]float64, []float64) {
 		sums := make([]float64, n)
 		scans := make([]float64, p)
 		if err := w.Run(func(c *Comm) {
@@ -231,16 +291,16 @@ func TestTreeVsCentralBitIdentical(t *testing.T) {
 		}
 		return sums, scans
 	}
-	treeSums, treeScans := run(newTreeBarrier(p))
-	centSums, centScans := run(newCentralBarrier(p))
+	treeSums, treeScans := run(NewWorld(p))
+	centSums, centScans := run(centralWorld(p))
 	for i := range treeSums {
 		if treeSums[i] != centSums[i] {
-			t.Errorf("sum[%d]: tree %x != central %x", i, treeSums[i], centSums[i])
+			t.Errorf("p=%d sum[%d]: tree %x != central %x", p, i, treeSums[i], centSums[i])
 		}
 	}
 	for i := range treeScans {
 		if treeScans[i] != centScans[i] {
-			t.Errorf("scan[%d]: tree %x != central %x", i, treeScans[i], centScans[i])
+			t.Errorf("p=%d scan[%d]: tree %x != central %x", p, i, treeScans[i], centScans[i])
 		}
 	}
 }
@@ -327,7 +387,7 @@ func TestTreeBarrierSpinDecision(t *testing.T) {
 		run := func() error {
 			return w.Run(func(c *Comm) {
 				if c.Rank() == 0 {
-					got = w.tbar.spinning()
+					got = w.bar.spinning()
 				}
 			})
 		}
@@ -379,7 +439,7 @@ func warmCollectivesAllocs(t *testing.T, p int) {
 	w := NewWorld(p)
 	if p == 2 {
 		if err := w.Run(func(c *Comm) {
-			if !w.tbar.spinning() {
+			if !w.bar.spinning() {
 				panic("p=2 world does not spin under GOMAXPROCS=2")
 			}
 		}); err != nil {
@@ -428,11 +488,10 @@ func warmCollectivesAllocs(t *testing.T, p int) {
 // core counts; CI hosts with one core understate it).
 
 func benchWorld(p int, central bool) *World {
-	var bar barrier
 	if central {
-		bar = newCentralBarrier(p)
+		return centralWorld(p)
 	}
-	return newWorldWithBarrier(p, bar)
+	return NewWorld(p)
 }
 
 // BenchmarkBarrier times one crossing (ns/op) with ranks arriving

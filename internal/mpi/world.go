@@ -63,14 +63,10 @@ type slotHdr struct {
 // (e.g. one per experiment phase); statistics accumulate until Reset.
 type World struct {
 	size int
-	// Exactly one of tbar/cbar is non-nil. The barrier is deliberately
-	// NOT held as an interface on the wait path: an interface method
-	// call would leak the rendezvous closure to the heap (escape
-	// analysis marks a param leaking if any path leaks it), costing one
-	// allocation per collective. Direct calls on concrete types let the
-	// compiler stack-allocate every waitWith closure.
-	tbar  *treeBarrier
-	cbar  *centralBarrier
+	// bar is a concrete type, not an interface: a call through an
+	// interface would leak every waitWith closure to the heap, one
+	// allocation per collective.
+	bar   *treeBarrier
 	stats []Stats
 	model CostModel
 
@@ -118,20 +114,12 @@ type World struct {
 
 // NewWorld creates a world with the given number of ranks (>= 1).
 func NewWorld(size int) *World {
-	return newWorldWithBarrier(size, nil)
-}
-
-// newWorldWithBarrier lets benchmarks substitute the barrier
-// implementation (nil picks the default combining tree).
-func newWorldWithBarrier(size int, bar barrier) *World {
 	if size < 1 {
 		panic(fmt.Sprintf("mpi: invalid world size %d", size))
 	}
-	if bar == nil {
-		bar = newTreeBarrier(size)
-	}
-	w := &World{
+	return &World{
 		size:  size,
+		bar:   newTreeBarrier(size, groupShift(size)),
 		slots: make([]any, size),
 		hdrs:  make([]slotHdr, size),
 		scal:  make([]uint64, size),
@@ -142,15 +130,6 @@ func newWorldWithBarrier(size int, bar barrier) *World {
 		model: DefaultCostModel(),
 		done:  make(chan struct{}),
 	}
-	switch b := bar.(type) {
-	case *treeBarrier:
-		w.tbar = b
-	case *centralBarrier:
-		w.cbar = b
-	default:
-		panic("mpi: unknown barrier implementation")
-	}
-	return w
 }
 
 // mailbox returns (creating on demand) the channel from src to dst.
@@ -242,7 +221,7 @@ func (w *World) breakWorld(err *AbortError, primary bool) {
 	}
 	cause := w.err
 	w.mu.Unlock()
-	w.barBrk(cause)
+	w.bar.brk(cause)
 }
 
 // Stats returns a copy of the per-rank statistics.
@@ -283,53 +262,11 @@ func (c *Comm) Barrier() {
 	st := &c.w.stats[c.rank]
 	st.Barriers++
 	st.ModeledCommSec += c.w.model.CollectiveLatency(c.w.size)
-	c.w.barWait(c.rank)
-}
-
-// barWait / barWaitWith dispatch to the concrete barrier (see the tbar
-// field comment: keeping this call direct is the linchpin of the
-// zero-alloc collective contract).
-func (w *World) barWait(rank int) {
-	if w.tbar != nil {
-		w.tbar.wait(rank)
-	} else {
-		w.cbar.wait(rank)
-	}
-}
-
-func (w *World) barWaitWith(rank int, fn func()) {
-	if w.tbar != nil {
-		w.tbar.waitWith(rank, fn)
-	} else {
-		w.cbar.waitWith(rank, fn)
-	}
-}
-
-func (w *World) barBrk(cause error) {
-	if w.tbar != nil {
-		w.tbar.brk(cause)
-	} else {
-		w.cbar.brk(cause)
-	}
-}
-
-// barrier is the rank-synchronization primitive of a World. waitWith is
-// wait with a rendezvous action: the last rank to arrive runs fn —
-// with every other rank's pre-arrival writes visible, and its own
-// writes visible to every rank on release — before anyone proceeds.
-// Collectives use it to fold contributions in a single barrier crossing
-// instead of a deposit barrier followed by a publish barrier. brk
-// poisons the barrier: all waiters (and all later arrivers) are released
-// with a panic carrying cause — the world's *AbortError — or the bare
-// ErrBroken sentinel when no cause was recorded yet.
-type barrier interface {
-	wait(rank int)
-	waitWith(rank int, fn func())
-	brk(cause error)
+	c.w.bar.wait(c.rank)
 }
 
 // ---------------------------------------------------------------------
-// Combining-tree barrier (default).
+// Combining-tree barrier: the rank-synchronization primitive of a World.
 //
 // A central sense-reversing barrier serializes all p ranks on one mutex:
 // p lock acquisitions to arrive and p more as the broadcast wakes every
@@ -341,7 +278,9 @@ type barrier interface {
 // arriver at the root runs the rendezvous action and releases the tree —
 // root first, then each representative releases its own group, so
 // wake-ups fan out through independent locks instead of convoying on
-// one. Max contention per lock drops from p to ~√p (64 at p=4096).
+// one. Max contention per lock drops from p to ~√p (64 at p=4096). A
+// tree of one leaf with fan-in p is the central barrier; tests build it
+// as the reference the default shape is checked against.
 //
 // Waiting is spin-then-park when every rank can hold a core: a waiter
 // drops the node lock and polls gen/broken for spinBudget before it
@@ -410,7 +349,6 @@ func brokenPanic(cause error) {
 }
 
 type treeBarrier struct {
-	size   int
 	shift  uint  // rank >> shift = leaf index (group size is a power of two)
 	spin   bool  // size ≤ procs: waiters may spin before parking
 	procs  int64 // GOMAXPROCS at construction
@@ -418,19 +356,23 @@ type treeBarrier struct {
 	root   bnode
 }
 
-func newTreeBarrier(size int) *treeBarrier {
-	// Group size ⌈√size⌉ rounded to a power of two: balances arrival
-	// contention (group size) against root contention (group count) and
-	// makes the rank→leaf mapping a shift.
-	g, shift := 1, uint(0)
-	for g*g < size {
-		g <<= 1
+// groupShift is log₂ of a World's group size: ⌈√size⌉ rounded up to a
+// power of two, which balances arrival contention (group size) against
+// root contention (group count) and makes the rank→leaf mapping a shift.
+func groupShift(size int) uint {
+	shift := uint(0)
+	for 1<<(2*shift) < size {
 		shift++
 	}
+	return shift
+}
+
+// newTreeBarrier builds a tree of size ranks in groups of 1<<shift.
+func newTreeBarrier(size int, shift uint) *treeBarrier {
+	g := 1 << shift
 	ng := (size + g - 1) / g
 	procs := runtime.GOMAXPROCS(0)
 	b := &treeBarrier{
-		size:   size,
 		shift:  shift,
 		spin:   size > 1 && size <= procs,
 		procs:  int64(procs),
@@ -449,6 +391,7 @@ func newTreeBarrier(size int) *treeBarrier {
 	return b
 }
 
+// wait blocks rank until every rank has arrived.
 func (b *treeBarrier) wait(rank int) { b.waitWith(rank, nil) }
 
 // spinning reports whether a waiter spins before it parks now: its world
@@ -457,6 +400,13 @@ func (b *treeBarrier) spinning() bool {
 	return b.spin && liveRanks.Load() <= b.procs
 }
 
+// waitWith is wait with a rendezvous action: the last rank to arrive
+// runs fn — with every other rank's pre-arrival writes visible, and its
+// own writes visible to every rank on release — before anyone proceeds.
+// Collectives use it to fold contributions in a single crossing instead
+// of a deposit barrier followed by a publish barrier. A panicking fn
+// breaks the barrier: the other ranks are released with ErrBroken and
+// the panic propagates from the rank that ran fn.
 func (b *treeBarrier) waitWith(rank int, fn func()) {
 	leaf := &b.leaves[rank>>b.shift]
 	leaf.mu.Lock()
@@ -551,6 +501,9 @@ func (b *treeBarrier) waitWith(rank int, fn func()) {
 	leaf.mu.Unlock()
 }
 
+// brk poisons the barrier: all waiters, and every later arrival, are
+// released with a panic carrying cause — the world's *AbortError — or
+// the bare ErrBroken sentinel when no cause was recorded yet.
 func (b *treeBarrier) brk(cause error) {
 	b.root.mu.Lock()
 	b.root.broken.Store(true)
@@ -573,79 +526,6 @@ func (b *treeBarrier) brkLeaves(cause error) {
 		l.cond.Broadcast()
 		l.mu.Unlock()
 	}
-}
-
-// ---------------------------------------------------------------------
-// Central sense-reversing barrier: the pre-tree implementation, retained
-// as the reference for the barrier differential tests and the
-// tree-vs-central benchmarks (BenchmarkBarrier, BenchmarkAllreduceHighP).
-
-type centralBarrier struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	size   int
-	count  int
-	gen    uint64
-	broken bool
-	cause  error // abort delivered to waiters; nil = bare ErrBroken
-}
-
-func newCentralBarrier(size int) *centralBarrier {
-	b := &centralBarrier{size: size}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-func (b *centralBarrier) wait(rank int) { b.waitWith(rank, nil) }
-
-func (b *centralBarrier) waitWith(rank int, fn func()) {
-	b.mu.Lock()
-	if b.broken {
-		cause := b.cause
-		b.mu.Unlock()
-		brokenPanic(cause)
-	}
-	gen := b.gen
-	b.count++
-	if b.count == b.size {
-		if fn != nil {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						b.broken = true
-						b.cond.Broadcast()
-						b.mu.Unlock()
-						panic(r)
-					}
-				}()
-				fn()
-			}()
-		}
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return
-	}
-	for gen == b.gen && !b.broken {
-		b.cond.Wait()
-	}
-	broken, cause := b.broken, b.cause
-	b.mu.Unlock()
-	if broken {
-		brokenPanic(cause)
-	}
-}
-
-// brk releases all waiting ranks with a panic.
-func (b *centralBarrier) brk(cause error) {
-	b.mu.Lock()
-	b.broken = true
-	if b.cause == nil {
-		b.cause = cause
-	}
-	b.cond.Broadcast()
-	b.mu.Unlock()
 }
 
 // abortCause returns the error a released rank unwinds with: the world's
