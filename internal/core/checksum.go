@@ -33,9 +33,22 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // SealChecksum appends the checksum trailer to payload and returns the
 // sealed frame (may share payload's backing array, like append).
 func SealChecksum(payload []byte) []byte {
-	crc := crc32.Checksum(payload, castagnoli)
-	out := binary.LittleEndian.AppendUint32(payload, checksumMagic)
-	return binary.LittleEndian.AppendUint32(out, crc)
+	t := ChecksumTrailer(payload)
+	return append(payload, t[:]...)
+}
+
+// ChecksumTrailer returns the trailer SealChecksum would append to the
+// concatenation of parts. The CRC is chained over the parts in turn, so
+// a writer can seal a frame it never assembles in one buffer.
+func ChecksumTrailer(parts ...[]byte) [ChecksumTrailerSize]byte {
+	var crc uint32
+	for _, p := range parts {
+		crc = crc32.Update(crc, castagnoli, p)
+	}
+	var t [ChecksumTrailerSize]byte
+	binary.LittleEndian.PutUint32(t[:], checksumMagic)
+	binary.LittleEndian.PutUint32(t[4:], crc)
+	return t
 }
 
 // VerifyChecksum checks a sealed frame's trailer and returns the

@@ -148,7 +148,7 @@ func ownBanksChain(t *testing.T, start []int32, dim, k, p, workers int) [][]int3
 			}
 		case restoreStep:
 			for r := range res {
-				enc := NewSnapEncoder()
+				enc := NewSnapEncoder(res[r].SnapshotLen())
 				res[r].Snapshot(enc)
 				got, err := RestoreResident(NewSnapDecoder(append([]byte(nil), enc.Bytes()...)))
 				if err != nil {

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"geographer/internal/geom"
 )
@@ -49,16 +50,28 @@ const residentMagic = 0x47454F52
 // Primitive codec. SnapEncoder appends little-endian fields to a byte
 // slice; SnapDecoder is its sticky-error inverse — after the first
 // failure every read returns zero values and Err() reports the cause,
-// so record decoders can run straight-line and check once.
+// so record decoders can run straight-line and check once. Slices move
+// in bulk: each one is one extension of the stream (or one take from
+// it) and a conversion loop, never a per-element append.
 
 // SnapEncoder builds a checkpoint byte stream.
 type SnapEncoder struct{ buf []byte }
 
-// NewSnapEncoder returns an empty encoder.
-func NewSnapEncoder() *SnapEncoder { return &SnapEncoder{} }
+// NewSnapEncoder returns an empty encoder with room for size bytes.
+// Given the stream's exact length (see Resident.SnapshotLen), encoding
+// allocates once and the stream's capacity equals its length.
+func NewSnapEncoder(size int) *SnapEncoder { return &SnapEncoder{buf: make([]byte, 0, size)} }
 
 // Bytes returns the encoded stream (owned by the encoder).
 func (e *SnapEncoder) Bytes() []byte { return e.buf }
+
+// tail extends the stream by n bytes and returns them for writing.
+func (e *SnapEncoder) tail(n int) []byte {
+	e.buf = slices.Grow(e.buf, n)
+	m := len(e.buf)
+	e.buf = e.buf[:m+n]
+	return e.buf[m:]
+}
 
 // U32 appends one uint32.
 func (e *SnapEncoder) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
@@ -78,8 +91,9 @@ func (e *SnapEncoder) Bool(b bool) {
 // F64s appends a length-prefixed float64 slice as raw IEEE bits.
 func (e *SnapEncoder) F64s(v []float64) {
 	e.U64(uint64(len(v)))
-	for _, x := range v {
-		e.U64(math.Float64bits(x))
+	b := e.tail(8 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
 	}
 }
 
@@ -92,18 +106,25 @@ func (e *SnapEncoder) Str(s string) {
 // I64s appends a length-prefixed int64 slice.
 func (e *SnapEncoder) I64s(v []int64) {
 	e.U64(uint64(len(v)))
-	for _, x := range v {
-		e.U64(uint64(x))
+	b := e.tail(8 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
 	}
 }
 
 // I32s appends a length-prefixed int32 slice.
 func (e *SnapEncoder) I32s(v []int32) {
 	e.U64(uint64(len(v)))
-	for _, x := range v {
-		e.U32(uint32(x))
+	b := e.tail(4 * len(v))
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
 	}
 }
+
+// SnapSliceSize is the wire size of a length-prefixed slice of n
+// elements of elemSize bytes each: 8 for F64s and I64s, 4 for I32s, 1
+// for Str.
+func SnapSliceSize(n, elemSize int) int { return 8 + n*elemSize }
 
 // SnapDecoder reads a checkpoint byte stream.
 type SnapDecoder struct {
@@ -193,10 +214,20 @@ func (d *SnapDecoder) F64s() []float64 {
 		return nil
 	}
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(d.U64())
-	}
+	d.f64sInto(out)
 	return out
+}
+
+// f64sInto reads len(dst) float64 values, the body of a slice whose
+// length prefix the caller has already read and checked.
+func (d *SnapDecoder) f64sInto(dst []float64) {
+	b := d.take(8 * len(dst))
+	if b == nil {
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
 }
 
 // Str reads a length-prefixed string.
@@ -214,9 +245,13 @@ func (d *SnapDecoder) I64s() []int64 {
 	if d.err != nil || n == 0 {
 		return nil
 	}
+	b := d.take(8 * n)
+	if b == nil {
+		return nil
+	}
 	out := make([]int64, n)
 	for i := range out {
-		out[i] = int64(d.U64())
+		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out
 }
@@ -227,9 +262,13 @@ func (d *SnapDecoder) I32s() []int32 {
 	if d.err != nil || n == 0 {
 		return nil
 	}
+	b := d.take(4 * n)
+	if b == nil {
+		return nil
+	}
 	out := make([]int32, n)
 	for i := range out {
-		out[i] = int32(d.U32())
+		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return out
 }
@@ -258,7 +297,7 @@ func (r *Resident) Snapshot(e *SnapEncoder) {
 	e.F64s(st.W)
 	e.I64s(st.IDs)
 
-	carry := st.carryValid && len(st.A) == n && len(st.boundCenters) == st.carryK*r.dim
+	carry := r.carries()
 	e.Bool(carry)
 	if !carry {
 		return
@@ -280,11 +319,49 @@ func (r *Resident) Snapshot(e *SnapEncoder) {
 	e.F64s(st.boundCenters)
 }
 
+// carries reports whether Snapshot writes the carried bounds: only a
+// complete carry, valid for this point count and center shape, travels.
+func (r *Resident) carries() bool {
+	st := &r.st
+	return st.carryValid && len(st.A) == st.X.Len() && len(st.boundCenters) == st.carryK*r.dim
+}
+
+// SnapshotLen returns the exact number of bytes Snapshot writes for r,
+// field by field in Snapshot's order, so a checkpoint can size its
+// buffer once before encoding.
+func (r *Resident) SnapshotLen() int {
+	st := &r.st
+	size := 3*4 + // magic, version, dim
+		SnapSliceSize(len(r.bmin), 8) + SnapSliceSize(len(r.bmax), 8) +
+		8 // point count
+	for _, col := range st.X.Col {
+		size += SnapSliceSize(len(col), 8)
+	}
+	size += SnapSliceSize(len(st.W), 8) + SnapSliceSize(len(st.IDs), 8) +
+		1 // carry flag
+	if !r.carries() {
+		return size
+	}
+	size += SnapSliceSize(len(st.carryBounds), 1) +
+		4 + // carried k
+		SnapSliceSize(len(st.A), 4) + SnapSliceSize(len(st.ub), 8) + SnapSliceSize(len(st.lb), 8) +
+		2 + // raw-shadow and Elkan-bounds flags
+		SnapSliceSize(len(st.influence), 8) + SnapSliceSize(len(st.boundCenters), 8)
+	if st.rlb != nil {
+		size += SnapSliceSize(len(st.rlb), 8)
+	}
+	if st.lbk != nil {
+		size += SnapSliceSize(len(st.lbk), 8)
+	}
+	return size
+}
+
 // RestoreResident decodes one resident record. The returned Resident is
 // ready for PartitionResident on a world of any size whose rank layout
 // matches the one that produced the record (the session layer pairs
-// records with ranks). All slices are freshly allocated — the decoder's
-// input may be discarded or reused afterwards.
+// records with ranks). All slices are freshly allocated, each once and
+// at its final size — the decoder's input may be discarded or reused
+// afterwards.
 func RestoreResident(d *SnapDecoder) (*Resident, error) {
 	if m := d.U32(); d.Err() == nil && m != residentMagic {
 		return nil, fmt.Errorf("%w: bad resident magic %#x", ErrCheckpointCorrupt, m)
@@ -313,15 +390,15 @@ func RestoreResident(d *SnapDecoder) (*Resident, error) {
 	r := &Resident{dim: dim, bmin: boxMin, bmax: boxMax}
 	st := &r.st
 
-	// Rebuild the columns through MakeCols so the single-backing-array
-	// layout (and its cache behavior) matches a fresh ingest.
+	// Decode the columns straight into a MakeCols backing, so the
+	// single-backing-array layout (and its cache behavior) matches a
+	// fresh ingest and no column passes through a temporary.
 	st.X = geom.MakeCols(dim, n)
-	for di := 0; di < dim; di++ {
-		col := d.F64s()
-		if d.Err() == nil && len(col) != n {
-			return nil, fmt.Errorf("%w: column %d holds %d values for %d points", ErrCheckpointCorrupt, di, len(col), n)
+	for di, col := range st.X.Col {
+		if m := d.sliceLen(8); d.Err() == nil && m != n {
+			return nil, fmt.Errorf("%w: column %d holds %d values for %d points", ErrCheckpointCorrupt, di, m, n)
 		}
-		copy(st.X.Col[di], col)
+		d.f64sInto(col)
 	}
 	st.W = d.F64s()
 	st.IDs = d.I64s()
@@ -396,6 +473,28 @@ func RestoreResident(d *SnapDecoder) (*Resident, error) {
 	for i, a := range st.A {
 		if a < -1 || int(a) >= k {
 			return nil, fmt.Errorf("%w: assignment %d at point %d for k=%d", ErrCheckpointCorrupt, a, i, k)
+		}
+	}
+	// The carried skip test trusts these values: a NaN center would drop
+	// out of the drift maximum, a zero influence or a NaN or negative
+	// upper bound would shrink ub·influence below the true distance, and
+	// either way a point could keep a stale block.
+	for i, x := range ctr {
+		if !(math.Abs(x) <= math.MaxFloat64) {
+			return nil, fmt.Errorf("%w: %w: carried center coordinate %g at index %d",
+				ErrCheckpointCorrupt, geom.ErrNonFinite, x, i)
+		}
+	}
+	for b, f := range st.influence {
+		if !(f > 0 && f <= math.MaxFloat64) {
+			return nil, fmt.Errorf("%w: %w: carried influence %g of block %d",
+				ErrCheckpointCorrupt, geom.ErrNonFinite, f, b)
+		}
+	}
+	for i, u := range st.ub {
+		if !(u >= 0) {
+			return nil, fmt.Errorf("%w: %w: carried upper bound %g at point %d",
+				ErrCheckpointCorrupt, geom.ErrNonFinite, u, i)
 		}
 	}
 	st.boundCenters = ctr

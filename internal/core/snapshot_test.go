@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"geographer/internal/geom"
@@ -122,14 +124,18 @@ func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 				// Encode every rank, restore into fresh residents.
 				restored := make([]*Resident, p)
 				for r := range res {
-					enc := NewSnapEncoder()
+					enc := NewSnapEncoder(res[r].SnapshotLen())
 					res[r].Snapshot(enc)
+					if b := enc.Bytes(); len(b) != res[r].SnapshotLen() || cap(b) != len(b) {
+						t.Fatalf("rank %d: encoded %d bytes (cap %d), SnapshotLen %d",
+							r, len(b), cap(b), res[r].SnapshotLen())
+					}
 					blob := append([]byte(nil), enc.Bytes()...)
 					got, err := RestoreResident(NewSnapDecoder(blob))
 					if err != nil {
 						t.Fatalf("rank %d: restore: %v", r, err)
 					}
-					re := NewSnapEncoder()
+					re := NewSnapEncoder(got.SnapshotLen())
 					got.Snapshot(re)
 					if !bytes.Equal(blob, re.Bytes()) {
 						t.Fatalf("rank %d: re-encode differs from original encode", r)
@@ -164,8 +170,11 @@ func TestSnapshotWithoutCarryRestores(t *testing.T) {
 	}
 	restored := make([]*Resident, p)
 	for r := range res {
-		enc := NewSnapEncoder()
+		enc := NewSnapEncoder(res[r].SnapshotLen())
 		res[r].Snapshot(enc)
+		if len(enc.Bytes()) != res[r].SnapshotLen() {
+			t.Fatalf("rank %d: encoded %d bytes, SnapshotLen %d", r, len(enc.Bytes()), res[r].SnapshotLen())
+		}
 		got, err := RestoreResident(NewSnapDecoder(enc.Bytes()))
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
@@ -199,7 +208,7 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 1
 	res, _, _ := buildWarmResidents(t, 600, 2, 4, 2, 2, cfg)
-	enc := NewSnapEncoder()
+	enc := NewSnapEncoder(res[0].SnapshotLen())
 	res[0].Snapshot(enc)
 	valid := enc.Bytes()
 
@@ -240,6 +249,81 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 			t.Fatalf("want ErrCheckpointCorrupt, got %v", err)
 		}
 	})
+}
+
+// TestRestoreRejectsUnsoundCarry: carried state that would make a
+// carried skip unsound is refused, typed as a corrupt checkpoint and as
+// geom.ErrNonFinite. A NaN center drops out of the drift maximum, and a
+// zero influence or a NaN or negative upper bound shrinks ub·influence
+// below the true distance.
+func TestRestoreRejectsUnsoundCarry(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 1
+	res, _, _ := buildWarmResidents(t, 600, 2, 4, 1, 2, cfg)
+	st := &res[0].st
+	if !res[0].carries() {
+		t.Fatal("fixture resident carries no bounds")
+	}
+	last := func(v []float64) *float64 { return &v[len(v)-1] }
+	for _, tc := range []struct {
+		name string
+		at   *float64
+		val  float64
+	}{
+		{"NaN last center coordinate", last(st.boundCenters), math.NaN()},
+		{"Inf center coordinate", &st.boundCenters[0], math.Inf(-1)},
+		{"zero last influence", last(st.influence), 0},
+		{"negative influence", &st.influence[0], -0.5},
+		{"Inf influence", &st.influence[0], math.Inf(1)},
+		{"NaN influence", &st.influence[1], math.NaN()},
+		{"NaN upper bound", last(st.ub), math.NaN()},
+		{"negative upper bound", &st.ub[0], -1e-9},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			saved := *tc.at
+			*tc.at = tc.val
+			enc := NewSnapEncoder(res[0].SnapshotLen())
+			res[0].Snapshot(enc)
+			*tc.at = saved
+			_, err := RestoreResident(NewSnapDecoder(enc.Bytes()))
+			if !errors.Is(err, ErrCheckpointCorrupt) || !errors.Is(err, geom.ErrNonFinite) {
+				t.Fatalf("restore = %v, want ErrCheckpointCorrupt and ErrNonFinite", err)
+			}
+		})
+	}
+}
+
+// TestRestoreResidentAllocFence: a restore allocates each slice once at
+// its final size — the columns go straight into the MakeCols backing,
+// not through a temporary per axis — so it allocates about the bytes of
+// the record it decodes.
+func TestRestoreResidentAllocFence(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 1
+	res, _, _ := buildWarmResidents(t, 20_000, 3, 8, 1, 2, cfg)
+	enc := NewSnapEncoder(res[0].SnapshotLen())
+	res[0].Snapshot(enc)
+	blob := enc.Bytes()
+	// TotalAlloc is process-wide: the fewest bytes over three restores
+	// drops what other goroutines allocated meanwhile.
+	got := math.Inf(1)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		r, err := RestoreResident(NewSnapDecoder(blob))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(r)
+		got = min(got, float64(after.TotalAlloc-before.TotalAlloc))
+	}
+	limit := 1.1 * float64(len(blob))
+	t.Logf("restore of a %d-byte record allocated %.0f bytes (fence %.0f)", len(blob), got, limit)
+	if got > limit {
+		t.Errorf("restore allocated %.0f bytes for a %d-byte record, fence %.0f", got, len(blob), limit)
+	}
 }
 
 // residentFieldOffsets replays a valid resident record field by field
@@ -320,7 +404,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 	for _, dim := range []int{2, 8} {
 		res, _, _ := buildWarmResidents(f, 200, dim, 4, 2, 2, cfg)
 		for _, r := range res {
-			enc := NewSnapEncoder()
+			enc := NewSnapEncoder(r.SnapshotLen())
 			r.Snapshot(enc)
 			blob := append([]byte(nil), enc.Bytes()...)
 			f.Add(blob)
@@ -328,6 +412,17 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 				f.Add(append([]byte(nil), blob[:off]...))
 			}
 			f.Add(append(append([]byte(nil), blob...), 0xDE, 0xAD, 0xBE, 0xEF))
+			// Slices whose byte run overruns the bytes left by 1, 7 and 8:
+			// the first coordinate column, the ids and the assignment.
+			offs := residentFieldOffsets(f, blob)
+			for _, sl := range []struct{ at, elemSize int }{
+				{offs[5], 8}, {offs[6+dim], 8}, {offs[10+dim], 4},
+			} {
+				n := int(binary.LittleEndian.Uint64(blob[sl.at:]))
+				for _, over := range []int{1, 7, 8} {
+					f.Add(append([]byte(nil), blob[:sl.at+8+n*sl.elemSize-over]...))
+				}
+			}
 		}
 	}
 	f.Add([]byte{})
@@ -340,14 +435,14 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 			}
 			return
 		}
-		enc := NewSnapEncoder()
+		enc := NewSnapEncoder(r.SnapshotLen())
 		r.Snapshot(enc)
 		first := append([]byte(nil), enc.Bytes()...)
 		r2, err := RestoreResident(NewSnapDecoder(first))
 		if err != nil {
 			t.Fatalf("re-decode of a valid encode failed: %v", err)
 		}
-		enc2 := NewSnapEncoder()
+		enc2 := NewSnapEncoder(r2.SnapshotLen())
 		r2.Snapshot(enc2)
 		if !bytes.Equal(first, enc2.Bytes()) {
 			t.Fatal("encode∘decode not stable")

@@ -24,6 +24,10 @@ const SessionCheckpointVersion = 1
 // sessionMagic guards the checkpoint header ("GEOS").
 const sessionMagic = 0x47454F53
 
+// sessionHeaderLen is the byte length of the checkpoint header: magic,
+// version, K, P, Dim (u32 each) plus N (u64).
+const sessionHeaderLen = 5*4 + 8
+
 // CheckpointInfo summarizes a checkpoint header without decoding the
 // payload — enough for a caller to build a matching world (P ranks)
 // before calling NewSessionFromCheckpoint.
@@ -85,7 +89,7 @@ func (s *Session) checkpointLocked() ([]byte, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	e := core.NewSnapEncoder()
+	e := core.NewSnapEncoder(s.checkpointLenLocked())
 	e.U32(sessionMagic)
 	e.U32(SessionCheckpointVersion)
 	e.U32(uint32(s.k))
@@ -107,6 +111,24 @@ func (s *Session) checkpointLocked() ([]byte, error) {
 		r.Snapshot(e)
 	}
 	return e.Bytes(), nil
+}
+
+// checkpointLenLocked is the exact length of checkpointLocked's output,
+// part by part in its order, so the checkpoint is encoded into one
+// allocation of the size it keeps.
+func (s *Session) checkpointLenLocked() int {
+	size := sessionHeaderLen + core.SnapSliceSize(len(s.ps.Coords), 8) +
+		1 + 1 + 2 // weight and partition flags, the two dirty flags
+	if s.ps.Weight != nil {
+		size += core.SnapSliceSize(len(s.ps.Weight), 8)
+	}
+	if s.prev != nil {
+		size += core.SnapSliceSize(len(s.prev), 4)
+	}
+	for _, r := range s.res {
+		size += r.SnapshotLen()
+	}
+	return size
 }
 
 // decoded checkpoint payload, shared by NewSessionFromCheckpoint and

@@ -18,11 +18,6 @@ import (
 	"geographer/internal/mpi"
 )
 
-// sessionHeaderLen is the byte length of the checkpoint header
-// ReadCheckpointInfo consumes: magic, version, K, P, Dim (u32 each)
-// plus N (u64).
-const sessionHeaderLen = 5*4 + 8
-
 // validCheckpoint builds one real checkpoint to mutate.
 func validCheckpoint(t *testing.T) []byte {
 	t.Helper()
@@ -142,7 +137,8 @@ func FuzzReadCheckpointInfo(f *testing.F) {
 // TestCheckpointRestoreRejectsNonFinite: a checkpoint whose bytes are
 // intact but whose writer put a NaN coordinate or a negative weight into
 // the point set — or a non-finite value into a rank's resident copy of
-// them — is refused at restore, typed as both a corrupt checkpoint and
+// them, or carried state that would make a carried skip unsound — is
+// refused at restore, typed as both a corrupt checkpoint and
 // geom.ErrNonFinite: the values every other entry point rejects.
 func TestCheckpointRestoreRejectsNonFinite(t *testing.T) {
 	ckpt := validCheckpoint(t)
@@ -175,6 +171,14 @@ func TestCheckpointRestoreRejectsNonFinite(t *testing.T) {
 			t.Fatalf("resident layout: length prefix %d before offset %d, want %d", got, off, n)
 		}
 	}
+	// The checkpoint ends with the last rank's carried influences
+	// (u64 length + K f64s) and bound centers (u64 length + K·Dim f64s).
+	ctr0 := len(ckpt) - 8*info.K*info.Dim
+	infl0 := ctr0 - 8 - 8*info.K
+	if binary.LittleEndian.Uint64(ckpt[ctr0-8:]) != uint64(info.K*info.Dim) ||
+		binary.LittleEndian.Uint64(ckpt[infl0-8:]) != uint64(info.K) {
+		t.Fatal("fixture checkpoint does not end in carried influences and centers")
+	}
 	for _, tc := range []struct {
 		name string
 		off  int
@@ -184,6 +188,8 @@ func TestCheckpointRestoreRejectsNonFinite(t *testing.T) {
 		{"negative weight", weight0, -1},
 		{"Inf resident coordinate", resCoord0, math.Inf(1)},
 		{"NaN resident weight", resWeight0, math.NaN()},
+		{"NaN last bound-center coordinate", len(ckpt) - 8, math.NaN()},
+		{"zero last influence", ctr0 - 16, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := append([]byte(nil), ckpt...)

@@ -113,16 +113,15 @@ func decodeKey(stem string) (string, error) {
 	return b.String(), nil
 }
 
-// encodeFrame builds the unsealed spill frame.
-func encodeFrame(data, meta []byte) []byte {
-	buf := make([]byte, 0, 24+len(meta)+len(data)+core.ChecksumTrailerSize)
+// frameHead builds the spill frame up to its payload: magic, version,
+// the length-prefixed meta and the payload's length prefix.
+func frameHead(meta []byte, dataLen int) []byte {
+	buf := make([]byte, 0, 24+len(meta))
 	buf = binary.LittleEndian.AppendUint32(buf, spillMagic)
 	buf = binary.LittleEndian.AppendUint32(buf, spillVersion)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(meta)))
 	buf = append(buf, meta...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(data)))
-	buf = append(buf, data...)
-	return buf
+	return binary.LittleEndian.AppendUint64(buf, uint64(dataLen))
 }
 
 // decodeFrame parses a verified (trailer-stripped) spill frame.
@@ -159,18 +158,24 @@ func decodeFrame(payload []byte) (data, meta []byte, err error) {
 }
 
 // Put atomically replaces the entry: sealed frame → temp file → fsync →
-// rename → directory fsync.
+// rename → directory fsync. The frame is never assembled: its head, the
+// caller's payload and the checksum trailer (chained over head and
+// payload) go to the temp file as three writes, so a put copies nothing
+// the size of the payload.
 func (d *Disk) Put(key string, data, meta []byte) error {
-	frame := core.SealChecksum(encodeFrame(data, meta))
+	head := frameHead(meta, len(data))
+	trailer := core.ChecksumTrailer(head, data)
 	final := d.Path(key)
 	tmp, err := os.CreateTemp(d.dir, encodeKey(key)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("store: put %s: %w", key, err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(frame); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: put %s: %w", key, err)
+	for _, part := range [][]byte{head, data, trailer[:]} {
+		if _, err := tmp.Write(part); err != nil {
+			tmp.Close()
+			return fmt.Errorf("store: put %s: %w", key, err)
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
