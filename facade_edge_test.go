@@ -231,6 +231,63 @@ func TestRefinePartitionRejectsBadEpsilon(t *testing.T) {
 	}
 }
 
+// TestRefinePartitionRejectsInvalidPoints: RefinePartition checks its
+// points as Evaluate does. A NaN weight used to return moves = 0 with no
+// error, a negative or infinite one to move vertices under a meaningless
+// balance bound, and NaN, short or nil coordinates were accepted; each is
+// now an error that leaves the partition untouched.
+func TestRefinePartitionRejectsInvalidPoints(t *testing.T) {
+	m, err := GenerateMesh(MeshDelaunay2D, 400, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := m.N()
+	part := make([]int32, n)
+	for v := range part {
+		part[v] = int32(v % 2)
+	}
+	unit := make([]float64, n)
+	for i := range unit {
+		unit[i] = 1
+	}
+	poison := func(base []float64, at int, v float64) []float64 {
+		out := append([]float64(nil), base...)
+		out[at] = v
+		return out
+	}
+	for _, tc := range []struct {
+		name            string
+		coords, weights []float64
+		nonFinite       bool
+	}{
+		{"NaN weight", m.Coords, poison(unit, 3, math.NaN()), true},
+		{"negative weight", m.Coords, poison(unit, 3, -50), true},
+		{"+Inf weight", m.Coords, poison(unit, 3, math.Inf(1)), true},
+		{"NaN coordinate", poison(m.Coords, 5, math.NaN()), unit, true},
+		{"short coordinates", m.Coords[:len(m.Coords)-m.Dim], nil, false},
+		{"nil coordinates", nil, nil, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := append([]int32(nil), part...)
+			res, err := RefinePartition(m.XAdj, m.Adj, tc.coords, m.Dim, tc.weights, got, 2, 0)
+			if err == nil {
+				t.Fatalf("accepted: %+v", res)
+			}
+			if errors.Is(err, ErrNonFinite) != tc.nonFinite {
+				t.Errorf("err %v: errors.Is(ErrNonFinite) = %v, want %v", err, !tc.nonFinite, tc.nonFinite)
+			}
+			for v := range got {
+				if got[v] != part[v] {
+					t.Fatalf("rejected call moved vertex %d", v)
+				}
+			}
+		})
+	}
+	if _, err := RefinePartition(m.XAdj, m.Adj, m.Coords, m.Dim, unit, part, 2, 0); err != nil {
+		t.Errorf("valid input rejected: %v", err)
+	}
+}
+
 // TestGenerateMeshRejectsNegativeSize: n = -1 used to panic in makeslice
 // for every mesh kind.
 func TestGenerateMeshRejectsNegativeSize(t *testing.T) {

@@ -67,8 +67,8 @@ const (
 // ErrNonFinite is the error (wrapped with the offending position; test
 // with errors.Is) every entry point that takes coordinates or weights —
 // Partition, Repartition, NewSession, Session.UpdateWeights,
-// Session.UpdateCoords — returns for a NaN or ±Inf coordinate or a NaN,
-// ±Inf or negative weight.
+// Session.UpdateCoords, Evaluate, RefinePartition — returns for a NaN or
+// ±Inf coordinate or a NaN, ±Inf or negative weight.
 var ErrNonFinite = geom.ErrNonFinite
 
 // Options configures Partition. Coordinates must be finite and weights
@@ -511,7 +511,9 @@ type RefineResult struct {
 // RefinePartition runs the optional Fiduccia–Mattheyses-style boundary
 // refinement (an extension the paper mentions as possible in §2) on a
 // partition, in place. Balance within epsilon is preserved; epsilon = 0
-// means the default 0.03, and a negative or NaN epsilon is an error.
+// means the default 0.03, and a negative or NaN epsilon is an error. The
+// points are checked as Evaluate checks them: one per graph vertex,
+// finite coordinates, and finite non-negative weights (ErrNonFinite).
 func RefinePartition(xadj []int64, adj []int32, coords []float64, dim int, weights []float64, part []int32, k int, epsilon float64) (RefineResult, error) {
 	if !(epsilon >= 0) {
 		return RefineResult{}, fmt.Errorf("geographer: epsilon=%g is negative or NaN", epsilon)
@@ -520,10 +522,13 @@ func RefinePartition(xadj []int64, adj []int32, coords []float64, dim int, weigh
 	if err != nil {
 		return RefineResult{}, err
 	}
-	if weights != nil && len(weights) != g.N {
-		return RefineResult{}, fmt.Errorf("geographer: %d weights for %d vertices", len(weights), g.N)
-	}
 	ps := &geom.PointSet{Dim: dim, Coords: coords, Weight: weights}
+	if err := ps.Validate(); err != nil {
+		return RefineResult{}, err
+	}
+	if ps.Len() != g.N {
+		return RefineResult{}, fmt.Errorf("geographer: %d points vs %d graph vertices", ps.Len(), g.N)
+	}
 	opts := refine.DefaultOptions()
 	if epsilon > 0 {
 		opts.Epsilon = epsilon

@@ -85,10 +85,12 @@ func (c coldPin) String() string {
 // after it, at d = 2, 3 and 16, in every bounds mode, on one and three
 // ranks, plus the transition's edge paths — a rank too small to sample
 // while the others do, MaxIter ending the run mid-sample (the post-loop
-// fallback), and Strict's balance-only rounds. The values were captured
-// from the implementation that gathers the sample through the shuffle
-// permutation; any change to the cold path's arithmetic order, layout or
-// counters moves one of them. Weights are non-uniform, so the sample
+// fallback), Strict's balance-only rounds, and random-index seeding
+// (SFCBootstrap off) at d = 1 and 3. The values were captured from the
+// implementation that gathers the sample through the shuffle permutation
+// (the random-init rows from the one that gathered d ≤ 3 seeds as Point
+// structs); any change to the cold path's arithmetic order, layout,
+// seeding or counters moves one of them. Weights are non-uniform, so the sample
 // weight and center sums see their summation order.
 func TestColdPartitionPinned(t *testing.T) {
 	type pinCase struct {
@@ -123,6 +125,8 @@ func TestColdPartitionPinned(t *testing.T) {
 			adjust: func(cfg *Config) { cfg.MaxIter = 3 }},
 		pinCase{name: "strict/d=2/hamerly", dim: 2, n: 6000, k: 8, p: 3, bounds: BoundsHamerly,
 			adjust: func(cfg *Config) { cfg.Strict, cfg.Epsilon, cfg.MaxBalanceIter, cfg.MaxIter = true, 1e-4, 2, 8 }},
+		pinCase{name: "random-init/d=1/p=3", dim: 1, n: 6000, k: 8, p: 3, bounds: BoundsHamerly, adjust: noSFC},
+		pinCase{name: "random-init/d=3/p=1", dim: 3, n: 6000, k: 8, p: 1, bounds: BoundsElkan, adjust: noSFC},
 	)
 
 	want := map[string]coldPin{
@@ -149,6 +153,8 @@ func TestColdPartitionPinned(t *testing.T) {
 		"maxiter=3/d=2/hamerly":   {[]uint64{0x504e4eb5b2aedc29, 0x8dd5de7b23d9781f, 0xf8e4e6dc20e20977}, 3, 38, 56441, 37206, 9607, 47400},
 		"maxiter=3/d=16/elkan":    {[]uint64{0x2af1a90b80c9c85a, 0x1cf961c5d6e692fa, 0x1195d7e2891a5822}, 3, 29, 44931, 98949, 40, 18000},
 		"strict/d=2/hamerly":      {[]uint64{0x64c1c0a8025acce5, 0x6d22889a2473d3fb, 0x3964ce480e5a3396}, 8, 616, 415735, 3552069, 100930, 3654600},
+		"random-init/d=1/p=3":     {[]uint64{0x41752add6b56a209, 0xdd48bdb5a28a7981, 0x825465458fa548ff}, 14, 166, 398443, 487065, 79973, 582000},
+		"random-init/d=3/p=1":     {[]uint64{0xcef0155309386d4b}, 12, 70, 125550, 508050, 0, 79200},
 	}
 
 	for _, tc := range cases {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -27,9 +28,22 @@ type refIngest struct {
 }
 
 func (b refIngest) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]int64, []int32, error) {
+	st, err := b.ingest(c, pts, k)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b.finishProbed(st)
+}
+
+// ingest builds the state the k-means phase starts from: this rank's
+// share of the globally ordered points.
+func (b refIngest) ingest(c *mpi.Comm, pts *partition.Local, k int) (*state, error) {
 	cfg := b.Cfg.normalized()
 	if err := cfg.Validate(k); err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	if pts.Dim > geom.MaxDim {
+		cfg.SFCBootstrap = false // no curve beyond MaxDim, as in production
 	}
 	st := &state{c: c, cfg: cfg, dim: pts.Dim, k: k}
 	bmin, bmax := globalBounds(c, pts)
@@ -37,8 +51,8 @@ func (b refIngest) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]int64,
 	if st.diag == 0 {
 		st.diag = 1
 	}
-	// Without the SFC bootstrap (and always in feature space) the
-	// columns fill straight from the input in id order, as in production.
+	// Without the SFC bootstrap the columns fill straight from the input
+	// in id order, as in production.
 	ids, coords, order := pts.IDs, pts.Coords, make([]int, pts.Len())
 	for i := range order {
 		order[i] = i
@@ -47,7 +61,7 @@ func (b refIngest) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]int64,
 	for i := range w {
 		w[i] = pts.Weight(i)
 	}
-	if cfg.SFCBootstrap && pts.Dim <= geom.MaxDim {
+	if cfg.SFCBootstrap {
 		ids, coords, w = mpi.AllgatherFlat(c, ids), mpi.AllgatherFlat(c, coords), mpi.AllgatherFlat(c, w)
 		curve := sfc.NewCurve(boxFromFlat(bmin, bmax, pts.Dim), pts.Dim)
 		keys := make([]uint64, len(ids))
@@ -71,7 +85,7 @@ func (b refIngest) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]int64,
 		st.X.SetVec(i, coords[src*pts.Dim:(src+1)*pts.Dim])
 		st.W[i], st.IDs[i] = w[src], ids[src]
 	}
-	return b.finishProbed(st)
+	return st, nil
 }
 
 func (b refIngest) finishProbed(st *state) ([]int64, []int32, error) {
@@ -230,4 +244,71 @@ func BenchmarkIngestPhase(b *testing.B) {
 		ingest += info.SFCSeconds + info.SortSeconds
 	}
 	b.ReportMetric(ingest/float64(b.N)*1e3, "ingest-ms/op")
+}
+
+// seedProbe is a test-side Partition that ingests through refIngest,
+// places the cold initial centers and records them together with the
+// global point order they were drawn from (rank-major, as ExscanSum
+// numbers it); it returns every point in block 0.
+type seedProbe struct {
+	refIngest
+	centers, points []float64
+}
+
+func (s *seedProbe) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]int64, []int32, error) {
+	st, err := s.ingest(c, pts, k)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Gathered first: the run reset that ends the seeding may move the
+	// points into the sampled bootstrap's shuffled order.
+	local := make([]float64, st.X.Len()*st.dim)
+	for i := 0; i < st.X.Len(); i++ {
+		st.X.AtVec(i, local[i*st.dim:(i+1)*st.dim])
+	}
+	all := mpi.AllgatherFlat(c, local)
+	if err := st.initCentersAndTargets(nil); err != nil {
+		return nil, nil, err
+	}
+	if c.Rank() == 0 {
+		s.centers, s.points = append([]float64(nil), st.centers...), all
+	}
+	return st.IDs, make([]int32, len(st.IDs)), nil
+}
+
+// TestColdSeedsAreInputPoints pins the cold seeding's index arithmetic:
+// initial center i is, value for value, the point at global position
+// i·n/k + n/2k of the curve order (Algorithm 2, line 7), or — with the
+// SFC bootstrap off, and always beyond MaxDim — at the i-th draw of
+// rng.Uint64() % n from the shared seed, on any rank count.
+func TestColdSeedsAreInputPoints(t *testing.T) {
+	const n, k = 900, 7
+	for _, dim := range []int{2, 16} {
+		for _, sfcOn := range []bool{true, false} {
+			for _, p := range []int{1, 3} {
+				t.Run(fmt.Sprintf("d=%d/sfc=%v/p=%d", dim, sfcOn, p), func(t *testing.T) {
+					cfg := DefaultConfig()
+					cfg.Seed = 11
+					cfg.SFCBootstrap = sfcOn
+					probe := &seedProbe{refIngest: refIngest{BalancedKMeans: New(cfg)}}
+					if _, err := partition.Run(mpi.NewWorld(p), flatRandomPoints(n, dim, 90), k, probe); err != nil {
+						t.Fatal(err)
+					}
+					rng := rand.New(rand.NewSource(cfg.Seed + 1))
+					for i := 0; i < k; i++ {
+						gi := i*n/k + n/(2*k)
+						if !sfcOn || dim > geom.MaxDim {
+							gi = int(rng.Uint64() % n)
+						}
+						got, want := probe.centers[i*dim:(i+1)*dim], probe.points[gi*dim:(gi+1)*dim]
+						for d := range want {
+							if got[d] != want[d] {
+								t.Fatalf("center %d = %v, want point %d = %v", i, got, gi, want)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
 }

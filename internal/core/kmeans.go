@@ -414,57 +414,31 @@ func (st *state) initCentersAndTargets(seed []float64) error {
 
 	if st.warm {
 		st.centers = append(st.centers[:0], seed...)
-	} else if st.dim > geom.MaxDim {
-		// Feature-space seeding: the same shared-seed random global
-		// indices as the spatial ablation path, gathered through a flat
-		// k·dim vector instead of the Point-typed seed structs. Every
-		// vector entry is written by exactly one rank (or stays zero),
-		// so the sum reduction is exact (0 + x == x) and the seeds are
-		// independent of the rank layout.
+	} else {
+		// Cold seeding, any dimension: the curve index i·n/k + n/2k, or
+		// (ablation, and always beyond MaxDim where no curve exists) a
+		// uniform random global index drawn identically on every rank from
+		// the shared seed. The owning rank writes the point into a flat
+		// k·dim vector; every other entry stays zero, so the sum reduction
+		// is exact (0 + x == x) and the seeds do not depend on the rank
+		// layout.
 		start := mpi.ExscanSum(st.c, int64(st.X.Len()))
 		seedVec := st.centVec[:st.k*st.dim]
 		clear(seedVec)
-		rng := rand.New(rand.NewSource(st.cfg.Seed + 1))
+		var rng *rand.Rand
+		if !st.cfg.SFCBootstrap {
+			rng = rand.New(rand.NewSource(st.cfg.Seed + 1))
+		}
 		for i := 0; i < st.k; i++ {
-			gi := int64(rng.Uint64() % uint64(n))
+			gi := int64(i)*n/int64(st.k) + n/(2*int64(st.k))
+			if rng != nil {
+				gi = int64(rng.Uint64() % uint64(n))
+			}
 			if gi >= start && gi < start+int64(st.X.Len()) {
 				st.X.AtVec(int(gi-start), seedVec[i*st.dim:(i+1)*st.dim])
 			}
 		}
 		copy(st.centers, mpi.AllreduceSum(st.c, seedVec))
-	} else {
-		start := mpi.ExscanSum(st.c, int64(st.X.Len()))
-
-		type seed struct {
-			Idx int32
-			X   geom.Point
-		}
-		var mine []seed
-		if st.cfg.SFCBootstrap {
-			for i := 0; i < st.k; i++ {
-				gi := int64(i)*n/int64(st.k) + n/(2*int64(st.k))
-				if gi >= start && gi < start+int64(st.X.Len()) {
-					mine = append(mine, seed{Idx: int32(i), X: st.X.At(int(gi - start))})
-				}
-			}
-		} else {
-			// Ablation mode: uniform random global indices, chosen identically
-			// on every rank from the shared seed.
-			rng := rand.New(rand.NewSource(st.cfg.Seed + 1))
-			for i := 0; i < st.k; i++ {
-				gi := int64(rng.Uint64() % uint64(n))
-				if gi >= start && gi < start+int64(st.X.Len()) {
-					mine = append(mine, seed{Idx: int32(i), X: st.X.At(int(gi - start))})
-				}
-			}
-		}
-		all := mpi.AllgatherFlat(st.c, mine)
-		if len(all) != st.k {
-			return fmt.Errorf("core: gathered %d centers, want %d", len(all), st.k)
-		}
-		for _, s := range all {
-			copy(st.centers[int(s.Idx)*st.dim:], s.X[:st.dim])
-		}
 	}
 	var totalW float64
 	if st.warm || st.cfg.Deterministic {
@@ -811,14 +785,10 @@ func (st *state) centerRow(b int) []float64 {
 }
 
 // pointCenterDist2 returns the squared raw distance between local point
-// i and center b, bit-identical to the kernels' arithmetic at any
-// dimension (Dist2 switch at d ≤ geom.MaxDim, colsDist2 order above).
+// i and center b. The axis terms accumulate left to right from zero, so
+// the result is bit-identical to the kernels' arithmetic at any
+// dimension (the Dist2 switch at d ≤ geom.MaxDim, colsDist2 above).
 func (st *state) pointCenterDist2(i, b int) float64 {
-	if st.dim <= geom.MaxDim {
-		var c geom.Point
-		copy(c[:st.dim], st.centerRow(b))
-		return geom.Dist2(st.X.At(i), c, st.dim)
-	}
 	s := 0.0
 	row := st.centerRow(b)
 	for d, col := range st.X.Col {

@@ -135,12 +135,13 @@ func TestSortColsLocalNegativeIDs(t *testing.T) {
 	colsEqual(t, "negative ids", cols, want)
 }
 
-// TestSortPermByKeysStable checks the exported permutation sort keeps
-// equal keys in incoming perm order (the tiebreak seeding relies on).
+// TestSortPermByKeysStable checks the permutation radix sort keeps equal
+// keys in incoming perm order, the stability sortPermByKeyID relies on
+// to fold the ID tiebreak into its key passes.
 func TestSortPermByKeysStable(t *testing.T) {
 	keys := []uint64{3, 1, 3, 1, 3}
 	perm := []int32{0, 1, 2, 3, 4}
-	SortPermByKeys(keys, perm)
+	radixPerm(keys, perm, make([]int32, len(perm)))
 	want := []int32{1, 3, 0, 2, 4}
 	for i := range perm {
 		if perm[i] != want[i] {

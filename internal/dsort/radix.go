@@ -17,20 +17,11 @@ package dsort
 // signFlip converts int64 to order-preserving uint64.
 const signFlip = uint64(1) << 63
 
-// SortPermByKeys stably sorts perm (indices into keys) so that
-// keys[perm[i]] is ascending. Stability preserves the incoming relative
-// order of equal keys, so tiebreaks are whatever order perm arrives in —
-// pass an identity permutation to tiebreak by position.
-func SortPermByKeys(keys []uint64, perm []int32) {
-	if len(perm) < 2 {
-		return
-	}
-	tmp := make([]int32, len(perm))
-	radixPerm(keys, perm, tmp)
-}
-
-// radixPerm is the 8-pass LSD counting sort behind SortPermByKeys; tmp
-// must have len(perm). The result always lands back in perm.
+// radixPerm stably sorts perm (indices into vals) so that vals[perm[i]]
+// is ascending: an 8-pass LSD counting sort whose stability keeps equal
+// values in incoming perm order, the property sortPermByKeyID chains its
+// ID and key passes on. tmp must have len(perm); the result always lands
+// back in perm.
 func radixPerm(vals []uint64, perm, tmp []int32) {
 	n := int32(len(perm))
 	var hist [8][256]int32

@@ -98,14 +98,6 @@ func MakeCols(dim, n int) Cols {
 // Len returns the number of points.
 func (c *Cols) Len() int { return len(c.X) }
 
-// At returns point i as a Point value (spatial dimensions only).
-func (c *Cols) At(i int) Point { return Point{c.X[i], c.Y[i], c.Z[i]} }
-
-// Set overwrites point i (spatial dimensions only).
-func (c *Cols) Set(i int, p Point) {
-	c.X[i], c.Y[i], c.Z[i] = p[0], p[1], p[2]
-}
-
 // AtVec copies point i into out (len(out) ≥ Dim), any dimension.
 func (c *Cols) AtVec(i int, out []float64) {
 	for d, col := range c.Col {

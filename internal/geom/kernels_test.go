@@ -9,14 +9,21 @@ import (
 func randCols(dim, n int, seed int64) Cols {
 	rng := rand.New(rand.NewSource(seed))
 	c := MakeCols(dim, n)
+	v := make([]float64, dim)
 	for i := 0; i < n; i++ {
-		var p Point
-		for d := 0; d < dim; d++ {
-			p[d] = rng.Float64()
+		for d := range v {
+			v[d] = rng.Float64()
 		}
-		c.Set(i, p)
+		c.SetVec(i, v)
 	}
 	return c
+}
+
+// at returns point i of spatial columns as a Point.
+func at(c *Cols, i int) Point {
+	var p Point
+	c.AtVec(i, p[:])
+	return p
 }
 
 func TestColsRoundTrip(t *testing.T) {
@@ -25,11 +32,15 @@ func TestColsRoundTrip(t *testing.T) {
 		if c.Len() != 100 {
 			t.Fatalf("len %d", c.Len())
 		}
+		axes := [MaxDim][]float64{c.X, c.Y, c.Z}
 		for i := 0; i < c.Len(); i++ {
-			p := c.At(i)
-			for d := dim; d < MaxDim; d++ {
-				if p[d] != 0 {
-					t.Fatalf("dim=%d: unused axis %d of point %d is %g", dim, d, i, p[d])
+			p := at(&c, i)
+			for d := 0; d < MaxDim; d++ {
+				if d < dim && p[d] != c.Col[d][i] {
+					t.Fatalf("dim=%d: point %d axis %d reads %g, column holds %g", dim, i, d, p[d], c.Col[d][i])
+				}
+				if d >= dim && axes[d][i] != 0 {
+					t.Fatalf("dim=%d: unused axis %d of point %d is %g", dim, d, i, axes[d][i])
 				}
 			}
 		}
@@ -46,7 +57,7 @@ func TestDist2BatchMatchesDist2(t *testing.T) {
 		out := make([]float64, c.Len())
 		Dist2Batch(dim, c.X, c.Y, c.Z, q, out)
 		for i := range out {
-			want := Dist2(c.At(i), q, dim)
+			want := Dist2(at(&c, i), q, dim)
 			if math.Float64bits(out[i]) != math.Float64bits(want) {
 				t.Fatalf("dim=%d point %d: batch %x, Dist2 %x", dim, i, out[i], want)
 			}
@@ -69,7 +80,7 @@ func TestSampleBoxW(t *testing.T) {
 		want := EmptyBox(dim)
 		wantW := 0.0
 		for i := 0; i < n; i++ {
-			want.Extend(c.At(i))
+			want.Extend(at(&c, i))
 			wantW += w[i]
 		}
 		bmin, bmax := make([]float64, dim), make([]float64, dim)

@@ -2,7 +2,6 @@ package mesh
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"geographer/internal/geom"
@@ -135,14 +134,4 @@ func EdgeLengthStats(m *Mesh) (min, median, max float64) {
 	}
 	sort.Float64s(lens)
 	return lens[0], lens[len(lens)/2], lens[len(lens)-1]
-}
-
-// boundingBoxDiag is a convenience used by generators for scale-dependent
-// thresholds.
-func boundingBoxDiag(ps *geom.PointSet) float64 {
-	d := ps.Bounds().Diagonal()
-	if d == 0 || math.IsInf(d, 0) || math.IsNaN(d) {
-		return 1
-	}
-	return d
 }

@@ -150,9 +150,6 @@ func (w *World) mailbox(dst, src int) chan message {
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
 
-// SetCostModel replaces the communication cost model (before Run).
-func (w *World) SetCostModel(m CostModel) { w.model = m }
-
 // CostModel returns the active cost model.
 func (w *World) CostModel() CostModel { return w.model }
 

@@ -198,6 +198,30 @@ func TestHTTPErrorMapping(t *testing.T) {
 	httpDo(t, h, "POST", "/v1/tenants", other, http.StatusServiceUnavailable, nil)
 }
 
+// TestHTTPCreateShapeBounds pins create's shape bounds: k and processes
+// above the point count are a 400, before admission and before any
+// world is built. The crafted pair would otherwise wrap
+// residentBytesEstimate to 0, pass a 64 MiB budget, and ask for a
+// 2³⁰-rank world.
+func TestHTTPCreateShapeBounds(t *testing.T) {
+	const n = 4
+	coords := []float64{0, 0, 1, 0, 0, 1, 1, 1}
+	h := NewHandler(NewRegistry(Config{MaxResidentBytes: 64 << 20}))
+	for _, c := range []struct {
+		name     string
+		k, procs int
+		want     int
+	}{
+		{"k-above-n", n + 1, 1, http.StatusBadRequest},
+		{"processes-above-n", 1, n + 1, http.StatusBadRequest},
+		{"estimate-wrapping", 1 << 29, 1 << 30, http.StatusBadRequest},
+		{"k-and-processes-at-n", n, n, http.StatusCreated},
+	} {
+		httpDo(t, h, "POST", "/v1/tenants",
+			createRequest{Name: c.name, Dim: 2, Coords: coords, K: c.k, Processes: c.procs}, c.want, nil)
+	}
+}
+
 // TestHTTPOversizedBody413 pins a declared Content-Length above
 // maxBodyBytes to 413 on every route that takes a body, before anything
 // is read (the body sent is tiny; only its declared length is forged).

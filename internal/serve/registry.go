@@ -112,9 +112,12 @@ type TenantOptions struct {
 	Seed int64
 }
 
-// config builds the tenant's core configuration (without the lease,
-// which Create attaches after admission).
-func (o TenantOptions) config() (core.Config, int, error) {
+// config builds the tenant's core configuration for n points (without
+// the lease, which Create attaches after admission). K and the process
+// count are bounded by n: beyond it they only add empty blocks or idle
+// ranks, and with n bounded by the request body they keep
+// residentBytesEstimate from overflowing.
+func (o TenantOptions) config(n int) (core.Config, int, error) {
 	cfg := core.DefaultConfig()
 	if o.Epsilon != 0 {
 		cfg.Epsilon = o.Epsilon
@@ -129,6 +132,12 @@ func (o TenantOptions) config() (core.Config, int, error) {
 	}
 	if p < 1 {
 		return cfg, 0, fmt.Errorf("serve: processes=%d", p)
+	}
+	if p > n {
+		return cfg, 0, fmt.Errorf("serve: processes=%d exceeds the %d points", p, n)
+	}
+	if o.K > n {
+		return cfg, 0, fmt.Errorf("serve: k=%d exceeds the %d points", o.K, n)
 	}
 	if o.Workers < 0 {
 		return cfg, 0, fmt.Errorf("serve: workers=%d", o.Workers)
@@ -259,7 +268,7 @@ func (g *Registry) Create(ctx context.Context, name string, ps *geom.PointSet, o
 	if err := ps.Validate(); err != nil {
 		return err
 	}
-	cfg, p, err := opts.config()
+	cfg, p, err := opts.config(ps.Len())
 	if err != nil {
 		return err
 	}
@@ -898,7 +907,7 @@ func (g *Registry) Recover() (int, error) {
 		cfg, p, err := TenantOptions{
 			K: m.K, Processes: m.P, Workers: m.Workers,
 			Epsilon: m.Epsilon, Seed: m.Seed,
-		}.config()
+		}.config(m.N)
 		if err != nil || p != m.P || m.N < 1 || m.Dim < 1 {
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/big"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -377,6 +378,41 @@ func TestRegistryRace(t *testing.T) {
 	}
 	if st := g.Stats(); st.Tenants != 0 {
 		t.Fatalf("tenants left after deletes: %+v", st)
+	}
+}
+
+// TestResidentBytesEstimateExact: every shape config admits has an
+// estimate equal to its exact value — no int64 wrap, even at the
+// largest n a maxBodyBytes body can carry with k = processes = n —
+// and the shape whose tables term wraps to 0 is rejected.
+func TestResidentBytesEstimateExact(t *testing.T) {
+	for _, c := range []struct {
+		name         string
+		n, dim, k, p int
+		wantRejected bool
+	}{
+		{"small", 900, 2, 6, 2, false},
+		{"largest-body", maxBodyBytes / 2, 1, maxBodyBytes / 2, maxBodyBytes / 2, false},
+		{"wrapping", 4, 2, 1 << 29, 1 << 30, true},
+	} {
+		_, p, err := TenantOptions{K: c.k, Processes: c.p}.config(c.n)
+		if c.wantRejected {
+			if err == nil {
+				t.Errorf("%s: shape admitted; estimate %d", c.name, residentBytesEstimate(c.n, c.dim, c.k, c.p))
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		n, dim := big.NewInt(int64(c.n)), int64(c.dim)
+		want := new(big.Int).Mul(n, big.NewInt(dim*8+8+4))
+		want.Add(want, new(big.Int).Mul(n, big.NewInt(dim*8+8+8+4+3*8)))
+		tables := new(big.Int).Mul(big.NewInt(int64(p)), big.NewInt(int64(c.k)))
+		want.Add(want, tables.Mul(tables, big.NewInt((dim+1)*32+64)))
+		if got := residentBytesEstimate(c.n, c.dim, c.k, p); !want.IsInt64() || got != want.Int64() {
+			t.Errorf("%s: estimate %d, exact %s", c.name, got, want)
+		}
 	}
 }
 

@@ -208,23 +208,3 @@ func (c *Curve) CellCenter(h uint64) geom.Point {
 	}
 	return p
 }
-
-// KeyPoints computes Hilbert keys for every point of ps in one pass. The
-// flat AoS coordinates are transposed into SoA columns once and handed to
-// the batch kernel (KeysCols); results are bit-identical to Key per point.
-func (c *Curve) KeyPoints(ps *geom.PointSet) []uint64 {
-	n := ps.Len()
-	keys := make([]uint64, n)
-	if c.dim != 2 && c.dim != 3 {
-		for i := 0; i < n; i++ {
-			keys[i] = c.Key(ps.At(i))
-		}
-		return keys
-	}
-	cols := geom.MakeCols(c.dim, n)
-	for i := 0; i < n; i++ {
-		cols.Set(i, ps.At(i))
-	}
-	c.KeysCols(&cols, keys)
-	return keys
-}

@@ -183,21 +183,6 @@ func TestOrderClamping(t *testing.T) {
 	}
 }
 
-func TestKeyPointsMatchesKey(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	ps := geom.NewPointSet(2, 100)
-	for i := 0; i < 100; i++ {
-		ps.Append(geom.Point{rng.Float64(), rng.Float64()}, 1)
-	}
-	c := NewCurve(ps.Bounds(), 2)
-	keys := c.KeyPoints(ps)
-	for i := 0; i < ps.Len(); i++ {
-		if keys[i] != c.Key(ps.At(i)) {
-			t.Fatalf("KeyPoints[%d] mismatch", i)
-		}
-	}
-}
-
 func BenchmarkKey2D(b *testing.B) {
 	box := geom.NewBox(geom.Point{0, 0}, geom.Point{1, 1}, 2)
 	c := NewCurve(box, 2)

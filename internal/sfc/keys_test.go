@@ -12,7 +12,7 @@ import (
 func fillCols(dim int, pts []geom.Point) geom.Cols {
 	cols := geom.MakeCols(dim, len(pts))
 	for i, p := range pts {
-		cols.Set(i, p)
+		cols.SetVec(i, p[:])
 	}
 	return cols
 }
