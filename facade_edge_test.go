@@ -3,6 +3,8 @@ package geographer
 import (
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"geographer/internal/mpi"
@@ -285,6 +287,92 @@ func TestRefinePartitionRejectsInvalidPoints(t *testing.T) {
 	}
 	if _, err := RefinePartition(m.XAdj, m.Adj, m.Coords, m.Dim, unit, part, 2, 0); err != nil {
 		t.Errorf("valid input rejected: %v", err)
+	}
+}
+
+// TestExtrudeRejectsHostileSurface: on a 4-vertex square surface, a NaN
+// or +Inf weight used to panic in makeslice, a NaN coordinate and a
+// negative weight were extruded silently, and a layer count past the
+// int32 vertex ids ran out of memory; each is now an error.
+func TestExtrudeRejectsHostileSurface(t *testing.T) {
+	square := func(coords, weights []float64) *MeshData {
+		return &MeshData{
+			Dim:     2,
+			Coords:  coords,
+			Weights: weights,
+			XAdj:    []int64{0, 2, 4, 6, 8},
+			Adj:     []int32{1, 3, 0, 2, 1, 3, 0, 2},
+		}
+	}
+	corners := []float64{0, 0, 1, 0, 1, 1, 0, 1}
+	part := []int32{0, 0, 1, 1}
+	for _, tc := range []struct {
+		name            string
+		coords, weights []float64
+		nonFinite       bool
+	}{
+		{"NaN weight", corners, []float64{math.NaN(), 2, 2, 2}, true},
+		{"+Inf weight", corners, []float64{math.Inf(1), 2, 2, 2}, true},
+		{"negative weight", corners, []float64{-5, 2, 2, 2}, true},
+		{"NaN coordinate", []float64{math.NaN(), 0, 1, 0, 1, 1, 0, 1}, []float64{2, 2, 2, 2}, true},
+		{"layers past int32", corners, []float64{1e12, 2, 2, 2}, false},
+		{"total layers past int32", corners, []float64{2e9, 2e9, 2, 2}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked: %v", r)
+				}
+			}()
+			vol, _, err := Extrude(square(tc.coords, tc.weights), part, 0.1)
+			if err == nil {
+				t.Fatalf("accepted: %d-vertex mesh", vol.N())
+			}
+			if errors.Is(err, ErrNonFinite) != tc.nonFinite {
+				t.Errorf("err %v: errors.Is(ErrNonFinite) = %v, want %v", err, !tc.nonFinite, tc.nonFinite)
+			}
+		})
+	}
+	vol, lifted, err := Extrude(square(corners, []float64{2, 2, 2, 2}), part, 0.1)
+	if err != nil {
+		t.Fatalf("valid surface rejected: %v", err)
+	}
+	if vol.N() != 8 || len(lifted) != 8 {
+		t.Errorf("valid surface: %d vertices, %d lifted blocks, want 8 and 8", vol.N(), len(lifted))
+	}
+}
+
+// TestRenderSVGRejectsUndrawableInput: a NaN coordinate used to be
+// written into a <circle> attribute, a trailing odd coordinate was
+// dropped, out-of-range blocks left points undrawn, and k = 0 wrote an
+// empty image; each is now an error, and no file is created.
+func TestRenderSVGRejectsUndrawableInput(t *testing.T) {
+	square := []float64{0, 0, 1, 0, 1, 1, 0, 1}
+	for _, tc := range []struct {
+		name      string
+		coords    []float64
+		part      []int32
+		k         int
+		nonFinite bool
+	}{
+		{"NaN coordinate", []float64{math.NaN(), 0, 1, 0, 1, 1, 0, 1}, []int32{0, 0, 1, 1}, 2, true},
+		{"odd coordinate count", []float64{0, 0, 1, 0, 1}, []int32{0, 1}, 2, false},
+		{"out-of-range blocks", square, []int32{0, 9, -1, 0}, 2, false},
+		{"k = 0", square, []int32{0, 0, 0, 0}, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "p.svg")
+			err := RenderSVG(path, tc.coords, tc.part, tc.k)
+			if err == nil {
+				t.Fatal("accepted")
+			}
+			if errors.Is(err, ErrNonFinite) != tc.nonFinite {
+				t.Errorf("err %v: errors.Is(ErrNonFinite) = %v, want %v", err, !tc.nonFinite, tc.nonFinite)
+			}
+			if _, statErr := os.Stat(path); !errors.Is(statErr, os.ErrNotExist) {
+				t.Errorf("rejected call left a file behind (stat: %v)", statErr)
+			}
+		})
 	}
 }
 

@@ -67,8 +67,8 @@ const (
 // ErrNonFinite is the error (wrapped with the offending position; test
 // with errors.Is) every entry point that takes coordinates or weights —
 // Partition, Repartition, NewSession, Session.UpdateWeights,
-// Session.UpdateCoords, Evaluate, RefinePartition — returns for a NaN or
-// ±Inf coordinate or a NaN, ±Inf or negative weight.
+// Session.UpdateCoords, Evaluate, RefinePartition, Extrude, RenderSVG —
+// returns for a NaN or ±Inf coordinate or a NaN, ±Inf or negative weight.
 var ErrNonFinite = geom.ErrNonFinite
 
 // Options configures Partition. Coordinates must be finite and weights
@@ -467,7 +467,8 @@ func SpMVCommTime(xadj []int64, adj []int32, part []int32, k, iters int) (modele
 // Extrude materializes the 2.5D use case (paper §1): it builds the full
 // 3D mesh from a weighted 2D surface mesh (weight = vertical layer count)
 // and lifts a surface partition column-wise onto it. Returns the 3D mesh
-// and the lifted partition.
+// and the lifted partition. The surface points are checked as Evaluate
+// checks them (ErrNonFinite), and the 3D mesh must fit int32 vertex ids.
 func Extrude(surface *MeshData, part2d []int32, layerHeight float64) (*MeshData, []int32, error) {
 	if surface == nil {
 		return nil, nil, fmt.Errorf("geographer: nil surface mesh")
@@ -477,9 +478,11 @@ func Extrude(surface *MeshData, part2d []int32, layerHeight float64) (*MeshData,
 		return nil, nil, err
 	}
 	ps := &geom.PointSet{Dim: surface.Dim, Coords: surface.Coords, Weight: surface.Weights}
-	if len(ps.Coords) != g.N*ps.Dim || (ps.Weight != nil && len(ps.Weight) != g.N) {
-		return nil, nil, fmt.Errorf("geographer: %d coordinates (dim %d) and %d weights for %d surface vertices",
-			len(ps.Coords), ps.Dim, len(ps.Weight), g.N)
+	if err := ps.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if ps.Len() != g.N {
+		return nil, nil, fmt.Errorf("geographer: %d points vs %d surface vertices", ps.Len(), g.N)
 	}
 	m := &mesh.Mesh{Name: surface.Name, Points: ps, G: g}
 	m3, err := mesh.Extrude25D(m, layerHeight)
@@ -540,8 +543,16 @@ func RefinePartition(xadj []int64, adj []int32, coords []float64, dim int, weigh
 	return RefineResult{Moves: res.Moves, CutBefore: res.CutBefore, CutAfter: res.CutAfter}, nil
 }
 
-// RenderSVG writes a colored 2D partition image (Figure 1 style).
+// RenderSVG writes a colored 2D partition image (Figure 1 style). The
+// coordinates must be finite (ErrNonFinite), and part must assign every
+// point a block in [0, k); nothing is written otherwise.
 func RenderSVG(path string, coords []float64, part []int32, k int) error {
 	ps := &geom.PointSet{Dim: 2, Coords: coords}
+	if err := ps.Validate(); err != nil {
+		return err
+	}
+	if err := metrics.ValidatePartition(part, ps.Len(), k); err != nil {
+		return err
+	}
 	return viz.RenderToFile(path, ps, part, k, viz.DefaultOptions())
 }

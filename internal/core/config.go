@@ -108,19 +108,6 @@ type Config struct {
 	// center placement in non-SFC mode.
 	Seed int64
 
-	// Incremental enables cross-run bound carrying on the warm resident
-	// path (PartitionResident): the per-point assignments and
-	// Hamerly/Elkan distance bounds left by the previous warm run on the
-	// same Resident are corrected by the per-center drift (plus the
-	// influence rescale back to 1) instead of being reset to "unknown",
-	// so the first assignment pass of a warm step touches only the
-	// points whose corrected bounds cross — the boundary points — rather
-	// than all n. Pure acceleration: output is bit-identical to the
-	// bounds-reset path (see DESIGN.md, "Incremental bound invariants").
-	// Carried bounds are dropped automatically whenever they could be
-	// stale (coordinate updates, k or bounds-mode changes, first run).
-	Incremental bool
-
 	// Deterministic makes the cold (non-warm) path's output independent
 	// of the rank and worker layout: sampled initialization is forced
 	// off (its shuffle is rank-seeded) and every global float reduction
@@ -216,8 +203,6 @@ func DefaultConfig() Config {
 		BBoxPruning:    true,
 		SampledInit:    true,
 		SFCBootstrap:   true,
-
-		Incremental: true,
 	}
 }
 
@@ -244,8 +229,8 @@ type Info struct {
 	BBoxBreaks   int64 // inner loops cut short by the box order or an anchored rescan's triangle bound
 	Visits       int64 // point visits of the assignment passes (skipped or not)
 
-	// Incremental warm repartitioning (Config.Incremental; session
-	// steps after the first warm one).
+	// Warm repartitioning with bounds carried across PartitionResident
+	// runs (session steps after the first warm one).
 	CarriedBounds  bool    // every rank reused the previous warm run's bounds
 	BoundaryPoints int64   // points the first pass had to examine (global)
 	BoundaryFrac   float64 // BoundaryPoints / global n

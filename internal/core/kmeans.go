@@ -156,7 +156,7 @@ type state struct {
 	// Flat sample bounding box (any dimension), len dim each.
 	bbMin, bbMax []float64
 
-	// Cross-run bound carrying (cfg.Incremental, warm resident path; see
+	// Cross-run bound carrying (every warm resident run; see
 	// warm.go and DESIGN.md, "Incremental bound invariants"). The stored
 	// A/ub/lb/lbk stay valid between PartitionResident calls relative to
 	// boundCenters (the centers of the run's most recent kernel pass)
@@ -400,7 +400,7 @@ const maxKernelShards = geom.MaxKernelChunks
 func (st *state) initCentersAndTargets(seed []float64) error {
 	// Scratch first: every reduction below can then run through the
 	// persistent buffers, so a steady-state warm call allocates nothing.
-	st.trackRaw = st.warm && st.cfg.Incremental && st.cfg.Bounds == BoundsHamerly
+	st.trackRaw = st.warm && st.cfg.Bounds == BoundsHamerly
 	st.ensureScratch()
 	// Nothing the own banks hold survives a run boundary: the first
 	// reduction of this run rebuilds them from its assignment.

@@ -27,8 +27,8 @@ type Resident struct {
 
 	// st owns the resident columns (X, W, IDs) and every reusable
 	// k-means buffer. PartitionResident re-binds the per-call fields
-	// (comm, config, k) and resets — or, on the incremental path
-	// (Config.Incremental), drift-corrects and reuses — the per-run
+	// (comm, config, k) and resets — or, when the previous warm run
+	// left valid bounds, drift-corrects and reuses — the per-run
 	// values; buffer allocations survive between calls.
 	st state
 }
@@ -126,9 +126,6 @@ func (r *Resident) RecomputeBounds(c *mpi.Comm) {
 // (see DESIGN.md, "Repartitioning invariants" and "Session
 // invariants").
 func (b *BalancedKMeans) PartitionResident(c *mpi.Comm, r *Resident, k int, centers []float64) ([]int64, []int32, error) {
-	if k < 1 {
-		return nil, nil, fmt.Errorf("core: k=%d", k)
-	}
 	cfg := b.Cfg.normalized()
 	if err := cfg.Validate(k); err != nil {
 		return nil, nil, err

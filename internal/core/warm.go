@@ -27,7 +27,7 @@ const boundSlack = 4e-16
 // (carried bounds are conservative, so skipped points keep assignments
 // a fresh argmin would recompute identically).
 func (st *state) carryOK() bool {
-	ok := st.warm && st.cfg.Incremental && st.carryValid &&
+	ok := st.warm && st.carryValid &&
 		st.carryBounds == st.cfg.Bounds && st.cfg.Bounds != BoundsNone &&
 		st.carryK == st.k && len(st.boundCenters) == st.k*st.dim
 	if ok && st.cfg.Bounds == BoundsHamerly && len(st.rlb) != len(st.A) {
@@ -184,7 +184,7 @@ func (st *state) buildCCTables() {
 // are what the next run's corrections expect.
 func (st *state) recordCarry() {
 	st.carryValid = false
-	if !st.warm || !st.cfg.Incremental || st.cfg.Bounds == BoundsNone {
+	if !st.warm || st.cfg.Bounds == BoundsNone {
 		return
 	}
 	st.applyPendingBounds()

@@ -45,14 +45,14 @@ type StreamRow struct {
 	MigratedWeight float64
 	MigratedFrac   float64 // MigratedWeight / total point weight
 
-	// Incremental-path observability (core.Config.Incremental): the
-	// step's global distance evaluations and Hamerly bound skips,
-	// whether the step reused bounds carried from the previous warm
-	// step on every rank, and the fraction of points its first
+	// Incremental-path observability (bounds carried across warm
+	// steps): the step's global distance evaluations and Hamerly bound
+	// skips, whether the step reused bounds carried from the previous
+	// warm step on every rank, and the fraction of points its first
 	// assignment pass examined. The session chain carries bounds from
 	// its second warm step on; the one-shot chain re-ingests and always
 	// reports Incremental=false — the delta in DistCalcs between the
-	// two modes at equal partitions is the optimization, made visible.
+	// two chains at equal partitions is the optimization, made visible.
 	DistCalcs    int64
 	HamerlySkips int64
 	BoundaryFrac float64

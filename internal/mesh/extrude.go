@@ -20,7 +20,8 @@ import (
 // (u, l)-(v, l) whenever {u,v} is a surface edge and both columns reach
 // layer l. The result lets experiments check that partitioning the
 // weighted 2D mesh is equivalent in load terms to partitioning the full
-// 3D mesh column-wise.
+// 3D mesh column-wise. The total layer count must fit the int32 vertex
+// ids of the 3D graph; a larger one (or a NaN weight) is an error.
 func Extrude25D(surface *Mesh, layerHeight float64) (*Mesh, error) {
 	if surface.Points.Dim != 2 {
 		return nil, fmt.Errorf("mesh: Extrude25D needs a 2D mesh, got dim %d", surface.Points.Dim)
@@ -35,9 +36,15 @@ func Extrude25D(surface *Mesh, layerHeight float64) (*Mesh, error) {
 	layers := make([]int, n2)
 	total := 0
 	for v := 0; v < n2; v++ {
-		l := int(math.Max(1, math.Floor(surface.Points.Weight[v])))
-		layers[v] = l
-		total += l
+		l := math.Max(1, math.Floor(surface.Points.Weight[v]))
+		// 3D vertex ids are int32 (graph.FromEdges); the negated test
+		// also rejects a NaN weight.
+		if !(l <= float64(math.MaxInt32-total)) {
+			return nil, fmt.Errorf("mesh: Extrude25D: weight %g at vertex %d takes the layer count past %d",
+				surface.Points.Weight[v], v, math.MaxInt32)
+		}
+		layers[v] = int(l)
+		total += int(l)
 	}
 
 	// Column base index per surface vertex.

@@ -8,8 +8,7 @@ import (
 
 // AbortError is the typed failure every rank of a broken world observes:
 // collectives entered (or already waited in) after the abort panic with
-// the same *AbortError value, Run returns it, and any goroutine blocked
-// in Send/Recv is released with it. It satisfies errors.Is(err,
+// the same *AbortError value, and Run returns it. It satisfies errors.Is(err,
 // ErrBroken) so pre-existing sentinel checks keep working, and Unwrap
 // exposes the root cause (the panic value of the failing rank, the
 // context error of a cancellation, or an injected fault wrapping
@@ -50,8 +49,7 @@ func asError(rec any) error {
 
 // Abort breaks the world from outside its SPMD code: every rank parked
 // in a collective (or arriving at one later) panics with an *AbortError
-// whose Rank is -1, Run returns that error, and blocked Send/Recv calls
-// are released. Aborting an already-broken world is a no-op (the first
+// whose Rank is -1, and Run returns that error. Aborting an already-broken world is a no-op (the first
 // cause wins). This is the cancellation entry point a driving goroutine
 // uses to stop a runaway phase; RunCtx wires it to a context.
 func (w *World) Abort(cause error) {

@@ -252,24 +252,6 @@ func AllreduceSumSparse[T Number](c *Comm, n, off int, seg, out []T) (int, int) 
 // ---------------------------------------------------------------------
 // Gathers.
 
-// Allgather returns, on every rank, a fresh slice [rank] -> contribution.
-// Contributions may have different lengths (allgatherv semantics).
-func Allgather[T any](c *Comm, in []T) [][]T {
-	w := c.w
-	depositSlice(w, c.rank, in)
-	c.collectiveStats(int64(len(in)) * sizeOf[T]())
-	w.bar.wait(c.rank)
-	out := make([][]T, w.size)
-	for r := 0; r < w.size; r++ {
-		contrib := slotSlice[T](w, r)
-		cp := make([]T, len(contrib))
-		copy(cp, contrib)
-		out[r] = cp
-	}
-	w.bar.wait(c.rank) // senders' buffers stay live until everyone copied
-	return out
-}
-
 // AllgatherFlat concatenates all contributions in rank order.
 func AllgatherFlat[T any](c *Comm, in []T) []T {
 	return AllgatherFlatInto(c, in, nil)

@@ -107,20 +107,18 @@ func TestAllgatherVariableLengths(t *testing.T) {
 		for i := range in {
 			in[i] = int32(c.Rank()*100 + i)
 		}
-		out := Allgather(c, in)
-		for r := 0; r < p; r++ {
-			if len(out[r]) != r {
-				t.Errorf("rank %d: out[%d] len %d", c.Rank(), r, len(out[r]))
-			}
-			for i, v := range out[r] {
-				if v != int32(r*100+i) {
-					t.Errorf("rank %d: out[%d][%d] = %d", c.Rank(), r, i, v)
-				}
-			}
-		}
 		flat := AllgatherFlat(c, in)
 		if len(flat) != p*(p-1)/2 {
-			t.Errorf("flat len %d", len(flat))
+			t.Fatalf("rank %d: flat len %d", c.Rank(), len(flat))
+		}
+		// Rank r's segment starts after ranks 0..r-1's, r(r-1)/2 values.
+		for r := 0; r < p; r++ {
+			seg := flat[r*(r-1)/2 : r*(r+1)/2]
+			for i, v := range seg {
+				if v != int32(r*100+i) {
+					t.Errorf("rank %d: segment %d [%d] = %d", c.Rank(), r, i, v)
+				}
+			}
 		}
 	})
 	if err != nil {
@@ -343,33 +341,6 @@ func TestExscanSum(t *testing.T) {
 	}
 }
 
-func TestSendRecv(t *testing.T) {
-	p := 4
-	w := NewWorld(p)
-	err := w.Run(func(c *Comm) {
-		// Ring: send to (r+1) mod p, receive from (r-1+p) mod p.
-		next := (c.Rank() + 1) % p
-		prev := (c.Rank() + p - 1) % p
-		c.Send(next, c.Rank()*7, 8)
-		got := c.Recv(prev).(int)
-		if got != prev*7 {
-			t.Errorf("rank %d: got %d want %d", c.Rank(), got, prev*7)
-		}
-		// Program order per pair: two messages arrive in send order.
-		c.Send(next, "first", 5)
-		c.Send(next, "second", 6)
-		if a := c.Recv(prev).(string); a != "first" {
-			t.Errorf("rank %d: order violated, got %q", c.Rank(), a)
-		}
-		if b := c.Recv(prev).(string); b != "second" {
-			t.Errorf("rank %d: order violated, got %q", c.Rank(), b)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStatsAccumulation(t *testing.T) {
 	p := 3
 	w := NewWorld(p)
@@ -377,12 +348,6 @@ func TestStatsAccumulation(t *testing.T) {
 		AllreduceSum(c, []float64{1, 2})
 		c.Barrier()
 		c.AddOps(42)
-		if c.Rank() == 0 {
-			c.Send(1, []byte{1, 2, 3}, 3)
-		}
-		if c.Rank() == 1 {
-			c.Recv(0)
-		}
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -393,12 +358,6 @@ func TestStatsAccumulation(t *testing.T) {
 	}
 	if st[0].Barriers != 1 {
 		t.Errorf("rank 0 barriers: %d", st[0].Barriers)
-	}
-	if st[0].MsgsSent != 1 || st[0].BytesSent != 3 {
-		t.Errorf("rank 0 p2p: %+v", st[0])
-	}
-	if st[1].MsgsSent != 0 {
-		t.Errorf("rank 1 sent nothing but MsgsSent=%d", st[1].MsgsSent)
 	}
 	for r := 0; r < p; r++ {
 		if st[r].ModeledCommSec <= 0 {
@@ -436,8 +395,8 @@ func TestCostModel(t *testing.T) {
 	if m.CollectiveLatency(1024) != 10*m.AlphaSec {
 		t.Errorf("latency p=1024 = %g", m.CollectiveLatency(1024))
 	}
-	if got := m.P2PTime(2e9); got <= 1.0 {
-		t.Errorf("P2PTime(2GB) = %g, want > 1s", got)
+	if got := m.CollectiveTime(2, 2e9); got <= 1.0 {
+		t.Errorf("CollectiveTime(2, 2GB) = %g, want > 1s", got)
 	}
 	comp, comm := m.ModeledTime([]Stats{{Ops: 100}, {Ops: 500, ModeledCommSec: 0.5}})
 	if comp != 500*m.OpSec || comm != 0.5 {

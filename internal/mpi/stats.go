@@ -4,8 +4,10 @@ package mpi
 // their own entry without synchronization; read the aggregate only after
 // Run returns (or inside a Barrier-delimited region).
 type Stats struct {
-	MsgsSent        int64   // point-to-point messages sent
-	BytesSent       int64   // point-to-point payload bytes sent
+	// BytesSent is always 0: the runtime has no point-to-point
+	// messages. It stays until ROADMAP item 5's [benchmark] PR drops
+	// the benchmark harness's read of it.
+	BytesSent       int64
 	Barriers        int64   // barrier entries
 	Collectives     int64   // collective operations (excluding bare barriers)
 	CollectiveBytes int64   // bytes contributed to collectives
@@ -15,7 +17,6 @@ type Stats struct {
 
 // Add accumulates other into s.
 func (s *Stats) Add(other Stats) {
-	s.MsgsSent += other.MsgsSent
 	s.BytesSent += other.BytesSent
 	s.Barriers += other.Barriers
 	s.Collectives += other.Collectives
@@ -34,7 +35,7 @@ func (c *Comm) AddOps(n int64) { c.w.stats[c.rank].Ops += n }
 // paper measured on SuperMUC (§5.3.2); absolute values depend on the
 // constants and are not calibrated to that machine.
 type CostModel struct {
-	AlphaSec     float64 // latency per message / per collective round
+	AlphaSec     float64 // latency per collective round
 	BetaBytesSec float64 // bandwidth in bytes per second
 	OpSec        float64 // seconds per work unit (distance evaluation etc.)
 }
@@ -60,11 +61,6 @@ func (m CostModel) CollectiveLatency(p int) float64 {
 // contributes `bytes` bytes: tree latency plus bandwidth term.
 func (m CostModel) CollectiveTime(p int, bytes int64) float64 {
 	return m.CollectiveLatency(p) + float64(bytes)/m.BetaBytesSec
-}
-
-// P2PTime returns the modeled time of one point-to-point message.
-func (m CostModel) P2PTime(bytes int64) float64 {
-	return m.AlphaSec + float64(bytes)/m.BetaBytesSec
 }
 
 // ModeledTime summarizes a finished Run: computation is the maximum Ops

@@ -5,10 +5,11 @@
 // (§5.2.1). This package substitutes that substrate: a World spawns one
 // goroutine per simulated rank; each rank owns private data and all
 // sharing happens through explicit collectives (Barrier, Allreduce,
-// Allgather, Alltoall, Exscan) and point-to-point messages, exactly
-// mirroring the communication structure of the paper's implementation.
+// AllgatherFlat, Alltoall, Exscan), exactly mirroring the communication
+// structure of the paper's implementation, which has no point-to-point
+// messages.
 //
-// Every rank accumulates traffic statistics (bytes, message and collective
+// Every rank accumulates traffic statistics (collective bytes and
 // counts) and an α-β (latency–bandwidth) modeled communication time, so
 // experiments can report the *scaling shape* of an algorithm even though
 // the goroutines run on a small host (see DESIGN.md, substitutions).
@@ -40,12 +41,6 @@ import (
 // sentinel is only ever the panic value on interior paths that have no
 // cause to attach yet.
 var ErrBroken = errors.New("mpi: world broken by rank panic")
-
-// message is a point-to-point payload with its element count for stats.
-type message struct {
-	data  any
-	bytes int64
-}
 
 // slotHdr is a typed-slice deposit without interface boxing: storing a
 // []T into an `any` slot heap-allocates a three-word header on every
@@ -96,18 +91,12 @@ type World struct {
 	resOffs []int
 	resBufs []any
 
-	mailMu sync.Mutex
-	mail   map[int64]chan message // lazily created: key dst*size+src
-
 	// Fault-tolerance state (abort.go/fault.go): optional runtime hooks
-	// with their per-rank collective-entry counters, and the abort
-	// broadcast channel that releases blocked Send/Recv calls.
+	// with their per-rank collective-entry counters.
 	hooks    Hooks
 	episodes []int64
-	done     chan struct{}
 
 	mu         sync.Mutex
-	broken     bool
 	err        error
 	errPrimary bool // err carries a root cause, not a release panic
 }
@@ -125,26 +114,9 @@ func NewWorld(size int) *World {
 		scal:  make([]uint64, size),
 		scalB: make([]uint64, size),
 		scan:  make([]uint64, size),
-		mail:  make(map[int64]chan message),
 		stats: make([]Stats, size),
 		model: DefaultCostModel(),
-		done:  make(chan struct{}),
 	}
-}
-
-// mailbox returns (creating on demand) the channel from src to dst.
-// Lazy creation keeps large worlds cheap: most algorithms here use only
-// collectives, never point-to-point.
-func (w *World) mailbox(dst, src int) chan message {
-	key := int64(dst)*int64(w.size) + int64(src)
-	w.mailMu.Lock()
-	ch, ok := w.mail[key]
-	if !ok {
-		ch = make(chan message, 64)
-		w.mail[key] = ch
-	}
-	w.mailMu.Unlock()
-	return ch
 }
 
 // Size returns the number of ranks.
@@ -155,8 +127,8 @@ func (w *World) CostModel() CostModel { return w.model }
 
 // Run executes f once per rank, concurrently, and waits for all ranks to
 // finish. If any rank panics (or a hook fails, or the world is aborted),
-// the world is broken: remaining ranks are released from collectives and
-// point-to-point calls with an *AbortError panic, no rank goroutine is
+// the world is broken: remaining ranks are released from their
+// collectives with an *AbortError panic, no rank goroutine is
 // left behind, and the abort of the root-cause rank is returned. A
 // broken world stays broken — later Run calls fail immediately with the
 // same error; recovery means building a fresh World (typically from a
@@ -174,7 +146,7 @@ func (w *World) Run(f func(c *Comm)) error {
 				if rec == nil {
 					return
 				}
-				// A rank released from a poisoned barrier or mailbox
+				// A rank released from a poisoned barrier
 				// re-panics the abort it was handed; that is a secondary
 				// effect, not a root cause — it must never displace the
 				// failing rank's own error.
@@ -209,10 +181,6 @@ func (w *World) Run(f func(c *Comm)) error {
 // exists.
 func (w *World) breakWorld(err *AbortError, primary bool) {
 	w.mu.Lock()
-	if !w.broken {
-		w.broken = true
-		close(w.done) // releases blocked Send/Recv on every rank
-	}
 	if w.err == nil || (primary && !w.errPrimary) {
 		w.err, w.errPrimary = err, primary
 	}
@@ -522,44 +490,5 @@ func (b *treeBarrier) brkLeaves(cause error) {
 		}
 		l.cond.Broadcast()
 		l.mu.Unlock()
-	}
-}
-
-// abortCause returns the error a released rank unwinds with: the world's
-// recorded *AbortError, or bare ErrBroken when the break raced ahead of
-// the error being recorded.
-func (w *World) abortCause() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
-	}
-	return ErrBroken
-}
-
-// Send delivers data to rank dst. elemBytes should approximate the wire
-// size of the payload; it only affects statistics, not semantics. Send
-// blocks when the destination mailbox (64 messages deep) is full; a
-// blocked Send is released with an abort panic when the world breaks.
-func (c *Comm) Send(dst int, data any, bytes int64) {
-	st := &c.w.stats[c.rank]
-	st.MsgsSent++
-	st.BytesSent += bytes
-	st.ModeledCommSec += c.w.model.P2PTime(bytes)
-	select {
-	case c.w.mailbox(dst, c.rank) <- message{data: data, bytes: bytes}:
-	case <-c.w.done:
-		panic(c.w.abortCause())
-	}
-}
-
-// Recv receives the next message from rank src (program order per pair).
-// A blocked Recv is released with an abort panic when the world breaks.
-func (c *Comm) Recv(src int) any {
-	select {
-	case m := <-c.w.mailbox(c.rank, src):
-		return m.data
-	case <-c.w.done:
-		panic(c.w.abortCause())
 	}
 }

@@ -41,11 +41,14 @@ func BenchmarkRepartition(b *testing.B) {
 	}
 }
 
-// benchSessionSteps drives alternating-load warm steps on one session
-// and reports the mean boundary fraction and per-step distance
-// evaluations next to ns/op — the shape BenchmarkSessionRepartition and
-// BenchmarkSessionRepartitionIncremental share.
-func benchSessionSteps(b *testing.B, incremental bool) {
+// BenchmarkSessionRepartitionIncremental measures one warm streaming
+// step on a long-lived Session: bounds carried across steps, first pass
+// over the boundary worklist only. Reported boundary_frac is the mean
+// fraction of points per step whose corrected bounds crossed; dist/op
+// the mean distance evaluations per step. Compare BenchmarkRepartition,
+// which starts every step from reset bounds and pays scatter + ingest,
+// and BenchmarkScratchRepartition, which pays the full cold pipeline.
+func BenchmarkSessionRepartitionIncremental(b *testing.B) {
 	m, err := mesh.GenRefinedTri(20000, 42)
 	if err != nil {
 		b.Fatal(err)
@@ -53,7 +56,6 @@ func benchSessionSteps(b *testing.B, incremental bool) {
 	const k, p = 16, 4
 	cfg := core.DefaultConfig()
 	cfg.Seed = 1
-	cfg.Incremental = incremental
 	weightsAt := func(t int) []float64 {
 		w := make([]float64, m.Points.Len())
 		for i := range w {
@@ -102,25 +104,6 @@ func benchSessionSteps(b *testing.B, incremental bool) {
 	}
 	b.ReportMetric(boundary/float64(b.N), "boundary_frac")
 	b.ReportMetric(float64(dist)/float64(b.N), "dist/op")
-}
-
-// BenchmarkSessionRepartition measures one warm streaming step on a
-// long-lived Session with the cross-step bound carrying disabled — the
-// bounds-reset warm path, the baseline the incremental variant below is
-// measured against. Compare BenchmarkRepartition, which additionally
-// pays scatter + ingest on every step, and BenchmarkScratchRepartition,
-// which pays the full cold pipeline.
-func BenchmarkSessionRepartition(b *testing.B) {
-	benchSessionSteps(b, false)
-}
-
-// BenchmarkSessionRepartitionIncremental is the same warm streaming
-// step with Config.Incremental on (the default): bounds carried across
-// steps, first pass over the boundary worklist only. Reported
-// boundary_frac is the mean fraction of points per step whose corrected
-// bounds crossed; dist/op the mean distance evaluations per step.
-func BenchmarkSessionRepartitionIncremental(b *testing.B) {
-	benchSessionSteps(b, true)
 }
 
 // BenchmarkScratchRepartition is the from-scratch baseline for

@@ -36,17 +36,32 @@ type chainStep struct {
 	incremental    bool
 }
 
+// chainConfig is the configuration both chains of one layout run with.
+func chainConfig(workers int) core.Config {
+	cfg := core.DefaultConfig()
+	cfg.Seed = 1
+	cfg.Workers = workers
+	return cfg
+}
+
+// driftCoords returns the scenario's moved coordinates: every point
+// drifts a little, identity preserved.
+func driftCoords(m *mesh.Mesh) []float64 {
+	moved := append([]float64(nil), m.Points.Coords...)
+	for i := range moved {
+		moved[i] += 0.01 * math.Sin(float64(i))
+	}
+	return moved
+}
+
 // runIncrementalChain drives one session through the shared scenario:
 // cold partition, two perturbed-weight warm steps (the second is the
 // first that can carry bounds), a coordinate drift (which must drop
 // carried bounds), and a final perturbed-weight step (which may carry
 // again).
-func runIncrementalChain(t *testing.T, m *mesh.Mesh, p, workers int, incremental bool) []chainStep {
+func runIncrementalChain(t *testing.T, m *mesh.Mesh, p, workers int) []chainStep {
 	t.Helper()
-	cfg := core.DefaultConfig()
-	cfg.Seed = 1
-	cfg.Workers = workers
-	cfg.Incremental = incremental
+	cfg := chainConfig(workers)
 
 	ps0 := &geom.PointSet{Dim: m.Points.Dim, Coords: m.Points.Coords, Weight: testWeights(m, 0)}
 	sess, err := NewSession(mpi.NewWorld(p), ps0.Clone(), 8, cfg)
@@ -84,11 +99,7 @@ func runIncrementalChain(t *testing.T, m *mesh.Mesh, p, workers int, incremental
 
 	// Points drift: carried bounds relate the old positions to the
 	// centers and must be dropped.
-	moved := append([]float64(nil), m.Points.Coords...)
-	for i := range moved {
-		moved[i] += 0.01 * math.Sin(float64(i))
-	}
-	if err := sess.UpdateCoords(moved); err != nil {
+	if err := sess.UpdateCoords(driftCoords(m)); err != nil {
 		t.Fatal(err)
 	}
 	pp, st, err := sess.Repartition()
@@ -96,7 +107,7 @@ func runIncrementalChain(t *testing.T, m *mesh.Mesh, p, workers int, incremental
 		t.Fatalf("post-UpdateCoords step: %v", err)
 	}
 	if st.Info.CarriedBounds {
-		t.Errorf("p=%d workers=%d incremental=%v: step after UpdateCoords reused carried bounds", p, workers, incremental)
+		t.Errorf("p=%d workers=%d: step after UpdateCoords reused carried bounds", p, workers)
 	}
 	record(pp, st)
 
@@ -111,14 +122,59 @@ func runIncrementalChain(t *testing.T, m *mesh.Mesh, p, workers int, incremental
 	return out
 }
 
+// runOneShotChain is the bounds-reset reference over the same scenario:
+// the cold partition comes from partition.Run, and each warm step is
+// one Repartition from the previous step's assignment. A one-shot step
+// is a fresh single-step session, so it never carries bounds.
+func runOneShotChain(t *testing.T, m *mesh.Mesh, p, workers int) []chainStep {
+	t.Helper()
+	cfg := chainConfig(workers)
+	const k = 8
+
+	ps0 := &geom.PointSet{Dim: m.Points.Dim, Coords: m.Points.Coords, Weight: testWeights(m, 0)}
+	initial, err := partition.Run(mpi.NewWorld(p), ps0, k, core.New(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := []chainStep{{assign: initial.Assign}}
+
+	moved := driftCoords(m)
+	inputs := []struct {
+		coords []float64
+		weight int
+	}{
+		{m.Points.Coords, 1},
+		{m.Points.Coords, 2},
+		{moved, 2},
+		{moved, 3},
+	}
+	prev := initial.Assign
+	for s, in := range inputs {
+		ps := &geom.PointSet{Dim: m.Points.Dim, Coords: in.coords, Weight: testWeights(m, in.weight)}
+		pp, st, err := Repartition(mpi.NewWorld(p), ps, prev, k, cfg)
+		if err != nil {
+			t.Fatalf("one-shot step %d: %v", s+1, err)
+		}
+		out = append(out, chainStep{
+			assign:         pp.Assign,
+			migratedWeight: st.MigratedWeight,
+			migratedPoints: st.MigratedPoints,
+			incremental:    st.Info.CarriedBounds,
+		})
+		prev = pp.Assign
+	}
+	return out
+}
+
 // TestIncrementalMatchesReset is the differential pin of the tentpole:
 // across Processes x Workers x {2D, 3D}, the incremental warm chain
 // (carried bounds, boundary-only first passes) must produce partitions
 // and migration stats byte-identical to the bounds-reset chain of the
-// same layout. (The chains start from a cold partition, which is
-// rank-layout-dependent by design — see the ROADMAP's exact-cold-path
-// item — so whole chains are only comparable within one layout; the
-// warm determinism across layouts is pinned separately by
+// same layout: one-shot Repartition calls over the same inputs, each
+// starting from reset bounds. (The chains start from a cold partition,
+// which is rank-layout-dependent by design — see the ROADMAP's
+// exact-cold-path item — so whole chains are only comparable within one
+// layout; the warm determinism across layouts is pinned separately by
 // TestWarmStartDeterminism.) The scenario includes an UpdateCoords
 // step, which must invalidate the carried bounds, and a subsequent
 // weight step, which must carry again.
@@ -129,8 +185,8 @@ func TestIncrementalMatchesReset(t *testing.T) {
 			for _, workers := range []int{1, 2} {
 				name := fmt.Sprintf("dim=%d/p=%d/workers=%d", dim, p, workers)
 				t.Run(name, func(t *testing.T) {
-					inc := runIncrementalChain(t, m, p, workers, true)
-					reset := runIncrementalChain(t, m, p, workers, false)
+					inc := runIncrementalChain(t, m, p, workers)
+					reset := runOneShotChain(t, m, p, workers)
 					if len(inc) != len(reset) {
 						t.Fatalf("chain lengths differ: %d vs %d", len(inc), len(reset))
 					}

@@ -44,7 +44,7 @@ func mixtureWeights(ps *geom.PointSet, t int) []float64 {
 // partition, every Processes × Workers layout must produce bit-identical
 // partitions at every step, the carried incremental bounds of steps ≥ 2
 // included — and the incremental chain must match the bounds-reset
-// (Incremental=false) chain exactly.
+// chain of one-shot Repartition calls exactly.
 func TestGenericDimSessionSteps(t *testing.T) {
 	const n, dim, k, steps = 3000, 8, 6, 3
 	ps := gaussianMixture(n, dim, k, 7)
@@ -60,12 +60,14 @@ func TestGenericDimSessionSteps(t *testing.T) {
 		assigns [][]int32
 		carried []bool
 	}
-	runChain := func(p, workers int, incremental bool) chain {
+	config := func(workers int) core.Config {
 		cfg := core.DefaultConfig()
 		cfg.Seed = 1
 		cfg.Workers = workers
-		cfg.Incremental = incremental
-		sess, err := NewSession(mpi.NewWorld(p), ps.Clone(), k, cfg)
+		return cfg
+	}
+	runChain := func(p, workers int) chain {
+		sess, err := NewSession(mpi.NewWorld(p), ps.Clone(), k, config(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +91,7 @@ func TestGenericDimSessionSteps(t *testing.T) {
 		return ch
 	}
 
-	base := runChain(1, 1, true)
+	base := runChain(1, 1)
 	for step, carried := range base.carried {
 		if step >= 1 && !carried {
 			t.Errorf("step %d: incremental chain did not carry bounds", step)
@@ -98,7 +100,7 @@ func TestGenericDimSessionSteps(t *testing.T) {
 
 	for _, p := range []int{2, 3} {
 		for _, workers := range []int{1, 2} {
-			got := runChain(p, workers, true)
+			got := runChain(p, workers)
 			for step := range base.assigns {
 				for i := range base.assigns[step] {
 					if got.assigns[step][i] != base.assigns[step][i] {
@@ -110,12 +112,22 @@ func TestGenericDimSessionSteps(t *testing.T) {
 		}
 	}
 
-	// Carried bounds are pure acceleration: the bounds-reset chain must
-	// produce the exact same partitions.
-	reset := runChain(2, 2, false)
+	// Carried bounds are pure acceleration: the bounds-reset chain — one
+	// fresh single-step session per step — must produce the exact same
+	// partitions.
+	cur := prev
 	for step := range base.assigns {
+		in := &geom.PointSet{Dim: dim, Coords: ps.Coords, Weight: mixtureWeights(ps, step)}
+		part, st, err := Repartition(mpi.NewWorld(2), in, cur, k, config(2))
+		if err != nil {
+			t.Fatalf("one-shot step %d: %v", step, err)
+		}
+		if st.Info.CarriedBounds {
+			t.Errorf("one-shot step %d reports carried bounds", step)
+		}
+		cur = part.Assign
 		for i := range base.assigns[step] {
-			if reset.assigns[step][i] != base.assigns[step][i] {
+			if cur[i] != base.assigns[step][i] {
 				t.Fatalf("bounds-reset chain diverged at step %d point %d", step, i)
 			}
 		}

@@ -1,10 +1,11 @@
 // Command doccheck verifies that every exported top-level identifier
-// in the given package directories carries a doc comment, so the
-// public facade stays fully documented under `go doc` (the CI docs job
-// runs it over the repository root). It checks exported functions,
-// methods on exported receivers, type declarations, and const/var
-// specs (a doc comment on a grouped declaration covers the group,
-// mirroring how godoc renders them). Test files are skipped.
+// in the given package directories carries a doc comment, so every
+// package stays fully documented under `go doc` (the CI docs job runs
+// it over the root, internal, cmd and tools packages). It checks
+// exported functions, methods on exported receivers, type
+// declarations, and const/var specs (a doc comment on a grouped
+// declaration covers the group, mirroring how godoc renders them).
+// Test files are skipped.
 //
 // Usage: doccheck DIR [DIR...]
 // Exits non-zero listing every undocumented identifier.
