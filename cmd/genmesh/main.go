@@ -19,7 +19,7 @@ import (
 
 func main() {
 	var (
-		kind   = flag.String("kind", "delaunay2d", "delaunay2d|refined|bubbles|airfoil|rgg|climate|delaunay3d|tube3d")
+		kind   = flag.String("kind", "delaunay2d", mesh.Kinds())
 		n      = flag.Int("n", 100000, "approximate vertex count")
 		seed   = flag.Int64("seed", 1, "generator seed")
 		out    = flag.String("out", "", "output file (binary mesh format)")
@@ -43,28 +43,7 @@ func main() {
 		return
 	}
 
-	var m *mesh.Mesh
-	var err error
-	switch *kind {
-	case "delaunay2d":
-		m, err = mesh.GenDelaunayUniform2D(*n, *seed)
-	case "refined":
-		m, err = mesh.GenRefinedTri(*n, *seed)
-	case "bubbles":
-		m, err = mesh.GenBubbles(*n, *seed)
-	case "airfoil":
-		m, err = mesh.GenAirfoil(*n, *seed)
-	case "rgg":
-		m, err = mesh.GenRGG2D(*n, *seed, 13)
-	case "climate":
-		m, err = mesh.GenClimate(*n, *seed)
-	case "delaunay3d":
-		m, err = mesh.GenDelaunay3D(*n, *seed)
-	case "tube3d":
-		m, err = mesh.GenTube3D(*n, *seed)
-	default:
-		fatal(fmt.Errorf("unknown kind %q", *kind))
-	}
+	m, err := mesh.Generate(*kind, *n, *seed)
 	if err != nil {
 		fatal(err)
 	}

@@ -27,7 +27,7 @@ import (
 
 func main() {
 	var (
-		gen     = flag.String("gen", "", "generate a mesh: delaunay2d|refined|bubbles|airfoil|rgg|climate|delaunay3d|tube3d")
+		gen     = flag.String("gen", "", "generate a mesh: "+mesh.Kinds())
 		in      = flag.String("in", "", "load a mesh file written by genmesh")
 		metis   = flag.String("metis", "", "load a METIS graph file (needs -xyz for coordinates)")
 		xyz     = flag.String("xyz", "", "coordinate file accompanying -metis")
@@ -45,6 +45,12 @@ func main() {
 		outPart = flag.String("out", "", "write the block of each vertex, one per line")
 	)
 	flag.Parse()
+	if *p < 1 {
+		fatal(fmt.Errorf("-p %d: need at least one rank", *p))
+	}
+	if *k < 1 {
+		fatal(fmt.Errorf("-k %d: need at least one block", *k))
+	}
 
 	var m *mesh.Mesh
 	var err error
@@ -142,26 +148,7 @@ func obtainMesh(gen, in string, n int, seed int64) (*mesh.Mesh, error) {
 	case in != "":
 		return mesh.ReadFile(in)
 	case gen != "":
-		switch gen {
-		case "delaunay2d":
-			return mesh.GenDelaunayUniform2D(n, seed)
-		case "refined":
-			return mesh.GenRefinedTri(n, seed)
-		case "bubbles":
-			return mesh.GenBubbles(n, seed)
-		case "airfoil":
-			return mesh.GenAirfoil(n, seed)
-		case "rgg":
-			return mesh.GenRGG2D(n, seed, 13)
-		case "climate":
-			return mesh.GenClimate(n, seed)
-		case "delaunay3d":
-			return mesh.GenDelaunay3D(n, seed)
-		case "tube3d":
-			return mesh.GenTube3D(n, seed)
-		default:
-			return nil, fmt.Errorf("unknown generator %q", gen)
-		}
+		return mesh.Generate(gen, n, seed)
 	default:
 		return nil, fmt.Errorf("specify -gen <kind> or -in <file>")
 	}

@@ -82,14 +82,6 @@ var table = []experiment{
 		_, err := experiments.Components(os.Stdout, a.sc)
 		return err
 	}},
-	{"phases", false, func(a args) error {
-		rows, err := experiments.Phases(os.Stdout, a.sc)
-		return dumpCSV(a, rows, err, experiments.WritePhaseRowsCSV)
-	}},
-	{"repart", false, func(a args) error {
-		rows, err := experiments.Repart(os.Stdout, a.sc)
-		return dumpCSV(a, rows, err, experiments.WriteRepartRowsCSV)
-	}},
 	{"stream", false, func(a args) error {
 		rows, err := experiments.Stream(os.Stdout, a.sc)
 		return dumpCSV(a, rows, err, experiments.WriteStreamRowsCSV)

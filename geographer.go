@@ -409,33 +409,10 @@ const (
 )
 
 // GenerateMesh produces one of the synthetic benchmark meshes used in the
-// evaluation (deterministic in n and seed).
+// evaluation (deterministic in n and seed). kind is one of the Mesh*
+// constants, in any letter case; n < 0 and unknown kinds are errors.
 func GenerateMesh(kind string, n int, seed int64) (*MeshData, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("geographer: mesh size n=%d", n)
-	}
-	var m *mesh.Mesh
-	var err error
-	switch strings.ToLower(kind) {
-	case MeshDelaunay2D:
-		m, err = mesh.GenDelaunayUniform2D(n, seed)
-	case MeshRefined:
-		m, err = mesh.GenRefinedTri(n, seed)
-	case MeshBubbles:
-		m, err = mesh.GenBubbles(n, seed)
-	case MeshAirfoil:
-		m, err = mesh.GenAirfoil(n, seed)
-	case MeshRGG:
-		m, err = mesh.GenRGG2D(n, seed, 13)
-	case MeshClimate:
-		m, err = mesh.GenClimate(n, seed)
-	case MeshDelaunay3D:
-		m, err = mesh.GenDelaunay3D(n, seed)
-	case MeshTube3D:
-		m, err = mesh.GenTube3D(n, seed)
-	default:
-		return nil, fmt.Errorf("geographer: unknown mesh kind %q", kind)
-	}
+	m, err := mesh.Generate(strings.ToLower(kind), n, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -10,14 +10,15 @@ import (
 // assignAndBalance is Algorithm 1 of the paper: repeatedly assign every
 // (sampled) local point to the cluster with the smallest *effective*
 // distance dist(p,c)/influence(c), then adapt the influence values until
-// the blocks are balanced or MaxBalanceIter rounds are spent. Returns
-// whether the ε constraint was met.
+// the blocks are balanced or MaxBalanceIter rounds are spent, changing
+// each influence by at most ±infCap per round. Returns whether the ε
+// constraint was met.
 //
 // The assignment itself runs through the squared-space batch kernels of
 // internal/geom: all per-(point,center) comparisons happen on
 // dist²·invInfluence², so the O(n·k) inner loop is free of sqrt and
 // division (see DESIGN.md, "Performance notes").
-func (st *state) assignAndBalance() bool {
+func (st *state) assignAndBalance(infCap float64) bool {
 	sample := st.allIdx[:st.nSample] // the active sample prefix (sample.go)
 
 	// The passes below (re)validate the stored bounds against the
@@ -162,9 +163,9 @@ func (st *state) assignAndBalance() bool {
 		}
 
 		// Lines 35–37: adapt influence values (Eq. (1), direction
-		// corrected, capped at ±InfluenceCap per round; see DESIGN.md).
+		// corrected, capped at ±infCap per round; see DESIGN.md).
 		copy(st.oldInfluence, st.influence)
-		lo, hi := 1-st.cfg.InfluenceCap, 1+st.cfg.InfluenceCap
+		lo, hi := 1-infCap, 1+infCap
 		for b := 0; b < st.k; b++ {
 			target := st.targets[b] * scale
 			if target <= 0 {

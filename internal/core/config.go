@@ -42,15 +42,6 @@ type Config struct {
 	// center movements (Algorithm 1; "a tuning parameter", §4.2).
 	MaxBalanceIter int
 
-	// DeltaThreshold stops the outer loop once the maximum center
-	// movement falls below DeltaThreshold × (global bounding box
-	// diagonal).
-	DeltaThreshold float64
-
-	// InfluenceCap limits the relative influence change per balance round
-	// ("we restrict the maximum influence change in one step to 5%").
-	InfluenceCap float64
-
 	// Erosion enables the sigmoid influence erosion after center movement
 	// (Eqs. (2)–(3)); disable only for ablation studies.
 	Erosion bool
@@ -118,6 +109,14 @@ type Config struct {
 	// bit-identical across Processes × Workers.
 	Deterministic bool
 }
+
+// deltaThreshold stops the outer loop once the maximum center movement
+// falls below deltaThreshold × (global bounding box diagonal).
+const deltaThreshold = 2e-3
+
+// influenceCap limits the relative influence change per balance round
+// ("we restrict the maximum influence change in one step to 5%").
+const influenceCap = 0.05
 
 // BoundsKind selects the distance-bound strategy of the assignment loop.
 type BoundsKind string
@@ -196,8 +195,6 @@ func DefaultConfig() Config {
 		Epsilon:        0.03,
 		MaxIter:        60,
 		MaxBalanceIter: 20,
-		DeltaThreshold: 2e-3,
-		InfluenceCap:   0.05,
 		Erosion:        true,
 		Bounds:         BoundsHamerly,
 		BBoxPruning:    true,

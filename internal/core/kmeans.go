@@ -619,7 +619,7 @@ func (st *state) resetBox() {
 
 // run is the main loop of Algorithm 2.
 func (st *state) run() {
-	threshold := st.cfg.DeltaThreshold * st.diag
+	threshold := deltaThreshold * st.diag
 
 	for iter := 0; iter < st.cfg.MaxIter; iter++ {
 		st.info.Iterations++
@@ -629,7 +629,7 @@ func (st *state) run() {
 		// consistent; ranks may have different local sizes, so they agree
 		// on whether anyone is still sampling inside the balance
 		// collective (st.anySampling).
-		balanced := st.assignAndBalance()
+		balanced := st.assignAndBalance(influenceCap)
 
 		// New centers: weighted mean of assigned sample points
 		// (Algorithm 2, l. 12–13) — one global vector sum.
@@ -740,7 +740,7 @@ func (st *state) run() {
 	// exist if MaxIter ran out during sampling; assign them now.
 	if st.nSample < st.X.Len() {
 		st.unshuffle()
-		st.assignAndBalance()
+		st.assignAndBalance(influenceCap)
 	}
 	for i := range st.A {
 		if st.A[i] < 0 {
@@ -938,12 +938,11 @@ func (st *state) applyPendingBounds() {
 // the ε constraint holds (Strict mode; an extension over the paper, which
 // relies on enough regular iterations).
 func (st *state) strictFinish() {
-	saved := st.cfg.InfluenceCap
 	for round := 0; round < 300 && !st.info.Balanced; round++ {
+		infCap := influenceCap
 		if round > 100 {
-			st.cfg.InfluenceCap = 0.25
+			infCap = 0.25
 		}
-		st.assignAndBalance()
+		st.assignAndBalance(infCap)
 	}
-	st.cfg.InfluenceCap = saved
 }

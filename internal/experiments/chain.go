@@ -128,20 +128,38 @@ func seededConfig() core.Config {
 	return cfg
 }
 
-// meshGens maps a workload kind to its mesh generator.
-var meshGens = map[string]func(n int, seed int64) (*mesh.Mesh, error){
-	"climate": mesh.GenClimate,
-	"refined": mesh.GenRefinedTri,
-	"tube3d":  mesh.GenTube3D,
+// perturbedWeights models evolving simulation load at timestep t: the
+// base weights drift under a smooth spatial wave (amplitude ±40%) whose
+// phase advances with t — deterministic, strictly positive, and
+// spatially correlated like real load evolution (a climate front or a
+// refinement region moving through the mesh, paper §1).
+func perturbedWeights(m *mesh.Mesh, t int) []float64 {
+	ps := m.Points
+	n := ps.Len()
+	out := make([]float64, n)
+	for i := 0; i < n; i++ {
+		x := ps.Coords[i*ps.Dim]
+		y := ps.Coords[i*ps.Dim+1]
+		wave := math.Sin(0.08*x + 0.05*y + 0.9*float64(t)) // spatial wave, phase moves per step
+		out[i] = ps.W(i) * (1 + 0.4*wave)
+	}
+	return out
 }
 
-// genMesh generates the workload mesh of a kind.
-func genMesh(kind string, n int, seed int64) (*mesh.Mesh, error) {
-	gen, ok := meshGens[kind]
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown workload %q", kind)
+// repartWorkloads lists the dynamic-load scenarios: the 2.5D climate
+// mesh (the paper's motivating repartitioning use case, with layer
+// weights) and a refined 2D mesh (unit base weights).
+func repartWorkloads(sc Scale) []struct {
+	kind string
+	n, k int
+} {
+	return []struct {
+		kind string
+		n, k int
+	}{
+		{"climate", sc.Table2N, 16},
+		{"refined", sc.Table2N, 16},
 	}
-	return gen(n, seed)
 }
 
 // atStep returns m's points under the load of timestep t

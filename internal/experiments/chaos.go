@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"geographer/internal/mesh"
 	"geographer/internal/metrics"
 	"geographer/internal/mpi"
 	"geographer/internal/repart"
@@ -125,7 +126,7 @@ func chaosPlan() *mpi.FaultPlan {
 // RepartitionWithRetry. Every step is compared bit-for-bit.
 func runChaosCell(w io.Writer, kind string, n, k int) ([]ChaosRow, ChaosCell, error) {
 	cell := ChaosCell{Graph: kind, K: k, P: chaosP, Steps: chaosSteps}
-	m, err := genMesh(kind, n, 42)
+	m, err := mesh.Generate(kind, n, 42)
 	if err != nil {
 		return nil, cell, err
 	}

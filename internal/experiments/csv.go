@@ -37,28 +37,6 @@ func WriteRowsCSV(w io.Writer, rows []Row) error {
 	})
 }
 
-// WritePhaseRowsCSV dumps the ingest/k-means phase breakdown.
-func WritePhaseRowsCSV(w io.Writer, rows []PhaseRow) error {
-	header := []string{"graph", "n", "k", "p", "sfc_s", "sort_s", "kmeans_s", "total_s", "ingest_share"}
-	return writeCSV(w, header, len(rows), func(i int) []string {
-		r := rows[i]
-		return []string{r.Graph, strconv.Itoa(r.N), strconv.Itoa(r.K), strconv.Itoa(r.P),
-			fmtF(r.SFCSeconds), fmtF(r.SortSeconds), fmtF(r.KMeansSeconds),
-			fmtF(r.TotalSeconds), fmtF(r.IngestShare)}
-	})
-}
-
-// WriteRepartRowsCSV dumps the warm-start repartitioning timesteps.
-func WriteRepartRowsCSV(w io.Writer, rows []RepartRow) error {
-	header := []string{"graph", "step", "mode", "k", "p", "wall_s", "cut", "imbalance", "migrated_w", "migrated_frac"}
-	return writeCSV(w, header, len(rows), func(i int) []string {
-		r := rows[i]
-		return []string{r.Graph, strconv.Itoa(r.Step), r.Mode, strconv.Itoa(r.K), strconv.Itoa(r.P),
-			fmtF(r.Seconds), strconv.FormatInt(r.Cut, 10), fmtF(r.Imbalance),
-			fmtF(r.MigratedWeight), fmtF(r.MigratedFrac)}
-	})
-}
-
 // WriteStreamRowsCSV dumps the streaming-session timesteps (see
 // docs/cli.md for the column reference).
 func WriteStreamRowsCSV(w io.Writer, rows []StreamRow) error {

@@ -78,21 +78,13 @@ func TestFitTrendsSkipsDegenerate(t *testing.T) {
 }
 
 // Byte-for-byte goldens (header line + one fully populated row) for the
-// four writers the tests above do not pin.
+// two writers the tests above do not pin.
 func TestCSVWritersGolden(t *testing.T) {
 	cases := []struct {
 		name  string
 		write func(*bytes.Buffer) error
 		want  string
 	}{
-		{"phases", func(b *bytes.Buffer) error {
-			return WritePhaseRowsCSV(b, []PhaseRow{{Graph: "refined", N: 20000, K: 16, P: 4,
-				SFCSeconds: 0.011, SortSeconds: 0.022, KMeansSeconds: 0.25, TotalSeconds: 0.283, IngestShare: 0.1166}})
-		}, "graph,n,k,p,sfc_s,sort_s,kmeans_s,total_s,ingest_share\nrefined,20000,16,4,0.011,0.022,0.25,0.283,0.1166\n"},
-		{"repart", func(b *bytes.Buffer) error {
-			return WriteRepartRowsCSV(b, []RepartRow{{Graph: "climate", Step: 3, Mode: "warm", K: 16, P: 4,
-				Seconds: 0.0125, Cut: 4711, Imbalance: 0.0299, MigratedWeight: 1234.5, MigratedFrac: 0.061}})
-		}, "graph,step,mode,k,p,wall_s,cut,imbalance,migrated_w,migrated_frac\nclimate,3,warm,16,4,0.0125,4711,0.0299,1234.5,0.061\n"},
 		{"stream", func(b *bytes.Buffer) error {
 			return WriteStreamRowsCSV(b, []StreamRow{{Graph: "refined", Step: 2, Mode: "session", K: 8, P: 2,
 				Seconds: 0.5, IngestSeconds: 0.125, KMeansSeconds: 0.375, Cut: 99, Imbalance: 0.03,

@@ -3,9 +3,13 @@ package experiments
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"testing"
+
+	"geographer/internal/baselines"
 )
 
 func TestRegistryCoversAllClasses(t *testing.T) {
@@ -224,35 +228,6 @@ func TestComponentsQuick(t *testing.T) {
 	}
 }
 
-func TestPhasesQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long")
-	}
-	var buf bytes.Buffer
-	rows, err := Phases(&buf, QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("%d phase rows, want 2", len(rows))
-	}
-	for _, r := range rows {
-		if r.TotalSeconds <= 0 {
-			t.Errorf("%s: no time recorded", r.Graph)
-		}
-		if sum := r.SFCSeconds + r.SortSeconds + r.KMeansSeconds; sum != r.TotalSeconds {
-			t.Errorf("%s: phases sum %g != total %g", r.Graph, sum, r.TotalSeconds)
-		}
-		if r.IngestShare < 0 || r.IngestShare > 1 {
-			t.Errorf("%s: ingest share %g", r.Graph, r.IngestShare)
-		}
-	}
-	var csvBuf bytes.Buffer
-	if err := WritePhaseRowsCSV(&csvBuf, rows); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestRunOnePhaseFields checks Geographer rows carry the phase
 // breakdown while baseline rows stay zero.
 func TestRunOnePhaseFields(t *testing.T) {
@@ -271,7 +246,7 @@ func TestRunOnePhaseFields(t *testing.T) {
 	if geo.SFCSeconds+geo.SortSeconds+geo.KMeansSeconds <= 0 {
 		t.Error("Geographer row has no phase times")
 	}
-	rcb, err := RunOne(m, baselinesRCB(), 4, 2, 0, 1)
+	rcb, err := RunOne(m, baselines.RCB(), 4, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,22 +285,39 @@ func TestAblationQuick(t *testing.T) {
 	}
 }
 
+// streamRun is one Stream run: its rows and its printed report.
+type streamRun struct {
+	rows   []StreamRow
+	report string
+}
+
+// quickStream runs Stream at quick scale once; TestRepartQuick and
+// TestStreamQuick both read it, so the suite runs the chains once.
+var quickStream = sync.OnceValues(func() (streamRun, error) {
+	var buf bytes.Buffer
+	rows, err := Stream(&buf, QuickScale())
+	return streamRun{rows, buf.String()}, err
+})
+
+// TestRepartQuick checks the warm-start acceptance on Stream's session
+// and scratch rows, and that they reproduce repartPinned.
 func TestRepartQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	var buf bytes.Buffer
-	rows, err := Repart(&buf, QuickScale())
+	run, err := quickStream()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if want := len(repartWorkloads(QuickScale())) * repartSteps * 2; len(rows) != want {
-		t.Fatalf("%d rows, want %d", len(rows), want)
 	}
 	// Acceptance: per workload, warm-start migration strictly below
 	// from-scratch at comparable imbalance.
 	mig := map[string]map[string]float64{}
-	for _, r := range rows {
+	var dump strings.Builder
+	dump.WriteString("graph,step,mode,k,p,cut,imbalance,migrated_w,migrated_frac\n")
+	for _, r := range run.rows {
+		if r.Mode != "session" && r.Mode != "scratch" {
+			continue
+		}
 		if mig[r.Graph] == nil {
 			mig[r.Graph] = map[string]float64{}
 		}
@@ -336,25 +328,22 @@ func TestRepartQuick(t *testing.T) {
 		if r.Cut <= 0 {
 			t.Errorf("%s step %d %s: cut %d", r.Graph, r.Step, r.Mode, r.Cut)
 		}
+		fmt.Fprintf(&dump, "%s,%d,%s,%d,%d,%d,%s,%s,%s\n", r.Graph, r.Step, r.Mode, r.K, r.P,
+			r.Cut, fmtF(r.Imbalance), fmtF(r.MigratedWeight), fmtF(r.MigratedFrac))
+	}
+	if len(mig) != len(repartWorkloads(QuickScale())) {
+		t.Fatalf("%d workloads, want %d", len(mig), len(repartWorkloads(QuickScale())))
 	}
 	for graph, byMode := range mig {
-		if byMode["warm"] >= byMode["scratch"] {
-			t.Errorf("%s: warm migration %.1f not below scratch %.1f",
-				graph, byMode["warm"], byMode["scratch"])
+		if byMode["session"] >= byMode["scratch"] {
+			t.Errorf("%s: session migration %.1f not below scratch %.1f",
+				graph, byMode["session"], byMode["scratch"])
 		}
 	}
-	if !strings.Contains(buf.String(), "summary") {
-		t.Error("missing summary line")
+	if !strings.Contains(run.report, "migrated weight session") {
+		t.Error("missing summary clause")
 	}
-
-	var csv bytes.Buffer
-	if err := WriteRepartRowsCSV(&csv, rows); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(csv.String(), "\n"); lines != len(rows)+1 {
-		t.Errorf("%d CSV lines for %d rows", lines, len(rows))
-	}
-	checkPinned(t, csv.String(), repartPinned)
+	checkPinned(t, dump.String(), strings.ReplaceAll(repartPinned, ",warm,", ",session,"))
 }
 
 // checkPinned compares a CSV dump, minus its *_s wall-time columns,
@@ -386,13 +375,14 @@ func TestStreamQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long")
 	}
-	var buf bytes.Buffer
-	rows, err := Stream(&buf, QuickScale())
+	run, err := quickStream()
 	if err != nil {
 		t.Fatal(err) // includes the driver's own bit-identicality check
 	}
-	// Per workload: one cold row plus (session, oneshot) per warm step.
-	if want := len(repartWorkloads(QuickScale())) * (1 + streamSteps*2); len(rows) != want {
+	rows := run.rows
+	// Per workload: one cold row plus (session, oneshot, scratch) per
+	// warm step.
+	if want := len(repartWorkloads(QuickScale())) * (1 + streamSteps*3); len(rows) != want {
 		t.Fatalf("%d rows, want %d", len(rows), want)
 	}
 	ingest := map[string]map[string]int{}
@@ -420,7 +410,7 @@ func TestStreamQuick(t *testing.T) {
 			t.Errorf("%s: session warm steps paid ingest %d times, want 0", graph, byMode["session"])
 		}
 	}
-	if !strings.Contains(buf.String(), "partitions bit-identical") {
+	if !strings.Contains(run.report, "partitions bit-identical") {
 		t.Error("missing summary line")
 	}
 
@@ -444,9 +434,12 @@ func TestNearestPow2(t *testing.T) {
 }
 
 // repartPinned and streamPinned are the non-time columns of the quick-scale
-// repart and stream CSVs (every column but the *_s wall times), captured
-// before the experiments shared one session-chain driver. The chains
-// are deterministic, so any drift is a behaviour change, not noise.
+// stream CSV (every column but the *_s wall times) and of the retired
+// repart experiment's CSV, whose warm and scratch rows are stream's
+// session and scratch rows. Both were captured before the experiments
+// shared one session-chain driver, except streamPinned's scratch lines,
+// added with the scratch arm. The chains are deterministic, so any
+// drift is a behaviour change, not noise.
 const repartPinned = `graph,step,mode,k,p,cut,imbalance,migrated_w,migrated_frac
 climate,1,warm,16,4,570,0.029282007690239586,16151.496925329875,0.08036938070635181
 climate,1,scratch,16,4,560,0.025585560426934828,37282.02920680118,0.18551429707593714
@@ -474,23 +467,33 @@ const streamPinned = `graph,step,mode,k,p,cut,imbalance,migrated_w,migrated_frac
 climate,0,cold,16,4,573,0.028665632400819208,0,0,146700,115248,1,false
 climate,1,session,16,4,570,0.029282007690239586,16151.496925329875,0.08036938070635181,83829,107825,1,false
 climate,1,oneshot,16,4,570,0.029282007690239586,16151.496925329875,0.08036938070635181,83829,107825,1,false
+climate,1,scratch,16,4,560,0.025585560426934828,37282.02920680118,0.18551429707593714,256101,199505,1,false
 climate,2,session,16,4,563,0.025284241584081935,6050.047513306426,0.029192548339030757,20793,44761,0.124,true
 climate,2,oneshot,16,4,563,0.025284241584081935,6050.047513306426,0.029192548339030757,56496,43395,1,false
+climate,2,scratch,16,4,577,0.02742231283817209,39065.85255002008,0.18849964177366418,176818,124410,1,false
 climate,3,session,16,4,554,0.026092465438834367,11827.488928297935,0.06936703970787192,48590,103380,0.1328,true
 climate,3,oneshot,16,4,554,0.026092465438834367,11827.488928297935,0.06936703970787192,83219,102181,1,false
+climate,3,scratch,16,4,560,0.028429006117869582,12201.589738292876,0.07156110354500464,212977,159866,1,false
 climate,4,session,16,4,566,0.02501519551296072,5050.8184162135485,0.04260532567617034,22907,53887,0.1228,true
 climate,4,oneshot,16,4,566,0.02501519551296072,5050.8184162135485,0.04260532567617034,58470,52604,1,false
+climate,4,scratch,16,4,553,0.02979020083629913,20928.95283071631,0.17654264674245518,240077,176502,1,false
 climate,5,session,16,4,566,0.025786449349054275,3796.311040887891,0.04185774599548156,23055,56646,0.1164,true
 climate,5,oneshot,16,4,566,0.025786449349054275,3796.311040887891,0.04185774599548156,59207,55179,1,false
+climate,5,scratch,16,4,573,0.024541519890118657,19048.518279190044,0.21002705814488354,185541,140831,1,false
 refined,0,cold,16,4,596,0.025693361349309995,0,0,279238,203354,1,false
 refined,1,session,16,4,591,0.02858690589182178,43.87123800031443,0.013203774614924061,50467,44991,1,false
 refined,1,oneshot,16,4,591,0.02858690589182178,43.87123800031443,0.013203774614924061,50467,44991,1,false
+refined,1,scratch,16,4,596,0.026557932500686166,49.06339990342309,0.01476644160718789,224665,167829,1,false
 refined,2,session,16,4,581,0.026367547624100762,16.588302034682126,0.00479945314610273,10051,42564,0.0972,true
 refined,2,oneshot,16,4,581,0.026367547624100762,16.588302034682126,0.00479945314610273,47855,40612,1,false
+refined,2,scratch,16,4,595,0.019949611546055124,59.5003368415632,0.01721508797291952,374120,272364,1,false
 refined,3,session,16,4,605,0.025964595515161726,60.64693601398887,0.021158981039444313,15375,53923,0.0768,true
 refined,3,oneshot,16,4,605,0.025964595515161726,60.64693601398887,0.021158981039444313,52757,52077,1,false
+refined,3,scratch,16,4,595,0.026708854731549936,24.13086544556061,0.008418966529656619,310923,237655,1,false
 refined,4,session,16,4,594,0.028664462112155453,36.77640046290912,0.018397033888817787,16959,58488,0.1068,true
 refined,4,oneshot,16,4,594,0.028664462112155453,36.77640046290912,0.018397033888817787,53526,56861,1,false
+refined,4,scratch,16,4,600,0.029779862674323976,34.31801593771901,0.01716725112453444,355035,256296,1,false
 refined,5,session,16,4,602,0.026739175904964885,23.557239272794543,0.01559105501273394,13401,46800,0.0968,true
 refined,5,oneshot,16,4,602,0.026739175904964885,23.557239272794543,0.01559105501273394,50400,45049,1,false
+refined,5,scratch,16,4,584,0.026758212965070527,33.22028305677134,0.021986415924164157,294797,214371,1,false
 `

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sync"
 
+	"geographer/internal/baselines"
 	"geographer/internal/core"
 	"geographer/internal/mesh"
 	"geographer/internal/partition"
@@ -195,10 +196,10 @@ func QuickScale() Scale {
 func Tools() []partition.Distributed {
 	return []partition.Distributed{
 		core.New(seededConfig()),
-		baselinesMJ(),
-		baselinesRCB(),
-		baselinesRIB(),
-		baselinesHSFC(),
+		baselines.MultiJagged(),
+		baselines.RCB(),
+		baselines.RIB(),
+		baselines.HSFC{},
 	}
 }
 
@@ -207,8 +208,8 @@ func Tools() []partition.Distributed {
 func TableTools() []partition.Distributed {
 	return []partition.Distributed{
 		core.New(seededConfig()),
-		baselinesHSFC(),
-		baselinesMJ(),
-		baselinesRCB(),
+		baselines.HSFC{},
+		baselines.MultiJagged(),
+		baselines.RCB(),
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"geographer/internal/baselines"
 	"geographer/internal/core"
 	"geographer/internal/mesh"
 	"geographer/internal/metrics"
@@ -16,11 +15,6 @@ import (
 // phaseReporter is implemented by tools that expose per-phase wall times
 // (core.BalancedKMeans); baselines report no phases.
 type phaseReporter interface{ LastInfo() core.Info }
-
-func baselinesMJ() partition.Distributed   { return baselines.MultiJagged() }
-func baselinesRCB() partition.Distributed  { return baselines.RCB() }
-func baselinesRIB() partition.Distributed  { return baselines.RIB() }
-func baselinesHSFC() partition.Distributed { return baselines.HSFC{} }
 
 // Row is one (graph, tool) measurement with the columns of the paper's
 // Tables 1 and 2 plus the modeled parallel time used by the scaling

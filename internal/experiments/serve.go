@@ -124,7 +124,7 @@ func tenantRefs(count, n int) ([]tenantRef, error) {
 	refs := make([]tenantRef, count)
 	for id := range refs {
 		kind := [2]string{"climate", "refined"}[id%2]
-		m, err := genMesh(kind, n, int64(42+id))
+		m, err := mesh.Generate(kind, n, int64(42+id))
 		if err != nil {
 			return nil, err
 		}

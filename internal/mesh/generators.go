@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"geographer/internal/geom"
 )
@@ -21,6 +22,46 @@ import (
 //	fesom 2.5D climate        GenClimate (masked ocean + layer weights)
 //	3D Delaunay (Funke gen.)  GenDelaunay3D (uniform cube, kNN adjacency)
 //	alyaTestCaseA/B           GenTube3D (branching respiratory tubes)
+
+// generators names the generators for Generate, in the order Kinds
+// lists them.
+var generators = []struct {
+	kind string
+	gen  func(n int, seed int64) (*Mesh, error)
+}{
+	{"delaunay2d", GenDelaunayUniform2D},
+	{"refined", GenRefinedTri},
+	{"bubbles", GenBubbles},
+	{"airfoil", GenAirfoil},
+	{"rgg", func(n int, seed int64) (*Mesh, error) { return GenRGG2D(n, seed, 13) }},
+	{"climate", GenClimate},
+	{"delaunay3d", GenDelaunay3D},
+	{"tube3d", GenTube3D},
+}
+
+// Kinds returns the kinds Generate accepts, "|"-separated.
+func Kinds() string {
+	names := make([]string, len(generators))
+	for i, g := range generators {
+		names[i] = g.kind
+	}
+	return strings.Join(names, "|")
+}
+
+// Generate produces the synthetic mesh of a kind (see Kinds) with about n
+// vertices, deterministic in (kind, n, seed). It rejects n < 0 and
+// unknown kinds.
+func Generate(kind string, n int, seed int64) (*Mesh, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("mesh: size n=%d is negative", n)
+	}
+	for _, g := range generators {
+		if g.kind == kind {
+			return g.gen(n, seed)
+		}
+	}
+	return nil, fmt.Errorf("mesh: unknown kind %q (want %s)", kind, Kinds())
+}
 
 // GenDelaunayUniform2D triangulates n uniform random points in the unit
 // square — the DelaunayX series used in the scaling experiments.

@@ -264,40 +264,6 @@ func MigrationVolume(ps *geom.PointSet, prev, next []int32) (weight float64, poi
 	return weight, points, nil
 }
 
-// ReportDelta is the change between two quality reports of consecutive
-// partitions of the same mesh, plus the migration cost of moving from
-// the previous partition to the next. Positive deltas mean the new
-// partition is worse on that measure.
-type ReportDelta struct {
-	EdgeCut    int64   // next − prev
-	MaxCommVol int64   // next − prev
-	TotCommVol int64   // next − prev
-	Imbalance  float64 // next − prev
-
-	MigratedWeight float64 // weight of points whose block changed
-	MigratedPoints int     // number of points whose block changed
-	MigratedFrac   float64 // MigratedWeight / total point weight
-}
-
-// Delta compares two consecutive partitions: the metric deltas of their
-// reports and the migration volume between the assignments.
-func Delta(prev, next Report, ps *geom.PointSet, prevAssign, nextAssign []int32) (ReportDelta, error) {
-	d := ReportDelta{
-		EdgeCut:    next.EdgeCut - prev.EdgeCut,
-		MaxCommVol: next.MaxCommVol - prev.MaxCommVol,
-		TotCommVol: next.TotCommVol - prev.TotCommVol,
-		Imbalance:  next.Imbalance - prev.Imbalance,
-	}
-	var err error
-	if d.MigratedWeight, d.MigratedPoints, err = MigrationVolume(ps, prevAssign, nextAssign); err != nil {
-		return ReportDelta{}, err
-	}
-	if total := ps.TotalWeight(); total > 0 {
-		d.MigratedFrac = d.MigratedWeight / total
-	}
-	return d, nil
-}
-
 // BlockAspectRatios returns, per block, the aspect ratio of the block's
 // bounding box (longest side / shortest side, in the point space). Good
 // block shapes — the paper's motivation for k-means over recursive
