@@ -67,6 +67,22 @@ func TestDegenerateInputsAllMethods(t *testing.T) {
 	}
 }
 
+// TestPartitionRejectsEmptyPointSet: every method answers an empty
+// point set with NewSession's error, the same on every call — not a
+// rank abort naming whichever rank failed first, and not an empty
+// assignment.
+func TestPartitionRejectsEmptyPointSet(t *testing.T) {
+	const want = "geographer: empty point set"
+	for _, m := range allMethods {
+		for call := 0; call < 2; call++ {
+			blocks, err := Partition([]float64{}, 2, nil, Options{K: 4, Method: m})
+			if err == nil || err.Error() != want || blocks != nil {
+				t.Errorf("%s call %d: Partition = (%v, %v), want (nil, %q)", m, call, blocks, err, want)
+			}
+		}
+	}
+}
+
 // TestEvaluateRejectsOutOfRangeBlocks is the regression test for the
 // index-out-of-range panic in metrics.CommVolumes: an invalid block id
 // in part must surface as an error from the facade, never a crash.

@@ -138,8 +138,6 @@ type dpoint struct {
 	Sub int32
 }
 
-const dpointBytes = 8 + 8 + 24 + 4
-
 // engine runs the shared distributed recursion for method m.
 type engine struct {
 	m method
@@ -407,13 +405,6 @@ func (e *engine) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]int64, [
 				send[dst] = append(send[dst], pt)
 			}
 		}
-		var sendBytes int64
-		for dst := range send {
-			if dst != c.Rank() {
-				sendBytes += int64(len(send[dst])) * dpointBytes
-			}
-		}
-		_ = sendBytes
 		recv := mpi.Alltoall(c, send)
 		local = kept
 		for _, chunk := range recv {

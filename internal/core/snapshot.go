@@ -54,19 +54,39 @@ const residentMagic = 0x47454F52
 // in bulk: each one is one extension of the stream (or one take from
 // it) and a conversion loop, never a per-element append.
 
-// SnapEncoder builds a checkpoint byte stream.
-type SnapEncoder struct{ buf []byte }
+// SnapEncoder builds a checkpoint byte stream — or, made by
+// NewSnapCounter, only counts the bytes the same calls would write, so
+// a writer sizes its buffer by running its own encoding code once dry.
+type SnapEncoder struct {
+	buf      []byte
+	n        int // bytes encoded (or counted) so far
+	counting bool
+}
 
 // NewSnapEncoder returns an empty encoder with room for size bytes.
-// Given the stream's exact length (see Resident.SnapshotLen), encoding
-// allocates once and the stream's capacity equals its length.
+// Given the stream's exact length (a counting pass over the same
+// calls), encoding allocates once and the stream's capacity equals its
+// length.
 func NewSnapEncoder(size int) *SnapEncoder { return &SnapEncoder{buf: make([]byte, 0, size)} }
 
-// Bytes returns the encoded stream (owned by the encoder).
+// NewSnapCounter returns an encoder that stores nothing: every call
+// only adds its wire size to Len.
+func NewSnapCounter() *SnapEncoder { return &SnapEncoder{counting: true} }
+
+// Bytes returns the encoded stream (owned by the encoder; nil for a
+// counter).
 func (e *SnapEncoder) Bytes() []byte { return e.buf }
 
-// tail extends the stream by n bytes and returns them for writing.
+// Len returns the number of bytes encoded (or counted) so far.
+func (e *SnapEncoder) Len() int { return e.n }
+
+// tail extends the stream by n bytes and returns them for writing; a
+// counter only counts them and returns nil.
 func (e *SnapEncoder) tail(n int) []byte {
+	e.n += n
+	if e.counting {
+		return nil
+	}
 	e.buf = slices.Grow(e.buf, n)
 	m := len(e.buf)
 	e.buf = e.buf[:m+n]
@@ -74,57 +94,64 @@ func (e *SnapEncoder) tail(n int) []byte {
 }
 
 // U32 appends one uint32.
-func (e *SnapEncoder) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+func (e *SnapEncoder) U32(v uint32) {
+	if b := e.tail(4); b != nil {
+		binary.LittleEndian.PutUint32(b, v)
+	}
+}
 
 // U64 appends one uint64.
-func (e *SnapEncoder) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+func (e *SnapEncoder) U64(v uint64) {
+	if b := e.tail(8); b != nil {
+		binary.LittleEndian.PutUint64(b, v)
+	}
+}
 
 // Bool appends one flag byte.
-func (e *SnapEncoder) Bool(b bool) {
-	if b {
-		e.buf = append(e.buf, 1)
-	} else {
-		e.buf = append(e.buf, 0)
+func (e *SnapEncoder) Bool(v bool) {
+	if b := e.tail(1); b != nil {
+		b[0] = 0
+		if v {
+			b[0] = 1
+		}
 	}
 }
 
 // F64s appends a length-prefixed float64 slice as raw IEEE bits.
 func (e *SnapEncoder) F64s(v []float64) {
 	e.U64(uint64(len(v)))
-	b := e.tail(8 * len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+	if b := e.tail(8 * len(v)); b != nil {
+		for i, x := range v {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+		}
 	}
 }
 
 // Str appends a length-prefixed string.
 func (e *SnapEncoder) Str(s string) {
 	e.U64(uint64(len(s)))
-	e.buf = append(e.buf, s...)
+	copy(e.tail(len(s)), s)
 }
 
 // I64s appends a length-prefixed int64 slice.
 func (e *SnapEncoder) I64s(v []int64) {
 	e.U64(uint64(len(v)))
-	b := e.tail(8 * len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
+	if b := e.tail(8 * len(v)); b != nil {
+		for i, x := range v {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
+		}
 	}
 }
 
 // I32s appends a length-prefixed int32 slice.
 func (e *SnapEncoder) I32s(v []int32) {
 	e.U64(uint64(len(v)))
-	b := e.tail(4 * len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
+	if b := e.tail(4 * len(v)); b != nil {
+		for i, x := range v {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
+		}
 	}
 }
-
-// SnapSliceSize is the wire size of a length-prefixed slice of n
-// elements of elemSize bytes each: 8 for F64s and I64s, 4 for I32s, 1
-// for Str.
-func SnapSliceSize(n, elemSize int) int { return 8 + n*elemSize }
 
 // SnapDecoder reads a checkpoint byte stream.
 type SnapDecoder struct {
@@ -326,34 +353,12 @@ func (r *Resident) carries() bool {
 	return st.carryValid && len(st.A) == st.X.Len() && len(st.boundCenters) == st.carryK*r.dim
 }
 
-// SnapshotLen returns the exact number of bytes Snapshot writes for r,
-// field by field in Snapshot's order, so a checkpoint can size its
-// buffer once before encoding.
+// SnapshotLen returns the exact number of bytes Snapshot writes for r:
+// a counting pass over Snapshot itself.
 func (r *Resident) SnapshotLen() int {
-	st := &r.st
-	size := 3*4 + // magic, version, dim
-		SnapSliceSize(len(r.bmin), 8) + SnapSliceSize(len(r.bmax), 8) +
-		8 // point count
-	for _, col := range st.X.Col {
-		size += SnapSliceSize(len(col), 8)
-	}
-	size += SnapSliceSize(len(st.W), 8) + SnapSliceSize(len(st.IDs), 8) +
-		1 // carry flag
-	if !r.carries() {
-		return size
-	}
-	size += SnapSliceSize(len(st.carryBounds), 1) +
-		4 + // carried k
-		SnapSliceSize(len(st.A), 4) + SnapSliceSize(len(st.ub), 8) + SnapSliceSize(len(st.lb), 8) +
-		2 + // raw-shadow and Elkan-bounds flags
-		SnapSliceSize(len(st.influence), 8) + SnapSliceSize(len(st.boundCenters), 8)
-	if st.rlb != nil {
-		size += SnapSliceSize(len(st.rlb), 8)
-	}
-	if st.lbk != nil {
-		size += SnapSliceSize(len(st.lbk), 8)
-	}
-	return size
+	e := NewSnapCounter()
+	r.Snapshot(e)
+	return e.Len()
 }
 
 // RestoreResident decodes one resident record. The returned Resident is

@@ -70,8 +70,12 @@ func (w *World) Err() error {
 // executing, the world is aborted — every rank unwinds out of its next
 // (or current) collective with an *AbortError wrapping the context's
 // cause — and RunCtx returns that error. A context that is already
-// cancelled aborts before any rank body runs.
+// cancelled aborts before any rank body runs. A nil context means "not
+// cancellable": RunCtx is then exactly Run.
 func (w *World) RunCtx(ctx context.Context, f func(c *Comm)) error {
+	if ctx == nil {
+		return w.Run(f)
+	}
 	if err := ctx.Err(); err != nil {
 		w.Abort(context.Cause(ctx))
 		return w.Err()

@@ -124,8 +124,8 @@ func TestBrokenWorldStaysBroken(t *testing.T) {
 }
 
 // TestRunCtx covers the context-cancellation surface: a cancel mid-run
-// aborts the world with the context's cause, and an already-cancelled
-// context aborts before any rank body runs.
+// aborts the world with the context's cause, an already-cancelled
+// context aborts before any rank body runs, and a nil one is plain Run.
 func TestRunCtx(t *testing.T) {
 	t.Run("cancel mid-run", func(t *testing.T) {
 		w := NewWorld(8)
@@ -171,6 +171,16 @@ func TestRunCtx(t *testing.T) {
 			AllreduceSum(c, []int64{1})
 		}); err != nil {
 			t.Fatalf("RunCtx = %v, want nil", err)
+		}
+	})
+	t.Run("nil context is Run", func(t *testing.T) {
+		w := NewWorld(4)
+		var ran atomic.Int64
+		if err := w.RunCtx(nil, func(c *Comm) {
+			ran.Add(1)
+			AllreduceSum(c, []int64{1})
+		}); err != nil || ran.Load() != 4 {
+			t.Fatalf("RunCtx(nil) = %v after %d rank bodies, want nil after 4", err, ran.Load())
 		}
 	})
 }

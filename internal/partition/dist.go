@@ -78,9 +78,7 @@ func Scatter(c *mpi.Comm, ps *geom.PointSet) *Local {
 }
 
 // Run executes a distributed partitioner on ps over world w and assembles
-// the global partition. The write-back of (id, block) pairs into the
-// result exploits shared memory for output collection only — the
-// algorithm under test communicates exclusively through the mpi runtime.
+// the global partition.
 func Run(w *mpi.World, ps *geom.PointSet, k int, d Distributed) (P, error) {
 	return RunCtx(nil, w, ps, k, d)
 }
@@ -89,25 +87,33 @@ func Run(w *mpi.World, ps *geom.PointSet, k int, d Distributed) (P, error) {
 // the mpi runtime's abort path (mpi.World.RunCtx) and surfaces as a
 // typed mpi.ErrBroken. A nil context runs exactly like Run.
 func RunCtx(ctx context.Context, w *mpi.World, ps *geom.PointSet, k int, d Distributed) (P, error) {
-	exec := w.Run
-	if ctx != nil {
-		exec = func(f func(c *mpi.Comm)) error { return w.RunCtx(ctx, f) }
-	}
-	out := New(ps.Len(), k)
+	return Gather(ctx, w, ps.Len(), k, d.Name(), func(c *mpi.Comm) ([]int64, []int32, error) {
+		return d.Partition(c, Scatter(c, ps), k)
+	})
+}
+
+// Gather runs part on every rank of w — cancellable through ctx, nil =
+// not cancellable — and assembles the global assignment of n points to
+// k blocks from the (ids, blocks) pairs the ranks return; ids must be
+// globally disjoint. The write-back exploits shared memory for output
+// collection only — the algorithm under test communicates exclusively
+// through the mpi runtime. A rank error aborts the world, and a point no
+// rank reported is an error; name prefixes both.
+func Gather(ctx context.Context, w *mpi.World, n, k int, name string, part func(c *mpi.Comm) (ids []int64, blocks []int32, err error)) (P, error) {
+	out := New(n, k)
 	for i := range out.Assign {
 		out.Assign[i] = -1
 	}
-	runErr := exec(func(c *mpi.Comm) {
-		lp := Scatter(c, ps)
-		ids, blocks, err := d.Partition(c, lp, k)
+	runErr := w.RunCtx(ctx, func(c *mpi.Comm) {
+		ids, blocks, err := part(c)
 		if err != nil {
-			panic(fmt.Sprintf("%s: %v", d.Name(), err))
+			panic(fmt.Sprintf("%s: %v", name, err))
 		}
 		if len(ids) != len(blocks) {
-			panic(fmt.Sprintf("%s: %d ids but %d blocks", d.Name(), len(ids), len(blocks)))
+			panic(fmt.Sprintf("%s: %d ids but %d blocks", name, len(ids), len(blocks)))
 		}
 		for i, id := range ids {
-			out.Assign[id] = blocks[i] // ids are globally disjoint
+			out.Assign[id] = blocks[i]
 		}
 	})
 	if runErr != nil {
@@ -115,7 +121,7 @@ func RunCtx(ctx context.Context, w *mpi.World, ps *geom.PointSet, k int, d Distr
 	}
 	for i, b := range out.Assign {
 		if b < 0 {
-			return P{}, fmt.Errorf("%s: point %d left unassigned", d.Name(), i)
+			return P{}, fmt.Errorf("%s: point %d left unassigned", name, i)
 		}
 	}
 	return out, nil

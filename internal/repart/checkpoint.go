@@ -24,10 +24,6 @@ const SessionCheckpointVersion = 1
 // sessionMagic guards the checkpoint header ("GEOS").
 const sessionMagic = 0x47454F53
 
-// sessionHeaderLen is the byte length of the checkpoint header: magic,
-// version, K, P, Dim (u32 each) plus N (u64).
-const sessionHeaderLen = 5*4 + 8
-
 // CheckpointInfo summarizes a checkpoint header without decoding the
 // payload — enough for a caller to build a matching world (P ranks)
 // before calling NewSessionFromCheckpoint.
@@ -41,12 +37,7 @@ type CheckpointInfo struct {
 
 // ReadCheckpointInfo decodes just the header of a session checkpoint.
 func ReadCheckpointInfo(data []byte) (CheckpointInfo, error) {
-	d := core.NewSnapDecoder(data)
-	info, err := readHeader(d)
-	if err != nil {
-		return CheckpointInfo{}, err
-	}
-	return info, nil
+	return readHeader(core.NewSnapDecoder(data))
 }
 
 func readHeader(d *core.SnapDecoder) (CheckpointInfo, error) {
@@ -89,7 +80,18 @@ func (s *Session) checkpointLocked() ([]byte, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	e := core.NewSnapEncoder(s.checkpointLenLocked())
+	n := core.NewSnapCounter()
+	s.encodeLocked(n)
+	e := core.NewSnapEncoder(n.Len())
+	s.encodeLocked(e)
+	return e.Bytes(), nil
+}
+
+// encodeLocked writes the checkpoint — header, point set, partition,
+// pending-delta flags, then every rank's resident record — to e.
+// Checkpoint runs it twice, counting and then writing, so the stream
+// is encoded into one allocation of the size it keeps.
+func (s *Session) encodeLocked(e *core.SnapEncoder) {
 	e.U32(sessionMagic)
 	e.U32(SessionCheckpointVersion)
 	e.U32(uint32(s.k))
@@ -110,25 +112,6 @@ func (s *Session) checkpointLocked() ([]byte, error) {
 	for _, r := range s.res {
 		r.Snapshot(e)
 	}
-	return e.Bytes(), nil
-}
-
-// checkpointLenLocked is the exact length of checkpointLocked's output,
-// part by part in its order, so the checkpoint is encoded into one
-// allocation of the size it keeps.
-func (s *Session) checkpointLenLocked() int {
-	size := sessionHeaderLen + core.SnapSliceSize(len(s.ps.Coords), 8) +
-		1 + 1 + 2 // weight and partition flags, the two dirty flags
-	if s.ps.Weight != nil {
-		size += core.SnapSliceSize(len(s.ps.Weight), 8)
-	}
-	if s.prev != nil {
-		size += core.SnapSliceSize(len(s.prev), 4)
-	}
-	for _, r := range s.res {
-		size += r.SnapshotLen()
-	}
-	return size
 }
 
 // decoded checkpoint payload, shared by NewSessionFromCheckpoint and

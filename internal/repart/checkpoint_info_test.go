@@ -18,6 +18,10 @@ import (
 	"geographer/internal/mpi"
 )
 
+// sessionHeaderLen is the byte length of the checkpoint header: magic,
+// version, K, P, Dim (u32 each) plus N (u64).
+const sessionHeaderLen = 5*4 + 8
+
 // validCheckpoint builds one real checkpoint to mutate.
 func validCheckpoint(t *testing.T) []byte {
 	t.Helper()

@@ -137,8 +137,8 @@ func RecoverCenters(ps *geom.PointSet, prev []int32, k int) ([]float64, error) {
 // independent reductions). The returned stats carry the migration
 // volume against prev.
 //
-// This one-shot driver is a single-step Session: it ingests ps, runs
-// one warm step from prev, and releases the resident state — so a
+// This one-shot driver is a single-step Session: it ingests ps, installs
+// prev, runs one warm step, and releases the resident state — so a
 // chain of Repartition calls and a Session chain over the same inputs
 // produce bit-identical partitions, and the only difference is that
 // the Session pays the ingest once (compare Stats.IngestSeconds).
@@ -148,7 +148,10 @@ func Repartition(w *mpi.World, ps *geom.PointSet, prev []int32, k int, cfg core.
 		return partition.P{}, Stats{}, err
 	}
 	defer s.Close()
-	p, st, err := s.RepartitionFrom(prev)
+	if err := s.SetPartition(prev); err != nil {
+		return partition.P{}, Stats{}, err
+	}
+	p, st, err := s.Repartition()
 	if err != nil {
 		return partition.P{}, Stats{}, err
 	}

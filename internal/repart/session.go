@@ -106,22 +106,13 @@ func NewSessionCtx(ctx context.Context, w *mpi.World, ps *geom.PointSet, k int, 
 		res: make([]*core.Resident, w.Size()),
 	}
 	t0 := time.Now()
-	if err := s.run(ctx, func(c *mpi.Comm) {
+	if err := w.RunCtx(ctx, func(c *mpi.Comm) {
 		s.res[c.Rank()] = core.Ingest(c, partition.Scatter(c, ps))
 	}); err != nil {
 		return nil, err
 	}
 	s.ingestSeconds = time.Since(t0).Seconds()
 	return s, nil
-}
-
-// run executes f on the session's world, cancellable through ctx (nil =
-// not cancellable).
-func (s *Session) run(ctx context.Context, f func(c *mpi.Comm)) error {
-	if ctx != nil {
-		return s.w.RunCtx(ctx, f)
-	}
-	return s.w.Run(f)
 }
 
 // SetWorldFactory installs the constructor RepartitionWithRetry uses to
@@ -133,13 +124,6 @@ func (s *Session) SetWorldFactory(f func(size int) *mpi.World) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.worldFactory = f
-}
-
-// Len returns the number of points in the session's point set.
-func (s *Session) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ps.Len()
 }
 
 // IngestSeconds returns the wall time NewSession spent scattering and
@@ -221,74 +205,46 @@ func (s *Session) setPartitionLocked(prev []int32) error {
 	return nil
 }
 
+// errNoPartition is the error of a warm step with nothing to start from.
+var errNoPartition = fmt.Errorf("repart: no partition to warm-start from; call Partition or SetPartition first")
+
 // Repartition runs one warm repartitioning step from the session's
 // current partition and installs the result as the new current
 // partition. A partition must exist first (Partition or SetPartition).
 func (s *Session) Repartition() (partition.P, Stats, error) {
-	return s.RepartitionCtx(nil)
-}
-
-// RepartitionCtx is Repartition under a context (see PartitionCtx).
-func (s *Session) RepartitionCtx(ctx context.Context) (partition.P, Stats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return partition.P{}, Stats{}, ErrClosed
 	}
 	if s.prev == nil {
-		return partition.P{}, Stats{}, fmt.Errorf("repart: no partition to warm-start from; call Partition or SetPartition first")
+		return partition.P{}, Stats{}, errNoPartition
 	}
-	return s.repartitionFromLocked(ctx, s.prev)
+	return s.repartitionLocked(nil)
 }
 
-// RepartitionFrom runs one warm repartitioning step seeded from an
-// explicit previous assignment (migration is measured against it), and
-// installs the result as the session's current partition. This is the
-// primitive the one-shot Repartition driver and Session.Repartition
-// share.
-func (s *Session) RepartitionFrom(prev []int32) (partition.P, Stats, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return partition.P{}, Stats{}, ErrClosed
-	}
-	return s.repartitionFromLocked(nil, prev)
-}
-
-func (s *Session) repartitionFromLocked(ctx context.Context, prev []int32) (partition.P, Stats, error) {
+// repartitionLocked is the warm step: seeded from the centers of s.prev,
+// measured against it (migration volume), and installed over it. The
+// caller holds s.mu and has checked that s.prev exists; ctx cancels the
+// step (nil = not cancellable).
+func (s *Session) repartitionLocked(ctx context.Context) (partition.P, Stats, error) {
 	if err := s.flushLocked(ctx); err != nil {
 		return partition.P{}, Stats{}, err
 	}
-	centers, err := RecoverCenters(s.ps, prev, s.k)
+	centers, err := RecoverCenters(s.ps, s.prev, s.k)
+	if err != nil {
+		return partition.P{}, Stats{}, err
+	}
+	bkm := core.New(s.cfg)
+	out, err := partition.Gather(ctx, s.w, s.ps.Len(), s.k, bkm.Name(), func(c *mpi.Comm) ([]int64, []int32, error) {
+		return bkm.PartitionResident(c, s.res[c.Rank()], s.k, centers)
+	})
 	if err != nil {
 		return partition.P{}, Stats{}, err
 	}
 
-	bkm := core.New(s.cfg)
-	out := partition.New(s.ps.Len(), s.k)
-	for i := range out.Assign {
-		out.Assign[i] = -1
-	}
-	runErr := s.run(ctx, func(c *mpi.Comm) {
-		ids, blocks, err := bkm.PartitionResident(c, s.res[c.Rank()], s.k, centers)
-		if err != nil {
-			panic(fmt.Sprintf("%s: %v", bkm.Name(), err))
-		}
-		for i, id := range ids {
-			out.Assign[id] = blocks[i] // ids are globally disjoint
-		}
-	})
-	if runErr != nil {
-		return partition.P{}, Stats{}, runErr
-	}
-	for i, b := range out.Assign {
-		if b < 0 {
-			return partition.P{}, Stats{}, fmt.Errorf("repart: point %d left unassigned", i)
-		}
-	}
-
 	st := Stats{TotalWeight: s.ps.TotalWeight(), Info: bkm.LastInfo()}
-	if st.MigratedWeight, st.MigratedPoints, err = metrics.MigrationVolume(s.ps, prev, out.Assign); err != nil {
+	if st.MigratedWeight, st.MigratedPoints, err = metrics.MigrationVolume(s.ps, s.prev, out.Assign); err != nil {
 		return partition.P{}, Stats{}, err
 	}
 	s.lastInfo = st.Info
@@ -355,7 +311,7 @@ func (s *Session) UpdateCoords(coords []float64) error {
 // cancellable).
 func (s *Session) flushLocked(ctx context.Context) error {
 	if s.coordsDirty {
-		err := s.run(ctx, func(c *mpi.Comm) {
+		err := s.w.RunCtx(ctx, func(c *mpi.Comm) {
 			r := s.res[c.Rank()]
 			r.SetCoordsGlobal(s.ps.Coords)
 			if s.weightsDirty {
@@ -440,7 +396,7 @@ func (s *Session) RepartitionIfAboveCtx(ctx context.Context, eps float64) (parti
 
 func (s *Session) repartitionIfAboveLocked(ctx context.Context, eps float64) (partition.P, Stats, bool, error) {
 	if s.prev == nil {
-		return partition.P{}, Stats{}, false, fmt.Errorf("repart: no partition to warm-start from; call Partition or SetPartition first")
+		return partition.P{}, Stats{}, false, errNoPartition
 	}
 	if eps < 0 || math.IsNaN(eps) {
 		return partition.P{}, Stats{}, false, fmt.Errorf("repart: threshold eps=%g", eps)
@@ -452,17 +408,17 @@ func (s *Session) repartitionIfAboveLocked(ctx context.Context, eps float64) (pa
 	if imb <= eps {
 		return partition.P{}, Stats{PreImbalance: imb}, false, nil
 	}
-	p, st, err := s.repartitionFromLocked(ctx, s.prev)
+	p, st, err := s.repartitionLocked(ctx)
 	st.PreImbalance = imb
 	return p, st, err == nil, err
 }
 
 // Close releases the resident state. Closing an already-closed session
 // is a no-op. After Close, every mutating method (Partition,
-// Repartition, RepartitionFrom, RepartitionIfAbove, SetPartition,
-// UpdateWeights, UpdateCoords, Checkpoint, RepartitionWithRetry) and
-// Imbalance return ErrClosed; the read-only accessors (Len,
-// IngestSeconds, LastInfo, Blocks) keep answering from what remains.
+// Repartition, RepartitionIfAbove, SetPartition, UpdateWeights,
+// UpdateCoords, Checkpoint, RepartitionWithRetry) and Imbalance
+// return ErrClosed; the read-only accessors (IngestSeconds, LastInfo,
+// Blocks) keep answering from what remains.
 // Close serializes against in-flight calls: it waits for the running
 // verb to finish rather than releasing state out from under it.
 func (s *Session) Close() error {

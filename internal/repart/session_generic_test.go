@@ -80,7 +80,10 @@ func TestGenericDimSessionSteps(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			part, _, err := sess.RepartitionFrom(cur)
+			if err := sess.SetPartition(cur); err != nil {
+				t.Fatal(err)
+			}
+			part, _, err := sess.Repartition()
 			if err != nil {
 				t.Fatalf("p=%d w=%d step %d: %v", p, workers, step, err)
 			}

@@ -406,12 +406,18 @@ func TestSessionScratchResetExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, firstStats, err := sess.RepartitionFrom(initial.Assign)
+	stepFromInitial := func() (partition.P, Stats, error) {
+		if err := sess.SetPartition(initial.Assign); err != nil {
+			return partition.P{}, Stats{}, err
+		}
+		return sess.Repartition()
+	}
+	first, firstStats, err := stepFromInitial()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for repeat := 0; repeat < 3; repeat++ {
-		next, st, err := sess.RepartitionFrom(initial.Assign)
+		next, st, err := stepFromInitial()
 		if err != nil {
 			t.Fatal(err)
 		}

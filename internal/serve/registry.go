@@ -564,21 +564,6 @@ func (g *Registry) Partition(ctx context.Context, name string) (partition.P, cor
 	return p, info, err
 }
 
-// Repartition runs one warm repartitioning step.
-func (g *Registry) Repartition(ctx context.Context, name string) (partition.P, repart.Stats, error) {
-	var p partition.P
-	var st repart.Stats
-	err := g.withTenant(name, func(t *tenant) (bool, error) {
-		var err error
-		p, st, err = t.sess.RepartitionCtx(ctx)
-		if err == nil {
-			t.steps++
-		}
-		return err == nil, err
-	})
-	return p, st, err
-}
-
 // RepartitionIfAbove runs a warm step only when the current imbalance
 // exceeds eps, reporting whether it acted.
 func (g *Registry) RepartitionIfAbove(ctx context.Context, name string, eps float64) (partition.P, repart.Stats, bool, error) {

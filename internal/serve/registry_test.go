@@ -504,7 +504,7 @@ func TestRegistryErrors(t *testing.T) {
 	if err := g.Create(nil, "bad", ps, TenantOptions{K: k, Workers: -1}); err == nil {
 		t.Fatal("negative workers accepted")
 	}
-	if _, _, err := g.Repartition(nil, "sim"); err == nil {
+	if _, _, _, err := g.RepartitionIfAbove(nil, "sim", 0); err == nil {
 		t.Fatal("warm step without a partition accepted")
 	}
 

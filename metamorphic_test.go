@@ -1,0 +1,182 @@
+package geographer
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// Metamorphic invariance at the facade: transforms of the input that
+// leave the geometry's shape and the relative loads unchanged must leave
+// every assignment unchanged. Scaling by a power of two is exact in
+// floating point, so bit-identity is the contract, not closeness; the
+// thresholds that could break it (the k-means convergence delta) are
+// relative to the bounding box.
+
+// scaled returns v·2^j.
+func scaled(v []float64, j int) []float64 {
+	if v == nil {
+		return nil
+	}
+	out := make([]float64, len(v))
+	for i, x := range v {
+		out[i] = math.Ldexp(x, j)
+	}
+	return out
+}
+
+// waveWeights is a travelling load wave along the first axis, phase
+// shifted by step: a non-uniform weight field, so scaling it is not the
+// same as scaling unit weights.
+func waveWeights(coords []float64, dim, step int) []float64 {
+	n := len(coords) / dim
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i := 0; i < n; i++ {
+		lo, hi = min(lo, coords[i*dim]), max(hi, coords[i*dim])
+	}
+	w := make([]float64, n)
+	for i := range w {
+		x := (coords[i*dim] - lo) / (hi - lo)
+		w[i] = 1 + 0.5*math.Sin(2*math.Pi*x+0.7*float64(step))
+	}
+	return w
+}
+
+// firstDiff returns the first index where a and b differ, or -1.
+func firstDiff(a, b []int32) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	if len(a) != len(b) {
+		return min(len(a), len(b))
+	}
+	return -1
+}
+
+func TestMetamorphicInvariance(t *testing.T) {
+	const n, k, p, chainSteps = 20000, 16, 4, 2
+	exps := []int{-10, -1, 1, 10}
+	for _, kind := range []string{MeshDelaunay2D, MeshDelaunay3D} {
+		m, err := GenerateMesh(kind, n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dim, coords, weights := m.Dim, m.Coords, waveWeights(m.Coords, m.Dim, 0)
+
+		for _, det := range []bool{false, true} {
+			opts := Options{K: k, Processes: p, Deterministic: det}
+			want, err := Partition(coords, dim, weights, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(what string, got []int32, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s det=%v %s: %v", kind, det, what, err)
+				}
+				if i := firstDiff(got, want); i >= 0 {
+					t.Errorf("%s det=%v %s: assignment of point %d moved", kind, det, what, i)
+				}
+			}
+			for _, j := range exps {
+				got, err := Partition(scaled(coords, j), dim, weights, opts)
+				check(fmt.Sprintf("coords×2^%d", j), got, err)
+				got, err = Partition(coords, dim, scaled(weights, j), opts)
+				check(fmt.Sprintf("weights×2^%d", j), got, err)
+			}
+
+			perm := rand.New(rand.NewSource(7)).Perm(n)
+			pc := make([]float64, len(coords))
+			pw := make([]float64, n)
+			for i, src := range perm {
+				copy(pc[i*dim:(i+1)*dim], coords[src*dim:(src+1)*dim])
+				pw[i] = weights[src]
+			}
+			pb, err := Partition(pc, dim, pw, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			back := make([]int32, n)
+			for i, src := range perm {
+				back[src] = pb[i]
+			}
+			check("permuted and mapped back", back, nil)
+		}
+
+		// A session chain — cold Partition, then UpdateWeights +
+		// Repartition steps — under the same scalings.
+		chain := func(cj, wj int) [][]int32 {
+			s, err := NewSession(scaled(coords, cj), dim, scaled(weights, wj), Options{K: k, Processes: p})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			b, err := s.Partition()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := [][]int32{b}
+			for step := 1; step <= chainSteps; step++ {
+				if err := s.UpdateWeights(scaled(waveWeights(coords, dim, step), wj)); err != nil {
+					t.Fatal(err)
+				}
+				res, err := s.Repartition()
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, res.Blocks)
+			}
+			return out
+		}
+		base := chain(0, 0)
+		for _, j := range exps {
+			for _, c := range []struct {
+				what   string
+				cj, wj int
+			}{{"coords", j, 0}, {"weights", 0, j}} {
+				for step, got := range chain(c.cj, c.wj) {
+					if i := firstDiff(got, base[step]); i >= 0 {
+						t.Errorf("%s chain %s×2^%d step %d: assignment of point %d moved", kind, c.what, j, step, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// FuzzPartitionScaleInvariant: on a small random 2D or 3D point set
+// with random weights, scaling the coordinates by 2^ce and the weights
+// by 2^we leaves every assignment unchanged, for every int8 exponent.
+func FuzzPartitionScaleInvariant(f *testing.F) {
+	f.Add(int8(1), int8(0), int64(1))
+	f.Add(int8(0), int8(-3), int64(2))
+	f.Add(int8(-10), int8(10), int64(3))
+	f.Add(int8(127), int8(-128), int64(4))
+	f.Add(int8(-128), int8(127), int64(5))
+	f.Fuzz(func(t *testing.T, ce, we int8, seed int64) {
+		rng := rand.New(rand.NewSource(seed))
+		dim := 2 + rng.Intn(2)
+		n := 50 + rng.Intn(200)
+		coords := randomCoords(n, dim, seed)
+		weights := make([]float64, n)
+		for i := range weights {
+			weights[i] = 0.25 + rng.Float64()
+		}
+		opts := Options{K: 2 + rng.Intn(7), Processes: 1 + rng.Intn(3), Deterministic: rng.Intn(2) == 0}
+		want, err := Partition(coords, dim, weights, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Partition(scaled(coords, int(ce)), dim, scaled(weights, int(we)), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := firstDiff(got, want); i >= 0 {
+			t.Fatalf("n=%d dim=%d %+v: coords×2^%d, weights×2^%d moved point %d (%d → %d)",
+				n, dim, opts, ce, we, i, want[i], got[i])
+		}
+	})
+}

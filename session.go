@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
-	"geographer/internal/geom"
 	"geographer/internal/mpi"
 	"geographer/internal/repart"
 )
@@ -74,15 +74,9 @@ func NewSession(coords []float64, dim int, weights []float64, opts Options) (*Se
 	if strings.ToLower(opts.Method) != MethodGeographer {
 		return nil, fmt.Errorf("geographer: sessions require Method=%q, got %q", MethodGeographer, opts.Method)
 	}
-	ps := &geom.PointSet{Dim: dim, Coords: append([]float64(nil), coords...)}
-	if weights != nil {
-		ps.Weight = append([]float64(nil), weights...)
-	}
-	if err := ps.Validate(); err != nil {
+	ps, err := pointSet(slices.Clone(coords), dim, slices.Clone(weights))
+	if err != nil {
 		return nil, err
-	}
-	if ps.Len() == 0 {
-		return nil, fmt.Errorf("geographer: empty point set")
 	}
 	inner, err := repart.NewSession(mpi.NewWorld(opts.Processes), ps, opts.K, opts.coreConfig())
 	if err != nil {
@@ -133,10 +127,7 @@ func (s *Session) RepartitionIfAbove(eps float64) (RepartResult, bool, error) {
 	if err != nil {
 		return RepartResult{}, false, mapErr(err)
 	}
-	if !acted {
-		return RepartResult{PreImbalance: stats.PreImbalance}, false, nil
-	}
-	return fromStats(p.Assign, stats), true, nil
+	return fromStats(p.Assign, stats), acted, nil
 }
 
 // Imbalance measures the imbalance of the session's current partition
@@ -292,8 +283,5 @@ func (s *Session) RepartitionWithRetry(ctx context.Context, eps float64, policy 
 	if err != nil {
 		return RepartResult{}, false, mapErr(err)
 	}
-	if !acted {
-		return RepartResult{PreImbalance: stats.PreImbalance, Retries: stats.Retries}, false, nil
-	}
-	return fromStats(p.Assign, stats), true, nil
+	return fromStats(p.Assign, stats), acted, nil
 }

@@ -108,6 +108,11 @@ func TestSessionLifecycleErrors(t *testing.T) {
 	if _, err := geographer.NewSession(m.Coords, m.Dim, make([]float64, 3), geographer.Options{K: 4}); err == nil {
 		t.Error("NewSession accepted mismatched weights")
 	}
+	// Empty is not nil: like Partition and UpdateWeights, NewSession
+	// reads a non-nil weight slice as one weight per point.
+	if _, err := geographer.NewSession(m.Coords, m.Dim, []float64{}, geographer.Options{K: 4}); err == nil {
+		t.Error("NewSession read empty weights as unit weights")
+	}
 
 	s, err := geographer.NewSession(m.Coords, m.Dim, nil, geographer.Options{K: 4})
 	if err != nil {
