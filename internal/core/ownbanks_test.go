@@ -148,9 +148,7 @@ func ownBanksChain(t *testing.T, start []int32, dim, k, p, workers int) [][]int3
 			}
 		case restoreStep:
 			for r := range res {
-				enc := NewSnapEncoder(res[r].SnapshotLen())
-				res[r].Snapshot(enc)
-				got, err := RestoreResident(NewSnapDecoder(append([]byte(nil), enc.Bytes()...)))
+				got, err := RestoreResident(NewSnapDecoder(snapshotBytes(res[r])), partition.View(ps, p, r))
 				if err != nil {
 					t.Fatalf("%s: restore rank %d: %v", ctx, r, err)
 				}

@@ -36,28 +36,31 @@ type Resident struct {
 // Ingest builds the resident state from this rank's scattered points:
 // one collective bounding-box reduction plus one copy of the local
 // points into SoA columns. This is the only per-point-set cost of a
-// session; every subsequent warm partition reuses the columns.
+// session; every subsequent warm partition reuses the columns. The
+// resident takes ownership of pts.IDs.
 func Ingest(c *mpi.Comm, pts *partition.Local) *Resident {
 	bmin, bmax := globalBounds(c, pts)
+	return newResident(pts, bmin, bmax)
+}
+
+// newResident builds the resident columns from this rank's points
+// under the given global bounding box: the coordinates transposed into
+// one MakeCols backing, the weights copied, pts.IDs adopted. Ingest and
+// RestoreResident share it, so a restored resident's columns are laid
+// out exactly like a freshly ingested one's.
+func newResident(pts *partition.Local, bmin, bmax []float64) *Resident {
 	r := &Resident{dim: pts.Dim, bmin: bmin, bmax: bmax}
 	st := &r.st
-	st.X = geom.MakeCols(pts.Dim, pts.Len())
-	st.W = make([]float64, pts.Len())
-	st.IDs = make([]int64, pts.Len())
 	n := pts.Len()
+	st.X = geom.MakeCols(pts.Dim, n)
+	st.W = make([]float64, n)
+	st.IDs = pts.IDs
 	for i := 0; i < n; i++ {
 		st.X.SetVec(i, pts.Coord(i))
 		st.W[i] = pts.Weight(i)
-		st.IDs[i] = pts.IDs[i]
 	}
 	return r
 }
-
-// Len returns the number of resident local points.
-func (r *Resident) Len() int { return r.st.X.Len() }
-
-// Dim returns the coordinate dimension.
-func (r *Resident) Dim() int { return r.dim }
 
 // SetWeightsGlobal replaces the resident weight column from a global
 // weight vector indexed by point id (nil means unit weights). Purely

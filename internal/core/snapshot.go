@@ -1,10 +1,13 @@
 package core
 
 // Checkpoint/restore for resident session state: a versioned,
-// self-describing binary codec over the SoA point columns and the
+// self-describing binary codec over the global bounding box and the
 // cross-run carried k-means state, so a long-lived session can be
 // persisted and resumed with its next warm step bit-identical to an
-// uninterrupted chain (DESIGN.md, "Fault-tolerance invariants").
+// uninterrupted chain (DESIGN.md, "Fault-tolerance invariants"). The
+// points themselves are not part of a record: the session stores its
+// point set once, and restore rebuilds each rank's columns from it the
+// way Ingest builds them.
 //
 // Float64 values travel as their IEEE bit patterns (math.Float64bits),
 // never through any textual or rounding conversion, which is what makes
@@ -20,6 +23,7 @@ import (
 	"slices"
 
 	"geographer/internal/geom"
+	"geographer/internal/partition"
 )
 
 // ErrCheckpointCorrupt marks checkpoint bytes that do not decode:
@@ -31,17 +35,11 @@ var ErrCheckpointCorrupt = errors.New("core: corrupt checkpoint")
 // version this build does not speak.
 var ErrCheckpointVersion = errors.New("core: unsupported checkpoint version")
 
-// ResidentSnapshotVersion is the current resident record format. v2
-// generalized the record to arbitrary dimensions: the bounding box and
-// the carried bound centers are dim-strided, and the coordinate columns
-// are written as dim length-prefixed slices instead of a fixed X/Y/Z
-// triple.
-const ResidentSnapshotVersion = 2
-
-// maxSnapshotDim bounds the dimension field of a resident record: far
-// above any real feature space, low enough that a corrupted header
-// cannot drive huge allocations.
-const maxSnapshotDim = 4096
+// ResidentSnapshotVersion is the current resident record format. v3
+// dropped the record's point columns, weights and ids (and with them
+// its dim and point-count fields): the caller passes the rank's points
+// to RestoreResident instead.
+const ResidentSnapshotVersion = 3
 
 // residentMagic guards each resident record ("GEOR").
 const residentMagic = 0x47454F52
@@ -131,16 +129,6 @@ func (e *SnapEncoder) F64s(v []float64) {
 func (e *SnapEncoder) Str(s string) {
 	e.U64(uint64(len(s)))
 	copy(e.tail(len(s)), s)
-}
-
-// I64s appends a length-prefixed int64 slice.
-func (e *SnapEncoder) I64s(v []int64) {
-	e.U64(uint64(len(v)))
-	if b := e.tail(8 * len(v)); b != nil {
-		for i, x := range v {
-			binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
-		}
-	}
 }
 
 // I32s appends a length-prefixed int32 slice.
@@ -240,21 +228,15 @@ func (d *SnapDecoder) F64s() []float64 {
 	if d.err != nil || n == 0 {
 		return nil
 	}
-	out := make([]float64, n)
-	d.f64sInto(out)
-	return out
-}
-
-// f64sInto reads len(dst) float64 values, the body of a slice whose
-// length prefix the caller has already read and checked.
-func (d *SnapDecoder) f64sInto(dst []float64) {
-	b := d.take(8 * len(dst))
+	b := d.take(8 * n)
 	if b == nil {
-		return
+		return nil
 	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
+	return out
 }
 
 // Str reads a length-prefixed string.
@@ -264,23 +246,6 @@ func (d *SnapDecoder) Str() string {
 		return ""
 	}
 	return string(d.take(n))
-}
-
-// I64s reads a length-prefixed int64 slice.
-func (d *SnapDecoder) I64s() []int64 {
-	n := d.sliceLen(8)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	b := d.take(8 * n)
-	if b == nil {
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
 }
 
 // I32s reads a length-prefixed int32 slice.
@@ -303,26 +268,23 @@ func (d *SnapDecoder) I32s() []int32 {
 // ---------------------------------------------------------------------
 // Resident record.
 
-// Snapshot appends this rank's complete resident record to the encoder:
-// the SoA columns (coordinates, weights, global ids), the bounding box,
-// and — when a previous warm run left them — the carried incremental
-// bounds (assignment, ub/lb, the raw shadow, Elkan's per-center bounds,
-// final influences, and the centers the bounds are valid against).
-// Purely local: no communication, no mutation of the resident.
+// Snapshot appends this rank's resident record to the encoder: the
+// global bounding box and — when a previous warm run left them — the
+// carried incremental bounds (assignment, ub/lb, the raw shadow,
+// Elkan's per-center bounds, final influences, and the centers the
+// bounds are valid against). The points are not written: they are a
+// function of the session's point set and the rank layout
+// (partition.View), which RestoreResident is given. Purely local: no
+// communication, no mutation of the resident.
 func (r *Resident) Snapshot(e *SnapEncoder) {
 	st := &r.st
-	n := st.X.Len()
 	e.U32(residentMagic)
 	e.U32(ResidentSnapshotVersion)
-	e.U32(uint32(r.dim))
+	// The box travels rather than being refolded from the points: the
+	// collective min reduction does not order -0 against +0 the way a
+	// single local foldBounds pass does.
 	e.F64s(r.bmin)
 	e.F64s(r.bmax)
-	e.U64(uint64(n))
-	for d := 0; d < r.dim; d++ {
-		e.F64s(st.X.Col[d])
-	}
-	e.F64s(st.W)
-	e.I64s(st.IDs)
 
 	carry := r.carries()
 	e.Bool(carry)
@@ -353,86 +315,53 @@ func (r *Resident) carries() bool {
 	return st.carryValid && len(st.A) == st.X.Len() && len(st.boundCenters) == st.carryK*r.dim
 }
 
-// SnapshotLen returns the exact number of bytes Snapshot writes for r:
-// a counting pass over Snapshot itself.
-func (r *Resident) SnapshotLen() int {
+// SameBox reports whether r and o hold bit-identical bounding boxes, as
+// the residents of one session do: the box is the global reduction
+// every rank receives, and ranks that disagree on it disagree on the
+// convergence threshold and so on the collectives they issue.
+func (r *Resident) SameBox(o *Resident) bool {
+	return slices.EqualFunc(r.bmin, o.bmin, sameBits) && slices.EqualFunc(r.bmax, o.bmax, sameBits)
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// MinSnapshotLen returns the size of the smallest record Snapshot
+// writes at dimension dim — the frame and the box, no carried block —
+// by a counting pass over such a record. A header decoder bounds a
+// record count by it.
+func MinSnapshotLen(dim int) int {
 	e := NewSnapCounter()
-	r.Snapshot(e)
+	(&Resident{dim: dim, bmin: make([]float64, dim), bmax: make([]float64, dim)}).Snapshot(e)
 	return e.Len()
 }
 
-// RestoreResident decodes one resident record. The returned Resident is
-// ready for PartitionResident on a world of any size whose rank layout
-// matches the one that produced the record (the session layer pairs
-// records with ranks). All slices are freshly allocated, each once and
-// at its final size — the decoder's input may be discarded or reused
-// afterwards.
-func RestoreResident(d *SnapDecoder) (*Resident, error) {
+// RestoreResident decodes one resident record onto this rank's points,
+// pts (partition.View of the session's point set: the same rank layout
+// that produced the record). The columns are built from pts by the
+// code Ingest uses; the record supplies the bounding box and the
+// carried block, which must fit pts. The returned Resident is ready for
+// PartitionResident. It adopts pts.IDs; every other slice is allocated
+// once, at its final size, so the decoder's input may be discarded or
+// reused afterwards.
+func RestoreResident(d *SnapDecoder, pts *partition.Local) (*Resident, error) {
 	if m := d.U32(); d.Err() == nil && m != residentMagic {
 		return nil, fmt.Errorf("%w: bad resident magic %#x", ErrCheckpointCorrupt, m)
 	}
 	if v := d.U32(); d.Err() == nil && v != ResidentSnapshotVersion {
 		return nil, fmt.Errorf("%w: resident record v%d, want v%d", ErrCheckpointVersion, v, ResidentSnapshotVersion)
 	}
-	dim := int(d.U32())
-	if d.Err() == nil && (dim < 1 || dim > maxSnapshotDim) {
-		return nil, fmt.Errorf("%w: dim %d", ErrCheckpointCorrupt, dim)
-	}
 	boxMin := d.F64s()
 	boxMax := d.F64s()
-	n64 := d.U64()
-	if d.Err() != nil {
-		return nil, d.Err()
-	}
-	if len(boxMin) != dim || len(boxMax) != dim {
-		return nil, fmt.Errorf("%w: box of %d/%d coordinates for dim %d", ErrCheckpointCorrupt, len(boxMin), len(boxMax), dim)
-	}
-	if n64 > uint64(d.Len()/8) {
-		return nil, fmt.Errorf("%w: point count %d exceeds record size", ErrCheckpointCorrupt, n64)
-	}
-	n := int(n64)
-
-	r := &Resident{dim: dim, bmin: boxMin, bmax: boxMax}
-	st := &r.st
-
-	// Decode the columns straight into a MakeCols backing, so the
-	// single-backing-array layout (and its cache behavior) matches a
-	// fresh ingest and no column passes through a temporary.
-	st.X = geom.MakeCols(dim, n)
-	for di, col := range st.X.Col {
-		if m := d.sliceLen(8); d.Err() == nil && m != n {
-			return nil, fmt.Errorf("%w: column %d holds %d values for %d points", ErrCheckpointCorrupt, di, m, n)
-		}
-		d.f64sInto(col)
-	}
-	st.W = d.F64s()
-	st.IDs = d.I64s()
 	carry := d.Bool()
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	if len(st.W) != n || len(st.IDs) != n {
-		return nil, fmt.Errorf("%w: weight/id lengths %d/%d for %d points",
-			ErrCheckpointCorrupt, len(st.W), len(st.IDs), n)
+	dim, n := pts.Dim, pts.Len()
+	if len(boxMin) != dim || len(boxMax) != dim {
+		return nil, fmt.Errorf("%w: box of %d/%d coordinates for dim %d", ErrCheckpointCorrupt, len(boxMin), len(boxMax), dim)
 	}
-	// A sound frame says nothing about its writer: hold the record's own
-	// copies of the coordinates and weights to the rules PointSet.Validate
-	// enforces on the session's point set.
-	for di, col := range st.X.Col {
-		for i, x := range col {
-			if !(math.Abs(x) <= math.MaxFloat64) {
-				return nil, fmt.Errorf("%w: %w: resident coordinate %g at point %d, axis %d",
-					ErrCheckpointCorrupt, geom.ErrNonFinite, x, i, di)
-			}
-		}
-	}
-	for i, x := range st.W {
-		if !(x >= 0 && x <= math.MaxFloat64) {
-			return nil, fmt.Errorf("%w: %w: resident weight %g at point %d",
-				ErrCheckpointCorrupt, geom.ErrNonFinite, x, i)
-		}
-	}
-
+	r := newResident(pts, boxMin, boxMax)
+	st := &r.st
 	if !carry {
 		return r, nil
 	}

@@ -26,10 +26,12 @@ func snapPoints(n, dim int) *geom.PointSet {
 
 // buildWarmResidents builds p residents with live carried bounds: cold
 // partition, ingest, then `steps` warm incremental steps with a weight
-// perturbation per step so the carry machinery has real work.
-func buildWarmResidents(t testing.TB, n, dim, k, p, steps int, cfg Config) ([]*Resident, []int32, *BalancedKMeans) {
+// perturbation per step so the carry machinery has real work. It
+// returns the point set too, holding the weights of the last step: the
+// points a restore of the residents rebuilds its columns from.
+func buildWarmResidents(t testing.TB, n, dim, k, p, steps int, cfg Config) ([]*Resident, []int32, *geom.PointSet) {
 	t.Helper()
-	ps := snapPoints(n, dim)
+	ps := snapPoints(n, dim).Clone()
 	bkm0 := New(cfg)
 	w0 := mpi.NewWorld(p)
 	prev, err := partition.Run(w0, ps, k, bkm0)
@@ -44,9 +46,9 @@ func buildWarmResidents(t testing.TB, n, dim, k, p, steps int, cfg Config) ([]*R
 		t.Fatal(err)
 	}
 	assign := append([]int32(nil), prev.Assign...)
-	var bkm *BalancedKMeans
+	var wt []float64
 	for s := 0; s < steps; s++ {
-		wt := make([]float64, n)
+		wt = make([]float64, n)
 		for i := range wt {
 			wt[i] = 1 + 0.3*math.Sin(float64(i)*0.37+float64(s))
 		}
@@ -54,7 +56,7 @@ func buildWarmResidents(t testing.TB, n, dim, k, p, steps int, cfg Config) ([]*R
 			r.SetWeightsGlobal(wt)
 		}
 		centers := warmCentersFrom(ps, assign, k)
-		bkm = New(cfg)
+		bkm := New(cfg)
 		out := make([]int32, n)
 		if err := w.Run(func(c *mpi.Comm) {
 			ids, blocks, err := bkm.PartitionResident(c, res[c.Rank()], k, centers)
@@ -69,7 +71,18 @@ func buildWarmResidents(t testing.TB, n, dim, k, p, steps int, cfg Config) ([]*R
 		}
 		assign = out
 	}
-	return res, assign, bkm
+	ps.Weight = wt
+	return res, assign, ps
+}
+
+// snapshotBytes encodes r's record into a buffer sized by a counting
+// pass over the same Snapshot call, as a session checkpoint does.
+func snapshotBytes(r *Resident) []byte {
+	c := NewSnapCounter()
+	r.Snapshot(c)
+	e := NewSnapEncoder(c.Len())
+	r.Snapshot(e)
+	return e.Bytes()
 }
 
 // warmStepOn runs one more warm step on the given residents and returns
@@ -119,25 +132,20 @@ func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Seed = 1
 				cfg.Bounds = bounds
-				res, assign, _ := buildWarmResidents(t, n, dim, k, p, 2, cfg)
+				res, assign, ps := buildWarmResidents(t, n, dim, k, p, 2, cfg)
 
 				// Encode every rank, restore into fresh residents.
 				restored := make([]*Resident, p)
 				for r := range res {
-					enc := NewSnapEncoder(res[r].SnapshotLen())
-					res[r].Snapshot(enc)
-					if b := enc.Bytes(); len(b) != res[r].SnapshotLen() || cap(b) != len(b) {
-						t.Fatalf("rank %d: encoded %d bytes (cap %d), SnapshotLen %d",
-							r, len(b), cap(b), res[r].SnapshotLen())
+					blob := snapshotBytes(res[r])
+					if cap(blob) != len(blob) {
+						t.Fatalf("rank %d: encoded %d bytes into capacity %d", r, len(blob), cap(blob))
 					}
-					blob := append([]byte(nil), enc.Bytes()...)
-					got, err := RestoreResident(NewSnapDecoder(blob))
+					got, err := RestoreResident(NewSnapDecoder(blob), partition.View(ps, p, r))
 					if err != nil {
 						t.Fatalf("rank %d: restore: %v", r, err)
 					}
-					re := NewSnapEncoder(got.SnapshotLen())
-					got.Snapshot(re)
-					if !bytes.Equal(blob, re.Bytes()) {
+					if !bytes.Equal(blob, snapshotBytes(got)) {
 						t.Fatalf("rank %d: re-encode differs from original encode", r)
 					}
 					restored[r] = got
@@ -170,17 +178,12 @@ func TestSnapshotWithoutCarryRestores(t *testing.T) {
 	}
 	restored := make([]*Resident, p)
 	for r := range res {
-		enc := NewSnapEncoder(res[r].SnapshotLen())
-		res[r].Snapshot(enc)
-		if len(enc.Bytes()) != res[r].SnapshotLen() {
-			t.Fatalf("rank %d: encoded %d bytes, SnapshotLen %d", r, len(enc.Bytes()), res[r].SnapshotLen())
-		}
-		got, err := RestoreResident(NewSnapDecoder(enc.Bytes()))
+		got, err := RestoreResident(NewSnapDecoder(snapshotBytes(res[r])), partition.View(ps, p, r))
 		if err != nil {
 			t.Fatalf("rank %d: %v", r, err)
 		}
-		if got.Len() != res[r].Len() || got.Dim() != res[r].Dim() {
-			t.Fatalf("rank %d: restored %d points dim %d", r, got.Len(), got.Dim())
+		if got.st.X.Len() != res[r].st.X.Len() || got.dim != res[r].dim {
+			t.Fatalf("rank %d: restored %d points dim %d", r, got.st.X.Len(), got.dim)
 		}
 		restored[r] = got
 	}
@@ -207,14 +210,16 @@ func TestSnapshotWithoutCarryRestores(t *testing.T) {
 func TestSnapshotDecodeErrors(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 1
-	res, _, _ := buildWarmResidents(t, 600, 2, 4, 2, 2, cfg)
-	enc := NewSnapEncoder(res[0].SnapshotLen())
-	res[0].Snapshot(enc)
-	valid := enc.Bytes()
+	res, _, ps := buildWarmResidents(t, 600, 2, 4, 2, 2, cfg)
+	valid := snapshotBytes(res[0])
+	restore := func(data []byte) error {
+		_, err := RestoreResident(NewSnapDecoder(data), partition.View(ps, 2, 0))
+		return err
+	}
 
 	t.Run("truncations", func(t *testing.T) {
 		for cut := 0; cut < len(valid); cut += 7 {
-			if _, err := RestoreResident(NewSnapDecoder(valid[:cut])); err == nil {
+			if err := restore(valid[:cut]); err == nil {
 				t.Fatalf("truncation at %d decoded successfully", cut)
 			} else if !errors.Is(err, ErrCheckpointCorrupt) && !errors.Is(err, ErrCheckpointVersion) {
 				t.Fatalf("truncation at %d: untyped error %v", cut, err)
@@ -224,7 +229,7 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 	t.Run("wrong version", func(t *testing.T) {
 		bad := append([]byte(nil), valid...)
 		bad[4] = 0xEE // version field, little-endian low byte
-		_, err := RestoreResident(NewSnapDecoder(bad))
+		err := restore(bad)
 		if !errors.Is(err, ErrCheckpointVersion) {
 			t.Fatalf("want ErrCheckpointVersion, got %v", err)
 		}
@@ -232,7 +237,7 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 	t.Run("bad magic", func(t *testing.T) {
 		bad := append([]byte(nil), valid...)
 		bad[0] ^= 0xFF
-		_, err := RestoreResident(NewSnapDecoder(bad))
+		err := restore(bad)
 		if !errors.Is(err, ErrCheckpointCorrupt) {
 			t.Fatalf("want ErrCheckpointCorrupt, got %v", err)
 		}
@@ -241,10 +246,10 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 		// A corrupted slice length must be rejected by the remaining-bytes
 		// guard, not drive a giant allocation.
 		bad := append([]byte(nil), valid...)
-		for i := 12; i < 20; i++ {
+		for i := 8; i < 16; i++ { // the box's length prefix
 			bad[i] = 0xFF
 		}
-		_, err := RestoreResident(NewSnapDecoder(bad))
+		err := restore(bad)
 		if !errors.Is(err, ErrCheckpointCorrupt) {
 			t.Fatalf("want ErrCheckpointCorrupt, got %v", err)
 		}
@@ -259,7 +264,7 @@ func TestSnapshotDecodeErrors(t *testing.T) {
 func TestRestoreRejectsUnsoundCarry(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 1
-	res, _, _ := buildWarmResidents(t, 600, 2, 4, 1, 2, cfg)
+	res, _, ps := buildWarmResidents(t, 600, 2, 4, 1, 2, cfg)
 	st := &res[0].st
 	if !res[0].carries() {
 		t.Fatal("fixture resident carries no bounds")
@@ -282,10 +287,9 @@ func TestRestoreRejectsUnsoundCarry(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			saved := *tc.at
 			*tc.at = tc.val
-			enc := NewSnapEncoder(res[0].SnapshotLen())
-			res[0].Snapshot(enc)
+			blob := snapshotBytes(res[0])
 			*tc.at = saved
-			_, err := RestoreResident(NewSnapDecoder(enc.Bytes()))
+			_, err := RestoreResident(NewSnapDecoder(blob), partition.View(ps, 1, 0))
 			if !errors.Is(err, ErrCheckpointCorrupt) || !errors.Is(err, geom.ErrNonFinite) {
 				t.Fatalf("restore = %v, want ErrCheckpointCorrupt and ErrNonFinite", err)
 			}
@@ -294,16 +298,17 @@ func TestRestoreRejectsUnsoundCarry(t *testing.T) {
 }
 
 // TestRestoreResidentAllocFence: a restore allocates each slice once at
-// its final size — the columns go straight into the MakeCols backing,
-// not through a temporary per axis — so it allocates about the bytes of
-// the record it decodes.
+// its final size — the rank's view of the point set builds the ids the
+// resident adopts, the columns go straight into the MakeCols backing,
+// and no column passes through a temporary — so it allocates about the
+// bytes of the record it decodes plus the columns it rebuilds: n·dim
+// coordinates, n weights and n ids, which the v2 record carried itself.
 func TestRestoreResidentAllocFence(t *testing.T) {
+	const n, dim = 20_000, 3
 	cfg := DefaultConfig()
 	cfg.Seed = 1
-	res, _, _ := buildWarmResidents(t, 20_000, 3, 8, 1, 2, cfg)
-	enc := NewSnapEncoder(res[0].SnapshotLen())
-	res[0].Snapshot(enc)
-	blob := enc.Bytes()
+	res, _, ps := buildWarmResidents(t, n, dim, 8, 1, 2, cfg)
+	blob := snapshotBytes(res[0])
 	// TotalAlloc is process-wide: the fewest bytes over three restores
 	// drops what other goroutines allocated meanwhile.
 	got := math.Inf(1)
@@ -311,7 +316,7 @@ func TestRestoreResidentAllocFence(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		r, err := RestoreResident(NewSnapDecoder(blob))
+		r, err := RestoreResident(NewSnapDecoder(blob), partition.View(ps, 1, 0))
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -319,47 +324,48 @@ func TestRestoreResidentAllocFence(t *testing.T) {
 		runtime.KeepAlive(r)
 		got = min(got, float64(after.TotalAlloc-before.TotalAlloc))
 	}
-	limit := 1.1 * float64(len(blob))
-	t.Logf("restore of a %d-byte record allocated %.0f bytes (fence %.0f)", len(blob), got, limit)
+	limit := 1.1 * float64(len(blob)+n*(dim+2)*8)
+	t.Logf("restore of a %d-byte record over %d points allocated %.0f bytes (fence %.0f)", len(blob), n, got, limit)
 	if got > limit {
-		t.Errorf("restore allocated %.0f bytes for a %d-byte record, fence %.0f", got, len(blob), limit)
+		t.Errorf("restore allocated %.0f bytes for a %d-byte record over %d points, fence %.0f", got, len(blob), n, limit)
 	}
 }
+
+// snapSlice locates one length-prefixed numeric slice of a record: the
+// offset of its u64 length prefix and the wire size of one element.
+type snapSlice struct{ at, elemSize int }
 
 // residentFieldOffsets replays a valid resident record field by field
 // through the public decoder and returns the byte offset after each
 // field — the exact truncation points that leave a stream cut between
-// two fields rather than mid-varint-nowhere. Mirrors the read sequence
-// of RestoreResident.
-func residentFieldOffsets(tb testing.TB, blob []byte) []int {
+// two fields rather than mid-varint-nowhere — and, in record order,
+// every numeric slice: box min and max, then (with a carry) the
+// assignment, ub, lb, the raw shadow or Elkan bounds when present, the
+// influences and the centers. Mirrors the read sequence of
+// RestoreResident.
+func residentFieldOffsets(tb testing.TB, blob []byte) ([]int, []snapSlice) {
 	tb.Helper()
 	d := NewSnapDecoder(blob)
 	var offs []int
+	var slices []snapSlice
+	at := func() int { return len(blob) - d.Len() }
 	mark := func() {
 		if d.Err() != nil {
-			tb.Fatalf("replay of a valid record errored at offset %d: %v", len(blob)-d.Len(), d.Err())
+			tb.Fatalf("replay of a valid record errored at offset %d: %v", at(), d.Err())
 		}
-		offs = append(offs, len(blob)-d.Len())
+		offs = append(offs, at())
+	}
+	f64s := func() {
+		slices = append(slices, snapSlice{at(), 8})
+		d.F64s()
 	}
 	d.U32() // magic
 	mark()
 	d.U32() // version
 	mark()
-	dim := int(d.U32())
+	f64s() // box min
 	mark()
-	d.F64s() // box min
-	mark()
-	d.F64s() // box max
-	mark()
-	n := int(d.U64())
-	mark()
-	for di := 0; di < dim; di++ {
-		d.F64s() // coordinate column
-		mark()
-	}
-	d.F64s() // weights
-	mark()
-	d.I64s() // ids
+	f64s() // box max
 	mark()
 	carry := d.Bool()
 	mark()
@@ -368,83 +374,116 @@ func residentFieldOffsets(tb testing.TB, blob []byte) []int {
 		mark()
 		d.U32() // carried k
 		mark()
+		slices = append(slices, snapSlice{at(), 4})
 		d.I32s() // assignment
 		mark()
-		d.F64s() // upper bounds
+		f64s() // upper bounds
 		mark()
-		d.F64s() // lower bounds
+		f64s() // lower bounds
 		mark()
 		if d.Bool() { // raw shadow present
-			d.F64s()
+			f64s()
 		}
 		mark()
 		if d.Bool() { // per-center Elkan bounds present
-			d.F64s()
+			f64s()
 		}
 		mark()
-		d.F64s() // influence
+		f64s() // influence
 		mark()
-		d.F64s() // centers
+		f64s() // centers
 		mark()
 	}
-	_ = n
-	return offs
+	return offs, slices
+}
+
+// extremeSeeds returns copies of blob with the first element of each
+// non-empty slice set to each value a hostile writer could plant: 2^40,
+// NaN, ±Inf, 0 and −1 in a float slice, the int32 extremes, 2^20, 0
+// and −1 in the assignment.
+func extremeSeeds(blob []byte, slices []snapSlice) [][]byte {
+	var out [][]byte
+	for _, sl := range slices {
+		if binary.LittleEndian.Uint64(blob[sl.at:]) == 0 {
+			continue
+		}
+		first := sl.at + 8
+		if sl.elemSize == 4 {
+			for _, v := range []int32{math.MaxInt32, math.MinInt32, 1 << 20, 0, -1} {
+				b := append([]byte(nil), blob...)
+				binary.LittleEndian.PutUint32(b[first:], uint32(v))
+				out = append(out, b)
+			}
+			continue
+		}
+		for _, v := range []float64{1 << 40, math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+			b := append([]byte(nil), blob...)
+			binary.LittleEndian.PutUint64(b[first:], math.Float64bits(v))
+			out = append(out, b)
+		}
+	}
+	return out
 }
 
 // FuzzSnapshotRoundTrip: arbitrary bytes never panic the decoder, and
 // anything that decodes successfully re-encodes to a stream that decodes
 // to the same bytes again (decode∘encode is the identity on the image of
-// encode). The seed corpus covers every field boundary: a valid record
-// truncated after each field, and a valid record with trailing garbage —
-// the torn-write and overwrite shapes the disk spill store must turn
-// into typed errors.
+// encode). Every input restores onto one rank's points of a 2-D or an
+// 8-D point set (wide), the shapes of the seed records. The seed corpus
+// covers every field boundary: a valid record truncated after each
+// field, and a valid record with trailing garbage — the torn-write and
+// overwrite shapes the disk spill store must turn into typed errors —
+// plus slices overrunning the record and extreme first elements.
 func FuzzSnapshotRoundTrip(f *testing.F) {
+	const n, p = 200, 2
 	cfg := DefaultConfig()
 	cfg.Seed = 1
-	for _, dim := range []int{2, 8} {
-		res, _, _ := buildWarmResidents(f, 200, dim, 4, 2, 2, cfg)
+	points := map[bool]*geom.PointSet{}
+	for _, wide := range []bool{false, true} {
+		dim := 2
+		if wide {
+			dim = 8
+		}
+		res, _, ps := buildWarmResidents(f, n, dim, 4, p, 2, cfg)
+		points[wide] = ps
 		for _, r := range res {
-			enc := NewSnapEncoder(r.SnapshotLen())
-			r.Snapshot(enc)
-			blob := append([]byte(nil), enc.Bytes()...)
-			f.Add(blob)
-			for _, off := range residentFieldOffsets(f, blob) {
-				f.Add(append([]byte(nil), blob[:off]...))
+			blob := snapshotBytes(r)
+			f.Add(blob, wide)
+			offs, slices := residentFieldOffsets(f, blob)
+			for _, off := range offs {
+				f.Add(append([]byte(nil), blob[:off]...), wide)
 			}
-			f.Add(append(append([]byte(nil), blob...), 0xDE, 0xAD, 0xBE, 0xEF))
+			f.Add(append(append([]byte(nil), blob...), 0xDE, 0xAD, 0xBE, 0xEF), wide)
 			// Slices whose byte run overruns the bytes left by 1, 7 and 8:
-			// the first coordinate column, the ids and the assignment.
-			offs := residentFieldOffsets(f, blob)
-			for _, sl := range []struct{ at, elemSize int }{
-				{offs[5], 8}, {offs[6+dim], 8}, {offs[10+dim], 4},
-			} {
-				n := int(binary.LittleEndian.Uint64(blob[sl.at:]))
+			// the box minimum, the assignment and the upper bounds.
+			for _, sl := range []snapSlice{slices[0], slices[2], slices[3]} {
+				m := int(binary.LittleEndian.Uint64(blob[sl.at:]))
 				for _, over := range []int{1, 7, 8} {
-					f.Add(append([]byte(nil), blob[:sl.at+8+n*sl.elemSize-over]...))
+					f.Add(append([]byte(nil), blob[:sl.at+8+m*sl.elemSize-over]...), wide)
 				}
+			}
+			for _, b := range extremeSeeds(blob, slices) {
+				f.Add(b, wide)
 			}
 		}
 	}
-	f.Add([]byte{})
-	f.Add([]byte{0x52, 0x4F, 0x45, 0x47})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := RestoreResident(NewSnapDecoder(data))
+	f.Add([]byte{}, false)
+	f.Add([]byte{0x52, 0x4F, 0x45, 0x47}, false)
+	f.Fuzz(func(t *testing.T, data []byte, wide bool) {
+		ps := points[wide]
+		r, err := RestoreResident(NewSnapDecoder(data), partition.View(ps, p, 0))
 		if err != nil {
 			if !errors.Is(err, ErrCheckpointCorrupt) && !errors.Is(err, ErrCheckpointVersion) {
 				t.Fatalf("untyped decode error: %v", err)
 			}
 			return
 		}
-		enc := NewSnapEncoder(r.SnapshotLen())
-		r.Snapshot(enc)
-		first := append([]byte(nil), enc.Bytes()...)
-		r2, err := RestoreResident(NewSnapDecoder(first))
+		first := snapshotBytes(r)
+		r2, err := RestoreResident(NewSnapDecoder(first), partition.View(ps, p, 0))
 		if err != nil {
 			t.Fatalf("re-decode of a valid encode failed: %v", err)
 		}
-		enc2 := NewSnapEncoder(r2.SnapshotLen())
-		r2.Snapshot(enc2)
-		if !bytes.Equal(first, enc2.Bytes()) {
+		if !bytes.Equal(first, snapshotBytes(r2)) {
 			t.Fatal("encode∘decode not stable")
 		}
 	})

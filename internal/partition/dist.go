@@ -55,25 +55,34 @@ type Distributed interface {
 	Partition(c *mpi.Comm, pts *Local, k int) (ids []int64, blocks []int32, err error)
 }
 
-// Scatter splits ps into contiguous chunks, one per rank, and returns this
-// rank's chunk. Global ids are the point indices in ps.
-func Scatter(c *mpi.Comm, ps *geom.PointSet) *Local {
+// View returns rank r's share of ps on a world of p ranks: the
+// contiguous chunk of point indices [r·n/p, (r+1)·n/p), the one rank
+// layout every scattered or restored rank holds. Coords and W alias ps
+// (read-only: the caller must not write through them); IDs is fresh.
+func View(ps *geom.PointSet, p, r int) *Local {
 	n := ps.Len()
-	p := c.Size()
-	r := c.Rank()
 	lo := r * n / p
 	hi := (r + 1) * n / p
 	lp := &Local{
 		Dim:    ps.Dim,
-		IDs:    make([]int64, 0, hi-lo),
-		Coords: append([]float64(nil), ps.Coords[lo*ps.Dim:hi*ps.Dim]...),
+		IDs:    make([]int64, hi-lo),
+		Coords: ps.Coords[lo*ps.Dim : hi*ps.Dim],
 	}
 	if ps.Weight != nil {
-		lp.W = append([]float64(nil), ps.Weight[lo:hi]...)
+		lp.W = ps.Weight[lo:hi]
 	}
-	for i := lo; i < hi; i++ {
-		lp.IDs = append(lp.IDs, int64(i))
+	for i := range lp.IDs {
+		lp.IDs[i] = int64(lo + i)
 	}
+	return lp
+}
+
+// Scatter returns this rank's chunk of ps (View's layout) as a copy the
+// rank owns. Global ids are the point indices in ps.
+func Scatter(c *mpi.Comm, ps *geom.PointSet) *Local {
+	lp := View(ps, c.Size(), c.Rank())
+	lp.Coords = append([]float64(nil), lp.Coords...)
+	lp.W = append([]float64(nil), lp.W...)
 	return lp
 }
 

@@ -3,12 +3,14 @@ package repart
 // Session checkpoint/restore: a serialized session captures the global
 // point set (current coordinates and weights, including any deltas not
 // yet flushed to the residents), the installed partition, and every
-// rank's resident record — the carried incremental bounds included — so
-// a restored session's next warm step is bit-identical to the step an
-// uninterrupted session would have run (DESIGN.md, "Fault-tolerance
-// invariants"). The configuration is NOT embedded: the caller passes
-// the same core.Config to NewSessionFromCheckpoint, exactly as it did
-// to NewSession (configs hold policy, checkpoints hold state).
+// rank's resident record — its bounding box and carried incremental
+// bounds — so a restored session's next warm step is bit-identical to
+// the step an uninterrupted session would have run (DESIGN.md,
+// "Fault-tolerance invariants"). Each point is stored once: restore
+// rebuilds every rank's resident columns from the point set. The
+// configuration is NOT embedded: the caller passes the same core.Config
+// to NewSessionFromCheckpoint, exactly as it did to NewSession (configs
+// hold policy, checkpoints hold state).
 
 import (
 	"fmt"
@@ -16,6 +18,7 @@ import (
 	"geographer/internal/core"
 	"geographer/internal/geom"
 	"geographer/internal/mpi"
+	"geographer/internal/partition"
 )
 
 // SessionCheckpointVersion is the current session checkpoint format.
@@ -61,6 +64,18 @@ func readHeader(d *core.SnapDecoder) (CheckpointInfo, error) {
 	if info.K < 1 || info.P < 1 || info.Dim < 1 || info.Dim > 4096 || info.N < 1 {
 		return CheckpointInfo{}, fmt.Errorf("%w: header k=%d p=%d dim=%d n=%d",
 			core.ErrCheckpointCorrupt, info.K, info.P, info.Dim, info.N)
+	}
+	// The payload holds at least N·Dim coordinates and P records: a
+	// header promising more than the bytes left is corrupt, before any
+	// caller sizes a world or a point set from it.
+	left := d.Len()
+	if info.N > left/8/info.Dim {
+		return CheckpointInfo{}, fmt.Errorf("%w: %d points of dim %d exceed the %d payload bytes",
+			core.ErrCheckpointCorrupt, info.N, info.Dim, left)
+	}
+	if left -= 8 * info.N * info.Dim; info.P > left/core.MinSnapshotLen(info.Dim) {
+		return CheckpointInfo{}, fmt.Errorf("%w: %d rank records exceed the %d bytes after the coordinates",
+			core.ErrCheckpointCorrupt, info.P, left)
 	}
 	return info, nil
 }
@@ -173,21 +188,17 @@ func decodeCheckpoint(data []byte) (*ckptState, error) {
 	}
 	st.prev = prev
 
+	// Each rank's columns are rebuilt from the validated point set under
+	// the scatter's rank layout; the records add the box and the carry.
 	st.res = make([]*core.Resident, info.P)
-	total := 0
 	for r := range st.res {
-		st.res[r], err = core.RestoreResident(d)
+		st.res[r], err = core.RestoreResident(d, partition.View(st.ps, info.P, r))
 		if err != nil {
 			return nil, fmt.Errorf("rank %d: %w", r, err)
 		}
-		if st.res[r].Dim() != info.Dim {
-			return nil, fmt.Errorf("%w: rank %d resident dim %d, session dim %d",
-				core.ErrCheckpointCorrupt, r, st.res[r].Dim(), info.Dim)
+		if !st.res[r].SameBox(st.res[0]) {
+			return nil, fmt.Errorf("%w: rank %d's bounding box differs from rank 0's", core.ErrCheckpointCorrupt, r)
 		}
-		total += st.res[r].Len()
-	}
-	if total != info.N {
-		return nil, fmt.Errorf("%w: residents hold %d points, header says %d", core.ErrCheckpointCorrupt, total, info.N)
 	}
 	if d.Len() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", core.ErrCheckpointCorrupt, d.Len())

@@ -25,7 +25,7 @@ func pinnedSessions() []pinnedSession {
 		{
 			// Hamerly carried bounds (with the raw shadow) on one rank.
 			name: "2d/p=1/hamerly",
-			want: 0x906c9bd3e5a05ccf,
+			want: 0x8870583cbb6233e8,
 			make: func(t *testing.T) *Session {
 				cfg := core.DefaultConfig()
 				cfg.Seed = 1
@@ -35,7 +35,7 @@ func pinnedSessions() []pinnedSession {
 		{
 			// Three ranks, raw shadow, and a weight update still pending.
 			name: "3d/p=3/raw-shadow",
-			want: 0xca9456fc2ff1da6b,
+			want: 0x4d5601d91626ef16,
 			make: func(t *testing.T) *Session {
 				m, err := mesh.GenDelaunay3D(1200, 42)
 				if err != nil {
@@ -53,7 +53,7 @@ func pinnedSessions() []pinnedSession {
 		{
 			// Feature space with Elkan's per-center bounds.
 			name: "16d/p=2/elkan",
-			want: 0x8ed2a32f53ac9f11,
+			want: 0x27b8ac0d90b6d4a4,
 			make: func(t *testing.T) *Session {
 				cfg := core.DefaultConfig()
 				cfg.Seed = 3
@@ -66,8 +66,9 @@ func pinnedSessions() []pinnedSession {
 }
 
 // TestCheckpointBytesPinned pins the FNV-1a hash of Checkpoint() for
-// three session shapes, captured before the codec wrote in bulk: any
-// change to the bytes on the wire fails here.
+// three session shapes, captured with the v3 resident record (box and
+// carried block, no point columns): any change to the bytes on the wire
+// fails here.
 func TestCheckpointBytesPinned(t *testing.T) {
 	for _, tc := range pinnedSessions() {
 		t.Run(tc.name, func(t *testing.T) {

@@ -4,7 +4,8 @@ package repart
 // sizes worlds from spilled checkpoints it did not produce, so the
 // header decode must turn every malformed input — truncations at each
 // field, flipped magic/version, absurd shape values — into a typed
-// error, never a panic and never a nonsense CheckpointInfo.
+// error, never a panic and never a nonsense CheckpointInfo. Past the
+// header, whatever a restore accepts must also survive a step.
 
 import (
 	"encoding/binary"
@@ -23,7 +24,7 @@ import (
 const sessionHeaderLen = 5*4 + 8
 
 // validCheckpoint builds one real checkpoint to mutate.
-func validCheckpoint(t *testing.T) []byte {
+func validCheckpoint(t testing.TB) []byte {
 	t.Helper()
 	m := sessionTestMesh(t, 600)
 	cfg := core.DefaultConfig()
@@ -47,10 +48,11 @@ func TestReadCheckpointInfoTruncations(t *testing.T) {
 		t.Fatalf("header misread: %+v", info)
 	}
 
-	// Every prefix strictly shorter than the header must fail typed —
-	// this walks through every field boundary (0, 4, 8, 12, 16, 20) and
-	// every mid-field cut.
-	for cut := 0; cut < sessionHeaderLen; cut++ {
+	// Every prefix up to the header must fail typed — this walks through
+	// every field boundary (0, 4, 8, 12, 16, 20) and every mid-field
+	// cut, and ends with the full header alone, whose payload cannot
+	// hold the points it announces.
+	for cut := 0; cut <= sessionHeaderLen; cut++ {
 		_, err := ReadCheckpointInfo(ckpt[:cut])
 		if err == nil {
 			t.Fatalf("truncation at %d decoded successfully", cut)
@@ -58,11 +60,6 @@ func TestReadCheckpointInfoTruncations(t *testing.T) {
 		if !errors.Is(err, core.ErrCheckpointCorrupt) && !errors.Is(err, core.ErrCheckpointVersion) {
 			t.Fatalf("truncation at %d: untyped error %v", cut, err)
 		}
-	}
-	// The full header alone (payload stripped) is sufficient for the
-	// header read.
-	if _, err := ReadCheckpointInfo(ckpt[:sessionHeaderLen]); err != nil {
-		t.Fatalf("bare header rejected: %v", err)
 	}
 }
 
@@ -85,6 +82,10 @@ func TestReadCheckpointInfoMutations(t *testing.T) {
 		{"zero p", mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[12:], 0) }), core.ErrCheckpointCorrupt},
 		{"absurd dim", mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[16:], 1<<30) }), core.ErrCheckpointCorrupt},
 		{"zero n", mutate(func(b []byte) { binary.LittleEndian.PutUint64(b[20:], 0) }), core.ErrCheckpointCorrupt},
+		// Shapes the payload cannot hold: a caller sizing a world (six
+		// per-rank arrays) or a point set from them must never see them.
+		{"p beyond payload", mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[12:], math.MaxUint32) }), core.ErrCheckpointCorrupt},
+		{"n beyond payload", mutate(func(b []byte) { binary.LittleEndian.PutUint64(b[20:], 1<<40) }), core.ErrCheckpointCorrupt},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -140,10 +141,10 @@ func FuzzReadCheckpointInfo(f *testing.F) {
 
 // TestCheckpointRestoreRejectsNonFinite: a checkpoint whose bytes are
 // intact but whose writer put a NaN coordinate or a negative weight into
-// the point set — or a non-finite value into a rank's resident copy of
-// them, or carried state that would make a carried skip unsound — is
-// refused at restore, typed as both a corrupt checkpoint and
-// geom.ErrNonFinite: the values every other entry point rejects.
+// the point set — the only copy of the points — or carried state that
+// would make a carried skip unsound into a rank's record is refused at
+// restore, typed as both a corrupt checkpoint and geom.ErrNonFinite:
+// the values every other entry point rejects.
 func TestCheckpointRestoreRejectsNonFinite(t *testing.T) {
 	ckpt := validCheckpoint(t)
 	info, err := ReadCheckpointInfo(ckpt)
@@ -156,24 +157,6 @@ func TestCheckpointRestoreRejectsNonFinite(t *testing.T) {
 	weight0 := coord0 + 8*info.N*info.Dim + 1 + 8
 	if ckpt[weight0-9] != 1 {
 		t.Fatal("fixture checkpoint carries no weights")
-	}
-	// Then the has-partition flag and partition (u64 length + N i32s), the
-	// two dirty flags and rank 0's resident record: magic, version and dim
-	// (u32 each), the box (two u64-length-prefixed dim-vectors), its point
-	// count n (u64), Dim columns and the weights (u64 length + n f64s each).
-	prev := weight0 + 8*info.N
-	resBox := prev + 1 + 2 + 12
-	if ckpt[prev] == 1 {
-		resBox += 8 + 4*info.N
-	}
-	resN := resBox + 2*(8+8*info.Dim)
-	n := int(binary.LittleEndian.Uint64(ckpt[resN:]))
-	resCoord0 := resN + 8 + 8
-	resWeight0 := resCoord0 + info.Dim*(8+8*n)
-	for _, off := range []int{resCoord0, resWeight0} {
-		if got := binary.LittleEndian.Uint64(ckpt[off-8:]); got != uint64(n) {
-			t.Fatalf("resident layout: length prefix %d before offset %d, want %d", got, off, n)
-		}
 	}
 	// The checkpoint ends with the last rank's carried influences
 	// (u64 length + K f64s) and bound centers (u64 length + K·Dim f64s).
@@ -190,8 +173,6 @@ func TestCheckpointRestoreRejectsNonFinite(t *testing.T) {
 	}{
 		{"NaN coordinate", coord0, math.NaN()},
 		{"negative weight", weight0, -1},
-		{"Inf resident coordinate", resCoord0, math.Inf(1)},
-		{"NaN resident weight", resWeight0, math.NaN()},
 		{"NaN last bound-center coordinate", len(ckpt) - 8, math.NaN()},
 		{"zero last influence", ctr0 - 16, 0},
 	} {
@@ -204,4 +185,149 @@ func TestCheckpointRestoreRejectsNonFinite(t *testing.T) {
 			}
 		})
 	}
+}
+
+// checkpointFields replays a valid checkpoint through the public decoder
+// and returns the byte offset after each field — header, point set,
+// partition, dirty flags, then every field of every rank's record — the
+// offset of each record's numeric slices (box min and max, then the
+// carried assignment, ub, lb, raw shadow or Elkan bounds, influences and
+// centers) with its element size, and the offset of each record.
+func checkpointFields(tb testing.TB, ckpt []byte) (offs []int, slices [][2]int, recs []int) {
+	tb.Helper()
+	d := core.NewSnapDecoder(ckpt)
+	at := func() int { return len(ckpt) - d.Len() }
+	mark := func() {
+		if d.Err() != nil {
+			tb.Fatalf("replay of a valid checkpoint errored at offset %d: %v", at(), d.Err())
+		}
+		offs = append(offs, at())
+	}
+	slice := func(elemSize int) {
+		slices = append(slices, [2]int{at(), elemSize})
+		if elemSize == 4 {
+			d.I32s()
+		} else {
+			d.F64s()
+		}
+	}
+	info, err := readHeader(d)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mark()
+	d.F64s() // coordinates
+	mark()
+	if d.Bool() { // weights present
+		d.F64s()
+	}
+	mark()
+	if d.Bool() { // partition present
+		d.I32s()
+	}
+	mark()
+	d.Bool() // weights dirty
+	mark()
+	d.Bool() // coordinates dirty
+	mark()
+	for range info.P {
+		recs = append(recs, at())
+		d.U32() // magic
+		mark()
+		d.U32() // version
+		mark()
+		slice(8) // box min
+		mark()
+		slice(8) // box max
+		mark()
+		if !d.Bool() { // carry present
+			mark()
+			continue
+		}
+		mark()
+		d.Str() // bounds kind
+		mark()
+		d.U32() // carried k
+		mark()
+		slice(4) // assignment
+		mark()
+		slice(8) // upper bounds
+		mark()
+		slice(8) // lower bounds
+		mark()
+		if d.Bool() { // raw shadow present
+			slice(8)
+		}
+		mark()
+		if d.Bool() { // Elkan bounds present
+			slice(8)
+		}
+		mark()
+		slice(8) // influences
+		mark()
+		slice(8) // bound centers
+		mark()
+	}
+	if d.Len() != 0 {
+		tb.Fatalf("replay left %d bytes", d.Len())
+	}
+	return offs, slices, recs
+}
+
+// FuzzRestoreThenStep: whatever bytes NewSessionFromCheckpoint accepts,
+// the restored session survives a weight update and a warm step without
+// a panic (errors are allowed). The weights-only flush runs in the
+// caller's goroutine, outside any world, so a restored resident that
+// disagrees with its points would crash the caller, not just a rank.
+// Seeds: a valid checkpoint, its truncation after each field, and each
+// record slice's first element set to 2^40, NaN, ±Inf, 0 or −1 (the
+// int32 extremes, 2^20, 0 or −1 in the assignment).
+func FuzzRestoreThenStep(f *testing.F) {
+	ckpt := validCheckpoint(f)
+	f.Add(ckpt)
+	offs, slices, _ := checkpointFields(f, ckpt)
+	for _, off := range offs {
+		f.Add(append([]byte(nil), ckpt[:off]...))
+	}
+	for _, sl := range slices {
+		first := sl[0] + 8
+		if sl[1] == 4 {
+			for _, v := range []int32{math.MaxInt32, math.MinInt32, 1 << 20, 0, -1} {
+				b := append([]byte(nil), ckpt...)
+				binary.LittleEndian.PutUint32(b[first:], uint32(v))
+				f.Add(b)
+			}
+			continue
+		}
+		for _, v := range []float64{1 << 40, math.NaN(), math.Inf(1), math.Inf(-1), 0, -1} {
+			b := append([]byte(nil), ckpt...)
+			binary.LittleEndian.PutUint64(b[first:], math.Float64bits(v))
+			f.Add(b)
+		}
+	}
+	cfg := core.DefaultConfig()
+	cfg.Seed = 1
+	f.Fuzz(func(t *testing.T, data []byte) {
+		info, err := ReadCheckpointInfo(data)
+		// Many ranks or many blocks cost memory in proportion, as they
+		// would for a session built with that shape (a session may have
+		// more blocks than points, so nothing in the payload bounds K):
+		// the target checks consistency, not capacity.
+		if err != nil || info.P > 8 || info.K > 64 {
+			return
+		}
+		s, err := NewSessionFromCheckpoint(mpi.NewWorld(info.P), data, cfg)
+		if err != nil {
+			return
+		}
+		defer s.Close()
+		w := make([]float64, info.N)
+		for i := range w {
+			w[i] = 1 + float64(i%5)
+		}
+		if err := s.UpdateWeights(w); err != nil {
+			t.Fatalf("weights update on a restored session: %v", err)
+		}
+		s.Repartition()
+	})
 }

@@ -1,8 +1,11 @@
 package repart
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -18,7 +21,7 @@ import (
 // `warm` weight-perturbed warm steps — the standard fixture state for
 // checkpoint and retry tests. Two calls with the same arguments produce
 // bit-identical sessions (fresh worlds, same seeds).
-func buildWarmSession(t *testing.T, m *mesh.Mesh, k, p, warm int, cfg core.Config) *Session {
+func buildWarmSession(t testing.TB, m *mesh.Mesh, k, p, warm int, cfg core.Config) *Session {
 	t.Helper()
 	ps0 := &geom.PointSet{Dim: m.Points.Dim, Coords: m.Points.Coords, Weight: testWeights(m, 0)}
 	s, err := NewSession(mpi.NewWorld(p), ps0.Clone(), k, cfg)
@@ -122,46 +125,70 @@ func stepWith(s *Session, wt []float64) (partition.P, Stats, error) {
 // TestSessionCheckpointPendingDeltas: a checkpoint taken while weight
 // and coordinate deltas are still queued (not yet flushed to the
 // residents) restores them queued — the restored session's next step
-// flushes and computes exactly what the original would have.
+// flushes and computes exactly what the original would have. With
+// weights alone pending, the restore rebuilds columns that already hold
+// the new weights under the old carry, and both steps must still take
+// the incremental carried-bounds path.
 func TestSessionCheckpointPendingDeltas(t *testing.T) {
 	m := sessionTestMesh(t, 1200)
 	const k, p = 4, 2
 	cfg := core.DefaultConfig()
 	cfg.Seed = 1
-
-	orig := buildWarmSession(t, m, k, p, 1, cfg)
-	defer orig.Close()
-	// Queue pending deltas: new weights and slightly drifted coordinates.
-	if err := orig.UpdateWeights(testWeights(m, 5)); err != nil {
-		t.Fatal(err)
-	}
 	moved := append([]float64(nil), m.Points.Coords...)
 	for i := range moved {
 		moved[i] += 0.001 * float64(i%7)
 	}
-	if err := orig.UpdateCoords(moved); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name  string
+		moved []float64 // queued coordinates; nil = none
+	}{
+		{"weights and coordinates", moved},
+		{"weights only", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			orig := buildWarmSession(t, m, k, p, 1, cfg)
+			defer orig.Close()
+			if err := orig.UpdateWeights(testWeights(m, 5)); err != nil {
+				t.Fatal(err)
+			}
+			if tc.moved != nil {
+				if err := orig.UpdateCoords(tc.moved); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	ckpt, err := orig.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := NewSessionFromCheckpoint(mpi.NewWorld(p), ckpt, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close()
+			ckpt, err := orig.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored, err := NewSessionFromCheckpoint(mpi.NewWorld(p), ckpt, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer restored.Close()
+			again, err := restored.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ckpt, again) {
+				t.Fatal("a restored session re-checkpoints to different bytes")
+			}
 
-	pWant, _, err := orig.Repartition()
-	if err != nil {
-		t.Fatal(err)
+			pWant, _, err := orig.Repartition()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pGot, _, err := restored.Repartition()
+			if err != nil {
+				t.Fatal(err)
+			}
+			assignEqual(t, pWant, pGot, "pending-delta restore")
+			if carried := tc.moved == nil; orig.LastInfo().CarriedBounds != carried || restored.LastInfo().CarriedBounds != carried {
+				t.Fatalf("carried bounds: original %v, restored %v, want %v",
+					orig.LastInfo().CarriedBounds, restored.LastInfo().CarriedBounds, carried)
+			}
+		})
 	}
-	pGot, _, err := restored.Repartition()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assignEqual(t, pWant, pGot, "pending-delta restore")
 }
 
 // TestSessionCheckpointErrors covers the rejection surface: corrupt and
@@ -215,6 +242,18 @@ func TestSessionCheckpointErrors(t *testing.T) {
 		bad[4] = 0xEE
 		if _, err := ReadCheckpointInfo(bad); !errors.Is(err, core.ErrCheckpointVersion) {
 			t.Fatalf("want ErrCheckpointVersion, got %v", err)
+		}
+	})
+	t.Run("ranks disagree on the box", func(t *testing.T) {
+		// Ranks whose boxes differ would disagree on the convergence
+		// threshold and issue different collectives.
+		_, _, recs := checkpointFields(t, ckpt)
+		bad := append([]byte(nil), ckpt...)
+		first := recs[1] + 4 + 4 + 8 // rank 1's magic, version, box length
+		x := math.Float64frombits(binary.LittleEndian.Uint64(bad[first:]))
+		binary.LittleEndian.PutUint64(bad[first:], math.Float64bits(x-1))
+		if _, err := NewSessionFromCheckpoint(mpi.NewWorld(p), bad, cfg); !errors.Is(err, core.ErrCheckpointCorrupt) {
+			t.Fatalf("want ErrCheckpointCorrupt, got %v", err)
 		}
 	})
 	t.Run("closed session", func(t *testing.T) {

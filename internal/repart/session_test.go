@@ -15,7 +15,7 @@ import (
 // sessionTestMesh builds a small refined mesh with strictly positive,
 // spatially correlated weights at phase t (the stream experiment's
 // perturbation shape).
-func sessionTestMesh(t *testing.T, n int) *mesh.Mesh {
+func sessionTestMesh(t testing.TB, n int) *mesh.Mesh {
 	t.Helper()
 	m, err := mesh.GenRefinedTri(n, 42)
 	if err != nil {

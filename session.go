@@ -192,12 +192,15 @@ func (s *Session) Close() error {
 
 // Checkpoint serializes the session's complete restorable state — the
 // current coordinates and weights (pending deltas included), the
-// installed partition, and every rank's resident state with its carried
+// installed partition, and for every rank its bounding box and carried
 // incremental k-means bounds — into a self-describing, versioned binary
-// blob. The call is purely local (no simulated communication) and does
-// not disturb the session; NewSessionFromCheckpoint rebuilds an
-// equivalent session whose next warm step is bit-identical to the step
-// this session would run, including the incremental fast path.
+// blob. Each point is stored once: a restore rebuilds every rank's
+// resident columns from the stored point set, the way the session's
+// ingest built them. The call is purely local (no simulated
+// communication) and does not disturb the session;
+// NewSessionFromCheckpoint rebuilds an equivalent session whose next
+// warm step is bit-identical to the step this session would run,
+// including the incremental fast path.
 //
 // The Options are NOT embedded: pass the same Options to
 // NewSessionFromCheckpoint that this session was built with (options
