@@ -65,6 +65,15 @@ func (st *state) assignAndBalance(infCap float64) bool {
 	balanced := false
 
 	for round := 0; round < st.cfg.MaxBalanceIter; round++ {
+		// Without the curve bootstrap, stop after sampledBalanceRounds
+		// while any rank samples. The test reads anySampling, which the
+		// previous round's collective gave every rank alike; a rank's own
+		// nSample would not do, since ranks of different sizes leave the
+		// sample in different iterations and would part at different
+		// rounds.
+		if round == sampledBalanceRounds && st.anySampling && !st.cfg.SFCBootstrap {
+			break
+		}
 		st.info.BalanceRounds++
 
 		// Lines 2–6: per-round center tables — reciprocal influences, SoA
@@ -228,15 +237,17 @@ func sortCentersByDist(ids []int32, dist2 []float64) {
 // over a sample of s points builds the k×k center-center tables. A build
 // costs 25 µs / 160 µs / 0.7 ms / 4.5 ms / 30 ms at k = 32 / 64 / 128 /
 // 256 / 512 (BenchmarkBuildCCTables; the per-row insertion sort makes it
-// cubic, 0.8 ns·k³ at k = 32 falling to 0.2 ns·k³), a call costs ≈ 55 ns
-// per sampled point (its ~9 balance rounds, mostly skips), so k³ ≤ 4·s
-// keeps the build under 0.8·4/55 ≈ 6 % of the call it serves. Past that
-// the rescans the walk shortens are too few to repay the tables — at
-// n = 100 000, k = 32 that is p ≥ 16, where each rank's box isolates a few
-// blocks and the box-ordered scan already stops after ~5 centers — and a
-// large k never allocates k² entries. Both inputs are values the rank can
-// see, and the output does not depend on the outcome (DESIGN.md,
-// "Anchored rescans").
+// cubic, 0.8 ns·k³ at k = 32 falling to 0.2 ns·k³) and a balance round
+// ≈ 6 ns per sampled point (mostly skips). The rule was fitted when a
+// call ran ~9 rounds (≈ 55 ns per point, build ≤ 0.8·4/55 ≈ 6 %); a
+// sampled call without the curve bootstrap now stops at
+// sampledBalanceRounds = 8, which puts the build at ≤ 0.8·4/48 ≈ 7 % of
+// the call it serves. Past that the rescans the walk shortens are too
+// few to repay the tables — at n = 100 000, k = 32 that is p ≥ 16, where
+// each rank's box isolates a few blocks and the box-ordered scan already
+// stops after ~5 centers — and a large k never allocates k² entries.
+// Both inputs are values the rank can see, and the output does not
+// depend on the outcome (DESIGN.md, "Anchored rescans").
 func ccTablesPay(k, s int) bool {
 	fk := float64(k) // k³ overflows int64 past k = 2²¹
 	return fk*fk*fk <= 4*float64(s)

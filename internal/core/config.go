@@ -39,7 +39,10 @@ type Config struct {
 	MaxIter int
 
 	// MaxBalanceIter bounds the influence-adaptation rounds between two
-	// center movements (Algorithm 1; "a tuning parameter", §4.2).
+	// center movements (Algorithm 1; "a tuning parameter", §4.2). While
+	// any rank is still sampling (SampledInit) in a run without
+	// SFCBootstrap, a call stops after sampledBalanceRounds = 8 rounds
+	// instead.
 	MaxBalanceIter int
 
 	// Erosion enables the sigmoid influence erosion after center movement
@@ -117,6 +120,14 @@ const deltaThreshold = 2e-3
 // influenceCap limits the relative influence change per balance round
 // ("we restrict the maximum influence change in one step to 5%").
 const influenceCap = 0.05
+
+// sampledBalanceRounds caps the balance rounds of a call while any rank
+// is still sampling (§4.5) in a run without the curve bootstrap: from
+// random seeds the sampled iterations almost never balance, and rounds
+// past the first few only drag the centers about before the sample
+// doubles. With the bootstrap the rounds pay for themselves later
+// (DESIGN.md, "Sampled iterations stop after eight rounds").
+const sampledBalanceRounds = 8
 
 // BoundsKind selects the distance-bound strategy of the assignment loop.
 type BoundsKind string

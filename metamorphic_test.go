@@ -1,10 +1,13 @@
 package geographer
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"geographer/internal/serve"
 )
 
 // Metamorphic invariance at the facade: transforms of the input that
@@ -43,6 +46,22 @@ func waveWeights(coords []float64, dim, step int) []float64 {
 	return w
 }
 
+// drifted moves every point along the first axis by a wave in its second
+// coordinate, scaled with step: a coordinate update for a session chain.
+func drifted(coords []float64, dim, step int) []float64 {
+	n := len(coords) / dim
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for i := 0; i < n; i++ {
+		lo, hi = min(lo, coords[i*dim+1]), max(hi, coords[i*dim+1])
+	}
+	out := append([]float64(nil), coords...)
+	for i := 0; i < n; i++ {
+		y := (coords[i*dim+1] - lo) / (hi - lo)
+		out[i*dim] += 0.01 * float64(step) * (hi - lo) * math.Sin(2*math.Pi*y)
+	}
+	return out
+}
+
 // firstDiff returns the first index where a and b differ, or -1.
 func firstDiff(a, b []int32) int {
 	for i := range a {
@@ -58,7 +77,17 @@ func firstDiff(a, b []int32) int {
 
 func TestMetamorphicInvariance(t *testing.T) {
 	const n, k, p, chainSteps = 20000, 16, 4, 2
-	exps := []int{-10, -1, 1, 10}
+	// Each scaling multiplies the coordinates by 2^cj and the weights by
+	// 2^wj; one of the two exponents is 0.
+	type scaling struct {
+		what   string
+		cj, wj int
+	}
+	var scalings []scaling
+	for _, j := range []int{-10, -1, 1, 10} {
+		scalings = append(scalings,
+			scaling{fmt.Sprintf("coords×2^%d", j), j, 0}, scaling{fmt.Sprintf("weights×2^%d", j), 0, j})
+	}
 	for _, kind := range []string{MeshDelaunay2D, MeshDelaunay3D} {
 		m, err := GenerateMesh(kind, n, 1)
 		if err != nil {
@@ -81,11 +110,9 @@ func TestMetamorphicInvariance(t *testing.T) {
 					t.Errorf("%s det=%v %s: assignment of point %d moved", kind, det, what, i)
 				}
 			}
-			for _, j := range exps {
-				got, err := Partition(scaled(coords, j), dim, weights, opts)
-				check(fmt.Sprintf("coords×2^%d", j), got, err)
-				got, err = Partition(coords, dim, scaled(weights, j), opts)
-				check(fmt.Sprintf("weights×2^%d", j), got, err)
+			for _, c := range scalings {
+				got, err := Partition(scaled(coords, c.cj), dim, scaled(weights, c.wj), opts)
+				check(c.what, got, err)
 			}
 
 			perm := rand.New(rand.NewSource(7)).Perm(n)
@@ -104,10 +131,51 @@ func TestMetamorphicInvariance(t *testing.T) {
 				back[src] = pb[i]
 			}
 			check("permuted and mapped back", back, nil)
+
+			// The one-shot warm start from the cold partition, under the
+			// same scalings.
+			warm, err := Repartition(coords, dim, weights, want, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range scalings {
+				got, err := Repartition(scaled(coords, c.cj), dim, scaled(weights, c.wj), want, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i := firstDiff(got.Blocks, warm.Blocks); i >= 0 {
+					t.Errorf("%s det=%v Repartition %s: assignment of point %d moved", kind, det, c.what, i)
+				}
+			}
+		}
+
+		// The registry's cold partition verb, one tenant per scaling.
+		reg := serve.NewRegistry(serve.Config{})
+		verb := func(cj, wj int) []int32 {
+			name := fmt.Sprintf("%s/%d/%d", kind, cj, wj)
+			ps, err := pointSet(scaled(coords, cj), dim, scaled(weights, wj))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := reg.Create(context.Background(), name, ps, serve.TenantOptions{K: k, Processes: p}); err != nil {
+				t.Fatal(err)
+			}
+			defer reg.Delete(name)
+			part, _, err := reg.Partition(context.Background(), name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return part.Assign
+		}
+		regBase := verb(0, 0)
+		for _, c := range scalings {
+			if i := firstDiff(verb(c.cj, c.wj), regBase); i >= 0 {
+				t.Errorf("%s registry partition %s: assignment of point %d moved", kind, c.what, i)
+			}
 		}
 
 		// A session chain — cold Partition, then UpdateWeights +
-		// Repartition steps — under the same scalings.
+		// UpdateCoords + Repartition steps — under the same scalings.
 		chain := func(cj, wj int) [][]int32 {
 			s, err := NewSession(scaled(coords, cj), dim, scaled(weights, wj), Options{K: k, Processes: p})
 			if err != nil {
@@ -123,6 +191,9 @@ func TestMetamorphicInvariance(t *testing.T) {
 				if err := s.UpdateWeights(scaled(waveWeights(coords, dim, step), wj)); err != nil {
 					t.Fatal(err)
 				}
+				if err := s.UpdateCoords(scaled(drifted(coords, dim, step), cj)); err != nil {
+					t.Fatal(err)
+				}
 				res, err := s.Repartition()
 				if err != nil {
 					t.Fatal(err)
@@ -132,15 +203,10 @@ func TestMetamorphicInvariance(t *testing.T) {
 			return out
 		}
 		base := chain(0, 0)
-		for _, j := range exps {
-			for _, c := range []struct {
-				what   string
-				cj, wj int
-			}{{"coords", j, 0}, {"weights", 0, j}} {
-				for step, got := range chain(c.cj, c.wj) {
-					if i := firstDiff(got, base[step]); i >= 0 {
-						t.Errorf("%s chain %s×2^%d step %d: assignment of point %d moved", kind, c.what, j, step, i)
-					}
+		for _, c := range scalings {
+			for step, got := range chain(c.cj, c.wj) {
+				if i := firstDiff(got, base[step]); i >= 0 {
+					t.Errorf("%s chain %s step %d: assignment of point %d moved", kind, c.what, step, i)
 				}
 			}
 		}
