@@ -43,6 +43,7 @@ import (
 	"errors"
 	"flag"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -64,6 +65,23 @@ func main() {
 		drainTimeout  = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 	)
 	flag.Parse()
+
+	// Each of these would otherwise pass silently as some other setting:
+	// a negative budget or cap as unlimited, a budget of 2^43 MiB or more
+	// as an overflowed (so unlimited) byte count, an idle age below 1 as
+	// one verb.
+	switch {
+	case *maxResidentMB < 0 || *maxResidentMB > math.MaxInt64>>20:
+		log.Fatalf("-max-resident-mb %d: want 0 (unlimited) to %d", *maxResidentMB, int64(math.MaxInt64>>20))
+	case *maxTenants < 0:
+		log.Fatalf("-max-tenants %d: want 0 (unlimited) or more", *maxTenants)
+	case *sweepEvery < 0:
+		log.Fatalf("-sweep-every %v: want 0 (no sweeps) or more", *sweepEvery)
+	case *sweepIdle < 1:
+		log.Fatalf("-sweep-idle %d: want 1 or more", *sweepIdle)
+	case *drainTimeout < 0:
+		log.Fatalf("-drain-timeout %v: want 0 or more", *drainTimeout)
+	}
 
 	cfg := serve.Config{
 		MaxResidentBytes: *maxResidentMB << 20,

@@ -7,7 +7,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -15,6 +17,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -191,4 +194,41 @@ func TestKillNineRecovery(t *testing.T) {
 	}
 
 	fmt.Fprintln(os.Stderr, "kill -9 recovery round trip complete")
+}
+
+// TestDaemonRejectsInvalidFlags: a flag value that would pass as some
+// other setting ends the daemon before it listens, with exit status 1
+// and the flag named on stderr. A daemon that starts anyway is killed at
+// the deadline, which fails the case.
+func TestDaemonRejectsInvalidFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the daemon binary")
+	}
+	bin := buildDaemon(t, t.TempDir())
+	cases := [][]string{
+		{"-max-resident-mb", "-1"},
+		{"-max-resident-mb", "8796093022208"}, // 2^43 MiB overflows int64 bytes
+		{"-max-tenants", "-1"},
+		{"-sweep-every", "-1s"},
+		{"-sweep-idle", "0"},
+		{"-drain-timeout", "-1s"},
+	}
+	for _, args := range cases {
+		t.Run(strings.Join(args, "="), func(t *testing.T) {
+			t.Parallel()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			var stderr strings.Builder
+			cmd := exec.CommandContext(ctx, bin, append([]string{"-addr", "127.0.0.1:0"}, args...)...)
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+				t.Errorf("exit %v, want exit status 1", err)
+			}
+			if !strings.Contains(stderr.String(), args[0]+" ") {
+				t.Errorf("stderr %q does not name %s", stderr.String(), args[0])
+			}
+		})
+	}
 }

@@ -7,7 +7,13 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"geographer/internal/mesh"
 )
+
+// maxNestingDepth is encoding/json's limit on nested arrays and objects;
+// one seed nests to it and one a level past it.
+const maxNestingDepth = 10000
 
 // decodeSeeds are the differential fuzz target's seed bodies; each runs
 // against all four request types.
@@ -142,11 +148,92 @@ func TestDecodeRequestLargeBodies(t *testing.T) {
 	matchEncodingJSON[createRequest](t, createBody(40000))
 }
 
+// walkTakes checks that the walk alone takes data as a T, and that the
+// values agree with json.Unmarshal's.
+func walkTakes[T any, P interface {
+	*T
+	request
+}](t *testing.T, what string, data []byte) {
+	t.Helper()
+	if !walk(data, P(new(T))) {
+		t.Fatalf("%s: the walk falls back to encoding/json", what)
+	}
+	matchEncodingJSON[T, P](t, data)
+}
+
+// TestBenchTrafficTakesTheWalk builds request bodies the way the serve
+// benchmark's clients build them (bench/serve.go) — the repartition
+// literal, a marshalled weights struct and a marshalled create map over
+// both of its mesh kinds — and checks that every one stays on the walk.
+func TestBenchTrafficTakesTheWalk(t *testing.T) {
+	walkTakes[repartitionRequest](t, "repartition", []byte(`{"eps":0}`))
+	gens := []func(int, int64) (*mesh.Mesh, error){mesh.GenRefinedTri, mesh.GenClimate}
+	for id, gen := range gens {
+		m, err := gen(4000, int64(11+id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := m.Points
+		wts := make([]float64, ps.Len())
+		for i := range wts {
+			wts[i] = ps.W(i) * (1 + 0.5*math.Sin(2*math.Pi*1.5*ps.Coords[i*ps.Dim]-0.7*float64(id)))
+		}
+		weights, err := json.Marshal(struct {
+			Weights []float64 `json:"weights"`
+		}{wts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		create, err := json.Marshal(map[string]any{
+			"name": fmt.Sprintf("tenant-%d", id), "dim": ps.Dim, "coords": ps.Coords, "weights": wts,
+			"k": 16, "processes": 1, "epsilon": 0.03, "seed": 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		walkTakes[weightsRequest](t, m.Name+" weights", weights)
+		walkTakes[createRequest](t, m.Name+" create", create)
+	}
+	walkTakes[weightsRequest](t, "waveBody", waveBody(40000))
+	walkTakes[createRequest](t, "createBody", createBody(40000))
+}
+
+// TestWalkBailsOutsideTheCanonicalShape pins the walk's boundary: each
+// body leaves the canonical shape one way, the walk does not take it,
+// and decodeRequest still agrees with json.Unmarshal on it. The invalid
+// UTF-8 name is one a walk that took any non-ASCII byte would decode
+// wrongly, and one the fuzz seeds do not reach.
+func TestWalkBailsOutsideTheCanonicalShape(t *testing.T) {
+	for _, body := range []string{
+		`null`,
+		`{"epsilon":null}`,
+		`{"weights":[1,null]}`,
+		`{"name":"caf\u00e9"}`,
+		"{\"name\":\"caf\xc3\xa9\"}",
+		"{\"name\":\"bad\xff\"}",
+		"{\"name\":\"a\x7fb\"}",
+		`{"n\u0061me":"x"}`,
+		`{"K":3}`,
+		`{"x":1,"k":2}`,
+		`{"epsilon":1e400}`,
+		`{"k":1.5}`,
+		`{"k":01}`,
+		`{"k":1}x`,
+		`{"k":1,}`,
+	} {
+		if walk([]byte(body), new(createRequest)) {
+			t.Errorf("the walk takes %q", body)
+		}
+		matchEncodingJSON[createRequest](t, []byte(body))
+	}
+}
+
 // BenchmarkDecodeRequest compares the reader with json.Unmarshal on a
-// 40 000-weight body and a 40 000-point create body. With -benchmem the
-// reader's allocs/op is a constant — the request, the decoder and one
-// exact-size slice per array (plus the name on create) — where
-// encoding/json's grows with the body.
+// 40 000-weight body and a 40 000-point create body, both in the
+// canonical shape the walk takes. With -benchmem the reader's allocs/op
+// is a constant — the request, the decoder and one exact-size slice per
+// array (plus the name on create) — where encoding/json's grows with the
+// body.
 func BenchmarkDecodeRequest(b *testing.B) {
 	cases := []struct {
 		name string
