@@ -75,7 +75,9 @@ var ErrNonFinite = geom.ErrNonFinite
 // finite and non-negative whatever the options: anything else is rejected
 // with ErrNonFinite before any work starts.
 type Options struct {
-	// K is the number of blocks (required, >= 1).
+	// K is the number of blocks (required, >= 1). Partition takes any K;
+	// NewSession and Repartition, whose sessions keep one center per
+	// block, take at most one block per point (K <= n).
 	K int
 	// Method selects the partitioner; empty means MethodGeographer.
 	Method string
@@ -307,7 +309,7 @@ func fromStats(blocks []int32, st repart.Stats) RepartResult {
 // block id in [0, K) per point — typically a previous Partition or
 // Repartition result, but any valid assignment seeds the warm start.
 // Only MethodGeographer supports warm starts; other methods are an
-// error. The result is deterministic: the same input and prevAssign
+// error, and so is a K above the number of points. The result is deterministic: the same input and prevAssign
 // produce a bit-identical partition for every Processes and Workers
 // setting (see DESIGN.md, "Repartitioning invariants").
 func Repartition(coords []float64, dim int, weights []float64, prevAssign []int32, opts Options) (RepartResult, error) {

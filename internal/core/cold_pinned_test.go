@@ -85,11 +85,13 @@ func (c coldPin) String() string {
 // after it, at d = 2, 3 and 16, in every bounds mode, on one and three
 // ranks, plus the transition's edge paths — a rank too small to sample
 // while the others do, MaxIter ending the run mid-sample (the post-loop
-// fallback), Strict's balance-only rounds, and random-index seeding
-// (SFCBootstrap off) at d = 1 and 3. The values were captured from the
-// implementation that gathers the sample through the shuffle permutation
-// (the random-init rows from the one that gathered d ≤ 3 seeds as Point
-// structs); the rows without the curve bootstrap were captured again when
+// fallback), Strict's balance-only rounds, curve seeding at d = 1 (the
+// curve's 1D key arm end to end), and random-index seeding (SFCBootstrap
+// off) at d = 1 and 3. The values were captured from the implementation
+// that gathers the sample through the shuffle permutation (the
+// random-init rows from the one that gathered d ≤ 3 seeds as Point
+// structs, the curve-init row from the one that keyed 1D points through
+// Skilling's scalar transpose); the rows without the curve bootstrap were captured again when
 // their sampled balance calls began stopping after sampledBalanceRounds
 // (small-rank/d=16 kept its values: its sampled calls balance sooner).
 // Any change to the cold path's arithmetic order, layout, seeding, round
@@ -128,6 +130,7 @@ func TestColdPartitionPinned(t *testing.T) {
 			adjust: func(cfg *Config) { cfg.MaxIter = 3 }},
 		pinCase{name: "strict/d=2/hamerly", dim: 2, n: 6000, k: 8, p: 3, bounds: BoundsHamerly,
 			adjust: func(cfg *Config) { cfg.Strict, cfg.Epsilon, cfg.MaxBalanceIter, cfg.MaxIter = true, 1e-4, 2, 8 }},
+		pinCase{name: "curve-init/d=1/p=3", dim: 1, n: 6000, k: 8, p: 3, bounds: BoundsHamerly},
 		pinCase{name: "random-init/d=1/p=3", dim: 1, n: 6000, k: 8, p: 3, bounds: BoundsHamerly, adjust: noSFC},
 		pinCase{name: "random-init/d=3/p=1", dim: 3, n: 6000, k: 8, p: 1, bounds: BoundsElkan, adjust: noSFC},
 	)
@@ -156,6 +159,7 @@ func TestColdPartitionPinned(t *testing.T) {
 		"maxiter=3/d=2/hamerly":   {[]uint64{0x504e4eb5b2aedc29, 0x8dd5de7b23d9781f, 0xf8e4e6dc20e20977}, 3, 38, 56441, 37206, 9607, 47400},
 		"maxiter=3/d=16/elkan":    {[]uint64{0x70d3caede8389e74, 0x5726d936a22cd949, 0x8475cab18823d33c}, 3, 19, 42920, 86632, 16, 16200},
 		"strict/d=2/hamerly":      {[]uint64{0x64c1c0a8025acce5, 0x6d22889a2473d3fb, 0x3964ce480e5a3396}, 8, 616, 415735, 3552069, 100930, 3654600},
+		"curve-init/d=1/p=3":      {[]uint64{0xc6649f37614058b0, 0xb7bbc85e7e87c3e2, 0x49ceaa3f6aba3bb7}, 9, 88, 87186, 250709, 27691, 278400},
 		"random-init/d=1/p=3":     {[]uint64{0xc3fa14b6589bc3d1, 0x8d9e1f0345fa2b00, 0x26619007f58332a5}, 12, 128, 406112, 514249, 73254, 602400},
 		"random-init/d=3/p=1":     {[]uint64{0x2ba667b78d726b61}, 14, 48, 145113, 642087, 0, 98400},
 	}

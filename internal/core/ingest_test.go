@@ -15,11 +15,11 @@ import (
 
 // refIngest is the sequential reference of Partition's ingest phases
 // (§4.1 keys + global sort + redistribution): every rank gathers all
-// records, keys each with sfc.Curve.Key, sorts them by (Key, ID) with
-// sort.Slice and keeps its balanced cut — global positions
-// [⌈r·n/p⌉, ⌈(r+1)·n/p⌉) — where production runs the batch key kernel,
-// the radix sample sort and flat column exchanges. It hands the same
-// state to the same k-means phase, and — being a test-side Partition —
+// records, keys them all at once with sfc.Curve.KeysCols, sorts them by
+// (Key, ID) with sort.Slice and keeps its balanced cut — global positions
+// [⌈r·n/p⌉, ⌈(r+1)·n/p⌉) — where production keys each rank's own points,
+// then runs the radix sample sort and flat column exchanges. It hands the
+// same state to the same k-means phase, and — being a test-side Partition —
 // is where a test can look at that state afterwards: probe, when set,
 // sees each rank's state after the run.
 type refIngest struct {
@@ -63,14 +63,14 @@ func (b refIngest) ingest(c *mpi.Comm, pts *partition.Local, k int) (*state, err
 	}
 	if cfg.SFCBootstrap {
 		ids, coords, w = mpi.AllgatherFlat(c, ids), mpi.AllgatherFlat(c, coords), mpi.AllgatherFlat(c, w)
-		curve := sfc.NewCurve(boxFromFlat(bmin, bmax, pts.Dim), pts.Dim)
+		cols := geom.MakeCols(pts.Dim, len(ids))
 		keys := make([]uint64, len(ids))
 		order = make([]int, len(ids))
 		for i := range keys {
-			var x geom.Point
-			copy(x[:], coords[i*pts.Dim:(i+1)*pts.Dim])
-			keys[i], order[i] = curve.Key(x), i
+			cols.SetVec(i, coords[i*pts.Dim:(i+1)*pts.Dim])
+			order[i] = i
 		}
+		sfc.NewCurve(boxFromFlat(bmin, bmax, pts.Dim), pts.Dim).KeysCols(&cols, keys)
 		sort.Slice(order, func(a, b int) bool {
 			i, j := order[a], order[b]
 			return keys[i] < keys[j] || keys[i] == keys[j] && ids[i] < ids[j]

@@ -107,7 +107,8 @@ func BenchmarkBuildCCTables(b *testing.B) {
 // win: Hamerly's single lower bound stops skipping there, but since its
 // scans evaluate eight centers at a time beyond geom.MaxDim it is level
 // with Elkan's per-center bounds or ahead, where at d=2 those cost twice
-// Hamerly's time (DESIGN.md, "Why the Elkan mode stays").
+// Hamerly's time (DESIGN.md, "Why nothing measured keeps the Elkan
+// mode").
 func BenchmarkAssignBoundsModes(b *testing.B) {
 	for _, dim := range []int{2, 16} {
 		rng := rand.New(rand.NewSource(42))

@@ -82,11 +82,8 @@ func delaunay2D(ps *geom.PointSet) (*graph.Graph, error) {
 	for i := range order {
 		order[i] = int32(i)
 	}
-	curve := sfc.NewCurveOrder(box, 2, 16)
 	keys := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		keys[i] = curve.Key(ps.At(i))
-	}
+	sfc.NewCurveOrder(box, 2, 16).KeysCols(&geom.Cols{Dim: 2, X: px[:n], Y: py[:n]}, keys)
 	sort.Slice(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
 
 	for _, ip := range order {

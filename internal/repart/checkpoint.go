@@ -61,7 +61,9 @@ func readHeader(d *core.SnapDecoder) (CheckpointInfo, error) {
 	if err := d.Err(); err != nil {
 		return CheckpointInfo{}, err
 	}
-	if info.K < 1 || info.P < 1 || info.Dim < 1 || info.Dim > 4096 || info.N < 1 {
+	// A session has at most one block per point (NewSession), so K > N
+	// is corrupt too: K is then bounded by the payload, as N is below.
+	if info.K < 1 || info.P < 1 || info.Dim < 1 || info.Dim > 4096 || info.N < 1 || info.K > info.N {
 		return CheckpointInfo{}, fmt.Errorf("%w: header k=%d p=%d dim=%d n=%d",
 			core.ErrCheckpointCorrupt, info.K, info.P, info.Dim, info.N)
 	}

@@ -86,6 +86,10 @@ func TestReadCheckpointInfoMutations(t *testing.T) {
 		// per-rank arrays) or a point set from them must never see them.
 		{"p beyond payload", mutate(func(b []byte) { binary.LittleEndian.PutUint32(b[12:], math.MaxUint32) }), core.ErrCheckpointCorrupt},
 		{"n beyond payload", mutate(func(b []byte) { binary.LittleEndian.PutUint64(b[20:], 1<<40) }), core.ErrCheckpointCorrupt},
+		// More blocks than points: no session has that shape.
+		{"k beyond n", mutate(func(b []byte) {
+			binary.LittleEndian.PutUint32(b[8:], uint32(binary.LittleEndian.Uint64(b[20:])+1))
+		}), core.ErrCheckpointCorrupt},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -309,11 +313,11 @@ func FuzzRestoreThenStep(f *testing.F) {
 	cfg.Seed = 1
 	f.Fuzz(func(t *testing.T, data []byte) {
 		info, err := ReadCheckpointInfo(data)
-		// Many ranks or many blocks cost memory in proportion, as they
-		// would for a session built with that shape (a session may have
-		// more blocks than points, so nothing in the payload bounds K):
-		// the target checks consistency, not capacity.
-		if err != nil || info.P > 8 || info.K > 64 {
+		// Many ranks cost memory in proportion, as they would for a
+		// session built with that shape: the target checks consistency,
+		// not capacity. K needs no bound here: the header read takes no
+		// more blocks than points, and the payload bounds the points.
+		if err != nil || info.P > 8 {
 			return
 		}
 		s, err := NewSessionFromCheckpoint(mpi.NewWorld(info.P), data, cfg)

@@ -130,8 +130,8 @@ func RecoverCenters(ps *geom.PointSet, prev []int32, k int) ([]float64, error) {
 	return centers, nil
 }
 
-// Repartition re-partitions ps into k blocks over world w, warm-started
-// from prev: the seed centers are recovered from prev by RecoverCenters
+// Repartition re-partitions ps into k ≤ ps.Len() blocks over world w,
+// warm-started from prev: the seed centers are recovered from prev by RecoverCenters
 // and the balanced k-means runs with cfg on the warm path of
 // internal/core (no SFC sort/redistribution; exact, rank-layout-
 // independent reductions). The returned stats carry the migration

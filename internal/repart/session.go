@@ -76,7 +76,8 @@ type Session struct {
 }
 
 // NewSession scatters ps over the simulated world w and ingests it into
-// resident per-rank state. The Session takes ownership of both: w must
+// resident per-rank state. A session has at most one block per point: k
+// above ps.Len() is an error. The Session takes ownership of both: w must
 // not run other work between session calls, and the caller must not
 // mutate ps afterwards (the facade clones caller slices before handing
 // them over; UpdateWeights and UpdateCoords replace, never share, the
@@ -94,6 +95,9 @@ func NewSessionCtx(ctx context.Context, w *mpi.World, ps *geom.PointSet, k int, 
 	}
 	if ps.Len() == 0 {
 		return nil, fmt.Errorf("repart: empty point set")
+	}
+	if k > ps.Len() {
+		return nil, fmt.Errorf("repart: k=%d exceeds the %d points", k, ps.Len())
 	}
 	if err := cfg.Validate(k); err != nil {
 		return nil, err

@@ -157,6 +157,9 @@ func TestSessionLifecycle(t *testing.T) {
 	if _, err := NewSession(mpi.NewWorld(p), &geom.PointSet{Dim: 2}, k, cfg); err == nil {
 		t.Error("NewSession accepted an empty point set")
 	}
+	if _, err := NewSession(mpi.NewWorld(p), ps.Clone(), ps.Len()+1, cfg); err == nil {
+		t.Error("NewSession accepted more blocks than points")
+	}
 
 	sess, err := NewSession(mpi.NewWorld(p), ps.Clone(), k, cfg)
 	if err != nil {

@@ -18,7 +18,6 @@ import (
 	"net/http"
 	"reflect"
 	"strconv"
-	"sync"
 )
 
 // maxBodyBytes bounds request bodies (coordinates dominate; 1<<28 is
@@ -128,21 +127,12 @@ func decodeRequest(body []byte, v request) error {
 type decoder struct {
 	data []byte
 	off  int
-	vals *[]float64 // collects one array's elements; from scratchPool
 }
-
-// scratchPool recycles the element buffers of decoded arrays, so a body
-// costs one exact-size allocation per array whatever its length.
-var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
-
-// maxPooledScratch bounds the buffers returned to scratchPool (8 MiB).
-const maxPooledScratch = 1 << 20
 
 // walk decodes body into v and reports true if body is in the canonical
 // shape; on false it has stored some members and body is json.Unmarshal's.
 func walk(body []byte, v request) bool {
 	d := decoder{data: body}
-	defer d.release()
 	if !d.next('{') {
 		return false
 	}
@@ -162,12 +152,6 @@ func walk(body []byte, v request) bool {
 	}
 	d.skipSpace()
 	return d.off == len(d.data)
-}
-
-func (d *decoder) release() {
-	if d.vals != nil && cap(*d.vals) <= maxPooledScratch {
-		scratchPool.Put(d.vals)
-	}
 }
 
 func (d *decoder) skipSpace() {
@@ -331,9 +315,11 @@ func (d *decoder) str(dst *string) bool {
 }
 
 // floats decodes an array of numbers into a new exact-size slice; []
-// gives an empty non-nil slice, as in encoding/json. A repeated member
-// replaces the slice, which json.Unmarshal's decode into the old one
-// matches value for value, since no element is null.
+// gives an empty non-nil slice, as in encoding/json. The elements are
+// counted before any is parsed, so the slice is allocated once whatever
+// the array's length. A repeated member replaces the slice, which
+// json.Unmarshal's decode into the old one matches value for value,
+// since no element is null.
 func (d *decoder) floats(dst *[]float64) bool {
 	if !d.next('[') {
 		return false
@@ -342,26 +328,38 @@ func (d *decoder) floats(dst *[]float64) bool {
 		*dst = []float64{}
 		return true
 	}
-	if d.vals == nil {
-		d.vals = scratchPool.Get().(*[]float64)
+	n, ok := d.count()
+	if !ok {
+		return false
 	}
-	vals := (*d.vals)[:0]
-	for {
-		v, ok := d.parseFloat()
-		if !ok {
+	out := make([]float64, n)
+	for i := range out {
+		if i > 0 && !d.next(',') {
 			return false
 		}
-		vals = append(vals, v)
-		if d.next(',') {
-			continue
-		}
-		*d.vals = vals
-		if !d.next(']') {
+		if out[i], ok = d.parseFloat(); !ok {
 			return false
 		}
-		out := make([]float64, len(vals))
-		copy(out, vals)
-		*dst = out
-		return true
 	}
+	if !d.next(']') {
+		return false
+	}
+	*dst = out
+	return true
+}
+
+// count returns the number of elements of the array whose '[' was just
+// consumed — one more than its commas before the first ']' — reading
+// ahead without consuming anything. Nothing is validated here: the parse
+// that follows takes exactly that many numbers or bails. It reports false
+// when there is no ']' or when the commas outnumber what a valid array of
+// that length can hold, so an element costs at least two bytes of body.
+func (d *decoder) count() (int, bool) {
+	rest := d.data[d.off:]
+	end := bytes.IndexByte(rest, ']')
+	if end < 0 {
+		return 0, false
+	}
+	n := bytes.Count(rest[:end], []byte{','}) + 1
+	return n, 2*n-1 <= end
 }

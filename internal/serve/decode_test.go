@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -159,6 +160,33 @@ func walkTakes[T any, P interface {
 		t.Fatalf("%s: the walk falls back to encoding/json", what)
 	}
 	matchEncodingJSON[T, P](t, data)
+}
+
+// TestDecodeAllocsAfterGC: what a body costs the walk in allocations
+// depends on the body alone, not on what earlier decodes left behind — a
+// garbage collection before each decode costs nothing beyond the
+// collection's own allocations.
+func TestDecodeAllocsAfterGC(t *testing.T) {
+	gc := testing.AllocsPerRun(10, runtime.GC)
+	for _, c := range []struct {
+		name string
+		body []byte
+		new  func() request
+	}{
+		{"weights40k", waveBody(40000), func() request { return new(weightsRequest) }},
+		{"create40k", createBody(40000), func() request { return new(createRequest) }},
+	} {
+		decode := func() {
+			if err := decodeRequest(c.body, c.new()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		warm := testing.AllocsPerRun(10, decode)
+		afterGC := testing.AllocsPerRun(10, func() { runtime.GC(); decode() })
+		if afterGC-gc != warm {
+			t.Errorf("%s: %v allocs per decode after a GC, %v back to back", c.name, afterGC-gc, warm)
+		}
+	}
 }
 
 // TestBenchTrafficTakesTheWalk builds request bodies the way the serve

@@ -1,11 +1,11 @@
 // Batch Hilbert key kernels over SoA columns.
 //
 // The ingest phase (paper §4.1) computes one Hilbert key per input point
-// before the distributed sort. The scalar path — Cell → axesToTranspose →
-// interleave — spends most of its time in the bit-serial transpose and
-// interleave loops (bits·dim iterations each per point, 62 for the default
-// 2D order) and in per-point call overhead. The kernels below produce
-// bit-identical keys from flat coordinate columns with
+// before the distributed sort. Skilling's formulation of the index — clamp
+// to a cell, run the bit-serial transpose loop, interleave the axis words —
+// spends bits·dim dependent iterations in each of its two loops per point
+// (62 for the default 2D order). The kernels below compute the same keys
+// from flat coordinate columns with
 //
 //   - the transpose loop run as a table-driven state machine, four bit
 //     positions per lookup in 2D and two in 3D (30 dependent mask
@@ -16,9 +16,11 @@
 //     (Morton-style: bit j of an axis word moves to bit j·dim in O(log
 //     bits) shift/and steps).
 //
-// All operations are exact integer arithmetic, so the kernels are pinned
-// bit-identical to Curve.Key by TestKeysColsMatchesKey (and fuzzed), and to
-// the mask loop the tables replaced by TestTableIndexMatchesMaskLoop.
+// All operations are exact integer arithmetic. The tests keep Skilling's
+// loop as the oracle: TestKeysColsMatchesKey (and its fuzz target) pin the
+// kernels bit-identical to it in every dimension, and
+// TestTableIndexMatchesMaskLoop pins the tables to the mask loop they
+// replaced.
 package sfc
 
 import (
@@ -49,8 +51,8 @@ func spread3(v uint64) uint64 {
 }
 
 // suffixParity returns a word whose bit j is the parity of v's bits
-// strictly above j — exactly the Gray-flip accumulator t of
-// axesToTranspose (t ^= q-1 for every set bit q>1 of the last axis).
+// strictly above j — exactly the Gray-flip accumulator t of Skilling's
+// transpose (t ^= q-1 for every set bit q>1 of the last axis).
 func suffixParity(v uint32) uint32 {
 	t := v >> 1
 	t ^= t >> 1
@@ -188,9 +190,9 @@ func init() {
 	fill(3, 2, stateBits3D, func(q, in int, e uint32) { hilbert3Pair[q][in] = uint16(e) })
 }
 
-// index2D is Index(c, bits, 2): the transpose by table — the leading
-// bits mod 4 positions one at a time, the rest a nibble per lookup — then
-// the Gray step and the interleave by bit spreading.
+// index2D is the 2D key of cell (x0, x1): the transpose by table — the
+// leading bits mod 4 positions one at a time, the rest a nibble per
+// lookup — then the Gray step and the interleave by bit spreading.
 func index2D(x0, x1 uint32, bits uint) uint64 {
 	var t0, t1, st uint32
 	s := bits
@@ -215,8 +217,8 @@ func index2D(x0, x1 uint32, bits uint) uint64 {
 	return spread2(uint64(t0))<<1 | spread2(uint64(t1))
 }
 
-// index3D is Index(c, bits, 3) by table (see index2D): the leading bit of
-// an odd order alone, the rest two positions per lookup.
+// index3D is the 3D key of cell (x0, x1, x2) by table (see index2D): the
+// leading bit of an odd order alone, the rest two positions per lookup.
 func index3D(x0, x1, x2 uint32, bits uint) uint64 {
 	var t0, t1, t2, st uint32
 	s := bits
@@ -244,44 +246,51 @@ func index3D(x0, x1, x2 uint32, bits uint) uint64 {
 }
 
 // KeysCols computes the Hilbert key of every point in the SoA columns and
-// writes them to out (len(out) = cols.Len()). Results are bit-identical
-// to calling Key per point; only the Dim leading columns are read, so a
-// 2D store may leave Z nil.
+// writes them to out (len(out) = cols.Len()). Only the Dim leading columns
+// are read, so a 2D store may leave Z nil.
 func (c *Curve) KeysCols(cols *geom.Cols, out []uint64) {
 	c.keysRange(cols, out, 0, len(out))
 }
 
+// cell clamps a coordinate already scaled into cell space to a cell
+// index: NaN and anything at or below 0 to 0, anything at or above
+// maxCellF to maxCell.
+func cell(v, maxCellF float64, maxCell uint32) uint32 {
+	switch {
+	case v <= 0 || v != v: // also catches NaN
+		return 0
+	case v >= maxCellF:
+		return maxCell
+	}
+	return uint32(v)
+}
+
 // keysRange computes keys for the half-open index range [lo, hi).
+//
+// In 1D the key is the cell index. Skilling's loop leaves one axis word
+// x unchanged: its first pass walks the bits from the top and flips every
+// bit below a set one, so afterwards bit j is x_j xor the parity of the
+// result's bits above j; its Gray step flips bit j by that same parity,
+// restoring x_j, and interleaving a single word is the identity.
 func (c *Curve) keysRange(cols *geom.Cols, out []uint64, lo, hi int) {
 	maxCellF := float64(uint32(1)<<c.bits - 1)
 	maxCell := uint32(1)<<c.bits - 1
 	switch c.dim {
+	case 1:
+		px := cols.X
+		min0, s0 := c.box.Min[0], c.scale[0]
+		for i := lo; i < hi; i++ {
+			out[i] = uint64(cell((px[i]-min0)*s0, maxCellF, maxCell))
+		}
 	case 2:
 		px, py := cols.X, cols.Y
 		min0, min1 := c.box.Min[0], c.box.Min[1]
 		s0, s1 := c.scale[0], c.scale[1]
 		bits := c.bits
 		for i := lo; i < hi; i++ {
-			v0 := (px[i] - min0) * s0
-			v1 := (py[i] - min1) * s1
-			var c0, c1 uint32
-			switch {
-			case v0 <= 0 || v0 != v0: // also catches NaN
-				c0 = 0
-			case v0 >= maxCellF:
-				c0 = maxCell
-			default:
-				c0 = uint32(v0)
-			}
-			switch {
-			case v1 <= 0 || v1 != v1:
-				c1 = 0
-			case v1 >= maxCellF:
-				c1 = maxCell
-			default:
-				c1 = uint32(v1)
-			}
-			out[i] = index2D(c0, c1, bits)
+			out[i] = index2D(
+				cell((px[i]-min0)*s0, maxCellF, maxCell),
+				cell((py[i]-min1)*s1, maxCellF, maxCell), bits)
 		}
 	case 3:
 		px, py, pz := cols.X, cols.Y, cols.Z
@@ -289,49 +298,10 @@ func (c *Curve) keysRange(cols *geom.Cols, out []uint64, lo, hi int) {
 		s0, s1, s2 := c.scale[0], c.scale[1], c.scale[2]
 		bits := c.bits
 		for i := lo; i < hi; i++ {
-			v0 := (px[i] - min0) * s0
-			v1 := (py[i] - min1) * s1
-			v2 := (pz[i] - min2) * s2
-			var c0, c1, c2 uint32
-			switch {
-			case v0 <= 0 || v0 != v0:
-				c0 = 0
-			case v0 >= maxCellF:
-				c0 = maxCell
-			default:
-				c0 = uint32(v0)
-			}
-			switch {
-			case v1 <= 0 || v1 != v1:
-				c1 = 0
-			case v1 >= maxCellF:
-				c1 = maxCell
-			default:
-				c1 = uint32(v1)
-			}
-			switch {
-			case v2 <= 0 || v2 != v2:
-				c2 = 0
-			case v2 >= maxCellF:
-				c2 = maxCell
-			default:
-				c2 = uint32(v2)
-			}
-			out[i] = index3D(c0, c1, c2, bits)
-		}
-	default:
-		// Unusual dimensions (1D) take the scalar path; only the leading
-		// columns exist, so the point is assembled from them directly.
-		for i := lo; i < hi; i++ {
-			var p geom.Point
-			p[0] = cols.X[i]
-			if cols.Y != nil {
-				p[1] = cols.Y[i]
-			}
-			if cols.Z != nil {
-				p[2] = cols.Z[i]
-			}
-			out[i] = c.Key(p)
+			out[i] = index3D(
+				cell((px[i]-min0)*s0, maxCellF, maxCell),
+				cell((py[i]-min1)*s1, maxCellF, maxCell),
+				cell((pz[i]-min2)*s2, maxCellF, maxCell), bits)
 		}
 	}
 }

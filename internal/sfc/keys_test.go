@@ -50,9 +50,9 @@ func hostileBatch(rng *rand.Rand, box geom.Box, dim, n int) []geom.Point {
 	return pts
 }
 
-// TestKeysColsMatchesKey pins the batch kernel bit-identical to the
-// scalar Curve.Key over random boxes, degenerate (zero-extent) axes,
-// NaN/Inf and out-of-box coordinates, both dimensions and several curve
+// TestKeysColsMatchesKey pins the batch kernel bit-identical to
+// Skilling's scalar key over random boxes, degenerate (zero-extent) axes,
+// NaN/Inf and out-of-box coordinates, every dimension and several curve
 // orders.
 func TestKeysColsMatchesKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -66,7 +66,7 @@ func TestKeysColsMatchesKey(t *testing.T) {
 		huge := geom.NewBox(geom.Point{-1e15, -1e15, -1e15}, geom.Point{1e15, 1e15, 1e15}, dim)
 		return []geom.Box{unit, shifted, tiny, degenX, degenAll, inverted, huge}
 	}
-	for _, dim := range []int{2, 3} {
+	for _, dim := range []int{1, 2, 3} {
 		orders := []uint{1, 2, 3, 7, 16, Order3D, Order2D} // above-max orders are clamped by NewCurveOrder
 		for _, box := range boxes(dim) {
 			for _, bits := range orders {
@@ -76,9 +76,9 @@ func TestKeysColsMatchesKey(t *testing.T) {
 				got := make([]uint64, len(pts))
 				c.KeysCols(&cols, got)
 				for i, p := range pts {
-					if want := c.Key(p); got[i] != want {
-						t.Fatalf("dim=%d bits=%d box=%v point %v: KeysCols %x, Key %x",
-							dim, c.Bits(), box, p, got[i], want)
+					if want := scalarKey(c, p); got[i] != want {
+						t.Fatalf("dim=%d bits=%d box=%v point %v: KeysCols %x, oracle %x",
+							dim, c.bits, box, p, got[i], want)
 					}
 				}
 				// Every worker count must produce the identical array.
@@ -87,7 +87,7 @@ func TestKeysColsMatchesKey(t *testing.T) {
 					c.KeysColsParallel(&cols, par, workers, nil)
 					for i := range par {
 						if par[i] != got[i] {
-							t.Fatalf("dim=%d bits=%d workers=%d: key %d differs", dim, c.Bits(), workers, i)
+							t.Fatalf("dim=%d bits=%d workers=%d: key %d differs", dim, c.bits, workers, i)
 						}
 					}
 				}
@@ -200,16 +200,25 @@ func TestTableIndexMatchesMaskLoop(t *testing.T) {
 	}
 }
 
-// TestKeysColsNilUnusedColumns checks a 2D store without a Z column works
-// (the SoA redistribution only carries Dim columns).
+// TestKeysColsNilUnusedColumns checks a 2D store without a Z column and a
+// 1D store with X alone work (the SoA redistribution only carries Dim
+// columns).
 func TestKeysColsNilUnusedColumns(t *testing.T) {
 	c := NewCurve(geom.NewBox(geom.Point{}, geom.Point{1, 1}, 2), 2)
 	cols := geom.Cols{Dim: 2, X: []float64{0.25, 0.75}, Y: []float64{0.5, 0.1}}
 	got := make([]uint64, 2)
 	c.KeysCols(&cols, got)
 	for i := 0; i < 2; i++ {
-		if want := c.Key(geom.Point{cols.X[i], cols.Y[i]}); got[i] != want {
+		if want := scalarKey(c, geom.Point{cols.X[i], cols.Y[i]}); got[i] != want {
 			t.Fatalf("nil-Z store: key %d = %x, want %x", i, got[i], want)
+		}
+	}
+	c = NewCurve(geom.NewBox(geom.Point{}, geom.Point{1}, 1), 1)
+	cols = geom.Cols{Dim: 1, X: []float64{0.25, 0.75}}
+	c.KeysCols(&cols, got)
+	for i := 0; i < 2; i++ {
+		if want := scalarKey(c, geom.Point{cols.X[i]}); got[i] != want {
+			t.Fatalf("X-only store: key %d = %x, want %x", i, got[i], want)
 		}
 	}
 }
@@ -236,27 +245,20 @@ func TestKeysColsLargeParallel(t *testing.T) {
 }
 
 // FuzzKeysColsMatchesKey fuzzes single points through the batch kernel
-// against the scalar path across dimensions and orders.
+// against Skilling's scalar key across dimensions (1 + dimRaw%3) and
+// orders.
 func FuzzKeysColsMatchesKey(f *testing.F) {
-	f.Add(0.5, 0.5, 0.5, 1.0, 1.0, 1.0, uint8(31), false)
-	f.Add(-2.0, 1e300, math.NaN(), 0.0, 0.0, 5.0, uint8(21), true)
-	f.Add(math.Inf(1), math.Inf(-1), 0.0, 1.0, 0.0, 1.0, uint8(1), true)
-	f.Fuzz(func(t *testing.T, x, y, z, sx, sy, sz float64, bitsRaw uint8, threeD bool) {
-		dim := 2
-		if threeD {
-			dim = 3
-		}
+	f.Add(0.5, 0.5, 0.5, 1.0, 1.0, 1.0, uint8(31), uint8(1))
+	f.Add(-2.0, 1e300, math.NaN(), 0.0, 0.0, 5.0, uint8(21), uint8(2))
+	f.Add(math.Inf(1), math.Inf(-1), 0.0, 1.0, 0.0, 1.0, uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, x, y, z, sx, sy, sz float64, bitsRaw, dimRaw uint8) {
+		dim := 1 + int(dimRaw%3)
 		box := geom.NewBox(geom.Point{0, 0, 0}, geom.Point{sx, sy, sz}, dim)
 		c := NewCurveOrder(box, dim, uint(bitsRaw%33)+1)
-		p := geom.Point{x, y, z}
-		if dim == 2 {
-			p[2] = 0
-		}
-		cols := fillCols(dim, []geom.Point{p})
-		out := make([]uint64, 1)
-		c.KeysCols(&cols, out)
-		if want := c.Key(p); out[0] != want {
-			t.Fatalf("dim=%d bits=%d p=%v: batch %x scalar %x", dim, c.Bits(), p, out[0], want)
+		var p geom.Point
+		copy(p[:dim], []float64{x, y, z})
+		if got, want := keys(c, p)[0], scalarKey(c, p); got != want {
+			t.Fatalf("dim=%d bits=%d p=%v: batch %x scalar %x", dim, c.bits, p, got, want)
 		}
 	})
 }
@@ -272,14 +274,6 @@ func benchmarkKeys(b *testing.B, dim int) {
 	}
 	cols := fillCols(dim, pts)
 	out := make([]uint64, n)
-	b.Run("scalar", func(b *testing.B) {
-		b.SetBytes(int64(n) * 8 * int64(dim))
-		for i := 0; i < b.N; i++ {
-			for j := range pts {
-				out[j] = c.Key(pts[j])
-			}
-		}
-	})
 	b.Run("batch", func(b *testing.B) {
 		b.SetBytes(int64(n) * 8 * int64(dim))
 		for i := 0; i < b.N; i++ {

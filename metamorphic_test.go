@@ -213,18 +213,20 @@ func TestMetamorphicInvariance(t *testing.T) {
 	}
 }
 
-// FuzzPartitionScaleInvariant: on a small random 2D or 3D point set
+// FuzzPartitionScaleInvariant: on a small random 1D, 2D or 3D point set
 // with random weights, scaling the coordinates by 2^ce and the weights
-// by 2^we leaves every assignment unchanged, for every int8 exponent.
+// by 2^we leaves every assignment unchanged, for every int8 exponent, and
+// so does permuting the scaled input by a seeded permutation and mapping
+// the result back.
 func FuzzPartitionScaleInvariant(f *testing.F) {
-	f.Add(int8(1), int8(0), int64(1))
-	f.Add(int8(0), int8(-3), int64(2))
-	f.Add(int8(-10), int8(10), int64(3))
-	f.Add(int8(127), int8(-128), int64(4))
-	f.Add(int8(-128), int8(127), int64(5))
-	f.Fuzz(func(t *testing.T, ce, we int8, seed int64) {
+	f.Add(int8(1), int8(0), int64(1), int64(7))
+	f.Add(int8(0), int8(-3), int64(2), int64(8))
+	f.Add(int8(-10), int8(10), int64(3), int64(9))
+	f.Add(int8(127), int8(-128), int64(4), int64(10))
+	f.Add(int8(-128), int8(127), int64(5), int64(11))
+	f.Fuzz(func(t *testing.T, ce, we int8, seed, permSeed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		dim := 2 + rng.Intn(2)
+		dim := 1 + rng.Intn(3)
 		n := 50 + rng.Intn(200)
 		coords := randomCoords(n, dim, seed)
 		weights := make([]float64, n)
@@ -236,13 +238,32 @@ func FuzzPartitionScaleInvariant(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Partition(scaled(coords, int(ce)), dim, scaled(weights, int(we)), opts)
+		sc, sw := scaled(coords, int(ce)), scaled(weights, int(we))
+		got, err := Partition(sc, dim, sw, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if i := firstDiff(got, want); i >= 0 {
 			t.Fatalf("n=%d dim=%d %+v: coords×2^%d, weights×2^%d moved point %d (%d → %d)",
 				n, dim, opts, ce, we, i, want[i], got[i])
+		}
+
+		perm := rand.New(rand.NewSource(permSeed)).Perm(n)
+		pc, pw := make([]float64, len(sc)), make([]float64, n)
+		for i, src := range perm {
+			copy(pc[i*dim:(i+1)*dim], sc[src*dim:(src+1)*dim])
+			pw[i] = sw[src]
+		}
+		pb, err := Partition(pc, dim, pw, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, src := range perm {
+			got[src] = pb[i]
+		}
+		if i := firstDiff(got, want); i >= 0 {
+			t.Fatalf("n=%d dim=%d %+v: coords×2^%d, weights×2^%d, permutation %d moved point %d (%d → %d)",
+				n, dim, opts, ce, we, permSeed, i, want[i], got[i])
 		}
 	})
 }

@@ -65,7 +65,8 @@ func mapErr(err error) error {
 // coordinates (flat, len = n·dim, any dim ≥ 1) and weights (nil = unit
 // weights) are copied, scattered over opts.Processes simulated ranks,
 // and kept resident until Close. Inputs and Options follow Partition;
-// Options.Method must be MethodGeographer (or empty).
+// Options.Method must be MethodGeographer (or empty), and Options.K may
+// not exceed the number of points.
 func NewSession(coords []float64, dim int, weights []float64, opts Options) (*Session, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
