@@ -2,9 +2,12 @@ package geographer
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
 
 	"geographer/internal/mpi"
@@ -608,5 +611,89 @@ func TestNonFiniteInputRejected(t *testing.T) {
 		if got.Blocks[i] != want.Blocks[i] {
 			t.Fatalf("point %d: block %d after rejected updates, %d without", i, got.Blocks[i], want.Blocks[i])
 		}
+	}
+}
+
+// TestInputsNeverWritten: the one-shot entry points hand the caller's
+// slices to the rank scatter, and every partitioner adopts and mutates
+// the columns it is given (the sampled shuffle rotates them in place and
+// back, the sort permutes them), so the scatter must transpose into
+// rank-owned columns and never alias the input. Partition with each
+// method and Repartition run twice at once on the same slices: both
+// must return the serial run's blocks, and coordinates, weights and the
+// previous assignment must stay bit-identical to clones taken before.
+// A call writing the caller's memory, even to restore it, is a data
+// race under -race.
+func TestInputsNeverWritten(t *testing.T) {
+	type call struct {
+		name string
+		dim  int
+		run  func(coords, weights []float64, prev []int32) ([]int32, error)
+	}
+	partitionWith := func(method string) func(coords, weights []float64, _ []int32) ([]int32, error) {
+		return func(coords, weights []float64, _ []int32) ([]int32, error) {
+			return Partition(coords, len(coords)/600, weights, Options{K: 6, Method: method, Processes: 3})
+		}
+	}
+	repartition := func(coords, weights []float64, prev []int32) ([]int32, error) {
+		res, err := Repartition(coords, len(coords)/600, weights, prev, Options{K: 6, Processes: 3})
+		return res.Blocks, err
+	}
+	var calls []call
+	for _, dim := range []int{2, 3} {
+		for _, m := range allMethods {
+			calls = append(calls, call{m, dim, partitionWith(m)})
+		}
+		calls = append(calls, call{"repartition", dim, repartition})
+	}
+	calls = append(calls, call{MethodGeographer, 16, partitionWith(MethodGeographer)}, call{"repartition", 16, repartition})
+
+	for _, tc := range calls {
+		t.Run(fmt.Sprintf("%s/d=%d", tc.name, tc.dim), func(t *testing.T) {
+			const n = 600
+			coords := randomCoords(n, tc.dim, int64(tc.dim))
+			weights := make([]float64, n)
+			prev := make([]int32, n)
+			for i := range weights {
+				weights[i] = 1 + float64(i%7)/3
+				prev[i] = int32(i % 6)
+			}
+			wantC, wantW, wantP := slices.Clone(coords), slices.Clone(weights), slices.Clone(prev)
+			serial, err := tc.run(slices.Clone(coords), slices.Clone(weights), slices.Clone(prev))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got [2][]int32
+			var errs [2]error
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got[i], errs[i] = tc.run(coords, weights, prev)
+				}()
+			}
+			wg.Wait()
+			for i := range got {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
+				}
+				if !slices.Equal(got[i], serial) {
+					t.Errorf("concurrent call %d returned other blocks than the serial call", i)
+				}
+			}
+			same := func(a, b []float64) bool {
+				return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+			}
+			if !same(coords, wantC) {
+				t.Error("coordinates changed")
+			}
+			if !same(weights, wantW) {
+				t.Error("weights changed")
+			}
+			if !slices.Equal(prev, wantP) {
+				t.Error("previous assignment changed")
+			}
+		})
 	}
 }

@@ -148,12 +148,13 @@ func (e *engine) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]int64, [
 	if k < 1 {
 		return nil, nil, fmt.Errorf("baselines: k=%d", k)
 	}
-	dim := pts.Dim
+	dim := pts.X.Dim
 	p := c.Size()
 
 	local := make([]dpoint, pts.Len())
 	for i := range local {
-		local[i] = dpoint{ID: pts.IDs[i], W: pts.Weight(i), X: pts.At(i), Sub: 0}
+		local[i] = dpoint{ID: pts.IDs[i], W: pts.W[i]}
+		pts.X.AtVec(i, local[i].X[:])
 	}
 	subs := []sub{{blockLo: 0, blockHi: int32(k), rankLo: 0, rankHi: p}}
 

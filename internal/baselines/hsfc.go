@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"fmt"
-	"math"
 
 	"geographer/internal/dsort"
 	"geographer/internal/geom"
@@ -27,40 +26,14 @@ func (HSFC) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]int64, []int3
 	if k < 1 {
 		return nil, nil, fmt.Errorf("hsfc: k=%d", k)
 	}
-	dim := pts.Dim
+	dim := pts.X.Dim
+	bmin, bmax := make([]float64, dim), make([]float64, dim)
+	partition.GlobalBounds(c, &pts.X, nil, bmin, bmax)
 
-	// Global bounding box.
-	mins := make([]float64, dim)
-	maxs := make([]float64, dim)
-	for d := 0; d < dim; d++ {
-		mins[d] = math.Inf(1)
-		maxs[d] = math.Inf(-1)
-	}
-	for i := 0; i < pts.Len(); i++ {
-		x := pts.At(i)
-		for d := 0; d < dim; d++ {
-			mins[d] = math.Min(mins[d], x[d])
-			maxs[d] = math.Max(maxs[d], x[d])
-		}
-	}
-	mins = mpi.AllreduceMin(c, mins)
-	maxs = mpi.AllreduceMax(c, maxs)
-	box := geom.Box{Dim: dim}
-	for d := 0; d < dim; d++ {
-		box.Min[d] = mins[d]
-		box.Max[d] = maxs[d]
-	}
-	curve := sfc.NewCurve(box, dim)
-
-	// SoA ingest: flat columns, batch key kernel, radix sample sort.
-	cols := dsort.NewCols(dim, pts.Len())
-	for i := 0; i < pts.Len(); i++ {
-		cols.SetPoint(i, pts.At(i))
-		cols.IDs[i] = pts.IDs[i]
-		cols.W[i] = pts.Weight(i)
-	}
-	gv := cols.GeomView()
-	curve.KeysCols(&gv, cols.Keys)
+	// The sort batch adopts the rank's columns; the keys are its only
+	// new column.
+	cols := &dsort.Cols{Dim: dim, Keys: make([]uint64, pts.Len()), IDs: pts.IDs, W: pts.W, C: pts.X.Col}
+	sfc.NewCurve(geom.FlatBoxToBox(bmin, bmax), dim).KeysCols(&pts.X, cols.Keys)
 	c.AddOps(int64(cols.Len()))
 
 	sorted := dsort.SampleSortCols(c, cols)

@@ -176,9 +176,11 @@ func TestResidentWarmStepReusesOutputBuffers(t *testing.T) {
 }
 
 // coldPartitionBytes is the heap one cold Partition below allocated
-// (runtime.MemStats.TotalAlloc) when the sampled bootstrap still gathered
-// its sample through the shuffle permutation; it repeats to ±0.02 %.
-const coldPartitionBytes = 28.07e6
+// (runtime.MemStats.TotalAlloc) once the ranks received their points as
+// columns and the sort batch adopted them (28.07 MB while the scatter
+// handed out a flat copy that the ingest transposed again); it repeats
+// to ±0.02 %.
+const coldPartitionBytes = 25.25e6
 
 // TestColdPartitionAllocFence keeps the cold path's per-point memory where
 // it was: one cold Partition (n = 100 000, d = 2, k = 32, p = 2, serial

@@ -110,24 +110,12 @@ func (st *state) assignAndBalance(infCap float64) bool {
 		}
 
 		// Lines 8–30: assignment loop, dispatched to the batch kernels.
-		// An incremental warm step's first pass runs over the boundary
-		// worklist alone (prepareCarried proved every interior point's
-		// corrected bounds, so omitting them is the same Hamerly skip the
-		// full pass would take — counted as such, so the diagnostics are
-		// identical across the worklist and full-pass modes).
-		idx := sample
-		var omitted int64
-		if st.useWorklist {
-			idx = st.worklist
-			omitted = int64(len(sample) - len(idx))
-			st.useWorklist = false
-		}
-		distCalcs, skips, breaks := st.runAssignKernels(idx)
+		distCalcs, skips, breaks := st.runAssignKernels(sample)
 		st.info.DistCalcs += distCalcs
-		st.info.HamerlySkips += skips + omitted
+		st.info.HamerlySkips += skips
 		st.info.BBoxBreaks += breaks
 		st.info.Visits += int64(len(sample))
-		st.c.AddOps(distCalcs + int64(len(idx)))
+		st.c.AddOps(distCalcs + int64(len(sample)))
 
 		// Line 31: the only communication of the balance routine. The
 		// warm path reduces exact accumulators instead of the kernel's

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"geographer/internal/geom"
 	"geographer/internal/mpi"
 	"geographer/internal/partition"
 )
@@ -45,19 +46,17 @@ func (p *pinnedRun) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]int64
 // of them, splitting the remainder evenly over the other ranks.
 func skew(c *mpi.Comm, pts *partition.Local, first int) *partition.Local {
 	ids := mpi.AllgatherFlat(c, pts.IDs)
-	coords := mpi.AllgatherFlat(c, pts.Coords)
 	w := mpi.AllgatherFlat(c, pts.W)
 	lo, hi := 0, first
 	if r, p := c.Rank(), c.Size(); r > 0 {
 		rest := len(ids) - first
 		lo, hi = first+(r-1)*rest/(p-1), first+r*rest/(p-1)
 	}
-	return &partition.Local{
-		Dim:    pts.Dim,
-		IDs:    ids[lo:hi],
-		Coords: coords[lo*pts.Dim : hi*pts.Dim],
-		W:      w[lo:hi],
+	out := &partition.Local{IDs: ids[lo:hi], W: w[lo:hi], X: geom.MakeCols(pts.X.Dim, hi-lo)}
+	for d, col := range pts.X.Col {
+		copy(out.X.Col[d], mpi.AllgatherFlat(c, col)[lo:hi])
 	}
+	return out
 }
 
 // coldPin is what one pinned cold run must reproduce: the per-rank

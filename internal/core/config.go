@@ -246,9 +246,7 @@ type Info struct {
 
 // SkipRate returns the fraction of point visits resolved by the Hamerly
 // bounds alone — the per-run counterpart of the paper's §4.3 "innermost
-// loop can be skipped in about 80% of the cases". Points an incremental
-// worklist pass never gathers count as skipped visits, so the rate is
-// comparable across the worklist and full-pass modes.
+// loop can be skipped in about 80% of the cases".
 func (in Info) SkipRate() float64 {
 	if in.Visits == 0 {
 		return 0

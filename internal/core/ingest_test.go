@@ -42,35 +42,35 @@ func (b refIngest) ingest(c *mpi.Comm, pts *partition.Local, k int) (*state, err
 	if err := cfg.Validate(k); err != nil {
 		return nil, err
 	}
-	if pts.Dim > geom.MaxDim {
+	dim := pts.X.Dim
+	if dim > geom.MaxDim {
 		cfg.SFCBootstrap = false // no curve beyond MaxDim, as in production
 	}
-	st := &state{c: c, cfg: cfg, dim: pts.Dim, k: k}
-	bmin, bmax := globalBounds(c, pts)
+	st := &state{c: c, cfg: cfg, dim: dim, k: k}
+	bmin, bmax := make([]float64, dim), make([]float64, dim)
+	partition.GlobalBounds(c, &pts.X, nil, bmin, bmax)
 	st.diag = geom.FlatBoxDiagonal(bmin, bmax)
 	if st.diag == 0 {
 		st.diag = 1
 	}
 	// Without the SFC bootstrap the columns fill straight from the input
 	// in id order, as in production.
-	ids, coords, order := pts.IDs, pts.Coords, make([]int, pts.Len())
+	ids, w, x, order := pts.IDs, pts.W, pts.X, make([]int, pts.Len())
 	for i := range order {
 		order[i] = i
 	}
-	w := make([]float64, pts.Len())
-	for i := range w {
-		w[i] = pts.Weight(i)
-	}
 	if cfg.SFCBootstrap {
-		ids, coords, w = mpi.AllgatherFlat(c, ids), mpi.AllgatherFlat(c, coords), mpi.AllgatherFlat(c, w)
-		cols := geom.MakeCols(pts.Dim, len(ids))
+		ids, w = mpi.AllgatherFlat(c, ids), mpi.AllgatherFlat(c, w)
+		x = geom.MakeCols(dim, len(ids))
+		for d, col := range pts.X.Col {
+			copy(x.Col[d], mpi.AllgatherFlat(c, col))
+		}
 		keys := make([]uint64, len(ids))
 		order = make([]int, len(ids))
-		for i := range keys {
-			cols.SetVec(i, coords[i*pts.Dim:(i+1)*pts.Dim])
+		for i := range order {
 			order[i] = i
 		}
-		sfc.NewCurve(boxFromFlat(bmin, bmax, pts.Dim), pts.Dim).KeysCols(&cols, keys)
+		sfc.NewCurve(geom.FlatBoxToBox(bmin, bmax), dim).KeysCols(&x, keys)
 		sort.Slice(order, func(a, b int) bool {
 			i, j := order[a], order[b]
 			return keys[i] < keys[j] || keys[i] == keys[j] && ids[i] < ids[j]
@@ -78,11 +78,13 @@ func (b refIngest) ingest(c *mpi.Comm, pts *partition.Local, k int) (*state, err
 		n, p, r := len(ids), c.Size(), c.Rank()
 		order = order[(r*n+p-1)/p : ((r+1)*n+p-1)/p]
 	}
-	st.X = geom.MakeCols(st.dim, len(order))
+	st.X = geom.MakeCols(dim, len(order))
 	st.W = make([]float64, len(order))
 	st.IDs = make([]int64, len(order))
 	for i, src := range order {
-		st.X.SetVec(i, coords[src*pts.Dim:(src+1)*pts.Dim])
+		for d, col := range x.Col {
+			st.X.Col[d][i] = col[src]
+		}
 		st.W[i], st.IDs[i] = w[src], ids[src]
 	}
 	return st, nil
@@ -184,11 +186,13 @@ func TestIngestEmptyRank(t *testing.T) {
 	}
 }
 
-// TestFoldBoundsMatchesMathMin pins the compare-first foldBounds to the
-// plain math.Min fold it replaced, bit for bit, on vectors salted with the
-// values where a compare and math.Min could part ways: signed zeros (the
-// tie-break the packed min / negated-max reduction relies on), the largest
-// magnitudes, infinities and subnormals.
+// TestFoldBoundsMatchesMathMin pins the compare-first column fold of
+// partition.GlobalBounds to the plain math.Min fold it replaced, bit for
+// bit, on columns salted with the values where a compare and math.Min
+// could part ways: signed zeros (the tie-break the packed min /
+// negated-max reduction relies on), the largest magnitudes, infinities
+// and subnormals. One rank, so the collective adds no ordering of its
+// own; every prefix of the points is checked.
 func TestFoldBoundsMatchesMathMin(t *testing.T) {
 	salt := []float64{
 		0, math.Copysign(0, -1), math.MaxFloat64, -math.MaxFloat64,
@@ -196,29 +200,48 @@ func TestFoldBoundsMatchesMathMin(t *testing.T) {
 		math.Inf(1), math.Inf(-1),
 	}
 	rng := rand.New(rand.NewSource(31))
-	for _, dim := range []int{1, 2, 3, 16} {
-		for trial := 0; trial < 200; trial++ {
-			got := localBoundsInit(nil, dim)
-			want := localBoundsInit(nil, dim)
-			x := make([]float64, dim)
-			for i := 0; i < 1+rng.Intn(12); i++ {
-				for d := range x {
-					if x[d] = rng.NormFloat64(); rng.Intn(3) == 0 {
-						x[d] = salt[rng.Intn(len(salt))]
+	var failure string
+	err := mpi.NewWorld(1).Run(func(c *mpi.Comm) {
+		for _, dim := range []int{1, 2, 3, 16} {
+			for trial := 0; trial < 200 && failure == ""; trial++ {
+				x := geom.MakeCols(dim, 1+rng.Intn(12))
+				for _, col := range x.Col {
+					for i := range col {
+						if col[i] = rng.NormFloat64(); rng.Intn(3) == 0 {
+							col[i] = salt[rng.Intn(len(salt))]
+						}
 					}
 				}
-				foldBounds(got, x, dim)
-				for d := 0; d < dim; d++ {
-					want[d] = math.Min(want[d], x[d])
-					want[dim+d] = math.Min(want[dim+d], -x[d])
+				want := make([]float64, 2*dim) // mins, then negated maxs
+				for d := range want {
+					want[d] = math.Inf(1)
 				}
-				for j := range want {
-					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-						t.Fatalf("dim=%d trial %d after %v: buf[%d] = %x, math.Min fold %x", dim, trial, x, j, got[j], want[j])
+				bmin, bmax := make([]float64, dim), make([]float64, dim)
+				for m := 1; m <= x.Len() && failure == ""; m++ {
+					prefix := geom.Cols{Dim: dim, Col: make([][]float64, dim)}
+					for d, col := range x.Col {
+						prefix.Col[d] = col[:m]
+						want[d] = math.Min(want[d], col[m-1])
+						want[dim+d] = math.Min(want[dim+d], -col[m-1])
+					}
+					partition.GlobalBounds(c, &prefix, nil, bmin, bmax)
+					for d := 0; d < dim; d++ {
+						if math.Float64bits(bmin[d]) != math.Float64bits(want[d]) ||
+							math.Float64bits(-bmax[d]) != math.Float64bits(want[dim+d]) {
+							failure = fmt.Sprintf("dim=%d trial %d, %d points: axis %d box [%x, %x], math.Min fold [%x, %x]",
+								dim, trial, m, d, bmin[d], bmax[d], want[d], -want[dim+d])
+							break
+						}
 					}
 				}
 			}
 		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failure != "" {
+		t.Fatal(failure)
 	}
 }
 

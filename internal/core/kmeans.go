@@ -147,11 +147,8 @@ type state struct {
 	sampleW float64
 	boxN    int
 
-	// Small reusable collective buffers of the steady-state path: the
-	// diagnostics counter reduction of finish and the fused bounding-box
-	// fold (mins and negated maxs in one vector, see reduceBounds).
+	// Reusable buffer of the diagnostics counter reduction in finish.
 	ctrBuf []int64
-	boxBuf []float64
 
 	// Flat sample bounding box (any dimension), len dim each.
 	bbMin, bbMax []float64
@@ -166,8 +163,6 @@ type state struct {
 	carryValid   bool       // a previous warm run left reusable bounds
 	carryBounds  BoundsKind // bounds mode that produced them
 	carryK       int        // k that produced them
-	worklist     []int32    // boundary points of an incremental first pass
-	useWorklist  bool       // consume worklist on the next kernel pass
 
 	// Raw-space shadow of the Hamerly lower bound (trackRaw runs): the
 	// influence-free min distance to any non-assigned center. Influence
@@ -199,57 +194,49 @@ func (b *BalancedKMeans) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]
 	if err := cfg.Validate(k); err != nil {
 		return nil, nil, err
 	}
-	if pts.Dim > geom.MaxDim {
+	if pts.X.Dim > geom.MaxDim {
 		// The Hilbert curve exists only for spatial dimensions; feature-
 		// space inputs always ingest by id order (the warm path skips the
-		// bootstrap entirely anyway) and stay on the SoA pipeline.
+		// bootstrap entirely anyway).
 		cfg.SFCBootstrap = false
 	}
-	st := &state{c: c, cfg: cfg, dim: pts.Dim, k: k}
+	st := &state{c: c, cfg: cfg, dim: pts.X.Dim, k: k}
 
 	// ---- Phase 1: space-filling curve keys (§4.1). -----------------------
-	// Flat dsort columns are filled straight from the input and keyed
-	// through the batch kernel.
 	tStart := time.Now()
-	bmin, bmax := globalBounds(c, pts)
+	bmin, bmax := make([]float64, st.dim), make([]float64, st.dim)
+	partition.GlobalBounds(c, &pts.X, nil, bmin, bmax)
 	st.diag = geom.FlatBoxDiagonal(bmin, bmax)
 	if st.diag == 0 {
 		st.diag = 1
 	}
-	cols := dsort.NewCols(st.dim, pts.Len())
-	for d := 0; d < st.dim; d++ {
-		col := cols.C[d]
-		for i := range col {
-			col[i] = pts.Coords[i*st.dim+d]
-		}
-	}
-	for i := range cols.IDs {
-		cols.IDs[i] = pts.IDs[i]
-		cols.W[i] = pts.Weight(i)
-	}
+	// The sort batch adopts the rank's columns; the keys are its only
+	// new column.
+	var cols *dsort.Cols
 	if cfg.SFCBootstrap {
-		curve := sfc.NewCurve(boxFromFlat(bmin, bmax, pts.Dim), pts.Dim)
-		gv := cols.GeomView()
-		curve.KeysColsParallel(&gv, cols.Keys, resolveWorkers(cfg, c.Size()), cfg.Lease)
+		cols = &dsort.Cols{Dim: st.dim, Keys: make([]uint64, pts.Len()), IDs: pts.IDs, W: pts.W, C: pts.X.Col}
+		curve := sfc.NewCurve(geom.FlatBoxToBox(bmin, bmax), st.dim)
+		curve.KeysColsParallel(&pts.X, cols.Keys, resolveWorkers(cfg, c.Size()), cfg.Lease)
 		c.AddOps(int64(cols.Len()))
-	} else {
-		for i := range cols.Keys {
-			cols.Keys[i] = uint64(pts.IDs[i])
-		}
 	}
 	st.info.SFCSeconds = time.Since(tStart).Seconds()
 
 	// ---- Phase 2: global sort + redistribution (Algorithm 2, l. 4–6). ----
+	// Nothing but cols may hold the input columns across the sort: its
+	// first local pass replaces them, and the replaced ones must be
+	// garbage by then.
 	tSort := time.Now()
 	if cfg.SFCBootstrap {
 		cols = dsort.SampleSortCols(c, cols)
 		cols = dsort.RebalanceCols(c, cols)
+		// The k-means phase adopts the sorted columns in place: absent
+		// axes get zero columns (Full), nothing is copied.
+		st.X, st.W, st.IDs = geom.ColsOf(cols.C).Full(), cols.W, cols.IDs
+	} else {
+		// Without the bootstrap it adopts the rank's columns as they
+		// are, in id order.
+		st.X, st.W, st.IDs = pts.X.Full(), pts.W, pts.IDs
 	}
-	// The k-means phase adopts the sorted columns in place: absent axes
-	// get zero columns (Geom), nothing is copied.
-	st.X = cols.Geom()
-	st.W = cols.W
-	st.IDs = cols.IDs
 	st.info.SortSeconds = time.Since(tSort).Seconds()
 
 	// ---- Phase 3: balanced k-means (Algorithm 2, l. 7–19). ---------------
@@ -291,79 +278,6 @@ func (b *BalancedKMeans) finish(st *state, seed []float64) ([]int64, []int32, er
 		b.mu.Unlock()
 	}
 	return st.IDs, st.A, nil
-}
-
-// globalBounds computes the flat bounding box of the distributed point
-// set (any dimension).
-func globalBounds(c *mpi.Comm, pts *partition.Local) (bmin, bmax []float64) {
-	buf := localBoundsInit(nil, pts.Dim)
-	n := pts.Len()
-	for i := 0; i < n; i++ {
-		foldBounds(buf, pts.Coord(i), pts.Dim)
-	}
-	bmin = make([]float64, pts.Dim)
-	bmax = make([]float64, pts.Dim)
-	reduceBounds(c, pts.Dim, buf, bmin, bmax)
-	return bmin, bmax
-}
-
-// boxFromFlat packs a flat spatial bounding box into a geom.Box (the
-// space-filling-curve bootstrap needs one; dim ≤ geom.MaxDim only).
-func boxFromFlat(bmin, bmax []float64, dim int) geom.Box {
-	box := geom.Box{Dim: dim}
-	copy(box.Min[:dim], bmin)
-	copy(box.Max[:dim], bmax)
-	return box
-}
-
-// localBoundsInit prepares the fold buffer of a bounds pass: dim mins
-// followed by dim *negated* maxs, all starting at +Inf, so the whole box
-// reduces with a single AllreduceMin (max x = -min(-x), including the
-// IEEE zero-sign tie-breaks). Reuses buf when it is large enough —
-// the resident path passes a persistent buffer and stays allocation-free.
-func localBoundsInit(buf []float64, dim int) []float64 {
-	if cap(buf) < 2*dim {
-		buf = make([]float64, 2*dim)
-	}
-	buf = buf[:2*dim]
-	for d := range buf {
-		buf[d] = math.Inf(1)
-	}
-	return buf
-}
-
-// foldBounds folds one flat coordinate vector into a localBoundsInit
-// buffer. A plain compare decides the common case; math.Min is called
-// only where it would change the slot or where two zeros meet, so the
-// -0 < +0 tie-break the packed reduction relies on stays math.Min's.
-// (NaN coordinates are rejected at the public boundary,
-// geom.PointSet.Validate; one that got here would be ignored, where
-// math.Min alone would poison the slot.)
-func foldBounds(buf []float64, x []float64, dim int) {
-	for d := 0; d < dim; d++ {
-		v := x[d]
-		if v < buf[d] || (v == 0 && buf[d] == 0) {
-			buf[d] = math.Min(buf[d], v)
-		}
-		v = -v
-		if v < buf[dim+d] || (v == 0 && buf[dim+d] == 0) {
-			buf[dim+d] = math.Min(buf[dim+d], v)
-		}
-	}
-}
-
-// reduceBounds is the collective half of a global bounding-box
-// computation, shared by globalBounds and Resident.RecomputeBounds so
-// the two can never drift apart (bit-identical boxes are part of the
-// session invariants): one element-wise min Allreduce over the packed
-// mins/negated-maxs buffer (in place), unpacked into the caller's flat
-// min/max slices (len dim each).
-func reduceBounds(c *mpi.Comm, dim int, buf, bmin, bmax []float64) {
-	mpi.AllreduceMinInto(c, buf, buf)
-	for d := 0; d < dim; d++ {
-		bmin[d] = buf[d]
-		bmax[d] = -buf[dim+d]
-	}
 }
 
 // resolveWorkers decides how many intra-rank kernel shards to use: spare
@@ -493,9 +407,6 @@ func (st *state) ensureScratch() {
 	if !st.warm && st.cfg.SampledInit && cap(st.cycles) < n {
 		st.cycles = make([]int32, 0, n)
 	}
-	if cap(st.worklist) < n {
-		st.worklist = make([]int32, 0, n)
-	}
 	if st.cfg.Bounds == BoundsElkan {
 		if len(st.lbk) != n*st.k {
 			st.lbk = make([]float64, n*st.k) // zero = trivially valid
@@ -549,9 +460,6 @@ func (st *state) ensureScratch() {
 	if len(st.ctrBuf) != 6 {
 		st.ctrBuf = make([]int64, 6)
 	}
-	if len(st.boxBuf) != 2*st.dim {
-		st.boxBuf = make([]float64, 2*st.dim)
-	}
 	if st.warm || st.cfg.Deterministic {
 		if st.exactW == nil || st.exactW.Len() != st.k {
 			st.exactW = exact.NewRowSums(st.k)
@@ -599,7 +507,6 @@ func (st *state) resetRun() {
 	st.resetBox()
 	st.pendScaled = false
 	st.anySampling = false
-	st.useWorklist = false
 	// The sampled bootstrap exists to move bad initial centers cheaply;
 	// warm starts begin near-converged, so the warm path always runs on
 	// the full point set — also a determinism requirement, since the
@@ -807,45 +714,17 @@ func (st *state) computeCenters(out []float64) bool {
 	}
 	vec := st.centVec
 	clear(vec)
-	px, py, pz := st.X.X, st.X.Y, st.X.Z
-	sample := st.A[:st.nSample]
-	switch st.dim {
-	case 2:
-		for i, a := range sample {
-			if a < 0 {
-				continue
-			}
-			base := int(a) * 3
-			w := st.W[i]
-			vec[base] += w * px[i]
-			vec[base+1] += w * py[i]
-			vec[base+2] += w
+	cols := st.X.Col
+	for i, a := range st.A[:st.nSample] {
+		if a < 0 {
+			continue
 		}
-	case 3:
-		for i, a := range sample {
-			if a < 0 {
-				continue
-			}
-			base := int(a) * 4
-			w := st.W[i]
-			vec[base] += w * px[i]
-			vec[base+1] += w * py[i]
-			vec[base+2] += w * pz[i]
-			vec[base+3] += w
+		base := int(a) * (st.dim + 1)
+		w := st.W[i]
+		for d, col := range cols {
+			vec[base+d] += w * col[i]
 		}
-	default:
-		cols := st.X.Col
-		for i, a := range sample {
-			if a < 0 {
-				continue
-			}
-			base := int(a) * (st.dim + 1)
-			w := st.W[i]
-			for d, col := range cols {
-				vec[base+d] += w * col[i]
-			}
-			vec[base+st.dim] += w
-		}
+		vec[base+st.dim] += w
 	}
 	st.c.AddOps(int64(st.nSample))
 	vec = mpi.AllreduceSum(st.c, vec)

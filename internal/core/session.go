@@ -24,6 +24,7 @@ import (
 type Resident struct {
 	dim        int
 	bmin, bmax []float64 // flat global bounding box, len dim each
+	boxBuf     []float64 // RecomputeBounds' fold buffer (partition.GlobalBounds)
 
 	// st owns the resident columns (X, W, IDs) and every reusable
 	// k-means buffer. PartitionResident re-binds the per-call fields
@@ -34,31 +35,23 @@ type Resident struct {
 }
 
 // Ingest builds the resident state from this rank's scattered points:
-// one collective bounding-box reduction plus one copy of the local
-// points into SoA columns. This is the only per-point-set cost of a
-// session; every subsequent warm partition reuses the columns. The
-// resident takes ownership of pts.IDs.
+// the resident adopts pts' columns as they are, then one collective
+// bounding-box reduction. This is the only per-point-set cost of a
+// session; every subsequent warm partition reuses the columns.
 func Ingest(c *mpi.Comm, pts *partition.Local) *Resident {
-	bmin, bmax := globalBounds(c, pts)
-	return newResident(pts, bmin, bmax)
+	r := newResident(pts, make([]float64, pts.X.Dim), make([]float64, pts.X.Dim))
+	r.RecomputeBounds(c)
+	return r
 }
 
-// newResident builds the resident columns from this rank's points
-// under the given global bounding box: the coordinates transposed into
-// one MakeCols backing, the weights copied, pts.IDs adopted. Ingest and
+// newResident builds the resident over this rank's points under the
+// given global bounding box, adopting pts' ids, weights and coordinate
+// columns (absent axes get zero columns, Full). Ingest and
 // RestoreResident share it, so a restored resident's columns are laid
 // out exactly like a freshly ingested one's.
 func newResident(pts *partition.Local, bmin, bmax []float64) *Resident {
-	r := &Resident{dim: pts.Dim, bmin: bmin, bmax: bmax}
-	st := &r.st
-	n := pts.Len()
-	st.X = geom.MakeCols(pts.Dim, n)
-	st.W = make([]float64, n)
-	st.IDs = pts.IDs
-	for i := 0; i < n; i++ {
-		st.X.SetVec(i, pts.Coord(i))
-		st.W[i] = pts.Weight(i)
-	}
+	r := &Resident{dim: pts.X.Dim, bmin: bmin, bmax: bmax}
+	r.st.X, r.st.W, r.st.IDs = pts.X.Full(), pts.W, pts.IDs
 	return r
 }
 
@@ -103,21 +96,7 @@ func (r *Resident) SetCoordsGlobal(coords []float64) {
 // The reduction is min/max, so the result is bit-identical to the box
 // the one-shot warm path computes, regardless of the rank layout.
 func (r *Resident) RecomputeBounds(c *mpi.Comm) {
-	st := &r.st
-	// Reuses the state's persistent fold buffer when a partition call
-	// has sized it (before the first call it is grown here, once).
-	st.boxBuf = localBoundsInit(st.boxBuf, r.dim)
-	n := st.X.Len()
-	if len(r.bmin) != r.dim {
-		r.bmin = make([]float64, r.dim)
-		r.bmax = make([]float64, r.dim)
-	}
-	vec := make([]float64, r.dim)
-	for i := 0; i < n; i++ {
-		st.X.AtVec(i, vec)
-		foldBounds(st.boxBuf, vec, r.dim)
-	}
-	reduceBounds(c, r.dim, st.boxBuf, r.bmin, r.bmax)
+	r.boxBuf = partition.GlobalBounds(c, &r.st.X, r.boxBuf, r.bmin, r.bmax)
 }
 
 // PartitionResident is Partition for resident state: the warm-start

@@ -282,7 +282,7 @@ func (r *Resident) Snapshot(e *SnapEncoder) {
 	e.U32(ResidentSnapshotVersion)
 	// The box travels rather than being refolded from the points: the
 	// collective min reduction does not order -0 against +0 the way a
-	// single local foldBounds pass does.
+	// single rank's fold does.
 	e.F64s(r.bmin)
 	e.F64s(r.bmax)
 
@@ -337,12 +337,12 @@ func MinSnapshotLen(dim int) int {
 
 // RestoreResident decodes one resident record onto this rank's points,
 // pts (partition.View of the session's point set: the same rank layout
-// that produced the record). The columns are built from pts by the
-// code Ingest uses; the record supplies the bounding box and the
-// carried block, which must fit pts. The returned Resident is ready for
-// PartitionResident. It adopts pts.IDs; every other slice is allocated
-// once, at its final size, so the decoder's input may be discarded or
-// reused afterwards.
+// that produced the record). The resident adopts pts' columns as Ingest
+// does; the record supplies the bounding box and the carried block,
+// which must fit pts. The returned Resident is ready for
+// PartitionResident. Every decoded slice is allocated once, at its
+// final size, so the decoder's input may be discarded or reused
+// afterwards.
 func RestoreResident(d *SnapDecoder, pts *partition.Local) (*Resident, error) {
 	if m := d.U32(); d.Err() == nil && m != residentMagic {
 		return nil, fmt.Errorf("%w: bad resident magic %#x", ErrCheckpointCorrupt, m)
@@ -356,7 +356,7 @@ func RestoreResident(d *SnapDecoder, pts *partition.Local) (*Resident, error) {
 	if d.Err() != nil {
 		return nil, d.Err()
 	}
-	dim, n := pts.Dim, pts.Len()
+	dim, n := pts.X.Dim, pts.Len()
 	if len(boxMin) != dim || len(boxMax) != dim {
 		return nil, fmt.Errorf("%w: box of %d/%d coordinates for dim %d", ErrCheckpointCorrupt, len(boxMin), len(boxMax), dim)
 	}

@@ -298,9 +298,9 @@ func TestRestoreRejectsUnsoundCarry(t *testing.T) {
 }
 
 // TestRestoreResidentAllocFence: a restore allocates each slice once at
-// its final size — the rank's view of the point set builds the ids the
-// resident adopts, the columns go straight into the MakeCols backing,
-// and no column passes through a temporary — so it allocates about the
+// its final size — the rank's view of the point set builds the ids,
+// weights and coordinate columns the resident adopts, and no column
+// passes through a temporary — so it allocates about the
 // bytes of the record it decodes plus the columns it rebuilds: n·dim
 // coordinates, n weights and n ids, which the v2 record carried itself.
 func TestRestoreResidentAllocFence(t *testing.T) {

@@ -36,14 +36,6 @@ func (st *state) carryOK() bool {
 	return ok
 }
 
-// boundaryFraction caps the boundary-worklist mode of an incremental
-// warm step: when more than this fraction of the local points are
-// boundary points, the first pass falls back to streaming the full
-// point set. Beyond it the sparse gather loses its locality edge over
-// streaming the full columns, and the corrected bounds already skip
-// interior points point-by-point on the full pass.
-const boundaryFraction = 0.6
-
 // prepareCarried is resetRun for an incremental warm run: instead of
 // resetting assignments and bounds to "unknown", the values left by the
 // previous warm run are corrected for everything that changed between
@@ -52,19 +44,19 @@ const boundaryFraction = 0.6
 // and the influence rescale from the previous run's final influences
 // back to the fresh all-ones (the eager materialization of the same
 // per-center ratios scaleBoundsForInfluence leaves pending within a
-// run; here the pass doubles as the boundary-worklist build, so the
-// lazy form has nothing left to fuse into). The inequalities (DESIGN.md,
+// run; here the pass also counts the boundary points, so the lazy form
+// has nothing left to fuse into). The inequalities (DESIGN.md,
 // "Incremental bound invariants"):
 //
 //	ub' = ub·inf_prev[a] + ‖c_a − c'_a‖     ((near-)exact raw distance + drift)
 //	lb' = rlb − max_b ‖c_b − c'_b‖          (raw shadow: no influence loss)
 //	lbk'[b] = lbk[b] − ‖c_b − c'_b‖         (Elkan, raw-distance space)
 //
-// In Hamerly mode the pass also collects the boundary points — those
+// In Hamerly mode the pass also counts the boundary points — those
 // whose corrected bounds cross (ub' ≥ lb') and therefore need a fresh
-// argmin — into st.worklist; when their fraction stays under
-// boundaryFraction, the first kernel pass runs over the worklist
-// alone and never gathers interior points at all.
+// argmin — into Info.BoundaryPoints. The first kernel pass runs over
+// the whole set; every interior point skips there on the bounds
+// written here.
 func (st *state) prepareCarried() {
 	// Per-run values that reset exactly as in resetRun. Influences are
 	// read by the correction loops below and reset at the end.
@@ -72,7 +64,6 @@ func (st *state) prepareCarried() {
 	st.resetBox()
 	st.pendScaled = false
 	st.anySampling = false
-	st.useWorklist = false
 
 	maxDrift := 0.0
 	for b := 0; b < st.k; b++ {
@@ -85,13 +76,13 @@ func (st *state) prepareCarried() {
 
 	switch st.cfg.Bounds {
 	case BoundsHamerly:
-		st.worklist = st.worklist[:0]
+		var boundary int64
 		for i := range st.A {
 			a := st.A[i]
 			if a < 0 {
-				// Never happens after a completed warm run; kept so a
-				// stray unassigned point is recomputed, not trusted.
-				st.worklist = append(st.worklist, int32(i))
+				// Never happens after a completed warm run; the kernel
+				// recomputes a stray unassigned point, never trusts it.
+				boundary++
 				continue
 			}
 			// ub·inf_prev[a] is the (near-)exact raw distance to the
@@ -106,21 +97,15 @@ func (st *state) prepareCarried() {
 			st.lb[i] = l // influences are all 1: effective = raw
 			st.rlb[i] = l
 			if !(u < l) {
-				st.worklist = append(st.worklist, int32(i))
+				boundary++
 			}
 		}
-		st.info.BoundaryPoints = int64(len(st.worklist))
-		frac := 1.0
-		if n := len(st.A); n > 0 {
-			frac = float64(len(st.worklist)) / float64(n)
-		}
-		st.useWorklist = frac <= boundaryFraction
+		st.info.BoundaryPoints = boundary
 	case BoundsElkan:
 		// Elkan's per-center bounds live in raw-distance space and every
 		// point is visited each pass anyway (the current center's
-		// distance is always recomputed), so there is no worklist mode —
-		// the carried lbk skip per-candidate distance evaluations
-		// instead.
+		// distance is always recomputed): the carried lbk skip
+		// per-candidate distance evaluations.
 		for i := range st.A {
 			if a := st.A[i]; a >= 0 {
 				st.ub[i] = (st.ub[i]*st.influence[a] + st.perCenter[a]) * (1 + boundSlack)

@@ -20,7 +20,6 @@ package dsort
 import (
 	"sort"
 
-	"geographer/internal/geom"
 	"geographer/internal/mpi"
 )
 
@@ -52,49 +51,6 @@ func NewCols(dim, n int) *Cols {
 
 // Len returns the number of records.
 func (c *Cols) Len() int { return len(c.Keys) }
-
-// SetPoint writes the Dim leading coordinates of p into record i.
-func (c *Cols) SetPoint(i int, p geom.Point) {
-	for d := 0; d < c.Dim; d++ {
-		c.C[d][i] = p[d]
-	}
-}
-
-// col returns coordinate column d, or nil when the batch has fewer
-// dimensions.
-func (c *Cols) col(d int) []float64 {
-	if d < c.Dim {
-		return c.C[d]
-	}
-	return nil
-}
-
-// GeomView returns a geom.Cols sharing the coordinate columns; columns
-// of unused spatial axes stay nil. Only safe for consumers that never
-// touch the missing axes (the batch key kernel).
-func (c *Cols) GeomView() geom.Cols {
-	return geom.Cols{Dim: c.Dim, X: c.col(0), Y: c.col(1), Z: c.col(2), Col: c.C}
-}
-
-// Geom converts the batch into a full geom.Cols point store: present
-// coordinate columns are shared (no copy); for spatial dimensions the
-// absent X/Y/Z axes get fresh zero-filled columns so SoA kernels that
-// read all three axes work, and beyond MaxDim the aliases point at the
-// first three real columns (the kernels walk Col there).
-func (c *Cols) Geom() geom.Cols {
-	out := geom.Cols{Dim: c.Dim, Col: c.C, X: c.col(0), Y: c.col(1), Z: c.col(2)}
-	n := c.Len()
-	if out.X == nil {
-		out.X = make([]float64, n)
-	}
-	if out.Y == nil {
-		out.Y = make([]float64, n)
-	}
-	if out.Z == nil {
-		out.Z = make([]float64, n)
-	}
-	return out
-}
 
 // WireBytes returns the modeled per-record wire size of the SoA
 // exchange: key + id + weight + dim coordinates. This replaces the old

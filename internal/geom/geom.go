@@ -137,6 +137,15 @@ func FlatBoxDiagonal(bmin, bmax []float64) float64 {
 	return math.Sqrt(s)
 }
 
+// FlatBoxToBox packs a flat spatial bounding box (len(bmin) ≤ MaxDim
+// axes) into a Box, as the space-filling curve takes it.
+func FlatBoxToBox(bmin, bmax []float64) Box {
+	box := Box{Dim: len(bmin)}
+	copy(box.Min[:], bmin)
+	copy(box.Max[:], bmax)
+	return box
+}
+
 // Box is an axis-aligned bounding box. A zero Box is not valid; use
 // EmptyBox and then Extend, or NewBox.
 type Box struct {

@@ -95,6 +95,35 @@ func MakeCols(dim, n int) Cols {
 	return Cols{Dim: dim, X: col[0], Y: col[1], Z: col[2], Col: col}
 }
 
+// ColsOf returns the Cols view of len(col) ≥ 1 equal-length coordinate
+// columns, sharing them. Below MaxDim the aliases of the absent X/Y/Z
+// axes stay nil: enough for the key kernel, AtVec/SetVec and every walk
+// over Col, not for the assignment kernels, which read all three axes
+// per point whatever Dim is (Full).
+func ColsOf(col [][]float64) Cols {
+	c := Cols{Dim: len(col), Col: col, X: col[0]}
+	if len(col) > 1 {
+		c.Y = col[1]
+	}
+	if len(col) > 2 {
+		c.Z = col[2]
+	}
+	return c
+}
+
+// Full returns c with a fresh zero column for each absent X/Y/Z axis —
+// MakeCols' layout, in separate allocations — so the assignment kernels
+// can run on it; the present columns are shared.
+func (c Cols) Full() Cols {
+	n := len(c.X)
+	for _, axis := range []*[]float64{&c.Y, &c.Z} {
+		if *axis == nil {
+			*axis = make([]float64, n)
+		}
+	}
+	return c
+}
+
 // Len returns the number of points.
 func (c *Cols) Len() int { return len(c.X) }
 

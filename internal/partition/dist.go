@@ -3,49 +3,32 @@ package partition
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"geographer/internal/geom"
 	"geographer/internal/mpi"
 )
 
-// Local is the per-rank view of a distributed point set: every point
-// carries its global id so results can be assembled after arbitrary
-// migrations (distributed partitioners move points between ranks).
-// Coordinates are stored flat (stride Dim) so any dimension fits; the
-// At accessor serves the spatial (Dim ≤ geom.MaxDim) consumers.
+// Local is one rank's share of a distributed point set, held the way
+// every partitioner computes on it: column-major. Every point carries
+// its global id so results can be assembled after arbitrary migrations
+// (distributed partitioners move points between ranks); W always holds
+// values (unit weights are materialized); X holds the Dim coordinate
+// columns (geom.ColsOf). The absent axes of a 1D or 2D set are left
+// unallocated, since the curve sort replaces the columns anyway; a
+// consumer that runs the assignment kernels on X adds them with Full.
+//
+// The rank owns all three: a partitioner adopts them as its working
+// columns and may mutate them in place — the sampled bootstrap rotates
+// them, a session keeps them as its resident store.
 type Local struct {
-	Dim    int
-	IDs    []int64
-	Coords []float64 // len = Len()·Dim, stride Dim
-	W      []float64 // nil = unit weights
+	IDs []int64
+	W   []float64
+	X   geom.Cols
 }
 
 // Len returns the number of local points.
 func (l *Local) Len() int { return len(l.IDs) }
-
-// At returns local point i as a Point value (Dim ≤ geom.MaxDim only).
-func (l *Local) At(i int) geom.Point {
-	var p geom.Point
-	base := i * l.Dim
-	for d := 0; d < l.Dim; d++ {
-		p[d] = l.Coords[base+d]
-	}
-	return p
-}
-
-// Coord returns the flat coordinate vector of local point i (any
-// dimension; the returned slice aliases the Coords buffer).
-func (l *Local) Coord(i int) []float64 {
-	return l.Coords[i*l.Dim : (i+1)*l.Dim]
-}
-
-// Weight returns the weight of local point i.
-func (l *Local) Weight(i int) float64 {
-	if l.W == nil {
-		return 1
-	}
-	return l.W[i]
-}
 
 // Distributed is a partitioner that runs SPMD inside a simulated MPI
 // world. It returns (ids, blocks) pairs — the ids may be a permutation of
@@ -57,33 +40,87 @@ type Distributed interface {
 
 // View returns rank r's share of ps on a world of p ranks: the
 // contiguous chunk of point indices [r·n/p, (r+1)·n/p), the one rank
-// layout every scattered or restored rank holds. Coords and W alias ps
-// (read-only: the caller must not write through them); IDs is fresh.
+// layout every scattered or restored rank holds, transposed once into
+// fresh columns the rank owns. Nothing aliases ps, so the rank may
+// mutate what it gets; global ids are the point indices in ps.
 func View(ps *geom.PointSet, p, r int) *Local {
-	n := ps.Len()
+	n, dim := ps.Len(), ps.Dim
 	lo := r * n / p
 	hi := (r + 1) * n / p
-	lp := &Local{
-		Dim:    ps.Dim,
-		IDs:    make([]int64, hi-lo),
-		Coords: ps.Coords[lo*ps.Dim : hi*ps.Dim],
+	m := hi - lo
+	buf := make([]float64, dim*m) // one backing for the Dim columns
+	col := make([][]float64, dim)
+	for d := range col {
+		col[d] = buf[d*m : (d+1)*m : (d+1)*m]
 	}
-	if ps.Weight != nil {
-		lp.W = ps.Weight[lo:hi]
-	}
+	lp := &Local{IDs: make([]int64, m), W: make([]float64, m), X: geom.ColsOf(col)}
 	for i := range lp.IDs {
 		lp.IDs[i] = int64(lo + i)
+	}
+	if ps.Weight != nil {
+		copy(lp.W, ps.Weight[lo:hi])
+	} else {
+		for i := range lp.W {
+			lp.W[i] = 1
+		}
+	}
+	src := ps.Coords[lo*dim : hi*dim]
+	for d, c := range col {
+		for i := range c {
+			c[i] = src[i*dim+d]
+		}
 	}
 	return lp
 }
 
-// Scatter returns this rank's chunk of ps (View's layout) as a copy the
-// rank owns. Global ids are the point indices in ps.
+// Scatter returns this rank's share of ps: View on the comm's layout.
 func Scatter(c *mpi.Comm, ps *geom.PointSet) *Local {
-	lp := View(ps, c.Size(), c.Rank())
-	lp.Coords = append([]float64(nil), lp.Coords...)
-	lp.W = append([]float64(nil), lp.W...)
-	return lp
+	return View(ps, c.Size(), c.Rank())
+}
+
+// GlobalBounds sets bmin and bmax (len x.Dim each) to the bounding box
+// of the union of every rank's columns x. Collective: every rank of the
+// world must call it. Each rank folds its columns into buf — dim mins
+// followed by dim *negated* maxs — so the whole box reduces with one
+// AllreduceMinInto (max x = −min(−x), including the IEEE zero-sign
+// tie-breaks). buf is grown to 2·dim when short and returned, so a
+// caller that keeps it allocates nothing on later calls.
+func GlobalBounds(c *mpi.Comm, x *geom.Cols, buf, bmin, bmax []float64) []float64 {
+	dim := x.Dim
+	if cap(buf) < 2*dim {
+		buf = make([]float64, 2*dim)
+	}
+	buf = buf[:2*dim]
+	for d, col := range x.Col {
+		buf[d], buf[dim+d] = foldColumn(col)
+	}
+	mpi.AllreduceMinInto(c, buf, buf)
+	for d := 0; d < dim; d++ {
+		bmin[d] = buf[d]
+		bmax[d] = -buf[dim+d]
+	}
+	return buf
+}
+
+// foldColumn returns min(col) and min(−col), both +Inf for an empty
+// column. A plain compare decides the common case; math.Min is called
+// only where it would change the value or where two zeros meet, so the
+// −0 < +0 tie-break the packed reduction relies on stays math.Min's.
+// (NaN coordinates are rejected at the public boundary,
+// geom.PointSet.Validate; one that got here would be ignored, where
+// math.Min alone would poison the fold.)
+func foldColumn(col []float64) (mn, negMax float64) {
+	mn, negMax = math.Inf(1), math.Inf(1)
+	for _, v := range col {
+		if v < mn || (v == 0 && mn == 0) {
+			mn = math.Min(mn, v)
+		}
+		v = -v
+		if v < negMax || (v == 0 && negMax == 0) {
+			negMax = math.Min(negMax, v)
+		}
+	}
+	return mn, negMax
 }
 
 // Run executes a distributed partitioner on ps over world w and assembles

@@ -42,8 +42,8 @@ func BenchmarkRepartition(b *testing.B) {
 }
 
 // BenchmarkSessionRepartitionIncremental measures one warm streaming
-// step on a long-lived Session: bounds carried across steps, first pass
-// over the boundary worklist only. Reported boundary_frac is the mean
+// step on a long-lived Session: bounds carried across steps, interior
+// points skipping on them in the first pass. Reported boundary_frac is the mean
 // fraction of points per step whose corrected bounds crossed; dist/op
 // the mean distance evaluations per step. Compare BenchmarkRepartition,
 // which starts every step from reset bounds and pays scatter + ingest,

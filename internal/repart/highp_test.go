@@ -55,7 +55,7 @@ func TestWarmRepartitionHighRankBitIdentical(t *testing.T) {
 // bounds on — at p=1024 against a p=2 reference, step by step. This
 // covers what the one-shot test above cannot: the incremental path's
 // cross-step state (carried bounds, influence rescale, boundary
-// worklists) interacting with the windowed exact reductions at a rank
+// counts) interacting with the windowed exact reductions at a rank
 // count where nearly every rank's touched-row window differs.
 func TestSessionHighRankWarmSteps(t *testing.T) {
 	const n, k, steps = 4000, 8, 3

@@ -26,7 +26,9 @@ const maxBodyBytes = 1 << 28
 
 // request is a body the walk decodes: member decodes the value of the
 // member called name, reporting false when name is none of the type's
-// field names exactly or the value is not in the canonical shape.
+// field names exactly or the value is not in the canonical shape. The
+// walk reaches member through decodeMember's type switch, never through
+// the interface, so the decoder it passes stays on the walk's stack.
 type request interface {
 	member(d *decoder, name []byte) bool
 }
@@ -139,7 +141,7 @@ func walk(body []byte, v request) bool {
 	if !d.next('}') {
 		for {
 			name, ok := d.plain()
-			if !ok || !d.next(':') || !v.member(&d, name) {
+			if !ok || !d.next(':') || !decodeMember(&d, v, name) {
 				return false
 			}
 			if d.next('}') {
@@ -152,6 +154,23 @@ func walk(body []byte, v request) bool {
 	}
 	d.skipSpace()
 	return d.off == len(d.data)
+}
+
+// decodeMember calls v's member method on its concrete type: a call
+// through the interface would move the decoder to the heap, since the
+// compiler cannot see which method escapes it.
+func decodeMember(d *decoder, v request, name []byte) bool {
+	switch q := v.(type) {
+	case *createRequest:
+		return q.member(d, name)
+	case *repartitionRequest:
+		return q.member(d, name)
+	case *weightsRequest:
+		return q.member(d, name)
+	case *coordsRequest:
+		return q.member(d, name)
+	}
+	return false
 }
 
 func (d *decoder) skipSpace() {

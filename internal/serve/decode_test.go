@@ -292,3 +292,28 @@ func BenchmarkDecodeRequest(b *testing.B) {
 		})
 	}
 }
+
+// TestDecodeRequestAllocs pins the walk's heap allocations per decode of
+// the benchmark's bodies: the weights body allocates the request and its
+// one exact-size slice; the create body the request, its two slices and
+// the name string. A decoder moved to the heap adds one to each.
+func TestDecodeRequestAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		body []byte
+		new  func() request
+		want float64
+	}{
+		{"weights40k", waveBody(40000), func() request { return new(weightsRequest) }, 2},
+		{"create40k", createBody(40000), func() request { return new(createRequest) }, 4},
+	} {
+		got := testing.AllocsPerRun(20, func() {
+			if err := decodeRequest(c.body, c.new()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("%s: %.0f allocations per decode, want %.0f", c.name, got, c.want)
+		}
+	}
+}
