@@ -361,6 +361,52 @@ func TestExtrudeRejectsHostileSurface(t *testing.T) {
 	}
 }
 
+// twoColumns is a 2-vertex surface with 2 and 3 layers: a 5-vertex volume.
+func twoColumns() *MeshData {
+	return &MeshData{Dim: 2, Coords: []float64{0, 0, 1, 0}, Weights: []float64{2, 3},
+		XAdj: []int64{0, 1, 2}, Adj: []int32{1, 0}}
+}
+
+// TestExtrudeRejectsNonFiniteLayerHeight: a NaN height used to give every
+// vertex a NaN depth and +Inf NaN and -Inf ones, with no error; both are
+// now errors. Every other height ≤ 0, -Inf included, still means 0.01.
+func TestExtrudeRejectsNonFiniteLayerHeight(t *testing.T) {
+	part := []int32{0, 1}
+	for _, h := range []float64{math.NaN(), math.Inf(1)} {
+		if vol, _, err := Extrude(twoColumns(), part, h); err == nil {
+			t.Errorf("layer height %g accepted: coordinates %v", h, vol.Coords)
+		}
+	}
+	want, _, err := Extrude(twoColumns(), part, 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []float64{0, -1, math.Inf(-1)} {
+		vol, _, err := Extrude(twoColumns(), part, h)
+		if err != nil {
+			t.Fatalf("layer height %g rejected: %v", h, err)
+		}
+		if !slices.Equal(vol.Coords, want.Coords) {
+			t.Errorf("layer height %g: coordinates %v, want the 0.01 default's %v", h, vol.Coords, want.Coords)
+		}
+	}
+}
+
+// TestExtrudeRejectsNegativeBlockIDs: a negative surface block id used to
+// be copied into every layer of its column.
+func TestExtrudeRejectsNegativeBlockIDs(t *testing.T) {
+	if _, lifted, err := Extrude(twoColumns(), []int32{0, -4}, 0.1); err == nil {
+		t.Errorf("block id -4 accepted: lifted %v", lifted)
+	}
+	_, lifted, err := Extrude(twoColumns(), []int32{0, 1}, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int32{0, 0, 1, 1, 1}; !slices.Equal(lifted, want) {
+		t.Errorf("lifted %v, want %v", lifted, want)
+	}
+}
+
 // TestRenderSVGRejectsUndrawableInput: a NaN coordinate used to be
 // written into a <circle> attribute, a trailing odd coordinate was
 // dropped, out-of-range blocks left points undrawn, and k = 0 wrote an

@@ -465,7 +465,8 @@ func SpMVCommTime(xadj []int64, adj []int32, part []int32, k, iters int) (modele
 // 3D mesh from a weighted 2D surface mesh (weight = vertical layer count)
 // and lifts a surface partition column-wise onto it. Returns the 3D mesh
 // and the lifted partition. The surface points are checked as Evaluate
-// checks them (ErrNonFinite), and the 3D mesh must fit int32 vertex ids.
+// checks them (ErrNonFinite), block ids must be non-negative, a NaN or
+// +Inf layerHeight is an error and the 3D mesh must fit int32 vertex ids.
 func Extrude(surface *MeshData, part2d []int32, layerHeight float64) (*MeshData, []int32, error) {
 	if surface == nil {
 		return nil, nil, fmt.Errorf("geographer: nil surface mesh")

@@ -65,8 +65,9 @@ func benchAssignKernel(b *testing.B, dim, pass int) {
 func BenchmarkAssignKernel2D(b *testing.B) { benchAssignKernel(b, 2, passFull) }
 func BenchmarkAssignKernel3D(b *testing.B) { benchAssignKernel(b, 3, passFull) }
 
-// The gathered, blocked column walk of the kernels beyond geom.MaxDim —
-// the feature-space hot loop of the highdim experiment.
+// The gathered, blocked column walk of the kernels at d = 1 and beyond
+// geom.MaxDim — the feature-space hot loop of the highdim experiment.
+func BenchmarkAssignKernel1D(b *testing.B)  { benchAssignKernel(b, 1, passFull) }
 func BenchmarkAssignKernel8D(b *testing.B)  { benchAssignKernel(b, 8, passFull) }
 func BenchmarkAssignKernel16D(b *testing.B) { benchAssignKernel(b, 16, passFull) }
 

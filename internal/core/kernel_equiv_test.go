@@ -314,10 +314,10 @@ func checkAgainstReference(t *testing.T, st *state, sample []int32) {
 	compareRuns(t, "kept scratch", rerunKernels(st, sample, start, pend, 3), ref)
 }
 
-// The dimensions of the differential lattice: spatialDims take the 2D
-// (d=1 rides it over a zero Y column) and 3D arms of the kernels'
-// distance switch, highDims the gathered, blocked column walk — which is
-// why their lattice runs at blockKs: center counts that leave a short last
+// The dimensions of the differential lattice. Of spatialDims, d = 2 and 3
+// take the unrolled arms of the kernels' distance switch; d = 1 takes the
+// gathered, blocked column walk, as highDims do — which is why the walk's
+// dimensions also run at blockKs: center counts that leave a short last
 // block, or a single short one, next to a whole number of blocks.
 var (
 	spatialDims = []int{1, 2, 3}
@@ -392,15 +392,17 @@ func rawLattice(t *testing.T, dims, ks []int, seeds int, seedBase int64) {
 }
 
 // TestKernelMatchesReference and TestGenericKernelMatchesReference are the
-// two halves of kernelLattice, split at geom.MaxDim so the highdim CI job
-// can select the column-walk half by name.
+// two halves of kernelLattice: every spatial dimension at one k, and the
+// column walk (d = 1 and beyond geom.MaxDim) at blockKs, so the highdim
+// CI job can select the walk's half by name.
 func TestKernelMatchesReference(t *testing.T) {
 	kernelLattice(t, spatialDims, []int{13}, 4, 100)
 }
 
 func TestGenericKernelMatchesReference(t *testing.T) {
-	kernelLattice(t, highDims, blockKs, 2, 600)
-	t.Run("raw", func(t *testing.T) { rawLattice(t, highDims, blockKs, 2, 700) })
+	walkDims := append([]int{1}, highDims...)
+	kernelLattice(t, walkDims, blockKs, 2, 600)
+	t.Run("raw", func(t *testing.T) { rawLattice(t, walkDims, blockKs, 2, 700) })
 }
 
 func TestRawKernelMatchesReference(t *testing.T) {

@@ -229,13 +229,12 @@ func (b *BalancedKMeans) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]
 	if cfg.SFCBootstrap {
 		cols = dsort.SampleSortCols(c, cols)
 		cols = dsort.RebalanceCols(c, cols)
-		// The k-means phase adopts the sorted columns in place: absent
-		// axes get zero columns (Full), nothing is copied.
-		st.X, st.W, st.IDs = geom.ColsOf(cols.C).Full(), cols.W, cols.IDs
+		// The k-means phase adopts the sorted columns in place.
+		st.X, st.W, st.IDs = geom.ColsOf(cols.C), cols.W, cols.IDs
 	} else {
 		// Without the bootstrap it adopts the rank's columns as they
 		// are, in id order.
-		st.X, st.W, st.IDs = pts.X.Full(), pts.W, pts.IDs
+		st.X, st.W, st.IDs = pts.X, pts.W, pts.IDs
 	}
 	st.info.SortSeconds = time.Since(tSort).Seconds()
 

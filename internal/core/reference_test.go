@@ -7,13 +7,17 @@ import (
 )
 
 // refDist2 is the reference pipelines' point-center distance: Point
-// construction plus geom.Dist2 at spatial dimensions (the arithmetic the
-// kernels' 2D/3D switch arms mirror), a left-to-right column walk —
-// the same association order — beyond geom.MaxDim.
+// construction from the PC/CC columns plus geom.Dist2 at spatial
+// dimensions (the arithmetic the kernels' 2D/3D switch arms mirror; at
+// d = 1 its left-to-right walk is the kernels' column walk), a
+// left-to-right column walk — the same association order — beyond
+// geom.MaxDim.
 func refDist2(kr *geom.AssignKernel, dim int, i, bc int32) float64 {
 	if dim <= geom.MaxDim {
-		x := geom.Point{kr.PX[i], kr.PY[i], kr.PZ[i]}
-		c := geom.Point{kr.CX[bc], kr.CY[bc], kr.CZ[bc]}
+		var x, c geom.Point
+		for d, col := range kr.CC {
+			x[d], c[d] = kr.PC[d][i], col[bc]
+		}
 		return geom.Dist2(x, c, dim)
 	}
 	s := 0.0

@@ -46,12 +46,12 @@ func Ingest(c *mpi.Comm, pts *partition.Local) *Resident {
 
 // newResident builds the resident over this rank's points under the
 // given global bounding box, adopting pts' ids, weights and coordinate
-// columns (absent axes get zero columns, Full). Ingest and
-// RestoreResident share it, so a restored resident's columns are laid
-// out exactly like a freshly ingested one's.
+// columns as they are. Ingest and RestoreResident share it, so a
+// restored resident's columns are laid out exactly like a freshly
+// ingested one's.
 func newResident(pts *partition.Local, bmin, bmax []float64) *Resident {
 	r := &Resident{dim: pts.X.Dim, bmin: bmin, bmax: bmax}
-	r.st.X, r.st.W, r.st.IDs = pts.X.Full(), pts.W, pts.IDs
+	r.st.X, r.st.W, r.st.IDs = pts.X, pts.W, pts.IDs
 	return r
 }
 

@@ -144,6 +144,8 @@ func FuzzGenericKernelAssign(f *testing.F) {
 	f.Add(int64(2), math.NaN(), math.Inf(1), uint8(3), uint8(7), uint8(3), uint8(1)) // k > n
 	f.Add(int64(3), math.Inf(-1), 1e300, uint8(60), uint8(4), uint8(8), uint8(2))
 	f.Add(int64(4), 0.0, 0.0, uint8(1), uint8(1), uint8(16), uint8(0))
+	f.Add(int64(5), 0.5, 2.0, uint8(50), uint8(9), uint8(0), uint8(1)) // d = 1: Y and Z are nil
+	f.Add(int64(6), 1.5, 0.5, uint8(50), uint8(9), uint8(1), uint8(2)) // d = 2: Z is nil
 	f.Fuzz(func(t *testing.T, seed int64, inj0, inj1 float64, nRaw, kRaw, dimRaw, modeRaw uint8) {
 		n := int(nRaw)%200 + 1
 		k := int(kRaw)%20 + 1

@@ -12,19 +12,20 @@
 // live in raw-distance space). See DESIGN.md, "Performance notes", for
 // the invariants the callers rely on.
 //
-// The kernels read points from a structure-of-arrays Cols store, and
-// there are two bodies, each one for every dimension: RunBounded, the
-// Hamerly/plain pass, cold and warm (the raw shadow bound is an optional
-// column of it), and RunElkan. The bounds logic is written once, and the
-// only dimension-dependent code is the squared-distance expression,
-// chosen per evaluation by an in-body switch on dim between the unrolled
-// 2D expression over the hoisted X/Y columns (1D inputs ride it with a
-// zero Y column), the unrolled 3D one, and a walk over the column lists
-// beyond MaxDim. There the Hamerly body gathers the rescanned point once
-// (gatherPoint) and evaluates the scan order blockLen centers at a time
-// (blockDist2), the switch arm reading its distance from the block;
-// RunElkan, whose per-center bounds skip most centers, and the single
-// evaluation of an anchor call colsDist2 per center. Every one of them
+// The kernels read points from a structure-of-arrays Cols store, which
+// holds exactly its Dim columns, and there are two bodies, each one for
+// every dimension: RunBounded, the Hamerly/plain pass, cold and warm (the
+// raw shadow bound is an optional column of it), and RunElkan. The
+// bounds logic is written once, and the only dimension-dependent code is
+// the squared-distance expression, chosen per evaluation by an in-body
+// switch on dim between the unrolled 2D expression over the hoisted X/Y
+// columns, the unrolled 3D one over X/Y/Z, and a walk over the column
+// lists at every other dimension, d = 1 included; a body hoists only the
+// axes the point has. On the walk the Hamerly body gathers the rescanned
+// point once (gatherPoint) and evaluates the scan order blockLen centers
+// at a time (blockDist2), the switch arm reading its distance from the
+// block; RunElkan, whose per-center bounds skip most centers, and the
+// single evaluation of an anchor call colsDist2 per center. Every one of them
 // accumulates each center's sum left to right from zero, so wherever two
 // arms apply they agree bit for bit, and every arm is pinned to the
 // scalar reference path of internal/core. The switch is loop-invariant
@@ -68,11 +69,8 @@ func ChunkGrid(n int) int {
 
 // Cols is a structure-of-arrays point store: one flat []float64 column
 // per axis, the layout the batch kernels operate on. Col holds the Dim
-// live columns (strided views over one backing buffer). For spatial
-// dimensions (Dim ≤ MaxDim) the X/Y/Z aliases are additionally always
-// allocated to the full length — unused axes stay zero — so the kernels
-// can hoist all three per point whatever Dim is; for Dim > MaxDim the
-// X/Y/Z aliases point at the first three columns.
+// columns and nothing else; X, Y and Z alias the first three of them and
+// stay nil where the dimension lacks the axis.
 type Cols struct {
 	Dim     int
 	X, Y, Z []float64
@@ -81,25 +79,16 @@ type Cols struct {
 
 // MakeCols returns a Cols holding n zero points in one backing allocation.
 func MakeCols(dim, n int) Cols {
-	if dim <= MaxDim {
-		buf := make([]float64, 3*n)
-		c := Cols{Dim: dim, X: buf[0:n:n], Y: buf[n : 2*n : 2*n], Z: buf[2*n : 3*n : 3*n]}
-		c.Col = [][]float64{c.X, c.Y, c.Z}[:dim]
-		return c
-	}
 	buf := make([]float64, dim*n)
 	col := make([][]float64, dim)
 	for d := range col {
 		col[d] = buf[d*n : (d+1)*n : (d+1)*n]
 	}
-	return Cols{Dim: dim, X: col[0], Y: col[1], Z: col[2], Col: col}
+	return ColsOf(col)
 }
 
 // ColsOf returns the Cols view of len(col) ≥ 1 equal-length coordinate
-// columns, sharing them. Below MaxDim the aliases of the absent X/Y/Z
-// axes stay nil: enough for the key kernel, AtVec/SetVec and every walk
-// over Col, not for the assignment kernels, which read all three axes
-// per point whatever Dim is (Full).
+// columns, sharing them.
 func ColsOf(col [][]float64) Cols {
 	c := Cols{Dim: len(col), Col: col, X: col[0]}
 	if len(col) > 1 {
@@ -107,19 +96,6 @@ func ColsOf(col [][]float64) Cols {
 	}
 	if len(col) > 2 {
 		c.Z = col[2]
-	}
-	return c
-}
-
-// Full returns c with a fresh zero column for each absent X/Y/Z axis —
-// MakeCols' layout, in separate allocations — so the assignment kernels
-// can run on it; the present columns are shared.
-func (c Cols) Full() Cols {
-	n := len(c.X)
-	for _, axis := range []*[]float64{&c.Y, &c.Z} {
-		if *axis == nil {
-			*axis = make([]float64, n)
-		}
 	}
 	return c
 }
@@ -142,9 +118,10 @@ func (c *Cols) SetVec(i int, v []float64) {
 }
 
 // Dist2Batch writes the squared Euclidean distance from every point of
-// the columns to the query point q into out (len(out) = column length).
-// It is the unconditional building block underneath the assignment
-// kernels and the baseline for their microbenchmarks.
+// the columns to the query point q into out (len(out) = column length),
+// at d = 2 (px, py) or d = 3 (px, py, pz); Dist2BatchND serves every
+// dimension. It is the unconditional building block underneath the
+// assignment kernels and the baseline for their microbenchmarks.
 func Dist2Batch(dim int, px, py, pz []float64, q Point, out []float64) {
 	if dim == 3 {
 		qx, qy, qz := q[0], q[1], q[2]
@@ -222,9 +199,11 @@ type AssignKernel struct {
 	InvInf2    []float64
 
 	// The same points and centers as column lists: PC holds the d point
-	// columns, CC the d center columns (Cols.Col). Beyond MaxDim the
-	// passes walk these; at d ≤ MaxDim they alias the PX../CX.. columns
-	// the unrolled distance expressions read, and are not touched.
+	// columns, CC the d center columns (Cols.Col). At d = 1 and beyond
+	// MaxDim the passes walk these; at d = 2 and 3 they alias the
+	// PX../CX.. columns the unrolled distance expressions read, and are
+	// not touched. An axis the dimension lacks may be nil: no pass reads
+	// PY/CY below d = 2 or PZ/CZ below d = 3.
 	PC, CC [][]float64
 
 	// Pruning tables: centers in ascending order of DistBB2, the squared
@@ -288,14 +267,14 @@ type AssignKernel struct {
 	// exactBlockWeights), so a float partial there is read by nobody.
 	LocalW []float64
 
-	// Q is scratch for the Hamerly body beyond MaxDim: the rescanned
+	// Q is scratch for the Hamerly body on the column walk: the rescanned
 	// point's coordinates, gathered once per rescan. Private per kernel
 	// like LocalW; a pass grows it when it is shorter than the dimension,
 	// so a caller that reuses kernel values should carry it across calls.
 	Q []float64
 
-	// DistCalcs counts the centers the scans examined. Beyond MaxDim the
-	// Hamerly body evaluates blockLen scan positions at a time, so a
+	// DistCalcs counts the centers the scans examined. On the column walk
+	// the Hamerly body evaluates blockLen scan positions at a time, so a
 	// rescan that breaks mid-block has evaluated up to blockLen−1 more
 	// centers than it counts.
 	DistCalcs int64
@@ -309,7 +288,7 @@ type AssignKernel struct {
 // expressions, so wherever two arms of the kernels' dimension switch
 // apply they agree bit for bit.
 //
-// It serves the evaluations that come one at a time beyond MaxDim —
+// It serves the evaluations that come one at a time on the walk —
 // RunElkan's, and the anchor of a Hamerly rescan; the scans of the
 // Hamerly body go through blockDist2.
 //
@@ -381,6 +360,19 @@ func blockDist2(q []float64, cc [][]float64, ids []int32, out *[blockLen]float64
 	out[0], out[1], out[2], out[3], out[4], out[5], out[6], out[7] = s0, s1, s2, s3, s4, s5, s6, s7
 }
 
+// hoist returns point i's coordinates on the axes the unrolled 2D and 3D
+// arms read, and zero for every axis the dimension lacks: no other
+// dimension reads them, and the absent columns are nil.
+func hoist(dim int, px, py, pz []float64, i int32) (x, y, z float64) {
+	switch dim {
+	case 2:
+		x, y = px[i], py[i]
+	case 3:
+		x, y, z = px[i], py[i], pz[i]
+	}
+	return
+}
+
 // rawScan is a rescan's state for the raw shadow column: the two smallest
 // raw distances (r1 at center r1id, r2) and floor2, a squared floor under
 // the centers never reached. RunBounded reaches it through a pointer,
@@ -418,7 +410,7 @@ func (kr *AssignKernel) RunBounded(dim int, idx []int32, hamerly bool) {
 	px, py, pz := kr.PX, kr.PY, kr.PZ
 	cx, cy, cz := kr.CX, kr.CY, kr.CZ
 	pc, cc := kr.PC, kr.CC
-	if dim > MaxDim && len(kr.Q) < dim {
+	if dim != 2 && dim != 3 && len(kr.Q) < dim {
 		kr.Q = make([]float64, dim) // a kernel built without scratch
 	}
 	q := kr.Q
@@ -461,7 +453,7 @@ func (kr *AssignKernel) RunBounded(dim int, idx []int32, hamerly bool) {
 				continue
 			}
 		}
-		x, y, z := px[i], py[i], pz[i]
+		x, y, z := hoist(dim, px, py, pz, i)
 		best2, second2 := math.Inf(1), math.Inf(1)
 		best := int32(0)
 		rs := &rawScan{r1: math.Inf(1), r2: math.Inf(1), r1id: -1, floor2: math.Inf(1)}
@@ -475,7 +467,7 @@ func (kr *AssignKernel) RunBounded(dim int, idx []int32, hamerly bool) {
 		if anchored {
 			var rawA2 float64
 			switch {
-			case dim <= 2:
+			case dim == 2:
 				dx, dy := x-cx[cur], y-cy[cur]
 				rawA2 = dx*dx + dy*dy
 			case dim == 3:
@@ -509,7 +501,7 @@ func (kr *AssignKernel) RunBounded(dim int, idx []int32, hamerly bool) {
 			}
 			var raw2 float64
 			switch {
-			case dim <= 2:
+			case dim == 2:
 				dx, dy := x-cx[bc], y-cy[bc]
 				raw2 = dx*dx + dy*dy
 			case dim == 3:
@@ -585,7 +577,7 @@ func (kr *AssignKernel) RunElkan(dim int, idx []int32) {
 	w, a, ub, lbk, localW := kr.W, kr.A, kr.Ub, kr.Lbk, kr.LocalW
 	var distCalcs, skips, breaks int64
 	for _, i := range idx {
-		x, y, z := px[i], py[i], pz[i]
+		x, y, z := hoist(dim, px, py, pz, i)
 		best2 := math.Inf(1)
 		bestC := int32(0)
 		row := int(i) * k
@@ -593,7 +585,7 @@ func (kr *AssignKernel) RunElkan(dim int, idx []int32) {
 		if cur >= 0 {
 			var raw2 float64
 			switch {
-			case dim <= 2:
+			case dim == 2:
 				dx, dy := x-cx[cur], y-cy[cur]
 				raw2 = dx*dx + dy*dy
 			case dim == 3:
@@ -621,7 +613,7 @@ func (kr *AssignKernel) RunElkan(dim int, idx []int32) {
 			}
 			var raw2 float64
 			switch {
-			case dim <= 2:
+			case dim == 2:
 				dx, dy := x-cx[bc], y-cy[bc]
 				raw2 = dx*dx + dy*dy
 			case dim == 3:

@@ -26,21 +26,25 @@ func at(c *Cols, i int) Point {
 	return p
 }
 
+// TestColsRoundTrip: a store holds exactly its Dim columns — X/Y/Z alias
+// the present ones, an absent axis is nil — and AtVec reads them back.
 func TestColsRoundTrip(t *testing.T) {
-	for _, dim := range []int{2, 3} {
+	for _, dim := range []int{1, 2, 3} {
 		c := randCols(dim, 100, int64(dim))
-		if c.Len() != 100 {
-			t.Fatalf("len %d", c.Len())
+		if c.Len() != 100 || len(c.Col) != dim {
+			t.Fatalf("dim=%d: len %d, %d columns", dim, c.Len(), len(c.Col))
 		}
 		axes := [MaxDim][]float64{c.X, c.Y, c.Z}
+		for d := dim; d < MaxDim; d++ {
+			if axes[d] != nil {
+				t.Fatalf("dim=%d: absent axis %d holds %d values, want nil", dim, d, len(axes[d]))
+			}
+		}
 		for i := 0; i < c.Len(); i++ {
 			p := at(&c, i)
-			for d := 0; d < MaxDim; d++ {
-				if d < dim && p[d] != c.Col[d][i] {
-					t.Fatalf("dim=%d: point %d axis %d reads %g, column holds %g", dim, i, d, p[d], c.Col[d][i])
-				}
-				if d >= dim && axes[d][i] != 0 {
-					t.Fatalf("dim=%d: unused axis %d of point %d is %g", dim, d, i, axes[d][i])
+			for d := 0; d < dim; d++ {
+				if p[d] != c.Col[d][i] || axes[d][i] != c.Col[d][i] {
+					t.Fatalf("dim=%d: point %d axis %d reads %g and %g, column holds %g", dim, i, d, p[d], axes[d][i], c.Col[d][i])
 				}
 			}
 		}
@@ -132,15 +136,15 @@ func BenchmarkDist2Batch(b *testing.B) {
 }
 
 // TestBlockDist2MatchesColsDist2 pins the blocked evaluation of the
-// Hamerly body beyond MaxDim to the single-center column walk it
-// replaces: whatever the dimension, the block length and the order of the
+// Hamerly body on the column walk (d = 1 and beyond MaxDim) to the
+// single-center walk it replaces: whatever the dimension, the block length and the order of the
 // center ids, every slot blockDist2 fills holds colsDist2's bits — also
 // where the sum overflows to +Inf.
 func TestBlockDist2MatchesColsDist2(t *testing.T) {
 	const n, k = 5, 23
 	rng := rand.New(rand.NewSource(17))
 	sawInf := false
-	for _, dim := range []int{4, 5, 7, 8, 16, 64} {
+	for _, dim := range []int{1, 4, 5, 7, 8, 16, 64} {
 		for _, scale := range []float64{1, 1e-160, 1e150, 1e154} { // 1e154² overflows within a few axes
 			pts, ctr := MakeCols(dim, n), MakeCols(dim, k)
 			for _, c := range []Cols{pts, ctr} {

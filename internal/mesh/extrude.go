@@ -21,13 +21,17 @@ import (
 // layer l. The result lets experiments check that partitioning the
 // weighted 2D mesh is equivalent in load terms to partitioning the full
 // 3D mesh column-wise. The total layer count must fit the int32 vertex
-// ids of the 3D graph; a larger one (or a NaN weight) is an error.
+// ids of the 3D graph; a larger one (or a NaN weight) is an error, as is
+// a NaN or +Inf layerHeight (one ≤ 0 means 0.01).
 func Extrude25D(surface *Mesh, layerHeight float64) (*Mesh, error) {
 	if surface.Points.Dim != 2 {
 		return nil, fmt.Errorf("mesh: Extrude25D needs a 2D mesh, got dim %d", surface.Points.Dim)
 	}
 	if surface.Points.Weight == nil {
 		return nil, fmt.Errorf("mesh: Extrude25D needs layer weights")
+	}
+	if !(layerHeight < math.Inf(1)) {
+		return nil, fmt.Errorf("mesh: Extrude25D: layer height %g is not finite", layerHeight)
 	}
 	if layerHeight <= 0 {
 		layerHeight = 0.01
@@ -103,7 +107,8 @@ func ColumnOf(surface *Mesh) ([]int32, error) {
 }
 
 // LiftPartition lifts a surface partition to the extruded 3D mesh
-// (column-wise assignment, the way climate codes apply 2D partitions).
+// (column-wise assignment, the way climate codes apply 2D partitions);
+// a negative block id is an error.
 func LiftPartition(surface *Mesh, part2d []int32) ([]int32, error) {
 	if len(part2d) != surface.N() {
 		return nil, fmt.Errorf("mesh: partition length %d != surface n %d", len(part2d), surface.N())
@@ -114,7 +119,9 @@ func LiftPartition(surface *Mesh, part2d []int32) ([]int32, error) {
 	}
 	out := make([]int32, len(cols))
 	for i, c := range cols {
-		out[i] = part2d[c]
+		if out[i] = part2d[c]; out[i] < 0 {
+			return nil, fmt.Errorf("mesh: vertex %d in negative block %d", c, out[i])
+		}
 	}
 	return out, nil
 }

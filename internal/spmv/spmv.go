@@ -36,9 +36,10 @@ type Result struct {
 // distributed according to part (k blocks = k ranks) and reports
 // communication cost. The multiplied vector starts as all-ones and is
 // refreshed from y after every iteration, so results are checkable.
+// k must lie in [1, n]: every block is a rank, none of them idle.
 func Benchmark(g *graph.Graph, part []int32, k int, iters int) (Result, error) {
-	if k < 1 {
-		return Result{}, fmt.Errorf("spmv: k=%d", k)
+	if k < 1 || k > g.N {
+		return Result{}, fmt.Errorf("spmv: k=%d outside [1, %d]", k, g.N)
 	}
 	if len(part) != g.N {
 		return Result{}, fmt.Errorf("spmv: partition length %d != n %d", len(part), g.N)

@@ -36,6 +36,21 @@ func TestSpMVCorrectness(t *testing.T) {
 	}
 }
 
+// TestBenchmarkRejectsKAboveN: every block is a simulated rank, so a k
+// above the vertex count used to add idle ranks, each allocating its
+// O(k) plan slices (k = n + 1 doubled the modeled time of a 2-vertex
+// path); k outside [1, n] is an error.
+func TestBenchmarkRejectsKAboveN(t *testing.T) {
+	g := pathGraph(2)
+	part := []int32{0, 1}
+	if _, err := Benchmark(g, part, g.N, 1); err != nil {
+		t.Fatalf("k = n rejected: %v", err)
+	}
+	if res, err := Benchmark(g, part, g.N+1, 1); err == nil {
+		t.Errorf("k = n+1 accepted: modeled %g s", res.ModeledCommSeconds)
+	}
+}
+
 func TestSpMVChecksumIndependentOfK(t *testing.T) {
 	// Multiple damped iterations must give identical results regardless of
 	// the partition (the computation is partition-invariant).
