@@ -136,7 +136,7 @@ func TestSessionCheckpointRejects(t *testing.T) {
 
 // TestSessionRepartitionWithRetryFacade exercises the facade retry
 // driver on the fault-free path (fault-injected recovery is pinned at
-// the repart layer, which owns the world factory): the result matches
+// the repart layer, which rebuilds the worlds): the result matches
 // RepartitionIfAbove exactly with Retries 0, and a cancelled context is
 // surfaced as an error without sleeping.
 func TestSessionRepartitionWithRetryFacade(t *testing.T) {

@@ -360,16 +360,9 @@ func Evaluate(xadj []int64, adj []int32, coords []float64, dim int, weights []fl
 	if err != nil {
 		return Quality{}, err
 	}
-	n := g.N
 	ps := &geom.PointSet{Dim: dim, Coords: coords, Weight: weights}
 	if err := ps.Validate(); err != nil {
 		return Quality{}, err
-	}
-	if ps.Len() != n {
-		return Quality{}, fmt.Errorf("geographer: %d points vs %d graph vertices", ps.Len(), n)
-	}
-	if len(part) != n {
-		return Quality{}, fmt.Errorf("geographer: %d assignments for %d vertices", len(part), n)
 	}
 	r, err := metrics.Evaluate(g, ps, part, k)
 	if err != nil {
@@ -482,12 +475,13 @@ func Extrude(surface *MeshData, part2d []int32, layerHeight float64) (*MeshData,
 	if ps.Len() != g.N {
 		return nil, nil, fmt.Errorf("geographer: %d points vs %d surface vertices", ps.Len(), g.N)
 	}
+	// Lifting first rejects a bad part2d before the 3D mesh is built.
 	m := &mesh.Mesh{Name: surface.Name, Points: ps, G: g}
-	m3, err := mesh.Extrude25D(m, layerHeight)
+	lifted, err := mesh.LiftPartition(m, part2d)
 	if err != nil {
 		return nil, nil, err
 	}
-	lifted, err := mesh.LiftPartition(m, part2d)
+	m3, err := mesh.Extrude25D(m, layerHeight)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -527,9 +521,6 @@ func RefinePartition(xadj []int64, adj []int32, coords []float64, dim int, weigh
 	if err := ps.Validate(); err != nil {
 		return RefineResult{}, err
 	}
-	if ps.Len() != g.N {
-		return RefineResult{}, fmt.Errorf("geographer: %d points vs %d graph vertices", ps.Len(), g.N)
-	}
 	opts := refine.DefaultOptions()
 	if epsilon > 0 {
 		opts.Epsilon = epsilon
@@ -549,7 +540,7 @@ func RenderSVG(path string, coords []float64, part []int32, k int) error {
 	if err := ps.Validate(); err != nil {
 		return err
 	}
-	if err := metrics.ValidatePartition(part, ps.Len(), k); err != nil {
+	if err := partition.Check(part, ps.Len(), k); err != nil {
 		return err
 	}
 	return viz.RenderToFile(path, ps, part, k, viz.DefaultOptions())

@@ -143,9 +143,10 @@ func runChaosCell(w io.Writer, kind string, n, k int) ([]ChaosRow, ChaosCell, er
 	}
 
 	// Chaos chain: identical cold start on a clean world, then the state
-	// moves by checkpoint onto a fault-injected world. The same factory
-	// serves the retry driver's rollbacks, so the schedule stays armed
-	// across world rebuilds and transient faults disarm exactly once.
+	// moves by checkpoint onto a fault-injected world. The retry driver
+	// rebuilds each broken world with its hooks, so the schedule stays
+	// armed across world rebuilds and transient faults disarm exactly
+	// once.
 	seed, err := repart.NewSession(mpi.NewWorld(chaosP), ps0.Clone(), k, cfg)
 	if err != nil {
 		return nil, cell, err
@@ -161,17 +162,13 @@ func runChaosCell(w io.Writer, kind string, n, k int) ([]ChaosRow, ChaosCell, er
 	}
 	plan := chaosPlan()
 	cell.FaultsScheduled = 4 // abort faults; the delay does not abort
-	factory := func(size int) *mpi.World {
-		fw := mpi.NewWorld(size)
-		fw.SetHooks(plan)
-		return fw
-	}
-	vic, err := repart.NewSessionFromCheckpoint(factory(chaosP), ckpt, cfg)
+	fw := mpi.NewWorld(chaosP)
+	fw.SetHooks(plan)
+	vic, err := repart.NewSessionFromCheckpoint(fw, ckpt, cfg)
 	if err != nil {
 		return nil, cell, err
 	}
 	defer vic.Close()
-	vic.SetWorldFactory(factory)
 
 	policy := repart.RetryPolicy{MaxRetries: 8, BaseBackoff: time.Millisecond, MaxBackoff: 4 * time.Millisecond}
 	fmt.Fprintf(w, "\n%-10s n=%d k=%d p=%d: %d abort faults scheduled over %d warm steps\n",

@@ -21,14 +21,11 @@ import (
 // layer l. The result lets experiments check that partitioning the
 // weighted 2D mesh is equivalent in load terms to partitioning the full
 // 3D mesh column-wise. The total layer count must fit the int32 vertex
-// ids of the 3D graph; a larger one (or a NaN weight) is an error, as is
-// a NaN or +Inf layerHeight (one ≤ 0 means 0.01).
+// ids of the 3D graph; a larger one, a NaN or +Inf weight, or a NaN or
+// +Inf layerHeight is an error (a layerHeight ≤ 0 means 0.01).
 func Extrude25D(surface *Mesh, layerHeight float64) (*Mesh, error) {
 	if surface.Points.Dim != 2 {
 		return nil, fmt.Errorf("mesh: Extrude25D needs a 2D mesh, got dim %d", surface.Points.Dim)
-	}
-	if surface.Points.Weight == nil {
-		return nil, fmt.Errorf("mesh: Extrude25D needs layer weights")
 	}
 	if !(layerHeight < math.Inf(1)) {
 		return nil, fmt.Errorf("mesh: Extrude25D: layer height %g is not finite", layerHeight)
@@ -36,20 +33,11 @@ func Extrude25D(surface *Mesh, layerHeight float64) (*Mesh, error) {
 	if layerHeight <= 0 {
 		layerHeight = 0.01
 	}
-	n2 := surface.N()
-	layers := make([]int, n2)
-	total := 0
-	for v := 0; v < n2; v++ {
-		l := math.Max(1, math.Floor(surface.Points.Weight[v]))
-		// 3D vertex ids are int32 (graph.FromEdges); the negated test
-		// also rejects a NaN weight.
-		if !(l <= float64(math.MaxInt32-total)) {
-			return nil, fmt.Errorf("mesh: Extrude25D: weight %g at vertex %d takes the layer count past %d",
-				surface.Points.Weight[v], v, math.MaxInt32)
-		}
-		layers[v] = int(l)
-		total += int(l)
+	layers, total, err := layerCounts(surface)
+	if err != nil {
+		return nil, err
 	}
+	n2 := surface.N()
 
 	// Column base index per surface vertex.
 	base := make([]int, n2+1)
@@ -89,16 +77,41 @@ func Extrude25D(surface *Mesh, layerHeight float64) (*Mesh, error) {
 	return &Mesh{Name: surface.Name + "-3d", Points: ps, G: g}, nil
 }
 
+// layerCounts returns the layer count max(1, ⌊weight⌋) of every surface
+// vertex and their total. The 3D vertex ids are int32 (graph.FromEdges),
+// so a total past math.MaxInt32 is an error, as are a NaN or +Inf weight
+// and a surface without weights; each is rejected before any per-layer
+// allocation.
+func layerCounts(surface *Mesh) ([]int, int, error) {
+	w := surface.Points.Weight
+	if w == nil {
+		return nil, 0, fmt.Errorf("mesh: the surface has no layer weights")
+	}
+	layers := make([]int, surface.N())
+	total := 0
+	for v := range layers {
+		l := math.Max(1, math.Floor(w[v]))
+		// The negated test also rejects a NaN weight.
+		if !(l <= float64(math.MaxInt32-total)) {
+			return nil, 0, fmt.Errorf("mesh: weight %g at vertex %d takes the layer count past %d", w[v], v, math.MaxInt32)
+		}
+		layers[v] = int(l)
+		total += int(l)
+	}
+	return layers, total, nil
+}
+
 // ColumnOf returns, for an extruded mesh built from `surface`, the mapping
 // from 3D vertex index to its surface column, so a 2D partition can be
-// lifted to the 3D mesh (each column inherits its surface block).
+// lifted to the 3D mesh (each column inherits its surface block). The
+// layer counts are bounded as Extrude25D bounds them.
 func ColumnOf(surface *Mesh) ([]int32, error) {
-	if surface.Points.Weight == nil {
-		return nil, fmt.Errorf("mesh: ColumnOf needs layer weights")
+	layers, total, err := layerCounts(surface)
+	if err != nil {
+		return nil, err
 	}
-	var out []int32
-	for v := 0; v < surface.N(); v++ {
-		l := int(math.Max(1, math.Floor(surface.Points.Weight[v])))
+	out := make([]int32, 0, total)
+	for v, l := range layers {
 		for i := 0; i < l; i++ {
 			out = append(out, int32(v))
 		}

@@ -1,6 +1,7 @@
 package mesh
 
 import (
+	"math"
 	"testing"
 
 	"geographer/internal/geom"
@@ -113,5 +114,35 @@ func TestLiftPartitionErrors(t *testing.T) {
 	s := tinySurface()
 	if _, err := LiftPartition(s, []int32{0}); err == nil {
 		t.Error("short partition accepted")
+	}
+}
+
+// TestColumnOfRejectsUnboundedLayers: ColumnOf (and LiftPartition
+// through it) bounds the layer counts as Extrude25D does. A NaN or +Inf
+// weight used to drop its column silently; a count past the int32
+// vertex ids is rejected before the columns are allocated.
+func TestColumnOfRejectsUnboundedLayers(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		weights []float64
+	}{
+		{"NaN", []float64{2, math.NaN(), 3}},
+		{"+Inf", []float64{2, math.Inf(1), 3}},
+		{"past int32", []float64{2, 1e12, 3}},
+		{"total past int32", []float64{2e9, 2e9, 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tinySurface()
+			s.Points.Weight = tc.weights
+			if cols, err := ColumnOf(s); err == nil {
+				t.Errorf("ColumnOf accepted: %d column entries", len(cols))
+			}
+			if lifted, err := LiftPartition(s, []int32{0, 1, 1}); err == nil {
+				t.Errorf("LiftPartition accepted: %v", lifted)
+			}
+			if _, err := Extrude25D(s, 0.1); err == nil {
+				t.Error("Extrude25D accepted")
+			}
+		})
 	}
 }

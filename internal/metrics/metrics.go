@@ -10,6 +10,7 @@ import (
 
 	"geographer/internal/geom"
 	"geographer/internal/graph"
+	"geographer/internal/partition"
 )
 
 // Report holds all quality measures of one partition, matching the
@@ -31,26 +32,6 @@ type Report struct {
 func (r Report) String() string {
 	return fmt.Sprintf("k=%d cut=%d maxComm=%d totComm=%d imb=%.3f harmDiam=%.1f disconn=%d",
 		r.K, r.EdgeCut, r.MaxCommVol, r.TotCommVol, r.Imbalance, r.HarmDiam, r.Disconnected)
-}
-
-// ValidatePartition checks that part assigns each of the n vertices a
-// block id in [0, k). The per-block passes below (CommVolumes,
-// BlockWeights, ...) index scratch arrays of length k by block id and
-// would panic on out-of-range input, so every entry point that accepts
-// external partitions must validate first (like refine.Refine does).
-func ValidatePartition(part []int32, n, k int) error {
-	if k < 1 {
-		return fmt.Errorf("metrics: k=%d", k)
-	}
-	if len(part) != n {
-		return fmt.Errorf("metrics: %d assignments for %d vertices", len(part), n)
-	}
-	for v, b := range part {
-		if b < 0 || int(b) >= k {
-			return fmt.Errorf("metrics: vertex %d assigned to invalid block %d (k=%d)", v, b, k)
-		}
-	}
-	return nil
 }
 
 // EdgeCut returns the number of edges whose endpoints lie in different
@@ -213,7 +194,7 @@ func Evaluate(g *graph.Graph, ps *geom.PointSet, part []int32, k int) (Report, e
 	if ps.Len() != g.N {
 		return Report{}, fmt.Errorf("metrics: %d points for %d graph vertices", ps.Len(), g.N)
 	}
-	if err := ValidatePartition(part, g.N, k); err != nil {
+	if err := partition.Check(part, g.N, k); err != nil {
 		return Report{}, err
 	}
 	r := Report{K: k}
@@ -228,10 +209,7 @@ func Evaluate(g *graph.Graph, ps *geom.PointSet, part []int32, k int) (Report, e
 	r.Imbalance = Imbalance(BlockWeights(ps, part, k))
 	diam := BlockDiameters(g, part, k)
 	r.HarmDiam = HarmonicMeanDiameter(diam)
-	sizes := make([]int64, k)
-	for _, b := range part {
-		sizes[b]++
-	}
+	sizes := partition.P{Assign: part, K: k}.Sizes()
 	for b := 0; b < k; b++ {
 		switch {
 		case sizes[b] == 0:

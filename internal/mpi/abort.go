@@ -70,8 +70,11 @@ func (w *World) Err() error {
 // executing, the world is aborted — every rank unwinds out of its next
 // (or current) collective with an *AbortError wrapping the context's
 // cause — and RunCtx returns that error. A context that is already
-// cancelled aborts before any rank body runs. A nil context means "not
-// cancellable": RunCtx is then exactly Run.
+// cancelled aborts before any rank body runs. Cancellation ends at the
+// run it guards: once Run has collected the ranks' result, a late
+// cancel no longer touches the world, so a nil return always leaves a
+// healthy world. A nil context means "not cancellable": RunCtx is then
+// exactly Run.
 func (w *World) RunCtx(ctx context.Context, f func(c *Comm)) error {
 	if ctx == nil {
 		return w.Run(f)
@@ -80,13 +83,24 @@ func (w *World) RunCtx(ctx context.Context, f func(c *Comm)) error {
 		w.Abort(context.Cause(ctx))
 		return w.Err()
 	}
+	// Marked before the watcher starts, cleared by Run under w.mu as it
+	// reads w.err: a cancel that lands after the ranks returned leaves
+	// the world as Run reported it.
+	w.guarded = true
 	finished := make(chan struct{})
 	watcher := make(chan struct{})
 	go func() {
 		defer close(watcher)
 		select {
 		case <-ctx.Done():
-			w.Abort(context.Cause(ctx))
+			w.mu.Lock()
+			if !w.guarded {
+				w.mu.Unlock()
+				return
+			}
+			cause := w.poisonLocked(&AbortError{Rank: -1, Cause: context.Cause(ctx)}, true)
+			w.mu.Unlock()
+			w.bar.brk(cause)
 		case <-finished:
 		}
 	}()
@@ -125,6 +139,17 @@ func (w *World) SetHooks(h Hooks) {
 	if h != nil && len(w.episodes) != w.size {
 		w.episodes = make([]int64, w.size)
 	}
+}
+
+// Rebuild returns a fresh world of w's size carrying w's hooks, with
+// their collective-entry counters back at zero: the world a retry runs
+// on after w broke. A fault plan attached to the first world thereby
+// keeps firing, and its transient faults keep disarming, across every
+// rebuild.
+func (w *World) Rebuild() *World {
+	fresh := NewWorld(w.size)
+	fresh.SetHooks(w.hooks)
+	return fresh
 }
 
 // hook dispatches the BeforeCollective hook for one rank. A hook error

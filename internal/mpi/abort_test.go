@@ -173,6 +173,27 @@ func TestRunCtx(t *testing.T) {
 			t.Fatalf("RunCtx = %v, want nil", err)
 		}
 	})
+	// A cancel that lands after the last collective races Run's
+	// return: RunCtx may report the abort or nil, but a nil return must
+	// leave a healthy world, or the next run fails with ErrBroken.
+	t.Run("late cancel leaves a finished run alone", func(t *testing.T) {
+		for i := 0; i < 2000; i++ {
+			w := NewWorld(4)
+			ctx, cancel := context.WithCancel(context.Background())
+			err := w.RunCtx(ctx, func(c *Comm) {
+				AllreduceSum(c, []int64{1})
+				if c.Rank() == 0 {
+					cancel()
+				}
+			})
+			if err == nil && w.Err() != nil {
+				t.Fatalf("run %d: RunCtx = nil on a broken world (%v)", i, w.Err())
+			}
+			if err != nil && !errors.Is(err, context.Canceled) {
+				t.Fatalf("run %d: RunCtx = %v, want nil or the cancel", i, err)
+			}
+		}
+	})
 	t.Run("nil context is Run", func(t *testing.T) {
 		w := NewWorld(4)
 		var ran atomic.Int64

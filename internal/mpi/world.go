@@ -82,7 +82,6 @@ type World struct {
 	// gather offsets. All are written only at a barrier rendezvous and
 	// read only between that rendezvous and the next one, which is the
 	// single-crossing reuse discipline documented on allreduce.
-	result  any
 	resHdr  slotHdr
 	scan    []uint64
 	scalRes uint64
@@ -99,6 +98,9 @@ type World struct {
 	mu         sync.Mutex
 	err        error
 	errPrimary bool // err carries a root cause, not a release panic
+	// guarded marks a RunCtx run in flight: its context may abort the
+	// world only until Run clears the mark, under mu, as it reads err.
+	guarded bool
 }
 
 // NewWorld creates a world with the given number of ranks (>= 1).
@@ -169,6 +171,7 @@ func (w *World) Run(f func(c *Comm)) error {
 	wg.Wait()
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	w.guarded = false
 	return w.err
 }
 
@@ -181,12 +184,18 @@ func (w *World) Run(f func(c *Comm)) error {
 // exists.
 func (w *World) breakWorld(err *AbortError, primary bool) {
 	w.mu.Lock()
+	cause := w.poisonLocked(err, primary)
+	w.mu.Unlock()
+	w.bar.brk(cause)
+}
+
+// poisonLocked records err as breakWorld describes and returns the
+// cause the barrier must now carry. The caller holds w.mu.
+func (w *World) poisonLocked(err *AbortError, primary bool) error {
 	if w.err == nil || (primary && !w.errPrimary) {
 		w.err, w.errPrimary = err, primary
 	}
-	cause := w.err
-	w.mu.Unlock()
-	w.bar.brk(cause)
+	return w.err
 }
 
 // Stats returns a copy of the per-rank statistics.
@@ -215,9 +224,6 @@ func (c *Comm) Rank() int { return c.rank }
 
 // Size returns the world size.
 func (c *Comm) Size() int { return c.w.size }
-
-// Stats returns a pointer to this rank's statistics (rank-private).
-func (c *Comm) Stats() *Stats { return &c.w.stats[c.rank] }
 
 // Barrier blocks until all ranks reach it. It establishes a
 // happens-before edge between everything written before the barrier on

@@ -1,13 +1,10 @@
 // Package partition defines the common types shared by all partitioners:
-// the block assignment vector, balance targets (including the
-// heterogeneous block sizes of the paper's footnote 1), and validation.
+// the block assignment vector and its two contracts — validity (Check)
+// and balance (Targets, MaxLoadRatio, including the heterogeneous block
+// sizes of the paper's footnote 1).
 package partition
 
-import (
-	"fmt"
-
-	"geographer/internal/geom"
-)
+import "fmt"
 
 // P assigns each point a block id in [0, K).
 type P struct {
@@ -20,21 +17,33 @@ func New(n, k int) P {
 	return P{Assign: make([]int32, n), K: k}
 }
 
+// Check checks that part assigns each of the n points a block id in
+// [0, k). Every boundary that accepts an assignment calls it first: the
+// per-block passes behind it index arrays of length k by block id and
+// would panic on an out-of-range id.
+func Check(part []int32, n, k int) error {
+	if k < 1 {
+		return fmt.Errorf("partition: k=%d", k)
+	}
+	if len(part) != n {
+		return fmt.Errorf("partition: %d assignments for %d points", len(part), n)
+	}
+	for i, b := range part {
+		if b < 0 || int(b) >= k {
+			return fmt.Errorf("partition: point %d assigned to invalid block %d (k=%d)", i, b, k)
+		}
+	}
+	return nil
+}
+
 // Validate checks that every assignment is a legal block id and, when
 // strict, that no block is empty.
 func (p P) Validate(strict bool) error {
-	if p.K < 1 {
-		return fmt.Errorf("partition: k=%d", p.K)
-	}
-	counts := make([]int64, p.K)
-	for i, b := range p.Assign {
-		if b < 0 || int(b) >= p.K {
-			return fmt.Errorf("partition: point %d assigned to invalid block %d (k=%d)", i, b, p.K)
-		}
-		counts[b]++
+	if err := Check(p.Assign, len(p.Assign), p.K); err != nil {
+		return err
 	}
 	if strict {
-		for b, c := range counts {
+		for b, c := range p.Sizes() {
 			if c == 0 {
 				return fmt.Errorf("partition: block %d is empty", b)
 			}
@@ -97,19 +106,16 @@ func Targets(totalWeight float64, k int, fractions []float64) ([]float64, error)
 	return t, nil
 }
 
-// MaxLoadRatio returns max_b weight(b)/target(b); balance requires this to
-// be at most 1+ε.
-func MaxLoadRatio(ps *geom.PointSet, p P, targets []float64) float64 {
-	w := make([]float64, p.K)
-	for i := 0; i < ps.Len(); i++ {
-		w[p.Assign[i]] += ps.W(i)
-	}
+// MaxLoadRatio returns max_b weights[b]/targets[b] over the blocks with
+// a positive target (0 when there is none); balance requires this to be
+// at most 1+ε.
+func MaxLoadRatio(weights, targets []float64) float64 {
 	worst := 0.0
-	for b := 0; b < p.K; b++ {
+	for b, w := range weights {
 		if targets[b] <= 0 {
 			continue
 		}
-		if r := w[b] / targets[b]; r > worst {
+		if r := w / targets[b]; r > worst {
 			worst = r
 		}
 	}

@@ -3,8 +3,6 @@ package partition
 import (
 	"math"
 	"testing"
-
-	"geographer/internal/geom"
 )
 
 func TestValidate(t *testing.T) {
@@ -70,14 +68,40 @@ func TestTargetsHeterogeneous(t *testing.T) {
 }
 
 func TestMaxLoadRatio(t *testing.T) {
-	ps := geom.NewPointSet(2, 4)
-	for i := 0; i < 4; i++ {
-		ps.Append(geom.Point{float64(i), 0}, 1)
-	}
-	p := P{Assign: []int32{0, 0, 0, 1}, K: 2}
+	// Blocks of 3 and 1 unit points against the uniform targets of 4.
 	tg, _ := Targets(4, 2, nil)
-	r := MaxLoadRatio(ps, p, tg)
+	r := MaxLoadRatio([]float64{3, 1}, tg)
 	if math.Abs(r-1.5) > 1e-12 {
 		t.Errorf("ratio = %g, want 1.5", r)
+	}
+	// A block without a positive target is not measured.
+	if r := MaxLoadRatio([]float64{3, 1}, []float64{0, 2}); r != 0.5 {
+		t.Errorf("ratio with a zero target = %g, want 0.5", r)
+	}
+	if r := MaxLoadRatio([]float64{3}, []float64{0}); r != 0 {
+		t.Errorf("ratio with no positive target = %g, want 0", r)
+	}
+}
+
+// TestCheck: the one block-id range check every boundary that accepts
+// an assignment calls.
+func TestCheck(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		part []int32
+		n, k int
+		ok   bool
+	}{
+		{"valid", []int32{0, 2, 1}, 3, 3, true},
+		{"empty", nil, 0, 1, true},
+		{"k=0", []int32{0}, 1, 0, false},
+		{"short", []int32{0}, 2, 1, false},
+		{"long", []int32{0, 0, 0}, 2, 1, false},
+		{"negative id", []int32{0, -1}, 2, 2, false},
+		{"id = k", []int32{0, 2}, 2, 2, false},
+	} {
+		if err := Check(tc.part, tc.n, tc.k); (err == nil) != tc.ok {
+			t.Errorf("%s: Check = %v, want ok=%v", tc.name, err, tc.ok)
+		}
 	}
 }

@@ -13,6 +13,8 @@ import (
 
 	"geographer/internal/geom"
 	"geographer/internal/graph"
+	"geographer/internal/metrics"
+	"geographer/internal/partition"
 )
 
 // Options controls the refinement.
@@ -53,8 +55,11 @@ func (h *candHeap) Pop() any          { old := *h; n := len(old); x := old[n-1];
 // heap entries are validated on pop), which keeps the implementation
 // simple and the passes strictly cut-monotone.
 func Refine(g *graph.Graph, ps *geom.PointSet, part []int32, k int, opts Options) (Result, error) {
-	if len(part) != g.N {
-		return Result{}, fmt.Errorf("refine: partition length %d != n %d", len(part), g.N)
+	if ps.Len() != g.N {
+		return Result{}, fmt.Errorf("refine: %d points for %d graph vertices", ps.Len(), g.N)
+	}
+	if err := partition.Check(part, g.N, k); err != nil {
+		return Result{}, err
 	}
 	if opts.Epsilon <= 0 {
 		opts.Epsilon = 0.03
@@ -63,19 +68,10 @@ func Refine(g *graph.Graph, ps *geom.PointSet, part []int32, k int, opts Options
 		opts.MaxPasses = 3
 	}
 
-	weights := make([]float64, k)
-	total := 0.0
-	for v := 0; v < g.N; v++ {
-		b := part[v]
-		if b < 0 || int(b) >= k {
-			return Result{}, fmt.Errorf("refine: vertex %d in invalid block %d", v, b)
-		}
-		weights[b] += ps.W(v)
-		total += ps.W(v)
-	}
-	maxLoad := (1 + opts.Epsilon) * total / float64(k)
+	weights := metrics.BlockWeights(ps, part, k)
+	maxLoad := (1 + opts.Epsilon) * ps.TotalWeight() / float64(k)
 
-	res := Result{CutBefore: cut(g, part)}
+	res := Result{CutBefore: metrics.EdgeCut(g, part)}
 
 	// neighborBlocks(v) returns the count of v's edges into each adjacent
 	// block, using a small epoch-stamped scratch.
@@ -155,19 +151,6 @@ func Refine(g *graph.Graph, ps *geom.PointSet, part []int32, k int, opts Options
 			break
 		}
 	}
-	res.CutAfter = cut(g, part)
+	res.CutAfter = metrics.EdgeCut(g, part)
 	return res, nil
-}
-
-func cut(g *graph.Graph, part []int32) int64 {
-	var c int64
-	for v := 0; v < g.N; v++ {
-		pv := part[v]
-		for _, u := range g.Neighbors(int32(v)) {
-			if int32(v) < u && part[u] != pv {
-				c++
-			}
-		}
-	}
-	return c
 }

@@ -138,6 +138,11 @@ func TestRefineErrors(t *testing.T) {
 	if _, err := Refine(g, ps, bad, 2, DefaultOptions()); err == nil {
 		t.Error("invalid block accepted")
 	}
+	// One point more than the graph has vertices.
+	ps.Append(ps.At(0), 1)
+	if _, err := Refine(g, ps, make([]int32, g.N), 2, DefaultOptions()); err == nil {
+		t.Error("point count mismatch accepted")
+	}
 }
 
 func TestRefineAlreadyOptimal(t *testing.T) {

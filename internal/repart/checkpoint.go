@@ -171,13 +171,8 @@ func decodeCheckpoint(data []byte) (*ckptState, error) {
 		return nil, fmt.Errorf("%w: %d weights for %d points", core.ErrCheckpointCorrupt, len(weights), info.N)
 	}
 	if prev != nil {
-		if len(prev) != info.N {
-			return nil, fmt.Errorf("%w: partition of %d entries for %d points", core.ErrCheckpointCorrupt, len(prev), info.N)
-		}
-		for i, b := range prev {
-			if b < 0 || int(b) >= info.K {
-				return nil, fmt.Errorf("%w: block %d at point %d for k=%d", core.ErrCheckpointCorrupt, b, i, info.K)
-			}
+		if err := partition.Check(prev, info.N, info.K); err != nil {
+			return nil, fmt.Errorf("%w: %w", core.ErrCheckpointCorrupt, err)
 		}
 	}
 	// The frame's checksum proves the bytes are the ones written, not

@@ -267,8 +267,8 @@ func TestSessionCheckpointErrors(t *testing.T) {
 
 // TestRepartitionWithRetryRecovers is the headline fault-tolerance
 // claim: a session whose world keeps dying to scheduled transient
-// faults rolls back to its checkpoint, retries on fresh worlds (built
-// through SetWorldFactory, so the plan stays installed), and converges
+// faults rolls back to its checkpoint, retries on fresh worlds (rebuilt
+// with the broken world's hooks, so the plan stays installed), and converges
 // to the exact partition a fault-free session computes.
 func TestRepartitionWithRetryRecovers(t *testing.T) {
 	m := sessionTestMesh(t, 1500)
@@ -305,17 +305,13 @@ func TestRepartitionWithRetryRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := mpi.NewFaultPlan(mpi.Fault{Rank: 1, Episode: 2, Kind: mpi.FaultTransient, Fires: 2})
-	faulty := func(size int) *mpi.World {
-		w := mpi.NewWorld(size)
-		w.SetHooks(plan)
-		return w
-	}
-	rest, err := NewSessionFromCheckpoint(faulty(p), ckpt, cfg)
+	fw := mpi.NewWorld(p)
+	fw.SetHooks(plan)
+	rest, err := NewSessionFromCheckpoint(fw, ckpt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rest.Close()
-	rest.SetWorldFactory(faulty)
 
 	var sleeps []time.Duration
 	pol := RetryPolicy{
@@ -366,17 +362,13 @@ func TestRepartitionWithRetryExhausts(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := mpi.NewFaultPlan(mpi.Fault{Rank: 0, Episode: 1, Kind: mpi.FaultPanic})
-	faulty := func(size int) *mpi.World {
-		w := mpi.NewWorld(size)
-		w.SetHooks(plan)
-		return w
-	}
-	rest, err := NewSessionFromCheckpoint(faulty(p), ckpt, cfg)
+	fw := mpi.NewWorld(p)
+	fw.SetHooks(plan)
+	rest, err := NewSessionFromCheckpoint(fw, ckpt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rest.Close()
-	rest.SetWorldFactory(faulty)
 
 	var sleeps []time.Duration
 	pol := RetryPolicy{

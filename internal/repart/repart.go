@@ -22,7 +22,6 @@ import (
 
 	"geographer/internal/core"
 	"geographer/internal/geom"
-	"geographer/internal/metrics"
 	"geographer/internal/mpi"
 	"geographer/internal/partition"
 )
@@ -75,7 +74,7 @@ func RecoverCenters(ps *geom.PointSet, prev []int32, k int) ([]float64, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("repart: empty point set")
 	}
-	if err := metrics.ValidatePartition(prev, n, k); err != nil {
+	if err := partition.Check(prev, n, k); err != nil {
 		return nil, fmt.Errorf("repart: invalid previous assignment: %w", err)
 	}
 

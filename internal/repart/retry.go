@@ -71,9 +71,10 @@ func (p RetryPolicy) backoff(attempt int) time.Duration {
 // checkpoints the session, runs the threshold-triggered warm step with
 // every world execution cancellable through ctx, and — when the step
 // aborts (a rank panic, an injected fault) — rolls the session back to
-// the checkpoint, rebuilds the world through the factory installed with
-// SetWorldFactory (mpi.NewWorld by default), waits out a bounded
-// exponential backoff, and tries again, up to policy.MaxRetries times.
+// the checkpoint, rebuilds the world with the broken world's hooks
+// (mpi.World.Rebuild, so an attached fault plan stays armed), waits out
+// a bounded exponential backoff, and tries again, up to
+// policy.MaxRetries times.
 //
 // Because the checkpoint restores every input the step reads and warm
 // steps are deterministic, the partition a successful retry produces is
@@ -99,12 +100,6 @@ func (s *Session) RepartitionWithRetry(ctx context.Context, eps float64, policy 
 	if err != nil {
 		return partition.P{}, Stats{}, false, err
 	}
-	size := s.w.Size()
-	factory := s.worldFactory
-	if factory == nil {
-		factory = mpi.NewWorld
-	}
-
 	retries := 0
 	for {
 		p, st, acted, err := s.repartitionIfAboveLocked(ctx, eps)
@@ -124,6 +119,6 @@ func (s *Session) RepartitionWithRetry(ctx context.Context, eps float64, policy 
 		if derr != nil {
 			return partition.P{}, Stats{Retries: retries}, false, fmt.Errorf("repart: rollback: %w", derr)
 		}
-		s.installLocked(factory(size), restored)
+		s.installLocked(s.w.Rebuild(), restored)
 	}
 }

@@ -65,11 +65,6 @@ type Session struct {
 	weightsDirty bool
 	coordsDirty  bool
 
-	// worldFactory builds the replacement world of a retry rollback
-	// (nil = mpi.NewWorld). Fault-injection drivers substitute a factory
-	// that installs their FaultPlan on each fresh world.
-	worldFactory func(size int) *mpi.World
-
 	ingestSeconds float64
 	lastInfo      core.Info
 	closed        bool
@@ -117,17 +112,6 @@ func NewSessionCtx(ctx context.Context, w *mpi.World, ps *geom.PointSet, k int, 
 	}
 	s.ingestSeconds = time.Since(t0).Seconds()
 	return s, nil
-}
-
-// SetWorldFactory installs the constructor RepartitionWithRetry uses to
-// rebuild the simulated world after an abort (nil restores the default,
-// mpi.NewWorld). A fault-injection harness passes a factory that
-// attaches its mpi.FaultPlan to each fresh world, so scheduled faults
-// keep firing — and transient ones keep disarming — across retries.
-func (s *Session) SetWorldFactory(f func(size int) *mpi.World) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.worldFactory = f
 }
 
 // IngestSeconds returns the wall time NewSession spent scattering and
@@ -202,7 +186,7 @@ func (s *Session) setPartitionLocked(prev []int32) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if err := metrics.ValidatePartition(prev, s.ps.Len(), s.k); err != nil {
+	if err := partition.Check(prev, s.ps.Len(), s.k); err != nil {
 		return fmt.Errorf("repart: invalid partition: %w", err)
 	}
 	s.prev = append(s.prev[:0], prev...)
@@ -363,16 +347,7 @@ func (s *Session) imbalanceLocked() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	imb := 0.0
-	for b, wb := range w {
-		if targets[b] <= 0 {
-			continue
-		}
-		if r := wb/targets[b] - 1; r > imb {
-			imb = r
-		}
-	}
-	return imb, nil
+	return max(0, partition.MaxLoadRatio(w, targets)-1), nil
 }
 
 // RepartitionIfAbove is the paper's §1 trigger verbatim — repartition

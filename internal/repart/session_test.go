@@ -3,11 +3,13 @@ package repart
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"geographer/internal/core"
 	"geographer/internal/geom"
 	"geographer/internal/mesh"
+	"geographer/internal/metrics"
 	"geographer/internal/mpi"
 	"geographer/internal/partition"
 )
@@ -327,6 +329,121 @@ func TestRepartitionIfAbove(t *testing.T) {
 		if pIf.Assign[i] != pRef.Assign[i] {
 			t.Fatalf("threshold-triggered step diverged from unconditional step at point %d", i)
 		}
+	}
+}
+
+// imbalanceLoop is the ratio loop Session.Imbalance ran before it
+// called partition.MaxLoadRatio, kept as the bit-level reference:
+// max over the blocks with a positive target of fl(w/t − 1), from 0.
+func imbalanceLoop(w, targets []float64) float64 {
+	imb := 0.0
+	for b, wb := range w {
+		if targets[b] <= 0 {
+			continue
+		}
+		if r := wb/targets[b] - 1; r > imb {
+			imb = r
+		}
+	}
+	return imb
+}
+
+// TestSessionImbalanceMatchesLoop holds Session.Imbalance, which reports
+// max(0, MaxLoadRatio − 1), to the bits of imbalanceLoop: on the cold
+// partition, on random partitions under random weights, and on
+// partitions that meet every target exactly (imbalance 0), with uniform
+// and with heterogeneous targets.
+func TestSessionImbalanceMatchesLoop(t *testing.T) {
+	m := sessionTestMesh(t, 800)
+	n := m.Points.Len() / 40 * 40
+	ps := &geom.PointSet{Dim: m.Points.Dim, Coords: m.Points.Coords[:n*m.Points.Dim]}
+	for _, tc := range []struct {
+		fractions []float64
+		exact     bool // every target is a float-exact share of n
+	}{
+		{nil, true},
+		{[]float64{0.5, 0.25, 0.125, 0.125}, true},
+		{[]float64{0.4, 0.3, 0.2, 0.1}, false},
+	} {
+		fractions := tc.fractions
+		cfg := core.DefaultConfig()
+		cfg.Seed = 1
+		cfg.TargetFractions = fractions
+		const k = 4
+		sess, err := NewSession(mpi.NewWorld(2), ps.Clone(), k, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(label string) {
+			t.Helper()
+			got, err := sess.Imbalance()
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := metrics.BlockWeights(sess.ps, sess.prev, k)
+			total := 0.0
+			for _, x := range w {
+				total += x
+			}
+			targets, err := partition.Targets(total, k, fractions)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := imbalanceLoop(w, targets); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("fractions %v, %s: Imbalance = %v, loop = %v", fractions, label, got, want)
+			}
+		}
+		if _, err := sess.Partition(); err != nil {
+			t.Fatal(err)
+		}
+		check("cold partition")
+
+		rng := rand.New(rand.NewSource(7))
+		part := make([]int32, n)
+		weights := make([]float64, n)
+		for trial := 0; trial < 50; trial++ {
+			for i := range part {
+				part[i] = int32(rng.Intn(k))
+				weights[i] = rng.ExpFloat64()
+			}
+			if err := sess.SetPartition(part); err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.UpdateWeights(weights); err != nil {
+				t.Fatal(err)
+			}
+			check("random partition")
+		}
+
+		// Unit weights, and block b holds its target's share of the n
+		// points: exactly on target when the shares are powers of two,
+		// within a rounding of it otherwise.
+		if err := sess.UpdateWeights(nil); err != nil {
+			t.Fatal(err)
+		}
+		share := []float64{0.25, 0.25, 0.25, 0.25}
+		if fractions != nil {
+			share = fractions
+		}
+		i := 0
+		for b, f := range share {
+			for end := i + int(math.Round(f*float64(n))); i < end; i++ {
+				part[i] = int32(b)
+			}
+		}
+		if err := sess.SetPartition(part); err != nil {
+			t.Fatal(err)
+		}
+		if i != n {
+			t.Fatalf("fractions %v: shares cover %d of %d points", fractions, i, n)
+		}
+		check("partition on target")
+		if got, _ := sess.Imbalance(); tc.exact {
+			if got != 0 {
+				t.Errorf("fractions %v: a partition on its targets reads imbalance %v, want 0", fractions, got)
+			}
+		}
+		sess.Close()
 	}
 }
 

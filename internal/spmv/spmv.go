@@ -20,6 +20,7 @@ import (
 
 	"geographer/internal/graph"
 	"geographer/internal/mpi"
+	"geographer/internal/partition"
 )
 
 // Result summarizes one SpMV benchmark run.
@@ -41,8 +42,8 @@ func Benchmark(g *graph.Graph, part []int32, k int, iters int) (Result, error) {
 	if k < 1 || k > g.N {
 		return Result{}, fmt.Errorf("spmv: k=%d outside [1, %d]", k, g.N)
 	}
-	if len(part) != g.N {
-		return Result{}, fmt.Errorf("spmv: partition length %d != n %d", len(part), g.N)
+	if err := partition.Check(part, g.N, k); err != nil {
+		return Result{}, err
 	}
 	if iters < 1 {
 		iters = 1
@@ -51,11 +52,7 @@ func Benchmark(g *graph.Graph, part []int32, k int, iters int) (Result, error) {
 	// Global structures shared read-only by all ranks.
 	owned := make([][]int32, k) // vertices per block, ascending
 	for v := 0; v < g.N; v++ {
-		b := part[v]
-		if b < 0 || int(b) >= k {
-			return Result{}, fmt.Errorf("spmv: vertex %d in invalid block %d", v, b)
-		}
-		owned[b] = append(owned[b], int32(v))
+		owned[part[v]] = append(owned[part[v]], int32(v))
 	}
 
 	world := mpi.NewWorld(k)
