@@ -70,14 +70,27 @@ func validBoundsScenario(t testing.TB, dim, n, k int, prune bool, loosen float64
 // anchored arm the brute-force answer: every point in its true argmin block
 // (sound prior bounds only let a point skip when it is there already) under
 // sound bounds, which for a rescanned point are the exact distance and the
-// exact runner-up. Returns the two arms' distance evaluations and the skips.
-func checkAnchoredEqualsFullScan(t *testing.T, dim, n, k int, prune bool, loosen float64, seed int64) (plainDC, anchoredDC, skips int64) {
+// exact runner-up. A share of the points, up to unassigned, starts without
+// a block; the anchored arm hands them random curve anchors to walk from.
+// Returns the two arms' distance evaluations and the skips.
+func checkAnchoredEqualsFullScan(t *testing.T, dim, n, k int, prune bool, loosen, unassigned float64, seed int64) (plainDC, anchoredDC, skips int64) {
 	t.Helper()
 	st, sample, eff := validBoundsScenario(t, dim, n, k, prune, loosen, seed)
+	if unassigned > 0 {
+		rng := rand.New(rand.NewSource(seed + 6000))
+		for i := range st.A {
+			if rng.Float64() < unassigned {
+				st.A[i], st.ub[i], st.lb[i] = -1, math.Inf(1), 0
+			}
+		}
+	}
 	pend := st.pendScaled
 	start := captureRun(st, 0, 0, 0)
 	plain := runKernels(st, sample, start, pend, 1)
 	st.scenarioCCTables()
+	if unassigned > 0 {
+		st.scenarioCurveBlocks(seed)
+	}
 	anchored := runKernels(st, sample, start, pend, 3)
 
 	label := fmt.Sprintf("dim=%d prune=%v seed=%d", dim, prune, seed)
@@ -122,11 +135,11 @@ func checkAnchoredEqualsFullScan(t *testing.T, dim, n, k int, prune bool, loosen
 			t.Fatalf("%s: lb[%d] = %g above the nearest other block at %g", label, i, lb, row[second])
 		}
 		u, l := start.ub[i], start.lb[i]
-		if pend {
+		if pend && start.a[i] >= 0 {
 			u *= st.pendUbRatio[start.a[i]]
 			l *= st.pendLbRatio
 		}
-		if !(u < l) {
+		if start.a[i] < 0 || !(u < l) {
 			// Rescanned: the block is the argmin and both bounds are exact.
 			if a != best || math.Abs(anchored.ub[i]-row[best]) > rel*row[best] ||
 				math.Abs(anchored.lb[i]-row[second]) > rel*row[second] {
@@ -143,7 +156,8 @@ func checkAnchoredEqualsFullScan(t *testing.T, dim, n, k int, prune bool, loosen
 // reference shared a wrong break rule, this one compares the truncated
 // walk with the scan that visits every center and with brute force. The
 // scenarios keep the rescan share between 10 and 90 %, so both the skip
-// and the walk carry weight.
+// and the walk carry weight; at d = 2 and 3 a fifth starts a quarter of
+// its points unassigned, walking from curve anchors.
 func TestAnchoredWalkEqualsFullScan(t *testing.T) {
 	for _, dim := range []int{1, 2, 3, 4, 16} {
 		for _, prune := range []bool{false, true} {
@@ -155,9 +169,14 @@ func TestAnchoredWalkEqualsFullScan(t *testing.T) {
 					ks = []int{7, 17, 24}
 				}
 				for _, k := range ks {
-					for seed := int64(0); seed < 4; seed++ {
-						loosen := []float64{0.5, 0.9, 1.2, 1.6}[seed]
-						plainDC, anchoredDC, skips := checkAnchoredEqualsFullScan(t, dim, n, k, prune, loosen, 900+seed)
+					seeds := int64(4)
+					if dim == 2 || dim == 3 {
+						seeds = 5
+					}
+					for seed := int64(0); seed < seeds; seed++ {
+						loosen := []float64{0.5, 0.9, 1.2, 1.6, 0.5}[seed]
+						unassigned := []float64{0, 0, 0, 0, 0.25}[seed]
+						plainDC, anchoredDC, skips := checkAnchoredEqualsFullScan(t, dim, n, k, prune, loosen, unassigned, 900+seed)
 						rescans := int64(n) - skips
 						if share := float64(rescans) / float64(n); share < 0.1 || share > 0.9 {
 							t.Fatalf("k=%d seed %d: %.0f %% of the points rescan; the scenario should keep it in 10–90 %%", k, seed, 100*share)
@@ -180,17 +199,22 @@ func TestAnchoredWalkEqualsFullScan(t *testing.T) {
 }
 
 // FuzzAnchoredWalkEqualsFullScan is the same property over fuzzed shapes:
-// any dimension class, k from 2 up, any loosening of the prior bounds.
+// any dimension class, k from 2 up, any loosening of the prior bounds, any
+// share of unassigned points walking from curve anchors.
 func FuzzAnchoredWalkEqualsFullScan(f *testing.F) {
-	f.Add(int64(1), uint8(200), uint8(9), uint8(1), uint8(40), true)
-	f.Add(int64(2), uint8(40), uint8(30), uint8(2), uint8(90), false)
-	f.Add(int64(3), uint8(255), uint8(2), uint8(4), uint8(0), true)
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, kRaw, dimRaw, loosenRaw uint8, prune bool) {
+	f.Add(int64(1), uint8(200), uint8(9), uint8(1), uint8(40), uint8(0), true)
+	f.Add(int64(2), uint8(40), uint8(30), uint8(2), uint8(90), uint8(0), false)
+	f.Add(int64(3), uint8(255), uint8(2), uint8(4), uint8(0), uint8(0), true)
+	f.Add(int64(4), uint8(200), uint8(30), uint8(1), uint8(40), uint8(64), true)   // anchored-unassigned, d = 2
+	f.Add(int64(5), uint8(120), uint8(13), uint8(2), uint8(70), uint8(200), false) // d = 3, most points unassigned
+	f.Add(int64(6), uint8(90), uint8(17), uint8(1), uint8(20), uint8(255), true)   // d = 2, every point unassigned
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, kRaw, dimRaw, loosenRaw, unassignedRaw uint8, prune bool) {
 		n := int(nRaw) + 2
 		k := int(kRaw)%40 + 2
 		dims := []int{1, 2, 3, 4, 8, 16}
 		dim := dims[int(dimRaw)%len(dims)]
 		loosen := float64(loosenRaw) / 64
-		checkAnchoredEqualsFullScan(t, dim, n, k, prune, loosen, seed)
+		unassigned := float64(unassignedRaw) / 255
+		checkAnchoredEqualsFullScan(t, dim, n, k, prune, loosen, unassigned, seed)
 	})
 }

@@ -226,11 +226,14 @@ func sortCentersByDist(ids []int32, dist2 []float64) {
 // costs 25 µs / 160 µs / 0.7 ms / 4.5 ms / 30 ms at k = 32 / 64 / 128 /
 // 256 / 512 (BenchmarkBuildCCTables; the per-row insertion sort makes it
 // cubic, 0.8 ns·k³ at k = 32 falling to 0.2 ns·k³) and a balance round
-// ≈ 6 ns per sampled point (mostly skips). The rule was fitted when a
-// call ran ~9 rounds (≈ 55 ns per point, build ≤ 0.8·4/55 ≈ 6 %); a
-// sampled call without the curve bootstrap now stops at
-// sampledBalanceRounds = 8, which puts the build at ≤ 0.8·4/48 ≈ 7 % of
-// the call it serves. Past that the rescans the walk shortens are too
+// ≈ 4.4 ns per sampled point at d = 2 (mostly skips; the
+// geom.assign_bounded_ns_per_point layer of four traced cold_mesh2d
+// passes read 3.8–5.0 ns since the cold pass at d = 2, 3 runs
+// straight-line bodies, 6.7–7.0 before). The rule was fitted when a
+// call ran ~9 rounds at ≈ 6 ns (≈ 55 ns per point, build ≤ 0.8·4/55 ≈
+// 6 %); a sampled call without the curve bootstrap now stops at
+// sampledBalanceRounds = 8, ≈ 35 ns per point, which puts the build at
+// ≤ 0.8·4/35 ≈ 9 % of the call it serves. Past that the rescans the walk shortens are too
 // few to repay the tables — at n = 100 000, k = 32 that is p ≥ 16, where
 // each rank's box isolates a few blocks and the box-ordered scan already
 // stops after ~5 centers — and a large k never allocates k² entries.
@@ -278,6 +281,7 @@ func (st *state) runAssignKernels(sample []int32) (distCalcs, skips, breaks int6
 		template.CCOrder = st.ccOrder
 		template.CCDist = st.ccDist
 		template.RawLbInv = st.rawLbInv
+		template.Anchor = st.curveBlock
 	}
 	if st.trackRaw {
 		template.RawLb = st.rlb

@@ -72,7 +72,9 @@ func BenchmarkAssignKernel8D(b *testing.B)  { benchAssignKernel(b, 8, passFull) 
 func BenchmarkAssignKernel16D(b *testing.B) { benchAssignKernel(b, 16, passFull) }
 
 // The anchored rescan of the cold Hamerly pass, and the same rescan with
-// the raw shadow column the warm incremental path attaches.
+// the raw shadow column the warm incremental path attaches. The 2D cell is
+// the pass of cold_mesh2d's sampled and full iterations.
+func BenchmarkAssignKernelAnchored2D(b *testing.B)  { benchAssignKernel(b, 2, passAnchored) }
 func BenchmarkAssignKernelAnchored3D(b *testing.B)  { benchAssignKernel(b, 3, passAnchored) }
 func BenchmarkAssignKernelAnchored16D(b *testing.B) { benchAssignKernel(b, 16, passAnchored) }
 func BenchmarkAssignKernelRaw3D(b *testing.B)       { benchAssignKernel(b, 3, passRaw) }

@@ -141,6 +141,23 @@ func (st *state) scenarioCCTables() {
 	st.ccBuilt = true
 }
 
+// scenarioCurveBlocks gives every point a random anchor, the column a
+// curve-seeded cold run hands its passes at d = 2 and 3 (at every other
+// dimension it leaves none, as ensureScratch does): with the
+// center-center tables attached, an unassigned point walks from its
+// anchor instead of scanning in box order.
+func (st *state) scenarioCurveBlocks(seed int64) {
+	if st.dim != 2 && st.dim != 3 {
+		st.curveBlock = nil
+		return
+	}
+	rng := rand.New(rand.NewSource(seed + 2000))
+	st.curveBlock = make([]uint64, st.X.Len())
+	for i := range st.curveBlock {
+		st.curveBlock[i] = uint64(rng.Intn(st.k))
+	}
+}
+
 // rawScenario extends a kernelScenario with the warm incremental state the
 // Hamerly body's raw shadow column needs: raw lower bounds, the raw skip
 // floor, and the k×k center-to-center anchored-scan tables. prune sets the
@@ -268,6 +285,7 @@ func referenceRun(st *state, sample []int32, start kernelRun, pend bool) kernelR
 		ref.CCOrder = st.ccOrder
 		ref.CCDist = st.ccDist
 		ref.RawLbInv = st.rawLbInv
+		ref.Anchor = st.curveBlock
 	}
 	if st.trackRaw {
 		ref.RawLb = st.rlb
@@ -339,28 +357,32 @@ func latticeN(dim int) int {
 // kernelLattice is the one differential lattice pinning the assignment
 // kernels: dims × {hamerly, elkan, none} × prune × {serial, sharded}
 // against the scalar reference path, the Hamerly cells once more with the
-// center-center tables attached (the anchored rescan of the cold pass).
-// Seeds alternate a pending influence rescale on and off; every cell runs
-// at each k of ks.
+// center-center tables attached (the anchored rescan of the cold pass),
+// and at d = 2 and 3 once more with its unassigned points walking from
+// curve anchors. Seeds alternate a pending influence rescale on and off; every
+// cell runs at each k of ks.
 func kernelLattice(t *testing.T, dims, ks []int, seeds int, seedBase int64) {
 	for _, dim := range dims {
 		for _, bounds := range []BoundsKind{BoundsHamerly, BoundsElkan, BoundsNone} {
 			for _, prune := range []bool{true, false} {
-				arms := []bool{false}
+				arms := []string{""}
 				if bounds == BoundsHamerly {
-					arms = append(arms, true)
-				}
-				for _, anchored := range arms {
-					name := fmt.Sprintf("dim=%d/%s/prune=%v", dim, bounds, prune)
-					if anchored {
-						name += "/anchored"
+					arms = append(arms, "/anchored")
+					if dim == 2 || dim == 3 {
+						arms = append(arms, "/anchored/curve")
 					}
+				}
+				for _, arm := range arms {
+					name := fmt.Sprintf("dim=%d/%s/prune=%v%s", dim, bounds, prune, arm)
 					t.Run(name, func(t *testing.T) {
 						for _, k := range ks {
 							for seed := int64(0); seed < int64(seeds); seed++ {
 								st, sample := kernelScenario(t, dim, latticeN(dim), k, bounds, prune, seedBase+seed)
-								if anchored {
+								if arm != "" {
 									st.scenarioCCTables()
+								}
+								if arm == "/anchored/curve" {
+									st.scenarioCurveBlocks(seedBase + seed)
 								}
 								checkAgainstReference(t, st, sample)
 							}
@@ -594,6 +616,7 @@ func FuzzKernelAssignMatchesReference(f *testing.F) {
 	f.Add(int64(4), 0.0, 0.0, uint8(1), uint8(1), uint8(16), uint8(3))
 	f.Add(int64(5), 0.25, math.Inf(1), uint8(90), uint8(12), uint8(1), uint8(4)) // anchored cold pass
 	f.Add(int64(6), 0.5, 1e200, uint8(150), uint8(19), uint8(5), uint8(4))       // blocked arm: d=16, k=20, three blocks
+	f.Add(int64(7), math.NaN(), 0.5, uint8(80), uint8(11), uint8(1), uint8(5))   // cold pass walking from curve anchors
 	f.Fuzz(func(t *testing.T, seed int64, inj0, inj1 float64, nRaw, kRaw, dimRaw, modeRaw uint8) {
 		n := int(nRaw)%200 + 1
 		k := int(kRaw)%20 + 1
@@ -601,12 +624,15 @@ func FuzzKernelAssignMatchesReference(f *testing.F) {
 		dim := dims[int(dimRaw)%len(dims)]
 		var st *state
 		var sample []int32
-		switch mode := int(modeRaw) % 5; mode {
+		switch mode := int(modeRaw) % 6; mode {
 		case 3:
 			st, sample = rawScenario(t, dim, n, k, true, seed)
-		case 4:
+		case 4, 5:
 			st, sample = kernelScenario(t, dim, n, k, BoundsHamerly, true, seed)
 			st.scenarioCCTables()
+			if mode == 5 {
+				st.scenarioCurveBlocks(seed)
+			}
 		default:
 			bounds := []BoundsKind{BoundsNone, BoundsHamerly, BoundsElkan}[mode]
 			st, sample = kernelScenario(t, dim, n, k, bounds, true, seed)

@@ -61,6 +61,19 @@ type state struct {
 	allIdx  []int32 // identity; a pass's index list is its prefix allIdx[:nSample]
 	nSample int     // size of the active sample prefix
 
+	// curveBlock is the column of curve anchors of a curve-seeded cold
+	// run at d = 2 or 3 (nil on every other): the block ⌊g·k/n⌋ of the
+	// point at each position, g its index in the global curve order — the
+	// block whose seed sits in the middle of the curve stretch the point
+	// lies on. A pass that carries the center-center tables starts the
+	// rescan of a point it finds unassigned from there
+	// (geom.AssignKernel.Anchor). It moves with the points (sample.go);
+	// curveStart is the global curve index of local position 0. Partition
+	// hands over the sorted curve keys, which nothing reads after the
+	// sort, so the anchors allocate nothing of their own.
+	curveBlock []uint64
+	curveStart int64
+
 	A      []int32 // assignment per local point (-1 = unassigned)
 	ub, lb []float64
 	lbk    []float64 // Elkan mode: raw-distance lower bounds, len n·k
@@ -229,8 +242,10 @@ func (b *BalancedKMeans) Partition(c *mpi.Comm, pts *partition.Local, k int) ([]
 	if cfg.SFCBootstrap {
 		cols = dsort.SampleSortCols(c, cols)
 		cols = dsort.RebalanceCols(c, cols)
-		// The k-means phase adopts the sorted columns in place.
+		// The k-means phase adopts the sorted columns in place, and the
+		// keys' memory for its curve anchors.
 		st.X, st.W, st.IDs = geom.ColsOf(cols.C), cols.W, cols.IDs
+		st.curveBlock = cols.Keys
 	} else {
 		// Without the bootstrap it adopts the rank's columns as they
 		// are, in id order.
@@ -336,6 +351,7 @@ func (st *state) initCentersAndTargets(seed []float64) error {
 		// is exact (0 + x == x) and the seeds do not depend on the rank
 		// layout.
 		start := mpi.ExscanSum(st.c, int64(st.X.Len()))
+		st.curveStart = start
 		seedVec := st.centVec[:st.k*st.dim]
 		clear(seedVec)
 		var rng *rand.Rand
@@ -405,6 +421,14 @@ func (st *state) ensureScratch() {
 	}
 	if !st.warm && st.cfg.SampledInit && cap(st.cycles) < n {
 		st.cycles = make([]int32, 0, n)
+	}
+	// Only the cold pass's straight-line bodies (d = 2, 3) read anchors.
+	if !st.warm && st.cfg.SFCBootstrap && (st.dim == 2 || st.dim == 3) {
+		if len(st.curveBlock) != n {
+			st.curveBlock = make([]uint64, n)
+		}
+	} else {
+		st.curveBlock = nil
 	}
 	if st.cfg.Bounds == BoundsElkan {
 		if len(st.lbk) != n*st.k {
@@ -506,6 +530,7 @@ func (st *state) resetRun() {
 	st.resetBox()
 	st.pendScaled = false
 	st.anySampling = false
+	st.fillCurveBlocks()
 	// The sampled bootstrap exists to move bad initial centers cheaply;
 	// warm starts begin near-converged, so the warm path always runs on
 	// the full point set — also a determinism requirement, since the
@@ -513,6 +538,29 @@ func (st *state) resetRun() {
 	if !st.warm && st.cfg.SampledInit && st.X.Len() > 100 {
 		st.shuffle()
 		st.nSample = 100
+	}
+}
+
+// fillCurveBlocks writes the curve anchors of the points in ingest order
+// (a no-op without the column): position i is global curve index
+// g = curveStart + i, in block ⌊g·k/n⌋. The blocks only grow along the
+// positions, so the fill walks their boundaries instead of dividing per
+// point.
+func (st *state) fillCurveBlocks() {
+	if st.curveBlock == nil {
+		return
+	}
+	n, k := st.globalN, int64(st.k)
+	g := st.curveStart
+	b := g * k / n
+	next := ((b+1)*n + k - 1) / k // the first index of block b+1
+	for i := range st.curveBlock {
+		for g >= next {
+			b++
+			next = ((b+1)*n + k - 1) / k
+		}
+		st.curveBlock[i] = uint64(b)
+		g++
 	}
 }
 

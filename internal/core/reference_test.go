@@ -76,17 +76,23 @@ func referenceAssign(dim int, kr *geom.AssignKernel, idx []int32, hamerly, elkan
 				second2 = d2
 			}
 		}
-		if cur := kr.A[i]; hamerly && cur >= 0 && kr.CCOrder != nil {
-			// Anchored rescan: the current center is the incumbent, then
-			// its neighbours by ascending center-center distance until the
-			// triangle bound — raw distance to every later center ≥ CCDist
-			// − rawdist(p,c_cur), effective ≥ that over the largest
-			// influence — clears the second best.
-			rawA2 := refDist2(kr, dim, i, cur)
+		an := kr.A[i]
+		if an < 0 && kr.Anchor != nil {
+			// An unassigned point walks from its anchor; core attaches
+			// anchors only where the kernel reads them (d = 2, 3, cold).
+			an = int32(kr.Anchor[i])
+		}
+		if hamerly && an >= 0 && kr.CCOrder != nil {
+			// Anchored rescan: the current center (or the anchor) is the
+			// incumbent, then its neighbours by ascending center-center
+			// distance until the triangle bound — raw distance to every
+			// later center ≥ CCDist − rawdist(p,c_an), effective ≥ that
+			// over the largest influence — clears the second best.
+			rawA2 := refDist2(kr, dim, i, an)
 			kr.DistCalcs++
 			rub := math.Sqrt(rawA2)
-			best2, bestC = rawA2*kr.InvInf2[cur], cur
-			row := int(cur) * kr.K
+			best2, bestC = rawA2*kr.InvInf2[an], an
+			row := int(an) * kr.K
 			for j := 1; j < kr.K; j++ {
 				if lr := kr.CCDist[row+j] - rub; lr > 0 && lr*lr*invMaxInf2 > second2 {
 					kr.Breaks++

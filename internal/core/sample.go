@@ -12,10 +12,10 @@ import "math/rand"
 
 // shuffle draws the rank's random sample order and moves the points into
 // it: afterwards position j holds the point that was ingested at perm[j],
-// for the perm the shuffle drew. Only the coordinate columns and weights
-// move — assignments and bounds are still uniform (unassigned, unknown),
-// and the ids are read only when the run returns, by which time
-// unshuffle has restored ingest order.
+// for the perm the shuffle drew. Only the coordinate columns, weights and
+// curve anchors move — assignments and bounds are still uniform
+// (unassigned, unknown), and the ids are read only when the run returns,
+// by which time unshuffle has restored ingest order.
 func (st *state) shuffle() {
 	// The permutation is drawn in allIdx, which cycleList leaves the
 	// identity again.
@@ -28,6 +28,9 @@ func (st *state) shuffle() {
 			rotate(col, first, rest)
 		}
 		rotate(st.W, first, rest)
+		if st.curveBlock != nil {
+			rotate(st.curveBlock, first, rest)
+		}
 	})
 }
 
@@ -51,6 +54,7 @@ func (st *state) unshuffle() {
 			rotateRowsBack(st.lbk, st.k, first, rest)
 		}
 	})
+	st.fillCurveBlocks() // a function of the position again: refilled, not moved
 	st.nSample = st.X.Len()
 	st.resetBox()
 }

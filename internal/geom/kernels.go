@@ -13,27 +13,37 @@
 // the invariants the callers rely on.
 //
 // The kernels read points from a structure-of-arrays Cols store, which
-// holds exactly its Dim columns, and there are two bodies, each one for
-// every dimension: RunBounded, the Hamerly/plain pass, cold and warm (the
-// raw shadow bound is an optional column of it), and RunElkan. The
-// bounds logic is written once, and the only dimension-dependent code is
-// the squared-distance expression, chosen per evaluation by an in-body
-// switch on dim between the unrolled 2D expression over the hoisted X/Y
-// columns, the unrolled 3D one over X/Y/Z, and a walk over the column
-// lists at every other dimension, d = 1 included; a body hoists only the
-// axes the point has. On the walk the Hamerly body gathers the rescanned
-// point once (gatherPoint) and evaluates the scan order blockLen centers
-// at a time (blockDist2), the switch arm reading its distance from the
-// block; RunElkan, whose per-center bounds skip most centers, and the
-// single evaluation of an anchor call colsDist2 per center. Every one of them
-// accumulates each center's sum left to right from zero, so wherever two
-// arms apply they agree bit for bit, and every arm is pinned to the
-// scalar reference path of internal/core. The switch is loop-invariant
-// and perfectly predicted; DESIGN.md ("Generic-dimension invariants")
-// records what it costs and why the unrolled arms stay. Each AssignKernel
-// value carries its own weight accumulator, point scratch and counters so
-// that several kernels can run concurrently over disjoint index shards of
-// the same point set.
+// holds exactly its Dim columns. RunBounded is the Hamerly/plain pass,
+// cold and warm (the raw shadow bound an optional column of it), and
+// RunElkan the Elkan pass. The bounds logic of each is written once, in a
+// generic body that serves every dimension: its only dimension-dependent
+// code is the squared-distance expression, chosen per evaluation by an
+// in-body switch on dim between the unrolled 2D expression over the
+// hoisted X/Y columns, the unrolled 3D one over X/Y/Z, and a walk over the
+// column lists at every other dimension, d = 1 included; a body hoists
+// only the axes the point has. On the walk the Hamerly body gathers the
+// rescanned point once (gatherPoint) and evaluates the scan order
+// blockLen centers at a time (blockDist2), the switch arm reading its
+// distance from the block; RunElkan, whose per-center bounds skip most
+// centers, and the single evaluation of an anchor call colsDist2 per
+// center. Every one of them accumulates each center's sum left to right
+// from zero, so wherever two arms apply they agree bit for bit, and every
+// arm is pinned to the scalar reference path of internal/core.
+//
+// The cold pass — RunBounded without the raw column — is the one
+// exception, at d = 2 and d = 3 only: there it runs a straight-line body
+// per dimension (runCold2, runCold3), a tight skip loop that hands every
+// rescan to one out-of-line call (rescan2, rescan3) over the unrolled
+// distance expression, with no dimension switch, no raw-scan state and no
+// point scratch. The straight-line bodies store what the generic body
+// stores, counters included, bit for bit (TestStraightLineMatchesGeneric
+// and its fuzz target) — except that only they read the Anchor column,
+// which moves the distance and break counts. DESIGN.md
+// ("Generic-dimension invariants") records which body serves which pass
+// and what the straight-line bodies buy. Each AssignKernel value carries
+// its own weight accumulator, point scratch and counters so that several
+// kernels can run concurrently over disjoint index shards of the same
+// point set.
 package geom
 
 import "math"
@@ -260,6 +270,19 @@ type AssignKernel struct {
 	CCOrder []int32
 	CCDist  []float64
 
+	// Anchor, an optional column of the cold Hamerly pass at d = 2 and 3
+	// that carries the tables, read only by its straight-line bodies (the
+	// generic body ignores it): an unassigned point i (A[i] < 0) has no
+	// block to walk from, and starts the same anchored walk from center
+	// Anchor[i] ∈ [0, K) instead of scanning in box order. Any center is a
+	// sound anchor — the triangle break holds from every start — so the
+	// walk stores the full scan's best and second best and only DistCalcs
+	// and Breaks depend on the column. internal/core fills it with the
+	// point's block along the space-filling curve on curve-seeded cold
+	// runs, in the curve-key column its sort leaves behind, hence the
+	// uint64. Nil: unassigned points scan in box order.
+	Anchor []uint64
+
 	// Accumulators, private per kernel value. LocalW receives every
 	// visited point's weight under its (new or kept) block, except in a
 	// RunBounded pass with RawLb attached: that column rides only the warm
@@ -375,10 +398,11 @@ func hoist(dim int, px, py, pz []float64, i int32) (x, y, z float64) {
 
 // rawScan is a rescan's state for the raw shadow column: the two smallest
 // raw distances (r1 at center r1id, r2) and floor2, a squared floor under
-// the centers never reached. RunBounded reaches it through a pointer,
-// which keeps it in memory: held in locals, which the compiler keeps in
-// registers across the scan, it cost the cold pass, where it is dead,
-// 4–9 % at d ≤ 3 (paired runs against the pass without it).
+// the centers never reached. The generic body reaches it through a
+// pointer, which keeps it in memory: held in locals, which the compiler
+// keeps in registers across the scan, it cost the cold pass, where it is
+// dead, 4–9 % at d ≤ 3 (paired runs against the pass without it, measured
+// before the cold pass at d = 2, 3 left the generic body).
 type rawScan struct {
 	r1, r2, floor2 float64
 	r1id           int32
@@ -389,16 +413,17 @@ type rawScan struct {
 // hamerly bound skipping (Ub < Lb) proves the assignment unchanged.
 //
 // A rescan truncates its scan by one of two rules, chosen per point. A
-// Hamerly rescan of a point that already has a block, on a kernel that
-// carries the center-center tables (CCOrder non-nil, with CCDist and
-// RawLbInv), is anchored: the current center first, then its CCOrder row
-// in ascending center-center distance until the triangle inequality
-// proves the tail irrelevant — a cost of the point's neighbours, not of
-// K. Every other scan (unassigned points, plain mode, no tables) runs in
-// bounding-box order and breaks, when Prune is set, at the first center
-// whose box distance exceeds the second best. Both rules leave best and
-// second-best exactly as a full scan computes them (modulo exact-tie scan
-// order; see DESIGN.md, "Anchored rescans").
+// Hamerly rescan on a kernel that carries the center-center tables
+// (CCOrder non-nil, with CCDist and RawLbInv) is anchored when the point
+// has a block, or — in the straight-line bodies only — an Anchor entry:
+// that center first, then its CCOrder row in ascending center-center
+// distance until the triangle inequality proves the tail irrelevant — a
+// cost of the point's neighbours, not of K. Every other scan (unassigned
+// points without an anchor, plain mode, no tables) runs in bounding-box
+// order and breaks, when Prune is set, at
+// the first center whose box distance exceeds the second best. Both rules
+// leave best and second-best exactly as a full scan computes them (modulo
+// exact-tie scan order; see DESIGN.md, "Anchored rescans").
 //
 // With the raw shadow column attached (RawLb non-nil) the body also
 // floors the skip test at RawLb·RawLbInv, refreshes RawLb on every
@@ -406,7 +431,26 @@ type rawScan struct {
 // break, which would leave the raw minimum over the unscanned tail
 // unknown (DistBB2 lives in effective space); on the warm path, whose
 // per-rank boxes span the domain, it never fires anyway.
+//
+// Without the raw column, d = 2 and d = 3 run the straight-line bodies;
+// every other pass runs the generic body.
 func (kr *AssignKernel) RunBounded(dim int, idx []int32, hamerly bool) {
+	if kr.RawLb == nil {
+		switch dim {
+		case 2:
+			kr.runCold2(idx, hamerly)
+			return
+		case 3:
+			kr.runCold3(idx, hamerly)
+			return
+		}
+	}
+	kr.runBounded(dim, idx, hamerly)
+}
+
+// runBounded is RunBounded's generic body: every dimension, with or
+// without the raw column.
+func (kr *AssignKernel) runBounded(dim int, idx []int32, hamerly bool) {
 	px, py, pz := kr.PX, kr.PY, kr.PZ
 	cx, cy, cz := kr.CX, kr.CY, kr.CZ
 	pc, cc := kr.PC, kr.CC
@@ -554,6 +598,223 @@ func (kr *AssignKernel) RunBounded(dim int, idx []int32, hamerly bool) {
 	kr.DistCalcs += distCalcs
 	kr.Skips += skips
 	kr.Breaks += breaks
+}
+
+// runCold2 is RunBounded's cold pass at d = 2 (RawLb nil): the generic
+// body's skip test as a tight loop, and every rescan one rescan2 call.
+// Its straight-line twin runCold3 differs only in the call; both store
+// what runBounded stores, counters included (the distance and break
+// counts only without an Anchor column, which runBounded does not read).
+func (kr *AssignKernel) runCold2(idx []int32, hamerly bool) {
+	w, a, ub, lb, localW := kr.W, kr.A, kr.Ub, kr.Lb, kr.LocalW
+	ubScale, lbScale := kr.UbScale, kr.LbScale
+	scaled := ubScale != nil
+	walk := hamerly && kr.CCOrder != nil
+	anchors := kr.Anchor
+	var distCalcs, skips, breaks int64
+	for _, i := range idx {
+		cur := a[i]
+		if hamerly && cur >= 0 {
+			u, l := ub[i], lb[i]
+			if scaled {
+				u *= ubScale[cur]
+				l *= lbScale
+			}
+			if u < l {
+				if scaled {
+					ub[i] = u
+					lb[i] = l
+				}
+				skips++
+				localW[cur] += w[i]
+				continue
+			}
+		}
+		an := int32(-1)
+		if walk {
+			if an = cur; an < 0 && anchors != nil {
+				an = int32(anchors[i])
+			}
+		}
+		dc, br := kr.rescan2(i, an)
+		distCalcs += dc
+		breaks += br
+	}
+	kr.DistCalcs += distCalcs
+	kr.Skips += skips
+	kr.Breaks += breaks
+}
+
+// runCold3 is runCold2 at d = 3.
+func (kr *AssignKernel) runCold3(idx []int32, hamerly bool) {
+	w, a, ub, lb, localW := kr.W, kr.A, kr.Ub, kr.Lb, kr.LocalW
+	ubScale, lbScale := kr.UbScale, kr.LbScale
+	scaled := ubScale != nil
+	walk := hamerly && kr.CCOrder != nil
+	anchors := kr.Anchor
+	var distCalcs, skips, breaks int64
+	for _, i := range idx {
+		cur := a[i]
+		if hamerly && cur >= 0 {
+			u, l := ub[i], lb[i]
+			if scaled {
+				u *= ubScale[cur]
+				l *= lbScale
+			}
+			if u < l {
+				if scaled {
+					ub[i] = u
+					lb[i] = l
+				}
+				skips++
+				localW[cur] += w[i]
+				continue
+			}
+		}
+		an := int32(-1)
+		if walk {
+			if an = cur; an < 0 && anchors != nil {
+				an = int32(anchors[i])
+			}
+		}
+		dc, br := kr.rescan3(i, an)
+		distCalcs += dc
+		breaks += br
+	}
+	kr.DistCalcs += distCalcs
+	kr.Skips += skips
+	kr.Breaks += breaks
+}
+
+// rescan2 recomputes point i's best and second-best center at d = 2 and
+// stores A, Ub, Lb and the point's weight under its block: the anchored
+// walk from center an ≥ 0, or the box-ordered scan for an < 0. It
+// returns the centers it examined and whether the scan broke. Out of line
+// by design, so that the skip loop calling it carries only the skip
+// test's state (DESIGN.md, "Generic-dimension invariants").
+//
+//go:noinline
+func (kr *AssignKernel) rescan2(i, an int32) (distCalcs, breaks int64) {
+	x, y := kr.PX[i], kr.PY[i]
+	cx, cy := kr.CX, kr.CY
+	cx = cx[:len(cy)] // one bounds check per center covers both columns
+	inv2 := kr.InvInf2
+	best2, second2 := math.Inf(1), math.Inf(1)
+	best := int32(0)
+	if an >= 0 {
+		dx, dy := x-cx[an], y-cy[an]
+		rawA2 := dx*dx + dy*dy
+		distCalcs++
+		rub := math.Sqrt(rawA2)
+		best2 = rawA2 * inv2[an]
+		best = an
+		invMaxInf2 := kr.RawLbInv * kr.RawLbInv
+		row, k := int(an)*kr.K, kr.K
+		scan, ccd := kr.CCOrder[row+1:row+k], kr.CCDist[row+1:row+k]
+		ccd = ccd[:len(scan)] // no bounds check on ccd[j]
+		for j, bc := range scan {
+			if lr := ccd[j] - rub; lr > 0 && lr*lr*invMaxInf2 > second2 {
+				breaks++
+				break
+			}
+			dx, dy := x-cx[bc], y-cy[bc]
+			d2 := (dx*dx + dy*dy) * inv2[bc]
+			distCalcs++
+			if d2 < best2 {
+				second2 = best2
+				best2 = d2
+				best = bc
+			} else if d2 < second2 {
+				second2 = d2
+			}
+		}
+	} else {
+		dbb2, prune := kr.DistBB2, kr.Prune
+		for _, bc := range kr.Order {
+			if prune && dbb2[bc] > second2 {
+				breaks++
+				break
+			}
+			dx, dy := x-cx[bc], y-cy[bc]
+			d2 := (dx*dx + dy*dy) * inv2[bc]
+			distCalcs++
+			if d2 < best2 {
+				second2 = best2
+				best2 = d2
+				best = bc
+			} else if d2 < second2 {
+				second2 = d2
+			}
+		}
+	}
+	kr.A[i] = best
+	kr.Ub[i] = math.Sqrt(best2)
+	kr.Lb[i] = math.Sqrt(second2)
+	kr.LocalW[best] += kr.W[i]
+	return distCalcs, breaks
+}
+
+// rescan3 is rescan2 at d = 3.
+//
+//go:noinline
+func (kr *AssignKernel) rescan3(i, an int32) (distCalcs, breaks int64) {
+	x, y, z := kr.PX[i], kr.PY[i], kr.PZ[i]
+	cx, cy, cz := kr.CX, kr.CY, kr.CZ
+	cx, cy = cx[:len(cz)], cy[:len(cz)] // one bounds check per center covers all three
+	inv2 := kr.InvInf2
+	best2, second2 := math.Inf(1), math.Inf(1)
+	best := int32(0)
+	if an >= 0 {
+		dx, dy, dz := x-cx[an], y-cy[an], z-cz[an]
+		rawA2 := dx*dx + dy*dy + dz*dz
+		distCalcs++
+		rub := math.Sqrt(rawA2)
+		best2 = rawA2 * inv2[an]
+		best = an
+		invMaxInf2 := kr.RawLbInv * kr.RawLbInv
+		row, k := int(an)*kr.K, kr.K
+		scan, ccd := kr.CCOrder[row+1:row+k], kr.CCDist[row+1:row+k]
+		ccd = ccd[:len(scan)] // no bounds check on ccd[j]
+		for j, bc := range scan {
+			if lr := ccd[j] - rub; lr > 0 && lr*lr*invMaxInf2 > second2 {
+				breaks++
+				break
+			}
+			dx, dy, dz := x-cx[bc], y-cy[bc], z-cz[bc]
+			d2 := (dx*dx + dy*dy + dz*dz) * inv2[bc]
+			distCalcs++
+			if d2 < best2 {
+				second2 = best2
+				best2 = d2
+				best = bc
+			} else if d2 < second2 {
+				second2 = d2
+			}
+		}
+	} else {
+		dbb2, prune := kr.DistBB2, kr.Prune
+		for _, bc := range kr.Order {
+			if prune && dbb2[bc] > second2 {
+				breaks++
+				break
+			}
+			dx, dy, dz := x-cx[bc], y-cy[bc], z-cz[bc]
+			d2 := (dx*dx + dy*dy + dz*dz) * inv2[bc]
+			distCalcs++
+			if d2 < best2 {
+				second2 = best2
+				best2 = d2
+				best = bc
+			} else if d2 < second2 {
+				second2 = d2
+			}
+		}
+	}
+	kr.A[i] = best
+	kr.Ub[i] = math.Sqrt(best2)
+	kr.Lb[i] = math.Sqrt(second2)
+	kr.LocalW[best] += kr.W[i]
+	return distCalcs, breaks
 }
 
 // RunElkan executes the Elkan assignment pass over idx: per (point,

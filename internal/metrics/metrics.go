@@ -100,21 +100,16 @@ func BlockWeights(ps *geom.PointSet, part []int32, k int) []float64 {
 	return w
 }
 
-// Imbalance returns max_b weight(b) / (total/k) − 1.
+// Imbalance returns max_b weight(b) / (total/k) − 1, floored at 0: the
+// load ratio of partition.MaxLoadRatio under uniform targets, which is 0
+// for an all-zero vector.
 func Imbalance(weights []float64) float64 {
 	total := 0.0
-	maxW := 0.0
 	for _, w := range weights {
 		total += w
-		if w > maxW {
-			maxW = w
-		}
 	}
-	if total == 0 {
-		return 0
-	}
-	avg := total / float64(len(weights))
-	return maxW/avg - 1
+	targets, _ := partition.Targets(total, len(weights), nil) // uniform targets never fail
+	return max(0, partition.MaxLoadRatio(weights, targets)-1)
 }
 
 // BlockDiameters computes a lower bound on the diameter of each block's

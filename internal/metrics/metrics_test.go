@@ -96,6 +96,63 @@ func TestImbalance(t *testing.T) {
 	}
 }
 
+// TestImbalanceMatchesMaxWeightLoop: Imbalance, now the load ratio of
+// partition.MaxLoadRatio under uniform targets, reads the bits of the
+// max-weight-over-average loop it replaced on random weight vectors with
+// empty blocks, k = 1 to 64, and on an all-zero vector. Dividing by one
+// positive target is monotone, so the largest ratio is the ratio of the
+// largest weight. On equal weights the rounded total can exceed k times
+// the weight, and the loop then read a tiny negative value; Imbalance
+// floors it at 0 and agrees with the loop everywhere else.
+func TestImbalanceMatchesMaxWeightLoop(t *testing.T) {
+	maxWeightLoop := func(weights []float64) float64 {
+		total, maxW := 0.0, 0.0
+		for _, w := range weights {
+			total += w
+			if w > maxW {
+				maxW = w
+			}
+		}
+		if total == 0 {
+			return 0
+		}
+		return maxW/(total/float64(len(weights))) - 1
+	}
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 20000; trial++ {
+		w := make([]float64, 1+rng.Intn(64))
+		if trial > 0 { // trial 0 is the all-zero vector
+			for b := range w {
+				if rng.Intn(10) > 0 { // one block in ten stays empty
+					w[b] = rng.ExpFloat64() * math.Pow(2, float64(rng.Intn(40)-20))
+				}
+			}
+		}
+		got, want := Imbalance(w), maxWeightLoop(w)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d, k=%d: Imbalance %v (%x), max-weight loop %v (%x)", trial, len(w), got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	negatives := 0
+	for trial := 0; trial < 20000; trial++ {
+		w := make([]float64, 1+rng.Intn(64))
+		v := rng.ExpFloat64() * math.Pow(2, float64(rng.Intn(40)-20))
+		for b := range w {
+			w[b] = v
+		}
+		got, loop := Imbalance(w), maxWeightLoop(w)
+		if loop < 0 {
+			negatives++
+		}
+		if want := max(0, loop); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("equal weights %v, k=%d: Imbalance %v, want max(0, %v)", v, len(w), got, loop)
+		}
+	}
+	if negatives == 0 {
+		t.Fatal("no equal-weight vector drove the loop below 0; the floor is untested")
+	}
+}
+
 func TestBlockWeights(t *testing.T) {
 	ps := unitPoints(4)
 	ps.Weight = []float64{1, 2, 3, 4}

@@ -70,7 +70,9 @@ func (w *World) Err() error {
 // executing, the world is aborted — every rank unwinds out of its next
 // (or current) collective with an *AbortError wrapping the context's
 // cause — and RunCtx returns that error. A context that is already
-// cancelled aborts before any rank body runs. Cancellation ends at the
+// cancelled runs nothing and breaks nothing: RunCtx returns the
+// context's cause as it is (not an ErrBroken), and the world stays
+// healthy, since no rank has touched any state. Cancellation ends at the
 // run it guards: once Run has collected the ranks' result, a late
 // cancel no longer touches the world, so a nil return always leaves a
 // healthy world. A nil context means "not cancellable": RunCtx is then
@@ -79,9 +81,8 @@ func (w *World) RunCtx(ctx context.Context, f func(c *Comm)) error {
 	if ctx == nil {
 		return w.Run(f)
 	}
-	if err := ctx.Err(); err != nil {
-		w.Abort(context.Cause(ctx))
-		return w.Err()
+	if ctx.Err() != nil {
+		return context.Cause(ctx)
 	}
 	// Marked before the watcher starts, cleared by Run under w.mu as it
 	// reads w.err: a cancel that lands after the ranks returned leaves

@@ -125,7 +125,8 @@ func TestBrokenWorldStaysBroken(t *testing.T) {
 
 // TestRunCtx covers the context-cancellation surface: a cancel mid-run
 // aborts the world with the context's cause, an already-cancelled
-// context aborts before any rank body runs, and a nil one is plain Run.
+// context returns its cause before any rank body runs and leaves the
+// world healthy, and a nil one is plain Run.
 func TestRunCtx(t *testing.T) {
 	t.Run("cancel mid-run", func(t *testing.T) {
 		w := NewWorld(8)
@@ -158,11 +159,20 @@ func TestRunCtx(t *testing.T) {
 			ran.Add(1)
 			c.Barrier()
 		})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("RunCtx = %v, want context.Canceled in chain", err)
+		if !errors.Is(err, context.Canceled) || errors.Is(err, ErrBroken) {
+			t.Fatalf("RunCtx = %v, want context.Canceled and no ErrBroken", err)
 		}
 		if ran.Load() != 0 {
 			t.Errorf("%d rank bodies ran under a dead context", ran.Load())
+		}
+		if w.Err() != nil {
+			t.Fatalf("a dead context broke the world: %v", w.Err())
+		}
+		if err := w.Run(func(c *Comm) {
+			ran.Add(1)
+			AllreduceSum(c, []int64{1})
+		}); err != nil || ran.Load() != 4 {
+			t.Fatalf("rerun after a dead context: err %v, %d of 4 rank bodies ran", err, ran.Load())
 		}
 	})
 	t.Run("uncancelled context passes through", func(t *testing.T) {

@@ -125,9 +125,11 @@ func Run(w *mpi.World, ps *geom.PointSet, k int, d Distributed) (P, error) {
 	return RunCtx(nil, w, ps, k, d)
 }
 
-// RunCtx is Run under a context: cancellation aborts the world through
-// the mpi runtime's abort path (mpi.World.RunCtx) and surfaces as a
-// typed mpi.ErrBroken. A nil context runs exactly like Run.
+// RunCtx is Run under a context: a cancellation that lands mid-run
+// aborts the world through the mpi runtime's abort path
+// (mpi.World.RunCtx) and surfaces as a typed mpi.ErrBroken; a context
+// cancelled before the run starts returns its cause and leaves the world
+// untouched. A nil context runs exactly like Run.
 func RunCtx(ctx context.Context, w *mpi.World, ps *geom.PointSet, k int, d Distributed) (P, error) {
 	return Gather(ctx, w, ps.Len(), k, d.Name(), func(c *mpi.Comm) ([]int64, []int32, error) {
 		return d.Partition(c, Scatter(c, ps), k)

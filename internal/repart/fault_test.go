@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -396,8 +397,11 @@ func TestRepartitionWithRetryExhausts(t *testing.T) {
 }
 
 // TestRepartitionWithRetryCtxCancelled: a cancelled context is terminal
-// — the abort surfaces immediately, wrapping the cancellation cause,
-// with no retries and no backoff sleeping.
+// — the cancellation cause surfaces immediately, with no retries and no
+// backoff sleeping. The context was dead before the step began, so no
+// world broke: the error is the cause alone, not an mpi.ErrBroken, and
+// the session still steps afterwards, to the partition of a twin that
+// never saw the cancelled call.
 func TestRepartitionWithRetryCtxCancelled(t *testing.T) {
 	m := sessionTestMesh(t, 800)
 	const k, p = 4, 2
@@ -405,8 +409,12 @@ func TestRepartitionWithRetryCtxCancelled(t *testing.T) {
 	cfg.Seed = 1
 	sess := buildWarmSession(t, m, k, p, 1, cfg)
 	defer sess.Close()
-	if err := sess.UpdateWeights(testWeights(m, 9)); err != nil {
-		t.Fatal(err)
+	twin := buildWarmSession(t, m, k, p, 1, cfg)
+	defer twin.Close()
+	for _, s := range []*Session{sess, twin} {
+		if err := s.UpdateWeights(testWeights(m, 9)); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -417,11 +425,23 @@ func TestRepartitionWithRetryCtxCancelled(t *testing.T) {
 	if err == nil || acted {
 		t.Fatalf("cancelled context succeeded (acted=%v)", acted)
 	}
-	if !errors.Is(err, mpi.ErrBroken) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("error %v does not wrap ErrBroken and context.Canceled", err)
+	if !errors.Is(err, context.Canceled) || errors.Is(err, mpi.ErrBroken) {
+		t.Fatalf("error %v: want context.Canceled, not ErrBroken", err)
 	}
 	if st.Retries != 0 || len(sleeps) != 0 {
 		t.Fatalf("cancelled context retried: Retries=%d sleeps=%v", st.Retries, sleeps)
+	}
+
+	got, _, acted, err := sess.RepartitionWithRetry(context.Background(), 0, pol)
+	if err != nil || !acted {
+		t.Fatalf("step after the cancelled call: acted=%v err=%v", acted, err)
+	}
+	want, _, _, err := twin.RepartitionIfAbove(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Assign, want.Assign) {
+		t.Fatal("step after the cancelled call differs from the twin's step")
 	}
 }
 

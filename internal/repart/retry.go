@@ -83,8 +83,9 @@ func (p RetryPolicy) backoff(attempt int) time.Duration {
 //
 // Non-abort errors (invalid arguments, no installed partition) are
 // returned immediately — retrying cannot fix semantics. A ctx
-// cancellation is likewise terminal: the aborted attempt is not
-// retried and the abort (wrapping the context's cause) is returned.
+// cancellation is likewise terminal: a cancel mid-step returns the
+// abort (wrapping the context's cause) without a retry, and a context
+// cancelled before the step returns its cause, the world unbroken.
 func (s *Session) RepartitionWithRetry(ctx context.Context, eps float64, policy RetryPolicy) (partition.P, Stats, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

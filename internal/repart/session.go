@@ -152,7 +152,8 @@ func (s *Session) Partition() (partition.P, error) {
 }
 
 // PartitionCtx is Partition under a context: cancellation aborts the
-// world mid-verb (mpi.ErrBroken). The serving layer threads each HTTP
+// world mid-verb (mpi.ErrBroken); a context cancelled before the verb
+// returns its cause and breaks nothing. The serving layer threads each HTTP
 // request's context here so a disconnected client cancels its verb. A
 // nil context behaves exactly like Partition — the context never
 // influences the computed partition, only whether it completes.

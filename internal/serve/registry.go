@@ -498,8 +498,10 @@ func (g *Registry) ensureResident(t *tenant) error {
 }
 
 // handleBroken releases the session of a tenant whose world broke
-// mid-verb (rank panic, injected fault, or a cancelled request context
-// aborting the run): the resident state is unusable. With a current
+// mid-verb (rank panic, injected fault, or a request context cancelled
+// while the run was in flight): the resident state is unusable. A
+// context that was cancelled before the verb's run started breaks
+// nothing and never gets here (mpi.World.RunCtx). With a current
 // spill the tenant simply re-parks — the next touch restores the
 // pre-verb state, the retry semantics RepartitionWithRetry gives a
 // single session. Without one, the only copy is gone: lost. Caller

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -519,6 +520,52 @@ func TestRegistryErrors(t *testing.T) {
 	if st := g.Stats(); st.Tenants != 0 || st.ResidentBytes != 0 || !st.Draining {
 		t.Fatalf("post-drain stats: %+v", st)
 	}
+}
+
+// TestCancelledVerbKeepsTenant: a verb whose request context is already
+// cancelled fails with the cancellation alone — no world breaks, so the
+// resident, never-spilled tenant is neither re-parked nor lost — and the
+// tenant's next verbs read exactly what a twin that never saw the
+// cancelled call reads.
+func TestCancelledVerbKeepsTenant(t *testing.T) {
+	const n, k, p = 600, 4, 2
+	m := tenantMesh(t, n, 5)
+	ps := &geom.PointSet{Dim: m.Points.Dim, Coords: m.Points.Coords, Weight: phaseWeights(m, 0)}
+	g := NewRegistry(Config{})
+	defer g.Drain()
+	for _, name := range []string{"cut", "twin"} {
+		if err := g.Create(nil, name, ps, TenantOptions{K: k, Processes: p}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := g.Partition(nil, name); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.UpdateWeights(name, phaseWeights(m, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, _, err := g.RepartitionIfAbove(ctx, "cut", 0); !errors.Is(err, context.Canceled) || errors.Is(err, mpi.ErrBroken) {
+		t.Fatalf("cancelled verb: %v, want context.Canceled and no ErrBroken", err)
+	}
+	var imb [2]float64
+	var blocks [2][]int32
+	for j, name := range []string{"cut", "twin"} {
+		var err error
+		if imb[j], err = g.Imbalance(name); err != nil {
+			t.Fatalf("%s: Imbalance after the cancelled verb: %v", name, err)
+		}
+		pt, _, err := g.Partition(nil, name)
+		if err != nil {
+			t.Fatalf("%s: Partition after the cancelled verb: %v", name, err)
+		}
+		blocks[j] = pt.Assign
+	}
+	if math.Float64bits(imb[0]) != math.Float64bits(imb[1]) {
+		t.Fatalf("imbalance %v after the cancelled verb, twin %v", imb[0], imb[1])
+	}
+	assertSameAssign(t, "partition after the cancelled verb", blocks[0], blocks[1])
 }
 
 // TestSweepParksIdleTenants: a tenant untouched for maxIdle verbs is

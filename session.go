@@ -274,9 +274,10 @@ type RetryPolicy struct {
 // the partition a successful retry produces is bit-identical to what a
 // fault-free step would have computed; RepartResult.Retries reports how
 // many rollbacks were needed. Cancellation through ctx is terminal:
-// the aborted attempt is not retried and the abort error (wrapping the
-// context's cause) is returned. Argument errors are returned
-// immediately without retrying.
+// the attempt is not retried — a cancel mid-step returns the abort error
+// (wrapping the context's cause), a context cancelled before the step
+// its cause alone, with the session untouched. Argument errors are
+// returned immediately without retrying.
 func (s *Session) RepartitionWithRetry(ctx context.Context, eps float64, policy RetryPolicy) (RepartResult, bool, error) {
 	p, stats, acted, err := s.inner.RepartitionWithRetry(ctx, eps, repart.RetryPolicy{
 		MaxRetries:  policy.MaxRetries,
