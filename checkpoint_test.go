@@ -2,10 +2,13 @@ package geographer_test
 
 import (
 	"context"
+	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"geographer"
+	"geographer/internal/mpi"
 )
 
 // warmFacadeSession builds a facade session, runs a cold partition and
@@ -190,4 +193,81 @@ func TestSessionRepartitionWithRetryFacade(t *testing.T) {
 	if len(sleeps) != 0 {
 		t.Fatalf("cancelled context slept: %v", sleeps)
 	}
+}
+
+// TestSessionRetryCancelledMidStepStillSteps: a session whose
+// RepartitionWithRetry was cancelled while its step ran returns the
+// abort (ErrBroken wrapping context.Canceled) and still steps without a
+// retry driver — the cancelled step issued again through
+// RepartitionIfAbove and the step after it are bit-identical to a twin
+// that was never cancelled. The cancel fires from a timer at staggered
+// fractions of the twin's step time; at least one must land mid-step,
+// or the test checked nothing.
+func TestSessionRetryCancelledMidStepStillSteps(t *testing.T) {
+	m, err := geographer.GenerateMesh(geographer.MeshClimate, 1200, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := geographer.Options{K: 4, Processes: 2}
+
+	twin := warmFacadeSession(t, m, opts, 1)
+	defer twin.Close()
+	var want [2][]int32
+	var took time.Duration
+	for i := range want {
+		if err := twin.UpdateWeights(perturb(m, 9+i)); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		res, acted, err := twin.RepartitionIfAbove(0)
+		if i == 0 {
+			took = time.Since(start)
+		}
+		if err != nil || !acted {
+			t.Fatalf("twin step %d: acted=%v err=%v", i, acted, err)
+		}
+		want[i] = res.Blocks
+	}
+
+	const delays = 16
+	pol := geographer.RetryPolicy{Sleep: func(time.Duration) {}}
+	broken := 0
+	for d := 0; d < delays; d++ {
+		vic := warmFacadeSession(t, m, opts, 1)
+		if err := vic.UpdateWeights(perturb(m, 9)); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		timer := time.AfterFunc(took*time.Duration(d)/(delays/2), cancel)
+		res, acted, err := vic.RepartitionWithRetry(ctx, 0, pol)
+		timer.Stop()
+		if err != nil {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("delay %d: cancelled step: %v, want a context.Canceled", d, err)
+			}
+			if errors.Is(err, mpi.ErrBroken) {
+				broken++
+			}
+			res, acted, err = vic.RepartitionIfAbove(0)
+		}
+		for i := range want {
+			if i > 0 {
+				if err := vic.UpdateWeights(perturb(m, 9+i)); err != nil {
+					t.Fatal(err)
+				}
+				res, acted, err = vic.RepartitionIfAbove(0)
+			}
+			if err != nil || !acted {
+				t.Fatalf("delay %d step %d: acted=%v err=%v", d, i, acted, err)
+			}
+			if !slices.Equal(res.Blocks, want[i]) {
+				t.Fatalf("delay %d step %d differs from the twin's", d, i)
+			}
+		}
+		vic.Close()
+	}
+	if broken == 0 {
+		t.Fatalf("no cancel of %d, staggered over 0..2×%v, landed mid-step", delays, took)
+	}
+	t.Logf("%d of %d cancels aborted the step (twin step: %v)", broken, delays, took)
 }

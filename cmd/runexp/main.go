@@ -96,7 +96,7 @@ var table = []experiment{
 		rep, err := experiments.Soak(os.Stdout, a.sc)
 		return writeBench(a, rep, err)
 	}},
-	// Fault tolerance: injected rank failures, checkpoint rollback, retry
+	// Fault tolerance: injected rank failures, session heal, retry
 	// convergence.
 	{"chaos", true, func(a args) error {
 		rows, rep, err := experiments.Chaos(os.Stdout, a.sc)

@@ -270,8 +270,8 @@ type RepartResult struct {
 	// entry points leave it 0.
 	PreImbalance float64
 
-	// Retries counts the rollback-and-retry cycles
-	// Session.RepartitionWithRetry needed before this step succeeded
+	// Retries counts the retries Session.RepartitionWithRetry needed
+	// before this step succeeded
 	// (0 = the first attempt worked; other entry points always leave
 	// it 0).
 	Retries int

@@ -315,7 +315,7 @@ func (st *state) runAssignKernels(sample []int32) (distCalcs, skips, breaks int6
 	st.lease.ForEach(st.workers, nc, func(s int) {
 		kr, idx := &st.shards[s], chunkSlice(s)
 		if elkan {
-			kr.RunElkan(st.dim, idx)
+			kr.RunElkan(idx)
 		} else {
 			kr.RunBounded(st.dim, idx, hamerly)
 		}

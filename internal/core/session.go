@@ -91,6 +91,13 @@ func (r *Resident) SetCoordsGlobal(coords []float64) {
 	}
 }
 
+// DropCarry discards the bounds a previous warm run left, which an
+// aborted run may have half-updated. They are a cache: the next warm run
+// resets them and computes the same partition.
+func (r *Resident) DropCarry() {
+	r.st.carryValid = false
+}
+
 // RecomputeBounds refreshes the cached global bounding box from the
 // resident columns. Collective: every rank of the world must call it.
 // The reduction is min/max, so the result is bit-identical to the box

@@ -28,7 +28,7 @@ type ChaosRow struct {
 	Step  int
 	K, P  int
 
-	// Retries is how many rollback-and-retry cycles this step needed
+	// Retries is how many retries this step needed
 	// (0 = no fault fired during it); FiredTotal is the cumulative
 	// number of faults the schedule has fired up to and including this
 	// step.
@@ -43,8 +43,8 @@ type ChaosRow struct {
 	MigratedWeight float64
 	DistCalcs      int64
 
-	// Seconds is the chaos step's wall time (failed attempts, backoff,
-	// rollback, and the successful attempt); RefSeconds is the fault-free
+	// Seconds is the chaos step's wall time (failed attempts, backoff and
+	// the successful attempt); RefSeconds is the fault-free
 	// chain's time for the same step. The difference is the recovery
 	// overhead, i.e. the wasted work.
 	Seconds    float64
@@ -107,8 +107,9 @@ func (c ChaosCell) check() error {
 // delay. Episodes count per rank per world and the schedule is explicit
 // — no clock, no global randomness — so every run fails (and recovers)
 // identically. Each transient abort kills the world at its first armed
-// episode, the retry driver rolls back and rebuilds, and the rebuilt
-// world walks into the next armed episode; four faults therefore cost
+// episode, the session heals onto a rebuilt world and the retry driver
+// replays the step, and the rebuilt world walks into the next armed
+// episode; four faults therefore cost
 // four recoveries regardless of how the episodes fall across steps.
 func chaosPlan() *mpi.FaultPlan {
 	return mpi.NewFaultPlan(
@@ -143,7 +144,7 @@ func runChaosCell(w io.Writer, kind string, n, k int) ([]ChaosRow, ChaosCell, er
 	}
 
 	// Chaos chain: identical cold start on a clean world, then the state
-	// moves by checkpoint onto a fault-injected world. The retry driver
+	// moves by checkpoint onto a fault-injected world. The session
 	// rebuilds each broken world with its hooks, so the schedule stays
 	// armed across world rebuilds and transient faults disarm exactly
 	// once.
@@ -232,17 +233,17 @@ func runChaosCell(w io.Writer, kind string, n, k int) ([]ChaosRow, ChaosCell, er
 
 // Chaos runs the fault-injection experiment (DESIGN.md,
 // "Fault-tolerance invariants"): for each dynamic workload, a warm
-// repartitioning chain is driven through the checkpoint-rollback retry
-// driver while a deterministic fault schedule kills ranks
-// mid-collective, and every step's partition is compared bit-for-bit
-// against the identical fault-free chain. A healthy run recovers every
+// repartitioning chain is driven through the retry driver while a
+// deterministic fault schedule kills ranks mid-collective, and every
+// step's partition is compared bit-for-bit against the identical
+// fault-free chain. A healthy run recovers every
 // fired fault (Recoveries == FaultsFired), never hangs, and stays
 // bit-identical; the wasted wall time is the price of recovery. A
 // finished run that is not healthy returns its rows and report together
 // with the first cell's invariant error (see Report).
 func Chaos(w io.Writer, sc Scale) ([]ChaosRow, Report[ChaosCell], error) {
 	rep := chaosReport
-	fmt.Fprintf(w, "Fault-injected warm repartitioning (retry driver, checkpoint rollback) vs fault-free chain, %d steps, p=%d\n",
+	fmt.Fprintf(w, "Fault-injected warm repartitioning (retry driver, heal + backoff) vs fault-free chain, %d steps, p=%d\n",
 		chaosSteps, chaosP)
 	var rows []ChaosRow
 	for _, wl := range repartWorkloads(sc) {

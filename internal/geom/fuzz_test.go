@@ -154,7 +154,7 @@ func FuzzGenericKernelAssign(f *testing.F) {
 		mode := int(modeRaw) % 3 // 0 lloyd, 1 hamerly, 2 elkan
 		kr, idx := fuzzKernel(dim, n, k, seed, inj0, inj1, mode == 2)
 		if mode == 2 {
-			kr.RunElkan(dim, idx)
+			kr.RunElkan(idx)
 		} else {
 			kr.RunBounded(dim, idx, mode == 1)
 		}

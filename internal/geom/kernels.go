@@ -16,19 +16,20 @@
 // holds exactly its Dim columns. RunBounded is the Hamerly/plain pass,
 // cold and warm (the raw shadow bound an optional column of it), and
 // RunElkan the Elkan pass. The bounds logic of each is written once, in a
-// generic body that serves every dimension: its only dimension-dependent
+// generic body that serves every dimension. RunElkan, whose per-center
+// bounds skip most centers, walks the column lists at every dimension:
+// each evaluation is one colsDist2 call, as is the single evaluation of
+// a Hamerly rescan's anchor. The Hamerly body's only dimension-dependent
 // code is the squared-distance expression, chosen per evaluation by an
 // in-body switch on dim between the unrolled 2D expression over the
-// hoisted X/Y columns, the unrolled 3D one over X/Y/Z, and a walk over the
-// column lists at every other dimension, d = 1 included; a body hoists
-// only the axes the point has. On the walk the Hamerly body gathers the
-// rescanned point once (gatherPoint) and evaluates the scan order
-// blockLen centers at a time (blockDist2), the switch arm reading its
-// distance from the block; RunElkan, whose per-center bounds skip most
-// centers, and the single evaluation of an anchor call colsDist2 per
-// center. Every one of them accumulates each center's sum left to right
-// from zero, so wherever two arms apply they agree bit for bit, and every
-// arm is pinned to the scalar reference path of internal/core.
+// hoisted X/Y columns, the unrolled 3D one over X/Y/Z, and the walk at
+// every other dimension, d = 1 included; it hoists only the axes the
+// point has. On the walk it gathers the rescanned point once
+// (gatherPoint) and evaluates the scan order blockLen centers at a time
+// (blockDist2), the switch arm reading its distance from the block.
+// Every one of them accumulates each center's sum left to right from
+// zero, so wherever two apply they agree bit for bit, and every one is
+// pinned to the scalar reference path of internal/core.
 //
 // The cold pass — RunBounded without the raw column — is the one
 // exception, at d = 2 and d = 3 only: there it runs a straight-line body
@@ -827,9 +828,7 @@ func (kr *AssignKernel) rescan3(i, an int32) (distCalcs, breaks int64) {
 // A pending UbScale is deliberately ignored here: this pass never reads
 // Ub and freshly overwrites it for every visited point, which consumes
 // the pending rescale by construction.
-func (kr *AssignKernel) RunElkan(dim int, idx []int32) {
-	px, py, pz := kr.PX, kr.PY, kr.PZ
-	cx, cy, cz := kr.CX, kr.CY, kr.CZ
+func (kr *AssignKernel) RunElkan(idx []int32) {
 	pc, cc := kr.PC, kr.CC
 	inv2 := kr.InvInf2
 	order, dbb2 := kr.Order, kr.DistBB2
@@ -838,23 +837,12 @@ func (kr *AssignKernel) RunElkan(dim int, idx []int32) {
 	w, a, ub, lbk, localW := kr.W, kr.A, kr.Ub, kr.Lbk, kr.LocalW
 	var distCalcs, skips, breaks int64
 	for _, i := range idx {
-		x, y, z := hoist(dim, px, py, pz, i)
 		best2 := math.Inf(1)
 		bestC := int32(0)
 		row := int(i) * k
 		cur := a[i]
 		if cur >= 0 {
-			var raw2 float64
-			switch {
-			case dim == 2:
-				dx, dy := x-cx[cur], y-cy[cur]
-				raw2 = dx*dx + dy*dy
-			case dim == 3:
-				dx, dy, dz := x-cx[cur], y-cy[cur], z-cz[cur]
-				raw2 = dx*dx + dy*dy + dz*dz
-			default:
-				raw2 = colsDist2(pc, cc, i, cur)
-			}
+			raw2 := colsDist2(pc, cc, i, cur)
 			distCalcs++
 			lbk[row+int(cur)] = math.Sqrt(raw2)
 			best2 = raw2 * inv2[cur]
@@ -872,17 +860,7 @@ func (kr *AssignKernel) RunElkan(dim int, idx []int32) {
 				skips++
 				continue
 			}
-			var raw2 float64
-			switch {
-			case dim == 2:
-				dx, dy := x-cx[bc], y-cy[bc]
-				raw2 = dx*dx + dy*dy
-			case dim == 3:
-				dx, dy, dz := x-cx[bc], y-cy[bc], z-cz[bc]
-				raw2 = dx*dx + dy*dy + dz*dz
-			default:
-				raw2 = colsDist2(pc, cc, i, bc)
-			}
+			raw2 := colsDist2(pc, cc, i, bc)
 			distCalcs++
 			lbk[row+int(bc)] = math.Sqrt(raw2)
 			if d2 := raw2 * inv2[bc]; d2 < best2 {

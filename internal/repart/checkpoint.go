@@ -90,10 +90,6 @@ func readHeader(d *core.SnapDecoder) (CheckpointInfo, error) {
 func (s *Session) Checkpoint() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.checkpointLocked()
-}
-
-func (s *Session) checkpointLocked() ([]byte, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
@@ -131,35 +127,25 @@ func (s *Session) encodeLocked(e *core.SnapEncoder) {
 	}
 }
 
-// decoded checkpoint payload, shared by NewSessionFromCheckpoint and
-// the retry driver's rollback.
-type ckptState struct {
-	info         CheckpointInfo
-	ps           *geom.PointSet
-	prev         []int32
-	weightsDirty bool
-	coordsDirty  bool
-	res          []*core.Resident
-}
-
-func decodeCheckpoint(data []byte) (*ckptState, error) {
+// decodeCheckpoint decodes a checkpoint into a session without a world
+// or a configuration; NewSessionFromCheckpoint attaches both.
+func decodeCheckpoint(data []byte) (*Session, error) {
 	d := core.NewSnapDecoder(data)
 	info, err := readHeader(d)
 	if err != nil {
 		return nil, err
 	}
-	st := &ckptState{info: info}
+	s := &Session{k: info.K}
 	coords := d.F64s()
 	var weights []float64
 	if d.Bool() {
 		weights = d.F64s()
 	}
-	var prev []int32
 	if d.Bool() {
-		prev = d.I32s()
+		s.prev = d.I32s()
 	}
-	st.weightsDirty = d.Bool()
-	st.coordsDirty = d.Bool()
+	s.weightsDirty = d.Bool()
+	s.coordsDirty = d.Bool()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
@@ -170,8 +156,8 @@ func decodeCheckpoint(data []byte) (*ckptState, error) {
 	if weights != nil && len(weights) != info.N {
 		return nil, fmt.Errorf("%w: %d weights for %d points", core.ErrCheckpointCorrupt, len(weights), info.N)
 	}
-	if prev != nil {
-		if err := partition.Check(prev, info.N, info.K); err != nil {
+	if s.prev != nil {
+		if err := partition.Check(s.prev, info.N, info.K); err != nil {
 			return nil, fmt.Errorf("%w: %w", core.ErrCheckpointCorrupt, err)
 		}
 	}
@@ -179,40 +165,27 @@ func decodeCheckpoint(data []byte) (*ckptState, error) {
 	// that their writer was sound: hold restored values to the rules
 	// every other entry point enforces (no NaN/±Inf coordinates, no
 	// non-finite or negative weights).
-	st.ps = &geom.PointSet{Dim: info.Dim, Coords: coords, Weight: weights}
-	if err := st.ps.Validate(); err != nil {
+	s.ps = &geom.PointSet{Dim: info.Dim, Coords: coords, Weight: weights}
+	if err := s.ps.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %w", core.ErrCheckpointCorrupt, err)
 	}
-	st.prev = prev
 
 	// Each rank's columns are rebuilt from the validated point set under
 	// the scatter's rank layout; the records add the box and the carry.
-	st.res = make([]*core.Resident, info.P)
-	for r := range st.res {
-		st.res[r], err = core.RestoreResident(d, partition.View(st.ps, info.P, r))
+	s.res = make([]*core.Resident, info.P)
+	for r := range s.res {
+		s.res[r], err = core.RestoreResident(d, partition.View(s.ps, info.P, r))
 		if err != nil {
 			return nil, fmt.Errorf("rank %d: %w", r, err)
 		}
-		if !st.res[r].SameBox(st.res[0]) {
+		if !s.res[r].SameBox(s.res[0]) {
 			return nil, fmt.Errorf("%w: rank %d's bounding box differs from rank 0's", core.ErrCheckpointCorrupt, r)
 		}
 	}
 	if d.Len() != 0 {
 		return nil, fmt.Errorf("%w: %d trailing bytes", core.ErrCheckpointCorrupt, d.Len())
 	}
-	return st, nil
-}
-
-// install replaces the session's restorable state with the decoded
-// checkpoint. Caller holds s.mu; w must match the checkpoint's size.
-func (s *Session) installLocked(w *mpi.World, st *ckptState) {
-	s.w = w
-	s.ps = st.ps
-	s.k = st.info.K
-	s.prev = st.prev
-	s.weightsDirty = st.weightsDirty
-	s.coordsDirty = st.coordsDirty
-	s.res = st.res
+	return s, nil
 }
 
 // NewSessionFromCheckpoint rebuilds a session from Checkpoint bytes on
@@ -223,18 +196,17 @@ func (s *Session) installLocked(w *mpi.World, st *ckptState) {
 // session would have run — including taking the incremental
 // carried-bounds fast path, which travels in the per-rank records.
 func NewSessionFromCheckpoint(w *mpi.World, data []byte, cfg core.Config) (*Session, error) {
-	st, err := decodeCheckpoint(data)
+	s, err := decodeCheckpoint(data)
 	if err != nil {
 		return nil, fmt.Errorf("repart: restore: %w", err)
 	}
-	if err := cfg.Validate(st.info.K); err != nil {
+	if err := cfg.Validate(s.k); err != nil {
 		return nil, err
 	}
-	if w.Size() != st.info.P {
+	if w.Size() != len(s.res) {
 		return nil, fmt.Errorf("repart: restore onto %d ranks, checkpoint has %d (size the world from ReadCheckpointInfo)",
-			w.Size(), st.info.P)
+			w.Size(), len(s.res))
 	}
-	s := &Session{cfg: cfg}
-	s.installLocked(w, st)
+	s.w, s.cfg = w, cfg
 	return s, nil
 }

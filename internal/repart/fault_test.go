@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -268,8 +269,8 @@ func TestSessionCheckpointErrors(t *testing.T) {
 
 // TestRepartitionWithRetryRecovers is the headline fault-tolerance
 // claim: a session whose world keeps dying to scheduled transient
-// faults rolls back to its checkpoint, retries on fresh worlds (rebuilt
-// with the broken world's hooks, so the plan stays installed), and converges
+// faults heals onto fresh worlds after each abort (rebuilt with the
+// broken world's hooks, so the plan stays installed), retries, and converges
 // to the exact partition a fault-free session computes.
 func TestRepartitionWithRetryRecovers(t *testing.T) {
 	m := sessionTestMesh(t, 1500)
@@ -442,6 +443,57 @@ func TestRepartitionWithRetryCtxCancelled(t *testing.T) {
 	}
 	if !slices.Equal(got.Assign, want.Assign) {
 		t.Fatal("step after the cancelled call differs from the twin's step")
+	}
+}
+
+// TestRepartitionWithRetryCostsNoCheckpoint: a fault-free
+// RepartitionWithRetry allocates what RepartitionIfAbove allocates on
+// the same inputs — it keeps no insurance copy of the session. Twin
+// sessions step one chain, one through each verb, with the same
+// partitions; the smallest per-step excess of the retry's
+// runtime.MemStats.TotalAlloc over the plain step's must stay below half
+// a checkpoint, which a retry that encoded one up front exceeds.
+func TestRepartitionWithRetryCostsNoCheckpoint(t *testing.T) {
+	m := sessionTestMesh(t, 3000)
+	const k, p, warm, steps = 8, 2, 2, 3
+	cfg := core.DefaultConfig()
+	cfg.Seed = 1
+	plain := buildWarmSession(t, m, k, p, warm, cfg)
+	defer plain.Close()
+	retry := buildWarmSession(t, m, k, p, warm, cfg)
+	defer retry.Close()
+	ckpt, err := retry.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	allocs := func(step func() (partition.P, Stats, bool, error)) (partition.P, int64) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pt, _, acted, err := step()
+		runtime.ReadMemStats(&after)
+		if err != nil || !acted {
+			t.Fatalf("acted=%v err=%v", acted, err)
+		}
+		return pt, int64(after.TotalAlloc - before.TotalAlloc)
+	}
+	excess := int64(math.MaxInt64)
+	for step := warm + 1; step <= warm+steps; step++ {
+		for _, s := range []*Session{plain, retry} {
+			if err := s.UpdateWeights(testWeights(m, step)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, a := allocs(func() (partition.P, Stats, bool, error) { return plain.RepartitionIfAbove(0) })
+		got, b := allocs(func() (partition.P, Stats, bool, error) {
+			return retry.RepartitionWithRetry(context.Background(), 0, RetryPolicy{})
+		})
+		assignEqual(t, want, got, "retry vs plain step")
+		excess = min(excess, b-a)
+	}
+	if excess >= int64(len(ckpt)/2) {
+		t.Fatalf("a fault-free retry allocates %d B more than the plain step; a checkpoint is %d B", excess, len(ckpt))
 	}
 }
 

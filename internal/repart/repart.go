@@ -53,9 +53,9 @@ type Stats struct {
 	// is tested against); plain Repartition leaves it 0.
 	PreImbalance float64
 
-	// Retries counts the rollback-and-retry cycles RepartitionWithRetry
-	// needed before this step succeeded (0 = first attempt worked; other
-	// drivers always leave it 0).
+	// Retries counts the retries RepartitionWithRetry needed before this
+	// step succeeded (0 = first attempt worked; other drivers always
+	// leave it 0).
 	Retries int
 }
 

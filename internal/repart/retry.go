@@ -1,18 +1,17 @@
 package repart
 
-// The retry driver: RepartitionWithRetry wraps one threshold-triggered
-// warm step in checkpoint/rollback/backoff machinery, so a step that
-// dies mid-collective (a rank panic, an injected fault, a cancellation)
-// is rolled back to the state it started from and retried on a fresh
-// world — converging, when an attempt finally completes, to the exact
-// partition a fault-free step would have produced (the checkpoint
-// restores every input the step reads, and warm steps are deterministic
-// functions of those inputs).
+// The retry driver: RepartitionWithRetry repeats one threshold-triggered
+// warm step with a bounded backoff between attempts. A step that dies
+// mid-collective (a rank panic, an injected fault) leaves the session as
+// it was before the step, on a rebuilt world (the Session's recovery
+// rule), so the next attempt replays it — converging, when an attempt
+// finally completes, to the exact partition a fault-free step would have
+// produced (warm steps are deterministic functions of the state the
+// session keeps outside its ranks).
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"time"
 
 	"geographer/internal/mpi"
@@ -23,8 +22,8 @@ import (
 // The zero value is usable: 3 retries, 10ms base backoff doubling to a
 // 1s cap, real sleeping.
 type RetryPolicy struct {
-	// MaxRetries is how many rollback-and-retry cycles follow a failed
-	// first attempt (<=0 means 3).
+	// MaxRetries is how many retries may follow a failed first attempt
+	// (<=0 means 3).
 	MaxRetries int
 	// BaseBackoff is the pause before the first retry (<=0 means 10ms);
 	// it doubles per retry up to MaxBackoff (<=0 means 1s).
@@ -68,24 +67,25 @@ func (p RetryPolicy) backoff(attempt int) time.Duration {
 }
 
 // RepartitionWithRetry is RepartitionIfAbove under fault tolerance: it
-// checkpoints the session, runs the threshold-triggered warm step with
-// every world execution cancellable through ctx, and — when the step
-// aborts (a rank panic, an injected fault) — rolls the session back to
-// the checkpoint, rebuilds the world with the broken world's hooks
-// (mpi.World.Rebuild, so an attached fault plan stays armed), waits out
-// a bounded exponential backoff, and tries again, up to
-// policy.MaxRetries times.
+// runs the threshold-triggered warm step with every world execution
+// cancellable through ctx, and — when the step aborts (a rank panic, an
+// injected fault) — waits out a bounded exponential backoff and runs it
+// again, up to policy.MaxRetries times. Each abort has already left the
+// session as it was before the step, on a world rebuilt with the broken
+// world's hooks (mpi.World.Rebuild, so an attached fault plan stays
+// armed).
 //
-// Because the checkpoint restores every input the step reads and warm
-// steps are deterministic, the partition a successful retry produces is
-// bit-identical to what a fault-free step would have computed.
-// Stats.Retries reports how many rollbacks were needed.
+// Warm steps are deterministic functions of that state, so the
+// partition a successful retry produces is bit-identical to what a
+// fault-free step would have computed. Stats.Retries reports how many
+// retries were needed.
 //
 // Non-abort errors (invalid arguments, no installed partition) are
 // returned immediately — retrying cannot fix semantics. A ctx
 // cancellation is likewise terminal: a cancel mid-step returns the
 // abort (wrapping the context's cause) without a retry, and a context
-// cancelled before the step returns its cause, the world unbroken.
+// cancelled before the step returns its cause, the world unbroken;
+// either way the session stays usable.
 func (s *Session) RepartitionWithRetry(ctx context.Context, eps float64, policy RetryPolicy) (partition.P, Stats, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -96,13 +96,7 @@ func (s *Session) RepartitionWithRetry(ctx context.Context, eps float64, policy 
 		ctx = context.Background()
 	}
 	policy = policy.normalized()
-
-	ckpt, err := s.checkpointLocked()
-	if err != nil {
-		return partition.P{}, Stats{}, false, err
-	}
-	retries := 0
-	for {
+	for retries := 0; ; retries++ {
 		p, st, acted, err := s.repartitionIfAboveLocked(ctx, eps)
 		if err == nil {
 			st.Retries = retries
@@ -112,14 +106,5 @@ func (s *Session) RepartitionWithRetry(ctx context.Context, eps float64, policy 
 			return partition.P{}, Stats{Retries: retries}, false, err
 		}
 		policy.Sleep(policy.backoff(retries))
-		retries++
-		// Roll back: decode the checkpoint into fresh state on a fresh
-		// world (the aborted one is permanently poisoned, and the aborted
-		// attempt may have left residents mid-update).
-		restored, derr := decodeCheckpoint(ckpt)
-		if derr != nil {
-			return partition.P{}, Stats{Retries: retries}, false, fmt.Errorf("repart: rollback: %w", derr)
-		}
-		s.installLocked(s.w.Rebuild(), restored)
 	}
 }

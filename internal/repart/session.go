@@ -2,6 +2,7 @@ package repart
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -45,6 +46,11 @@ var ErrClosed = fmt.Errorf("repart: session is closed")
 // never a partially-released resident). The simulated ranks inside one
 // call still run concurrently; serialization is only across Session
 // verbs.
+//
+// A session outlives its world: a verb whose run breaks the world (a
+// rank panic, an injected fault, a cancelled context) returns the abort
+// (mpi.ErrBroken) and leaves the session as it was before the verb, on a
+// rebuilt world (healLocked; DESIGN.md, "Fault-tolerance invariants").
 type Session struct {
 	mu sync.Mutex
 
@@ -82,8 +88,10 @@ func NewSession(w *mpi.World, ps *geom.PointSet, k int, cfg core.Config) (*Sessi
 }
 
 // NewSessionCtx is NewSession under a context: cancelling ctx while the
-// ingest runs aborts the world (the session is then unusable, like any
-// broken world). A nil context behaves exactly like NewSession.
+// ingest runs aborts it, and NewSessionCtx returns the abort
+// (mpi.ErrBroken) and no session, with w left broken; a context
+// cancelled before the ingest returns its cause, w unbroken. A nil
+// context behaves exactly like NewSession.
 func NewSessionCtx(ctx context.Context, w *mpi.World, ps *geom.PointSet, k int, cfg core.Config) (*Session, error) {
 	if err := ps.Validate(); err != nil {
 		return nil, err
@@ -152,8 +160,9 @@ func (s *Session) Partition() (partition.P, error) {
 }
 
 // PartitionCtx is Partition under a context: cancellation aborts the
-// world mid-verb (mpi.ErrBroken); a context cancelled before the verb
-// returns its cause and breaks nothing. The serving layer threads each HTTP
+// world mid-verb (mpi.ErrBroken) and leaves the session as it was
+// before the verb; a context cancelled before the verb returns its
+// cause and breaks nothing. The serving layer threads each HTTP
 // request's context here so a disconnected client cancels its verb. A
 // nil context behaves exactly like Partition — the context never
 // influences the computed partition, only whether it completes.
@@ -166,7 +175,7 @@ func (s *Session) PartitionCtx(ctx context.Context) (partition.P, error) {
 	bkm := core.New(s.cfg)
 	p, err := partition.RunCtx(ctx, s.w, s.ps, s.k, bkm)
 	if err != nil {
-		return partition.P{}, err
+		return partition.P{}, s.healLocked(err)
 	}
 	s.lastInfo = bkm.LastInfo()
 	s.prev = append(s.prev[:0], p.Assign...)
@@ -229,7 +238,7 @@ func (s *Session) repartitionLocked(ctx context.Context) (partition.P, Stats, er
 		return bkm.PartitionResident(c, s.res[c.Rank()], s.k, centers)
 	})
 	if err != nil {
-		return partition.P{}, Stats{}, err
+		return partition.P{}, Stats{}, s.healLocked(err)
 	}
 
 	st := Stats{TotalWeight: s.ps.TotalWeight(), Info: bkm.LastInfo()}
@@ -297,7 +306,8 @@ func (s *Session) UpdateCoords(coords []float64) error {
 // (which also drops the carried k-means bounds; moved points invalidate
 // them). Weight-only deltas are communication-free and keep the carried
 // bounds. The recompute is cancellable through ctx (nil = not
-// cancellable).
+// cancellable); an aborted one leaves both flags set, so the next step
+// applies the deltas again from the start.
 func (s *Session) flushLocked(ctx context.Context) error {
 	if s.coordsDirty {
 		err := s.w.RunCtx(ctx, func(c *mpi.Comm) {
@@ -309,7 +319,7 @@ func (s *Session) flushLocked(ctx context.Context) error {
 			r.RecomputeBounds(c)
 		})
 		if err != nil {
-			return err
+			return s.healLocked(err)
 		}
 	} else if s.weightsDirty {
 		for _, r := range s.res {
@@ -318,6 +328,21 @@ func (s *Session) flushLocked(ctx context.Context) error {
 	}
 	s.weightsDirty, s.coordsDirty = false, false
 	return nil
+}
+
+// healLocked is the recovery rule, applied to the error of every world
+// run. After an abort the session moves to w.Rebuild() (hooks kept) and
+// every rank drops its carried bounds, the one state an aborted run can
+// leave half-written; everything else a verb reads lives outside the
+// ranks and is replaced only on success. err is returned unchanged.
+func (s *Session) healLocked(err error) error {
+	if errors.Is(err, mpi.ErrBroken) {
+		s.w = s.w.Rebuild()
+		for _, r := range s.res {
+			r.DropCarry()
+		}
+	}
+	return err
 }
 
 // Imbalance measures the imbalance of the session's current partition

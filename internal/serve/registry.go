@@ -25,15 +25,14 @@
 // kept (not consumed) on restore and deleted only when the first
 // mutating verb lands, so an on-store spill is always current: crash
 // recovery can never resurrect stale state. A corrupt or missing spill
-// marks the tenant lost — a sticky, typed ErrTenantLost (HTTP 410) for
-// that tenant only; the registry itself never crashes on bad bytes
-// (DESIGN.md, "Durability invariants").
+// — and nothing else — marks the tenant lost: a sticky, typed
+// ErrTenantLost (HTTP 410) for that tenant only; the registry itself
+// never crashes on bad bytes (DESIGN.md, "Durability invariants").
 package serve
 
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -61,9 +60,10 @@ var (
 	// ErrDraining: the registry is shutting down; no new verbs.
 	ErrDraining = fmt.Errorf("serve: registry is draining")
 	// ErrTenantLost: the tenant's only copy of state — its spilled
-	// checkpoint — is corrupt or missing (quarantined by the store), or
-	// its world broke with no current spill to restore from. Sticky for
-	// the tenant until it is Deleted; the registry stays healthy.
+	// checkpoint — is corrupt or missing (quarantined by the store). A
+	// spill fault is the only way to lose a tenant: a verb whose world
+	// breaks leaves the session as it was. Sticky for the tenant until
+	// it is Deleted; the registry stays healthy.
 	ErrTenantLost = fmt.Errorf("serve: tenant state lost")
 )
 
@@ -165,8 +165,8 @@ type tenant struct {
 	// True from eviction until the first mutating verb after restore
 	// invalidates it (the spill is then deleted, never left stale).
 	spilled bool
-	// lost: the tenant's state is unrecoverable — spill corrupt/missing
-	// or world broken with no spill. Sticky until Delete.
+	// lost: the tenant's state is unrecoverable — its spill was
+	// corrupt or missing at restore. Sticky until Delete.
 	lost bool
 
 	n, dim int
@@ -497,31 +497,14 @@ func (g *Registry) ensureResident(t *tenant) error {
 	return nil
 }
 
-// handleBroken releases the session of a tenant whose world broke
-// mid-verb (rank panic, injected fault, or a request context cancelled
-// while the run was in flight): the resident state is unusable. A
-// context that was cancelled before the verb's run started breaks
-// nothing and never gets here (mpi.World.RunCtx). With a current
-// spill the tenant simply re-parks — the next touch restores the
-// pre-verb state, the retry semantics RepartitionWithRetry gives a
-// single session. Without one, the only copy is gone: lost. Caller
-// holds t.mu.
-func (g *Registry) handleBroken(t *tenant) {
-	if t.sess == nil {
-		return
-	}
-	g.release(t)
-	if !t.spilled {
-		g.markLost(t)
-	}
-}
-
 // withTenant runs fn on the (restored-if-parked) tenant's session,
 // under the tenant mutex. fn reports whether it mutated session state;
 // a successful mutation invalidates the tenant's spill (the store copy
 // is deleted so crash recovery can never resurrect the pre-mutation
-// state), and a world-breaking failure re-parks or loses the tenant
-// (see handleBroken).
+// state). A failed verb changes nothing: a session whose world broke
+// mid-verb (a rank panic, a cancelled request context) has already
+// healed to its pre-verb state (repart.Session), so the tenant stays
+// resident and its spill, if any, stays current.
 func (g *Registry) withTenant(name string, fn func(t *tenant) (mutated bool, err error)) error {
 	t, err := g.lookup(name, true)
 	if err != nil {
@@ -534,9 +517,6 @@ func (g *Registry) withTenant(name string, fn func(t *tenant) (mutated bool, err
 	}
 	mutated, err := fn(t)
 	if err != nil {
-		if errors.Is(err, mpi.ErrBroken) {
-			g.handleBroken(t)
-		}
 		return err
 	}
 	if mutated && t.spilled {
@@ -549,8 +529,8 @@ func (g *Registry) withTenant(name string, fn func(t *tenant) (mutated bool, err
 
 // Partition computes the tenant's cold initial partition and returns
 // the assignment with the run's k-means diagnostics. Cancelling ctx
-// aborts the verb mid-run (nil = not cancellable); the context never
-// influences the computed partition.
+// aborts the verb mid-run and leaves the tenant as it was (nil = not
+// cancellable); the context never influences the computed partition.
 func (g *Registry) Partition(ctx context.Context, name string) (partition.P, core.Info, error) {
 	var p partition.P
 	var info core.Info

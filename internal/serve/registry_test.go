@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"geographer/internal/core"
 	"geographer/internal/geom"
@@ -165,6 +166,117 @@ func TestRegistryChainMatchesSolo(t *testing.T) {
 		}
 		g.Drain()
 	}
+}
+
+// TestRegistryCancelledVerbKeepsTenant: a verb whose request context is
+// cancelled — before it runs, or while it runs — loses nothing. A cancel
+// before the run returns the context's cause and breaks no world; one
+// that lands mid-run returns the abort (ErrBroken wrapping the cause);
+// a late one lets the verb complete. Either way the tenant stays
+// resident and not lost, and its chain from there on is bit-identical
+// to the uncancelled one.
+func TestRegistryCancelledVerbKeepsTenant(t *testing.T) {
+	const n, k, p, steps = 800, 8, 2, 3
+	m := tenantMesh(t, n, 0)
+	ref, _ := soloChain(t, m, k, p, steps)
+
+	// chain drives one tenant through the reference chain with step 1's
+	// warm verb under the context arm returns, armed right before the
+	// verb runs; a failed verb is issued again uncancelled. It reports
+	// the failed verb's error (nil if the verb completed) and how long
+	// the step-1 verb call took.
+	chain := func(t *testing.T, g *Registry, name string, arm func() context.Context) (cancelErr error, took time.Duration) {
+		t.Helper()
+		ps := &geom.PointSet{Dim: m.Points.Dim, Coords: m.Points.Coords, Weight: phaseWeights(m, 0)}
+		if err := g.Create(nil, name, ps, TenantOptions{K: k, Processes: p}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := g.Partition(nil, name); err != nil {
+			t.Fatal(err)
+		}
+		for step := 1; step <= steps; step++ {
+			if err := g.UpdateWeights(name, phaseWeights(m, step)); err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Context(nil)
+			if step == 1 {
+				ctx = arm()
+			}
+			start := time.Now()
+			pt, _, acted, err := g.RepartitionIfAbove(ctx, name, 0)
+			if step == 1 {
+				took = time.Since(start)
+			}
+			if err != nil && step == 1 {
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s: cancelled verb: %v, want a context.Canceled", name, err)
+				}
+				cancelErr = err
+				if ti, err := g.Info(name); err != nil || ti.Lost || !ti.Resident {
+					t.Fatalf("%s: after the cancelled verb: %+v, %v", name, ti, err)
+				}
+				if _, err := g.Imbalance(name); err != nil {
+					t.Fatalf("%s: Imbalance after the cancelled verb: %v", name, err)
+				}
+				pt, _, acted, err = g.RepartitionIfAbove(nil, name, 0)
+			}
+			if err != nil || !acted {
+				t.Fatalf("%s step %d: acted=%v err=%v", name, step, acted, err)
+			}
+			assertSameAssign(t, fmt.Sprintf("%s step %d", name, step), pt.Assign, ref[step])
+		}
+		if ti, err := g.Info(name); err != nil || ti.Lost || !ti.Resident {
+			t.Fatalf("%s: after the chain: %+v, %v", name, ti, err)
+		}
+		return cancelErr, took
+	}
+
+	t.Run("pre-cancelled", func(t *testing.T) {
+		g := NewRegistry(Config{})
+		defer g.Drain()
+		err, _ := chain(t, g, "sim", func() context.Context {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			return ctx
+		})
+		if err == nil || errors.Is(err, mpi.ErrBroken) {
+			t.Fatalf("verb under a cancelled context: %v, want context.Canceled and no ErrBroken", err)
+		}
+		if st := g.Stats(); st.Lost != 0 || st.Resident != 1 {
+			t.Fatalf("registry after the cancelled verb: %+v", st)
+		}
+	})
+
+	// The cancel fires from a timer at staggered fractions of an
+	// uncancelled verb's time, so it lands before, during or after the
+	// run; the outcome is the same. At least one delay must land
+	// mid-run (an ErrBroken), or the arm checked nothing.
+	t.Run("mid-run", func(t *testing.T) {
+		g := NewRegistry(Config{})
+		defer g.Drain()
+		_, took := chain(t, g, "uncancelled", context.Background)
+		const delays = 16
+		broken := 0
+		for i := 0; i < delays; i++ {
+			var timer *time.Timer
+			err, _ := chain(t, g, fmt.Sprintf("sim%d", i), func() context.Context {
+				ctx, cancel := context.WithCancel(context.Background())
+				timer = time.AfterFunc(took*time.Duration(i)/(delays/2), cancel)
+				return ctx
+			})
+			timer.Stop()
+			if errors.Is(err, mpi.ErrBroken) {
+				broken++
+			}
+		}
+		if st := g.Stats(); st.Lost != 0 || st.Resident != delays+1 {
+			t.Fatalf("registry after the cancels: %+v", st)
+		}
+		if broken == 0 {
+			t.Fatalf("no cancel of %d, staggered over 0..2×%v, landed mid-run", delays, took)
+		}
+		t.Logf("%d of %d cancels aborted the run (uncancelled verb: %v)", broken, delays, took)
+	})
 }
 
 // TestEvictionRoundTrip force-evicts mid-chain — with carried

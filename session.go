@@ -253,8 +253,8 @@ func NewSessionFromCheckpoint(data []byte, opts Options) (*Session, error) {
 // Session.RepartitionWithRetry. The zero value is usable: 3 retries,
 // 10ms base backoff doubling to a 1s cap, real sleeping.
 type RetryPolicy struct {
-	// MaxRetries is how many rollback-and-retry cycles may follow a
-	// failed first attempt (<=0 means 3).
+	// MaxRetries is how many retries may follow a failed first attempt
+	// (<=0 means 3).
 	MaxRetries int
 	// BaseBackoff is the pause before the first retry (<=0 means 10ms);
 	// it doubles per retry up to MaxBackoff (<=0 means 1s).
@@ -265,18 +265,18 @@ type RetryPolicy struct {
 	Sleep func(time.Duration)
 }
 
-// RepartitionWithRetry is RepartitionIfAbove under fault tolerance: the
-// session checkpoints itself, runs the threshold-triggered warm step
-// cancellable through ctx, and — if the simulated runtime aborts (a
-// rank failure mid-collective) — rolls back to the checkpoint, rebuilds
-// the runtime, backs off, and retries, up to policy.MaxRetries times.
-// Warm steps are deterministic functions of the checkpointed state, so
+// RepartitionWithRetry is RepartitionIfAbove under fault tolerance: it
+// runs the threshold-triggered warm step cancellable through ctx, and —
+// if the simulated runtime aborts (a rank failure mid-collective) —
+// backs off and runs the step again, up to policy.MaxRetries times. An
+// aborted step leaves the session as it was before it, on a rebuilt
+// runtime, and warm steps are deterministic functions of that state, so
 // the partition a successful retry produces is bit-identical to what a
 // fault-free step would have computed; RepartResult.Retries reports how
-// many rollbacks were needed. Cancellation through ctx is terminal:
-// the attempt is not retried — a cancel mid-step returns the abort error
+// many retries were needed. Cancellation through ctx is terminal: the
+// attempt is not retried — a cancel mid-step returns the abort error
 // (wrapping the context's cause), a context cancelled before the step
-// its cause alone, with the session untouched. Argument errors are
+// its cause alone — and the session stays usable. Argument errors are
 // returned immediately without retrying.
 func (s *Session) RepartitionWithRetry(ctx context.Context, eps float64, policy RetryPolicy) (RepartResult, bool, error) {
 	p, stats, acted, err := s.inner.RepartitionWithRetry(ctx, eps, repart.RetryPolicy{
