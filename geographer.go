@@ -116,9 +116,6 @@ func (o Options) withDefaults() Options {
 	if o.Method == "" {
 		o.Method = MethodGeographer
 	}
-	if o.Epsilon == 0 {
-		o.Epsilon = 0.03
-	}
 	if o.Processes == 0 {
 		o.Processes = 4
 	}
@@ -128,44 +125,47 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// validate rejects configurations that would previously fail silently
-// (a negative or NaN Epsilon makes the balance check unsatisfiable and
-// burns every balance round; a negative Workers count would mean "auto";
-// zero/negative or non-normalized TargetFractions skew the balance
-// targets) or panic (a negative Processes count).
-// Call after withDefaults.
+// validate rejects a Processes count below one, which would panic, and
+// otherwise returns core.Config.Validate's verdict on K, Epsilon,
+// Workers and TargetFractions, whatever the method. Call after
+// withDefaults.
 func (o Options) validate() error {
-	if o.K < 1 {
-		return fmt.Errorf("geographer: K=%d", o.K)
-	}
-	if !(o.Epsilon >= 0) {
-		return fmt.Errorf("geographer: Epsilon=%g is negative or NaN (the imbalance bound can never be met)", o.Epsilon)
-	}
 	if o.Processes < 1 {
 		return fmt.Errorf("geographer: Processes=%d", o.Processes)
 	}
-	if o.Workers < 0 {
-		return fmt.Errorf("geographer: Workers=%d (0 = auto, 1 = serial)", o.Workers)
-	}
-	if o.TargetFractions != nil {
-		if _, err := partition.CheckFractions(o.TargetFractions, o.K); err != nil {
-			return err
-		}
-	}
-	return nil
+	return o.coreConfig().Validate(o.K)
 }
 
 // coreConfig translates the facade Options into the balanced-k-means
-// configuration of internal/core (all paper optimizations on).
+// configuration of internal/core (all paper optimizations on; a zero
+// Epsilon keeps DefaultConfig's). Deterministic turns off the sampled
+// initialization, the one part of a cold run that depends on the rank
+// layout.
 func (o Options) coreConfig() core.Config {
 	cfg := core.DefaultConfig()
-	cfg.Epsilon = o.Epsilon
+	if o.Epsilon != 0 {
+		cfg.Epsilon = o.Epsilon
+	}
 	cfg.Seed = o.Seed
 	cfg.Strict = o.Strict
 	cfg.TargetFractions = o.TargetFractions
 	cfg.Workers = o.Workers
-	cfg.Deterministic = o.Deterministic
+	cfg.SampledInit = !o.Deterministic
 	return cfg
+}
+
+// geographerOnly is the shared prologue of Repartition, NewSession and
+// NewSessionFromCheckpoint: defaults, validation, and the check that the
+// method is the one whose centers a warm start resumes from.
+func (o Options) geographerOnly(what string) (Options, error) {
+	o = o.withDefaults()
+	if err := o.validate(); err != nil {
+		return o, err
+	}
+	if strings.ToLower(o.Method) != MethodGeographer {
+		return o, fmt.Errorf("geographer: %s requires Method=%q, got %q", what, MethodGeographer, o.Method)
+	}
+	return o, nil
 }
 
 func (o Options) tool() (partition.Distributed, error) {
@@ -313,12 +313,9 @@ func fromStats(blocks []int32, st repart.Stats) RepartResult {
 // produce a bit-identical partition for every Processes and Workers
 // setting (see DESIGN.md, "Repartitioning invariants").
 func Repartition(coords []float64, dim int, weights []float64, prevAssign []int32, opts Options) (RepartResult, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
+	opts, err := opts.geographerOnly("warm-start repartitioning")
+	if err != nil {
 		return RepartResult{}, err
-	}
-	if strings.ToLower(opts.Method) != MethodGeographer {
-		return RepartResult{}, fmt.Errorf("geographer: warm-start repartitioning requires Method=%q, got %q", MethodGeographer, opts.Method)
 	}
 	ps, err := pointSet(coords, dim, weights)
 	if err != nil {

@@ -28,7 +28,7 @@ func (st *state) assignAndBalance(infCap float64) bool {
 	// Line 1: bounding box around the local (sampled) points, held flat
 	// so any dimension fits. Only the positions the sample gained since
 	// the last call are folded in (see boxN); once the sample is the
-	// whole set (always, on the warm and Deterministic paths) the box
+	// whole set (always, on the warm and unsampled paths) the box
 	// and the sample weight are computed once and kept.
 	if st.boxN < st.nSample {
 		st.sampleW = geom.SampleBoxW(st.X.Col, st.W, st.boxN, st.nSample, st.bbMin, st.bbMax, st.sampleW)
@@ -117,16 +117,14 @@ func (st *state) assignAndBalance(infCap float64) bool {
 		st.info.Visits += int64(len(sample))
 		st.c.AddOps(distCalcs + int64(len(sample)))
 
-		// Line 31: the only communication of the balance routine. The
-		// warm path reduces exact accumulators instead of the kernel's
-		// chunk-merged partials, and needs no sampling piggyback: the
+		// Line 31: the only communication of the balance routine. A run
+		// that does not sample (warm, or cold with SampledInit off)
+		// reduces exact accumulators instead of the kernel's
+		// chunk-merged partials, and needs no sampling piggyback: its
 		// sample is always the full set, whose exact weight was fixed at
 		// init.
 		var globalW []float64
-		if st.warm || st.cfg.Deterministic {
-			// The deterministic cold path shares the warm reductions: the
-			// sample is always the full set there too (SampledInit is
-			// forced off), so its exact weight was fixed at init.
+		if !st.sampled {
 			globalW = st.exactBlockWeights()
 			if totalTarget > 0 {
 				scale = st.totalW / totalTarget

@@ -85,8 +85,11 @@ func (c coldPin) String() string {
 // ranks, plus the transition's edge paths — a rank too small to sample
 // while the others do, MaxIter ending the run mid-sample (the post-loop
 // fallback), Strict's balance-only rounds, curve seeding at d = 1 (the
-// curve's 1D key arm end to end), and random-index seeding (SFCBootstrap
-// off) at d = 1 and 3. The values were captured from the implementation
+// curve's 1D key arm end to end), random-index seeding (SFCBootstrap
+// off) at d = 1 and 3, and the unsampled path (SampledInit off: no
+// shuffle, exact reductions) at d = 2 and 16, whose values were captured
+// when it was switched on by a separate Deterministic field. The other
+// values were captured from the implementation
 // that gathers the sample through the shuffle permutation (the
 // random-init rows from the one that gathered d ≤ 3 seeds as Point
 // structs, the curve-init row from the one that keyed 1D points through
@@ -124,6 +127,7 @@ func TestColdPartitionPinned(t *testing.T) {
 		}
 	}
 	noSFC := func(cfg *Config) { cfg.SFCBootstrap = false }
+	unsampled := func(cfg *Config) { cfg.SampledInit = false }
 	cases = append(cases,
 		pinCase{name: "small-rank/d=16/hamerly", dim: 16, n: 3000, k: 8, p: 3, bounds: BoundsHamerly, first: 60},
 		pinCase{name: "small-rank/d=2/elkan", dim: 2, n: 6000, k: 8, p: 3, bounds: BoundsElkan, first: 90, adjust: noSFC},
@@ -136,35 +140,39 @@ func TestColdPartitionPinned(t *testing.T) {
 		pinCase{name: "curve-init/d=1/p=3", dim: 1, n: 6000, k: 8, p: 3, bounds: BoundsHamerly},
 		pinCase{name: "random-init/d=1/p=3", dim: 1, n: 6000, k: 8, p: 3, bounds: BoundsHamerly, adjust: noSFC},
 		pinCase{name: "random-init/d=3/p=1", dim: 3, n: 6000, k: 8, p: 1, bounds: BoundsElkan, adjust: noSFC},
+		pinCase{name: "unsampled/d=2/hamerly/p=3", dim: 2, n: 6000, k: 8, p: 3, bounds: BoundsHamerly, adjust: unsampled},
+		pinCase{name: "unsampled/d=16/hamerly/p=3", dim: 16, n: 3000, k: 8, p: 3, bounds: BoundsHamerly, adjust: unsampled},
 	)
 
 	want := map[string]coldPin{
-		"d=2/hamerly/p=1":         {[]uint64{0x647ffe79c15fbbb8}, 53, 145, 241109, 396709, 58665, 456800},
-		"d=2/hamerly/p=3":         {[]uint64{0xea9c92ec8c46095, 0x160087326fd36ec3, 0x561273cf2c321e16}, 24, 70, 155792, 183148, 39211, 222600},
-		"d=2/elkan/p=1":           {[]uint64{0x647ffe79c15fbbb8}, 53, 145, 520261, 3134139, 0, 456800},
-		"d=2/elkan/p=3":           {[]uint64{0xea9c92ec8c46095, 0x160087326fd36ec3, 0x561273cf2c321e16}, 24, 70, 263343, 886881, 222456, 222600},
-		"d=2/none/p=1":            {[]uint64{0x647ffe79c15fbbb8}, 53, 145, 3654400, 0, 0, 456800},
-		"d=2/none/p=3":            {[]uint64{0xea9c92ec8c46095, 0x160087326fd36ec3, 0x561273cf2c321e16}, 24, 70, 1375413, 0, 190393, 222600},
-		"d=3/hamerly/p=1":         {[]uint64{0xfddd4c38417b235c}, 11, 67, 94442, 64126, 13354, 80800},
-		"d=3/hamerly/p=3":         {[]uint64{0xda116b6125377a1f, 0x705318ea2aab3935, 0x51bb8a84aa3f914d}, 15, 65, 144525, 104717, 21702, 130800},
-		"d=3/elkan/p=1":           {[]uint64{0xfddd4c38417b235c}, 11, 67, 127439, 518961, 0, 80800},
-		"d=3/elkan/p=3":           {[]uint64{0xda116b6125377a1f, 0x705318ea2aab3935, 0x51bb8a84aa3f914d}, 15, 65, 174272, 618934, 87774, 130800},
-		"d=3/none/p=1":            {[]uint64{0xfddd4c38417b235c}, 11, 67, 646400, 0, 0, 80800},
-		"d=3/none/p=3":            {[]uint64{0xda116b6125377a1f, 0x705318ea2aab3935, 0x51bb8a84aa3f914d}, 15, 65, 1027844, 0, 12209, 130800},
-		"d=16/hamerly/p=1":        {[]uint64{0x7f9540e4d12261be}, 31, 62, 344680, 72315, 0, 115400},
-		"d=16/hamerly/p=3":        {[]uint64{0xeebe4a032758cd9e, 0x561ef1daf207fc48, 0x2780882e52a3fa87}, 31, 54, 371824, 73522, 0, 120000},
-		"d=16/elkan/p=1":          {[]uint64{0x7f9540e4d12261be}, 31, 62, 195761, 727415, 8, 115400},
-		"d=16/elkan/p=3":          {[]uint64{0xeebe4a032758cd9e, 0x561ef1daf207fc48, 0x2780882e52a3fa87}, 31, 54, 207583, 752369, 16, 120000},
-		"d=16/none/p=1":           {[]uint64{0x7f9540e4d12261be}, 31, 62, 923200, 0, 0, 115400},
-		"d=16/none/p=3":           {[]uint64{0xeebe4a032758cd9e, 0x561ef1daf207fc48, 0x2780882e52a3fa87}, 31, 54, 960000, 0, 0, 120000},
-		"small-rank/d=16/hamerly": {[]uint64{0x82064a0f41c7f1f1, 0xdb9b8f25fb3de978, 0x43c8215b36107463}, 30, 51, 358424, 71357, 0, 116160},
-		"small-rank/d=2/elkan":    {[]uint64{0xce5affe8aaed0316, 0xe6eae7defb345d1a, 0xa3bd4a01621218ef}, 16, 53, 203421, 1033859, 0, 154660},
-		"maxiter=3/d=2/hamerly":   {[]uint64{0x504e4eb5b2aedc29, 0x8dd5de7b23d9781f, 0xf8e4e6dc20e20977}, 3, 38, 45275, 37206, 9980, 47400},
-		"maxiter=3/d=16/elkan":    {[]uint64{0x70d3caede8389e74, 0x5726d936a22cd949, 0x8475cab18823d33c}, 3, 19, 42920, 86632, 16, 16200},
-		"strict/d=2/hamerly":      {[]uint64{0x64c1c0a8025acce5, 0x6d22889a2473d3fb, 0x3964ce480e5a3396}, 8, 616, 403815, 3552069, 101719, 3654600},
-		"curve-init/d=1/p=3":      {[]uint64{0xc6649f37614058b0, 0xb7bbc85e7e87c3e2, 0x49ceaa3f6aba3bb7}, 9, 88, 87186, 250709, 27691, 278400},
-		"random-init/d=1/p=3":     {[]uint64{0xc3fa14b6589bc3d1, 0x8d9e1f0345fa2b00, 0x26619007f58332a5}, 12, 128, 406112, 514249, 73254, 602400},
-		"random-init/d=3/p=1":     {[]uint64{0x2ba667b78d726b61}, 14, 48, 145113, 642087, 0, 98400},
+		"d=2/hamerly/p=1":            {[]uint64{0x647ffe79c15fbbb8}, 53, 145, 241109, 396709, 58665, 456800},
+		"d=2/hamerly/p=3":            {[]uint64{0xea9c92ec8c46095, 0x160087326fd36ec3, 0x561273cf2c321e16}, 24, 70, 155792, 183148, 39211, 222600},
+		"d=2/elkan/p=1":              {[]uint64{0x647ffe79c15fbbb8}, 53, 145, 520261, 3134139, 0, 456800},
+		"d=2/elkan/p=3":              {[]uint64{0xea9c92ec8c46095, 0x160087326fd36ec3, 0x561273cf2c321e16}, 24, 70, 263343, 886881, 222456, 222600},
+		"d=2/none/p=1":               {[]uint64{0x647ffe79c15fbbb8}, 53, 145, 3654400, 0, 0, 456800},
+		"d=2/none/p=3":               {[]uint64{0xea9c92ec8c46095, 0x160087326fd36ec3, 0x561273cf2c321e16}, 24, 70, 1375413, 0, 190393, 222600},
+		"d=3/hamerly/p=1":            {[]uint64{0xfddd4c38417b235c}, 11, 67, 94442, 64126, 13354, 80800},
+		"d=3/hamerly/p=3":            {[]uint64{0xda116b6125377a1f, 0x705318ea2aab3935, 0x51bb8a84aa3f914d}, 15, 65, 144525, 104717, 21702, 130800},
+		"d=3/elkan/p=1":              {[]uint64{0xfddd4c38417b235c}, 11, 67, 127439, 518961, 0, 80800},
+		"d=3/elkan/p=3":              {[]uint64{0xda116b6125377a1f, 0x705318ea2aab3935, 0x51bb8a84aa3f914d}, 15, 65, 174272, 618934, 87774, 130800},
+		"d=3/none/p=1":               {[]uint64{0xfddd4c38417b235c}, 11, 67, 646400, 0, 0, 80800},
+		"d=3/none/p=3":               {[]uint64{0xda116b6125377a1f, 0x705318ea2aab3935, 0x51bb8a84aa3f914d}, 15, 65, 1027844, 0, 12209, 130800},
+		"d=16/hamerly/p=1":           {[]uint64{0x7f9540e4d12261be}, 31, 62, 344680, 72315, 0, 115400},
+		"d=16/hamerly/p=3":           {[]uint64{0xeebe4a032758cd9e, 0x561ef1daf207fc48, 0x2780882e52a3fa87}, 31, 54, 371824, 73522, 0, 120000},
+		"d=16/elkan/p=1":             {[]uint64{0x7f9540e4d12261be}, 31, 62, 195761, 727415, 8, 115400},
+		"d=16/elkan/p=3":             {[]uint64{0xeebe4a032758cd9e, 0x561ef1daf207fc48, 0x2780882e52a3fa87}, 31, 54, 207583, 752369, 16, 120000},
+		"d=16/none/p=1":              {[]uint64{0x7f9540e4d12261be}, 31, 62, 923200, 0, 0, 115400},
+		"d=16/none/p=3":              {[]uint64{0xeebe4a032758cd9e, 0x561ef1daf207fc48, 0x2780882e52a3fa87}, 31, 54, 960000, 0, 0, 120000},
+		"small-rank/d=16/hamerly":    {[]uint64{0x82064a0f41c7f1f1, 0xdb9b8f25fb3de978, 0x43c8215b36107463}, 30, 51, 358424, 71357, 0, 116160},
+		"small-rank/d=2/elkan":       {[]uint64{0xce5affe8aaed0316, 0xe6eae7defb345d1a, 0xa3bd4a01621218ef}, 16, 53, 203421, 1033859, 0, 154660},
+		"maxiter=3/d=2/hamerly":      {[]uint64{0x504e4eb5b2aedc29, 0x8dd5de7b23d9781f, 0xf8e4e6dc20e20977}, 3, 38, 45275, 37206, 9980, 47400},
+		"maxiter=3/d=16/elkan":       {[]uint64{0x70d3caede8389e74, 0x5726d936a22cd949, 0x8475cab18823d33c}, 3, 19, 42920, 86632, 16, 16200},
+		"strict/d=2/hamerly":         {[]uint64{0x64c1c0a8025acce5, 0x6d22889a2473d3fb, 0x3964ce480e5a3396}, 8, 616, 403815, 3552069, 101719, 3654600},
+		"curve-init/d=1/p=3":         {[]uint64{0xc6649f37614058b0, 0xb7bbc85e7e87c3e2, 0x49ceaa3f6aba3bb7}, 9, 88, 87186, 250709, 27691, 278400},
+		"random-init/d=1/p=3":        {[]uint64{0xc3fa14b6589bc3d1, 0x8d9e1f0345fa2b00, 0x26619007f58332a5}, 12, 128, 406112, 514249, 73254, 602400},
+		"random-init/d=3/p=1":        {[]uint64{0x2ba667b78d726b61}, 14, 48, 145113, 642087, 0, 98400},
+		"unsampled/d=2/hamerly/p=3":  {[]uint64{0x10ccdcca657b0a8e, 0x198b5e31c414573b, 0xc9927d14374b88a5}, 24, 52, 233633, 252986, 58884, 312000},
+		"unsampled/d=16/hamerly/p=3": {[]uint64{0x6d9aee3f0b351896, 0x4c72fd674ffbdb22, 0xd7ed110e331099f8}, 37, 55, 516168, 100479, 0, 165000},
 	}
 
 	for _, tc := range cases {

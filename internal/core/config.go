@@ -59,7 +59,15 @@ type Config struct {
 	// BBoxPruning enables the bounding-box cluster pruning of §4.4.
 	BBoxPruning bool
 
-	// SampledInit enables the doubling-sample initialization rounds.
+	// SampledInit enables the doubling-sample initialization rounds of
+	// cold runs. It is the one thing that ties a cold run's output to
+	// the rank layout: the sample is shuffled with rank-seeded streams
+	// and its weights are summed in float. With it off, every global
+	// float reduction (total weight, per-block weights, center sums)
+	// runs through the order-independent exact accumulators of
+	// internal/exact, as on the warm path, and the output is
+	// bit-identical across every rank and worker layout. Warm runs never
+	// sample.
 	SampledInit bool
 
 	// SFCBootstrap enables the space-filling-curve sort/redistribution and
@@ -101,16 +109,6 @@ type Config struct {
 	// Seed drives the sampled-initialization permutations and random
 	// center placement in non-SFC mode.
 	Seed int64
-
-	// Deterministic makes the cold (non-warm) path's output independent
-	// of the rank and worker layout: sampled initialization is forced
-	// off (its shuffle is rank-seeded) and every global float reduction
-	// — total weight, per-block weights, center sums — runs through the
-	// order-independent exact accumulators of internal/exact, exactly as
-	// the warm path always does. Costs the sampled bootstrap's speedup
-	// on bad initial centers plus the accumulator passes; output is
-	// bit-identical across Processes × Workers.
-	Deterministic bool
 }
 
 // deltaThreshold stops the outer loop once the maximum center movement
@@ -143,8 +141,11 @@ const (
 // otherwise fail silently or crash mid-run: a negative or NaN ε makes
 // the balance check `imb <= Epsilon` unsatisfiable (every k-means
 // iteration would burn all MaxBalanceIter rounds for nothing), a
-// negative Workers count would silently mean "auto", and ill-formed
-// target fractions skew the balance targets.
+// negative Workers count would silently mean "auto", an unknown Bounds
+// kind would run plain Lloyd while the next warm run claims carried
+// bounds it never kept, and ill-formed target fractions skew the
+// balance targets. An empty Bounds is accepted only on a zero-value
+// configuration (MaxIter 0), whose knobs normalized fills.
 func (cfg Config) Validate(k int) error {
 	if k < 1 {
 		return fmt.Errorf("core: k=%d", k)
@@ -154,6 +155,13 @@ func (cfg Config) Validate(k int) error {
 	}
 	if cfg.Workers < 0 {
 		return fmt.Errorf("core: Workers=%d (0 = auto, 1 = serial)", cfg.Workers)
+	}
+	switch cfg.Bounds {
+	case BoundsHamerly, BoundsElkan, BoundsNone:
+	default:
+		if cfg.Bounds != "" || cfg.MaxIter != 0 {
+			return fmt.Errorf("core: Bounds=%q (want %q, %q or %q)", cfg.Bounds, BoundsHamerly, BoundsElkan, BoundsNone)
+		}
 	}
 	if cfg.TargetFractions != nil {
 		if _, err := partition.CheckFractions(cfg.TargetFractions, k); err != nil {
@@ -173,9 +181,6 @@ func (cfg Config) Validate(k int) error {
 // ablate them must set MaxIter explicitly.
 func (cfg Config) normalized() Config {
 	if cfg.MaxIter != 0 {
-		if cfg.Deterministic {
-			cfg.SampledInit = false
-		}
 		return cfg
 	}
 	def := DefaultConfig()
@@ -192,10 +197,6 @@ func (cfg Config) normalized() Config {
 	def.Seed = cfg.Seed
 	def.Strict = cfg.Strict
 	def.TargetFractions = cfg.TargetFractions
-	def.Deterministic = cfg.Deterministic
-	if def.Deterministic {
-		def.SampledInit = false
-	}
 	return def
 }
 

@@ -28,11 +28,11 @@ func flatRandomPoints(n, dim int, seed int64) *geom.PointSet {
 	return ps
 }
 
-// TestDeterministicColdPartition pins Config.Deterministic: the cold
-// (non-warm) path must produce bit-identical partitions across every
-// rank × worker layout, in the spatial regime (d=2, SFC bootstrap on)
-// and the feature-space regime (d=16, sampled-free random init) alike —
-// sampled init is forced off and every float reduction runs through the
+// TestDeterministicColdPartition pins the unsampled cold path
+// (SampledInit off): it must produce bit-identical partitions across
+// every rank × worker layout, in the spatial regime (d=2, SFC bootstrap
+// on) and the feature-space regime (d=16, sampled-free random init)
+// alike — without the sample, every float reduction runs through the
 // order-independent exact accumulators. Those accumulators are
 // delta-maintained, and the cold run is the case where the run's first
 // reduction finds nothing held at all (resetRun left every point
@@ -47,7 +47,7 @@ func TestDeterministicColdPartition(t *testing.T) {
 		t.Run(fmt.Sprintf("dim=%d", tc.dim), func(t *testing.T) {
 			ps := flatRandomPoints(tc.n, tc.dim, int64(50+tc.dim))
 			cfg := DefaultConfig()
-			cfg.Deterministic = true
+			cfg.SampledInit = false
 			cfg.Seed = 3
 
 			run := func(p, workers int) []int32 {

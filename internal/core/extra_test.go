@@ -177,6 +177,38 @@ func TestValidateRejectsNegativeWorkers(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsUnknownBounds: a misspelled or empty Bounds on a
+// configuration with MaxIter set used to run plain Lloyd silently, and
+// the next warm run on a session claimed carried bounds it never kept.
+// Validate accepts the three kinds, and an empty one only on the
+// zero-value Config that normalized fills.
+func TestValidateRejectsUnknownBounds(t *testing.T) {
+	for _, b := range []BoundsKind{"hamerley", "", "Hamerly"} {
+		cfg := DefaultConfig()
+		cfg.Bounds = b
+		if err := cfg.Validate(4); err == nil {
+			t.Errorf("Validate accepted Bounds=%q", b)
+		}
+		ps := uniformPoints(300, 2, 9)
+		if _, err := partition.Run(mpi.NewWorld(2), ps, 4, New(cfg)); err == nil {
+			t.Errorf("Partition accepted Bounds=%q", b)
+		}
+	}
+	if err := (Config{Bounds: "hamerley"}).Validate(4); err == nil {
+		t.Error("Validate accepted Bounds=\"hamerley\" on a zero-value Config")
+	}
+	for _, b := range []BoundsKind{BoundsHamerly, BoundsElkan, BoundsNone} {
+		cfg := DefaultConfig()
+		cfg.Bounds = b
+		if err := cfg.Validate(4); err != nil {
+			t.Errorf("Validate rejected Bounds=%q: %v", b, err)
+		}
+	}
+	if err := (Config{}).Validate(4); err != nil {
+		t.Errorf("Validate rejected the zero-value Config: %v", err)
+	}
+}
+
 func TestManyBlocksFewPointsPerBlock(t *testing.T) {
 	// k=128 over 2560 points: 20 points per block; stresses the influence
 	// adaptation with small counts.

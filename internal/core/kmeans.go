@@ -128,9 +128,13 @@ type state struct {
 	// Warm-start repartitioning (PartitionResident): global float sums are
 	// taken through order-independent exact accumulators so the output
 	// does not depend on how points are grouped into ranks or kernel
-	// chunks (see DESIGN.md, "Repartitioning invariants").
-	warm   bool
-	totalW float64 // exact global point weight
+	// chunks (see DESIGN.md, "Repartitioning invariants"). A cold run
+	// that does not sample reduces the same way: only the sampled
+	// bootstrap (§4.5) ties a run to its rank layout, through its
+	// rank-seeded shuffle and float sums over the growing sample.
+	warm    bool
+	sampled bool    // this run shuffles and samples: cold with SampledInit
+	totalW  float64 // exact global point weight
 	// The accumulator banks are limb-major (exact.RowSums): their
 	// backing arrays double as the reduction wire, and only the touched
 	// exponent-row window rides the collective (mpi.AllreduceSumSparse),
@@ -329,6 +333,7 @@ func (st *state) initCentersAndTargets(seed []float64) error {
 	// Scratch first: every reduction below can then run through the
 	// persistent buffers, so a steady-state warm call allocates nothing.
 	st.trackRaw = st.warm && st.cfg.Bounds == BoundsHamerly
+	st.sampled = !st.warm && st.cfg.SampledInit
 	st.ensureScratch()
 	// Nothing the own banks hold survives a run boundary: the first
 	// reduction of this run rebuilds them from its assignment.
@@ -370,7 +375,7 @@ func (st *state) initCentersAndTargets(seed []float64) error {
 		copy(st.centers, mpi.AllreduceSum(st.c, seedVec))
 	}
 	var totalW float64
-	if st.warm || st.cfg.Deterministic {
+	if !st.sampled {
 		totalW = st.exactTotalW()
 	} else {
 		localW := 0.0
@@ -419,10 +424,10 @@ func (st *state) ensureScratch() {
 			st.allIdx[i] = int32(i)
 		}
 	}
-	if !st.warm && st.cfg.SampledInit && cap(st.cycles) < n {
+	if st.sampled && cap(st.cycles) < n {
 		st.cycles = make([]int32, 0, n)
 	}
-	// Only the cold pass's straight-line bodies (d = 2, 3) read anchors.
+	// Only the cold pass's straight-line body (d = 2, 3) reads anchors.
 	if !st.warm && st.cfg.SFCBootstrap && (st.dim == 2 || st.dim == 3) {
 		if len(st.curveBlock) != n {
 			st.curveBlock = make([]uint64, n)
@@ -483,7 +488,7 @@ func (st *state) ensureScratch() {
 	if len(st.ctrBuf) != 6 {
 		st.ctrBuf = make([]int64, 6)
 	}
-	if st.warm || st.cfg.Deterministic {
+	if !st.sampled {
 		if st.exactW == nil || st.exactW.Len() != st.k {
 			st.exactW = exact.NewRowSums(st.k)
 		}
@@ -535,7 +540,7 @@ func (st *state) resetRun() {
 	// warm starts begin near-converged, so the warm path always runs on
 	// the full point set — also a determinism requirement, since the
 	// shuffle is rank-seeded.
-	if !st.warm && st.cfg.SampledInit && st.X.Len() > 100 {
+	if st.sampled && st.X.Len() > 100 {
 		st.shuffle()
 		st.nSample = 100
 	}
@@ -756,7 +761,7 @@ func (st *state) pointCenterDist2(i, b int) float64 {
 // to b (keeping the old center for empty clusters) and reports whether any
 // center is based on at least one point.
 func (st *state) computeCenters(out []float64) bool {
-	if st.warm || st.cfg.Deterministic {
+	if !st.sampled {
 		return st.computeCentersExact(out)
 	}
 	vec := st.centVec

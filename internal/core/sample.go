@@ -40,7 +40,7 @@ func (st *state) shuffle() {
 // the whole set. The full-set passes that follow then visit the points,
 // and add their center and weight sums, in ingest order, exactly as a
 // run that never sampled. (The raw shadow and the own-bank assignment
-// belong to warm and Deterministic runs, which never sample.)
+// belong to warm and unsampled runs.)
 func (st *state) unshuffle() {
 	st.forCycles(func(first int32, rest []int32) {
 		for _, col := range st.X.Col {

@@ -253,13 +253,13 @@ func (st *state) exactBlockWeights() []float64 {
 	return out
 }
 
-// computeCentersExact is computeCenters for the warm and deterministic
+// computeCentersExact is computeCenters for the warm and unsampled
 // paths: the weighted coordinate sums go through exact accumulators and
 // one integer reduction, so the new centers are bit-identical
 // regardless of the rank layout. The per-term fl(w·x) rounding is a
 // deterministic function of each point alone; only the summation order
 // had to be neutralized. Both callers run on the full point set
-// (warm never samples; Deterministic forces SampledInit off), so the own
+// (warm never samples; a cold run here has SampledInit off), so the own
 // banks cover the whole sample. No kernel pass runs between an
 // iteration's last balance collective and this call, so the diff pass
 // normally finds nothing to move: the center sums were maintained along
@@ -296,7 +296,7 @@ func (st *state) computeCentersExact(out []float64) bool {
 // single-row accumulator bank and stores it on the state: the reduction
 // is over integer limbs, so the value (and everything derived from it —
 // targets, the balance scale) is independent of the rank layout. Used
-// by every warm run and by cold runs under cfg.Deterministic.
+// by every run that does not sample: warm, or cold with SampledInit off.
 func (st *state) exactTotalW() float64 {
 	st.exactTot.Reset()
 	for _, w := range st.W {

@@ -2,7 +2,7 @@
 // accumulators for the reductions of the balanced k-means core whose
 // result must not depend on how points are grouped into ranks and
 // kernel chunks: every global float sum of the warm-start repartitioning
-// path and of the Deterministic cold path.
+// path and of the unsampled cold path.
 //
 // Floating-point addition is not associative, so a global weight or
 // center sum depends on the summation order — the one obstacle to

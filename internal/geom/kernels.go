@@ -33,15 +33,15 @@
 //
 // The cold pass — RunBounded without the raw column — is the one
 // exception, at d = 2 and d = 3 only: there it runs a straight-line body
-// per dimension (runCold2, runCold3), a tight skip loop that hands every
-// rescan to one out-of-line call (rescan2, rescan3) over the unrolled
-// distance expression, with no dimension switch, no raw-scan state and no
-// point scratch. The straight-line bodies store what the generic body
-// stores, counters included, bit for bit (TestStraightLineMatchesGeneric
-// and its fuzz target) — except that only they read the Anchor column,
+// (runCold), a tight skip loop that hands every rescan to one out-of-line
+// call per dimension (rescan2, rescan3) over the unrolled distance
+// expression, with no raw-scan state and no point scratch. The
+// straight-line body stores what the generic body stores, counters
+// included, bit for bit (TestStraightLineMatchesGeneric and its fuzz
+// target) — except that only it reads the Anchor column,
 // which moves the distance and break counts. DESIGN.md
 // ("Generic-dimension invariants") records which body serves which pass
-// and what the straight-line bodies buy. Each AssignKernel value carries
+// and what the straight-line body buys. Each AssignKernel value carries
 // its own weight accumulator, point scratch and counters so that several
 // kernels can run concurrently over disjoint index shards of the same
 // point set.
@@ -272,7 +272,7 @@ type AssignKernel struct {
 	CCDist  []float64
 
 	// Anchor, an optional column of the cold Hamerly pass at d = 2 and 3
-	// that carries the tables, read only by its straight-line bodies (the
+	// that carries the tables, read only by its straight-line body (the
 	// generic body ignores it): an unassigned point i (A[i] < 0) has no
 	// block to walk from, and starts the same anchored walk from center
 	// Anchor[i] ∈ [0, K) instead of scanning in box order. Any center is a
@@ -416,7 +416,7 @@ type rawScan struct {
 // A rescan truncates its scan by one of two rules, chosen per point. A
 // Hamerly rescan on a kernel that carries the center-center tables
 // (CCOrder non-nil, with CCDist and RawLbInv) is anchored when the point
-// has a block, or — in the straight-line bodies only — an Anchor entry:
+// has a block, or — in the straight-line body only — an Anchor entry:
 // that center first, then its CCOrder row in ascending center-center
 // distance until the triangle inequality proves the tail irrelevant — a
 // cost of the point's neighbours, not of K. Every other scan (unassigned
@@ -433,18 +433,12 @@ type rawScan struct {
 // unknown (DistBB2 lives in effective space); on the warm path, whose
 // per-rank boxes span the domain, it never fires anyway.
 //
-// Without the raw column, d = 2 and d = 3 run the straight-line bodies;
+// Without the raw column, d = 2 and d = 3 run the straight-line body;
 // every other pass runs the generic body.
 func (kr *AssignKernel) RunBounded(dim int, idx []int32, hamerly bool) {
-	if kr.RawLb == nil {
-		switch dim {
-		case 2:
-			kr.runCold2(idx, hamerly)
-			return
-		case 3:
-			kr.runCold3(idx, hamerly)
-			return
-		}
+	if kr.RawLb == nil && (dim == 2 || dim == 3) {
+		kr.runCold(dim, idx, hamerly)
+		return
 	}
 	kr.runBounded(dim, idx, hamerly)
 }
@@ -601,17 +595,18 @@ func (kr *AssignKernel) runBounded(dim int, idx []int32, hamerly bool) {
 	kr.Breaks += breaks
 }
 
-// runCold2 is RunBounded's cold pass at d = 2 (RawLb nil): the generic
-// body's skip test as a tight loop, and every rescan one rescan2 call.
-// Its straight-line twin runCold3 differs only in the call; both store
-// what runBounded stores, counters included (the distance and break
-// counts only without an Anchor column, which runBounded does not read).
-func (kr *AssignKernel) runCold2(idx []int32, hamerly bool) {
+// runCold is RunBounded's cold pass at d = 2 and 3 (RawLb nil): the
+// generic body's skip test as a tight loop, and every rescan one rescan2
+// or rescan3 call. It stores what runBounded stores, counters included
+// (the distance and break counts only without an Anchor column, which
+// runBounded does not read).
+func (kr *AssignKernel) runCold(dim int, idx []int32, hamerly bool) {
 	w, a, ub, lb, localW := kr.W, kr.A, kr.Ub, kr.Lb, kr.LocalW
 	ubScale, lbScale := kr.UbScale, kr.LbScale
 	scaled := ubScale != nil
 	walk := hamerly && kr.CCOrder != nil
 	anchors := kr.Anchor
+	three := dim == 3
 	var distCalcs, skips, breaks int64
 	for _, i := range idx {
 		cur := a[i]
@@ -637,48 +632,12 @@ func (kr *AssignKernel) runCold2(idx []int32, hamerly bool) {
 				an = int32(anchors[i])
 			}
 		}
-		dc, br := kr.rescan2(i, an)
-		distCalcs += dc
-		breaks += br
-	}
-	kr.DistCalcs += distCalcs
-	kr.Skips += skips
-	kr.Breaks += breaks
-}
-
-// runCold3 is runCold2 at d = 3.
-func (kr *AssignKernel) runCold3(idx []int32, hamerly bool) {
-	w, a, ub, lb, localW := kr.W, kr.A, kr.Ub, kr.Lb, kr.LocalW
-	ubScale, lbScale := kr.UbScale, kr.LbScale
-	scaled := ubScale != nil
-	walk := hamerly && kr.CCOrder != nil
-	anchors := kr.Anchor
-	var distCalcs, skips, breaks int64
-	for _, i := range idx {
-		cur := a[i]
-		if hamerly && cur >= 0 {
-			u, l := ub[i], lb[i]
-			if scaled {
-				u *= ubScale[cur]
-				l *= lbScale
-			}
-			if u < l {
-				if scaled {
-					ub[i] = u
-					lb[i] = l
-				}
-				skips++
-				localW[cur] += w[i]
-				continue
-			}
+		var dc, br int64
+		if three {
+			dc, br = kr.rescan3(i, an)
+		} else {
+			dc, br = kr.rescan2(i, an)
 		}
-		an := int32(-1)
-		if walk {
-			if an = cur; an < 0 && anchors != nil {
-				an = int32(anchors[i])
-			}
-		}
-		dc, br := kr.rescan3(i, an)
 		distCalcs += dc
 		breaks += br
 	}

@@ -95,7 +95,7 @@ func twinKernel(kr *AssignKernel) *AssignKernel {
 // and through the generic body on a twin, and demands the same A, Ub, Lb,
 // LocalW and skips, bit for bit (any two NaNs count as equal), and the
 // same distance and break counts unless an Anchor column is attached:
-// only the straight-line bodies walk from it, which moves those two
+// only the straight-line body walks from it, which moves those two
 // counters and nothing else. That holds where the distances are numbers.
 // A point whose every distance is NaN or +Inf (a hostile coordinate) has
 // no best center — no comparison ever succeeds — and keeps whichever it
@@ -106,11 +106,7 @@ func checkStraightLine(t *testing.T, label string, dim int, kr *AssignKernel, id
 	t.Helper()
 	gen := twinKernel(kr)
 	gen.runBounded(dim, idx, hamerly)
-	if dim == 2 {
-		kr.runCold2(idx, hamerly)
-	} else {
-		kr.runCold3(idx, hamerly)
-	}
+	kr.runCold(dim, idx, hamerly)
 	exempt := func(i int) bool { return kr.Anchor != nil && !(gen.Ub[i] < math.Inf(1)) }
 	anyExempt := false
 	for i := range kr.A {
@@ -141,8 +137,8 @@ func checkStraightLine(t *testing.T, label string, dim int, kr *AssignKernel, id
 	}
 }
 
-// TestStraightLineMatchesGeneric pins the cold pass's straight-line bodies
-// (d = 2 and 3) to the generic body they stand in for, over every shape:
+// TestStraightLineMatchesGeneric pins the cold pass's straight-line body
+// (d = 2 and 3) to the generic body it stands in for, over every shape:
 // Hamerly and plain, tables on and off, box break on and off, a pending
 // rescale or none, unassigned points scanning in box order or walking
 // from an anchor, at k = 1, 2, 7 and 32.

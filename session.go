@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"geographer/internal/mpi"
@@ -68,12 +67,9 @@ func mapErr(err error) error {
 // Options.Method must be MethodGeographer (or empty), and Options.K may
 // not exceed the number of points.
 func NewSession(coords []float64, dim int, weights []float64, opts Options) (*Session, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
+	opts, err := opts.geographerOnly("a session")
+	if err != nil {
 		return nil, err
-	}
-	if strings.ToLower(opts.Method) != MethodGeographer {
-		return nil, fmt.Errorf("geographer: sessions require Method=%q, got %q", MethodGeographer, opts.Method)
 	}
 	ps, err := pointSet(slices.Clone(coords), dim, slices.Clone(weights))
 	if err != nil {
@@ -229,12 +225,9 @@ func NewSessionFromCheckpoint(data []byte, opts Options) (*Session, error) {
 	if opts.Processes == 0 {
 		opts.Processes = info.P
 	}
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
+	opts, err = opts.geographerOnly("a session")
+	if err != nil {
 		return nil, err
-	}
-	if strings.ToLower(opts.Method) != MethodGeographer {
-		return nil, fmt.Errorf("geographer: sessions require Method=%q, got %q", MethodGeographer, opts.Method)
 	}
 	if opts.K != info.K {
 		return nil, fmt.Errorf("geographer: restore with K=%d, checkpoint has %d blocks", opts.K, info.K)
